@@ -1,6 +1,7 @@
 // Benchmarks regenerating the paper's evaluation artifacts (one per table
 // and figure, §8) at benchmark-friendly sizes, plus ablations of the
-// design choices DESIGN.md calls out. cmd/rmabench prints the full
+// engine's own design choices (blocked and parallel dense kernels, sparse
+// ADD, the hash join). cmd/rmabench prints the full
 // paper-style series; these testing.B entry points make every experiment
 // runnable through `go test -bench`.
 package repro_test
@@ -370,7 +371,7 @@ func BenchmarkFig18TripCount(b *testing.B) {
 	})
 }
 
-// --- Ablations (DESIGN.md §5) ---------------------------------------------------
+// --- Ablations -----------------------------------------------------------------
 
 // BenchmarkAblationMatMul compares the naive triple loop against the
 // blocked serial and blocked parallel kernels.

@@ -1,6 +1,7 @@
 // Command rmabench regenerates every table and figure of the paper's
 // evaluation (Section 8). Each experiment prints the same rows/series the
-// paper reports, at scaled-down sizes documented in EXPERIMENTS.md.
+// paper reports, at the scaled-down sizes each experiment in
+// internal/bench sets (-quick shrinks them further).
 //
 //	rmabench -list             enumerate experiments
 //	rmabench -run tab5         run one experiment

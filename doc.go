@@ -5,8 +5,9 @@
 // The public API lives in repro/rma. The benchmarks in bench_test.go
 // regenerate the paper's evaluation, one per table and figure; the
 // cmd/rmabench tool prints them in the paper's layout (and, with -json,
-// writes a machine-readable BENCH_<n>.json kernel report). See README.md,
-// DESIGN.md, and EXPERIMENTS.md.
+// writes a machine-readable BENCH_<n>.json kernel report). The repo
+// benchmark — five end-to-end workloads with per-layer metrics — is
+// described in benchmark/README.md.
 //
 // # Per-query execution contexts
 //
@@ -159,7 +160,9 @@
 // build and aggregation tables — peak arena bytes become the maximum
 // across stages instead of the sum of full intermediates. Hash joins
 // build once via rel.JoinBuild sized from the (pruned, pre-filtered)
-// build side and probe per morsel; aggregations fold morsels into
+// build side and probe per morsel; under a parallel budget a build side
+// above bat.SerialCutoff rows is radix-partitioned on its key hashes and
+// the partitions are indexed in parallel. Aggregations fold morsels into
 // rel.StreamAgg, which buffers rows into the same
 // bat.SerialCutoff-aligned chunks as rel.GroupBy regardless of morsel
 // boundaries. Both therefore keep the determinism contract: probe
@@ -209,7 +212,7 @@
 // zero (unbudgeted tenants never auto-spill). The consumers are the
 // three the roadmap named: hash-join pair staging (16-way partitioned
 // pair files merged back in canonical probe order — both
-// rel.HashJoinSized and the SQL layer's rel.EquiJoinPairsSpilled
+// rel.HashJoin and the SQL layer's rel.EquiJoinPairsSpilled
 // route), grouped aggregation (rel.StreamAgg and rel.GroupBy freeze
 // partial tables to disk and merge), and sort (per-run files k-way
 // merged; a serial sort is one run and never stages). Every spilled
@@ -245,24 +248,6 @@
 // worker count and any tile-grid shape — asserted by differential
 // tests over tile edges yielding 1/2/7/16-tile grids, non-divisible
 // edge sizes, and worker budgets {1, 2, 8} under -race.
-//
-// The relational analogue is rel.Exchange: morsel streams are
-// radix-partitioned into P shards on the same typed 64-bit key hashes
-// the join table uses, each shard builds and probes (or groups)
-// independently, and shard outputs concatenate in fixed shard order —
-// so the exchange plan is bitwise-identical to the single-table path
-// (rel.ExchangeJoin vs rel.HashJoinSized, rel.ShardedAgg vs
-// rel.StreamAgg). The streaming SQL planner picks the partitioned
-// build when the statement runs with a multi-worker budget and the
-// build side exceeds bat.SerialCutoff rows; shard count is resolved at
-// execution time (min(workers, 16)) so cached plans stay
-// execution-agnostic. The plan additionally carries a partitioning
-// property — the canonical probe-side equi-join keys — and when the
-// GROUP BY keys equal it, the group stage shards its accumulators on
-// the existing key hashes instead of re-shuffling; grouping on other
-// keys keeps the single spill-capable accumulator. Per-shard rows
-// surface in exec.PipelineStats as exchange.build[shard i/P],
-// exchange.join[shard i/P], and exchange.group[shard i/P] stages.
 //
 // # Static analysis
 //

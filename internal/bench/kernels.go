@@ -292,17 +292,6 @@ func MicroKernels(quick bool) ([]KernelResult, error) {
 		}
 	}))
 
-	// The same join through the radix-partitioned exchange: four shards
-	// built, probed, and concatenated in fixed shard order.
-	out = append(out, measure("rel.Exchange(join-4shard)", joinRows, 2, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := rel.ExchangeJoin(nil, jl, js, []string{"l_k"}, []string{"s_k"}, rel.Inner, 4, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-
 	gr := intKeyRel("g", joinRows, 256, 13)
 	aggs := []rel.AggSpec{
 		{Func: rel.Count, As: "n"},

@@ -80,7 +80,7 @@ type ShapeType struct {
 
 // ShapeOf returns the shape type of an operation (paper Tables 1 and 2).
 //
-// Deviation from the paper, documented in DESIGN.md: Table 1 lists vsv as
+// Deviation from the paper: Table 1 lists vsv as
 // (r1,1) with cardinality |i1×j1| → |i1×1|, but the right singular vector
 // matrix V of an i1×j1 matrix is j1×j1. vsv is implemented with shape
 // (c1,c1), the same class as rqr and dsv.

@@ -62,8 +62,8 @@ func Dsv(r *rel.Relation, order []string, opts *Options) (*rel.Relation, error) 
 	return Unary(OpDSV, r, order, opts)
 }
 
-// Vsv returns the matrix of right singular vectors (c1,c1; see DESIGN.md
-// for the deviation from the paper's Table 1).
+// Vsv returns the matrix of right singular vectors (c1,c1). The paper's
+// Table 1 lists (r1,1), but V of an i1×j1 matrix is j1×j1; see ShapeOf.
 func Vsv(r *rel.Relation, order []string, opts *Options) (*rel.Relation, error) {
 	return Unary(OpVSV, r, order, opts)
 }

@@ -2,8 +2,9 @@
 // (Section 8). The real BIXI (Kaggle) and DBLP dumps are not available
 // offline, so seeded synthetic generators reproduce their schemas, type
 // mixes (numeric + date + string), and key distributions; every generator
-// is deterministic in its seed. Scaled-down sizes are documented per
-// experiment in EXPERIMENTS.md.
+// is deterministic in its seed. Each caller picks its own scaled-down
+// sizes (the experiments in internal/bench, the workloads of the repo
+// benchmark described in benchmark/README.md).
 package dataset
 
 import (

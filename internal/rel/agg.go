@@ -136,16 +136,7 @@ func (t *aggTable) find(kc *keyCols, h []uint64, i, nAggs int) *aggGroup {
 // row order, and the partials are merged in ascending chunk order. Sums
 // therefore associate identically at any parallelism, making the output
 // bitwise-reproducible — the same discipline as bat.Sum and bat.Dot.
-func GroupBy(c *exec.Ctx, r *Relation, keys []string, aggs []AggSpec) (*Relation, error) {
-	return GroupBySized(c, r, keys, aggs, 0)
-}
-
-// GroupBySized is GroupBy with a group-cardinality hint: the expected
-// number of distinct groups, used to pre-size the per-chunk and merged
-// hash tables instead of growing them incrementally. A hint ≤ 0 falls
-// back to the default sizing; the hint never affects the result, only
-// allocation behavior.
-func GroupBySized(c *exec.Ctx, r *Relation, keys []string, aggs []AggSpec, groupHint int) (res *Relation, err error) {
+func GroupBy(c *exec.Ctx, r *Relation, keys []string, aggs []AggSpec) (res *Relation, err error) {
 	defer exec.CatchBudget(&err)
 	if len(aggs) == 0 {
 		return nil, fmt.Errorf("rel: group by without aggregates")
@@ -185,7 +176,7 @@ func GroupBySized(c *exec.Ctx, r *Relation, keys []string, aggs []AggSpec, group
 	// stages the tail of the key space to disk instead of growing the
 	// group tables. Same result, bit for bit.
 	if len(keys) > 0 && c.ShouldSpill(groupSpillEst(r.NumRows(), len(keys), len(aggs))) {
-		return groupBySpilled(c, r, keys, aggs, groupHint, inCols)
+		return groupBySpilled(c, r, keys, aggs, inCols)
 	}
 
 	var kc *keyCols
@@ -205,11 +196,7 @@ func GroupBySized(c *exec.Ctx, r *Relation, keys []string, aggs []AggSpec, group
 	c.ParallelFor(chunks, 1, func(clo, chi int) {
 		for ch := clo; ch < chi; ch++ {
 			lo, hi := ch*bat.SerialCutoff, min((ch+1)*bat.SerialCutoff, n)
-			hint := (hi-lo)/4 + 1
-			if groupHint > 0 && groupHint < hint {
-				hint = groupHint + 1
-			}
-			t := newAggTable(hint)
+			t := newAggTable((hi-lo)/4 + 1)
 			if kc == nil {
 				g := aggGroup{row: lo, st: newAggStates(len(aggs))}
 				for i := lo; i < hi; i++ {
@@ -237,7 +224,7 @@ func GroupBySized(c *exec.Ctx, r *Relation, keys []string, aggs []AggSpec, group
 	if chunks == 1 {
 		merged = partials[0]
 	} else {
-		merged = newAggTable(max(groupHint, 0))
+		merged = newAggTable(0)
 		for _, t := range partials {
 			for li := range t.groups {
 				lg := &t.groups[li]

@@ -362,7 +362,7 @@ func groupSpillEst(n, keys, aggs int) int64 {
 // StreamAgg: one serial pass over the input (the accumulator's chunking
 // reproduces the parallel fold bitwise), with the tail of the key space
 // staged to disk.
-func groupBySpilled(c *exec.Ctx, r *Relation, keys []string, aggs []AggSpec, hint int, inCols [][]float64) (*Relation, error) {
+func groupBySpilled(c *exec.Ctx, r *Relation, keys []string, aggs []AggSpec, inCols [][]float64) (*Relation, error) {
 	kt := make([]bat.Type, len(keys))
 	kvecs := make([]*bat.Vector, len(keys))
 	for k, name := range keys {
@@ -373,7 +373,7 @@ func groupBySpilled(c *exec.Ctx, r *Relation, keys []string, aggs []AggSpec, hin
 		kvecs[k] = col.VectorCtx(c)
 		kt[k] = kvecs[k].Type()
 	}
-	sa, err := NewStreamAggCtx(c, r.Name, keys, kt, aggs, hint)
+	sa, err := NewStreamAgg(c, r.Name, keys, kt, aggs)
 	if err != nil {
 		return nil, err
 	}

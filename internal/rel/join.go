@@ -31,13 +31,7 @@ func (t *joinTable) lookup(h uint64) []int {
 	return t.parts[h&t.mask][h]
 }
 
-// buildJoinTable indexes the build side from its row hashes with the
-// default sizing (half the rows distinct).
-func buildJoinTable(c *exec.Ctx, h []uint64) *joinTable {
-	return buildJoinTableSized(c, h, 0)
-}
-
-// buildJoinTableSized indexes the build side from its row hashes. Small
+// buildJoinTable indexes the build side from its row hashes. Small
 // inputs (or a single-worker budget) build one partition serially; larger
 // ones are radix-partitioned in two parallel passes — per-chunk histograms,
 // then a scatter through chunk-major offsets — and the per-partition hash
@@ -45,11 +39,12 @@ func buildJoinTable(c *exec.Ctx, h []uint64) *joinTable {
 // row list ascending regardless of the chunk decomposition, which is what
 // makes the join output independent of the worker budget.
 //
-// hint is the expected number of distinct keys: the hash maps are
-// pre-sized to it instead of growing incrementally. The partitioning
-// staging (histograms, offsets, the scattered row list) is charged to the
-// invocation's arena and released before return.
-func buildJoinTableSized(c *exec.Ctx, h []uint64, hint int) *joinTable {
+// hint is the expected number of distinct keys (≤ 0 for the default of
+// half the rows distinct): the hash maps are pre-sized to it instead of
+// growing incrementally. The partitioning staging (histograms, offsets,
+// the scattered row list) is charged to the invocation's arena and
+// released before return.
+func buildJoinTable(c *exec.Ctx, h []uint64, hint int) *joinTable {
 	m := len(h)
 	if hint <= 0 {
 		hint = m/2 + 1
@@ -134,7 +129,7 @@ func buildJoinTableSized(c *exec.Ctx, h []uint64, hint int) *joinTable {
 // slices come from the context's arena; callers done with them hand them
 // back with FreeInts.
 func joinPairs(c *exec.Ctx, rkc, skc *keyCols, leftOuter bool) (li, ri []int, anyUnmatched bool) {
-	table := buildJoinTable(c, skc.hashes(c))
+	table := buildJoinTable(c, skc.hashes(c), 0)
 	return probePairs(c, table, rkc, skc, leftOuter)
 }
 
@@ -145,7 +140,7 @@ func joinPairs(c *exec.Ctx, rkc, skc *keyCols, leftOuter bool) (li, ri []int, an
 // streaming join probes the same table once per morsel through this
 // path, so morsel-probe pair sequences concatenate to exactly the
 // all-at-once sequence.
-func probePairs(c *exec.Ctx, table buildIndex, rkc, skc *keyCols, leftOuter bool) (li, ri []int, anyUnmatched bool) {
+func probePairs(c *exec.Ctx, table *joinTable, rkc, skc *keyCols, leftOuter bool) (li, ri []int, anyUnmatched bool) {
 	rh := rkc.hashes(c)
 	n := rkc.n
 
@@ -233,16 +228,7 @@ func EquiJoinPairs(c *exec.Ctx, probeKeys, buildKeys []*bat.BAT, leftOuter bool)
 // parallel passes — match counting, then a scatter through per-row output
 // offsets. Output order is canonical at any worker budget: probe rows in r
 // order, matches per probe row in s order.
-func HashJoin(c *exec.Ctx, r, s *Relation, rKeys, sKeys []string, jt JoinType) (*Relation, error) {
-	return HashJoinSized(c, r, s, rKeys, sKeys, jt, 0)
-}
-
-// HashJoinSized is HashJoin with a build-side cardinality hint: the
-// expected number of distinct build keys, used to pre-size the build hash
-// table instead of growing it incrementally. A hint ≤ 0 falls back to the
-// default sizing (half the build rows); the hint never affects the result,
-// only allocation behavior.
-func HashJoinSized(c *exec.Ctx, r, s *Relation, rKeys, sKeys []string, jt JoinType, buildHint int) (res *Relation, err error) {
+func HashJoin(c *exec.Ctx, r, s *Relation, rKeys, sKeys []string, jt JoinType) (res *Relation, err error) {
 	defer exec.CatchBudget(&err)
 	if len(rKeys) != len(sKeys) || len(rKeys) == 0 {
 		return nil, fmt.Errorf("rel: join needs matching non-empty key lists")
@@ -279,8 +265,7 @@ func HashJoinSized(c *exec.Ctx, r, s *Relation, rKeys, sKeys []string, jt JoinTy
 	}
 
 	// Build on s, probe with r.
-	table := buildJoinTableSized(c, skc.hashes(c), buildHint)
-	li, ri, anyUnmatched := probePairs(c, table, rkc, skc, jt == Left)
+	li, ri, anyUnmatched := joinPairs(c, rkc, skc, jt == Left)
 	// The key views are done once the pairs exist; hand any densified
 	// sparse tails back to the per-query arena before the gathers below
 	// allocate the result columns.

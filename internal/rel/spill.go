@@ -489,7 +489,7 @@ func (sp *SpilledPairs) Fill(c *exec.Ctx, leftCols, rightCols []*bat.BAT) ([]*ba
 	return stagedFill(c, sp, cols, sides)
 }
 
-// hashJoinSpilled is HashJoinSized's out-of-core path: pairs staged to
+// hashJoinSpilled is HashJoin's out-of-core path: pairs staged to
 // disk, gathered column intermediates staged likewise, result columns
 // materialized one at a time. The result is bitwise-identical to the
 // in-memory join.

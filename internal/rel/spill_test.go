@@ -158,7 +158,7 @@ func TestStreamAggSpillMatchesGroupBy(t *testing.T) {
 	bf := bcol.Vector().Floats()
 
 	c, sp := spillCtx(t, 4)
-	sa, err := NewStreamAggCtx(c, "r", []string{"k", "tag"}, []bat.Type{bat.Int, bat.String}, aggs, 0)
+	sa, err := NewStreamAgg(c, "r", []string{"k", "tag"}, []bat.Type{bat.Int, bat.String}, aggs)
 	if err != nil {
 		t.Fatal(err)
 	}

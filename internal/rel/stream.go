@@ -19,9 +19,12 @@ import (
 
 // JoinBuild is the hash-partitioned build side of a streaming equi-join:
 // constructed once from the materialized build keys, then probed once
-// per morsel. Probe emits pairs in probe order with matches in build
-// order — the same canonical order as EquiJoinPairs — so concatenating
-// the per-morsel pair lists reproduces the all-at-once join exactly.
+// per morsel. A build side above bat.SerialCutoff under a parallel budget
+// is radix-partitioned exactly as HashJoin's, over min(next power of two
+// ≥ workers, 64) partitions built in parallel. Probe emits pairs in probe
+// order with matches in build order — the same canonical order as
+// EquiJoinPairs — so concatenating the per-morsel pair lists reproduces
+// the all-at-once join exactly.
 type JoinBuild struct {
 	skc   *keyCols
 	table *joinTable
@@ -35,7 +38,7 @@ func NewJoinBuild(c *exec.Ctx, buildKeys []*bat.BAT, hint int) (*JoinBuild, erro
 	}
 	bn := buildKeys[0].Len()
 	skc := keyColsOf(c, bn, buildKeys)
-	return &JoinBuild{skc: skc, table: buildJoinTableSized(c, skc.hashes(c), hint)}, nil
+	return &JoinBuild{skc: skc, table: buildJoinTable(c, skc.hashes(c), hint)}, nil
 }
 
 // Rows returns the build-side row count.
@@ -118,27 +121,18 @@ type StreamAgg struct {
 
 // NewStreamAgg returns an accumulator for the given grouping keys (with
 // their column types) and aggregates; an empty key list aggregates into
-// a single global group. name names the result relation; hint is the
-// expected group count (≤ 0 for default sizing).
-func NewStreamAgg(name string, keys []string, keyTypes []bat.Type, aggs []AggSpec, hint int) (*StreamAgg, error) {
-	return NewStreamAggCtx(nil, name, keys, keyTypes, aggs, hint)
-}
-
-// NewStreamAggCtx is NewStreamAgg bound to an execution context: when
-// the context carries a spill manager, a group table crossing the spill
-// threshold degrades to disk (see the StreamAgg doc) instead of growing
-// without bound. A nil context keeps the purely in-memory behavior.
-func NewStreamAggCtx(c *exec.Ctx, name string, keys []string, keyTypes []bat.Type, aggs []AggSpec, hint int) (*StreamAgg, error) {
+// a single global group. name names the result relation. When c carries
+// a spill manager, a group table crossing the spill threshold degrades
+// to disk (see the StreamAgg doc) instead of growing without bound; a
+// nil context keeps the purely in-memory behavior.
+func NewStreamAgg(c *exec.Ctx, name string, keys []string, keyTypes []bat.Type, aggs []AggSpec) (*StreamAgg, error) {
 	if len(aggs) == 0 {
 		return nil, fmt.Errorf("rel: group by without aggregates")
 	}
 	if len(keys) != len(keyTypes) {
 		return nil, fmt.Errorf("rel: %d grouping keys with %d types", len(keys), len(keyTypes))
 	}
-	if hint < 0 {
-		hint = 0
-	}
-	a := &StreamAgg{
+	return &StreamAgg{
 		name:      name,
 		keys:      keys,
 		aggs:      aggs,
@@ -147,10 +141,9 @@ func NewStreamAggCtx(c *exec.Ctx, name string, keys []string, keyTypes []bat.Typ
 		kf:        make([][]float64, len(keys)),
 		ki:        make([][]int64, len(keys)),
 		ks:        make([][]string, len(keys)),
-		byHash:    make(map[uint64][]int, hint),
-		chunkSlot: make(map[int]int, hint),
-	}
-	return a, nil
+		byHash:    make(map[uint64][]int),
+		chunkSlot: make(map[int]int),
+	}, nil
 }
 
 // hashKeyRow computes the composite key hash of row i of the morsel's
@@ -290,49 +283,36 @@ func (a *StreamAgg) Consume(keys []*bat.Vector, aggIn [][]float64, n int) error 
 		if a.rowsInChunk == bat.SerialCutoff {
 			a.flushChunk()
 		}
-		var h uint64
+		g := 0
 		if len(a.keys) > 0 {
-			h = a.hashKeyRow(keys, i)
+			h := a.hashKeyRow(keys, i)
+			gg, ok := a.groupOfHash(h, keys, i)
+			if !ok {
+				// Unseen key after the freeze: stage the row to disk. It
+				// still occupies its global chunk position.
+				if err := a.spillRow(keys, aggIn, i, h); err != nil {
+					return err
+				}
+				a.rowsInChunk++
+				a.seen++
+				continue
+			}
+			g = gg
+		} else if len(a.states) == 0 {
+			a.ghash = append(a.ghash, 0)
+			a.states = append(a.states, newAggStates(len(a.aggs)))
 		}
-		if err := a.consumeRow(keys, aggIn, i, h); err != nil {
-			return err
+		st := a.chunkStateOf(g)
+		for k := range a.aggs {
+			var col []float64
+			if aggIn[k] != nil {
+				col = aggIn[k][i : i+1]
+			}
+			st[k].accumulate(col, 0)
 		}
 		a.rowsInChunk++
+		a.seen++
 	}
-	return nil
-}
-
-// consumeRow folds one row whose key hash is h (ignored for the global
-// group). The caller owns the chunk clock: ShardedAgg flushes all of
-// its shard accumulators on global SerialCutoff boundaries, while
-// Consume above keeps the single-accumulator clock.
-func (a *StreamAgg) consumeRow(keys []*bat.Vector, aggIn [][]float64, i int, h uint64) error {
-	g := 0
-	if len(a.keys) > 0 {
-		gg, ok := a.groupOfHash(h, keys, i)
-		if !ok {
-			// Unseen key after the freeze: stage the row to disk. It
-			// still occupies its global chunk position.
-			if err := a.spillRow(keys, aggIn, i, h); err != nil {
-				return err
-			}
-			a.seen++
-			return nil
-		}
-		g = gg
-	} else if len(a.states) == 0 {
-		a.ghash = append(a.ghash, 0)
-		a.states = append(a.states, newAggStates(len(a.aggs)))
-	}
-	st := a.chunkStateOf(g)
-	for k := range a.aggs {
-		var col []float64
-		if aggIn[k] != nil {
-			col = aggIn[k][i : i+1]
-		}
-		st[k].accumulate(col, 0)
-	}
-	a.seen++
 	return nil
 }
 

@@ -55,7 +55,7 @@ func TestStreamingAggMatchesGroupBy(t *testing.T) {
 			acol, _ := r.Col("a")
 			bcol, _ := r.Col("b")
 
-			sa, err := NewStreamAgg("r", []string{"k", "tag"}, []bat.Type{bat.Int, bat.String}, aggs, 0)
+			sa, err := NewStreamAgg(nil, "r", []string{"k", "tag"}, []bat.Type{bat.Int, bat.String}, aggs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +103,7 @@ func TestStreamingAggGlobalGroup(t *testing.T) {
 		af := acol.Vector().Floats()
 		bf := bcol.Vector().Floats()
 
-		sa, err := NewStreamAgg("r", nil, nil, aggs, 0)
+		sa, err := NewStreamAgg(nil, "r", nil, nil, aggs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,100 +129,62 @@ func TestStreamingAggGlobalGroup(t *testing.T) {
 
 // TestStreamingJoinProbeMatchesEquiJoinPairs probes a JoinBuild one
 // morsel at a time and asserts the concatenated pair lists equal the
-// all-at-once EquiJoinPairs output, inner and left outer, at several
-// worker budgets.
+// all-at-once serial EquiJoinPairs output, inner and left outer, at
+// several worker budgets. The second build side lies above
+// bat.SerialCutoff, so under a parallel budget the JoinBuild is
+// radix-partitioned; its keys repeat and cover only the even probe keys,
+// so every probe morsel mixes duplicate matches with unmatched rows.
 func TestStreamingJoinProbeMatchesEquiJoinPairs(t *testing.T) {
-	pn, bn := 3*bat.SerialCutoff+41, 2000
+	pn := 3*bat.SerialCutoff + 41
 	probe := make([]int64, pn)
-	build := make([]int64, bn)
 	for i := range probe {
-		probe[i] = int64((i*7919 + 3) % 1500) // some keys unmatched
-	}
-	for j := range build {
-		build[j] = int64((j*104729 + 1) % 1500)
+		probe[i] = int64((i*7919 + 3) % 1500)
 	}
 	probeKeys := []*bat.BAT{bat.FromInts(probe)}
-	buildKeys := []*bat.BAT{bat.FromInts(build)}
 
-	for _, leftOuter := range []bool{false, true} {
-		for _, workers := range []int{1, 2, 8} {
-			c := exec.NewCtx(workers, nil, nil)
-			wantLi, wantRi, err := EquiJoinPairs(c, probeKeys, buildKeys, leftOuter)
+	for _, bc := range []struct{ n, stride int }{{2000, 1}, {bat.SerialCutoff + 301, 2}} {
+		build := make([]int64, bc.n)
+		for j := range build {
+			build[j] = int64((j*104729 + 1) % 1500 * bc.stride)
+		}
+		buildKeys := []*bat.BAT{bat.FromInts(build)}
+		for _, leftOuter := range []bool{false, true} {
+			wantLi, wantRi, err := EquiJoinPairs(exec.NewCtx(1, nil, nil), probeKeys, buildKeys, leftOuter)
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			jb, err := NewJoinBuild(c, buildKeys, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var gotLi, gotRi []int
-			for lo := 0; lo < pn; lo += bat.MorselSize {
-				hi := min(lo+bat.MorselSize, pn)
-				mk := []*bat.BAT{bat.FromInts(probe[lo:hi])}
-				li, ri, _, err := jb.Probe(c, mk, leftOuter)
+			for _, workers := range []int{1, 2, 8} {
+				c := exec.NewCtx(workers, nil, nil)
+				jb, err := NewJoinBuild(c, buildKeys, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for k := range li {
-					gotLi = append(gotLi, li[k]+lo)
-					gotRi = append(gotRi, ri[k])
+				var gotLi, gotRi []int
+				for lo := 0; lo < pn; lo += bat.MorselSize {
+					hi := min(lo+bat.MorselSize, pn)
+					mk := []*bat.BAT{bat.FromInts(probe[lo:hi])}
+					li, ri, _, err := jb.Probe(c, mk, leftOuter)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for k := range li {
+						gotLi = append(gotLi, li[k]+lo)
+						gotRi = append(gotRi, ri[k])
+					}
+					c.Arena().FreeInts(li)
+					c.Arena().FreeInts(ri)
 				}
-				c.Arena().FreeInts(li)
-				c.Arena().FreeInts(ri)
-			}
-			jb.Release(c)
+				jb.Release(c)
 
-			if len(gotLi) != len(wantLi) {
-				t.Fatalf("leftOuter=%v workers=%d: %d streamed pairs, want %d", leftOuter, workers, len(gotLi), len(wantLi))
-			}
-			for k := range wantLi {
-				if gotLi[k] != wantLi[k] || gotRi[k] != wantRi[k] {
-					t.Fatalf("leftOuter=%v workers=%d: pair %d = (%d,%d), want (%d,%d)",
-						leftOuter, workers, k, gotLi[k], gotRi[k], wantLi[k], wantRi[k])
+				if len(gotLi) != len(wantLi) {
+					t.Fatalf("build=%d leftOuter=%v workers=%d: %d streamed pairs, want %d", bc.n, leftOuter, workers, len(gotLi), len(wantLi))
 				}
-			}
-		}
-	}
-}
-
-// TestStreamingSizedVariantsMatchBase pins HashJoinSized and GroupBySized
-// to their default-sized originals: the hint may only change allocation
-// behavior, never the result.
-func TestStreamingSizedVariantsMatchBase(t *testing.T) {
-	n := 2*bat.SerialCutoff + 17
-	r := aggRel(n, 512)
-	s, err := aggRel(3000, 512).Rename(map[string]string{"tag": "stag", "a": "sa", "b": "sb"})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, workers := range []int{1, 8} {
-		c := exec.NewCtx(workers, nil, nil)
-		for _, hint := range []int{1, 512, 10 * n} {
-			base, err := HashJoin(c, r, s, []string{"k"}, []string{"k"}, Inner)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sized, err := HashJoinSized(c, r, s, []string{"k"}, []string{"k"}, Inner, hint)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !equalRelations(base, sized) {
-				t.Fatalf("workers=%d hint=%d: HashJoinSized differs from HashJoin", workers, hint)
-			}
-
-			aggs := []AggSpec{{Func: Sum, Attr: "a", As: "sa"}, {Func: Count, As: "n"}}
-			gbase, err := GroupBy(c, r, []string{"k"}, aggs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gsized, err := GroupBySized(c, r, []string{"k"}, aggs, hint)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !equalRelations(gbase, gsized) {
-				t.Fatalf("workers=%d hint=%d: GroupBySized differs from GroupBy", workers, hint)
+				for k := range wantLi {
+					if gotLi[k] != wantLi[k] || gotRi[k] != wantRi[k] {
+						t.Fatalf("build=%d leftOuter=%v workers=%d: pair %d = (%d,%d), want (%d,%d)",
+							bc.n, leftOuter, workers, k, gotLi[k], gotRi[k], wantLi[k], wantRi[k])
+					}
+				}
 			}
 		}
 	}

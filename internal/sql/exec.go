@@ -27,7 +27,11 @@ import (
 // run, so a global cap queues excess concurrent queries instead of
 // letting them overcommit memory.
 type DB struct {
-	mu       sync.RWMutex
+	mu sync.RWMutex
+	// writeMu serializes writers (CREATE, INSERT, DROP) from their read
+	// of the table through its checkpoint, so concurrent INSERTs neither
+	// lose rows nor share a checkpoint temp file. Readers never take it.
+	writeMu  sync.Mutex
 	tables   map[string]*rel.Relation
 	rmaOpts  *core.Options
 	gov      *exec.Governor
@@ -509,6 +513,8 @@ func (db *DB) run(c *exec.Ctx, s Statement) (*rel.Relation, error) {
 	case *InsertStmt:
 		return nil, db.runInsert(c, x)
 	case *DropStmt:
+		db.writeMu.Lock()
+		defer db.writeMu.Unlock()
 		db.mu.Lock()
 		if _, ok := db.tables[x.Table]; !ok {
 			db.mu.Unlock()
@@ -535,6 +541,8 @@ func (db *DB) run(c *exec.Ctx, s Statement) (*rel.Relation, error) {
 }
 
 func (db *DB) runCreate(x *CreateStmt) error {
+	db.writeMu.Lock()
+	defer db.writeMu.Unlock()
 	db.mu.Lock()
 	if _, ok := db.tables[x.Name]; ok {
 		db.mu.Unlock()
@@ -561,6 +569,8 @@ func (db *DB) runCreate(x *CreateStmt) error {
 }
 
 func (db *DB) runInsert(c *exec.Ctx, x *InsertStmt) error {
+	db.writeMu.Lock()
+	defer db.writeMu.Unlock()
 	tbl, err := db.Table(x.Table)
 	if err != nil {
 		return err

@@ -53,13 +53,6 @@ type streamNode struct {
 	outTypes []bat.Type // types of the emitted columns
 	needed   []int      // leaf/right-side column indexes kept by pruning
 
-	// partKeys is the partitioning property of this node's output: the
-	// canonical forms of the probe-side equi keys when the node is an
-	// equi-join (whose build side the runtime may radix-partition into
-	// shards on those key hashes). A downstream group-by over the same
-	// keys rides that partitioning instead of re-shuffling.
-	partKeys []string
-
 	bschema rel.Schema // cached internal-name schema for morsel sources
 }
 
@@ -197,9 +190,6 @@ func (n *streamNode) check() error {
 			// Nested-loop fallback: cross then filter on the whole ON.
 			n.residual = []Expr{n.on}
 		}
-		for _, e := range n.lk {
-			n.partKeys = append(n.partKeys, keyOf(e))
-		}
 	}
 	leftProto := protoSource(n.left.outSyms, n.left.outTypes)
 	for _, e := range n.lk {
@@ -319,13 +309,6 @@ type groupPlan struct {
 	keyTypes []bat.Type
 	specs    []rel.AggSpec
 	argExprs []Expr
-
-	// coPart is set when the grouping keys are exactly the root join's
-	// partitioning keys (streamNode.partKeys): the rows reaching the
-	// group stage are already hash-partitioned on them, so the stage may
-	// shard its accumulators on the same key hashes — parallel grouping
-	// with no re-shuffle — instead of folding into a single table.
-	coPart bool
 }
 
 // planStream plans one SELECT for streaming execution. Any error —
@@ -393,7 +376,6 @@ func (db *DB) planStream(c *exec.Ctx, sel *SelectStmt) (*selectPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		gp.coPart = coPartitioned(root.partKeys, sel.GroupBy)
 		plan.group = gp
 		return plan, nil
 	}
@@ -417,27 +399,6 @@ func (db *DB) planStream(c *exec.Ctx, sel *SelectStmt) (*selectPlan, error) {
 		}
 	}
 	return plan, nil
-}
-
-// coPartitioned reports whether the grouping keys and the partitioning
-// keys are the same set of expressions (canonical-form comparison):
-// only then does every row of one group reach exactly one shard of the
-// existing partitioning, so the group stage can shard without its own
-// shuffle.
-func coPartitioned(partKeys []string, groupBy []Expr) bool {
-	if len(groupBy) == 0 || len(partKeys) != len(groupBy) {
-		return false
-	}
-	part := make(map[string]bool, len(partKeys))
-	for _, k := range partKeys {
-		part[k] = true
-	}
-	for _, g := range groupBy {
-		if !part[keyOf(g)] {
-			return false
-		}
-	}
-	return true
 }
 
 // planGroup mirrors groupSource's shape checks and resolves the key and

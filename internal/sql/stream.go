@@ -252,38 +252,13 @@ func (f *filterStream) close(c *exec.Ctx) {
 
 // --- equi-join -------------------------------------------------------------
 
-// probeIndex is the build-side contract joinStream probes against:
-// rel.JoinBuild (one hash table) and rel.PartitionedBuild (radix
-// exchange, one table per shard) produce bitwise-identical pair
-// sequences, so the choice is pure execution policy.
-type probeIndex interface {
-	Probe(c *exec.Ctx, probeKeys []*bat.BAT, leftOuter bool) (li, ri []int, anyUnmatched bool, err error)
-	Release(c *exec.Ctx)
-}
-
-// buildShards resolves the exchange fan-out for a build side of the
-// given row count at execution time — cached plans stay
-// execution-agnostic, so the same plan shards under one context and
-// builds a single table under another. Below one serial chunk (or
-// serially) partitioning is pure overhead.
-func buildShards(c *exec.Ctx, rows int) int {
-	w := c.Workers()
-	if w <= 1 || rows < bat.SerialCutoff {
-		return 1
-	}
-	return min(w, 16)
-}
-
 // joinStream probes each left morsel against a build side materialized
 // and indexed at open. Pushed-down build filters run before indexing,
 // and the hash table is pre-sized with the exact post-filter row count.
-// Large build sides under a parallel budget are radix-partitioned into
-// shards (rel.PartitionedBuild) with one stats stage per shard.
 type joinStream struct {
 	in        rowStream
 	node      *streamNode
-	jb        probeIndex
-	shards    int
+	jb        *rel.JoinBuild
 	buildVecs []*bat.Vector // needed build columns, sparse ones densified
 	buildOwn  [][]float64
 	filtered  []*rel.Relation // pushed-down-filter intermediates, freed at close
@@ -309,27 +284,12 @@ func newJoinStream(c *exec.Ctx, n *streamNode, in rowStream, ps *exec.PipelineSt
 		freeFiltered(c, filtered)
 		return nil, err
 	}
-	var jb probeIndex
-	shards := buildShards(c, right.rel.NumRows())
-	if shards > 1 {
-		pb, err := rel.NewPartitionedBuild(c, keys, shards, right.rel.NumRows())
-		if err != nil {
-			freeFiltered(c, filtered)
-			return nil, err
-		}
-		for pt := 0; pt < shards; pt++ {
-			rows := pb.ShardRows(pt)
-			ps.Stage(fmt.Sprintf("exchange.build[shard %d/%d]", pt, shards)).Batch(rows, int64(rows)*8)
-		}
-		jb = pb
-	} else {
-		jb, err = rel.NewJoinBuild(c, keys, right.rel.NumRows())
-		if err != nil {
-			freeFiltered(c, filtered)
-			return nil, err
-		}
+	jb, err := rel.NewJoinBuild(c, keys, right.rel.NumRows())
+	if err != nil {
+		freeFiltered(c, filtered)
+		return nil, err
 	}
-	j := &joinStream{in: in, node: n, jb: jb, shards: shards, filtered: filtered, leftOuter: n.kind == JoinLeft, tr: ps.Stage("join")}
+	j := &joinStream{in: in, node: n, jb: jb, filtered: filtered, leftOuter: n.kind == JoinLeft, tr: ps.Stage("join")}
 	for _, k := range n.needed {
 		col := right.rel.Cols[k]
 		v := col.VectorCtx(c)
@@ -764,37 +724,16 @@ func runStreamProject(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, st rowStre
 	return finishOutput(c, sel, out, plan.outSyms, nil)
 }
 
-// groupAccumulator is the streaming grouping contract shared by
-// rel.StreamAgg (one accumulator) and rel.ShardedAgg (hash-sharded
-// accumulators); both finish into bitwise-identical grouped relations.
-type groupAccumulator interface {
-	Consume(keys []*bat.Vector, aggIn [][]float64, n int) error
-	Finish() (*rel.Relation, error)
-}
-
 // runStreamGrouped drains the stream into the streaming aggregation
 // accumulator, then rejoins the materializing tail: rewrite aggregate
 // and key expressions into grouped-column references, apply HAVING, and
 // run the shared projection/ORDER BY/LIMIT code over the grouped
 // relation — which is bitwise-identical to the one groupSource builds.
-//
-// When the plan marked the grouping co-partitioned (the keys are the
-// root join's partitioning keys) and the context runs parallel, the
-// stage shards its accumulators on the same key hashes the exchange
-// build used — the rows are already partitioned on those keys, so this
-// is parallel grouping with no re-shuffle. Otherwise a single
-// accumulator (which can spill) folds the stream.
+// The accumulator is bound to the statement context, so a group table
+// that outgrows the spill threshold degrades to disk.
 func (db *DB) runStreamGrouped(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, st rowStream, ps *exec.PipelineStats) (*rel.Relation, error) {
 	gp := plan.group
-	var sa groupAccumulator
-	var sharded *rel.ShardedAgg
-	var err error
-	if w := c.Workers(); gp.coPart && w > 1 {
-		sharded, err = rel.NewShardedAgg("", gp.keyNames, gp.keyTypes, gp.specs, min(w, 16), 0)
-		sa = sharded
-	} else {
-		sa, err = rel.NewStreamAggCtx(c, "", gp.keyNames, gp.keyTypes, gp.specs, 0)
-	}
+	sa, err := rel.NewStreamAgg(c, "", gp.keyNames, gp.keyTypes, gp.specs)
 	if err != nil {
 		return nil, err
 	}
@@ -851,11 +790,6 @@ func (db *DB) runStreamGrouped(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, s
 	grouped, err := sa.Finish()
 	if err != nil {
 		return nil, err
-	}
-	if sharded != nil {
-		for pt := 0; pt < sharded.Shards(); pt++ {
-			ps.Stage(fmt.Sprintf("exchange.group[shard %d/%d]", pt, sharded.Shards())).Batch(sharded.ShardGroups(pt), 0)
-		}
 	}
 	// Global aggregation over an empty input yields one row of zeros
 	// (COUNT(*) = 0), matching SQL semantics and groupSource.
