@@ -2,11 +2,10 @@
 // Algebra and its Implementation in a Column Store" (Dolmatova, Augsten,
 // Böhlen — SIGMOD 2020).
 //
-// The public API lives in repro/rma. The benchmarks in bench_test.go
-// regenerate the paper's evaluation, one per table and figure; the
-// cmd/rmabench tool prints them in the paper's layout (and, with -json,
-// writes a machine-readable BENCH_<n>.json kernel report). The repo
-// benchmark — five end-to-end workloads with per-layer metrics — is
+// The public API lives in repro/rma. cmd/rmabench regenerates the
+// paper's evaluation, one experiment per table and figure, and prints it
+// in the paper's layout (rmabench -run). The repo benchmark — five
+// end-to-end workloads with per-layer metrics, the performance gate — is
 // described in benchmark/README.md.
 //
 // # Per-query execution contexts
@@ -25,11 +24,10 @@
 // knob, concurrent queries with different core.Options.Parallelism
 // settings are race-free by construction: each query's operators resolve
 // workers against the query's own Ctx, and core.Stats.Workers reports
-// that budget per invocation. The former global knobs
-// (bat.SetParallelism, linalg.SetParallelism) survive only as deprecated
-// shims that seed the fallback budget nil contexts resolve against. A
-// dedicated CI step runs the mixed-budget concurrency stress tests under
-// -race with GOMAXPROCS=4.
+// that budget per invocation. The only process-wide setting left is the
+// fallback budget nil contexts resolve against (exec.SetDefaultWorkers,
+// GOMAXPROCS unless set). A dedicated CI step runs the mixed-budget
+// concurrency stress tests under -race with GOMAXPROCS=4.
 //
 //   - Ctx.ParallelFor splits an index range over at most Ctx.Workers()
 //     goroutines with a serial cutoff (exec.SerialCutoff elements), so
@@ -110,8 +108,9 @@
 // MemoryBudget, Governor} governs one invocation and snapshots the
 // tenant counters into core.Stats.Arena; exec.Metrics() (the default
 // governor) and sql.DB.Metrics() return per-tenant live/peak bytes and
-// pool hit rates; rmacli exposes \mem n, \tenant name and \stats; both
-// CLIs publish the snapshot through expvar as "rma.memory".
+// pool hit rates; rmacli exposes \mem n, \tenant name and \stats;
+// rmacli and rmaserver publish the snapshot through expvar as
+// "rma.memory".
 //
 // The relational operators run on the same substrate:
 //
@@ -322,9 +321,7 @@
 // the process exits. The e2e tests (cmd/rmaserver/server_test.go)
 // drive budget isolation, admission queueing under a single-slot
 // governor, graceful drain, and the 4-tenants-by-8-connections load
-// under -race. rmabench -load NxM replays the same serving mix as a
-// load generator and reports per-tenant quantiles; the sql.Load rows
-// in BENCH_<n>.json track the cached and cache-off serving latency.
+// under -race.
 //
 // core.Options.Parallelism bounds the worker budget per invocation
 // (default GOMAXPROCS, 1 forces serial); core.Unary/Binary build the
@@ -334,8 +331,5 @@
 // layer builds one context per statement, so concurrent statements with
 // different budgets never share a knob; its expression-keyed equi-joins
 // materialize typed key columns and route through rel.EquiJoinPairs (no
-// per-row string keys). cmd/benchdiff diffs consecutive BENCH_<n>.json
-// kernel reports and fails CI on >20% ns/op regressions; rmabench
-// reports each kernel's fastest of three benchmark rounds so host
-// scheduling noise does not masquerade as a regression.
+// per-row string keys).
 package repro

@@ -6,35 +6,3 @@ import "repro/internal/exec"
 // substrate; the chunked kernels and their boundary-probing tests reference
 // it through this package.
 const SerialCutoff = exec.SerialCutoff
-
-// SetParallelism sets the process-wide fallback worker budget and returns
-// the previous value. Values below 1 are clamped to 1.
-//
-// Deprecated: the budget is per-invocation now — pass an exec.Ctx built
-// with exec.New(workers) to the kernels instead. This shim only seeds the
-// default context (exec.SetDefaultWorkers) that nil contexts resolve
-// against; concurrent callers setting different budgets see the last
-// write, which is exactly the global-knob race the context API removes.
-func SetParallelism(n int) int { return exec.SetDefaultWorkers(n) }
-
-// Parallelism returns the fallback worker budget of the default context.
-//
-// Deprecated: use exec.Ctx.Workers on the invocation's context.
-func Parallelism() int { return exec.DefaultWorkers() }
-
-// ParallelFor runs body over [0, n) on the default context.
-//
-// Deprecated: call ParallelFor on the invocation's exec.Ctx.
-//
-//lint:ignore rmalint/ctxfirst deprecated default-context shim; callers are migrating to exec.Ctx
-func ParallelFor(n, minWork int, body func(lo, hi int)) {
-	exec.Default().ParallelFor(n, minWork, body)
-}
-
-// ParallelRuns returns the default context's contiguous-range
-// decomposition of n elements.
-//
-// Deprecated: call ParallelRuns on the invocation's exec.Ctx.
-//
-//lint:ignore rmalint/ctxfirst deprecated default-context shim; callers are migrating to exec.Ctx
-func ParallelRuns(n int) (runs, size int) { return exec.Default().ParallelRuns(n) }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/exec"
 )
 
 // chunkBoundarySizes probes the parallel decomposition exactly where the
@@ -24,8 +26,8 @@ func randomFloats(n int, seed int64) []float64 {
 // withParallelism runs f under the given worker budget and restores the
 // previous budget afterwards.
 func withParallelism(workers int, f func()) {
-	prev := SetParallelism(workers)
-	defer SetParallelism(prev)
+	prev := exec.SetDefaultWorkers(workers)
+	defer exec.SetDefaultWorkers(prev)
 	f()
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bat"
+	"repro/internal/exec"
 )
 
 func randomCols(rows, cols int, seed int64) []*bat.BAT {
@@ -22,8 +23,8 @@ func randomCols(rows, cols int, seed int64) []*bat.BAT {
 }
 
 func withParallelism(workers int, f func()) {
-	prev := bat.SetParallelism(workers)
-	defer bat.SetParallelism(prev)
+	prev := exec.SetDefaultWorkers(workers)
+	defer exec.SetDefaultWorkers(prev)
 	f()
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bat"
+	"repro/internal/exec"
 	"repro/internal/rel"
 )
 
@@ -145,8 +146,8 @@ func TestConcurrentMixedBudgetQueries(t *testing.T) {
 // absent budget (Options.Parallelism == 0, or nil Options) resolves to
 // the process default rather than panicking or forcing serial execution.
 func TestZeroParallelismFallsBackToDefault(t *testing.T) {
-	prev := bat.SetParallelism(5)
-	defer bat.SetParallelism(prev)
+	prev := exec.SetDefaultWorkers(5)
+	defer exec.SetDefaultWorkers(prev)
 
 	r := mixedRel("r", 64, 2, 3)
 	stats := &Stats{}
@@ -164,8 +165,8 @@ func TestZeroParallelismFallsBackToDefault(t *testing.T) {
 
 // TestStatsWorkersNoCrossTalk hammers two option sets with different
 // budgets from two goroutines and asserts every invocation reports its
-// own budget — the exact failure mode of the former process-wide
-// SetParallelism override under concurrency.
+// own budget — the exact failure mode of a process-wide worker-count
+// override under concurrency.
 func TestStatsWorkersNoCrossTalk(t *testing.T) {
 	r := mixedRel("r", 512, 2, 4)
 	var wg sync.WaitGroup

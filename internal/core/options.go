@@ -116,7 +116,7 @@ type Options struct {
 	// Parallelism bounds the number of workers used by the invocation's
 	// kernels and copy loops on both the BAT and dense paths. Zero (the
 	// default) follows the process default budget (exec.DefaultWorkers,
-	// GOMAXPROCS unless the deprecated SetParallelism shims moved it);
+	// GOMAXPROCS unless exec.SetDefaultWorkers moved it);
 	// 1 forces serial execution.
 	Parallelism int
 	// Tenant names the accounting principal the invocation's arena

@@ -4,12 +4,11 @@
 // algebra, the column-at-a-time matrix operations, the relational
 // operators, and the RMA core — takes explicitly.
 //
-// Before this package existed the worker budget lived in process-wide
-// atomics (bat.SetParallelism, linalg.SetParallelism), so two concurrent
-// queries with different budgets raced on a global knob. A Ctx scopes the
-// budget to one invocation: concurrent queries each carry their own Ctx
-// and never observe each other's settings. The process-wide knobs survive
-// as deprecated shims that seed the default Ctx (see DefaultWorkers).
+// A Ctx scopes the worker budget to one invocation: concurrent queries
+// each carry their own Ctx and never observe each other's settings, so
+// two queries with different budgets cannot race on a global knob. The
+// only process-wide setting is the fallback budget of the default Ctx
+// (see DefaultWorkers).
 //
 // A nil *Ctx is valid everywhere and behaves like Default(): the default
 // worker budget, the shared arena, and no stats. Kernels therefore never
@@ -32,8 +31,7 @@ const SerialCutoff = 1 << 14
 
 // defaultWorkers is the process-wide fallback budget used by contexts
 // without an explicit budget (and by nil contexts), defaulting to
-// GOMAXPROCS. The deprecated bat.SetParallelism / linalg.SetParallelism
-// shims write it.
+// GOMAXPROCS. SetDefaultWorkers writes it.
 var defaultWorkers atomic.Int32
 
 func init() { defaultWorkers.Store(int32(runtime.GOMAXPROCS(0))) }

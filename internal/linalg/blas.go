@@ -28,7 +28,7 @@ const blockSize = 64
 // does (fanoutWorkers) instead of comparing the total flop count alone.
 // A mid-sized input on a small budget therefore stays serial where the
 // old total-flops test would have paid the fan-out setup for nothing —
-// see the `linalg.MatMul(serial-mid)` regression note in BENCH_8.json.
+// TestBlockedMatMulSerialHeuristic pins the fanoutWorkers decisions.
 const parallelThreshold = 1 << 18
 
 // fanoutWorkers resolves how many goroutines a kernel of the given

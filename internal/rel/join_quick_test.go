@@ -7,13 +7,14 @@ import (
 	"testing/quick"
 
 	"repro/internal/bat"
+	"repro/internal/exec"
 )
 
 // withWorkers runs f under the given worker budget and restores the
 // previous budget afterwards.
 func withWorkers(w int, f func()) {
-	prev := bat.SetParallelism(w)
-	defer bat.SetParallelism(prev)
+	prev := exec.SetDefaultWorkers(w)
+	defer exec.SetDefaultWorkers(prev)
 	f()
 }
 

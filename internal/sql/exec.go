@@ -140,8 +140,8 @@ func (db *DB) spillConfig() (dir string, threshold int64, on bool) {
 
 // SetPlanCache toggles the normalized-statement plan cache (enabled by
 // default); disabling it drops the cached entries. The switch exists
-// for comparison — the differential tests and the load generator run
-// both ways — and as an escape hatch.
+// for comparison — the differential tests run both ways — and as an
+// escape hatch.
 func (db *DB) SetPlanCache(on bool) {
 	db.cache.setEnabled(on)
 }
@@ -1050,18 +1050,9 @@ func (db *DB) execSelectMaterialized(c *exec.Ctx, sel *SelectStmt) (*rel.Relatio
 		if src, err = groupSource(c, src, sel.GroupBy, aggs); err != nil {
 			return nil, err
 		}
-		rewrites := make(map[string]Expr)
-		for k, g := range sel.GroupBy {
-			rewrites[keyOf(g)] = &ColRef{Qualifier: grpQual, Name: fmt.Sprintf("g%d", k)}
-		}
-		for k, a := range aggs {
-			rewrites[keyOf(a)] = &ColRef{Qualifier: grpQual, Name: fmt.Sprintf("agg%d", k)}
-		}
-		for k := range items {
-			items[k].Expr = rewrite(items[k].Expr, rewrites)
-		}
-		if sel.Having != nil {
-			having := rewrite(sel.Having, rewrites)
+		var having Expr
+		items, having = groupedItems(items, sel.GroupBy, aggs, sel.Having)
+		if having != nil {
 			if src, err = filterSource(c, src, having); err != nil {
 				return nil, err
 			}
@@ -1098,11 +1089,11 @@ func projectMeta(items []SelectItem, src *source) (rel.Schema, []sym, []*compile
 		}
 		if prev, dup := seen[name]; dup {
 			// Disambiguate duplicate output names with the qualifier.
-			if cr, ok := items[prev].Expr.(*ColRef); ok && cr.Qualifier != "" && outSchema[prev].Name == name {
-				outSchema[prev].Name = cr.Qualifier + "." + name
+			if q := userQual(items[prev].Expr); q != "" && outSchema[prev].Name == name {
+				outSchema[prev].Name = q + "." + name
 			}
-			if cr, ok := it.Expr.(*ColRef); ok && cr.Qualifier != "" {
-				name = cr.Qualifier + "." + name
+			if q := userQual(it.Expr); q != "" {
+				name = q + "." + name
 			} else {
 				name = fmt.Sprintf("%s_%d", name, k+1)
 			}
@@ -1113,6 +1104,16 @@ func projectMeta(items []SelectItem, src *source) (rel.Schema, []sym, []*compile
 		comps[k] = comp
 	}
 	return outSchema, outSyms, comps, nil
+}
+
+// userQual is the qualifier of a column reference as written in the
+// query. The reserved grouped-source qualifier names no input, so a
+// grouped item has none and projectMeta disambiguates it positionally.
+func userQual(e Expr) string {
+	if cr, ok := e.(*ColRef); ok && cr.Qualifier != grpQual {
+		return cr.Qualifier
+	}
+	return ""
 }
 
 // finishSelect runs the tail of the SELECT pipeline — projection,
@@ -1305,6 +1306,33 @@ func zeroAggRow(grouped *rel.Relation) *rel.Relation {
 	}
 	b.MustAdd(vals...)
 	return b.Relation()
+}
+
+// groupedItems rewrites a grouped SELECT's items and HAVING onto the
+// grouped source: each GROUP BY expression becomes its #grp.g<k> key
+// column and each aggregate call its #grp.agg<k> column. It returns
+// rewritten copies, so a cached plan's items are never mutated. An
+// unaliased item that is a bare group-key column is aliased to the
+// column's own name, so projectMeta names it as an ungrouped SELECT would.
+func groupedItems(items []SelectItem, groupBy []Expr, aggs []*FuncCall, having Expr) ([]SelectItem, Expr) {
+	rewrites := make(map[string]Expr, len(groupBy)+len(aggs))
+	for k, g := range groupBy {
+		rewrites[keyOf(g)] = &ColRef{Qualifier: grpQual, Name: fmt.Sprintf("g%d", k)}
+	}
+	for k, a := range aggs {
+		rewrites[keyOf(a)] = &ColRef{Qualifier: grpQual, Name: fmt.Sprintf("agg%d", k)}
+	}
+	out := make([]SelectItem, len(items))
+	for k, it := range items {
+		if cr, ok := it.Expr.(*ColRef); ok && it.As == "" {
+			if _, isKey := rewrites[keyOf(cr)]; isKey {
+				it.As = cr.Name
+			}
+		}
+		it.Expr = rewrite(it.Expr, rewrites)
+		out[k] = it
+	}
+	return out, rewrite(having, rewrites)
 }
 
 // rewrite replaces sub-expressions whose structural key appears in the map.

@@ -1,8 +1,6 @@
 package sql
 
 import (
-	"fmt"
-
 	"repro/internal/bat"
 	"repro/internal/exec"
 	"repro/internal/rel"
@@ -798,23 +796,8 @@ func (db *DB) runStreamGrouped(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, s
 	}
 	src := newSource(grouped, grpQual)
 
-	// Work on a copy of the plan's items: the rewrite below replaces
-	// aggregate expressions with grouped-column references, and a cached
-	// plan shared between concurrent executions must never be mutated.
-	items := make([]SelectItem, len(plan.items))
-	copy(items, plan.items)
-	rewrites := make(map[string]Expr)
-	for k, g := range sel.GroupBy {
-		rewrites[keyOf(g)] = &ColRef{Qualifier: grpQual, Name: fmt.Sprintf("g%d", k)}
-	}
-	for k, a := range gp.aggs {
-		rewrites[keyOf(a)] = &ColRef{Qualifier: grpQual, Name: fmt.Sprintf("agg%d", k)}
-	}
-	for k := range items {
-		items[k].Expr = rewrite(items[k].Expr, rewrites)
-	}
-	if sel.Having != nil {
-		having := rewrite(sel.Having, rewrites)
+	items, having := groupedItems(plan.items, sel.GroupBy, gp.aggs, sel.Having)
+	if having != nil {
 		if src, err = filterSource(c, src, having); err != nil {
 			return nil, err
 		}

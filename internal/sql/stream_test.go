@@ -129,8 +129,10 @@ var streamingQueries = []string{
 	"SELECT t.id, s.label FROM t LEFT JOIN s ON t.grp = s.k WHERE t.val > 0;",
 	// All five aggregates over grouped streaming accumulation.
 	"SELECT grp AS g, COUNT(*) AS n, SUM(val) AS sv, AVG(w) AS aw, MIN(val) AS mv, MAX(w) AS xw FROM t GROUP BY grp ORDER BY g;",
-	// Unaliased group key (the dialect renames it g0) — naming parity.
+	// Unaliased group key keeps its column name — naming parity.
 	"SELECT grp, COUNT(*) AS n FROM t GROUP BY grp;",
+	// ORDER BY the unaliased group key resolves through that name.
+	"SELECT grp, COUNT(*) AS n FROM t GROUP BY grp ORDER BY grp;",
 	// Join into grouping with HAVING, descending order, and limit.
 	"SELECT s.label, SUM(t.val) AS sv, COUNT(*) AS n FROM t JOIN s ON t.grp = s.k GROUP BY s.label HAVING COUNT(*) > 10 ORDER BY sv DESC LIMIT 5;",
 	// DISTINCT over the streamed projection.
@@ -190,9 +192,6 @@ func TestStreamingErrorsMatchMaterialized(t *testing.T) {
 		"SELECT MIN(*) FROM t;",
 		"SELECT SUM(tag) FROM t;",
 		"SELECT tag + 1 FROM t;",
-		// ORDER BY on an unaliased group key: the key is renamed g0, so
-		// the sort column does not resolve — in either pipeline.
-		"SELECT grp, COUNT(*) AS n FROM t GROUP BY grp ORDER BY grp;",
 	}
 	for qi, q := range bad {
 		db.SetStreaming(true)
@@ -207,6 +206,38 @@ func TestStreamingErrorsMatchMaterialized(t *testing.T) {
 		}
 		if serr == nil || serr.Error() != merr.Error() {
 			t.Fatalf("query %d (%s): streaming error %q, materialized error %q", qi, q, serr, merr)
+		}
+	}
+}
+
+// TestGroupKeyKeepsColumnName pins the output name of an unaliased group
+// key to the key column's own name, as an ungrouped SELECT names it, so a
+// derived table exposes it to the outer query under that name.
+func TestGroupKeyKeepsColumnName(t *testing.T) {
+	db := streamDB(t, 100)
+	for _, streaming := range []bool{true, false} {
+		db.SetStreaming(streaming)
+		out, err := db.Query("SELECT t.grp, COUNT(*) AS n FROM t GROUP BY t.grp;")
+		if err != nil {
+			t.Fatalf("streaming=%v: %v", streaming, err)
+		}
+		if got := out.Schema[0].Name; got != "grp" {
+			t.Fatalf("streaming=%v: group key column named %q, want \"grp\"", streaming, got)
+		}
+		outer, err := db.Query("SELECT f.grp, f.n FROM (SELECT t.grp, COUNT(*) AS n FROM t GROUP BY t.grp) f ORDER BY f.grp;")
+		if err != nil {
+			t.Fatalf("streaming=%v: derived table: %v", streaming, err)
+		}
+		if outer.NumRows() != out.NumRows() {
+			t.Fatalf("streaming=%v: derived table has %d rows, want %d", streaming, outer.NumRows(), out.NumRows())
+		}
+		// A repeated key is disambiguated as in the ungrouped SELECT.
+		dup, err := db.Query("SELECT grp, grp, COUNT(*) AS n FROM t GROUP BY grp;")
+		if err != nil {
+			t.Fatalf("streaming=%v: repeated key: %v", streaming, err)
+		}
+		if a, b := dup.Schema[0].Name, dup.Schema[1].Name; a != "grp" || b != "grp_2" {
+			t.Fatalf("streaming=%v: repeated key columns named %q, %q, want \"grp\", \"grp_2\"", streaming, a, b)
 		}
 	}
 }
