@@ -13,10 +13,8 @@
 // execution policy, \workers n bounds the per-statement worker budget
 // (0 restores the default), \mem n caps the per-tenant live arena
 // memory at n MiB (0 removes the cap), \tenant name switches the
-// accounting principal, \stream on|off toggles the morsel-driven
-// streaming SELECT pipeline, \stats prints the per-tenant memory
-// metrics plus the last streamed statement's per-stage counters,
-// \q quits.
+// accounting principal, \stats prints the per-tenant memory metrics
+// plus the last SELECT's per-stage pipeline counters, \q quits.
 //
 // The per-tenant metrics are also published through expvar under
 // "rma.memory" for scraping when the process exposes /debug/vars.
@@ -175,22 +173,10 @@ func meta(db *rma.DB, cmd string) bool {
 		shellOpts.Tenant = arg
 		applyOpts(db)
 		fmt.Printf("tenant set to %q\n", arg)
-	case strings.HasPrefix(cmd, `\stream`):
-		arg := strings.TrimSpace(strings.TrimPrefix(cmd, `\stream`))
-		switch arg {
-		case "on", "":
-			db.SetStreaming(true)
-			fmt.Println("streaming pipeline on (morsel-driven SELECT execution)")
-		case "off":
-			db.SetStreaming(false)
-			fmt.Println("streaming pipeline off (materializing SELECT execution)")
-		default:
-			fmt.Println("usage: \\stream on|off")
-		}
 	case cmd == `\stats`:
 		printStats(db)
 	default:
-		fmt.Println(`commands: \d (tables), \policy bat|mkl|auto, \workers n, \mem n, \tenant name, \stream on|off, \stats, \q (quit)`)
+		fmt.Println(`commands: \d (tables), \policy bat|mkl|auto, \workers n, \mem n, \tenant name, \stats, \q (quit)`)
 	}
 	return false
 }

@@ -135,19 +135,20 @@
 //
 // # Streaming execution
 //
-// SELECT statements run on a morsel-driven streaming pipeline by
-// default (sql.DB.SetStreaming toggles it). A small logical planner
+// Every SELECT statement runs on one morsel-driven streaming pipeline;
+// there is no second executor and no toggle. A small logical planner
 // (internal/sql/plan.go) decomposes the statement's FROM tree, pushes
 // WHERE conjuncts down to the deepest input that binds their columns
 // (scan predicates fuse into the scan's morsel loop; probe-side
 // predicates filter join inputs before the build), prunes unreferenced
 // columns, and dry-compiles every expression against zero-row prototype
 // sources at plan time — so a statement that plans successfully cannot
-// fail to compile mid-stream. Any planning error falls back to the
-// materializing executor, which reproduces the exact user-visible
-// error; the two paths share the projection/ORDER BY/DISTINCT/LIMIT
-// tail, so results and error messages are identical by construction
-// (asserted bitwise by the differential tests in stream_test.go).
+// fail to compile mid-stream, and a planning error is the error the
+// user sees. ORDER BY may name input columns the SELECT list drops
+// (without DISTINCT): the projection then keeps them for the sort.
+// Results and error messages are pinned bitwise against a naive
+// whole-relation reference executor that lives only in the tests
+// (internal/sql/reference_test.go).
 //
 // Operators are composed as pull iterators over bat.Batch morsels of
 // bat.MorselSize (4096) rows: next returns the next batch or nil at
@@ -167,7 +168,8 @@
 // boundaries. Both therefore keep the determinism contract: probe
 // output stays in probe-row order with matches in build order, chunked
 // float sums combine in fixed chunk order, and results are
-// bitwise-identical to the materializing path at any worker budget.
+// bitwise-identical to rel.HashJoin and rel.GroupBy over the whole input
+// at any worker budget.
 // exec.PipelineStats records per-stage batch/row counts and peak held
 // bytes, surfaced through sql.DB.PipelineStats and rmacli \stats.
 //
@@ -201,25 +203,24 @@
 // string equality) skip whole segments whose min/max ranges cannot
 // match, before any row is touched.
 //
-// Spill is the third rung of the statement retry ladder. Each statement
-// runs normal → serial (on budget errors, when it ran parallel) →
-// serial with forced spill (when the DB has a spill directory,
-// sql.DB.SetSpill). Above that, spill engages proactively: every
+// Each statement runs normal → serial (on budget errors, when it ran
+// parallel); that is the whole retry ladder. Spill engages proactively
+// when the DB has a spill directory (sql.DB.SetSpill): every
 // estimate-gated consumer asks exec.Ctx.ShouldSpill(estimate) before
 // allocating its dominant transient, where the threshold is the
 // configured byte count, or half the tenant's budget when configured as
-// zero (unbudgeted tenants never auto-spill). The consumers are the
-// three the roadmap named: hash-join pair staging (16-way partitioned
-// pair files merged back in canonical probe order — both
-// rel.HashJoin and the SQL layer's rel.EquiJoinPairsSpilled
-// route), grouped aggregation (rel.StreamAgg and rel.GroupBy freeze
-// partial tables to disk and merge), and sort (per-run files k-way
-// merged; a serial sort is one run and never stages). Every spilled
-// path reproduces its in-memory result bit for bit at any worker
-// count — asserted by a self-calibrating differential test that
-// measures the in-memory and fully-spilled serial peaks and runs the
-// statement under the midpoint budget, plus spill-forced legs of the
-// fuzz oracle (RMA_ORACLE_SPILL) and a -race CI stress step.
+// zero (unbudgeted tenants never auto-spill). The consumers are
+// rel.HashJoin's pair staging (16-way partitioned pair files merged
+// back in canonical probe order), grouped aggregation (rel.StreamAgg
+// and rel.GroupBy freeze partial tables to disk and merge), and sort
+// (per-run files k-way merged; a serial sort is one run and never
+// stages). The streamed SQL join holds one probe morsel's pairs at a
+// time and has nothing to stage. Every spilled path reproduces its
+// in-memory result bit for bit at any worker count — asserted by a
+// self-calibrating rel.HashJoin test (internal/rel) that measures the
+// in-memory and fully-spilled serial peaks and runs the join under the
+// midpoint budget, plus the spill leg of the fuzz oracle
+// (RMA_ORACLE_SPILL) and a -race CI stress step.
 // exec.SpillStats (bytes, partitions, events) aggregates into
 // sql.DB.Metrics alongside the arena counters.
 //
@@ -290,15 +291,16 @@
 // finalized at build time (every stage's batch schema precomputed) and
 // never mutated during execution, so one cached plan executes safely
 // from any number of concurrent statements — asserted under -race, and
-// cross-checked against the uncached paths by the differential fuzz
+// cross-checked against the uncached path by the differential fuzz
 // oracle (oracle_test.go), which runs randomly generated SELECTs
-// streamed, materialized, and cached at worker budgets {1,2,8} and
-// requires bitwise-identical relations and identical error strings.
+// streamed, through the reference executor, and cached at worker
+// budgets {1,2,8} and requires bitwise-identical relations and
+// identical error strings. A failed plan is not cached.
 // Only single-statement SELECTs over plain table FROM trees are
 // cacheable (derived tables and RMA table functions execute at plan
 // time, so caching them would freeze data, not shape). The cache
-// invalidates wholesale on CREATE/INSERT/DROP/Register, on the
-// streaming toggle, and on option changes; DB.Metrics carries
+// invalidates wholesale on CREATE/INSERT/DROP/Register and on option
+// changes; DB.Metrics carries
 // hit/miss/invalidation counters. Per-statement execution options
 // (tenant, budget, workers) ride DB.ExecWith/QueryWith rather than
 // DB-global state, so a multi-tenant server never serializes on
@@ -330,6 +332,6 @@
 // counters. The SQL
 // layer builds one context per statement, so concurrent statements with
 // different budgets never share a knob; its expression-keyed equi-joins
-// materialize typed key columns and route through rel.EquiJoinPairs (no
+// materialize typed key columns and route through rel.JoinBuild (no
 // per-row string keys).
 package repro

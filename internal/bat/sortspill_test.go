@@ -24,7 +24,7 @@ func TestSortStableSpillBitwise(t *testing.T) {
 	want := SortStable(cm, n, less)
 
 	dir := t.TempDir()
-	sp := exec.NewSpill(dir, 0).Forced()
+	sp := exec.NewSpill(dir, 1)
 	defer sp.Cleanup()
 	var stats exec.Stats
 	cs := exec.NewCtx(4, nil, &stats).WithSpill(sp)
@@ -60,7 +60,7 @@ func TestSortStableSpillBitwise(t *testing.T) {
 }
 
 // TestSortStableSpillSerialNoop: a serial context never reaches the
-// parallel merge, so a forced spill manager must not change anything.
+// parallel merge, so a one-byte spill threshold must not change anything.
 func TestSortStableSpillSerialNoop(t *testing.T) {
 	n := 2 * SerialCutoff
 	keys := make([]float64, n)
@@ -68,7 +68,7 @@ func TestSortStableSpillSerialNoop(t *testing.T) {
 		keys[k] = float64(n - k)
 	}
 	less := func(a, b int) bool { return keys[a] < keys[b] }
-	sp := exec.NewSpill(t.TempDir(), 0).Forced()
+	sp := exec.NewSpill(t.TempDir(), 1)
 	defer sp.Cleanup()
 	c := exec.NewCtx(1, nil, nil).WithSpill(sp)
 	got := SortStable(c, n, less)

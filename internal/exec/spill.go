@@ -20,7 +20,6 @@ import (
 type Spill struct {
 	base      string // parent directory for the scratch dir
 	threshold int64  // explicit byte threshold; 0 derives from the tenant budget
-	force     bool   // spill on any eligible estimate (the reactive retry path)
 
 	mu  sync.Mutex
 	dir string // lazily created scratch dir
@@ -47,20 +46,6 @@ type SpillStats struct {
 func NewSpill(base string, threshold int64) *Spill {
 	return &Spill{base: base, threshold: threshold}
 }
-
-// Forced returns a copy of the manager that spills on every eligible
-// estimate — the reactive retry path after a budget overrun, where the
-// plan must shed every spillable structure to fit.
-func (s *Spill) Forced() *Spill {
-	if s == nil {
-		return nil
-	}
-	return &Spill{base: s.base, threshold: s.threshold, force: true}
-}
-
-// IsForced reports whether the manager spills on every eligible
-// estimate — the reactive retry configuration. Nil-safe.
-func (s *Spill) IsForced() bool { return s != nil && s.force }
 
 // Dir returns the statement's scratch directory, creating it on first
 // use.
@@ -143,18 +128,14 @@ func (c *Ctx) Spill() *Spill {
 
 // ShouldSpill reports whether an operator expecting to hold roughly
 // est bytes in memory should take its out-of-core path. False without
-// a spill manager. With one, a forced manager always spills; otherwise
-// the estimate is compared against the explicit threshold or, when
-// none is set, half the tenant's byte budget (unbudgeted tenants never
-// auto-spill). The answer never affects results, only the memory/disk
-// trade.
+// a spill manager. With one, the estimate is compared against the
+// explicit threshold or, when none is set, half the tenant's byte budget
+// (unbudgeted tenants never auto-spill). The answer never affects
+// results, only the memory/disk trade.
 func (c *Ctx) ShouldSpill(est int64) bool {
 	sp := c.Spill()
 	if sp == nil {
 		return false
-	}
-	if sp.force {
-		return true
 	}
 	th := sp.threshold
 	if th <= 0 {

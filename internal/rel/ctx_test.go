@@ -11,7 +11,7 @@ import (
 // This file tests the per-query execution contexts of the relational
 // operators: explicit exec.Ctx budgets (no process-wide knob), results
 // bitwise-identical across budgets {1, 2, 8} while two contexts run
-// simultaneously, and the EquiJoinPairs entry point the SQL layer uses.
+// simultaneously, and the JoinBuild entry point the SQL layer uses.
 
 // relPipeline runs join → group → sort under one context, the mixed
 // relational pipeline of the concurrency property test. It returns an
@@ -69,55 +69,21 @@ func TestSimultaneousCtxsBitwiseIdentical(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEquiJoinPairsMatchesHashJoin checks the SQL layer's typed-key entry
-// point against HashJoin's canonical pair order: joining on materialized
-// key columns yields exactly the pairs the relation-level join produces,
-// for inner and left-outer semantics and across worker budgets.
-func TestEquiJoinPairsMatchesHashJoin(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 1000, bat.SerialCutoff + 1} {
-		r := boundaryRel("r", n, int64(n/3+2))
-		s := boundaryRel("s", n, int64(n/3+2))
-		rKey, _ := r.Col("r_k")
-		sKey, _ := s.Col("s_k")
-		for _, leftOuter := range []bool{false, true} {
-			var wantL, wantR []int
-			rkc := keyColsOf(nil, n, []*bat.BAT{rKey})
-			skc := keyColsOf(nil, n, []*bat.BAT{sKey})
-			wantL, wantR, _ = joinPairs(exec.New(1), rkc, skc, leftOuter)
-			for _, budget := range []int{1, 8} {
-				li, ri, err := EquiJoinPairs(exec.New(budget), []*bat.BAT{rKey}, []*bat.BAT{sKey}, leftOuter)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(li) != len(wantL) {
-					t.Fatalf("n=%d outer=%v budget=%d: %d pairs, want %d", n, leftOuter, budget, len(li), len(wantL))
-				}
-				for k := range li {
-					if li[k] != wantL[k] || ri[k] != wantR[k] {
-						t.Fatalf("n=%d outer=%v budget=%d: pair %d = (%d,%d), want (%d,%d)",
-							n, leftOuter, budget, k, li[k], ri[k], wantL[k], wantR[k])
-					}
-				}
-				bat.FreeInts(li)
-				bat.FreeInts(ri)
-			}
-			bat.FreeInts(wantL)
-			bat.FreeInts(wantR)
-		}
-	}
-	// Mismatched and empty key lists are rejected.
-	if _, _, err := EquiJoinPairs(nil, nil, nil, false); err == nil {
-		t.Error("EquiJoinPairs accepted empty key lists")
-	}
-}
-
-// TestCrossTypeEquiJoinPairs asserts int and float key columns holding
+// TestCrossTypeJoinBuildProbe asserts int and float key columns holding
 // the same values join against each other (canonical float-bit hashing),
-// the coercion the SQL layer leans on after dropping string keys.
-func TestCrossTypeEquiJoinPairs(t *testing.T) {
+// the coercion the SQL layer leans on after dropping string keys, and
+// that an empty key list is rejected.
+func TestCrossTypeJoinBuildProbe(t *testing.T) {
+	if _, err := NewJoinBuild(nil, nil, 0); err == nil {
+		t.Error("NewJoinBuild accepted an empty key list")
+	}
 	ints := bat.FromInts([]int64{1, 2, 3, 4})
 	floats := bat.FromFloats([]float64{2, 4, 6, 2})
-	li, ri, err := EquiJoinPairs(nil, []*bat.BAT{ints}, []*bat.BAT{floats}, false)
+	jb, err := NewJoinBuild(nil, []*bat.BAT{floats}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	li, ri, _, err := jb.Probe(nil, []*bat.BAT{ints}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,28 +195,6 @@ func probePairs(c *exec.Ctx, table *joinTable, rkc, skc *keyCols, leftOuter bool
 	return li, ri, anyUnmatched
 }
 
-// EquiJoinPairs computes the matching (probe, build) row index pairs of an
-// equi-join keyed by two already-materialized column lists of equal arity
-// (probeKeys[k] pairs with buildKeys[k]). It is the entry point the SQL
-// layer uses for expression-keyed joins: the key expressions are
-// materialized into typed columns once, and the join runs over typed
-// 64-bit hashes — no per-row string keys. leftOuter emits (i, -1) for
-// unmatched probe rows. The returned slices come from the context's arena;
-// callers done with them may hand them back with bat.FreeInts.
-func EquiJoinPairs(c *exec.Ctx, probeKeys, buildKeys []*bat.BAT, leftOuter bool) (li, ri []int, err error) {
-	defer exec.CatchBudget(&err)
-	if len(probeKeys) != len(buildKeys) || len(probeKeys) == 0 {
-		return nil, nil, fmt.Errorf("rel: equi-join needs matching non-empty key lists")
-	}
-	pn, bn := probeKeys[0].Len(), buildKeys[0].Len()
-	rkc := keyColsOf(c, pn, probeKeys)
-	skc := keyColsOf(c, bn, buildKeys)
-	li, ri, _ = joinPairs(c, rkc, skc, leftOuter)
-	rkc.release(c)
-	skc.release(c)
-	return li, ri, nil
-}
-
 // HashJoin computes r ⋈ s on equality of the paired key attributes. The
 // result schema is r's schema followed by s's non-key attributes (key
 // attributes of s would duplicate r's and are dropped, matching the

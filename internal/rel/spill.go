@@ -24,24 +24,17 @@ import (
 // a front-merge over the partition streams restores global probe order.
 const pairParts = 16
 
-// SpilledPairs is the on-disk result of a spilled equi-join pair
+// spilledPairs is the on-disk result of a spilled equi-join pair
 // computation: per-partition segment files of (probe, build) row pairs,
 // with -1 build rows marking left-outer non-matches.
-type SpilledPairs struct {
+type spilledPairs struct {
 	paths [pairParts]string
 	rows  [pairParts]int64
 	total int
-	any   bool // any unmatched probe row (left outer)
 }
 
-// Total returns the number of pairs (including left-outer non-matches).
-func (sp *SpilledPairs) Total() int { return sp.total }
-
-// AnyUnmatched reports whether any left-outer non-match was emitted.
-func (sp *SpilledPairs) AnyUnmatched() bool { return sp.any }
-
 // Close removes the staged partition files. Idempotent.
-func (sp *SpilledPairs) Close() {
+func (sp *spilledPairs) Close() {
 	for pt := range sp.paths {
 		if sp.paths[pt] != "" {
 			os.Remove(sp.paths[pt])
@@ -59,10 +52,10 @@ var pairSpecs = []store.ColSpec{
 // skc (build) partition by partition, staging the pairs to disk. The
 // build table only ever holds one partition's rows, and the pair arrays
 // never exist in memory.
-func spilledJoinPairs(c *exec.Ctx, rkc, skc *keyCols, leftOuter bool) (*SpilledPairs, error) {
+func spilledJoinPairs(c *exec.Ctx, rkc, skc *keyCols, leftOuter bool) (*spilledPairs, error) {
 	sh := skc.hashes(c)
 	rh := rkc.hashes(c)
-	sp := &SpilledPairs{}
+	sp := &spilledPairs{}
 	var spilledBytes int64
 	parts := int64(0)
 
@@ -124,7 +117,6 @@ func spilledJoinPairs(c *exec.Ctx, rkc, skc *keyCols, leftOuter bool) (*SpilledP
 				}
 			}
 			if !wrote && leftOuter {
-				sp.any = true
 				if err := emit(i, -1); err != nil {
 					sp.Close()
 					return nil, err
@@ -148,11 +140,11 @@ func spilledJoinPairs(c *exec.Ctx, rkc, skc *keyCols, leftOuter bool) (*SpilledP
 	return sp, nil
 }
 
-// Each streams the pairs back in canonical join order — probe rows
+// each streams the pairs back in canonical join order — probe rows
 // ascending, matches per probe row in build order — in blocks of at
 // most bat.MorselSize, calling fn with borrowed slices (valid only for
 // the duration of the call).
-func (sp *SpilledPairs) Each(c *exec.Ctx, fn func(li, ri []int) error) error {
+func (sp *spilledPairs) each(c *exec.Ctx, fn func(li, ri []int) error) error {
 	type partCur struct {
 		reader *store.Reader
 		cur    *store.Cursor
@@ -257,8 +249,8 @@ func (sp *SpilledPairs) Each(c *exec.Ctx, fn func(li, ri []int) error) error {
 // probe row, true = build row); build rows of -1 (left-outer
 // non-matches) produce the column type's zero value, matching
 // gatherWithNulls. The returned columns are in cols order.
-func stagedFill(c *exec.Ctx, sp *SpilledPairs, cols []*bat.BAT, rightSide []bool) ([]*bat.BAT, error) {
-	total := sp.Total()
+func stagedFill(c *exec.Ctx, sp *spilledPairs, cols []*bat.BAT, rightSide []bool) ([]*bat.BAT, error) {
+	total := sp.total
 	w := len(cols)
 
 	// Typed source views (densified sparse tails are the only charged
@@ -311,7 +303,7 @@ func stagedFill(c *exec.Ctx, sp *SpilledPairs, cols []*bat.BAT, rightSide []bool
 		releaseViews()
 		return nil, err
 	}
-	err = sp.Each(c, func(li, ri []int) error {
+	err = sp.each(c, func(li, ri []int) error {
 		n := len(li)
 		data := make([]store.ColData, w)
 		for k := range cols {
@@ -438,55 +430,13 @@ func stagedFill(c *exec.Ctx, sp *SpilledPairs, cols []*bat.BAT, rightSide []bool
 	return outs, nil
 }
 
-// joinSpillEst is the rough in-memory footprint the materializing join
-// would take beyond its inputs: the build table (~48 bytes per build
-// row between map headers and row lists) plus the pair arrays and probe
-// counts (~24 bytes per probe row before fan-out).
+// joinSpillEst is the rough in-memory footprint the join would take
+// beyond its inputs: the build table (~48 bytes per build row between
+// map headers and row lists) plus the pair arrays and probe counts
+// (~24 bytes per probe row before fan-out — so a high fan-out join is
+// underestimated).
 func joinSpillEst(probeRows, buildRows int) int64 {
 	return int64(buildRows)*48 + int64(probeRows)*24
-}
-
-// JoinSpillEst exposes the estimate to callers that drive their own
-// join assembly over EquiJoinPairsSpilled (the SQL executor), so the
-// spill decision is made with the same arithmetic everywhere.
-func JoinSpillEst(probeRows, buildRows int) int64 {
-	return joinSpillEst(probeRows, buildRows)
-}
-
-// EquiJoinPairsSpilled is the out-of-core form of EquiJoinPairs: the
-// pair arrays are staged to per-partition segment files instead of
-// materializing 16 bytes per match in memory. Callers stream them back
-// with Each or fill result columns directly with Fill, then Close.
-func EquiJoinPairsSpilled(c *exec.Ctx, probeKeys, buildKeys []*bat.BAT, leftOuter bool) (sp *SpilledPairs, err error) {
-	defer exec.CatchBudget(&err)
-	if len(probeKeys) != len(buildKeys) || len(probeKeys) == 0 {
-		return nil, fmt.Errorf("rel: equi-join needs matching non-empty key lists")
-	}
-	rkc := keyColsOf(c, probeKeys[0].Len(), probeKeys)
-	skc := keyColsOf(c, buildKeys[0].Len(), buildKeys)
-	sp, err = spilledJoinPairs(c, rkc, skc, leftOuter)
-	rkc.release(c)
-	skc.release(c)
-	return sp, err
-}
-
-// Fill gathers result columns through the staged pair stream block by
-// block: leftCols index by probe row, rightCols by build row, with -1
-// build rows (left-outer non-matches) producing the column type's zero
-// value. The gathered column intermediates themselves are staged to a
-// segment file and the result columns materialized from it one at a
-// time, so neither the full pair index nor all destinations at once
-// ever exist in memory. The returned columns are leftCols followed by
-// rightCols.
-func (sp *SpilledPairs) Fill(c *exec.Ctx, leftCols, rightCols []*bat.BAT) ([]*bat.BAT, error) {
-	cols := make([]*bat.BAT, 0, len(leftCols)+len(rightCols))
-	cols = append(cols, leftCols...)
-	cols = append(cols, rightCols...)
-	sides := make([]bool, len(cols)) // true = right side (uses ri)
-	for k := len(leftCols); k < len(cols); k++ {
-		sides[k] = true
-	}
-	return stagedFill(c, sp, cols, sides)
 }
 
 // hashJoinSpilled is HashJoin's out-of-core path: pairs staged to

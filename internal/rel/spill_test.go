@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -41,11 +42,12 @@ func bitwiseSame(t *testing.T, label string, a, b *Relation) {
 	}
 }
 
-// spillCtx returns a context with a forced spill manager staging under
-// a test temp dir, plus the manager for stats assertions.
+// spillCtx returns a context whose spill manager stages every eligible
+// operator under a test temp dir (one-byte threshold), plus the manager
+// for stats assertions.
 func spillCtx(t *testing.T, workers int) (*exec.Ctx, *exec.Spill) {
 	t.Helper()
-	sp := exec.NewSpill(t.TempDir(), 0).Forced()
+	sp := exec.NewSpill(t.TempDir(), 1)
 	t.Cleanup(sp.Cleanup)
 	return exec.NewCtx(workers, nil, nil).WithSpill(sp), sp
 }
@@ -99,6 +101,96 @@ func TestHashJoinSpillBitwise(t *testing.T) {
 			bitwiseSame(t, label, base, got)
 			if st := sp.Stats(); st.SpilledBytes == 0 || st.Partitions == 0 {
 				t.Fatalf("%s: join did not spill: %+v", label, st)
+			}
+		}
+	}
+}
+
+// fanoutRels builds a high-fanout join: 8Ki probe rows and 2Ki build
+// rows over 16 shared key values — 1Mi pairs — with width float payload
+// columns on the probe side. Narrow, the pair arrays dominate the join's
+// footprint; wide, the gathered result columns do.
+func fanoutRels(width int) (*Relation, *Relation) {
+	const pn, bn = 1 << 13, 2048
+	pk := make([]int64, pn)
+	for i := range pk {
+		pk[i] = int64(i % 16)
+	}
+	schema := Schema{{Name: "k", Type: bat.Int}}
+	cols := []*bat.BAT{bat.FromInts(pk)}
+	for v := 0; v < width; v++ {
+		f := make([]float64, pn)
+		for i := range f {
+			f[i] = float64((i*31+v*7)%257) / 16
+		}
+		schema = append(schema, Attr{Name: fmt.Sprintf("v%d", v), Type: bat.Float})
+		cols = append(cols, bat.FromFloats(f))
+	}
+	return MustNew("p", schema, cols), MustNew("b", Schema{{Name: "kb", Type: bat.Int}}, []*bat.BAT{bat.FromInts(pk[:bn])})
+}
+
+// TestHashJoinSpillSelfCalibrated is the out-of-core join oracle,
+// calibrated against the machine instead of hard-coded byte counts: for
+// a narrow and a wide fan-out join it measures the serial peaks P in
+// memory and S with a one-byte spill threshold, requires S < P, and at
+// the midpoint budget requires the in-memory join to fail at workers 8
+// with the typed error and no stranded bytes, and the spilling join to
+// succeed at workers 1, 2 and 8, bitwise identical, under the budget.
+// The threshold is explicit because the automatic one (half the budget)
+// never sends these joins to disk: joinSpillEst counts probe rows before
+// fan-out.
+func TestHashJoinSpillSelfCalibrated(t *testing.T) {
+	type outcome struct {
+		res               *Relation
+		peak, live, spill int64
+		err               error
+	}
+	for _, width := range []int{0, 6} {
+		r, s := fanoutRels(width)
+		join := func(workers int, budget int64, spill bool) outcome {
+			tn := exec.NewGovernor(0, 0).Tenant("calib", budget)
+			arena := tn.NewArena()
+			c := exec.NewCtx(workers, arena, nil)
+			var sp *exec.Spill
+			if spill {
+				sp = exec.NewSpill(t.TempDir(), 1)
+				c = c.WithSpill(sp)
+			}
+			res, err := HashJoin(c, r, s, []string{"k"}, []string{"kb"}, Inner)
+			sp.Cleanup()
+			arena.Close()
+			return outcome{res, tn.PeakBytes(), tn.LiveBytes(), sp.Stats().SpilledBytes, err}
+		}
+		label := fmt.Sprintf("width=%d", width)
+
+		mem := join(1, 0, false)
+		shed := join(1, 0, true)
+		if mem.err != nil || shed.err != nil {
+			t.Fatalf("%s: calibration runs failed: %v / %v", label, mem.err, shed.err)
+		}
+		bitwiseSame(t, label+" spilled calibration", mem.res, shed.res)
+		if shed.spill == 0 || shed.peak >= mem.peak {
+			t.Fatalf("%s: spilling %d bytes did not reduce the resident peak: %d spilled vs %d in-memory",
+				label, shed.spill, shed.peak, mem.peak)
+		}
+		budget := (mem.peak + shed.peak) / 2
+		t.Logf("%s: serial peaks %d in-memory, %d spilled; midpoint budget %d", label, mem.peak, shed.peak, budget)
+
+		tight := join(8, budget, false)
+		if !errors.Is(tight.err, exec.ErrMemoryBudget) {
+			t.Fatalf("%s: in-memory join under %d bytes: err = %v, want ErrMemoryBudget", label, budget, tight.err)
+		}
+		if tight.live != 0 {
+			t.Fatalf("%s: tenant live = %d after the failed join, want 0", label, tight.live)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			got := join(workers, budget, true)
+			if got.err != nil {
+				t.Fatalf("%s workers=%d: spilled join failed under budget %d: %v", label, workers, budget, got.err)
+			}
+			bitwiseSame(t, fmt.Sprintf("%s workers=%d", label, workers), mem.res, got.res)
+			if got.spill == 0 || got.peak > budget {
+				t.Fatalf("%s workers=%d: spilled %d bytes, peak %d against budget %d", label, workers, got.spill, got.peak, budget)
 			}
 		}
 	}

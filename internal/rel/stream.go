@@ -23,8 +23,8 @@ import (
 // is radix-partitioned exactly as HashJoin's, over min(next power of two
 // ≥ workers, 64) partitions built in parallel. Probe emits pairs in probe
 // order with matches in build order — the same canonical order as
-// EquiJoinPairs — so concatenating the per-morsel pair lists reproduces
-// the all-at-once join exactly.
+// HashJoin — so concatenating the per-morsel pair lists reproduces the
+// all-at-once join exactly.
 type JoinBuild struct {
 	skc   *keyCols
 	table *joinTable

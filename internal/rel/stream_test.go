@@ -127,14 +127,15 @@ func TestStreamingAggGlobalGroup(t *testing.T) {
 	}
 }
 
-// TestStreamingJoinProbeMatchesEquiJoinPairs probes a JoinBuild one
-// morsel at a time and asserts the concatenated pair lists equal the
-// all-at-once serial EquiJoinPairs output, inner and left outer, at
-// several worker budgets. The second build side lies above
-// bat.SerialCutoff, so under a parallel budget the JoinBuild is
-// radix-partitioned; its keys repeat and cover only the even probe keys,
-// so every probe morsel mixes duplicate matches with unmatched rows.
-func TestStreamingJoinProbeMatchesEquiJoinPairs(t *testing.T) {
+// TestStreamingJoinProbeMatchesJoinPairs probes a JoinBuild one morsel
+// at a time and asserts the concatenated pair lists equal the
+// all-at-once serial join pairs (HashJoin's), inner and left outer, at
+// several worker budgets. The build sides run from empty (every probe
+// row unmatched) to above bat.SerialCutoff, where a parallel budget
+// radix-partitions the JoinBuild; the largest one's keys repeat and
+// cover only the even probe keys, so every probe morsel mixes duplicate
+// matches with unmatched rows.
+func TestStreamingJoinProbeMatchesJoinPairs(t *testing.T) {
 	pn := 3*bat.SerialCutoff + 41
 	probe := make([]int64, pn)
 	for i := range probe {
@@ -142,17 +143,15 @@ func TestStreamingJoinProbeMatchesEquiJoinPairs(t *testing.T) {
 	}
 	probeKeys := []*bat.BAT{bat.FromInts(probe)}
 
-	for _, bc := range []struct{ n, stride int }{{2000, 1}, {bat.SerialCutoff + 301, 2}} {
+	for _, bc := range []struct{ n, stride int }{{0, 1}, {1, 1}, {2000, 1}, {bat.SerialCutoff + 301, 2}} {
 		build := make([]int64, bc.n)
 		for j := range build {
 			build[j] = int64((j*104729 + 1) % 1500 * bc.stride)
 		}
 		buildKeys := []*bat.BAT{bat.FromInts(build)}
 		for _, leftOuter := range []bool{false, true} {
-			wantLi, wantRi, err := EquiJoinPairs(exec.NewCtx(1, nil, nil), probeKeys, buildKeys, leftOuter)
-			if err != nil {
-				t.Fatal(err)
-			}
+			wantLi, wantRi, _ := joinPairs(exec.NewCtx(1, nil, nil),
+				keyColsOf(nil, pn, probeKeys), keyColsOf(nil, bc.n, buildKeys), leftOuter)
 			for _, workers := range []int{1, 2, 8} {
 				c := exec.NewCtx(workers, nil, nil)
 				jb, err := NewJoinBuild(c, buildKeys, 0)

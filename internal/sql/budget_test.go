@@ -82,6 +82,31 @@ func TestStatementBudgetError(t *testing.T) {
 	}
 }
 
+// TestOrderByPermutationWarmsTenantPool checks that the ORDER BY sort
+// permutation goes back to the statement's tenant pool: a repeat of the
+// same ORDER BY draws its permutation as a pool hit instead of missing
+// the tenant's Ints pool every time.
+func TestOrderByPermutationWarmsTenantPool(t *testing.T) {
+	db := NewDB()
+	gov := exec.NewGovernor(0, 0)
+	db.SetGovernor(gov)
+	db.SetRMAOptions(&core.Options{Tenant: "warm", MemoryBudget: 64 << 20})
+	db.Register("t", wideRelation(1<<12))
+	tn := gov.Tenant("warm", 0)
+	// sync.Pool drops a fraction of Puts under the race detector: retry.
+	hit := false
+	for i := 0; i < 64 && !hit; i++ {
+		before := tn.Stats().Ints.PoolHits
+		if _, err := db.Query(`SELECT x FROM t ORDER BY x`); err != nil {
+			t.Fatal(err)
+		}
+		hit = tn.Stats().Ints.PoolHits > before
+	}
+	if !hit {
+		t.Fatalf("ORDER BY never reused its permutation buffer: %+v", tn.Stats().Ints)
+	}
+}
+
 // TestOptionsGovernorUnifiesAccounting is the regression test for the
 // split-books bug: an explicit Options.Governor (set via SetRMAOptions,
 // without SetGovernor) must carry the statement pipeline, admission,

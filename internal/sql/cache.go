@@ -11,7 +11,7 @@ import (
 
 // This file is the prepared-statement / plan cache. A serving workload
 // is almost entirely repeated statement shapes, so DB keeps the parsed
-// AST — and, once the statement first streams, its stream plan — keyed
+// AST — and, once the statement first runs, its stream plan — keyed
 // by the normalized statement text. A hit skips lexing, parsing,
 // planning, pushdown, pruning, and dry compilation; per-morsel
 // expression compilation still happens per execution, which is what
@@ -22,8 +22,8 @@ import (
 // functions materialize results into the plan at planning time, so a
 // cached plan for them could silently pin stale data or a stale RMA
 // policy. The cache is invalidated wholesale on every catalog change
-// (CREATE/INSERT/DROP/Register) and on every execution-mode change
-// (streaming toggle, SetRMAOptions, SetGovernor): plans hold references
+// (CREATE/INSERT/DROP/Register) and on every execution-option change
+// (SetRMAOptions, SetGovernor): plans hold references
 // to the catalog relations that existed at plan time, so any event that
 // could change what a statement reads — or how — drops every entry.
 
@@ -43,34 +43,30 @@ type PlanCacheStats struct {
 	Entries       int   // entries currently cached
 }
 
-// planEntry is one cached statement: the parsed SELECT plus, after the
-// first streamed execution, its stream plan. plan == nil with planned
-// set means the planner declined the statement and cached executions go
-// straight to the materializing path.
+// planEntry is one cached statement: the parsed SELECT plus, after its
+// first successful planning, its stream plan.
 type planEntry struct {
 	key string
 	sel *SelectStmt
 
-	mu      sync.Mutex
-	planned bool
-	plan    *selectPlan
+	mu   sync.Mutex
+	plan *selectPlan
 }
 
-// planFor returns the entry's stream plan, planning it on first use.
-// Planning errors are not cached as errors: the planner's only failure
-// mode is "fall back to the materializing path", and that decision is
-// stable until an invalidation drops the entry anyway.
-func (e *planEntry) planFor(db *DB, c *exec.Ctx) *selectPlan {
+// planFor returns the entry's stream plan, planning it on first use. A
+// failed plan is not memoized: the error goes to the caller and the
+// next execution plans again.
+func (e *planEntry) planFor(db *DB, c *exec.Ctx) (*selectPlan, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.planned {
+	if e.plan == nil {
 		plan, err := db.planStream(c, e.sel)
 		if err != nil {
-			plan = nil
+			return nil, err
 		}
-		e.plan, e.planned = plan, true
+		e.plan = plan
 	}
-	return e.plan
+	return e.plan, nil
 }
 
 // planCache is a bounded LRU of planEntry keyed by normalized statement

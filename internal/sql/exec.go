@@ -35,15 +35,12 @@ type DB struct {
 	tables   map[string]*rel.Relation
 	rmaOpts  *core.Options
 	gov      *exec.Governor
-	noStream bool
 	lastPipe []exec.StageStats
 	stmtOpts map[*exec.Ctx]*core.Options
 	cache    planCache
 
 	// Out-of-core execution (SetSpill): when enabled, every statement
-	// context carries a spill manager staging under spillDir, and a
-	// statement that still exceeds its memory budget after the serial
-	// retry is retried once more with spilling forced.
+	// context carries a spill manager staging under spillDir.
 	spillOn  bool
 	spillDir string
 	spillTh  int64
@@ -102,19 +99,6 @@ func (db *DB) SetGovernor(g *exec.Governor) {
 	db.cache.invalidate()
 }
 
-// SetStreaming toggles the morsel-driven streaming SELECT pipeline
-// (enabled by default). Disabling it routes every SELECT through the
-// materializing path; results are bitwise-identical either way, so the
-// switch exists for comparison and diagnosis, not correctness. The
-// toggle invalidates the plan cache — cached stream plans belong to the
-// mode they were planned under.
-func (db *DB) SetStreaming(on bool) {
-	db.mu.Lock()
-	db.noStream = !on
-	db.mu.Unlock()
-	db.cache.invalidate()
-}
-
 // SetSpill enables out-of-core statement execution: every statement
 // context carries a spill manager staging under dir (empty means the OS
 // temp dir), and an operator whose estimated in-memory footprint
@@ -144,12 +128,6 @@ func (db *DB) spillConfig() (dir string, threshold int64, on bool) {
 // escape hatch.
 func (db *DB) SetPlanCache(on bool) {
 	db.cache.setEnabled(on)
-}
-
-func (db *DB) streamingEnabled() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return !db.noStream
 }
 
 // PipelineStats returns the per-stage morsel counters of the most
@@ -292,16 +270,9 @@ func (db *DB) ExecWith(src string, opts *core.Options) (*rel.Relation, error) {
 	}
 	var last *rel.Relation
 	for _, s := range stmts {
-		res, err := db.runStmt(s, opts, 0, false)
+		res, err := db.runStmt(s, opts, 0)
 		if err != nil && errors.Is(err, exec.ErrMemoryBudget) && workersOf(opts) > 1 {
-			res, err = db.runStmt(s, opts, 1, false)
-		}
-		if err != nil && errors.Is(err, exec.ErrMemoryBudget) {
-			if _, _, on := db.spillConfig(); on {
-				// Last rung: serial with spilling forced, shedding every
-				// spillable structure to disk.
-				res, err = db.runStmt(s, opts, 1, true)
-			}
+			res, err = db.runStmt(s, opts, 1)
 		}
 		if err != nil {
 			return nil, err
@@ -313,35 +284,28 @@ func (db *DB) ExecWith(src string, opts *core.Options) (*rel.Relation, error) {
 	return last, nil
 }
 
-// execCached executes a cache-served SELECT with the same
-// serial-then-spill memory-budget retry ladder as the parse path.
+// execCached executes a cache-served SELECT with the same serial
+// memory-budget retry as the parse path.
 func (db *DB) execCached(e *planEntry, opts *core.Options) (*rel.Relation, error) {
-	res, err := db.runCached(e, opts, 0, false)
+	res, err := db.runCached(e, opts, 0)
 	if err != nil && errors.Is(err, exec.ErrMemoryBudget) && workersOf(opts) > 1 {
-		res, err = db.runCached(e, opts, 1, false)
-	}
-	if err != nil && errors.Is(err, exec.ErrMemoryBudget) {
-		if _, _, on := db.spillConfig(); on {
-			res, err = db.runCached(e, opts, 1, true)
-		}
+		res, err = db.runCached(e, opts, 1)
 	}
 	return res, err
 }
 
-// runCached runs one execution of a cached statement: the entry's
-// stream plan when streaming is on and the planner took the statement
-// (planned lazily on the entry's first streamed execution, shared and
-// read-only afterwards), the materializing executor otherwise.
-func (db *DB) runCached(e *planEntry, opts *core.Options, forceSerial int, forceSpill bool) (res *rel.Relation, err error) {
-	c, finish := db.stmtCtx(opts, forceSerial, forceSpill)
+// runCached runs one execution of a cached statement through the
+// entry's stream plan (planned lazily on the entry's first execution,
+// shared and read-only afterwards).
+func (db *DB) runCached(e *planEntry, opts *core.Options, forceSerial int) (res *rel.Relation, err error) {
+	c, finish := db.stmtCtx(opts, forceSerial)
 	defer finish()
 	defer exec.CatchBudget(&err)
-	if db.streamingEnabled() && !c.Spill().IsForced() {
-		if plan := e.planFor(db, c); plan != nil {
-			return db.execPlanned(c, e.sel, plan)
-		}
+	plan, err := e.planFor(db, c)
+	if err != nil {
+		return nil, err
 	}
-	return db.execSelectMaterialized(c, e.sel)
+	return db.execPlanned(c, e.sel, plan)
 }
 
 // runStmt admits one statement against the governor, executes it under
@@ -349,8 +313,8 @@ func (db *DB) runCached(e *planEntry, opts *core.Options, forceSerial int, force
 // statement's arena charges are released and the admission reservation
 // is handed back whether the statement succeeded or not. forceSerial
 // overrides the configured parallelism for the memory-budget retry.
-func (db *DB) runStmt(s Statement, opts *core.Options, forceSerial int, forceSpill bool) (res *rel.Relation, err error) {
-	c, finish := db.stmtCtx(opts, forceSerial, forceSpill)
+func (db *DB) runStmt(s Statement, opts *core.Options, forceSerial int) (res *rel.Relation, err error) {
+	c, finish := db.stmtCtx(opts, forceSerial)
 	defer finish()
 	defer exec.CatchBudget(&err)
 	return db.run(c, s)
@@ -383,7 +347,7 @@ func workersOf(opts *core.Options) int {
 // options inside core.Unary/Binary, charging the same tenant — the
 // context-to-options registration here is how evalRMA finds the
 // statement's options without consulting the database-wide defaults.
-func (db *DB) stmtCtx(opts *core.Options, forceSerial int, forceSpill bool) (*exec.Ctx, func()) {
+func (db *DB) stmtCtx(opts *core.Options, forceSerial int) (*exec.Ctx, func()) {
 	gov := db.governorFor(opts)
 	var workers int
 	var budget int64
@@ -401,9 +365,6 @@ func (db *DB) stmtCtx(opts *core.Options, forceSerial int, forceSpill bool) (*ex
 	var sp *exec.Spill
 	if dir, th, on := db.spillConfig(); on {
 		sp = exec.NewSpill(dir, th)
-		if forceSpill {
-			sp = sp.Forced()
-		}
 		c = c.WithSpill(sp)
 	}
 	db.mu.Lock()
@@ -660,8 +621,6 @@ func (db *DB) buildFrom(c *exec.Ctx, te TableExpr) (*source, error) {
 		return newSource(r, x.Alias), nil
 	case *RMARef:
 		return db.buildRMA(c, x)
-	case *JoinExpr:
-		return db.buildJoin(c, x)
 	}
 	return nil, fmt.Errorf("sql: unsupported table expression %T", te)
 }
@@ -728,98 +687,6 @@ func (db *DB) evalRMA(c *exec.Ctx, x *RMARef) (*rel.Relation, error) {
 		return nil, fmt.Errorf("sql: %s takes one relation", strings.ToUpper(x.Op))
 	}
 	return core.Unary(op, args[0], x.Args[0].By, opts)
-}
-
-func (db *DB) buildJoin(c *exec.Ctx, x *JoinExpr) (*source, error) {
-	left, err := db.buildFrom(c, x.Left)
-	if err != nil {
-		return nil, err
-	}
-	right, err := db.buildFrom(c, x.Right)
-	if err != nil {
-		return nil, err
-	}
-	switch x.Kind {
-	case JoinCross:
-		return crossSources(c, left, right)
-	default:
-		return joinSources(c, left, right, x.On, x.Kind)
-	}
-}
-
-// combineSchemas concatenates two sources' schemas with fresh internal
-// column names.
-func combineSchemas(left, right *source, cols []*bat.BAT) (*source, error) {
-	schema := make(rel.Schema, 0, len(left.syms)+len(right.syms))
-	syms := make([]sym, 0, cap(schema))
-	for k, a := range left.rel.Schema {
-		schema = append(schema, rel.Attr{Name: internalName(len(schema)), Type: a.Type})
-		syms = append(syms, left.syms[k])
-	}
-	for k, a := range right.rel.Schema {
-		schema = append(schema, rel.Attr{Name: internalName(len(schema)), Type: a.Type})
-		syms = append(syms, right.syms[k])
-	}
-	r, err := rel.New("", schema, cols)
-	if err != nil {
-		return nil, err
-	}
-	return &source{rel: r, syms: syms}, nil
-}
-
-func crossSources(c *exec.Ctx, left, right *source) (*source, error) {
-	nl, nr := left.rel.NumRows(), right.rel.NumRows()
-	li := make([]int, 0, nl*nr)
-	ri := make([]int, 0, nl*nr)
-	for i := 0; i < nl; i++ {
-		for j := 0; j < nr; j++ {
-			li = append(li, i)
-			ri = append(ri, j)
-		}
-	}
-	return gatherPairs(c, left, right, li, ri)
-}
-
-func gatherPairs(c *exec.Ctx, left, right *source, li, ri []int) (*source, error) {
-	cols := make([]*bat.BAT, 0, len(left.rel.Cols)+len(right.rel.Cols))
-	for _, col := range left.rel.Cols {
-		cols = append(cols, col.Gather(c, li))
-	}
-	for _, col := range right.rel.Cols {
-		cols = append(cols, gatherPadded(c, col, ri))
-	}
-	return combineSchemas(left, right, cols)
-}
-
-// gatherPadded gathers col by idx, emitting the zero value where idx < 0
-// (left-join non-matches).
-func gatherPadded(c *exec.Ctx, col *bat.BAT, idx []int) *bat.BAT {
-	pad := false
-	for _, j := range idx {
-		if j < 0 {
-			pad = true
-			break
-		}
-	}
-	if !pad {
-		return col.Gather(c, idx)
-	}
-	out := bat.NewEmptyVector(col.Type(), len(idx))
-	for _, j := range idx {
-		if j < 0 {
-			switch col.Type() {
-			case bat.Float:
-				out.Append(bat.FloatValue(0))
-			case bat.Int:
-				out.Append(bat.IntValue(0))
-			default:
-				out.Append(bat.StringValue(""))
-			}
-			continue
-		}
-		out.Append(col.Get(j))
-	}
-	return bat.FromVector(out)
 }
 
 // extractEqui splits an ON expression into equi-join key pairs (left expr,
@@ -908,69 +775,8 @@ func collectCols(e Expr, acc []*ColRef) []*ColRef {
 	return acc
 }
 
-func joinSources(c *exec.Ctx, left, right *source, on Expr, kind JoinKind) (*source, error) {
-	lk, rk, residual := extractEqui(on, left, right)
-	if len(lk) == 0 {
-		if kind == JoinLeft {
-			return nil, fmt.Errorf("sql: LEFT JOIN requires an equi-join condition")
-		}
-		// Nested-loop fallback: cross then filter on the full ON clause.
-		crossed, err := crossSources(c, left, right)
-		if err != nil {
-			return nil, err
-		}
-		return filterSource(c, crossed, on)
-	}
-	// Hash join: build on the right, probe from the left. The key
-	// expressions are materialized into typed columns once and joined
-	// through rel's 64-bit row hashes — no per-row string keys.
-	lkeys, err := keyCols(left, lk)
-	if err != nil {
-		return nil, err
-	}
-	rkeys, err := keyCols(right, rk)
-	if err != nil {
-		return nil, err
-	}
-	var joined *source
-	if c.ShouldSpill(rel.JoinSpillEst(left.rel.NumRows(), right.rel.NumRows())) {
-		// Out-of-core: the pair arrays — the join's dominant transient —
-		// are staged to disk and the result columns filled block-wise
-		// from the pair stream. Bitwise-identical to the in-memory path.
-		sp, err := rel.EquiJoinPairsSpilled(c, lkeys, rkeys, kind == JoinLeft)
-		if err != nil {
-			return nil, err
-		}
-		cols, err := sp.Fill(c, left.rel.Cols, right.rel.Cols)
-		sp.Close()
-		if err != nil {
-			return nil, err
-		}
-		if joined, err = combineSchemas(left, right, cols); err != nil {
-			return nil, err
-		}
-	} else {
-		li, ri, err := rel.EquiJoinPairs(c, lkeys, rkeys, kind == JoinLeft)
-		if err != nil {
-			return nil, err
-		}
-		joined, err = gatherPairs(c, left, right, li, ri)
-		bat.FreeInts(li)
-		bat.FreeInts(ri)
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, res := range residual {
-		if joined, err = filterSource(c, joined, res); err != nil {
-			return nil, err
-		}
-	}
-	return joined, nil
-}
-
 // keyCols materializes join-key expressions into typed columns for the
-// hash join. Cross-type numeric keys (an int expression against a float
+// hash join build. Cross-type numeric keys (an int expression against a float
 // one) hash and compare through canonical float bits inside rel, so no
 // coercion is needed here.
 func keyCols(s *source, exprs []Expr) ([]*bat.BAT, error) {
@@ -997,78 +803,21 @@ func filterSource(c *exec.Ctx, s *source, pred Expr) (*source, error) {
 
 // --- SELECT pipeline -------------------------------------------------------
 
-// execSelect routes a SELECT through the streaming morsel pipeline when
-// the planner can take it, falling back to the materializing pipeline
-// otherwise (and whenever streaming is disabled). Both paths produce
-// bitwise-identical results; the streaming path just peaks at
-// max-per-stage memory instead of sum-of-intermediates.
+// execSelect plans a SELECT and runs it through the streaming morsel
+// pipeline. A planning error is the statement's error.
 func (db *DB) execSelect(c *exec.Ctx, sel *SelectStmt) (*rel.Relation, error) {
-	// A forced-spill retry runs materialized on purpose: the
-	// materializing operators (HashJoin, GroupBy, SortStable) are the
-	// ones with disk-backed twins, while the streaming join build has
-	// none.
-	if db.streamingEnabled() && !c.Spill().IsForced() {
-		res, err := db.execSelectStreaming(c, sel)
-		if !errors.Is(err, errNeedMaterialize) {
-			return res, err
-		}
-	}
-	return db.execSelectMaterialized(c, sel)
-}
-
-func (db *DB) execSelectMaterialized(c *exec.Ctx, sel *SelectStmt) (*rel.Relation, error) {
-	src, err := db.buildFrom(c, sel.From)
+	plan, err := db.planStream(c, sel)
 	if err != nil {
 		return nil, err
 	}
-	if sel.Where != nil {
-		if src, err = filterSource(c, src, sel.Where); err != nil {
-			return nil, err
-		}
-	}
-
-	items := sel.Items
-	// Expand stars against the current symbols.
-	var expanded []SelectItem
-	for _, it := range items {
-		if !it.Star {
-			expanded = append(expanded, it)
-			continue
-		}
-		for _, sy := range src.syms {
-			expanded = append(expanded, SelectItem{
-				Expr: &ColRef{Qualifier: sy.qual, Name: sy.name},
-				As:   sy.name,
-			})
-		}
-	}
-	items = expanded
-
-	// Aggregation.
-	aggs := findAggregates(items, sel.Having)
-	if len(aggs) > 0 || len(sel.GroupBy) > 0 {
-		if src, err = groupSource(c, src, sel.GroupBy, aggs); err != nil {
-			return nil, err
-		}
-		var having Expr
-		items, having = groupedItems(items, sel.GroupBy, aggs, sel.Having)
-		if having != nil {
-			if src, err = filterSource(c, src, having); err != nil {
-				return nil, err
-			}
-		}
-	} else if sel.Having != nil {
-		return nil, fmt.Errorf("sql: HAVING without aggregation")
-	}
-
-	return finishSelect(c, sel, items, src)
+	return db.execPlanned(c, sel, plan)
 }
 
 // projectMeta resolves the projection: compiled evaluators over the
 // given source plus the output schema and symbols, with the duplicate
-// name disambiguation the dialect applies. Both pipelines (and the
-// streaming planner's dry run) funnel through it, so output naming and
-// typing can never diverge between them.
+// name disambiguation the dialect applies. The planner's dry run and the
+// grouped tail both funnel through it, so output naming and typing can
+// never diverge between them.
 func projectMeta(items []SelectItem, src *source) (rel.Schema, []sym, []*compiled, error) {
 	outSchema := make(rel.Schema, len(items))
 	outSyms := make([]sym, len(items))
@@ -1117,10 +866,8 @@ func userQual(e Expr) string {
 }
 
 // finishSelect runs the tail of the SELECT pipeline — projection,
-// DISTINCT, ORDER BY, LIMIT — over a materialized source. The streaming
-// aggregation path funnels through it too (its grouped relation is
-// materialized by the time grouping completes), so the tail semantics
-// cannot diverge between pipelines.
+// DISTINCT, ORDER BY, LIMIT — over a materialized source: the grouped
+// relation once streaming aggregation completes.
 func finishSelect(c *exec.Ctx, sel *SelectStmt, items []SelectItem, src *source) (*rel.Relation, error) {
 	outSchema, outSyms, comps, err := projectMeta(items, src)
 	if err != nil {
@@ -1141,8 +888,8 @@ func finishSelect(c *exec.Ctx, sel *SelectStmt, items []SelectItem, src *source)
 // finishOutput applies DISTINCT, ORDER BY and LIMIT to the projected
 // output. src, when non-nil, is the pre-projection source ORDER BY may
 // fall back to for sort keys that were not selected; the streaming
-// projection path passes nil (its planner already proved the sort keys
-// compile against the output).
+// projection passes nil unless its plan kept the input columns for that
+// fallback.
 func finishOutput(c *exec.Ctx, sel *SelectStmt, out *rel.Relation, outSyms []sym, src *source) (*rel.Relation, error) {
 	if sel.Distinct {
 		out = out.Distinct(c)
@@ -1179,7 +926,7 @@ func finishOutput(c *exec.Ctx, sel *SelectStmt, out *rel.Relation, outSyms []sym
 			return false
 		})
 		out = out.Gather(c, idx)
-		bat.FreeInts(idx)
+		c.Arena().FreeInts(idx)
 	}
 
 	if sel.Limit >= 0 {
@@ -1227,66 +974,6 @@ func findAggregates(items []SelectItem, having Expr) []*FuncCall {
 		walk(having)
 	}
 	return out
-}
-
-// groupSource materializes group keys and aggregate inputs, runs the
-// grouping operator, and exposes the result under the #grp qualifier.
-func groupSource(c *exec.Ctx, src *source, groupBy []Expr, aggs []*FuncCall) (*source, error) {
-	n := src.rel.NumRows()
-	schema := rel.Schema{}
-	cols := []*bat.BAT{}
-	var keyNames []string
-	for k, g := range groupBy {
-		comp, err := compileExpr(g, src)
-		if err != nil {
-			return nil, err
-		}
-		name := fmt.Sprintf("g%d", k)
-		schema = append(schema, rel.Attr{Name: name, Type: comp.typ})
-		cols = append(cols, materialize(comp, n))
-		keyNames = append(keyNames, name)
-	}
-	specs := make([]rel.AggSpec, len(aggs))
-	for k, a := range aggs {
-		fn := aggFuncs[a.Name]
-		spec := rel.AggSpec{Func: fn, As: fmt.Sprintf("agg%d", k)}
-		if !a.Star {
-			if len(a.Args) != 1 {
-				return nil, fmt.Errorf("sql: %s takes one argument", a.Name)
-			}
-			comp, err := compileExpr(a.Args[0], src)
-			if err != nil {
-				return nil, err
-			}
-			name := fmt.Sprintf("a%d", k)
-			schema = append(schema, rel.Attr{Name: name, Type: comp.typ})
-			cols = append(cols, materialize(comp, n))
-			spec.Attr = name
-		} else if fn != rel.Count {
-			return nil, fmt.Errorf("sql: %s(*) not supported", a.Name)
-		}
-		specs[k] = spec
-	}
-	if len(cols) == 0 {
-		// Pure COUNT(*) with no grouping materializes no columns; keep a
-		// dummy column so the row count survives into the grouping.
-		schema = rel.Schema{{Name: "#dummy", Type: bat.Int}}
-		cols = []*bat.BAT{bat.FromInts(make([]int64, n))}
-	}
-	tmp, err := rel.New("", schema, cols)
-	if err != nil {
-		return nil, err
-	}
-	grouped, err := rel.GroupBy(c, tmp, keyNames, specs)
-	if err != nil {
-		return nil, err
-	}
-	// Global aggregation over an empty input yields one row of zeros
-	// (COUNT(*) = 0), matching SQL semantics.
-	if len(keyNames) == 0 && grouped.NumRows() == 0 {
-		grouped = zeroAggRow(grouped)
-	}
-	return newSource(grouped, grpQual), nil
 }
 
 // zeroAggRow is the SQL empty-global-aggregation result: a single row of

@@ -51,10 +51,10 @@ func joinGroupDB(t *testing.T) *DB {
 	return db
 }
 
-// TestStreamedJoinGroupBitwise runs join+group statements through every
-// execution shape — materialized, streamed serial (one build partition),
-// streamed parallel (radix-partitioned build) — and asserts every result
-// is bitwise-identical to the materialized reference.
+// TestStreamedJoinGroupBitwise runs join+group statements streamed
+// serial (one build partition) and streamed parallel (radix-partitioned
+// build) and asserts every result is bitwise-identical to the reference
+// executor's.
 func TestStreamedJoinGroupBitwise(t *testing.T) {
 	queries := []string{
 		// Group keys = join keys.
@@ -70,21 +70,17 @@ func TestStreamedJoinGroupBitwise(t *testing.T) {
 		`SELECT t.id, t.val, s.bonus FROM t JOIN s ON t.grp = s.k ORDER BY t.id, s.bonus LIMIT 500`,
 	}
 	for qi, q := range queries {
-		mat := joinGroupDB(t)
-		mat.SetStreaming(false)
-		want, err := mat.QueryWith(q, &core.Options{Parallelism: 1})
+		want, err := refQuery(joinGroupDB(t), q)
 		if err != nil {
-			t.Fatalf("query %d materialized: %v", qi, err)
+			t.Fatalf("query %d reference: %v", qi, err)
 		}
 		for _, workers := range []int{1, 2, 8} {
-			db := joinGroupDB(t)
-			db.SetStreaming(true)
-			got, err := db.QueryWith(q, &core.Options{Parallelism: workers})
+			got, err := joinGroupDB(t).QueryWith(q, &core.Options{Parallelism: workers})
 			if err != nil {
 				t.Fatalf("query %d workers=%d: %v", qi, workers, err)
 			}
 			if err := equalBits(want, got); err != nil {
-				t.Fatalf("query %d workers=%d: streamed result differs from materialized: %v", qi, workers, err)
+				t.Fatalf("query %d workers=%d: streamed result differs from the reference: %v", qi, workers, err)
 			}
 		}
 	}

@@ -14,21 +14,22 @@ import (
 )
 
 // This file is the differential SQL fuzz oracle: a seeded random SELECT
-// generator executed three ways — streamed, materialized, and through
-// the plan cache (twice, so the second run exercises a cache hit on a
-// shared plan) — at worker budgets {1, 2, 8}, asserting bitwise
-// -identical relations and identical error strings across every leg.
-// The three executors are three DBs registered over the *same* column
-// storage, so any divergence is the engine's, never the data's.
+// generator executed three ways — by the engine with the plan cache off,
+// by the reference executor (reference_test.go), and through the plan
+// cache (twice, so the second run exercises a cache hit on a shared
+// plan) — at worker budgets {1, 2, 8}, asserting bitwise-identical
+// relations and identical error strings across every leg. The engine
+// DBs are registered over the *same* column storage, so any divergence
+// is the engine's, never the data's.
 //
 // Iterations and seed come from the environment so CI can pin a smoke
 // configuration while longer local runs go deeper:
 //
 //	RMA_ORACLE_ITERS (default 60)
 //	RMA_ORACLE_SEED  (default 1)
-//	RMA_ORACLE_SPILL (set to 1 to add two spill-forced legs: streamed
-//	                  and materialized executors staging every eligible
-//	                  operator to disk through a one-byte threshold)
+//	RMA_ORACLE_SPILL (set to 1 to add a spill leg: the engine staging
+//	                  every eligible operator to disk through a one-byte
+//	                  threshold)
 
 func oracleEnvInt(name string, def int) int {
 	if v := os.Getenv(name); v != "" {
@@ -40,11 +41,10 @@ func oracleEnvInt(name string, def int) int {
 }
 
 // oracleCatalog is one generated dataset registered into the executor
-// databases. The two spill-forced executors are nil unless
-// RMA_ORACLE_SPILL is set.
+// databases. The spilling executor is nil unless RMA_ORACLE_SPILL is
+// set.
 type oracleCatalog struct {
-	stream, mat, cached *DB
-	spillS, spillM      *DB
+	stream, cached, spill *DB
 }
 
 // newOracleCatalog generates a fact table f(id, g, v, w, s), a dimension
@@ -110,21 +110,16 @@ func newOracleCatalog(t *testing.T, rng *rand.Rand, round int) *oracleCatalog {
 		t.Fatal(err)
 	}
 
-	oc := &oracleCatalog{stream: NewDB(), mat: NewDB(), cached: NewDB()}
+	oc := &oracleCatalog{stream: NewDB(), cached: NewDB()}
 	oc.stream.SetPlanCache(false)
-	oc.mat.SetPlanCache(false)
-	oc.mat.SetStreaming(false)
-	dbs := []*DB{oc.stream, oc.mat, oc.cached}
+	dbs := []*DB{oc.stream, oc.cached}
 	if os.Getenv("RMA_ORACLE_SPILL") == "1" {
-		// Spill-forced legs: a one-byte threshold sends every
-		// estimate-gated operator to its disk path on both pipelines.
-		oc.spillS, oc.spillM = NewDB(), NewDB()
-		oc.spillS.SetPlanCache(false)
-		oc.spillS.SetSpill(t.TempDir(), 1)
-		oc.spillM.SetPlanCache(false)
-		oc.spillM.SetStreaming(false)
-		oc.spillM.SetSpill(t.TempDir(), 1)
-		dbs = append(dbs, oc.spillS, oc.spillM)
+		// Spill leg: a one-byte threshold sends every estimate-gated
+		// operator to its disk path.
+		oc.spill = NewDB()
+		oc.spill.SetPlanCache(false)
+		oc.spill.SetSpill(t.TempDir(), 1)
+		dbs = append(dbs, oc.spill)
 	}
 	for name, r := range map[string]*rel.Relation{"f": fact, "d": dim, "z": tiny} {
 		for _, db := range dbs {
@@ -261,6 +256,7 @@ func genQuery(rng *rand.Rand) string {
 		items = append(items, it)
 		orderables = append(orderables, it[strings.LastIndex(it, " ")+1:])
 	}
+	orderables = append(orderables, c("w"), c("id")) // unselected input columns
 	distinct := ""
 	if rng.Intn(5) == 0 {
 		distinct = "DISTINCT "
@@ -281,11 +277,11 @@ func genQuery(rng *rand.Rand) string {
 }
 
 // TestDifferentialOracle is the oracle loop. Every generated query runs
-// four legs per worker budget — streamed, materialized, cached (cold),
-// cached (hit), plus two spill-forced legs under RMA_ORACLE_SPILL —
-// with the streamed leg at workers 1 doubling as the
-// cross-worker reference. Any divergence in bits or error text fails
-// with the seed, round, and statement needed to replay it.
+// four legs per worker budget — streamed, reference, cached (cold),
+// cached (hit), plus a spill leg under RMA_ORACLE_SPILL — with the
+// streamed leg at workers 1 doubling as the cross-worker reference. Any
+// divergence in bits or error text fails with the seed, round, and
+// statement needed to replay it.
 func TestDifferentialOracle(t *testing.T) {
 	iters := oracleEnvInt("RMA_ORACLE_ITERS", 60)
 	seed := int64(oracleEnvInt("RMA_ORACLE_SEED", 1))
@@ -304,10 +300,12 @@ func TestDifferentialOracle(t *testing.T) {
 
 		var ref *rel.Relation
 		var refErr error
+		// The reference executor is serial: one evaluation serves every
+		// worker budget.
+		rfRes, rfErr := refQuery(oc.stream, q)
 		for _, w := range workers {
 			opts := &core.Options{Parallelism: w}
 			smRes, smErr := oc.stream.ExecWith(q, opts)
-			matRes, matErr := oc.mat.ExecWith(q, opts)
 			c1Res, c1Err := oc.cached.ExecWith(q, opts)
 			c2Res, c2Err := oc.cached.ExecWith(q, opts)
 
@@ -318,16 +316,13 @@ func TestDifferentialOracle(t *testing.T) {
 			}
 			legs := []oracleLeg{
 				{"streamed", smRes, smErr},
-				{"materialized", matRes, matErr},
+				{"reference", rfRes, rfErr},
 				{"cached-cold", c1Res, c1Err},
 				{"cached-hit", c2Res, c2Err},
 			}
-			if oc.spillS != nil {
-				ssRes, ssErr := oc.spillS.ExecWith(q, opts)
-				sgRes, sgErr := oc.spillM.ExecWith(q, opts)
-				legs = append(legs,
-					oracleLeg{"spilled-streamed", ssRes, ssErr},
-					oracleLeg{"spilled-materialized", sgRes, sgErr})
+			if oc.spill != nil {
+				spRes, spErr := oc.spill.ExecWith(q, opts)
+				legs = append(legs, oracleLeg{"spilled-streamed", spRes, spErr})
 			}
 			if w == workers[0] {
 				ref, refErr = smRes, smErr

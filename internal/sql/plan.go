@@ -1,7 +1,6 @@
 package sql
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/bat"
@@ -10,24 +9,15 @@ import (
 	"repro/internal/exec"
 )
 
-// This file is the logical planner of the streaming SELECT pipeline. It
-// shapes the FROM tree into a left-deep stream plan (the left spine
-// streams, every join's right side is materialized and indexed), pushes
-// WHERE conjuncts down to the lowest node that can evaluate them, prunes
-// columns nothing above the scans references, and dry-compiles every
-// expression the runtime will evaluate per morsel so streaming execution
-// cannot hit a compile error the materializing path would have reported
-// from a different place.
-//
-// The planner is conservative by construction: any statement shape or
-// compile problem it cannot prove it will execute bitwise-identically to
-// the materializing path surfaces as errNeedMaterialize, and execSelect
-// falls back to the original code path. Falling back re-evaluates the
-// FROM clause — wasteful but read-only — and guarantees user-facing
-// errors always come from exactly one implementation.
-
-// errNeedMaterialize routes a SELECT to the materializing pipeline.
-var errNeedMaterialize = errors.New("sql: statement needs the materializing path")
+// This file is the logical planner of the SELECT pipeline, the only
+// SELECT executor. It shapes the FROM tree into a left-deep stream plan
+// (the left spine streams, every join's right side is materialized and
+// indexed), pushes WHERE conjuncts down to the lowest node that can
+// evaluate them, prunes columns nothing above the scans references, and
+// dry-compiles every expression the runtime will evaluate per morsel, so
+// a statement that plans cannot hit a compile error mid-stream. A
+// planning error — unknown column, type error, unsupported shape — is
+// the statement's user-visible error.
 
 // streamNode is one node of the stream plan: either a scan leaf over a
 // materialized source, or a join whose left input streams and whose
@@ -124,7 +114,7 @@ func (n *streamNode) walkOns(f func(Expr)) {
 // references. The rule is conservative: a symbol survives when any
 // collected column reference matches its name (and qualifier, when the
 // reference carries one) — unqualified references keep every candidate,
-// so ambiguity errors surface exactly as in the materializing path.
+// so ambiguity errors surface exactly as over the unpruned FROM columns.
 func (n *streamNode) prune(refs []*ColRef) {
 	if n.leaf != nil {
 		n.needed, n.outSyms, n.outTypes = neededCols(refs, n.leaf)
@@ -160,8 +150,8 @@ func neededCols(refs []*ColRef, s *source) (idx []int, syms []sym, types []bat.T
 // check splits every ON clause into equi keys and residual, then
 // dry-compiles all the expressions the streaming runtime will compile
 // per morsel against zero-row prototype sources carrying the final
-// (pruned) symbol tables. A failure means the runtime could error where
-// the materializing path reports differently, so the caller falls back.
+// (pruned) symbol tables, so compile errors surface before any morsel
+// is pulled.
 func (n *streamNode) check() error {
 	if n.leaf != nil {
 		proto := protoOf(n.leaf)
@@ -298,6 +288,9 @@ type selectPlan struct {
 	// Non-aggregating projection metadata (group == nil).
 	outSchema rel.Schema
 	outSyms   []sym
+	// sortInput marks an ORDER BY key that resolves only against the
+	// pre-projection columns: the projection keeps them for the sort.
+	sortInput bool
 }
 
 // groupPlan carries the streaming aggregation shape: grouping key
@@ -311,10 +304,9 @@ type groupPlan struct {
 	argExprs []Expr
 }
 
-// planStream plans one SELECT for streaming execution. Any error —
-// unsupported shape, unresolved column, type problem — makes execSelect
-// fall back to the materializing path, which either handles the shape or
-// reports the error itself.
+// planStream plans one SELECT for streaming execution. Its error —
+// unsupported shape, unresolved column, type problem — is the
+// statement's error.
 func (db *DB) planStream(c *exec.Ctx, sel *SelectStmt) (*selectPlan, error) {
 	root, err := db.planNode(c, sel.From)
 	if err != nil {
@@ -326,8 +318,7 @@ func (db *DB) planStream(c *exec.Ctx, sel *SelectStmt) (*selectPlan, error) {
 		}
 	}
 
-	// Star expansion against the full FROM symbols, exactly as the
-	// materializing path expands them.
+	// Star expansion against the full (unpruned) FROM symbols.
 	var items []SelectItem
 	for _, it := range sel.Items {
 		if !it.Star {
@@ -387,21 +378,24 @@ func (db *DB) planStream(c *exec.Ctx, sel *SelectStmt) (*selectPlan, error) {
 		return nil, err
 	}
 	plan.outSchema, plan.outSyms = schema, syms
-	if len(sel.OrderBy) > 0 {
-		// The materializing path can fall back to sorting on
-		// pre-projection columns; the streaming path discards them, so it
-		// only takes ORDER BY that compiles against the projected output.
-		outProto := protoSource(syms, typesOfSchema(schema))
-		for _, ob := range sel.OrderBy {
-			if _, err := compileExpr(ob.Expr, outProto); err != nil {
-				return nil, err
-			}
+	// ORDER BY keys resolve against the projected output first and,
+	// without DISTINCT, fall back to the input columns — finishOutput's
+	// rule, which the projection then feeds with the kept input.
+	outProto := protoSource(syms, typesOfSchema(schema))
+	for _, ob := range sel.OrderBy {
+		_, err := compileExpr(ob.Expr, outProto)
+		if err != nil && !sel.Distinct {
+			_, err = compileExpr(ob.Expr, proto)
+			plan.sortInput = true
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	return plan, nil
 }
 
-// planGroup mirrors groupSource's shape checks and resolves the key and
+// planGroup checks the grouping shape and resolves the key and
 // aggregate-input expressions the streaming group stage evaluates per
 // morsel.
 func planGroup(sel *SelectStmt, aggs []*FuncCall, proto *source) (*groupPlan, error) {
@@ -415,12 +409,14 @@ func planGroup(sel *SelectStmt, aggs []*FuncCall, proto *source) (*groupPlan, er
 		gp.keyTypes = append(gp.keyTypes, comp.typ)
 	}
 	if len(aggs) == 0 {
-		// GROUP BY without aggregates is rejected by the grouping
-		// operator; let the materializing path report it.
+		// The grouping operator's own rejection, in its words.
 		return nil, fmt.Errorf("rel: group by without aggregates")
 	}
 	gp.specs = make([]rel.AggSpec, len(aggs))
 	gp.argExprs = make([]Expr, len(aggs))
+	// A string aggregate input is rel.GroupBy's error, in rel's words,
+	// and ranks behind every argument-shape error.
+	var nonNumeric error
 	for k, a := range aggs {
 		fn := aggFuncs[a.Name]
 		spec := rel.AggSpec{Func: fn, As: fmt.Sprintf("agg%d", k)}
@@ -432,15 +428,18 @@ func planGroup(sel *SelectStmt, aggs []*FuncCall, proto *source) (*groupPlan, er
 			if err != nil {
 				return nil, err
 			}
-			if comp.typ == bat.String {
-				return nil, fmt.Errorf("sql: aggregate %s over non-numeric input", a.Name)
-			}
 			spec.Attr = fmt.Sprintf("a%d", k)
+			if comp.typ == bat.String && nonNumeric == nil {
+				nonNumeric = fmt.Errorf("rel: aggregate %v over non-numeric %q", fn, spec.Attr)
+			}
 			gp.argExprs[k] = a.Args[0]
 		} else if fn != rel.Count {
 			return nil, fmt.Errorf("sql: %s(*) not supported", a.Name)
 		}
 		gp.specs[k] = spec
+	}
+	if nonNumeric != nil {
+		return nil, nonNumeric
 	}
 	return gp, nil
 }

@@ -1,0 +1,294 @@
+package sql
+
+import (
+	"fmt"
+	"strconv"
+	"strings"
+
+	"repro/internal/bat"
+	"repro/internal/exec"
+	"repro/internal/rel"
+)
+
+// This file is the reference SELECT executor of the differential tests:
+// a deliberately naive, serial evaluator over whole relations. Joins
+// bucket the right side on the printed key value, WHERE filters the
+// whole joined relation, and grouping runs through rel.GroupBy. It
+// shares only compileExpr, groupedItems and finishSelect with the
+// engine — no planner, pushdown, pruning, JoinBuild, StreamAgg or spill
+// — so the streamed engine is checked against an independent evaluation.
+
+// refQuery evaluates one SELECT over db's catalog with the reference
+// executor.
+func refQuery(db *DB, q string) (*rel.Relation, error) {
+	stmts, err := Parse(q)
+	if err != nil {
+		return nil, err
+	}
+	if len(stmts) == 1 {
+		if sel, ok := stmts[0].(*SelectStmt); ok {
+			return refSelect(db, sel)
+		}
+	}
+	return nil, fmt.Errorf("reference: want a single SELECT, got %q", q)
+}
+
+func refSelect(db *DB, sel *SelectStmt) (*rel.Relation, error) {
+	src, err := refFrom(db, sel.From)
+	if err == nil && sel.Where != nil {
+		src, err = refFilter(src, sel.Where)
+	}
+	if err != nil {
+		return nil, err
+	}
+	var items []SelectItem
+	for _, it := range sel.Items {
+		if !it.Star {
+			items = append(items, it)
+			continue
+		}
+		for _, sy := range src.syms {
+			items = append(items, SelectItem{Expr: &ColRef{Qualifier: sy.qual, Name: sy.name}, As: sy.name})
+		}
+	}
+	c := exec.NewCtx(1, nil, nil)
+	aggs := findAggregates(items, sel.Having)
+	if len(aggs) == 0 && len(sel.GroupBy) == 0 {
+		if sel.Having != nil {
+			return nil, fmt.Errorf("sql: HAVING without aggregation")
+		}
+		return finishSelect(c, sel, items, src)
+	}
+	if src, err = refGroup(c, src, sel.GroupBy, aggs); err != nil {
+		return nil, err
+	}
+	items, having := groupedItems(items, sel.GroupBy, aggs, sel.Having)
+	if having != nil {
+		if src, err = refFilter(src, having); err != nil {
+			return nil, err
+		}
+	}
+	return finishSelect(c, sel, items, src)
+}
+
+// refFrom evaluates a FROM item into a source whose columns carry
+// internal names and whose symbols carry the user-visible ones.
+func refFrom(db *DB, te TableExpr) (*source, error) {
+	switch x := te.(type) {
+	case *JoinExpr:
+		return refJoin(db, x)
+	case *SubqueryRef:
+		r, err := refSelect(db, x.Select)
+		if err != nil {
+			return nil, err
+		}
+		return newSource(r, x.Alias), nil
+	case *TableRef:
+		r, err := db.Table(x.Name)
+		if err != nil {
+			return nil, err
+		}
+		if x.Alias != "" {
+			return newSource(r, x.Alias), nil
+		}
+		return newSource(r, x.Name), nil
+	}
+	return nil, fmt.Errorf("reference: unsupported table expression %T", te)
+}
+
+// refJoin pairs every left row (outer, ascending) with its matching
+// right rows (ascending): the canonical join order. Equi-keys match by
+// printed value; the residual part of ON filters the pairs afterwards.
+func refJoin(db *DB, x *JoinExpr) (*source, error) {
+	left, err := refFrom(db, x.Left)
+	if err != nil {
+		return nil, err
+	}
+	right, err := refFrom(db, x.Right)
+	if err != nil {
+		return nil, err
+	}
+	var li, ri []int
+	var lk, rk, filters []Expr
+	if x.Kind != JoinCross {
+		if lk, rk, filters = extractEqui(x.On, left, right); len(lk) == 0 {
+			if x.Kind == JoinLeft {
+				return nil, fmt.Errorf("sql: LEFT JOIN requires an equi-join condition")
+			}
+			filters = []Expr{x.On}
+		}
+	}
+	if len(lk) == 0 {
+		for i := 0; i < left.rel.NumRows(); i++ {
+			for j := 0; j < right.rel.NumRows(); j++ {
+				li, ri = append(li, i), append(ri, j)
+			}
+		}
+	} else {
+		lkeys, rkeys, err := refKeys(left, right, lk, rk)
+		if err != nil {
+			return nil, err
+		}
+		buckets := map[string][]int{}
+		for j, k := range rkeys {
+			buckets[k] = append(buckets[k], j)
+		}
+		for i, k := range lkeys {
+			for _, j := range buckets[k] {
+				li, ri = append(li, i), append(ri, j)
+			}
+			if len(buckets[k]) == 0 && x.Kind == JoinLeft {
+				li, ri = append(li, i), append(ri, -1)
+			}
+		}
+	}
+	cols := append(refGather(left.rel.Cols, li), refGather(right.rel.Cols, ri)...)
+	src := refSource(append(append([]sym(nil), left.syms...), right.syms...), cols)
+	for _, f := range filters {
+		if src, err = refFilter(src, f); err != nil {
+			return nil, err
+		}
+	}
+	return src, nil
+}
+
+// refKeys prints every row's composite equi-key. Int keys paired with
+// int keys print exactly; other numeric pairings print the float value
+// with both zeros and all NaNs folded — the engine's key equality.
+// Strings print quoted, so they never equal a number.
+func refKeys(left, right *source, lk, rk []Expr) (lkeys, rkeys []string, err error) {
+	comps := make([]*compiled, len(lk)+len(rk)) // left keys, then right keys
+	for k, e := range append(append([]Expr(nil), lk...), rk...) {
+		s := left
+		if k >= len(lk) {
+			s = right
+		}
+		if comps[k], err = compileExpr(e, s); err != nil {
+			return nil, nil, err
+		}
+	}
+	printKeys := func(own, other []*compiled, n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			parts := make([]string, len(own))
+			for k, comp := range own {
+				switch v := comp.fn(i); {
+				case v.Type == bat.String:
+					parts[k] = strconv.Quote(v.S)
+				case v.Type == bat.Int && other[k].typ == bat.Int:
+					parts[k] = strconv.FormatInt(v.I, 10)
+				default: // +0 folds -0 into 0; every NaN prints "NaN"
+					parts[k] = strconv.FormatFloat(v.AsFloat()+0, 'g', -1, 64)
+				}
+			}
+			out[i] = strings.Join(parts, "|")
+		}
+		return out
+	}
+	lc, rc := comps[:len(lk)], comps[len(lk):]
+	return printKeys(lc, rc, left.rel.NumRows()), printKeys(rc, lc, right.rel.NumRows()), nil
+}
+
+// refFilter keeps the rows of src on which pred is truthy.
+func refFilter(src *source, pred Expr) (*source, error) {
+	comp, err := compileExpr(pred, src)
+	if err != nil {
+		return nil, err
+	}
+	var keep []int
+	for i := 0; i < src.rel.NumRows(); i++ {
+		if truthy(comp.fn(i)) {
+			keep = append(keep, i)
+		}
+	}
+	return refSource(src.syms, refGather(src.rel.Cols, keep)), nil
+}
+
+// refGroup evaluates the grouping keys g<k> and aggregate inputs a<k>
+// over the whole source and groups them with rel.GroupBy, exposing the
+// result under the grouped-source qualifier. A zero column keeps the row
+// count when nothing else is evaluated.
+func refGroup(c *exec.Ctx, src *source, groupBy []Expr, aggs []*FuncCall) (*source, error) {
+	n := src.rel.NumRows()
+	schema := rel.Schema{{Name: "#rows", Type: bat.Int}}
+	cols := []*bat.BAT{bat.FromInts(make([]int64, n))}
+	add := func(name string, e Expr) error {
+		comp, err := compileExpr(e, src)
+		if err != nil {
+			return err
+		}
+		v := bat.NewEmptyVector(comp.typ, n)
+		for i := 0; i < n; i++ {
+			v.Append(comp.fn(i))
+		}
+		schema = append(schema, rel.Attr{Name: name, Type: comp.typ})
+		cols = append(cols, bat.FromVector(v))
+		return nil
+	}
+	var keys []string
+	for k, g := range groupBy {
+		keys = append(keys, fmt.Sprintf("g%d", k))
+		if err := add(keys[k], g); err != nil {
+			return nil, err
+		}
+	}
+	specs := make([]rel.AggSpec, len(aggs))
+	for k, a := range aggs {
+		specs[k] = rel.AggSpec{Func: aggFuncs[a.Name], As: fmt.Sprintf("agg%d", k)}
+		switch {
+		case a.Star && specs[k].Func != rel.Count:
+			return nil, fmt.Errorf("sql: %s(*) not supported", a.Name)
+		case a.Star:
+		case len(a.Args) != 1:
+			return nil, fmt.Errorf("sql: %s takes one argument", a.Name)
+		default:
+			specs[k].Attr = fmt.Sprintf("a%d", k)
+			if err := add(specs[k].Attr, a.Args[0]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	grouped, err := rel.GroupBy(c, rel.MustNew("", schema, cols), keys, specs)
+	if err != nil {
+		return nil, err
+	}
+	if len(keys) == 0 && grouped.NumRows() == 0 {
+		// A global aggregate over no rows is one row of zeros.
+		b := rel.NewBuilder("", grouped.Schema)
+		vals := make([]bat.Value, len(grouped.Schema))
+		for k, a := range grouped.Schema {
+			vals[k] = bat.Value{Type: a.Type}
+		}
+		b.MustAdd(vals...)
+		grouped = b.Relation()
+	}
+	return newSource(grouped, grpQual), nil
+}
+
+// refGather copies the rows idx of every column; -1 yields the column
+// type's zero value (a left-join row without a match).
+func refGather(cols []*bat.BAT, idx []int) []*bat.BAT {
+	out := make([]*bat.BAT, len(cols))
+	for k, col := range cols {
+		src := col.Vector()
+		v := bat.NewEmptyVector(src.Type(), len(idx))
+		for _, j := range idx {
+			if j < 0 {
+				v.Append(bat.Value{Type: src.Type()})
+			} else {
+				v.Append(src.Get(j))
+			}
+		}
+		out[k] = bat.FromVector(v)
+	}
+	return out
+}
+
+// refSource wraps columns under internal names with the given symbols.
+func refSource(syms []sym, cols []*bat.BAT) *source {
+	schema := make(rel.Schema, len(cols))
+	for k, col := range cols {
+		schema[k] = rel.Attr{Name: internalName(k), Type: col.Type()}
+	}
+	return &source{rel: &rel.Relation{Schema: schema, Cols: cols}, syms: syms}
+}

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/bat"
@@ -11,238 +12,137 @@ import (
 )
 
 // spillQuery runs a high-fanout equi-join (every probe row matches 128
-// build rows) through grouping and a final sort. On narrow single-key
-// tables the pair arrays are the statement's dominant transient, which
-// is exactly what the out-of-core join stages to disk — so spilling
-// moves the resident peak by a margin the differential test can
-// calibrate a budget into.
+// build rows) through grouping and a final sort.
 const spillQuery = `SELECT p.k AS g, COUNT(*) AS cnt FROM p JOIN b ON p.k = b.k
 	GROUP BY p.k ORDER BY g`
 
-// fanoutDB registers the narrow join inputs: 8Ki probe rows and 2Ki
-// build rows over 16 shared key values — 1Mi join pairs.
-func fanoutDB(t *testing.T) *DB {
-	t.Helper()
-	db := NewDB()
-	const pn, bn = 1 << 13, 2048
-	pk := make([]int64, pn)
-	for i := range pk {
-		pk[i] = int64(i % 16)
-	}
-	bk := make([]int64, bn)
-	for i := range bk {
-		bk[i] = int64(i % 16)
-	}
-	db.Register("p", rel.MustNew("p", rel.Schema{{Name: "k", Type: bat.Int}},
-		[]*bat.BAT{bat.FromInts(pk)}))
-	db.Register("b", rel.MustNew("b", rel.Schema{{Name: "k", Type: bat.Int}},
-		[]*bat.BAT{bat.FromInts(bk)}))
-	return db
-}
-
-// TestSpillDifferentialSelfCalibrated is the out-of-core correctness
-// oracle, calibrated against the machine instead of hard-coded byte
-// counts. It measures two serial peaks of the same statement on the
-// materializing path (the retry ladder's last rung): P unbudgeted and
-// in memory, S with every spill consumer forced to disk. The
-// differential budget is the midpoint — by measurement the in-memory
-// plan cannot fit (needs P) and the spilled plan must (needs S) — and
-// the test pins:
-//
-//  1. spilling lowers the resident footprint at all (S < P),
-//  2. without spilling the budget fails with the typed error and no
-//     stranded bytes,
-//  3. with spilling the same budget succeeds at workers 1, 2, and 8,
-//     staging nonzero bytes to disk while the ledger stays under the
-//     budget,
-//  4. every spilled result is bitwise identical to the unbudgeted
-//     in-memory reference.
-func TestSpillDifferentialSelfCalibrated(t *testing.T) {
-	// Calibration endpoint 1: unbudgeted, accounted, serial, in memory.
-	ref := fanoutDB(t)
-	ref.SetStreaming(false)
-	gov := exec.NewGovernor(0, 0)
-	want, err := ref.QueryWith(spillQuery, &core.Options{
-		Tenant: "calib", Governor: gov, Parallelism: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	peak := gov.Tenant("calib", 0).PeakBytes()
-	if peak == 0 {
-		t.Fatal("calibration run charged nothing; peak measurement is vacuous")
-	}
-
-	// Calibration endpoint 2: same statement with a one-byte threshold,
-	// so every estimate-gated consumer takes its disk path.
-	shed := fanoutDB(t)
-	shed.SetStreaming(false)
-	shed.SetSpill(t.TempDir(), 1)
-	sgov := exec.NewGovernor(0, 0)
-	spilledRes, err := shed.QueryWith(spillQuery, &core.Options{
-		Tenant: "calib", Governor: sgov, Parallelism: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := equalBits(want, spilledRes); err != nil {
-		t.Fatalf("fully-spilled result differs from in-memory reference: %v", err)
-	}
-	if st := shed.SpillStats(); st.Events == 0 {
-		t.Fatal("one-byte threshold produced no spill events; calibration is vacuous")
-	}
-	spilledPeak := sgov.Tenant("calib", 0).PeakBytes()
-	if spilledPeak >= peak {
-		t.Fatalf("spilling did not reduce the resident peak: %d spilled vs %d in-memory", spilledPeak, peak)
-	}
-	budget := (peak + spilledPeak) / 2
-	t.Logf("serial peaks: %d in-memory, %d spilled; differential budget %d", peak, spilledPeak, budget)
-
-	// Without spilling the midpoint budget must not fit: the ladder
-	// runs out of rungs and surfaces the typed error.
-	noSpill := fanoutDB(t)
-	noSpill.SetStreaming(false)
-	tight := exec.NewGovernor(0, 0)
-	_, err = noSpill.QueryWith(spillQuery, &core.Options{
-		Tenant: "tight", Governor: tight, MemoryBudget: budget, Parallelism: 8,
-	})
-	if err == nil {
-		t.Fatalf("statement fit in %d bytes without spilling; calibration did not constrain it", budget)
-	}
-	if !errors.Is(err, exec.ErrMemoryBudget) {
-		t.Fatalf("error = %v, want ErrMemoryBudget", err)
-	}
-	if live := tight.Tenant("tight", 0).LiveBytes(); live != 0 {
-		t.Fatalf("tenant live = %d after the failed statement, want 0", live)
-	}
-
-	// With spilling, the same budget succeeds at every worker count and
-	// reproduces the reference bit for bit.
-	for _, workers := range []int{1, 2, 8} {
-		db := fanoutDB(t)
-		db.SetStreaming(false)
-		db.SetSpill(t.TempDir(), 0) // threshold derives budget/2 at decision time
-		gv := exec.NewGovernor(0, 0)
-		got, err := db.QueryWith(spillQuery, &core.Options{
-			Tenant: "oo", Governor: gv, MemoryBudget: budget, Parallelism: workers,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: spilling run failed under budget %d: %v", workers, budget, err)
-		}
-		if err := equalBits(want, got); err != nil {
-			t.Fatalf("workers=%d: spilled result differs from reference: %v", workers, err)
-		}
-		st := db.SpillStats()
-		if st.Events == 0 || st.SpilledBytes == 0 {
-			t.Fatalf("workers=%d: no spill activity recorded (%+v); the budget run fit in memory", workers, st)
-		}
-		tn := gv.Tenant("oo", 0)
-		if p := tn.PeakBytes(); p > budget {
-			t.Fatalf("workers=%d: ledger peak %d exceeds budget %d", workers, p, budget)
-		}
-		if live := tn.LiveBytes(); live != 0 {
-			t.Fatalf("workers=%d: tenant live = %d after the statement, want 0", workers, live)
-		}
-		t.Logf("workers=%d: spilled %d bytes across %d partitions (%d events)",
-			workers, st.SpilledBytes, st.Partitions, st.Events)
-	}
-}
-
-// wideSpillQuery joins the wide probe table and aggregates every value
-// column, so the materialized join result — 8 columns over 1Mi pairs —
-// is the statement's dominant transient instead of the pair arrays.
+// wideSpillQuery is spillQuery over the wide probe table, aggregating
+// every value column, so the joined rows outweigh the pair indexes.
 const wideSpillQuery = `SELECT p.k AS g, SUM(p.v0) AS s0, SUM(p.v1) AS s1,
 	SUM(p.v2) AS s2, SUM(p.v3) AS s3, SUM(p.v4) AS s4, SUM(p.v5) AS s5,
 	COUNT(*) AS cnt FROM p JOIN b ON p.k = b.k GROUP BY p.k ORDER BY g`
 
-// wideFanoutDB is fanoutDB with six float value columns on the probe
-// side: same 1Mi join pairs, but the gathered column intermediates now
-// dominate the join's footprint the way wide tables do in practice.
-func wideFanoutDB(t *testing.T) *DB {
+// fanoutDB registers the fan-out join inputs: 8Ki probe rows and 2Ki
+// build rows over 16 shared key values — 1Mi join pairs — with width
+// float value columns v0, v1, … on the probe side.
+func fanoutDB(t *testing.T, width int) *DB {
 	t.Helper()
 	db := NewDB()
 	const pn, bn = 1 << 13, 2048
 	pk := make([]int64, pn)
-	vals := make([][]float64, 6)
-	for v := range vals {
-		vals[v] = make([]float64, pn)
-	}
 	for i := range pk {
 		pk[i] = int64(i % 16)
-		for v := range vals {
-			vals[v][i] = float64((i*31+v*7)%257) / 16
-		}
-	}
-	bk := make([]int64, bn)
-	for i := range bk {
-		bk[i] = int64(i % 16)
 	}
 	schema := rel.Schema{{Name: "k", Type: bat.Int}}
 	cols := []*bat.BAT{bat.FromInts(pk)}
-	for v := range vals {
-		schema = append(schema, rel.Attr{Name: "v" + string(rune('0'+v)), Type: bat.Float})
-		cols = append(cols, bat.FromFloats(vals[v]))
+	for v := 0; v < width; v++ {
+		f := make([]float64, pn)
+		for i := range f {
+			f[i] = float64((i*31+v*7)%257) / 16
+		}
+		schema = append(schema, rel.Attr{Name: fmt.Sprintf("v%d", v), Type: bat.Float})
+		cols = append(cols, bat.FromFloats(f))
 	}
 	db.Register("p", rel.MustNew("p", schema, cols))
 	db.Register("b", rel.MustNew("b", rel.Schema{{Name: "k", Type: bat.Int}},
-		[]*bat.BAT{bat.FromInts(bk)}))
+		[]*bat.BAT{bat.FromInts(pk[:bn])}))
 	return db
 }
 
-// TestSpillDifferentialWideSelfCalibrated is the wide-table leg of the
-// out-of-core oracle. Before the join staged its gathered column
-// intermediates, a spilled wide join held every destination column in
-// flight through the whole pair pass and could peak *above* the
-// in-memory path; this test pins the fixed behavior: the spilled wide
-// peak measures below the in-memory peak, the midpoint budget rejects
-// the in-memory plan with the typed error, and the spilled plan fits it
-// while reproducing the reference bit for bit.
+// The budgets the fan-out statements could only meet by spilling when
+// every join materialized its pair arrays and joined rows: the midpoints
+// between their in-memory and fully-spilled serial peaks on that
+// executor (32 and 17 MiB narrow, 80 and 68 MiB wide).
+const (
+	fanoutSpillBudget     = 25_690_112
+	wideFanoutSpillBudget = 77_594_624
+)
+
+// TestSpillDifferentialSelfCalibrated is the statement-level out-of-core
+// check for the narrow fan-out join; see fanoutSelfCalibrated.
+func TestSpillDifferentialSelfCalibrated(t *testing.T) {
+	fanoutSelfCalibrated(t, 0, spillQuery, fanoutSpillBudget)
+}
+
+// TestSpillDifferentialWideSelfCalibrated is the same check over the
+// wide probe table, where the joined value columns dominate.
 func TestSpillDifferentialWideSelfCalibrated(t *testing.T) {
-	ref := wideFanoutDB(t)
-	ref.SetStreaming(false)
+	fanoutSelfCalibrated(t, 6, wideSpillQuery, wideFanoutSpillBudget)
+}
+
+// fanoutSelfCalibrated measures the streamed statement against the
+// machine instead of hard-coded peaks. It takes P, the serial
+// unbudgeted peak, and pins:
+//
+//  1. P fits the budget that once required spilling: the streamed join
+//     holds one probe morsel's pairs at a time;
+//  2. under that budget the statement succeeds at workers 1, 2 and 8
+//     with no spill manager, never spills, keeps its ledger peak under
+//     the budget, and matches the reference executor bitwise;
+//  3. a budget of P/2 fails with the typed error and strands no bytes,
+//     so the calibration constrains the statement;
+//  4. with a one-byte spill threshold the statement spills and the
+//     result is still bitwise equal.
+//
+// The spill engine for the join itself is checked on rel.HashJoin by
+// TestHashJoinSpillSelfCalibrated.
+func fanoutSelfCalibrated(t *testing.T, width int, query string, budget int64) {
+	t.Helper()
+	want, err := refQuery(fanoutDB(t, width), query)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	gov := exec.NewGovernor(0, 0)
-	want, err := ref.QueryWith(wideSpillQuery, &core.Options{
+	calib, err := fanoutDB(t, width).QueryWith(query, &core.Options{
 		Tenant: "calib", Governor: gov, Parallelism: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := equalBits(want, calib); err != nil {
+		t.Fatalf("serial result differs from the reference: %v", err)
+	}
 	peak := gov.Tenant("calib", 0).PeakBytes()
 	if peak == 0 {
 		t.Fatal("calibration run charged nothing; peak measurement is vacuous")
 	}
+	if peak > budget {
+		t.Fatalf("serial streamed peak %d exceeds budget %d", peak, budget)
+	}
+	t.Logf("serial streamed peak %d of budget %d", peak, budget)
 
-	shed := wideFanoutDB(t)
-	shed.SetStreaming(false)
-	shed.SetSpill(t.TempDir(), 1)
-	sgov := exec.NewGovernor(0, 0)
-	spilledRes, err := shed.QueryWith(wideSpillQuery, &core.Options{
-		Tenant: "calib", Governor: sgov, Parallelism: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, 2, 8} {
+		db := fanoutDB(t, width)
+		gv := exec.NewGovernor(0, 0)
+		got, err := db.QueryWith(query, &core.Options{
+			Tenant: "fan", Governor: gv, MemoryBudget: budget, Parallelism: workers,
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: failed under budget %d: %v", workers, budget, err)
+		}
+		if err := equalBits(want, got); err != nil {
+			t.Fatalf("workers=%d: result differs from the reference: %v", workers, err)
+		}
+		if st := db.SpillStats(); st.Events != 0 {
+			t.Fatalf("workers=%d: spilled: %+v", workers, st)
+		}
+		tn := gv.Tenant("fan", 0)
+		if p := tn.PeakBytes(); p > budget {
+			t.Fatalf("workers=%d: ledger peak %d exceeds budget %d", workers, p, budget)
+		}
+		if live := tn.LiveBytes(); live != 0 {
+			t.Fatalf("workers=%d: tenant live = %d after the statement, want 0", workers, live)
+		}
+		t.Logf("workers=%d: peak %d of budget %d", workers, tn.PeakBytes(), budget)
 	}
-	if err := equalBits(want, spilledRes); err != nil {
-		t.Fatalf("fully-spilled wide result differs from in-memory reference: %v", err)
-	}
-	if st := shed.SpillStats(); st.Events == 0 {
-		t.Fatal("one-byte threshold produced no spill events; calibration is vacuous")
-	}
-	spilledPeak := sgov.Tenant("calib", 0).PeakBytes()
-	if spilledPeak >= peak {
-		t.Fatalf("wide-join spill did not reduce the resident peak: %d spilled vs %d in-memory", spilledPeak, peak)
-	}
-	budget := (peak + spilledPeak) / 2
-	t.Logf("wide serial peaks: %d in-memory, %d spilled; differential budget %d", peak, spilledPeak, budget)
 
-	noSpill := wideFanoutDB(t)
-	noSpill.SetStreaming(false)
 	tight := exec.NewGovernor(0, 0)
-	_, err = noSpill.QueryWith(wideSpillQuery, &core.Options{
-		Tenant: "tight", Governor: tight, MemoryBudget: budget, Parallelism: 8,
+	_, err = fanoutDB(t, width).QueryWith(query, &core.Options{
+		Tenant: "tight", Governor: tight, MemoryBudget: peak / 2, Parallelism: 8,
 	})
 	if err == nil {
-		t.Fatalf("wide statement fit in %d bytes without spilling; calibration did not constrain it", budget)
+		t.Fatalf("statement fit in %d bytes, half its serial peak; calibration did not constrain it", peak/2)
 	}
 	if !errors.Is(err, exec.ErrMemoryBudget) {
 		t.Fatalf("error = %v, want ErrMemoryBudget", err)
@@ -251,66 +151,45 @@ func TestSpillDifferentialWideSelfCalibrated(t *testing.T) {
 		t.Fatalf("tenant live = %d after the failed statement, want 0", live)
 	}
 
-	for _, workers := range []int{1, 8} {
-		db := wideFanoutDB(t)
-		db.SetStreaming(false)
-		db.SetSpill(t.TempDir(), 0)
-		gv := exec.NewGovernor(0, 0)
-		got, err := db.QueryWith(wideSpillQuery, &core.Options{
-			Tenant: "oo", Governor: gv, MemoryBudget: budget, Parallelism: workers,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: wide spilling run failed under budget %d: %v", workers, budget, err)
-		}
-		if err := equalBits(want, got); err != nil {
-			t.Fatalf("workers=%d: wide spilled result differs from reference: %v", workers, err)
-		}
-		st := db.SpillStats()
-		if st.Events == 0 || st.SpilledBytes == 0 {
-			t.Fatalf("workers=%d: no spill activity recorded (%+v)", workers, st)
-		}
-		tn := gv.Tenant("oo", 0)
-		if p := tn.PeakBytes(); p > budget {
-			t.Fatalf("workers=%d: ledger peak %d exceeds budget %d", workers, p, budget)
-		}
-		if live := tn.LiveBytes(); live != 0 {
-			t.Fatalf("workers=%d: tenant live = %d after the statement, want 0", workers, live)
-		}
+	shed := fanoutDB(t, width)
+	shed.SetSpill(t.TempDir(), 1)
+	spilled, err := shed.QueryWith(query, &core.Options{Parallelism: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := equalBits(want, spilled); err != nil {
+		t.Fatalf("one-byte-threshold result differs from the reference: %v", err)
+	}
+	if st := shed.SpillStats(); st.Events == 0 || st.SpilledBytes == 0 {
+		t.Fatalf("one-byte threshold produced no spill activity (%+v); the differential is vacuous", st)
 	}
 }
 
 // TestSpillConsumersIsolated attributes proactive (threshold-crossing)
-// spill traffic to each disk-backed operator separately, by running a
-// statement whose plan contains exactly one spillable consumer and
-// checking the spilled result against a no-spill run of the same
-// statement at the same worker count.
+// spill traffic to each disk-backed operator of the streamed SELECT
+// separately, by running a statement whose plan contains exactly one
+// spillable consumer and checking the spilled result against a no-spill
+// run of the same statement at the same worker count.
 func TestSpillConsumersIsolated(t *testing.T) {
 	const n = 1 << 15
 	cases := []struct {
-		name      string
-		query     string
-		streaming bool
+		name  string
+		query string
 	}{
-		// Streaming plan, no join, no sort: the only spillable operator
-		// is the grouped aggregation (freeze-and-divert).
-		{"agg", "SELECT id, SUM(val) AS sv, COUNT(*) AS cnt FROM t GROUP BY id", true},
-		// Streaming plan, no join, no grouping: only the final sort can
-		// spill (per-run files plus k-way merge; workers > 1).
-		{"sort", "SELECT id, val, tag FROM t ORDER BY val DESC, id LIMIT 200", true},
-		// Materialized plan, no grouping, no sort: only the hash join's
-		// partitioned pair staging can spill.
-		{"join", "SELECT t.id, t.val, s.bonus FROM t JOIN s ON t.grp = s.k", false},
+		// No join, no sort: the only spillable operator is the grouped
+		// aggregation (freeze-and-divert).
+		{"agg", "SELECT id, SUM(val) AS sv, COUNT(*) AS cnt FROM t GROUP BY id"},
+		// No join, no grouping: only the final sort can spill (per-run
+		// files plus k-way merge; workers > 1).
+		{"sort", "SELECT id, val, tag FROM t ORDER BY val DESC, id LIMIT 200"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			plain := streamDB(t, n)
-			plain.SetStreaming(tc.streaming)
-			want, err := plain.QueryWith(tc.query, &core.Options{Parallelism: 8})
+			want, err := streamDB(t, n).QueryWith(tc.query, &core.Options{Parallelism: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
 			db := streamDB(t, n)
-			db.SetStreaming(tc.streaming)
 			db.SetSpill(t.TempDir(), 1<<12) // well under every operator's estimate
 			got, err := db.QueryWith(tc.query, &core.Options{Parallelism: 8})
 			if err != nil {

@@ -19,7 +19,8 @@ import (
 // Determinism: morsels are emitted in row order, every per-morsel kernel
 // runs serially (MorselSize never exceeds exec.SerialCutoff), and the
 // breakers delegate to rel.JoinBuild / rel.StreamAgg, whose results are
-// bitwise-identical to the materializing operators at any worker count.
+// bitwise-identical to rel.HashJoin / rel.GroupBy over the whole input
+// at any worker count.
 
 // rowStream is the morsel iterator: next returns the next non-empty
 // batch, or nil at end of stream. The caller owns the returned batch and
@@ -369,7 +370,7 @@ func (j *joinStream) close(c *exec.Ctx) {
 // --- cross join ------------------------------------------------------------
 
 // crossStream pairs every left-morsel row with every build-side row, in
-// the same i-major order the materializing cross product uses, emitting
+// i-major order (left rows outer, build rows inner), emitting
 // pair chunks of at most MorselSize rows.
 type crossStream struct {
 	in        rowStream
@@ -531,7 +532,7 @@ func freeVec(c *exec.Ctx, v *bat.Vector) {
 
 // aggInput evaluates one aggregate argument over a morsel into an
 // arena-drawn float column, converting ints with the exact float64(int)
-// conversion the materializing path's FloatsCtx applies.
+// conversion rel.GroupBy's FloatsCtx applies.
 func aggInput(c *exec.Ctx, comp *compiled, n int) []float64 {
 	out := c.Arena().Floats(n)
 	if comp.typ == bat.Int {
@@ -548,8 +549,8 @@ func aggInput(c *exec.Ctx, comp *compiled, n int) []float64 {
 
 // gatherVecPadded gathers v at idx into an arena buffer; pad marks that
 // idx may contain -1 (unmatched left-outer probe rows), which produce
-// the zero value of the column's domain — the same padding the
-// materializing join applies.
+// the zero value of the column's domain — the same padding rel.HashJoin
+// applies.
 func gatherVecPadded(c *exec.Ctx, v *bat.Vector, idx []int, pad bool) *bat.Vector {
 	if !pad {
 		return v.Gather(c, idx)
@@ -619,18 +620,6 @@ func (db *DB) openStream(c *exec.Ctx, n *streamNode, ps *exec.PipelineStats) (ro
 	return out, nil
 }
 
-// execSelectStreaming plans and runs one SELECT through the morsel
-// pipeline. A planning failure of any kind returns errNeedMaterialize so
-// execSelect falls back; runtime errors (budget overruns included)
-// surface directly.
-func (db *DB) execSelectStreaming(c *exec.Ctx, sel *SelectStmt) (*rel.Relation, error) {
-	plan, err := db.planStream(c, sel)
-	if err != nil {
-		return nil, errNeedMaterialize
-	}
-	return db.execPlanned(c, sel, plan)
-}
-
 // execPlanned runs a planned streaming SELECT. The plan may be shared —
 // cached plans execute concurrently — so execution treats it as
 // strictly read-only: per-morsel state lives in the operators and the
@@ -649,17 +638,73 @@ func (db *DB) execPlanned(c *exec.Ctx, sel *SelectStmt, plan *selectPlan) (*rel.
 	return runStreamProject(c, sel, plan, st, ps)
 }
 
+// colBuf grows one plain heap column across morsels.
+type colBuf struct {
+	typ bat.Type
+	f   []float64
+	i   []int64
+	s   []string
+}
+
+// addCompiled appends a compiled expression's values over n morsel rows.
+func (b *colBuf) addCompiled(comp *compiled, n int) {
+	switch b.typ {
+	case bat.Int:
+		for r := 0; r < n; r++ {
+			b.i = append(b.i, comp.fn(r).I)
+		}
+	case bat.String:
+		for r := 0; r < n; r++ {
+			b.s = append(b.s, comp.fn(r).S)
+		}
+	default:
+		for r := 0; r < n; r++ {
+			b.f = append(b.f, comp.fn(r).F)
+		}
+	}
+}
+
+// addVector appends a morsel column.
+func (b *colBuf) addVector(v *bat.Vector) {
+	switch b.typ {
+	case bat.Int:
+		b.i = append(b.i, v.Ints()...)
+	case bat.String:
+		b.s = append(b.s, v.Strings()...)
+	default:
+		b.f = append(b.f, v.Floats()...)
+	}
+}
+
+func (b *colBuf) bat(rows int) *bat.BAT {
+	switch b.typ {
+	case bat.Int:
+		return bat.FromInts(b.i[:rows:rows])
+	case bat.String:
+		return bat.FromStrings(b.s[:rows:rows])
+	}
+	return bat.FromFloats(b.f[:rows:rows])
+}
+
 // runStreamProject drains the stream through the per-morsel projection:
 // every select item is compiled against each morsel and appended to
-// plain output columns (the same storage the materializing projection
-// builds), so the output relation is identical in values, names, and
-// backing layout. Without DISTINCT or ORDER BY, a LIMIT stops the pull
-// as soon as enough rows have been produced.
+// plain output columns. When an ORDER BY key needs unselected input
+// columns, the morsels' (pruned) input columns are kept alongside and
+// handed to finishOutput as its fallback source. Without DISTINCT or
+// ORDER BY, a LIMIT stops the pull as soon as enough rows have been
+// produced.
 func runStreamProject(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, st rowStream, ps *exec.PipelineStats) (*rel.Relation, error) {
-	nItems := len(plan.items)
-	outF := make([][]float64, nItems)
-	outI := make([][]int64, nItems)
-	outS := make([][]string, nItems)
+	out := make([]colBuf, len(plan.items))
+	for k := range out {
+		out[k].typ = plan.outSchema[k].Type
+	}
+	var in []colBuf
+	if plan.sortInput {
+		in = make([]colBuf, len(plan.root.outTypes))
+		for k := range in {
+			in[k].typ = plan.root.outTypes[k]
+		}
+	}
 	tr := ps.Stage("project")
 	rows := 0
 	earlyStop := sel.Limit >= 0 && !sel.Distinct && len(sel.OrderBy) == 0
@@ -679,56 +724,41 @@ func runStreamProject(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, st rowStre
 				mb.Release(c)
 				return nil, err
 			}
-			switch plan.outSchema[k].Type {
-			case bat.Int:
-				buf := outI[k]
-				for i := 0; i < mn; i++ {
-					buf = append(buf, comp.fn(i).I)
-				}
-				outI[k] = buf
-			case bat.String:
-				buf := outS[k]
-				for i := 0; i < mn; i++ {
-					buf = append(buf, comp.fn(i).S)
-				}
-				outS[k] = buf
-			default:
-				buf := outF[k]
-				for i := 0; i < mn; i++ {
-					buf = append(buf, comp.fn(i).F)
-				}
-				outF[k] = buf
-			}
+			out[k].addCompiled(comp, mn)
+		}
+		for k := range in {
+			in[k].addVector(mb.Col(k))
 		}
 		rows += mn
 		tr.Batch(mn, 0)
 		mb.Release(c)
 	}
-	outCols := make([]*bat.BAT, nItems)
-	for k := range outCols {
-		switch plan.outSchema[k].Type {
-		case bat.Int:
-			outCols[k] = bat.FromInts(outI[k][:rows:rows])
-		case bat.String:
-			outCols[k] = bat.FromStrings(outS[k][:rows:rows])
-		default:
-			outCols[k] = bat.FromFloats(outF[k][:rows:rows])
-		}
+	outCols := make([]*bat.BAT, len(out))
+	for k := range out {
+		outCols[k] = out[k].bat(rows)
 	}
-	out, err := rel.New("", plan.outSchema, outCols)
+	res, err := rel.New("", plan.outSchema, outCols)
 	if err != nil {
 		return nil, err
 	}
-	return finishOutput(c, sel, out, plan.outSyms, nil)
+	var inSrc *source
+	if in != nil {
+		inCols := make([]*bat.BAT, len(in))
+		for k := range in {
+			inCols[k] = in[k].bat(rows)
+		}
+		inSrc = &source{rel: &rel.Relation{Schema: plan.root.batchSchema(), Cols: inCols}, syms: plan.root.outSyms}
+	}
+	return finishOutput(c, sel, res, plan.outSyms, inSrc)
 }
 
 // runStreamGrouped drains the stream into the streaming aggregation
-// accumulator, then rejoins the materializing tail: rewrite aggregate
-// and key expressions into grouped-column references, apply HAVING, and
-// run the shared projection/ORDER BY/LIMIT code over the grouped
-// relation — which is bitwise-identical to the one groupSource builds.
-// The accumulator is bound to the statement context, so a group table
-// that outgrows the spill threshold degrades to disk.
+// accumulator — bitwise-identical to rel.GroupBy over the whole input —
+// then finishes over the grouped relation: rewrite aggregate and key
+// expressions into grouped-column references, apply HAVING, and run the
+// projection/ORDER BY/LIMIT tail. The accumulator is bound to the
+// statement context, so a group table that outgrows the spill threshold
+// degrades to disk.
 func (db *DB) runStreamGrouped(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, st rowStream, ps *exec.PipelineStats) (*rel.Relation, error) {
 	gp := plan.group
 	sa, err := rel.NewStreamAgg(c, "", gp.keyNames, gp.keyTypes, gp.specs)
@@ -790,7 +820,7 @@ func (db *DB) runStreamGrouped(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, s
 		return nil, err
 	}
 	// Global aggregation over an empty input yields one row of zeros
-	// (COUNT(*) = 0), matching SQL semantics and groupSource.
+	// (COUNT(*) = 0), matching SQL semantics.
 	if len(gp.keyNames) == 0 && grouped.NumRows() == 0 {
 		grouped = zeroAggRow(grouped)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/bat"
 	"repro/internal/core"
@@ -127,6 +128,8 @@ var streamingQueries = []string{
 	"SELECT t.id, t.val, s.bonus FROM t JOIN s ON t.grp = s.k WHERE s.bonus > 2 AND t.val > 0;",
 	// LEFT JOIN with probe-side pushdown and padded unmatched rows.
 	"SELECT t.id, s.label FROM t LEFT JOIN s ON t.grp = s.k WHERE t.val > 0;",
+	// LEFT JOIN most probe rows miss: padding of every build column type.
+	"SELECT t.id, s.k, s.bonus, s.label FROM t LEFT JOIN s ON t.grp + 100 = s.k;",
 	// All five aggregates over grouped streaming accumulation.
 	"SELECT grp AS g, COUNT(*) AS n, SUM(val) AS sv, AVG(w) AS aw, MIN(val) AS mv, MAX(w) AS xw FROM t GROUP BY grp ORDER BY g;",
 	// Unaliased group key keeps its column name — naming parity.
@@ -141,35 +144,33 @@ var streamingQueries = []string{
 	"SELECT t.id, u.utag FROM t CROSS JOIN u WHERE u.utag = 'a' AND t.id % 7 = 0 LIMIT 50;",
 	// Subquery in FROM: the inner SELECT streams too.
 	"SELECT id, val FROM (SELECT id, val, grp FROM t WHERE id % 2 = 0) WHERE val < 10;",
-	// ORDER BY a column that is not selected: the streaming planner
-	// rejects this shape and the fallback must still match.
+	// ORDER BY input columns the SELECT list drops (kept for the sort).
 	"SELECT tag, id FROM t ORDER BY val, id;",
+	// The same through a join, sorting on an unselected build-side column.
+	"SELECT t.id, t.val FROM t JOIN s ON t.grp = s.k ORDER BY s.bonus DESC, t.id LIMIT 20;",
 	// Global aggregate without GROUP BY.
 	"SELECT COUNT(*) AS n, SUM(val) AS sv FROM t WHERE val > 1000;",
 }
 
 // TestStreamingMatchesMaterialized pins the streaming pipeline to the
-// materializing one: for every query shape, row counts straddling the
-// morsel edges, and several worker budgets, the two paths must produce
-// bitwise-identical relations.
+// reference executor's whole-relation evaluation: for every query shape,
+// row counts straddling the morsel edges, and several worker budgets,
+// the two must produce bitwise-identical relations.
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	sizes := []int{0, 1, bat.MorselSize - 1, bat.MorselSize, bat.MorselSize + 1, 3 * bat.MorselSize}
 	for _, n := range sizes {
 		db := streamDB(t, n)
-		for _, workers := range []int{1, 2, 8} {
-			db.SetRMAOptions(&core.Options{Parallelism: workers})
-			for qi, q := range streamingQueries {
-				db.SetStreaming(true)
-				streamed, err := db.Query(q)
+		for qi, q := range streamingQueries {
+			want, err := refQuery(db, q)
+			if err != nil {
+				t.Fatalf("n=%d query %d reference: %v", n, qi, err)
+			}
+			for _, workers := range []int{1, 2, 8} {
+				got, err := db.QueryWith(q, &core.Options{Parallelism: workers})
 				if err != nil {
 					t.Fatalf("n=%d workers=%d query %d streamed: %v", n, workers, qi, err)
 				}
-				db.SetStreaming(false)
-				materialized, err := db.Query(q)
-				if err != nil {
-					t.Fatalf("n=%d workers=%d query %d materialized: %v", n, workers, qi, err)
-				}
-				if err := equalBits(streamed, materialized); err != nil {
+				if err := equalBits(want, got); err != nil {
 					t.Fatalf("n=%d workers=%d query %d (%s): %v", n, workers, qi, q, err)
 				}
 			}
@@ -178,75 +179,72 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 }
 
 // TestStreamingErrorsMatchMaterialized pins user-facing errors: every
-// statement the materializing path rejects must fail identically with
-// streaming enabled, whether the planner bails (falling back to the
-// materializing error) or the streaming runtime reports it itself.
+// rejected statement fails with the same text from the engine and from
+// the reference executor, and that text is the one users have always
+// seen.
 func TestStreamingErrorsMatchMaterialized(t *testing.T) {
 	db := streamDB(t, 100)
-	bad := []string{
-		"SELECT nosuch FROM t;",
-		"SELECT id FROM t JOIN t ON id = id;",               // ambiguous column in a self-join
-		"SELECT grp FROM t LEFT JOIN s ON t.val > s.bonus;", // LEFT JOIN without equi keys
-		"SELECT id FROM t HAVING id > 1;",
-		"SELECT id FROM t GROUP BY grp;",
-		"SELECT MIN(*) FROM t;",
-		"SELECT SUM(tag) FROM t;",
-		"SELECT tag + 1 FROM t;",
+	bad := []struct{ q, err string }{
+		{"SELECT nosuch FROM t;", `sql: unknown column "nosuch"`},
+		{"SELECT id FROM t JOIN t ON id = id;", `sql: ambiguous column "id"`},
+		{"SELECT grp FROM t LEFT JOIN s ON t.val > s.bonus;", "sql: LEFT JOIN requires an equi-join condition"},
+		{"SELECT id FROM t HAVING id > 1;", "sql: HAVING without aggregation"},
+		{"SELECT id FROM t GROUP BY grp;", "rel: group by without aggregates"},
+		{"SELECT MIN(*) FROM t;", "sql: MIN(*) not supported"},
+		{"SELECT SUM(tag) FROM t;", `rel: aggregate SUM over non-numeric "a0"`},
+		{"SELECT tag + 1 FROM t;", "sql: arithmetic over strings"},
 	}
-	for qi, q := range bad {
-		db.SetStreaming(true)
-		_, serr := db.Query(q)
-		db.SetStreaming(false)
-		_, merr := db.Query(q)
-		if merr == nil {
-			if serr != nil {
-				t.Fatalf("query %d (%s): streaming failed (%v), materialized succeeded", qi, q, serr)
-			}
-			continue
-		}
-		if serr == nil || serr.Error() != merr.Error() {
-			t.Fatalf("query %d (%s): streaming error %q, materialized error %q", qi, q, serr, merr)
+	for qi, b := range bad {
+		_, err := db.Query(b.q)
+		_, rerr := refQuery(db, b.q)
+		if err == nil || rerr == nil || err.Error() != b.err || rerr.Error() != b.err {
+			t.Fatalf("query %d (%s): engine error %v, reference error %v, want %q", qi, b.q, err, rerr, b.err)
 		}
 	}
 }
 
 // TestGroupKeyKeepsColumnName pins the output name of an unaliased group
 // key to the key column's own name, as an ungrouped SELECT names it, so a
-// derived table exposes it to the outer query under that name.
+// derived table exposes it to the outer query under that name — in the
+// engine and in the reference executor.
 func TestGroupKeyKeepsColumnName(t *testing.T) {
 	db := streamDB(t, 100)
-	for _, streaming := range []bool{true, false} {
-		db.SetStreaming(streaming)
-		out, err := db.Query("SELECT t.grp, COUNT(*) AS n FROM t GROUP BY t.grp;")
+	for _, ev := range []struct {
+		name  string
+		query func(string) (*rel.Relation, error)
+	}{
+		{"engine", db.Query},
+		{"reference", func(q string) (*rel.Relation, error) { return refQuery(db, q) }},
+	} {
+		out, err := ev.query("SELECT t.grp, COUNT(*) AS n FROM t GROUP BY t.grp;")
 		if err != nil {
-			t.Fatalf("streaming=%v: %v", streaming, err)
+			t.Fatalf("%s: %v", ev.name, err)
 		}
 		if got := out.Schema[0].Name; got != "grp" {
-			t.Fatalf("streaming=%v: group key column named %q, want \"grp\"", streaming, got)
+			t.Fatalf("%s: group key column named %q, want \"grp\"", ev.name, got)
 		}
-		outer, err := db.Query("SELECT f.grp, f.n FROM (SELECT t.grp, COUNT(*) AS n FROM t GROUP BY t.grp) f ORDER BY f.grp;")
+		outer, err := ev.query("SELECT f.grp, f.n FROM (SELECT t.grp, COUNT(*) AS n FROM t GROUP BY t.grp) f ORDER BY f.grp;")
 		if err != nil {
-			t.Fatalf("streaming=%v: derived table: %v", streaming, err)
+			t.Fatalf("%s: derived table: %v", ev.name, err)
 		}
 		if outer.NumRows() != out.NumRows() {
-			t.Fatalf("streaming=%v: derived table has %d rows, want %d", streaming, outer.NumRows(), out.NumRows())
+			t.Fatalf("%s: derived table has %d rows, want %d", ev.name, outer.NumRows(), out.NumRows())
 		}
 		// A repeated key is disambiguated as in the ungrouped SELECT.
-		dup, err := db.Query("SELECT grp, grp, COUNT(*) AS n FROM t GROUP BY grp;")
+		dup, err := ev.query("SELECT grp, grp, COUNT(*) AS n FROM t GROUP BY grp;")
 		if err != nil {
-			t.Fatalf("streaming=%v: repeated key: %v", streaming, err)
+			t.Fatalf("%s: repeated key: %v", ev.name, err)
 		}
 		if a, b := dup.Schema[0].Name, dup.Schema[1].Name; a != "grp" || b != "grp_2" {
-			t.Fatalf("streaming=%v: repeated key columns named %q, %q, want \"grp\", \"grp_2\"", streaming, a, b)
+			t.Fatalf("%s: repeated key columns named %q, %q, want \"grp\", \"grp_2\"", ev.name, a, b)
 		}
 	}
 }
 
 // TestStreamingPeakMemoryWin is the headline acceptance check: a
 // filter → join → group-by statement streamed morsel-at-a-time must peak
-// at less than half the accounted arena bytes of the same statement
-// materialized. Each path runs under its own tenant (peak is cumulative
-// per tenant) on a fresh governor.
+// at no more than half the column bytes of its fact table — it never
+// holds a full intermediate — and match the reference bitwise.
 func TestStreamingPeakMemoryWin(t *testing.T) {
 	const n = 1 << 16
 	const budget = 256 << 20
@@ -255,35 +253,26 @@ func TestStreamingPeakMemoryWin(t *testing.T) {
 	db := streamDB(t, n)
 	gov := exec.NewGovernor(1<<30, 8)
 	db.SetGovernor(gov)
-
-	db.SetStreaming(true)
 	db.SetRMAOptions(&core.Options{Tenant: "streamside", MemoryBudget: budget})
 	streamed, err := db.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	db.SetStreaming(false)
-	db.SetRMAOptions(&core.Options{Tenant: "matside", MemoryBudget: budget})
-	materialized, err := db.Query(q)
+	want, err := refQuery(db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if err := equalBits(streamed, materialized); err != nil {
+	if err := equalBits(want, streamed); err != nil {
 		t.Fatalf("streamed result differs under arenas: %v", err)
 	}
 
-	streamPeak := gov.Tenant("streamside", budget).PeakBytes()
-	matPeak := gov.Tenant("matside", budget).PeakBytes()
-	if streamPeak <= 0 || matPeak <= 0 {
-		t.Fatalf("expected both tenants charged: stream=%d materialized=%d", streamPeak, matPeak)
+	// t holds four 8-byte columns and one string column of headers.
+	factBytes := int64(n) * (4*8 + int64(unsafe.Sizeof("")))
+	peak := gov.Tenant("streamside", budget).PeakBytes()
+	if peak <= 0 || 2*peak > factBytes {
+		t.Fatalf("streaming peak %d bytes, want in (0, %d] (half the fact table's %d column bytes)", peak, factBytes/2, factBytes)
 	}
-	if 2*streamPeak > matPeak {
-		t.Fatalf("streaming peak %d bytes not under half of materialized peak %d bytes", streamPeak, matPeak)
-	}
-	t.Logf("peak arena bytes: streaming=%d materialized=%d (%.1fx win)",
-		streamPeak, matPeak, float64(matPeak)/float64(streamPeak))
+	t.Logf("peak arena bytes: streaming=%d, fact table columns=%d", peak, factBytes)
 }
 
 // TestStreamingPipelineStats checks the observability surface: a
