@@ -124,10 +124,14 @@
 //     over fixed chunks of bat.SerialCutoff rows, merged in ascending
 //     chunk order, so group order and float sums are bitwise-identical
 //     at any worker budget.
-//   - bat.SortIndex (and rel's ORDER BY path) uses bat.SortStable, a
-//     parallel stable merge sort over arena-backed permutation buffers;
-//     the stable permutation is unique, so the result is independent of
-//     the worker budget.
+//   - bat.SortIndex radix-sorts a single dense Int or Float key: an LSD
+//     radix sort over order-preserving unsigned keys (floats
+//     canonicalised so −0 = +0 and NaN sorts after +Inf), 8-bit digits,
+//     skipping every digit all rows share. Every other order — strings,
+//     sparse keys, several key columns, and rel's ORDER BY path — uses
+//     bat.SortStable, a parallel stable merge sort. Both draw their
+//     permutation buffers from the arena, and the stable permutation is
+//     unique, so the result is independent of the worker budget.
 //   - The zero-suppressed kernels (bat.SparseAdd, Sparse.Gather,
 //     Sparse.Densify, Sparse.Sum) decompose over OID ranges concatenated
 //     in range order (Sum reduces over fixed chunks), with the same

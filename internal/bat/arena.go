@@ -2,12 +2,9 @@ package bat
 
 import "repro/internal/exec"
 
-// The buffer arena moved to package exec as part of the per-query
-// execution-context refactor: every Ctx carries an arena handle
-// (Ctx.Arena), and kernels draw their outputs from it. The helpers below
-// are thin delegates kept so call sites without a context — tests,
-// examples, and the deprecated global-knob paths — stay terse; they all
-// operate on the shared arena.
+// The buffer arena lives in package exec: every Ctx carries an arena
+// handle (Ctx.Arena; a nil Ctx means the shared arena), and kernels draw
+// their outputs from it.
 //
 // Governed queries carry an accounted arena instead (exec.Tenant's
 // NewArena): every allocation a kernel makes through its Ctx is then
@@ -17,40 +14,8 @@ import "repro/internal/exec"
 // exec.CatchBudget). Kernels themselves need no budget awareness —
 // which is why the BAT kernel signatures are unchanged — but they must
 // route every buffer through the arena for the accounting to hold,
-// and release dead buffers (bat.Release, FreeInts) so budgeted queries
-// do not pay twice for scratch that could have been recycled.
-
-// Alloc returns a float64 slice of length n from the shared arena. The
-// contents are undefined; use AllocZero when the kernel does not
-// overwrite every element.
-//
-//lint:ignore rmalint/ctxfirst shared-arena shim kept for context-free callers (tests, deprecated knobs)
-func Alloc(n int) []float64 { return exec.Shared().Floats(n) }
-
-// AllocZero returns a zeroed float64 slice of length n from the shared
-// arena.
-//
-//lint:ignore rmalint/ctxfirst shared-arena shim kept for context-free callers (tests, deprecated knobs)
-func AllocZero(n int) []float64 { return exec.Shared().FloatsZero(n) }
-
-// Free returns a float64 slice to the shared arena. The caller asserts
-// sole ownership: the slice (and any BAT or Vector wrapping it) must not
-// be used afterwards.
-//
-//lint:ignore rmalint/ctxfirst shared-arena shim kept for context-free callers (tests, deprecated knobs)
-func Free(f []float64) { exec.Shared().FreeFloats(f) }
-
-// AllocInts returns an int slice of length n from the shared arena (the
-// permutation buffers of SortIndex and Identity).
-//
-//lint:ignore rmalint/ctxfirst shared-arena shim kept for context-free callers (tests, deprecated knobs)
-func AllocInts(n int) []int { return exec.Shared().Ints(n) }
-
-// FreeInts returns an int slice to the shared arena under the same
-// ownership contract as Free.
-//
-//lint:ignore rmalint/ctxfirst shared-arena shim kept for context-free callers (tests, deprecated knobs)
-func FreeInts(idx []int) { exec.Shared().FreeInts(idx) }
+// and release dead buffers (bat.Release, Arena.FreeInts) so budgeted
+// queries do not pay twice for scratch that could have been recycled.
 
 // Release returns a BAT's dense tail to the arena of c. The caller
 // asserts sole ownership of the BAT; neither it nor any slice obtained

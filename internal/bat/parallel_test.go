@@ -137,38 +137,40 @@ func TestAXPYIntoMatchesAXPY(t *testing.T) {
 	}
 }
 
-// TestArenaRoundTrip checks the allocation classes, the zeroing contract
-// of AllocZero against recycled dirty buffers, and that foreign slices
-// with non-class capacities are rejected rather than pooled.
+// TestArenaRoundTrip checks the allocation classes of the shared arena,
+// the zeroing contract of FloatsZero against recycled dirty buffers, and
+// that foreign slices with non-class capacities are rejected rather than
+// pooled.
 func TestArenaRoundTrip(t *testing.T) {
-	f := Alloc(100)
+	a := exec.Shared()
+	f := a.Floats(100)
 	if len(f) != 100 || cap(f) != 128 {
-		t.Fatalf("Alloc(100): len=%d cap=%d, want 100/128", len(f), cap(f))
+		t.Fatalf("Floats(100): len=%d cap=%d, want 100/128", len(f), cap(f))
 	}
 	for k := range f {
 		f[k] = 42
 	}
-	Free(f)
-	z := AllocZero(100)
+	a.FreeFloats(f)
+	z := a.FloatsZero(100)
 	for k, v := range z {
 		if v != 0 {
-			t.Fatalf("AllocZero: element %d = %v after recycling a dirty buffer", k, v)
+			t.Fatalf("FloatsZero: element %d = %v after recycling a dirty buffer", k, v)
 		}
 	}
-	Free(z)
+	a.FreeFloats(z)
 
-	got := Alloc(0)
+	got := a.Floats(0)
 	if len(got) != 0 {
-		t.Fatalf("Alloc(0): len=%d", len(got))
+		t.Fatalf("Floats(0): len=%d", len(got))
 	}
-	Free(got)
-	Free(make([]float64, 100)) // cap 100 is no class size: must be dropped, not pooled
+	a.FreeFloats(got)
+	a.FreeFloats(make([]float64, 100)) // cap 100 is no class size: must be dropped, not pooled
 
-	idx := AllocInts(1000)
+	idx := a.Ints(1000)
 	if len(idx) != 1000 || cap(idx) != 1024 {
-		t.Fatalf("AllocInts(1000): len=%d cap=%d", len(idx), cap(idx))
+		t.Fatalf("Ints(1000): len=%d cap=%d", len(idx), cap(idx))
 	}
-	FreeInts(idx)
+	a.FreeInts(idx)
 }
 
 // TestReleaseOwnership checks Release's gating: dense tails return to

@@ -1,6 +1,7 @@
 package bat
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/exec"
@@ -15,8 +16,10 @@ import (
 // always holds smaller original positions than the run to its right, so
 // preferring left preserves stability, and because the stable permutation
 // of a sequence is unique, the result is identical at any worker budget.
+// It sorts every order SortIndex does not radix-sort (strings, sparse keys,
+// several key columns) and the comparators of rel.Sort and ORDER BY.
 // The permutation buffer comes from the context's arena; callers done with
-// it may hand it back with FreeInts.
+// it may hand it back with c.Arena().FreeInts.
 func SortStable(c *exec.Ctx, n int, less func(a, b int) bool) []int {
 	idx := Identity(c, n)
 	if n <= SerialCutoff || c.Workers() <= 1 {
@@ -76,35 +79,36 @@ func mergeRuns(dst, src []int, lo, mid, hi int, less func(a, b int) bool) {
 // slice idx satisfies: gathering any tail of the same relation by idx yields
 // that tail ordered by the key columns. This is the "sorting" step of the
 // paper's Algorithm 1: G <- sort(D), followed by b↓G for the other tails.
-// Above SerialCutoff elements the permutation is computed by the parallel
-// merge sort of SortStable; the stable permutation is unique, so the result
-// is identical at any worker budget.
+// A single dense Int or Float key is radix-sorted (radixSortIndex); every
+// other schema — strings, sparse keys, several columns — is merge-sorted
+// by SortStable. Both are stable and the stable permutation is unique, so
+// the result is identical at any worker budget.
 func SortIndex(c *exec.Ctx, keys []*BAT) []int {
 	if len(keys) == 0 {
 		return nil
 	}
 	n := keys[0].Len()
+	if len(keys) == 1 && !keys[0].IsSparse() {
+		switch v := keys[0].vec; v.Type() {
+		case Float:
+			f := v.Floats()
+			return radixSortIndex(c, n, func(i int) uint64 { return floatKey(f[i]) })
+		case Int:
+			xs := v.Ints()
+			return radixSortIndex(c, n, func(i int) uint64 { return uint64(xs[i]) ^ signBit })
+		}
+	}
 	// MonetDB tracks sortedness on BATs; one linear pre-scan buys the
 	// same effect and turns sorts over already-ordered keys into no-ops —
 	// crucially before the permutation buffer below is even allocated.
 	if keysSorted(keys) {
 		return Identity(c, n)
 	}
-	// Fast path: a single dense key column avoids the per-comparison
-	// column loop and interface dispatch.
-	if len(keys) == 1 && !keys[0].IsSparse() {
-		v := keys[0].vec
-		switch v.Type() {
-		case Float:
-			f := v.Floats()
-			return SortStable(c, n, func(a, b int) bool { return f[a] < f[b] })
-		case Int:
-			xs := v.Ints()
-			return SortStable(c, n, func(a, b int) bool { return xs[a] < xs[b] })
-		case String:
-			ss := v.Strings()
-			return SortStable(c, n, func(a, b int) bool { return ss[a] < ss[b] })
-		}
+	// A single dense string key avoids the per-comparison column loop and
+	// interface dispatch.
+	if len(keys) == 1 && !keys[0].IsSparse() && keys[0].vec.Type() == String {
+		ss := keys[0].vec.Strings()
+		return SortStable(c, n, func(a, b int) bool { return ss[a] < ss[b] })
 	}
 	vecs := make([]*Vector, len(keys))
 	for k, b := range keys {
@@ -118,6 +122,99 @@ func SortIndex(c *exec.Ctx, keys []*BAT) []int {
 		}
 		return false
 	})
+}
+
+const signBit = 1 << 63
+
+// CanonBits returns the canonical bit pattern of a float key value: both
+// zeros map to +0 and every NaN maps to one quiet NaN, so hashing and
+// equality agree with IEEE equality (extended with NaN = NaN, which keeps
+// NaN keys joinable like any other value).
+func CanonBits(f float64) uint64 {
+	if f == 0 {
+		return 0
+	}
+	if f != f {
+		return 0x7ff8_0000_0000_0001
+	}
+	return math.Float64bits(f)
+}
+
+// floatKey maps a float to an unsigned key with the same order: flip the
+// sign bit of positives and every bit of negatives. Canonicalising first
+// makes −0 and +0 one key and sorts the one NaN after +Inf.
+func floatKey(f float64) uint64 {
+	b := CanonBits(f)
+	if b&signBit != 0 {
+		return ^b
+	}
+	return b | signBit
+}
+
+// radixSortIndex computes the stable ascending permutation of [0, n) under
+// the unsigned keys key(i) by an LSD radix sort over 8-bit digits. Keys
+// already in order return the identity before any scratch is drawn, like
+// keysSorted for the merge path. Otherwise one pre-pass builds all eight
+// digit histograms, and a digit on which every row agrees is skipped, so
+// keys spanning few low bytes (ids below 2^24: three passes) pay only for
+// the bytes that vary. Each pass scatters the permutation alone and reads
+// each key through it from the column, so the scratch is one extra n-int
+// arena buffer, returned before the result. Counting passes are stable,
+// so the result is the unique stable permutation under the key order.
+func radixSortIndex(c *exec.Ctx, n int, key func(i int) uint64) []int {
+	if n < 2 {
+		return Identity(c, n)
+	}
+	sorted, prev := true, key(0)
+	for i := 1; i < n && sorted; i++ {
+		k := key(i)
+		sorted, prev = k >= prev, k
+	}
+	if sorted {
+		return Identity(c, n)
+	}
+	var hist [8][256]int
+	for i := 0; i < n; i++ {
+		k := key(i)
+		for d := range hist {
+			hist[d][byte(k>>(8*d))]++
+		}
+	}
+	// Some adjacent keys descend, so at least one digit varies and the
+	// loop below runs at least one pass.
+	a := c.Arena()
+	var src, dst []int // src == nil stands for the identity
+	for d := range hist {
+		shift := uint(8 * d)
+		h := &hist[d]
+		if h[byte(key(0)>>shift)] == n {
+			continue // every row shares this digit: the pass would be a copy
+		}
+		for b, sum := 0, 0; b < len(h); b++ {
+			h[b], sum = sum, sum+h[b]
+		}
+		if dst == nil {
+			dst = a.Ints(n)
+		}
+		if src == nil {
+			for i := 0; i < n; i++ {
+				b := byte(key(i) >> shift)
+				dst[h[b]] = i
+				h[b]++
+			}
+		} else {
+			for _, i := range src {
+				b := byte(key(i) >> shift)
+				dst[h[b]] = i
+				h[b]++
+			}
+		}
+		src, dst = dst, src
+	}
+	if dst != nil {
+		a.FreeInts(dst)
+	}
+	return src
 }
 
 // keysSorted reports whether the key columns are already in ascending
@@ -187,7 +284,7 @@ func KeyUnique(keys []*BAT, idx []int) bool {
 
 // Identity returns the identity permutation of length n. The buffer comes
 // from the context's arena; callers done with a permutation may hand it
-// back with FreeInts.
+// back with c.Arena().FreeInts.
 func Identity(c *exec.Ctx, n int) []int {
 	idx := c.Arena().Ints(n)
 	for k := range idx {

@@ -1,9 +1,13 @@
 package bat
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/exec"
 )
 
 // refStablePerm is the single-goroutine reference permutation the parallel
@@ -46,7 +50,7 @@ func TestSortIndexIdenticalAcrossWorkers(t *testing.T) {
 			withParallelism(workers, func() {
 				idx := SortIndex(nil, []*BAT{b})
 				permsEqual(t, "sortindex-float", n, workers, idx, want)
-				FreeInts(idx)
+				exec.Shared().FreeInts(idx)
 			})
 		}
 	}
@@ -75,7 +79,7 @@ func TestSortIndexMultiKeyIdenticalAcrossWorkers(t *testing.T) {
 		withParallelism(workers, func() {
 			idx := SortIndex(nil, []*BAT{bi, bs})
 			permsEqual(t, "sortindex-multikey", n, workers, idx, want)
-			FreeInts(idx)
+			exec.Shared().FreeInts(idx)
 		})
 	}
 }
@@ -100,7 +104,123 @@ func TestSortStableIsStable(t *testing.T) {
 					t.Fatalf("n=%d: stability violated at %d: %d before %d", n, k, idx[k-1], idx[k])
 				}
 			}
-			FreeInts(idx)
+			exec.Shared().FreeInts(idx)
 		})
 	}
+}
+
+// floatOrderLess is the total order SortIndex sorts a float key under:
+// IEEE < (so −0 = +0), extended by one NaN class ordered after +Inf.
+func floatOrderLess(x, y float64) bool {
+	return x < y || (x == x && y != y)
+}
+
+var (
+	intExtremes   = []int64{math.MinInt64, math.MaxInt64, math.MinInt64 + 1, -1, 0, 1}
+	floatSpecials = []float64{
+		math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0x7ff0_0000_0000_0002), math.Float64frombits(0xfff8_0000_0000_0000),
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1, -1,
+	}
+)
+
+// intKeyCases and floatKeyCases cover signs, heavy duplication, the
+// extremes, and keys that differ only in their top or only in their bottom
+// byte, so the radix sort's digit skipping runs both ways.
+var intKeyCases = []struct {
+	name string
+	gen  func(rng *rand.Rand, i int) int64
+}{
+	{"random", func(rng *rand.Rand, _ int) int64 { return rng.Int63() - 1<<62 }},
+	{"dups", func(rng *rand.Rand, _ int) int64 { return int64(rng.Intn(7) - 3) }},
+	{"extremes", func(rng *rand.Rand, _ int) int64 { return intExtremes[rng.Intn(len(intExtremes))] }},
+	{"top-byte", func(rng *rand.Rand, _ int) int64 { return int64(uint64(rng.Intn(256)) << 56) }},
+	{"bottom-byte", func(rng *rand.Rand, _ int) int64 { return -0x1234_5678_9abc_de00 + int64(rng.Intn(256)) }},
+	{"descending", func(_ *rand.Rand, i int) int64 { return int64(-i) }},
+}
+
+var floatKeyCases = []struct {
+	name string
+	gen  func(rng *rand.Rand, i int) float64
+}{
+	{"random", func(rng *rand.Rand, _ int) float64 { return rng.NormFloat64() * 1e3 }},
+	{"dups", func(rng *rand.Rand, _ int) float64 { return float64(rng.Intn(9)-4) / 2 }},
+	{"specials", func(rng *rand.Rand, _ int) float64 { return floatSpecials[rng.Intn(len(floatSpecials))] }},
+	{"top-byte", func(rng *rand.Rand, _ int) float64 { return math.Float64frombits(uint64(rng.Intn(256)) << 56) }},
+	{"bottom-byte", func(rng *rand.Rand, _ int) float64 {
+		return math.Float64frombits(0xbff0_0000_0000_0000 | uint64(rng.Intn(256)))
+	}},
+	{"ascending-zeros", func(_ *rand.Rand, i int) float64 {
+		if i%2 == 0 {
+			return math.Copysign(0, -1)
+		}
+		return 0
+	}},
+}
+
+// checkSortIndex pins SortIndex over one dense key column to the stable
+// reference permutation at the given worker budgets.
+func checkSortIndex(t *testing.T, name string, b *BAT, want []int, workers ...int) {
+	t.Helper()
+	for _, w := range workers {
+		c := exec.New(w)
+		idx := SortIndex(c, []*BAT{b})
+		permsEqual(t, name, b.Len(), w, idx, want)
+		c.Arena().FreeInts(idx)
+	}
+}
+
+// TestSortIndexRadixMatchesStable asserts that the radix-sorted
+// permutation of a single dense Int or Float key equals sort.SliceStable's
+// at every worker budget, around the radix (256) and parallel
+// (SerialCutoff) boundaries.
+func TestSortIndexRadixMatchesStable(t *testing.T) {
+	sizes := []int{0, 1, 2, 255, 256, 257, SerialCutoff - 1, SerialCutoff + 1, 3 * SerialCutoff}
+	for _, n := range sizes {
+		for _, kc := range intKeyCases {
+			rng := rand.New(rand.NewSource(int64(n)))
+			xs := make([]int64, n)
+			for i := range xs {
+				xs[i] = kc.gen(rng, i)
+			}
+			want := refStablePerm(n, func(a, b int) bool { return xs[a] < xs[b] })
+			checkSortIndex(t, "int-"+kc.name, FromInts(xs), want, 1, 2, 8)
+		}
+		for _, kc := range floatKeyCases {
+			rng := rand.New(rand.NewSource(int64(n)))
+			f := make([]float64, n)
+			for i := range f {
+				f[i] = kc.gen(rng, i)
+			}
+			want := refStablePerm(n, func(a, b int) bool { return floatOrderLess(f[a], f[b]) })
+			checkSortIndex(t, "float-"+kc.name, FromFloats(f), want, 1, 2, 8)
+		}
+	}
+}
+
+// FuzzSortIndex reads 8-byte words as int64 keys (arithmetically shifted
+// right by data[0]%64, which breeds duplicates and constant digits) and
+// reinterprets the same bits as float keys; both columns must sort exactly
+// like the stable reference.
+func FuzzSortIndex(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 255, 254, 253, 252, 251, 250, 249, 248})
+	f.Add([]byte{60, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0xf8, 0x7f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		shift := data[0] % 64
+		words := data[1:]
+		n := len(words) / 8
+		xs := make([]int64, n)
+		fs := make([]float64, n)
+		for i := range xs {
+			xs[i] = int64(binary.LittleEndian.Uint64(words[8*i:])) >> shift
+			fs[i] = math.Float64frombits(uint64(xs[i]))
+		}
+		wantI := refStablePerm(n, func(a, b int) bool { return xs[a] < xs[b] })
+		checkSortIndex(t, "fuzz-int", FromInts(xs), wantI, 1, 8)
+		wantF := refStablePerm(n, func(a, b int) bool { return floatOrderLess(fs[a], fs[b]) })
+		checkSortIndex(t, "fuzz-float", FromFloats(fs), wantF, 1, 8)
+	})
 }

@@ -140,12 +140,15 @@ func (v *Vector) AppendVector(w *Vector) {
 }
 
 // Clone returns a deep copy of the vector. Float copies come from the
-// arena so cloned scratch columns can be recycled with Free/Release.
-func (v *Vector) Clone() *Vector {
+// shared arena so cloned scratch columns can be recycled with Release.
+func (v *Vector) Clone() *Vector { return v.clone(nil) }
+
+// clone is Clone drawing the float copy from the arena of ctx.
+func (v *Vector) clone(ctx *exec.Ctx) *Vector {
 	c := &Vector{typ: v.typ}
 	switch v.typ {
 	case Float:
-		c.f = Alloc(len(v.f))
+		c.f = ctx.Arena().Floats(len(v.f))
 		copy(c.f, v.f)
 	case Int:
 		c.i = append([]int64(nil), v.i...)

@@ -86,9 +86,10 @@ type Stats struct {
 	// when the serial retry failed too.
 	SerialFallback bool
 	// Arena is the tenant's counter snapshot at the end of the
-	// invocation: live/peak bytes and per-domain pool hit/miss/free
-	// counts. Only populated for budgeted/tenant invocations (zero
-	// otherwise). The counters are cumulative for the tenant — shared
+	// invocation, after its arena closed: live bytes (what other
+	// invocations of the tenant still hold), peak bytes and per-domain
+	// pool hit/miss/free counts. Only populated for budgeted/tenant
+	// invocations (zero otherwise). The counters are cumulative for the tenant — shared
 	// with every other invocation charging the same tenant — so
 	// consecutive snapshots overwrite rather than accumulate.
 	Arena exec.TenantStats
@@ -184,16 +185,16 @@ func (o *Options) ctxWorkers(workers int) *exec.Ctx {
 }
 
 // finishCtx folds the context's execution counters back into Stats at the
-// end of one invocation and, for governed invocations, snapshots the
-// tenant's arena counters and closes the per-invocation arena so its
-// outstanding charges (the result columns, typically) leave the
-// governed scope.
+// end of one invocation and, for governed invocations, closes the
+// per-invocation arena so its outstanding charges (the result columns,
+// typically) leave the governed scope, then snapshots the tenant's arena
+// counters.
 func (o *Options) finishCtx(c *exec.Ctx) {
 	if tn := c.Arena().Tenant(); tn != nil {
+		c.Arena().Close()
 		if o.Stats != nil {
 			o.Stats.Arena = tn.Stats()
 		}
-		c.Arena().Close()
 	}
 	if o.Stats == nil {
 		return

@@ -221,7 +221,7 @@ func (a *StreamAgg) replaySpilled() error {
 					return false
 				}
 			default:
-				if canonBits(kvecs[k].Floats()[i]) != canonBits(rkf[k][g]) {
+				if bat.CanonBits(kvecs[k].Floats()[i]) != bat.CanonBits(rkf[k][g]) {
 					return false
 				}
 			}

@@ -1,8 +1,6 @@
 package rel
 
 import (
-	"math"
-
 	"repro/internal/bat"
 	"repro/internal/exec"
 )
@@ -89,20 +87,6 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// canonBits returns the canonical bit pattern of a float key value: both
-// zeros map to +0 and every NaN maps to one quiet NaN, so hashing and
-// equality agree with IEEE equality (extended with NaN = NaN, which keeps
-// NaN keys joinable like any other value).
-func canonBits(f float64) uint64 {
-	if f == 0 {
-		return 0
-	}
-	if f != f {
-		return 0x7ff8_0000_0000_0001
-	}
-	return math.Float64bits(f)
-}
-
 // mix64 is the splitmix64 finalizer: it spreads the combined cell hashes
 // over all 64 bits so the partition selector can use the low bits.
 func mix64(h uint64) uint64 {
@@ -123,12 +107,12 @@ func (kc *keyCols) hashRow(i int) uint64 {
 	for k := range kc.f {
 		switch {
 		case kc.f[k] != nil:
-			w := canonBits(kc.f[k][i])
+			w := bat.CanonBits(kc.f[k][i])
 			for b := 0; b < 64; b += 8 {
 				h = (h ^ (w >> b & 0xff)) * fnvPrime64
 			}
 		case kc.i[k] != nil:
-			w := canonBits(float64(kc.i[k][i]))
+			w := bat.CanonBits(float64(kc.i[k][i]))
 			for b := 0; b < 64; b += 8 {
 				h = (h ^ (w >> b & 0xff)) * fnvPrime64
 			}
@@ -181,7 +165,7 @@ func (kc *keyCols) equal(i int, other *keyCols, j int) bool {
 		default:
 			a := numAt(kc, k, i)
 			b := numAt(other, k, j)
-			if canonBits(a) != canonBits(b) {
+			if bat.CanonBits(a) != bat.CanonBits(b) {
 				return false
 			}
 		}

@@ -169,7 +169,7 @@ func (a *StreamAgg) hashKeyRow(keys []*bat.Vector, i int) uint64 {
 			} else {
 				f = v.Floats()[i]
 			}
-			w := canonBits(f)
+			w := bat.CanonBits(f)
 			for b := 0; b < 64; b += 8 {
 				h = (h ^ (w >> b & 0xff)) * fnvPrime64
 			}
@@ -192,7 +192,7 @@ func (a *StreamAgg) equalKeyRow(keys []*bat.Vector, i, g int) bool {
 				return false
 			}
 		default:
-			if canonBits(keys[k].Floats()[i]) != canonBits(a.kf[k][g]) {
+			if bat.CanonBits(keys[k].Floats()[i]) != bat.CanonBits(a.kf[k][g]) {
 				return false
 			}
 		}
