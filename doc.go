@@ -39,8 +39,9 @@
 //   - The arena (exec.Arena, reachable as Ctx.Arena) recycles float64,
 //     int, int64, and string buffers through size-classed sync.Pools;
 //     bat.Release retires a whole column tail of any domain. The dense
-//     path's toMatrix operands draw their backing arrays from the
-//     context's arena and return them once the kernel has consumed them.
+//     path's toMatrix operands and toBlockMatrix tiles draw their
+//     backing arrays from the context's arena and return them once the
+//     kernel has consumed them.
 //     Iterative algorithms release each superseded scratch column,
 //     keeping Gauss-Jordan inversion and Gram-Schmidt QR allocation-flat
 //     across iterations. Queries wanting buffer isolation can carry a
@@ -230,28 +231,38 @@
 //
 // # Block-partitioned execution
 //
-// Large dense operands are held as matrix.BlockMatrix: a tile grid of
-// row-major tiles of matrix.TileEdge (256) rows/columns, edge tiles
-// ragged. Each tile is charged to the owning query's arena as its own
-// allocation, so a matrix bigger than any single arena size class
-// materializes tile by tile instead of demanding one contiguous slab —
-// and spills tile-at-a-time through the same exec.Spill machinery as
-// the relational operators (BlockMatrix.EnableSpill bounds resident
-// tiles; evictions report through Ctx.NoteSpill). core.toMatrix grows
-// a block-aware path: ordered relations above a size gate materialize
-// directly into tiles, and blocked results flow back column-wise
-// without an intermediate flat copy.
+// Dense operands of the products and of QR are held as
+// matrix.BlockMatrix: a grid of row-major tiles of matrix.TileEdge (256)
+// rows/columns, edge tiles ragged. Each tile is charged to the owning
+// query's arena as its own allocation, so a matrix bigger than any
+// single arena size class materializes tile by tile instead of
+// demanding one contiguous slab — and spills tile-at-a-time through the
+// same exec.Spill machinery as the relational operators
+// (BlockMatrix.EnableSpill bounds resident tiles; evictions report
+// through Ctx.NoteSpill).
 //
-// The blocked kernels (linalg.MatMulBlocked, SYRKBlocked, QRBlocked,
-// CholeskyBlocked) drive tile updates through exec.Ctx.ParallelFor and
-// keep the repository's determinism contract the hard way: every
-// output tile accumulates its k-panel products in fixed ascending
-// order, panel factorizations apply reflectors/pivots in the same
-// order and with the same per-element arithmetic as the flat loops, so
-// blocked results are bitwise-identical to the flat kernels at any
-// worker count and any tile-grid shape — asserted by differential
-// tests over tile edges yielding 1/2/7/16-tile grids, non-divisible
-// edge sizes, and worker budgets {1, 2, 8} under -race.
+// Each dense op has exactly one route, picked by the op and never by
+// the operand size. MMU, CPD, QQR and RQR materialize the ordered
+// relation straight into tiles (core's toBlockMatrix) and run the one
+// tiled kernel: linalg.MatMulBlocked, linalg.CrossProductBlocked (whose
+// self case, CPD(r, r), computes the upper tiles and mirrors them — the
+// paper's cblas_dsyrk route) and linalg.QRBlocked. Results flow back
+// column-wise without an intermediate flat copy. Every other dense op
+// (INV, DET, SOL, OPD, CHF, the eigen and SVD ops, and the elementwise
+// family under PolicyDense) copies into one contiguous array (toMatrix).
+// The exported flat names linalg.MatMul, CrossProduct, OuterProduct,
+// SYRK, NewQR, QQR and RQR are adapters that copy into tiles and call
+// the same kernels.
+//
+// The tiled kernels drive tile updates through exec.Ctx.ParallelFor and
+// keep the repository's determinism contract: every output tile
+// accumulates its products in fixed ascending k, and the panel QR
+// applies reflectors to each column in ascending order with the same
+// per-column arithmetic, so results are bitwise-identical at any worker
+// count and any tile-grid shape — asserted against naive reference
+// loops over tile edges yielding 1/2/7/16-tile grids, non-divisible
+// edge sizes, and worker budgets {1, 2, 8} under -race, and pinned to
+// recorded result digests in core.
 //
 // # Static analysis
 //

@@ -1,0 +1,113 @@
+package core
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/bat"
+	"repro/internal/rel"
+)
+
+// tileRel builds a rows×cols relation with a shuffled int key and float
+// application columns holding negatives, exact zeros (the kernels'
+// zero-skip) and magnitude spread.
+func tileRel(name, key string, rows, cols int, seed int64) *rel.Relation {
+	rng := rand.New(rand.NewSource(seed))
+	keys := make([]int64, rows)
+	for i, k := range rng.Perm(rows) {
+		keys[i] = int64(k)
+	}
+	schema := rel.Schema{{Name: key, Type: bat.Int}}
+	bats := []*bat.BAT{bat.FromInts(keys)}
+	for j := 0; j < cols; j++ {
+		f := make([]float64, rows)
+		for i := range f {
+			switch rng.Intn(8) {
+			case 0:
+			case 1:
+				f[i] = -rng.Float64() * 100
+			default:
+				f[i] = (rng.Float64() - 0.5) * 10
+			}
+		}
+		schema = append(schema, rel.Attr{Name: fmt.Sprintf("%s%03d", name, j), Type: bat.Float})
+		bats = append(bats, bat.FromFloats(f))
+	}
+	return rel.MustNew(name, schema, bats)
+}
+
+// relationHash folds a relation's schema and every cell's bits into
+// one FNV-1a digest.
+func relationHash(r *rel.Relation) string {
+	h := fnv.New64a()
+	var buf [8]byte
+	word := func(u uint64) {
+		binary.LittleEndian.PutUint64(buf[:], u)
+		h.Write(buf[:])
+	}
+	for k, attr := range r.Schema {
+		fmt.Fprintf(h, "%s:%d;", attr.Name, attr.Type)
+		for i := 0; i < r.NumRows(); i++ {
+			v := r.Cols[k].Get(i)
+			switch v.Type {
+			case bat.Float:
+				word(math.Float64bits(v.F))
+			case bat.Int:
+				word(uint64(v.I))
+			default:
+				fmt.Fprintf(h, "%d:%s", len(v.S), v.S)
+			}
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestDenseResultBitsPinned pins the result bits of the dense products
+// and the QR factors at small shapes with multi-tile grids (inner
+// dimension, output columns and QR columns past one 256 tile) and
+// shuffled keys. The digests were recorded when shapes this small still
+// ran on separate flat kernels, so a change in any kernel's
+// accumulation order fails here, at every worker budget.
+func TestDenseResultBitsPinned(t *testing.T) {
+	tall := tileRel("t", "K", 600, 5, 1)
+	tall2 := tileRel("u", "K2", 600, 3, 2)
+	small := tileRel("s", "Ks", 5, 4, 3)
+	left := tileRel("l", "Kl", 20, 300, 4)
+	right := tileRel("r", "Kr", 300, 3, 5)
+	wide := tileRel("w", "Kw", 530, 262, 6)
+	wide2 := tileRel("v", "Kv", 530, 3, 8)
+	opdR := tileRel("o", "Ko", 260, 5, 7)
+	k := []string{"K"}
+	cases := []struct {
+		name string
+		run  func(*Options) (*rel.Relation, error)
+		want string
+	}{
+		{"mmu", func(o *Options) (*rel.Relation, error) { return Mmu(tall, k, small, []string{"Ks"}, o) }, "f8de38bac63b0484"},
+		{"mmu-inner300", func(o *Options) (*rel.Relation, error) { return Mmu(left, []string{"Kl"}, right, []string{"Kr"}, o) }, "c434a80678de1a5b"},
+		{"cpd-self", func(o *Options) (*rel.Relation, error) { return Cpd(tall, k, tall, k, o) }, "ef25f67f5a6bdce4"},
+		{"cpd-self-wide", func(o *Options) (*rel.Relation, error) { return Cpd(wide, []string{"Kw"}, wide, []string{"Kw"}, o) }, "0776db04e7c06267"},
+		{"cpd", func(o *Options) (*rel.Relation, error) { return Cpd(tall, k, tall2, []string{"K2"}, o) }, "30c8c26f880f6eca"},
+		{"cpd-wide", func(o *Options) (*rel.Relation, error) { return Cpd(wide, []string{"Kw"}, wide2, []string{"Kv"}, o) }, "8ab9f68bdeed25e7"},
+		{"opd", func(o *Options) (*rel.Relation, error) { return Opd(tall, k, opdR, []string{"Ko"}, o) }, "77d3fce5fe4121ec"},
+		{"qqr", func(o *Options) (*rel.Relation, error) { return Qqr(tall, k, o) }, "575671a5fdd93c63"},
+		{"rqr", func(o *Options) (*rel.Relation, error) { return Rqr(tall, k, o) }, "85f8176abb3be50b"},
+		{"qqr-wide", func(o *Options) (*rel.Relation, error) { return Qqr(wide, []string{"Kw"}, o) }, "f9f682ad40126fe0"},
+		{"rqr-wide", func(o *Options) (*rel.Relation, error) { return Rqr(wide, []string{"Kw"}, o) }, "1d7c89024ca18892"},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 2, 8} {
+			res, err := tc.run(&Options{Policy: PolicyDense, Parallelism: workers})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
+			}
+			if got := relationHash(res); got != tc.want {
+				t.Errorf("%s workers=%d: digest %s, want %s", tc.name, workers, got, tc.want)
+			}
+		}
+	}
+}

@@ -54,10 +54,6 @@ func evalDenseUnary(c *exec.Ctx, op Op, a *matrix.Matrix) (*matrix.Matrix, error
 			out.Set(i, 0, v)
 		}
 		return out, nil
-	case OpQQR:
-		return linalg.QQR(c, a)
-	case OpRQR:
-		return linalg.RQR(c, a)
 	case OpDSV:
 		sv, err := linalg.SingularValues(c, a)
 		if err != nil {
@@ -107,10 +103,6 @@ func evalDenseBinary(c *exec.Ctx, op Op, a, b *matrix.Matrix) (*matrix.Matrix, e
 		return matrix.Sub(a, b), nil
 	case OpEMU:
 		return matrix.EMU(a, b), nil
-	case OpMMU:
-		return linalg.MatMul(c, a, b), nil
-	case OpCPD:
-		return linalg.CrossProduct(c, a, b), nil
 	case OpOPD:
 		return linalg.OuterProduct(c, a, b), nil
 	case OpSOL:

@@ -269,33 +269,8 @@ func evalUnaryBase(c *exec.Ctx, op Op, a *argument, opts *Options, clock *phaseC
 		if opts.Stats != nil {
 			opts.Stats.UsedDense = true
 		}
-		// Large QR operands materialize directly into tiles and run the
-		// panel-blocked factorization — bitwise-identical to the flat
-		// route, but with no single contiguous operand allocation.
-		if (op == OpQQR || op == OpRQR) && a.rows()*len(a.appCols) >= blockedMinElems {
-			clock.begin()
-			bm, err := a.toBlockMatrix(c)
-			clock.endTransform()
-			if err != nil {
-				return nil, err
-			}
-			clock.begin()
-			d, err := linalg.QRBlocked(c, bm)
-			clock.endKernel()
-			releaseBlockMatrix(c, bm)
-			if err != nil {
-				return nil, err
-			}
-			var res *matrix.Matrix
-			if op == OpQQR {
-				res = d.Q()
-			} else {
-				res = d.R()
-			}
-			clock.begin()
-			cols := matrixToCols(c, res)
-			clock.endTransform()
-			return cols, nil
+		if op == OpQQR || op == OpRQR {
+			return evalTiledQR(c, op, a, clock)
 		}
 		clock.begin()
 		m, err := a.toMatrix(c)
@@ -329,74 +304,8 @@ func evalBinaryBase(c *exec.Ctx, op Op, a, b *argument, opts *Options, clock *ph
 		if opts.Stats != nil {
 			opts.Stats.UsedDense = true
 		}
-		// Cross product of a relation with itself (the covariance
-		// pattern of §8.6(3)) copies once and uses the symmetric
-		// rank-k kernel, the paper's cblas_dsyrk route.
-		if op == OpCPD && sameApplicationPart(a, b) {
-			if a.rows()*len(a.appCols) >= blockedMinElems {
-				clock.begin()
-				bm, err := a.toBlockMatrix(c)
-				clock.endTransform()
-				if err != nil {
-					return nil, err
-				}
-				clock.begin()
-				res, err := linalg.SYRKBlocked(c, bm)
-				clock.endKernel()
-				releaseBlockMatrix(c, bm)
-				if err != nil {
-					return nil, err
-				}
-				clock.begin()
-				cols, err := blockToCols(c, res)
-				releaseBlockMatrix(c, res)
-				clock.endTransform()
-				return cols, err
-			}
-			clock.begin()
-			ma, err := a.toMatrix(c)
-			clock.endTransform()
-			if err != nil {
-				return nil, err
-			}
-			clock.begin()
-			res := linalg.SYRK(c, ma)
-			clock.endKernel()
-			releaseMatrix(c, ma)
-			clock.begin()
-			cols := matrixToCols(c, res)
-			clock.endTransform()
-			return cols, nil
-		}
-		// Large matrix products take the fully tiled route end to end:
-		// tiles in, SUMMA-style tile products, tiles back out — the
-		// result is bitwise-identical to the flat kernel.
-		if op == OpMMU && (a.rows()*len(a.appCols) >= blockedMinElems ||
-			b.rows()*len(b.appCols) >= blockedMinElems) {
-			clock.begin()
-			ma, err := a.toBlockMatrix(c)
-			if err != nil {
-				return nil, err
-			}
-			mb, err := b.toBlockMatrix(c)
-			clock.endTransform()
-			if err != nil {
-				releaseBlockMatrix(c, ma)
-				return nil, err
-			}
-			clock.begin()
-			res, err := linalg.MatMulBlocked(c, ma, mb)
-			clock.endKernel()
-			releaseBlockMatrix(c, ma)
-			releaseBlockMatrix(c, mb)
-			if err != nil {
-				return nil, err
-			}
-			clock.begin()
-			cols, err := blockToCols(c, res)
-			releaseBlockMatrix(c, res)
-			clock.endTransform()
-			return cols, err
+		if op == OpMMU || op == OpCPD {
+			return evalTiledProduct(c, op, a, b, clock)
 		}
 		clock.begin()
 		ma, err := a.toMatrix(c)
@@ -430,6 +339,76 @@ func evalBinaryBase(c *exec.Ctx, op Op, a, b *argument, opts *Options, clock *ph
 	res, err := evalBATBinary(c, op, ca, cb)
 	clock.endKernel()
 	return res, err
+}
+
+// evalTiledQR is the one dense route of QQR and RQR: the ordered
+// application part materializes straight into tiles, QRBlocked factors
+// it, and forming Q or R counts as kernel time.
+func evalTiledQR(c *exec.Ctx, op Op, a *argument, clock *phaseClock) ([]*bat.BAT, error) {
+	clock.begin()
+	bm, err := a.toBlockMatrix(c)
+	clock.endTransform()
+	if err != nil {
+		return nil, err
+	}
+	clock.begin()
+	d, err := linalg.QRBlocked(c, bm)
+	clock.endKernel()
+	bm.Free(c) // QRBlocked copied the tiles into its working columns
+	if err != nil {
+		return nil, err
+	}
+	clock.begin()
+	var res *matrix.Matrix
+	if op == OpQQR {
+		res = d.Q()
+	} else {
+		res = d.R()
+	}
+	clock.endKernel()
+	clock.begin()
+	cols := matrixToCols(c, res)
+	clock.endTransform()
+	return cols, nil
+}
+
+// evalTiledProduct is the one dense route of MMU and CPD: tiles in,
+// the tiled kernel, tiles back out column-wise. A cross product of a
+// relation with itself (the covariance pattern of §8.6(3)) copies once
+// and takes the kernel's symmetric self case, the paper's cblas_dsyrk
+// route.
+func evalTiledProduct(c *exec.Ctx, op Op, a, b *argument, clock *phaseClock) ([]*bat.BAT, error) {
+	self := op == OpCPD && sameApplicationPart(a, b)
+	clock.begin()
+	ma, err := a.toBlockMatrix(c)
+	mb := ma
+	if err == nil && !self {
+		if mb, err = b.toBlockMatrix(c); err != nil {
+			ma.Free(c)
+		}
+	}
+	clock.endTransform()
+	if err != nil {
+		return nil, err
+	}
+	clock.begin()
+	var res *matrix.BlockMatrix
+	if op == OpMMU {
+		res, err = linalg.MatMulBlocked(c, ma, mb)
+	} else {
+		res, err = linalg.CrossProductBlocked(c, ma, mb)
+	}
+	clock.endKernel()
+	ma.Free(c)
+	mb.Free(c) // a no-op when mb is ma
+	if err != nil {
+		return nil, err
+	}
+	clock.begin()
+	cols, err := blockToCols(c, res)
+	res.Free(c)
+	clock.endTransform()
+	return cols, err
 }
 
 // sameApplicationPart reports whether two arguments share the same

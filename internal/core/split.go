@@ -115,10 +115,13 @@ func (a *argument) orderedAppCols(c *exec.Ctx) []*bat.BAT {
 	return out
 }
 
-// toMatrix is the matrix constructor µ_Ū(r) for the dense path: it copies
-// the application part, ordered by the permutation, into a contiguous
-// row-major array (the "copy BATs to an MKL compatible format" step whose
-// cost Figure 14 measures). The copy-in is column-parallel: each source
+// toMatrix is the matrix constructor µ_Ū(r) for the dense ops whose
+// kernels run on one contiguous row-major array — every dense op but
+// MMU, CPD, QQR and RQR, which take toBlockMatrix: it copies the
+// application part, ordered by the permutation, into that array (the
+// "copy BATs to an MKL compatible format" step whose cost Figure 14
+// measures). The op alone picks the constructor, never the operand
+// size. The copy-in is column-parallel: each source
 // column scatters into a distinct stride of the row-major array, so the
 // writes are disjoint. The backing array is drawn from the context's
 // arena — every cell is overwritten below — and handed back with
@@ -169,20 +172,12 @@ func releaseMatrix(c *exec.Ctx, m *matrix.Matrix) {
 	c.Arena().FreeFloats(data)
 }
 
-// blockedMinElems gates the tiled materialization path: dense operands
-// with at least this many cells take toBlockMatrix + the blocked
-// kernels instead of one contiguous toMatrix copy. 4M cells (32 MiB)
-// sits safely inside the arena's pooled classes for the flat path
-// below it and avoids any single huge allocation above it. Variable so
-// tests can force either route.
-var blockedMinElems = 1 << 22
-
-// toBlockMatrix is the block-aware µ_Ū(r): it materializes the ordered
-// application part directly into cache-sized tiles — each tile is
-// arena-charged individually, so a huge operand never needs one
-// contiguous allocation and can spill tile-at-a-time — without the
-// intermediate flat copy toMatrix would make. Tiles are filled in
-// parallel; writes are disjoint per tile.
+// toBlockMatrix is µ_Ū(r) for the tiled kernels of MMU, CPD, QQR and
+// RQR: it materializes the ordered application part directly into
+// matrix.TileEdge tiles. Each tile is arena-charged individually, so a
+// huge operand never needs one contiguous allocation and can spill
+// tile-at-a-time. Tiles are filled in parallel; writes are disjoint
+// per tile.
 func (a *argument) toBlockMatrix(c *exec.Ctx) (*matrix.BlockMatrix, error) {
 	m := a.rows()
 	n := len(a.appCols)
@@ -247,12 +242,6 @@ func blockResidency(b *matrix.BlockMatrix) int {
 		cap = floor
 	}
 	return cap
-}
-
-// releaseBlockMatrix frees every resident tile back to the arena and
-// removes any spilled tile files.
-func releaseBlockMatrix(c *exec.Ctx, b *matrix.BlockMatrix) {
-	b.Free(c)
 }
 
 // blockToCols converts a blocked base result back into one BAT per

@@ -9,19 +9,14 @@ import (
 )
 
 // This file holds the tiled (block-partitioned) kernels over
-// matrix.BlockMatrix grids. The parallel unit is an output tile —
-// each output tile is produced by exactly one worker, and the inner
-// reduction over input tiles runs in fixed ascending order — so
+// matrix.BlockMatrix grids: the only implementation of the dense
+// products and of Householder QR. The parallel unit is an output tile
+// (or, for QR, a trailing column) — each is produced by exactly one
+// worker, and the inner reduction runs in fixed ascending order — so
 // results are bitwise-identical at any worker budget and any tile
-// edge. MatMulBlocked and SYRKBlocked moreover visit every scalar
-// product in exactly the order of their flat counterparts (ascending
-// k with the same zero-skip), and QRBlocked applies reflectors to
-// each column in the same ascending order as the flat Householder
-// loop, so those three are bitwise-identical to the flat kernels too.
-// CholeskyBlocked uses a genuinely blocked right-looking update whose
-// association differs from the flat column loop; it is deterministic
-// across workers and tile counts but only approximately equal to
-// Cholesky.
+// edge: per output element the products add in ascending k with a
+// zero-skip on the left factor, and per column the Householder
+// reflectors apply in ascending order.
 
 // collectErr funnels the first error out of a ParallelFor body.
 type collectErr struct {
@@ -43,19 +38,16 @@ func (e *collectErr) set(err error) {
 func inherit(out, src, alt *matrix.BlockMatrix) {
 	if sp, maxRes := src.SpillConfig(); sp != nil {
 		out.EnableSpill(sp, maxRes)
-	} else if alt != nil {
-		if sp, maxRes := alt.SpillConfig(); sp != nil {
-			out.EnableSpill(sp, maxRes)
-		}
+	} else if sp, maxRes := alt.SpillConfig(); sp != nil {
+		out.EnableSpill(sp, maxRes)
 	}
 }
 
 // MatMulBlocked returns a·b over tile grids (SUMMA-style: each output
 // tile accumulates its row-of-a × column-of-b tile products in
-// ascending k-tile order). Requires matching tile edges. The result
-// is bitwise-identical to MatMul on the flattened operands: per
-// output element both kernels add the products a[i][k]·b[k][j] in
-// ascending k, skipping a[i][k] == 0.
+// ascending k-tile order). Requires matching tile edges. Per output
+// element the products a[i][k]·b[k][j] add in ascending k, skipping
+// a[i][k] == 0.
 func MatMulBlocked(c *exec.Ctx, a, b *matrix.BlockMatrix) (*matrix.BlockMatrix, error) {
 	if a.Cols != b.Rows {
 		return nil, ErrShape
@@ -119,68 +111,54 @@ func matMulTile(c *exec.Ctx, a, b, out *matrix.BlockMatrix, ti, tj, kt int) erro
 	return nil
 }
 
-// SYRKBlocked returns aᵀ·a over a tile grid, computing upper-triangle
-// output tiles (each accumulating its column-pair tile products in
-// ascending row-tile order) and mirroring the lower triangle.
-// Bitwise-identical to SYRK on the flattened operand: per output
-// element both kernels add a[r][i]·a[r][j] in ascending r, skipping
-// a[r][i] == 0, and the mirror is a copy.
-func SYRKBlocked(c *exec.Ctx, a *matrix.BlockMatrix) (*matrix.BlockMatrix, error) {
-	n := a.Cols
-	out := matrix.NewBlockEdge(n, n, a.Edge)
-	inherit(out, a, nil)
-	tc := out.TileCols()
-	// Upper-triangle tile list in fixed (row-major) order.
-	var upper [][2]int
-	for ti := 0; ti < tc; ti++ {
-		for tj := ti; tj < tc; tj++ {
-			upper = append(upper, [2]int{ti, tj})
+// CrossProductBlocked returns aᵀ·b (CPD) over tile grids with equal row
+// counts and tile edges. Output tile (ti, tj) accumulates tile column
+// ti of a against tile column tj of b over the row tiles in ascending
+// order: per output element, a[r][i]·b[r][j] in ascending r, skipping
+// a[r][i] == 0. With b == a (the covariance pattern of §8.6(3), the
+// paper's cblas_dsyrk route) only the upper-triangle tiles — and on
+// diagonal tiles only j ≥ i — are computed, and the lower triangle is
+// mirrored from them.
+func CrossProductBlocked(c *exec.Ctx, a, b *matrix.BlockMatrix) (*matrix.BlockMatrix, error) {
+	if a.Rows != b.Rows || a.Edge != b.Edge {
+		return nil, ErrShape
+	}
+	self := a == b
+	out := matrix.NewBlockEdge(a.Cols, b.Cols, a.Edge)
+	inherit(out, a, b)
+	// Output tiles in fixed row-major order, upper triangle only for
+	// the self case.
+	var todo [][2]int
+	for ti := 0; ti < out.TileRows(); ti++ {
+		tj := 0
+		if self {
+			tj = ti
+		}
+		for ; tj < out.TileCols(); tj++ {
+			todo = append(todo, [2]int{ti, tj})
 		}
 	}
-	rt := a.TileRows()
 	var ce collectErr
-	c.ParallelFor(len(upper), 1, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			if err := syrkTile(c, a, out, upper[t][0], upper[t][1], rt); err != nil {
+	c.ParallelFor(len(todo), 1, func(lo, hi int) {
+		for _, t := range todo[lo:hi] {
+			if err := crossTile(c, a, b, out, t[0], t[1], self && t[0] == t[1]); err != nil {
 				ce.set(err)
 				return
 			}
 		}
 	})
-	if ce.err == nil {
-		// Mirror the strict lower triangle from the computed upper.
-		var lower [][2]int
-		for ti := 1; ti < tc; ti++ {
-			for tj := 0; tj < ti; tj++ {
-				lower = append(lower, [2]int{ti, tj})
-			}
-		}
-		c.ParallelFor(len(lower), 1, func(lo, hi int) {
-			for t := lo; t < hi; t++ {
-				ti, tj := lower[t][0], lower[t][1]
-				if err := mirrorTile(c, out, ti, tj); err != nil {
-					ce.set(err)
-					return
+	if ce.err == nil && self {
+		// Mirror the strict lower triangle, one tile row per worker.
+		c.ParallelFor(out.TileRows(), 1, func(lo, hi int) {
+			for ti := lo; ti < hi; ti++ {
+				for tj := 0; tj <= ti; tj++ {
+					if err := mirrorTile(c, out, ti, tj); err != nil {
+						ce.set(err)
+						return
+					}
 				}
 			}
 		})
-		if ce.err == nil {
-			// Diagonal tiles mirror within themselves.
-			for ti := 0; ti < tc; ti++ {
-				h, w := out.TileDims(ti, ti)
-				ot, err := out.Pin(c, ti, ti)
-				if err != nil {
-					ce.set(err)
-					break
-				}
-				for i := 0; i < h; i++ {
-					for j := i + 1; j < w; j++ {
-						ot[j*w+i] = ot[i*w+j]
-					}
-				}
-				out.Unpin(ti, ti)
-			}
-		}
 	}
 	if ce.err != nil {
 		out.Free(c)
@@ -189,55 +167,51 @@ func SYRKBlocked(c *exec.Ctx, a *matrix.BlockMatrix) (*matrix.BlockMatrix, error
 	return out, nil
 }
 
-func syrkTile(c *exec.Ctx, a, out *matrix.BlockMatrix, ti, tj, rt int) error {
+// crossTile accumulates output tile (ti, tj) of aᵀ·b; upper restricts a
+// diagonal tile of the self case to j ≥ i.
+func crossTile(c *exec.Ctx, a, b, out *matrix.BlockMatrix, ti, tj int, upper bool) error {
 	h, w := out.TileDims(ti, tj)
 	ot, err := out.Pin(c, ti, tj)
 	if err != nil {
 		return err
 	}
 	defer out.Unpin(ti, tj)
-	for tr := 0; tr < rt; tr++ {
-		ai, err := a.PinRead(c, tr, ti)
+	for tr := 0; tr < a.TileRows(); tr++ {
+		at, err := a.PinRead(c, tr, ti)
 		if err != nil {
 			return err
 		}
-		aj := ai
-		if tj != ti {
-			aj, err = a.PinRead(c, tr, tj)
-			if err != nil {
-				a.Unpin(tr, ti)
-				return err
-			}
+		bt, err := b.PinRead(c, tr, tj)
+		if err != nil {
+			a.Unpin(tr, ti)
+			return err
 		}
-		rh, wi := a.TileDims(tr, ti)
+		rh, _ := a.TileDims(tr, ti)
 		for r := 0; r < rh; r++ {
-			irow := ai[r*wi : (r+1)*wi]
-			jrow := aj[r*w : (r+1)*w]
-			for i := 0; i < h; i++ {
-				ari := irow[i]
+			brow := bt[r*w : (r+1)*w]
+			for i, ari := range at[r*h : (r+1)*h] {
 				if ari == 0 {
 					continue
 				}
-				orow := ot[i*w : (i+1)*w]
 				j0 := 0
-				if tj == ti {
-					j0 = i // only j ≥ i on diagonal tiles
+				if upper {
+					j0 = i
 				}
+				orow := ot[i*w : (i+1)*w]
 				for j := j0; j < w; j++ {
-					orow[j] += ari * jrow[j]
+					orow[j] += ari * brow[j]
 				}
 			}
 		}
 		a.Unpin(tr, ti)
-		if tj != ti {
-			a.Unpin(tr, tj)
-		}
+		b.Unpin(tr, tj)
 	}
 	return nil
 }
 
-// mirrorTile fills lower tile (ti, tj) with the transpose of upper
-// tile (tj, ti).
+// mirrorTile fills tile (ti, tj), ti ≥ tj, below the diagonal with the
+// transpose of upper tile (tj, ti); a diagonal tile mirrors within
+// itself.
 func mirrorTile(c *exec.Ctx, out *matrix.BlockMatrix, ti, tj int) error {
 	h, w := out.TileDims(ti, tj)
 	ot, err := out.Pin(c, ti, tj)
@@ -245,14 +219,20 @@ func mirrorTile(c *exec.Ctx, out *matrix.BlockMatrix, ti, tj int) error {
 		return err
 	}
 	defer out.Unpin(ti, tj)
-	src, err := out.PinRead(c, tj, ti)
-	if err != nil {
-		return err
+	src, sw := ot, w
+	if ti != tj {
+		if src, err = out.PinRead(c, tj, ti); err != nil {
+			return err
+		}
+		defer out.Unpin(tj, ti)
+		_, sw = out.TileDims(tj, ti)
 	}
-	defer out.Unpin(tj, ti)
-	_, sw := out.TileDims(tj, ti)
 	for i := 0; i < h; i++ {
-		for j := 0; j < w; j++ {
+		jEnd := w
+		if ti == tj {
+			jEnd = i
+		}
+		for j := 0; j < jEnd; j++ {
 			ot[i*w+j] = src[j*sw+i]
 		}
 	}
@@ -260,20 +240,14 @@ func mirrorTile(c *exec.Ctx, out *matrix.BlockMatrix, ti, tj int) error {
 }
 
 // QRBlocked factors a block matrix with panel-organized Householder
-// reflections: each Edge-wide column panel is factored in place, then
-// the panel's reflectors update the trailing columns panel-parallel
-// through the context's ParallelFor. Per trailing column the
-// reflectors apply in the same ascending order (with identical
-// per-reflector arithmetic) as the flat loop, so the returned
-// factorization — v, tau, and everything derived from them — is
-// bitwise-identical to NewQR on the flattened operand.
+// reflections (qrPanels). The tiles are gathered straight into the
+// column-major working form, so the operand never needs one contiguous
+// row-major copy.
 func QRBlocked(c *exec.Ctx, a *matrix.BlockMatrix) (*QR, error) {
 	if a.Rows < a.Cols {
 		return nil, ErrShape
 	}
 	m, n := a.Rows, a.Cols
-	// Gather tile columns into the column-major working form, panel by
-	// panel (no intermediate flat row-major copy).
 	v := make([][]float64, n)
 	for j := 0; j < n; j++ {
 		v[j] = make([]float64, m)
@@ -300,24 +274,32 @@ func QRBlocked(c *exec.Ctx, a *matrix.BlockMatrix) (*QR, error) {
 	if ce.err != nil {
 		return nil, ce.err
 	}
-	tau := make([]float64, n)
-	qrPanels(c, v, tau, m, n, a.Edge)
-	return &QR{v: v, tau: tau, rows: m, cols: n, workers: c.Workers()}, nil
+	return qrPanels(c, v, m, qrPanel), nil
 }
 
-// qrPanels runs the Householder loop in column panels of width panel:
-// reflectors within the current panel are formed and applied to the
-// panel serially (they depend on each other), then the whole panel's
-// reflectors sweep the trailing columns through ParallelFor. Each
-// trailing column receives every reflector in ascending order, so the
-// factorization matches the flat newQR bit for bit.
-func qrPanels(c *exec.Ctx, v [][]float64, tau []float64, m, n, panel int) {
+// qrPanel is the Householder panel width. It changes no bit of the
+// factorization, only how much of it runs in parallel: the in-panel
+// work is serial and only the sweep of the trailing columns fans out,
+// so a tile-wide panel (256) would leave every QR of fewer columns
+// serial.
+const qrPanel = 16
+
+// qrPanels factors the m-row columns v in place, in column panels of
+// width panel: reflectors within the current panel are formed and
+// applied to the panel serially (they depend on each other), then the
+// whole panel's reflectors sweep the trailing columns through
+// ParallelFor. Each column receives every reflector in ascending order
+// through applyReflectorTo, so the factorization does not depend on
+// the panel width or the worker budget.
+func qrPanels(c *exec.Ctx, v [][]float64, m, panel int) *QR {
+	n := len(v)
+	tau := make([]float64, n)
 	if panel < 1 {
 		panel = 1
 	}
-	// Engage the trailing fan-out on the same work scale as the flat
-	// applyReflector (about 1<<15 flops per sweep).
-	minCols := max(1, (1<<15)/(m*panel)+1)
+	// Fan the trailing sweep out only when each worker's share is about
+	// 1<<15 flops or more.
+	minCols := max(1, (1<<15)/max(1, m*panel)+1)
 	for p0 := 0; p0 < n; p0 += panel {
 		p1 := min(p0+panel, n)
 		for k := p0; k < p1; k++ {
@@ -330,6 +312,7 @@ func qrPanels(c *exec.Ctx, v [][]float64, tau []float64, m, n, panel int) {
 				tau[k] = 0
 				continue
 			}
+			// Choose the sign that avoids cancellation in v_kk = a_kk/norm + 1.
 			if ck[k] < 0 {
 				norm = -norm
 			}
@@ -341,6 +324,8 @@ func qrPanels(c *exec.Ctx, v [][]float64, tau []float64, m, n, panel int) {
 			for j := k + 1; j < p1; j++ {
 				applyReflectorTo(ck, v[j], k, m)
 			}
+			// The diagonal of R cannot live in v (that slot holds the
+			// Householder vector), so it is carried in tau.
 			tau[k] = -norm
 		}
 		if p1 < n {
@@ -357,244 +342,5 @@ func qrPanels(c *exec.Ctx, v [][]float64, tau []float64, m, n, panel int) {
 			})
 		}
 	}
-}
-
-// CholeskyBlocked factors a symmetric positive definite block matrix
-// into its upper Cholesky factor R (A = Rᵀ·R) with a right-looking
-// panel algorithm: factor the diagonal tile, triangular-solve the
-// tile row to its right (tile-parallel), rank-update the trailing
-// tiles (tile-parallel, each tile owned by one worker with the panel
-// rows folded in ascending order). Deterministic at any worker budget
-// and tile edge; the association differs from the flat Cholesky, so
-// results agree with it only to rounding.
-func CholeskyBlocked(c *exec.Ctx, a *matrix.BlockMatrix) (*matrix.BlockMatrix, error) {
-	if a.Rows != a.Cols {
-		return nil, ErrShape
-	}
-	if err := checkBlockSymmetric(c, a); err != nil {
-		return nil, err
-	}
-	n := a.Cols
-	u := matrix.NewBlockEdge(n, n, a.Edge)
-	inherit(u, a, nil)
-	tc := u.TileCols()
-	// Copy the upper triangle of a into the working factor.
-	var ce collectErr
-	c.ParallelFor(tc*(tc+1)/2, 1, func(lo, hi int) {
-		t := 0
-		for ti := 0; ti < tc; ti++ {
-			for tj := ti; tj < tc; tj++ {
-				if t >= lo && t < hi {
-					if err := copyTile(c, a, u, ti, tj); err != nil {
-						ce.set(err)
-						return
-					}
-				}
-				t++
-			}
-		}
-	})
-	if ce.err != nil {
-		u.Free(c)
-		return nil, ce.err
-	}
-	for tk := 0; tk < tc; tk++ {
-		if err := cholStep(c, u, tk, tc); err != nil {
-			u.Free(c)
-			return nil, err
-		}
-	}
-	return u, nil
-}
-
-func copyTile(c *exec.Ctx, src, dst *matrix.BlockMatrix, ti, tj int) error {
-	s, err := src.PinRead(c, ti, tj)
-	if err != nil {
-		return err
-	}
-	defer src.Unpin(ti, tj)
-	d, err := dst.Pin(c, ti, tj)
-	if err != nil {
-		return err
-	}
-	copy(d, s)
-	dst.Unpin(ti, tj)
-	return nil
-}
-
-// cholStep performs one right-looking panel step on tile row tk.
-func cholStep(c *exec.Ctx, u *matrix.BlockMatrix, tk, tc int) error {
-	diag, err := u.Pin(c, tk, tk)
-	if err != nil {
-		return err
-	}
-	h, _ := u.TileDims(tk, tk)
-	// In-place upper Cholesky of the (already updated) diagonal tile —
-	// the same column loop as the flat kernel, confined to one tile.
-	for j := 0; j < h; j++ {
-		var d float64
-		for k := 0; k < j; k++ {
-			var s float64
-			for i := 0; i < k; i++ {
-				s += diag[i*h+k] * diag[i*h+j]
-			}
-			if diag[k*h+k] == 0 {
-				u.Unpin(tk, tk)
-				return ErrNotPositiveDefinite
-			}
-			s = (diag[k*h+j] - s) / diag[k*h+k]
-			diag[k*h+j] = s
-			d += s * s
-		}
-		d = diag[j*h+j] - d
-		if d <= 0 {
-			u.Unpin(tk, tk)
-			return ErrNotPositiveDefinite
-		}
-		diag[j*h+j] = math.Sqrt(d)
-		for i := j + 1; i < h; i++ {
-			diag[i*h+j] = 0 // keep the factor's lower triangle clean
-		}
-	}
-	// Triangular solve of the tile row: U[tk][tj] = R_kkᵀ⁻¹ · T.
-	var ce collectErr
-	c.ParallelFor(tc-(tk+1), 1, func(lo, hi int) {
-		for tj := tk + 1 + lo; tj < tk+1+hi; tj++ {
-			t, err := u.Pin(c, tk, tj)
-			if err != nil {
-				ce.set(err)
-				return
-			}
-			_, w := u.TileDims(tk, tj)
-			for jj := 0; jj < w; jj++ {
-				for k := 0; k < h; k++ {
-					s := t[k*w+jj]
-					for i := 0; i < k; i++ {
-						s -= diag[i*h+k] * t[i*w+jj]
-					}
-					t[k*w+jj] = s / diag[k*h+k]
-				}
-			}
-			u.Unpin(tk, tj)
-		}
-	})
-	u.Unpin(tk, tk)
-	if ce.err != nil {
-		return ce.err
-	}
-	// Trailing rank update: tile (ti, tj) -= U[tk][ti]ᵀ · U[tk][tj],
-	// one worker per trailing tile, panel rows folded ascending.
-	var trail [][2]int
-	for ti := tk + 1; ti < tc; ti++ {
-		for tj := ti; tj < tc; tj++ {
-			trail = append(trail, [2]int{ti, tj})
-		}
-	}
-	c.ParallelFor(len(trail), 1, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			ti, tj := trail[t][0], trail[t][1]
-			ki, err := u.PinRead(c, tk, ti)
-			if err != nil {
-				ce.set(err)
-				return
-			}
-			kj := ki
-			if tj != ti {
-				kj, err = u.PinRead(c, tk, tj)
-				if err != nil {
-					u.Unpin(tk, ti)
-					ce.set(err)
-					return
-				}
-			}
-			dst, err := u.Pin(c, ti, tj)
-			if err != nil {
-				u.Unpin(tk, ti)
-				if tj != ti {
-					u.Unpin(tk, tj)
-				}
-				ce.set(err)
-				return
-			}
-			hi2, wi := u.TileDims(tk, ti)
-			_, w := u.TileDims(ti, tj)
-			for r := 0; r < hi2; r++ {
-				irow := ki[r*wi : (r+1)*wi]
-				jrow := kj[r*w : (r+1)*w]
-				for i := 0; i < wi; i++ {
-					uri := irow[i]
-					if uri == 0 {
-						continue
-					}
-					drow := dst[i*w : (i+1)*w]
-					for j := 0; j < w; j++ {
-						drow[j] -= uri * jrow[j]
-					}
-				}
-			}
-			u.Unpin(ti, tj)
-			u.Unpin(tk, ti)
-			if tj != ti {
-				u.Unpin(tk, tj)
-			}
-		}
-	})
-	return ce.err
-}
-
-// checkBlockSymmetric mirrors the flat Cholesky's precondition: the
-// matrix must be symmetric within 1e-8·(1+max|a|).
-func checkBlockSymmetric(c *exec.Ctx, a *matrix.BlockMatrix) error {
-	tc := a.TileCols()
-	maxAbs := 0.0
-	for ti := 0; ti < tc; ti++ {
-		for tj := 0; tj < tc; tj++ {
-			data, err := a.PinRead(c, ti, tj)
-			if err != nil {
-				return err
-			}
-			for _, v := range data {
-				if av := math.Abs(v); av > maxAbs {
-					maxAbs = av
-				}
-			}
-			a.Unpin(ti, tj)
-		}
-	}
-	tol := 1e-8 * (1 + maxAbs)
-	for ti := 0; ti < tc; ti++ {
-		for tj := ti; tj < tc; tj++ {
-			up, err := a.PinRead(c, ti, tj)
-			if err != nil {
-				return err
-			}
-			lo := up
-			if tj != ti {
-				lo, err = a.PinRead(c, tj, ti)
-				if err != nil {
-					a.Unpin(ti, tj)
-					return err
-				}
-			}
-			h, w := a.TileDims(ti, tj)
-			_, lw := a.TileDims(tj, ti)
-			bad := false
-			for i := 0; i < h && !bad; i++ {
-				for j := 0; j < w; j++ {
-					if math.Abs(up[i*w+j]-lo[j*lw+i]) > tol {
-						bad = true
-						break
-					}
-				}
-			}
-			a.Unpin(ti, tj)
-			if tj != ti {
-				a.Unpin(tj, ti)
-			}
-			if bad {
-				return ErrNotPositiveDefinite
-			}
-		}
-	}
-	return nil
+	return &QR{v: v, tau: tau, rows: m, cols: n, workers: c.Workers()}
 }

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -46,22 +47,54 @@ func sameBits(t *testing.T, name string, got, want *matrix.Matrix) {
 	}
 }
 
+// naiveMatMul is the reference accumulation order of every product
+// kernel: per output element, ascending k, skipping a[i][k] == 0.
+func naiveMatMul(a, b *matrix.Matrix) *matrix.Matrix {
+	out := matrix.New(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			var s float64
+			for k := 0; k < a.Cols; k++ {
+				if a.At(i, k) == 0 {
+					continue
+				}
+				s += a.At(i, k) * b.At(k, j)
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+// naiveSYRK is aᵀ·a in the reference order with the upper triangle
+// mirrored into the lower one.
+func naiveSYRK(a *matrix.Matrix) *matrix.Matrix {
+	out := naiveMatMul(a.T(), a)
+	for i := 0; i < out.Rows; i++ {
+		for j := i + 1; j < out.Cols; j++ {
+			out.Set(j, i, out.At(i, j))
+		}
+	}
+	return out
+}
+
 var blockWorkerGrid = []int{1, 2, 8}
 var blockTileGrid = []int{1, 2, 7, 16}
 
 // TestBlockedMatMulBitwiseFlat: the tiled product must be
-// bitwise-identical to the flat kernel at every worker budget and
-// tile count, including non-divisible edges (n = tile ± 1 cases fall
-// out of the 7- and 16-tile grids over prime-ish sizes).
+// bitwise-identical to the naive ascending-k loop at every worker
+// budget and tile count, including non-divisible edges (n = tile ± 1
+// cases fall out of the 7- and 16-tile grids over prime-ish sizes).
 func TestBlockedMatMulBitwiseFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, dims := range [][3]int{{97, 53, 61}, {64, 64, 64}, {33, 65, 31}} {
 		m, k, n := dims[0], dims[1], dims[2]
 		a := blockRandMatrix(rng, m, k)
 		b := blockRandMatrix(rng, k, n)
-		want := MatMul(exec.New(1), a, b)
+		want := naiveMatMul(a, b)
 		for _, workers := range blockWorkerGrid {
 			c := exec.New(workers)
+			sameBits(t, "matmul adapter", MatMul(c, a, b), want)
 			for _, tiles := range blockTileGrid {
 				edge := edgeForTiles(max(m, max(k, n)), tiles)
 				ab, err := matrix.BlockOf(c, a, edge)
@@ -81,7 +114,6 @@ func TestBlockedMatMulBitwiseFlat(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameBits(t, "blocked matmul", got, want)
-				c.Arena().FreeFloats(got.Data)
 				ab.Free(c)
 				bb.Free(c)
 				ob.Free(c)
@@ -90,40 +122,58 @@ func TestBlockedMatMulBitwiseFlat(t *testing.T) {
 	}
 }
 
-// TestBlockedSYRKBitwiseFlat mirrors the MatMul test for aᵀ·a.
+// TestBlockedSYRKBitwiseFlat mirrors the MatMul test for the tiled
+// cross product: aᵀ·a through the self case (upper tiles plus mirror)
+// and aᵀ·b through the general case.
 func TestBlockedSYRKBitwiseFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, dims := range [][2]int{{89, 47}, {50, 17}} {
-		m, n := dims[0], dims[1]
+	for _, dims := range [][3]int{{89, 47, 13}, {50, 17, 29}} {
+		m, n, nb := dims[0], dims[1], dims[2]
 		a := blockRandMatrix(rng, m, n)
-		want := SYRK(exec.New(1), a)
+		b := blockRandMatrix(rng, m, nb)
+		wantSelf := naiveSYRK(a)
+		wantCross := naiveMatMul(a.T(), b)
 		for _, workers := range blockWorkerGrid {
 			c := exec.New(workers)
+			sameBits(t, "syrk adapter", SYRK(c, a), wantSelf)
+			sameBits(t, "cross product adapter", CrossProduct(c, a, b), wantCross)
 			for _, tiles := range blockTileGrid {
 				edge := edgeForTiles(max(m, n), tiles)
 				ab, err := matrix.BlockOf(c, a, edge)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ob, err := SYRKBlocked(c, ab)
-				if err != nil {
-					t.Fatalf("SYRKBlocked(%v, workers=%d, tiles=%d): %v", dims, workers, tiles, err)
-				}
-				got, err := ob.Flatten(c)
+				bb, err := matrix.BlockOf(c, b, edge)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameBits(t, "blocked syrk", got, want)
-				c.Arena().FreeFloats(got.Data)
+				for _, leg := range []struct {
+					name string
+					rhs  *matrix.BlockMatrix
+					want *matrix.Matrix
+				}{{"self", ab, wantSelf}, {"cross", bb, wantCross}} {
+					ob, err := CrossProductBlocked(c, ab, leg.rhs)
+					if err != nil {
+						t.Fatalf("CrossProductBlocked %s (%v, workers=%d, tiles=%d): %v", leg.name, dims, workers, tiles, err)
+					}
+					got, err := ob.Flatten(c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameBits(t, "blocked cross product "+leg.name, got, leg.want)
+					ob.Free(c)
+				}
 				ab.Free(c)
-				ob.Free(c)
+				bb.Free(c)
 			}
 		}
 	}
 }
 
 // TestBlockedQRBitwiseFlat: the panel-blocked factorization must
-// reproduce the flat Householder loop bit for bit — Q and R both.
+// reproduce NewQRSerial — one panel, so the plain column-by-column
+// Householder loop on one worker — bit for bit, Q and R both, at every
+// panel width, tile edge and worker budget.
 func TestBlockedQRBitwiseFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for _, dims := range [][2]int{{90, 37}, {65, 65}, {33, 9}} {
@@ -136,6 +186,14 @@ func TestBlockedQRBitwiseFlat(t *testing.T) {
 		wantQ, wantR := ref.Q(), ref.R()
 		for _, workers := range blockWorkerGrid {
 			c := exec.New(workers)
+			for _, panel := range []int{1, 3, qrPanel, n - 1} {
+				d, err := newQR(c, a, panel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, fmt.Sprintf("QR panel %d: Q", panel), d.Q(), wantQ)
+				sameBits(t, fmt.Sprintf("QR panel %d: R", panel), d.R(), wantR)
+			}
 			for _, tiles := range blockTileGrid {
 				edge := edgeForTiles(m, tiles)
 				ab, err := matrix.BlockOf(c, a, edge)
@@ -152,81 +210,4 @@ func TestBlockedQRBitwiseFlat(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestBlockedCholeskyDeterministic: the blocked Cholesky is only
-// approximately equal to the flat kernel (its blocked association
-// rounds differently) but must be bitwise self-identical across
-// worker budgets for a fixed tile edge, and close to the flat factor.
-func TestBlockedCholeskyDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := 61
-	g := blockRandMatrix(rng, n+9, n)
-	spd := SYRK(exec.New(1), g) // gᵀg is SPD (full rank w.h.p.)
-	for i := 0; i < n; i++ {
-		spd.Set(i, i, spd.At(i, i)+float64(n)) // safely away from singular
-	}
-	want, err := Cholesky(spd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tiles := range blockTileGrid {
-		edge := edgeForTiles(n, tiles)
-		var ref *matrix.Matrix
-		for _, workers := range blockWorkerGrid {
-			c := exec.New(workers)
-			ab, err := matrix.BlockOf(c, spd, edge)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ub, err := CholeskyBlocked(c, ab)
-			if err != nil {
-				t.Fatalf("CholeskyBlocked(workers=%d, tiles=%d): %v", workers, tiles, err)
-			}
-			got, err := ub.Flatten(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref == nil {
-				ref = got
-				if !matrix.ApproxEqual(got, want, 1e-6*(1+want.MaxAbs())) {
-					t.Fatalf("blocked Cholesky drifted from flat factor (tiles=%d)", tiles)
-				}
-			} else {
-				sameBits(t, "blocked cholesky across workers", got, ref)
-			}
-			ab.Free(c)
-			ub.Free(c)
-		}
-	}
-	// Reject a non-SPD input like the flat kernel does.
-	c := exec.New(2)
-	bad := blockRandMatrix(rng, 8, 8)
-	bb, err := matrix.BlockOf(c, bad, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CholeskyBlocked(c, bb); err != ErrNotPositiveDefinite {
-		t.Fatalf("CholeskyBlocked(non-SPD) = %v, want ErrNotPositiveDefinite", err)
-	}
-}
-
-// TestBlockedMatMulSerialHeuristic: a 1-worker context and a
-// mid-sized input must both stay serial under the per-worker
-// threshold (the PR-8 heuristic fix) while producing identical
-// results either way.
-func TestBlockedMatMulSerialHeuristic(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := blockRandMatrix(rng, 48, 48) // 48³ ≈ 110k flops < parallelThreshold
-	b := blockRandMatrix(rng, 48, 48)
-	if w := fanoutWorkers(exec.New(8), 48*48*48); w != 1 {
-		t.Fatalf("fanoutWorkers(mid-sized) = %d, want 1 (per-worker threshold)", w)
-	}
-	if w := fanoutWorkers(exec.New(1), 1<<30); w != 1 {
-		t.Fatalf("fanoutWorkers(1-worker ctx) = %d, want 1", w)
-	}
-	if w := fanoutWorkers(exec.New(4), 1<<30); w != 4 {
-		t.Fatalf("fanoutWorkers(big input) = %d, want the full budget 4", w)
-	}
-	sameBits(t, "heuristic respects results", MatMul(exec.New(8), a, b), MatMul(exec.New(1), a, b))
 }

@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"math"
 	"sync"
 
 	"repro/internal/exec"
@@ -24,58 +23,41 @@ type QR struct {
 
 // NewQR factors a with Householder reflections using the context's
 // worker budget for the trailing-column updates (the LAPACK/MKL
-// behavior). Requires Rows >= Cols.
+// behavior), in panels as QRBlocked factors a tile grid. Requires
+// Rows >= Cols.
 func NewQR(c *exec.Ctx, a *matrix.Matrix) (*QR, error) {
-	return newQR(a, c.Workers())
+	return newQR(c, a, qrPanel)
 }
 
 // NewQRSerial factors on a single core — the behavior of R's default
-// LINPACK qr(), which the Table 6 experiment compares against.
-func NewQRSerial(a *matrix.Matrix) (*QR, error) { return newQR(a, 1) }
+// LINPACK qr(), which the Table 6 experiment compares against: one
+// panel never fans out, and Q accumulates serially.
+func NewQRSerial(a *matrix.Matrix) (*QR, error) {
+	d, err := newQR(nil, a, a.Cols)
+	if d != nil {
+		d.workers = 1
+	}
+	return d, err
+}
 
-func newQR(a *matrix.Matrix, workers int) (*QR, error) {
+// newQR copies a's columns into the column-major working form and
+// factors them with qrPanels.
+func newQR(c *exec.Ctx, a *matrix.Matrix, panel int) (*QR, error) {
 	if a.Rows < a.Cols {
 		return nil, ErrShape
 	}
-	m, n := a.Rows, a.Cols
-	v := make([][]float64, n)
-	for j := 0; j < n; j++ {
+	v := make([][]float64, a.Cols)
+	for j := range v {
 		v[j] = a.Column(j)
 	}
-	tau := make([]float64, n)
-	for k := 0; k < n; k++ {
-		ck := v[k]
-		var norm float64
-		for _, x := range ck[k:] {
-			norm = math.Hypot(norm, x)
-		}
-		if norm == 0 {
-			tau[k] = 0
-			continue
-		}
-		// Choose the sign that avoids cancellation in v_kk = a_kk/norm + 1.
-		if ck[k] < 0 {
-			norm = -norm
-		}
-		inv := 1 / norm
-		for i := k; i < m; i++ {
-			ck[i] *= inv
-		}
-		ck[k]++
-		applyReflector(v, k, m, n, workers)
-		// The diagonal of R cannot live in v (that slot holds the
-		// Householder vector), so it is carried in tau.
-		tau[k] = -norm
-	}
-	return &QR{v: v, tau: tau, rows: m, cols: n, workers: workers}, nil
+	return qrPanels(c, v, a.Rows, panel), nil
 }
 
 // applyReflectorTo applies the reflector stored in ck (column k) to
-// one column cj. Both the flat Householder loop and the panel-blocked
-// QRBlocked funnel every column update through this one body, which
-// is what makes the two factorizations bitwise-identical: a trailing
-// column receives the same reflectors in the same ascending order
-// with the same arithmetic, no matter how the sweeps are batched.
+// one column cj. Every column update of the factorization goes through
+// this one body, so a column receives the same reflectors in the same
+// ascending order with the same arithmetic, however the sweeps are
+// batched into panels or split across workers.
 func applyReflectorTo(ck, cj []float64, k, m int) {
 	beta := ck[k]
 	var s float64
@@ -86,43 +68,6 @@ func applyReflectorTo(ck, cj []float64, k, m int) {
 	for i := k; i < m; i++ {
 		cj[i] += s * ck[i]
 	}
-}
-
-// applyReflector updates columns k+1..n with the reflector stored in
-// column k, splitting the columns across workers when the block is large.
-func applyReflector(v [][]float64, k, m, n, workers int) {
-	ck := v[k]
-	update := func(jLo, jHi int) {
-		for j := jLo; j < jHi; j++ {
-			applyReflectorTo(ck, v[j], k, m)
-		}
-	}
-	cols := n - (k + 1)
-	if workers <= 1 || cols < 2 || (m-k)*cols < 1<<15 {
-		update(k+1, n)
-		return
-	}
-	if workers > cols {
-		workers = cols
-	}
-	var wg sync.WaitGroup
-	chunk := (cols + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := k + 1 + w*chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			update(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // R returns the n×n upper-triangular factor.

@@ -11,12 +11,10 @@ import (
 )
 
 // TileEdge is the default tile edge of a BlockMatrix: 256 float64s
-// (512 KiB per full tile — two tiles and an output tile fit a typical
-// L2) and a multiple of the 64-element cache block the flat kernels
-// use, so a tiled kernel walking k in ascending tile order visits
-// elements in exactly the flat kernel's order. Sixteen tile rows span
-// one 4096-row morsel, so relations materialize into tiles on
-// morsel-aligned strides.
+// (512 KiB per full tile). The tiled kernels add in an order that does
+// not depend on the edge, so it only sets the parallel grain and the
+// unit of spill. Sixteen tile rows span one 4096-row morsel, so
+// relations materialize into tiles on morsel-aligned strides.
 const TileEdge = 256
 
 // BlockMatrix is a dense Rows×Cols matrix stored as a grid of
@@ -305,12 +303,10 @@ func BlockOf(c *exec.Ctx, m *Matrix, edge int) (*BlockMatrix, error) {
 	return b, nil
 }
 
-// Flatten copies the block matrix into one contiguous row-major
-// matrix whose Data is drawn from the context's arena (the same
-// convention as core's relation→matrix copies; callers that are done
-// with the result hand Data back with FreeFloats).
+// Flatten copies the block matrix into one contiguous row-major heap
+// matrix.
 func (b *BlockMatrix) Flatten(c *exec.Ctx) (*Matrix, error) {
-	out := &Matrix{Rows: b.Rows, Cols: b.Cols, Data: c.Arena().FloatsZero(b.Rows * b.Cols)}
+	out := New(b.Rows, b.Cols)
 	var firstErr error
 	var errMu sync.Mutex
 	c.ParallelFor(b.tr*b.tc, 1, func(lo, hi int) {
@@ -339,7 +335,6 @@ func (b *BlockMatrix) Flatten(c *exec.Ctx) (*Matrix, error) {
 		}
 	})
 	if firstErr != nil {
-		c.Arena().FreeFloats(out.Data)
 		return nil, firstErr
 	}
 	return out, nil

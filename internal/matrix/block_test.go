@@ -55,7 +55,6 @@ func TestTileRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		c.Arena().FreeFloats(back.Data)
 		b.Free(c)
 	}
 }
