@@ -146,21 +146,35 @@
 // WHERE conjuncts down to the deepest input that binds their columns
 // (scan predicates fuse into the scan's morsel loop; probe-side
 // predicates filter join inputs before the build), prunes unreferenced
-// columns, and dry-compiles every expression against zero-row prototype
-// sources at plan time — so a statement that plans successfully cannot
+// columns, and compiles every expression once per plan into a
+// column-at-a-time program bound to column positions
+// (internal/sql/eval.go) — so a statement that plans successfully cannot
 // fail to compile mid-stream, and a planning error is the error the
-// user sees. ORDER BY may name input columns the SELECT list drops
-// (without DISTINCT): the projection then keeps them for the sort.
-// Results and error messages are pinned bitwise against a naive
-// whole-relation reference executor that lives only in the tests
-// (internal/sql/reference_test.go).
+// user sees. Cached plans share their immutable programs across
+// concurrent statements. Per morsel every expression node yields one
+// typed vector: a bare column reference is the morsel's own vector, a
+// literal broadcasts, and each operator is one tight loop whose
+// intermediates come from and return to the statement's arena.
+// Predicates refine a candidate list (MonetDB's), so a later conjunct
+// and the right side of AND/OR evaluate only the rows still undecided —
+// the row-wise short-circuit semantics, under which an integer % by
+// zero on an excluded row cannot fail the statement (on a reached row it
+// is the typed sql.ErrDivisionByZero). ORDER BY keys are materialized
+// once before the sort, and the projection keeps an unfiltered stored
+// column as a zero-copy view. ORDER BY may name input columns the SELECT
+// list drops (without DISTINCT): the projection then keeps them for the
+// sort. Results and error messages are pinned bitwise against a naive
+// whole-relation reference executor and a row-at-a-time reference
+// evaluator that live only in the tests (internal/sql/reference_test.go,
+// internal/sql/rowexpr_test.go).
 //
 // Operators are composed as pull iterators over bat.Batch morsels of
 // bat.MorselSize (4096) rows: next returns the next batch or nil at
 // end-of-stream, close releases held buffers and is safe during
 // unwinds. Scans emit zero-copy column views when no predicate
-// survives pushdown and arena-gathered batches otherwise; each morsel
-// is released as soon as its consumer has drained it, so a
+// survives pushdown or every row of a morsel matches, and
+// arena-gathered batches otherwise; each morsel is released as soon as
+// its consumer has drained it, so a
 // filter→join→group pipeline holds one morsel per stage plus the join
 // build and aggregation tables — peak arena bytes become the maximum
 // across stages instead of the sum of full intermediates. Hash joins

@@ -34,11 +34,16 @@ func (b *Batch) NumCols() int { return len(b.cols) }
 func (b *Batch) Col(k int) *Vector { return b.cols[k] }
 
 // AddCol appends a column. owned marks arena-drawn buffers the batch is
-// responsible for releasing; views into longer-lived storage pass false.
+// responsible for releasing; views into storage that outlives the
+// statement pass false, so a consumer may keep them past the batch.
 func (b *Batch) AddCol(v *Vector, owned bool) {
 	b.cols = append(b.cols, v)
 	b.owned = append(b.owned, owned)
 }
+
+// Owned reports whether column k is a buffer the batch releases, as
+// opposed to a view of longer-lived storage.
+func (b *Batch) Owned(k int) bool { return b.owned[k] }
 
 // Bytes returns the accounted size of the batch's owned columns — the
 // bytes Release will hand back. View columns cost nothing; they alias

@@ -553,13 +553,9 @@ func (db *DB) runInsert(c *exec.Ctx, x *InsertStmt) error {
 			if len(rowExprs) != tbl.NumCols() {
 				return fmt.Errorf("sql: INSERT arity %d into table of arity %d", len(rowExprs), tbl.NumCols())
 			}
-			vals := make([]bat.Value, len(rowExprs))
-			for k, e := range rowExprs {
-				c, err := compileExpr(e, nil)
-				if err != nil {
-					return err
-				}
-				vals[k] = c.fn(0)
+			vals, err := evalRow(c, rowExprs)
+			if err != nil {
+				return err
 			}
 			if err := b.Add(vals...); err != nil {
 				return err
@@ -580,6 +576,26 @@ func (db *DB) runInsert(c *exec.Ctx, x *InsertStmt) error {
 		return db.checkpoint(x.Table)
 	}
 	return nil
+}
+
+// evalRow evaluates the column-free expressions of one VALUES row.
+func evalRow(c *exec.Ctx, exprs []Expr) ([]bat.Value, error) {
+	f := &frame{c: c, n: 1}
+	defer f.release()
+	vals := make([]bat.Value, len(exprs))
+	for k, e := range exprs {
+		p, err := compileExpr(e, nil)
+		if err != nil {
+			return nil, err
+		}
+		v, err := p.val(f, nil)
+		if err != nil {
+			return nil, err
+		}
+		vals[k] = v.Get(0)
+		f.free(v)
+	}
+	return vals, nil
 }
 
 // coerceCols adapts int columns to float where the target schema demands
@@ -775,30 +791,18 @@ func collectCols(e Expr, acc []*ColRef) []*ColRef {
 	return acc
 }
 
-// keyCols materializes join-key expressions into typed columns for the
-// hash join build. Cross-type numeric keys (an int expression against a float
-// one) hash and compare through canonical float bits inside rel, so no
-// coercion is needed here.
-func keyCols(s *source, exprs []Expr) ([]*bat.BAT, error) {
-	n := s.rel.NumRows()
-	cols := make([]*bat.BAT, len(exprs))
-	for k, e := range exprs {
-		c, err := compileExpr(e, s)
-		if err != nil {
-			return nil, err
-		}
-		cols[k] = materialize(c, n)
-	}
-	return cols, nil
-}
-
-func filterSource(c *exec.Ctx, s *source, pred Expr) (*source, error) {
-	comp, err := compileExpr(pred, s)
+// filterRel keeps the rows of r on which every predicate is truthy,
+// gathered into arena-drawn columns.
+func filterRel(c *exec.Ctx, r *rel.Relation, preds []*compiled) (*rel.Relation, error) {
+	f := relFrame(c, r)
+	defer f.release()
+	rows, err := f.filter(preds)
 	if err != nil {
 		return nil, err
 	}
-	filtered := s.rel.Select(c, func(i int) bool { return truthy(comp.fn(i)) })
-	return &source{rel: filtered, syms: s.syms}, nil
+	out := r.Gather(c, rows)
+	f.freeRows(rows)
+	return out, nil
 }
 
 // --- SELECT pipeline -------------------------------------------------------
@@ -813,10 +817,10 @@ func (db *DB) execSelect(c *exec.Ctx, sel *SelectStmt) (*rel.Relation, error) {
 	return db.execPlanned(c, sel, plan)
 }
 
-// projectMeta resolves the projection: compiled evaluators over the
-// given source plus the output schema and symbols, with the duplicate
-// name disambiguation the dialect applies. The planner's dry run and the
-// grouped tail both funnel through it, so output naming and typing can
+// projectMeta compiles the projection over the given source and
+// resolves the output schema and symbols, with the duplicate name
+// disambiguation the dialect applies. The streaming and the grouped
+// projection both funnel through it, so output naming and typing can
 // never diverge between them.
 func projectMeta(items []SelectItem, src *source) (rel.Schema, []sym, []*compiled, error) {
 	outSchema := make(rel.Schema, len(items))
@@ -865,74 +869,91 @@ func userQual(e Expr) string {
 	return ""
 }
 
-// finishSelect runs the tail of the SELECT pipeline — projection,
-// DISTINCT, ORDER BY, LIMIT — over a materialized source: the grouped
-// relation once streaming aggregation completes.
-func finishSelect(c *exec.Ctx, sel *SelectStmt, items []SelectItem, src *source) (*rel.Relation, error) {
-	outSchema, outSyms, comps, err := projectMeta(items, src)
-	if err != nil {
-		return nil, err
-	}
-	n := src.rel.NumRows()
-	outCols := make([]*bat.BAT, len(items))
-	for k := range comps {
-		outCols[k] = materialize(comps[k], n)
-	}
-	out, err := rel.New("", outSchema, outCols)
-	if err != nil {
-		return nil, err
-	}
-	return finishOutput(c, sel, out, outSyms, src)
-}
-
 // finishOutput applies DISTINCT, ORDER BY and LIMIT to the projected
-// output. src, when non-nil, is the pre-projection source ORDER BY may
-// fall back to for sort keys that were not selected; the streaming
-// projection passes nil unless its plan kept the input columns for that
-// fallback.
-func finishOutput(c *exec.Ctx, sel *SelectStmt, out *rel.Relation, outSyms []sym, src *source) (*rel.Relation, error) {
+// output. in, when non-nil, binds the pre-projection rows the ORDER BY
+// keys marked input are evaluated over (row for row the output's, since
+// such keys exist only without DISTINCT).
+func finishOutput(c *exec.Ctx, sel *SelectStmt, out *rel.Relation, order []orderKey, in *frame) (*rel.Relation, error) {
 	if sel.Distinct {
 		out = out.Distinct(c)
 	}
-
-	if len(sel.OrderBy) > 0 {
-		outSrc := &source{rel: out, syms: outSyms}
-		comps := make([]*compiled, len(sel.OrderBy))
-		for k, ob := range sel.OrderBy {
-			comp, err := compileExpr(ob.Expr, outSrc)
-			if err != nil && src != nil && !sel.Distinct && src.rel.NumRows() == out.NumRows() {
-				// Fall back to the pre-projection source: ORDER BY may
-				// reference input columns that were not selected.
-				comp, err = compileExpr(ob.Expr, src)
-			}
-			if err != nil {
-				return nil, err
-			}
-			comps[k] = comp
+	if len(order) > 0 {
+		idx, err := sortIndex(c, out, order, in)
+		if err != nil {
+			return nil, err
 		}
-		// Compiled comparators only read at fn(i) time, so the parallel
-		// (and, under pressure, disk-merging) stable sort is safe here.
-		idx := bat.SortStable(c, out.NumRows(), func(a, b int) bool {
-			for k, comp := range comps {
-				va, vb := comp.fn(a), comp.fn(b)
-				if va.Equal(vb) {
-					continue
-				}
-				if sel.OrderBy[k].Desc {
-					return vb.Less(va)
-				}
-				return va.Less(vb)
-			}
-			return false
-		})
 		out = out.Gather(c, idx)
 		c.Arena().FreeInts(idx)
 	}
-
 	if sel.Limit >= 0 {
 		out = out.Limit(c, sel.Limit)
 	}
 	return out, nil
+}
+
+// sortIndex materializes every ORDER BY key once, then returns the
+// stable sort permutation of out's rows under them. The comparator only
+// reads the materialized keys, so the parallel (and, under pressure,
+// disk-merging) stable sort is safe.
+func sortIndex(c *exec.Ctx, out *rel.Relation, order []orderKey, in *frame) ([]int, error) {
+	of := relFrame(c, out)
+	keys := make([]*bat.Vector, 0, len(order))
+	defer func() {
+		for k, v := range keys {
+			if order[k].input {
+				in.free(v)
+			} else {
+				of.free(v)
+			}
+		}
+		of.release()
+	}()
+	for _, ok := range order {
+		f := of
+		if ok.input {
+			f = in
+		}
+		v, err := ok.prog.val(f, nil)
+		if err != nil {
+			return nil, err
+		}
+		keys = append(keys, v)
+	}
+	return bat.SortStable(c, out.NumRows(), func(a, b int) bool {
+		for k, v := range keys {
+			desc := order[k].desc
+			switch v.Type() {
+			case bat.Float:
+				x, y := v.Floats()[a], v.Floats()[b]
+				if x == y {
+					continue
+				}
+				if desc {
+					return y < x
+				}
+				return x < y
+			case bat.Int:
+				x, y := v.Ints()[a], v.Ints()[b]
+				if x == y {
+					continue
+				}
+				if desc {
+					return y < x
+				}
+				return x < y
+			default:
+				x, y := v.Strings()[a], v.Strings()[b]
+				if x == y {
+					continue
+				}
+				if desc {
+					return y < x
+				}
+				return x < y
+			}
+		}
+		return false
+	}), nil
 }
 
 // grpQual is the reserved qualifier for grouped columns.

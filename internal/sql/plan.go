@@ -14,8 +14,10 @@ import (
 // (the left spine streams, every join's right side is materialized and
 // indexed), pushes WHERE conjuncts down to the lowest node that can
 // evaluate them, prunes columns nothing above the scans references, and
-// dry-compiles every expression the runtime will evaluate per morsel, so
-// a statement that plans cannot hit a compile error mid-stream. A
+// compiles every expression the runtime evaluates — per morsel, over
+// build sides, over the grouped relation and for ORDER BY — into the
+// plan's column-at-a-time programs (eval.go). Execution never compiles,
+// so a statement that plans cannot hit a compile error mid-stream. A
 // planning error — unknown column, type error, unsupported shape — is
 // the statement's user-visible error.
 
@@ -43,7 +45,13 @@ type streamNode struct {
 	outTypes []bat.Type // types of the emitted columns
 	needed   []int      // leaf/right-side column indexes kept by pruning
 
-	bschema rel.Schema // cached internal-name schema for morsel sources
+	// Compiled by the planner, each bound to the positions of the source
+	// it evaluates over.
+	predProg   []*compiled // pred, over the leaf source
+	rightProg  []*compiled // rightPred, over the build source
+	lkProg     []*compiled // lk, over the left input's morsels
+	rkProg     []*compiled // rk, over the (filtered) build source
+	filterProg []*compiled // residual then post, over this node's morsels
 }
 
 // planNode recursively shapes a table expression: joins keep streaming
@@ -147,29 +155,22 @@ func neededCols(refs []*ColRef, s *source) (idx []int, syms []sym, types []bat.T
 	return idx, syms, types
 }
 
-// check splits every ON clause into equi keys and residual, then
-// dry-compiles all the expressions the streaming runtime will compile
-// per morsel against zero-row prototype sources carrying the final
-// (pruned) symbol tables, so compile errors surface before any morsel
-// is pulled.
-func (n *streamNode) check() error {
+// compile splits every ON clause into equi keys and residual, then
+// compiles every expression the streaming runtime evaluates — against
+// the sources it will run over, carrying the final (pruned) symbol
+// tables — so compile errors surface before any morsel is pulled and no
+// operator ever compiles at run time.
+func (n *streamNode) compile() error {
+	var err error
 	if n.leaf != nil {
-		proto := protoOf(n.leaf)
-		for _, p := range n.pred {
-			if _, err := compileExpr(p, proto); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := n.left.check(); err != nil {
+		n.predProg, err = compileAll(n.pred, n.leaf)
 		return err
 	}
-	rightProto := protoOf(n.right)
-	for _, p := range n.rightPred {
-		if _, err := compileExpr(p, rightProto); err != nil {
-			return err
-		}
+	if err := n.left.compile(); err != nil {
+		return err
+	}
+	if n.rightProg, err = compileAll(n.rightPred, n.right); err != nil {
+		return err
 	}
 	if n.kind != JoinCross {
 		n.lk, n.rk, n.residual = extractEqui(n.on, &source{syms: n.left.outSyms}, &source{syms: n.right.syms})
@@ -181,92 +182,26 @@ func (n *streamNode) check() error {
 			n.residual = []Expr{n.on}
 		}
 	}
-	leftProto := protoSource(n.left.outSyms, n.left.outTypes)
-	for _, e := range n.lk {
-		if _, err := compileExpr(e, leftProto); err != nil {
-			return err
-		}
+	if n.lkProg, err = compileAll(n.lk, protoSource(n.left.outSyms, n.left.outTypes)); err != nil {
+		return err
 	}
-	for _, e := range n.rk {
-		if _, err := compileExpr(e, rightProto); err != nil {
-			return err
-		}
+	if n.rkProg, err = compileAll(n.rk, n.right); err != nil {
+		return err
 	}
-	outProto := protoSource(n.outSyms, n.outTypes)
-	for _, e := range n.residual {
-		if _, err := compileExpr(e, outProto); err != nil {
-			return err
-		}
-	}
-	for _, e := range n.post {
-		if _, err := compileExpr(e, outProto); err != nil {
-			return err
-		}
-	}
-	return nil
+	filters := append(append([]Expr(nil), n.residual...), n.post...)
+	n.filterProg, err = compileAll(filters, protoSource(n.outSyms, n.outTypes))
+	return err
 }
 
-// finalize pre-builds the morsel schema of every node in the tree.
-// planStream calls it once planning succeeds, so concurrent executions
-// of a shared (cached) plan never race on the lazily built bschema.
-func (n *streamNode) finalize() {
-	n.batchSchema()
-	if n.left != nil {
-		n.left.finalize()
-	}
-}
-
-// batchSchema returns the node's internal-name schema for wrapping
-// morsels as expression sources, built once.
-func (n *streamNode) batchSchema() rel.Schema {
-	if n.bschema == nil {
-		n.bschema = make(rel.Schema, len(n.outSyms))
-		for k := range n.outSyms {
-			n.bschema[k] = rel.Attr{Name: internalName(k), Type: n.outTypes[k]}
-		}
-	}
-	return n.bschema
-}
-
-// batchSource wraps one morsel as a source so the ordinary expression
-// compiler evaluates against it with row indexes local to the morsel.
-func (n *streamNode) batchSource(b *bat.Batch) *source {
-	cols := make([]*bat.BAT, b.NumCols())
-	for k := range cols {
-		cols[k] = bat.FromVector(b.Col(k))
-	}
-	return &source{rel: &rel.Relation{Schema: n.batchSchema(), Cols: cols}, syms: n.outSyms}
-}
-
-// protoSource builds a zero-row source with the given symbols and types:
-// a compile target for plan-time checks, since name resolution and
-// typing never depend on row data.
+// protoSource builds a column-less source with the given symbols and
+// types: the compile target of a stream whose morsels carry exactly
+// those columns, since name resolution and typing never touch row data.
 func protoSource(syms []sym, types []bat.Type) *source {
 	schema := make(rel.Schema, len(syms))
-	cols := make([]*bat.BAT, len(syms))
 	for k := range syms {
 		schema[k] = rel.Attr{Name: internalName(k), Type: types[k]}
-		switch types[k] {
-		case bat.Int:
-			cols[k] = bat.FromInts(nil)
-		case bat.String:
-			cols[k] = bat.FromStrings(nil)
-		default:
-			cols[k] = bat.FromFloats(nil)
-		}
 	}
-	return &source{rel: &rel.Relation{Schema: schema, Cols: cols}, syms: syms}
-}
-
-// protoOf is protoSource over an existing source's symbols and types —
-// used so plan-time compiles never touch the source's columns (binding a
-// sparse column would densify it just for a type check).
-func protoOf(s *source) *source {
-	types := make([]bat.Type, len(s.rel.Schema))
-	for k := range s.rel.Schema {
-		types[k] = s.rel.Schema[k].Type
-	}
-	return protoSource(s.syms, types)
+	return &source{rel: &rel.Relation{Schema: schema}, syms: syms}
 }
 
 func typesOfSchema(s rel.Schema) []bat.Type {
@@ -281,27 +216,39 @@ func typesOfSchema(s rel.Schema) []bat.Type {
 // pre-resolved projection or grouping metadata.
 type selectPlan struct {
 	root  *streamNode
-	items []SelectItem // star-expanded working copy (the AST is never mutated)
-
 	group *groupPlan // set when the statement aggregates
 
-	// Non-aggregating projection metadata (group == nil).
+	// The projection, over the root's morsels — or, when the statement
+	// aggregates, over the grouped relation — and its output shape.
+	proj      []*compiled
 	outSchema rel.Schema
 	outSyms   []sym
+	order     []orderKey
 	// sortInput marks an ORDER BY key that resolves only against the
-	// pre-projection columns: the projection keeps them for the sort.
+	// pre-projection columns: the streaming projection keeps them for
+	// the sort.
 	sortInput bool
 }
 
-// groupPlan carries the streaming aggregation shape: grouping key
-// expressions with their resolved names/types, and one AggSpec plus
-// input expression (nil for COUNT(*)) per aggregate call.
+// orderKey is one compiled ORDER BY key. input marks a key compiled
+// against the pre-projection source instead of the projected output.
+type orderKey struct {
+	prog  *compiled
+	input bool
+	desc  bool
+}
+
+// groupPlan carries the streaming aggregation shape: the grouping keys'
+// names, types and programs, one AggSpec plus input program (nil for
+// COUNT(*)) per aggregate call, and HAVING compiled over the grouped
+// relation.
 type groupPlan struct {
-	aggs     []*FuncCall
 	keyNames []string
 	keyTypes []bat.Type
+	keyProg  []*compiled
 	specs    []rel.AggSpec
-	argExprs []Expr
+	argProg  []*compiled
+	having   *compiled
 }
 
 // planStream plans one SELECT for streaming execution. Its error —
@@ -354,66 +301,74 @@ func (db *DB) planStream(c *exec.Ctx, sel *SelectStmt) (*selectPlan, error) {
 	}
 	root.walkOns(func(on Expr) { refs = collectCols(on, refs) })
 	root.prune(refs)
-	if err := root.check(); err != nil {
+	if err := root.compile(); err != nil {
 		return nil, err
 	}
-	root.finalize()
 
-	plan := &selectPlan{root: root, items: items}
-	proto := protoSource(root.outSyms, root.outTypes)
+	plan := &selectPlan{root: root}
+	// src is what the projection runs over: the root's morsels, or the
+	// grouped relation.
+	src := protoSource(root.outSyms, root.outTypes)
 	aggs := findAggregates(items, sel.Having)
 	if len(aggs) > 0 || len(sel.GroupBy) > 0 {
-		gp, err := planGroup(sel, aggs, proto)
+		gp, err := planGroup(sel, aggs, src)
 		if err != nil {
 			return nil, err
+		}
+		src = gp.source()
+		var having Expr
+		items, having = groupedItems(items, sel.GroupBy, aggs, sel.Having)
+		if having != nil {
+			if gp.having, err = compileExpr(having, src); err != nil {
+				return nil, err
+			}
 		}
 		plan.group = gp
-		return plan, nil
-	}
-	if sel.Having != nil {
+	} else if sel.Having != nil {
 		return nil, fmt.Errorf("sql: HAVING without aggregation")
 	}
-	schema, syms, _, err := projectMeta(items, proto)
-	if err != nil {
+	if plan.outSchema, plan.outSyms, plan.proj, err = projectMeta(items, src); err != nil {
 		return nil, err
 	}
-	plan.outSchema, plan.outSyms = schema, syms
 	// ORDER BY keys resolve against the projected output first and,
-	// without DISTINCT, fall back to the input columns — finishOutput's
-	// rule, which the projection then feeds with the kept input.
-	outProto := protoSource(syms, typesOfSchema(schema))
+	// without DISTINCT, fall back to the pre-projection source.
+	outProto := protoSource(plan.outSyms, typesOfSchema(plan.outSchema))
 	for _, ob := range sel.OrderBy {
-		_, err := compileExpr(ob.Expr, outProto)
+		k := orderKey{desc: ob.Desc}
+		k.prog, err = compileExpr(ob.Expr, outProto)
 		if err != nil && !sel.Distinct {
-			_, err = compileExpr(ob.Expr, proto)
-			plan.sortInput = true
+			k.prog, err = compileExpr(ob.Expr, src)
+			k.input = true
 		}
 		if err != nil {
 			return nil, err
 		}
+		plan.sortInput = plan.sortInput || k.input
+		plan.order = append(plan.order, k)
 	}
 	return plan, nil
 }
 
-// planGroup checks the grouping shape and resolves the key and
+// planGroup checks the grouping shape and compiles the key and
 // aggregate-input expressions the streaming group stage evaluates per
 // morsel.
 func planGroup(sel *SelectStmt, aggs []*FuncCall, proto *source) (*groupPlan, error) {
-	gp := &groupPlan{aggs: aggs}
+	gp := &groupPlan{}
 	for k, g := range sel.GroupBy {
-		comp, err := compileExpr(g, proto)
+		p, err := compileExpr(g, proto)
 		if err != nil {
 			return nil, err
 		}
 		gp.keyNames = append(gp.keyNames, fmt.Sprintf("g%d", k))
-		gp.keyTypes = append(gp.keyTypes, comp.typ)
+		gp.keyTypes = append(gp.keyTypes, p.typ)
+		gp.keyProg = append(gp.keyProg, p)
 	}
 	if len(aggs) == 0 {
 		// The grouping operator's own rejection, in its words.
 		return nil, fmt.Errorf("rel: group by without aggregates")
 	}
 	gp.specs = make([]rel.AggSpec, len(aggs))
-	gp.argExprs = make([]Expr, len(aggs))
+	gp.argProg = make([]*compiled, len(aggs))
 	// A string aggregate input is rel.GroupBy's error, in rel's words,
 	// and ranks behind every argument-shape error.
 	var nonNumeric error
@@ -424,15 +379,15 @@ func planGroup(sel *SelectStmt, aggs []*FuncCall, proto *source) (*groupPlan, er
 			if len(a.Args) != 1 {
 				return nil, fmt.Errorf("sql: %s takes one argument", a.Name)
 			}
-			comp, err := compileExpr(a.Args[0], proto)
+			p, err := compileExpr(a.Args[0], proto)
 			if err != nil {
 				return nil, err
 			}
 			spec.Attr = fmt.Sprintf("a%d", k)
-			if comp.typ == bat.String && nonNumeric == nil {
+			if p.typ == bat.String && nonNumeric == nil {
 				nonNumeric = fmt.Errorf("rel: aggregate %v over non-numeric %q", fn, spec.Attr)
 			}
-			gp.argExprs[k] = a.Args[0]
+			gp.argProg[k] = p
 		} else if fn != rel.Count {
 			return nil, fmt.Errorf("sql: %s(*) not supported", a.Name)
 		}
@@ -442,4 +397,22 @@ func planGroup(sel *SelectStmt, aggs []*FuncCall, proto *source) (*groupPlan, er
 		return nil, nonNumeric
 	}
 	return gp, nil
+}
+
+// source is the grouped relation's compile-time source: rel.StreamAgg's
+// output schema — the keys g<k>, then one agg<k> column per aggregate,
+// Int for COUNT and Float otherwise — under the grouped qualifier.
+func (gp *groupPlan) source() *source {
+	schema := make(rel.Schema, 0, len(gp.keyNames)+len(gp.specs))
+	for k, name := range gp.keyNames {
+		schema = append(schema, rel.Attr{Name: name, Type: gp.keyTypes[k]})
+	}
+	for _, sp := range gp.specs {
+		t := bat.Float
+		if sp.Func == rel.Count {
+			t = bat.Int
+		}
+		schema = append(schema, rel.Attr{Name: sp.As, Type: t})
+	}
+	return newSource(&rel.Relation{Schema: schema}, grpQual)
 }

@@ -13,10 +13,13 @@ import (
 // This file is the reference SELECT executor of the differential tests:
 // a deliberately naive, serial evaluator over whole relations. Joins
 // bucket the right side on the printed key value, WHERE filters the
-// whole joined relation, and grouping runs through rel.GroupBy. It
-// shares only compileExpr, groupedItems and finishSelect with the
-// engine — no planner, pushdown, pruning, JoinBuild, StreamAgg or spill
-// — so the streamed engine is checked against an independent evaluation.
+// whole joined relation, and grouping runs through rel.GroupBy. Every
+// expression is evaluated by the row-wise evaluator of rowexpr_test.go.
+// It shares only name resolution, output naming (projectMeta),
+// extractEqui and the grouped-item rewrite with the engine — no
+// planner, pushdown, pruning, column-at-a-time evaluator, JoinBuild,
+// StreamAgg or spill — so the streamed engine is checked against an
+// independent evaluation.
 
 // refQuery evaluates one SELECT over db's catalog with the reference
 // executor.
@@ -57,7 +60,7 @@ func refSelect(db *DB, sel *SelectStmt) (*rel.Relation, error) {
 		if sel.Having != nil {
 			return nil, fmt.Errorf("sql: HAVING without aggregation")
 		}
-		return finishSelect(c, sel, items, src)
+		return refFinish(c, sel, items, src)
 	}
 	if src, err = refGroup(c, src, sel.GroupBy, aggs); err != nil {
 		return nil, err
@@ -68,7 +71,7 @@ func refSelect(db *DB, sel *SelectStmt) (*rel.Relation, error) {
 			return nil, err
 		}
 	}
-	return finishSelect(c, sel, items, src)
+	return refFinish(c, sel, items, src)
 }
 
 // refFrom evaluates a FROM item into a source whose columns carry
@@ -157,17 +160,17 @@ func refJoin(db *DB, x *JoinExpr) (*source, error) {
 // with both zeros and all NaNs folded — the engine's key equality.
 // Strings print quoted, so they never equal a number.
 func refKeys(left, right *source, lk, rk []Expr) (lkeys, rkeys []string, err error) {
-	comps := make([]*compiled, len(lk)+len(rk)) // left keys, then right keys
+	comps := make([]*rowExpr, len(lk)+len(rk)) // left keys, then right keys
 	for k, e := range append(append([]Expr(nil), lk...), rk...) {
 		s := left
 		if k >= len(lk) {
 			s = right
 		}
-		if comps[k], err = compileExpr(e, s); err != nil {
+		if comps[k], err = rowCompile(e, s); err != nil {
 			return nil, nil, err
 		}
 	}
-	printKeys := func(own, other []*compiled, n int) []string {
+	printKeys := func(own, other []*rowExpr, n int) []string {
 		out := make([]string, n)
 		for i := range out {
 			parts := make([]string, len(own))
@@ -191,13 +194,13 @@ func refKeys(left, right *source, lk, rk []Expr) (lkeys, rkeys []string, err err
 
 // refFilter keeps the rows of src on which pred is truthy.
 func refFilter(src *source, pred Expr) (*source, error) {
-	comp, err := compileExpr(pred, src)
+	comp, err := rowCompile(pred, src)
 	if err != nil {
 		return nil, err
 	}
 	var keep []int
 	for i := 0; i < src.rel.NumRows(); i++ {
-		if truthy(comp.fn(i)) {
+		if rowTruthy(comp.fn(i)) {
 			keep = append(keep, i)
 		}
 	}
@@ -213,7 +216,7 @@ func refGroup(c *exec.Ctx, src *source, groupBy []Expr, aggs []*FuncCall) (*sour
 	schema := rel.Schema{{Name: "#rows", Type: bat.Int}}
 	cols := []*bat.BAT{bat.FromInts(make([]int64, n))}
 	add := func(name string, e Expr) error {
-		comp, err := compileExpr(e, src)
+		comp, err := rowCompile(e, src)
 		if err != nil {
 			return err
 		}
@@ -291,4 +294,62 @@ func refSource(syms []sym, cols []*bat.BAT) *source {
 		schema[k] = rel.Attr{Name: internalName(k), Type: col.Type()}
 	}
 	return &source{rel: &rel.Relation{Schema: schema, Cols: cols}, syms: syms}
+}
+
+// refFinish is the projection, DISTINCT, ORDER BY and LIMIT tail over a
+// materialized source. ORDER BY keys resolve against the output and,
+// without DISTINCT, fall back to the source; the comparator evaluates
+// them per comparison.
+func refFinish(c *exec.Ctx, sel *SelectStmt, items []SelectItem, src *source) (*rel.Relation, error) {
+	schema, syms, _, err := projectMeta(items, src)
+	if err != nil {
+		return nil, err
+	}
+	cols := make([]*bat.BAT, len(items))
+	for k, it := range items {
+		e, err := rowCompile(it.Expr, src)
+		if err != nil {
+			return nil, err
+		}
+		cols[k] = rowMaterialize(e, src.rel.NumRows())
+	}
+	out, err := rel.New("", schema, cols)
+	if err != nil {
+		return nil, err
+	}
+	if sel.Distinct {
+		out = out.Distinct(c)
+	}
+	if len(sel.OrderBy) > 0 {
+		outSrc := &source{rel: out, syms: syms}
+		keys := make([]*rowExpr, len(sel.OrderBy))
+		for k, ob := range sel.OrderBy {
+			e, err := rowCompile(ob.Expr, outSrc)
+			if err != nil && !sel.Distinct && src.rel.NumRows() == out.NumRows() {
+				e, err = rowCompile(ob.Expr, src)
+			}
+			if err != nil {
+				return nil, err
+			}
+			keys[k] = e
+		}
+		idx := bat.SortStable(c, out.NumRows(), func(a, b int) bool {
+			for k, e := range keys {
+				va, vb := e.fn(a), e.fn(b)
+				if va.Equal(vb) {
+					continue
+				}
+				if sel.OrderBy[k].Desc {
+					return vb.Less(va)
+				}
+				return va.Less(vb)
+			}
+			return false
+		})
+		out = out.Gather(c, idx)
+	}
+	if sel.Limit >= 0 {
+		out = out.Limit(c, sel.Limit)
+	}
+	return out, nil
 }

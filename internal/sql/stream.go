@@ -35,13 +35,15 @@ type rowStream interface {
 
 // scanStream emits a leaf source one morsel at a time, fusing the
 // pushed-down predicate conjuncts and the column pruning into a single
-// pass: without a predicate morsels are zero-copy views; with one, only
-// the matching rows of the needed columns are gathered (arena-drawn).
+// pass: without a predicate, or where every row of a morsel matches,
+// morsels are zero-copy views; otherwise only the matching rows of the
+// needed columns are gathered (arena-drawn).
 type scanStream struct {
 	vecs     []*bat.Vector // emitted columns, sparse ones densified at open
+	dense    []bool        // vecs entries that are densified (arena) buffers
+	predCols []*bat.Vector // columns the predicate reads, by source position
 	owned    [][]float64   // densified buffers handed back at close
-	preds    []*compiled   // fused predicate, bound to global row indexes
-	idx      []int         // arena scratch for matching rows (nil when no preds)
+	preds    []*compiled   // the planner's compiled conjuncts
 	skip     []bool        // per-segment zone-map prune flags (persisted tables)
 	n, pos   int
 	tr       *exec.StageTracker
@@ -51,7 +53,7 @@ type scanStream struct {
 
 func newScanStream(c *exec.Ctx, n *streamNode, ps *exec.PipelineStats) (*scanStream, error) {
 	src := n.leaf
-	s := &scanStream{n: src.rel.NumRows(), tr: ps.Stage("scan(" + src.rel.Name + ")")}
+	s := &scanStream{n: src.rel.NumRows(), preds: n.predProg, tr: ps.Stage("scan(" + src.rel.Name + ")")}
 	if src.stored != nil && len(n.pred) > 0 {
 		s.skip = segSkips(src.stored, src, n.pred, s.n)
 	}
@@ -63,10 +65,11 @@ func newScanStream(c *exec.Ctx, n *streamNode, ps *exec.PipelineStats) (*scanStr
 	for _, k := range n.needed {
 		touched[k] = true
 	}
+	predCol := make(map[int]bool)
 	for _, p := range n.pred {
 		for _, cr := range collectCols(p, nil) {
 			if k, err := src.resolve(cr.Qualifier, cr.Name); err == nil {
-				touched[k] = true
+				touched[k], predCol[k] = true, true
 			}
 		}
 	}
@@ -74,50 +77,32 @@ func newScanStream(c *exec.Ctx, n *streamNode, ps *exec.PipelineStats) (*scanStr
 	// densified vectors land in s.owned, and a deterministic order keeps
 	// the arena's buffer reuse (and therefore allocation stats) stable
 	// across runs.
-	var repl []*bat.BAT
-	for k := range src.rel.Cols {
-		if !touched[k] || !src.rel.Cols[k].IsSparse() {
+	cols, copied := src.rel.Cols, false
+	for k := range cols {
+		if !touched[k] || !cols[k].IsSparse() {
 			continue
 		}
-		if repl == nil {
-			repl = append([]*bat.BAT(nil), src.rel.Cols...)
+		if !copied {
+			cols, copied = append([]*bat.BAT(nil), cols...), true
 		}
-		v := src.rel.Cols[k].VectorCtx(c)
+		v := cols[k].VectorCtx(c)
 		s.owned = append(s.owned, v.Floats())
 		s.heldOpen += int64(cap(v.Floats())) * 8
-		repl[k] = bat.FromVector(v)
-	}
-	if repl != nil {
-		src = &source{
-			rel:  &rel.Relation{Name: src.rel.Name, Schema: src.rel.Schema, Cols: repl},
-			syms: src.syms,
-		}
+		cols[k] = bat.FromVector(v)
 	}
 	s.tr.Hold(s.heldOpen)
 
 	for _, k := range n.needed {
-		s.vecs = append(s.vecs, src.rel.Cols[k].Vector())
-	}
-	for _, p := range n.pred {
-		comp, err := compileExpr(p, src) // cannot fail: the planner dry-compiled it
-		if err != nil {
-			return nil, err
-		}
-		s.preds = append(s.preds, comp)
+		s.vecs = append(s.vecs, cols[k].Vector())
+		s.dense = append(s.dense, src.rel.Cols[k].IsSparse())
 	}
 	if len(s.preds) > 0 {
-		s.idx = c.Arena().Ints(bat.MorselSize)
-	}
-	return s, nil
-}
-
-func (s *scanStream) match(i int) bool {
-	for _, p := range s.preds {
-		if !truthy(p.fn(i)) {
-			return false
+		s.predCols = make([]*bat.Vector, len(cols))
+		for k := range predCol {
+			s.predCols[k] = cols[k].Vector()
 		}
 	}
-	return true
+	return s, nil
 }
 
 func (s *scanStream) next(c *exec.Ctx) (*bat.Batch, error) {
@@ -134,26 +119,48 @@ func (s *scanStream) next(c *exec.Ctx) (*bat.Batch, error) {
 		lo := s.pos
 		hi := min(lo+bat.MorselSize, s.n)
 		s.pos = hi
-		if s.preds == nil {
-			b := bat.NewBatch(hi - lo)
-			for _, v := range s.vecs {
+		var idx []int
+		if len(s.preds) > 0 {
+			f := &frame{c: c, n: hi - lo, cols: make([]*bat.Vector, len(s.predCols))}
+			for k, v := range s.predCols {
+				if v != nil {
+					f.cols[k] = v.View(lo, hi)
+				}
+			}
+			var err error
+			idx, err = f.filter(s.preds)
+			f.release()
+			if err != nil {
+				return nil, err
+			}
+			if len(idx) == hi-lo {
+				f.freeRows(idx)
+				idx = nil
+			} else if len(idx) == 0 {
+				f.freeRows(idx)
+				continue
+			}
+		}
+		rows := hi - lo
+		if idx != nil {
+			rows = len(idx)
+		}
+		b := bat.NewBatch(rows)
+		for k, v := range s.vecs {
+			switch {
+			case idx != nil:
+				b.AddCol(v.View(lo, hi).Gather(c, idx), true)
+			case s.dense[k]:
+				// A densified buffer goes back to the arena at close, so
+				// it leaves the scan as a copy: a view column promises
+				// storage that outlives the statement.
+				b.AddCol(cloneVec(c, v.View(lo, hi)), true)
+			default:
 				b.AddCol(v.View(lo, hi), false)
 			}
-			s.tr.Batch(b.Len(), 0)
-			return b, nil
 		}
-		idx := s.idx[:0]
-		for i := lo; i < hi; i++ {
-			if s.match(i) {
-				idx = append(idx, i)
-			}
-		}
-		if len(idx) == 0 {
-			continue
-		}
-		b := bat.NewBatch(len(idx))
-		for _, v := range s.vecs {
-			b.AddCol(v.Gather(c, idx), true)
+		if idx != nil {
+			c.Arena().FreeInts(idx)
 		}
 		s.prev = b.Bytes()
 		s.tr.Batch(b.Len(), s.prev)
@@ -169,10 +176,6 @@ func (s *scanStream) close(c *exec.Ctx) {
 		c.Arena().FreeFloats(f)
 	}
 	s.owned = nil
-	if s.idx != nil {
-		c.Arena().FreeInts(s.idx)
-		s.idx = nil
-	}
 }
 
 // --- filter ----------------------------------------------------------------
@@ -183,15 +186,13 @@ func (s *scanStream) close(c *exec.Ctx) {
 // fresh arena-backed batch.
 type filterStream struct {
 	in    rowStream
-	node  *streamNode
-	preds []Expr
-	idx   []int
+	preds []*compiled
 	tr    *exec.StageTracker
 	prev  int64
 }
 
-func newFilterStream(c *exec.Ctx, in rowStream, n *streamNode, preds []Expr, ps *exec.PipelineStats) *filterStream {
-	return &filterStream{in: in, node: n, preds: preds, idx: c.Arena().Ints(bat.MorselSize), tr: ps.Stage("filter")}
+func newFilterStream(in rowStream, preds []*compiled, ps *exec.PipelineStats) *filterStream {
+	return &filterStream{in: in, preds: preds, tr: ps.Stage("filter")}
 }
 
 func (f *filterStream) next(c *exec.Ctx) (*bat.Batch, error) {
@@ -202,29 +203,20 @@ func (f *filterStream) next(c *exec.Ctx) (*bat.Batch, error) {
 		if err != nil || mb == nil {
 			return nil, err
 		}
-		msrc := f.node.batchSource(mb)
-		comps := make([]*compiled, len(f.preds))
-		for k, p := range f.preds {
-			if comps[k], err = compileExpr(p, msrc); err != nil {
-				mb.Release(c)
-				return nil, err
-			}
+		fr := batchFrame(c, mb)
+		idx, err := fr.filter(f.preds)
+		fr.release()
+		if err != nil {
+			mb.Release(c)
+			return nil, err
 		}
-		idx := f.idx[:0]
-	rows:
-		for i := 0; i < mb.Len(); i++ {
-			for _, comp := range comps {
-				if !truthy(comp.fn(i)) {
-					continue rows
-				}
-			}
-			idx = append(idx, i)
-		}
-		switch {
-		case len(idx) == 0:
+		switch len(idx) {
+		case 0:
+			fr.freeRows(idx)
 			mb.Release(c)
 			continue
-		case len(idx) == mb.Len():
+		case mb.Len():
+			fr.freeRows(idx)
 			f.tr.Batch(mb.Len(), 0)
 			return mb, nil
 		}
@@ -232,6 +224,7 @@ func (f *filterStream) next(c *exec.Ctx) (*bat.Batch, error) {
 		for k := 0; k < mb.NumCols(); k++ {
 			out.AddCol(mb.Col(k).Gather(c, idx), true)
 		}
+		fr.freeRows(idx)
 		mb.Release(c)
 		f.prev = out.Bytes()
 		f.tr.Batch(out.Len(), f.prev)
@@ -243,10 +236,6 @@ func (f *filterStream) close(c *exec.Ctx) {
 	f.tr.Unhold(f.prev)
 	f.prev = 0
 	f.in.close(c)
-	if f.idx != nil {
-		c.Arena().FreeInts(f.idx)
-		f.idx = nil
-	}
 }
 
 // --- equi-join -------------------------------------------------------------
@@ -258,9 +247,11 @@ type joinStream struct {
 	in        rowStream
 	node      *streamNode
 	jb        *rel.JoinBuild
+	build     *frame        // the build side the key programs ran over
+	buildKeys []*bat.Vector // evaluated build keys, indexed by jb until close
 	buildVecs []*bat.Vector // needed build columns, sparse ones densified
 	buildOwn  [][]float64
-	filtered  []*rel.Relation // pushed-down-filter intermediates, freed at close
+	filtered  *rel.Relation // pushed-down-filter intermediate, freed at close
 	leftOuter bool
 	tr        *exec.StageTracker
 	prev      int64
@@ -268,29 +259,27 @@ type joinStream struct {
 }
 
 func newJoinStream(c *exec.Ctx, n *streamNode, in rowStream, ps *exec.PipelineStats) (*joinStream, error) {
-	right := n.right
-	var filtered []*rel.Relation
-	var err error
-	for _, p := range n.rightPred {
-		if right, err = filterSource(c, right, p); err != nil {
-			freeFiltered(c, filtered)
+	right, filtered, err := filterBuild(c, n)
+	if err != nil {
+		return nil, err
+	}
+	j := &joinStream{in: in, node: n, filtered: filtered, build: relFrame(c, right), leftOuter: n.kind == JoinLeft, tr: ps.Stage("join")}
+	keys := make([]*bat.BAT, len(n.rkProg))
+	for k, p := range n.rkProg {
+		v, err := p.val(j.build, nil)
+		if err != nil {
+			j.freeBuild(c)
 			return nil, err
 		}
-		filtered = append(filtered, right.rel)
+		j.buildKeys = append(j.buildKeys, v)
+		keys[k] = bat.FromVector(v)
 	}
-	keys, err := keyCols(right, n.rk)
-	if err != nil {
-		freeFiltered(c, filtered)
+	if j.jb, err = rel.NewJoinBuild(c, keys, right.NumRows()); err != nil {
+		j.freeBuild(c)
 		return nil, err
 	}
-	jb, err := rel.NewJoinBuild(c, keys, right.rel.NumRows())
-	if err != nil {
-		freeFiltered(c, filtered)
-		return nil, err
-	}
-	j := &joinStream{in: in, node: n, jb: jb, filtered: filtered, leftOuter: n.kind == JoinLeft, tr: ps.Stage("join")}
 	for _, k := range n.needed {
-		col := right.rel.Cols[k]
+		col := right.Cols[k]
 		v := col.VectorCtx(c)
 		if col.IsSparse() {
 			j.buildOwn = append(j.buildOwn, v.Floats())
@@ -310,20 +299,24 @@ func (j *joinStream) next(c *exec.Ctx) (*bat.Batch, error) {
 		if err != nil || mb == nil {
 			return nil, err
 		}
-		msrc := j.node.left.batchSource(mb)
-		keys := make([]*bat.BAT, len(j.node.lk))
-		for k, e := range j.node.lk {
-			comp, err := compileExpr(e, msrc)
-			if err != nil {
-				mb.Release(c)
-				return nil, err
+		f := batchFrame(c, mb)
+		keys := make([]*bat.BAT, 0, len(j.node.lkProg))
+		for _, p := range j.node.lkProg {
+			v, verr := p.val(f, nil)
+			if err = verr; err != nil {
+				break
 			}
-			keys[k] = bat.FromVector(materializeVec(c, comp, mb.Len()))
+			keys = append(keys, bat.FromVector(v))
 		}
-		li, ri, anyUnmatched, err := j.jb.Probe(c, keys, j.leftOuter)
+		var li, ri []int
+		var anyUnmatched bool
+		if err == nil {
+			li, ri, anyUnmatched, err = j.jb.Probe(c, keys, j.leftOuter)
+		}
 		for _, kb := range keys {
-			freeVec(c, kb.Vector())
+			f.free(kb.Vector())
 		}
+		f.release()
 		if err != nil {
 			mb.Release(c)
 			return nil, err
@@ -351,20 +344,32 @@ func (j *joinStream) next(c *exec.Ctx) (*bat.Batch, error) {
 	}
 }
 
-func (j *joinStream) close(c *exec.Ctx) {
-	j.tr.Unhold(j.prev + j.heldOpen)
-	j.prev, j.heldOpen = 0, 0
-	j.in.close(c)
+// freeBuild hands back the build side: the hash index, then the
+// evaluated keys it indexed, then the filtered relation they may alias.
+func (j *joinStream) freeBuild(c *exec.Ctx) {
 	if j.jb != nil {
 		j.jb.Release(c)
 		j.jb = nil
 	}
+	for _, v := range j.buildKeys {
+		j.build.free(v)
+	}
+	j.buildKeys = nil
+	j.build.release()
+	freeFiltered(c, j.filtered)
+	j.filtered = nil
+}
+
+func (j *joinStream) close(c *exec.Ctx) {
+	j.tr.Unhold(j.prev + j.heldOpen)
+	j.prev, j.heldOpen = 0, 0
+	j.in.close(c)
 	for _, f := range j.buildOwn {
 		c.Arena().FreeFloats(f)
 	}
 	j.buildOwn = nil
-	freeFiltered(c, j.filtered)
-	j.filtered, j.buildVecs = nil, nil
+	j.freeBuild(c)
+	j.buildVecs = nil
 }
 
 // --- cross join ------------------------------------------------------------
@@ -376,7 +381,7 @@ type crossStream struct {
 	in        rowStream
 	rightVecs []*bat.Vector
 	rightOwn  [][]float64
-	filtered  []*rel.Relation // pushed-down-filter intermediates, freed at close
+	filtered  *rel.Relation // pushed-down-filter intermediate, freed at close
 	nr        int
 	cur       *bat.Batch // left morsel currently being expanded
 	i, j      int        // cursor into cur × right
@@ -387,23 +392,17 @@ type crossStream struct {
 }
 
 func newCrossStream(c *exec.Ctx, n *streamNode, in rowStream, ps *exec.PipelineStats) (*crossStream, error) {
-	right := n.right
-	var filtered []*rel.Relation
-	var err error
-	for _, p := range n.rightPred {
-		if right, err = filterSource(c, right, p); err != nil {
-			freeFiltered(c, filtered)
-			return nil, err
-		}
-		filtered = append(filtered, right.rel)
+	right, filtered, err := filterBuild(c, n)
+	if err != nil {
+		return nil, err
 	}
 	x := &crossStream{
-		in: in, nr: right.rel.NumRows(), filtered: filtered,
+		in: in, nr: right.NumRows(), filtered: filtered,
 		li: c.Arena().Ints(bat.MorselSize), ri: c.Arena().Ints(bat.MorselSize),
 		tr: ps.Stage("cross"),
 	}
 	for _, k := range n.needed {
-		col := right.rel.Cols[k]
+		col := right.Cols[k]
 		v := col.VectorCtx(c)
 		if col.IsSparse() {
 			x.rightOwn = append(x.rightOwn, v.Floats())
@@ -477,48 +476,36 @@ func (x *crossStream) close(c *exec.Ctx) {
 
 // --- helpers ---------------------------------------------------------------
 
-// materializeVec evaluates a compiled expression over one morsel into an
-// arena-drawn vector of the expression's type.
-func materializeVec(c *exec.Ctx, comp *compiled, n int) *bat.Vector {
-	switch comp.typ {
-	case bat.Int:
-		out := c.Arena().Int64s(n)
-		for i := 0; i < n; i++ {
-			out[i] = comp.fn(i).I
-		}
-		return bat.NewIntVector(out)
-	case bat.String:
-		out := c.Arena().Strings(n)
-		for i := 0; i < n; i++ {
-			out[i] = comp.fn(i).S
-		}
-		return bat.NewStringVector(out)
-	default:
-		out := c.Arena().Floats(n)
-		for i := 0; i < n; i++ {
-			out[i] = comp.fn(i).F
-		}
-		return bat.NewFloatVector(out)
+// filterBuild applies a join node's pushed-down build filters. It
+// returns the build relation and, when filtering gathered a new one, that
+// intermediate for freeFiltered.
+func filterBuild(c *exec.Ctx, n *streamNode) (right, filtered *rel.Relation, err error) {
+	if len(n.rightProg) == 0 {
+		return n.right.rel, nil, nil
 	}
+	if filtered, err = filterRel(c, n.right.rel, n.rightProg); err != nil {
+		return nil, nil, err
+	}
+	return filtered, filtered, nil
 }
 
-// freeFiltered hands back the build-side relations a pushed-down filter
-// materialized (rel.Select gathers every column into arena buffers).
-// The whole chain of intermediates is freed together at close: a later
-// filter gathers from the previous relation, and the final relation's
-// dense columns are aliased by buildVecs/rightVecs until the last probe.
-// Sparse gather results are plain heap slices and have nothing to return.
-func freeFiltered(c *exec.Ctx, rels []*rel.Relation) {
-	for _, r := range rels {
-		for _, col := range r.Cols {
-			if !col.IsSparse() {
-				freeVec(c, col.Vector())
-			}
+// freeFiltered hands back a build-side relation a pushed-down filter
+// gathered into arena buffers. It is freed at close: its dense columns
+// are aliased by buildVecs/rightVecs (and by evaluated build keys) until
+// the last probe. Sparse gather results are plain heap slices and have
+// nothing to return. Nil-safe.
+func freeFiltered(c *exec.Ctx, r *rel.Relation) {
+	if r == nil {
+		return
+	}
+	for _, col := range r.Cols {
+		if !col.IsSparse() {
+			freeVec(c, col.Vector())
 		}
 	}
 }
 
-// freeVec hands a materializeVec (or Gather) buffer back to the arena.
+// freeVec hands an arena-drawn vector back to the arena.
 func freeVec(c *exec.Ctx, v *bat.Vector) {
 	switch v.Type() {
 	case bat.Int:
@@ -528,23 +515,6 @@ func freeVec(c *exec.Ctx, v *bat.Vector) {
 	default:
 		c.Arena().FreeFloats(v.Floats())
 	}
-}
-
-// aggInput evaluates one aggregate argument over a morsel into an
-// arena-drawn float column, converting ints with the exact float64(int)
-// conversion rel.GroupBy's FloatsCtx applies.
-func aggInput(c *exec.Ctx, comp *compiled, n int) []float64 {
-	out := c.Arena().Floats(n)
-	if comp.typ == bat.Int {
-		for i := 0; i < n; i++ {
-			out[i] = float64(comp.fn(i).I)
-		}
-		return out
-	}
-	for i := 0; i < n; i++ {
-		out[i] = comp.fn(i).F
-	}
-	return out
 }
 
 // gatherVecPadded gathers v at idx into an arena buffer; pad marks that
@@ -614,8 +584,8 @@ func (db *DB) openStream(c *exec.Ctx, n *streamNode, ps *exec.PipelineStats) (ro
 		in.close(c)
 		return nil, err
 	}
-	if filters := append(append([]Expr(nil), n.residual...), n.post...); len(filters) > 0 {
-		out = newFilterStream(c, out, n, filters, ps)
+	if len(n.filterProg) > 0 {
+		out = newFilterStream(out, n.filterProg, ps)
 	}
 	return out, nil
 }
@@ -638,63 +608,123 @@ func (db *DB) execPlanned(c *exec.Ctx, sel *SelectStmt, plan *selectPlan) (*rel.
 	return runStreamProject(c, sel, plan, st, ps)
 }
 
-// colBuf grows one plain heap column across morsels.
+// colBuf collects one output column across morsels as a list of parts
+// and concatenates them once, at the exact final length. A part that
+// views storage outliving the statement is kept as is, and consecutive
+// views of one stored column merge, so a column that streams unfiltered
+// out of one stored column is returned without a copy. Any other part is
+// an arena vector, handed back after the concatenation.
 type colBuf struct {
-	typ bat.Type
-	f   []float64
-	i   []int64
-	s   []string
+	typ   bat.Type
+	parts []*bat.Vector
+	owned []bool
 }
 
-// addCompiled appends a compiled expression's values over n morsel rows.
-func (b *colBuf) addCompiled(comp *compiled, n int) {
+// add appends one morsel's column. stable marks a view of storage that
+// outlives the statement; owned an arena vector the buffer takes over.
+// Anything else is copied into the arena, since it dies with its morsel.
+func (b *colBuf) add(c *exec.Ctx, v *bat.Vector, stable, owned bool) {
+	if stable {
+		if k := len(b.parts) - 1; k >= 0 && !b.owned[k] {
+			if w, ok := adjoin(b.parts[k], v); ok {
+				b.parts[k] = w
+				return
+			}
+		}
+		b.parts, b.owned = append(b.parts, v), append(b.owned, false)
+		return
+	}
+	if !owned {
+		v = cloneVec(c, v)
+	}
+	b.parts, b.owned = append(b.parts, v), append(b.owned, true)
+}
+
+// vector concatenates the parts into the final column of rows values.
+func (b *colBuf) vector(c *exec.Ctx, rows int) *bat.Vector {
+	var out *bat.Vector
 	switch b.typ {
 	case bat.Int:
-		for r := 0; r < n; r++ {
-			b.i = append(b.i, comp.fn(r).I)
+		out = bat.NewIntVector(concat(b, rows, (*bat.Vector).Ints))
+	case bat.String:
+		out = bat.NewStringVector(concat(b, rows, (*bat.Vector).Strings))
+	default:
+		out = bat.NewFloatVector(concat(b, rows, (*bat.Vector).Floats))
+	}
+	for k, p := range b.parts {
+		if b.owned[k] {
+			freeVec(c, p)
+		}
+	}
+	b.parts, b.owned = nil, nil
+	return out
+}
+
+func concat[T any](b *colBuf, rows int, data func(*bat.Vector) []T) []T {
+	if len(b.parts) == 1 && !b.owned[0] {
+		return data(b.parts[0])[:rows:rows]
+	}
+	out := make([]T, rows)
+	at := 0
+	for _, p := range b.parts {
+		at += copy(out[at:], data(p))
+	}
+	return out
+}
+
+// adjoin extends view a by view w when w starts right where a ends in
+// a's backing array.
+func adjoin(a, w *bat.Vector) (*bat.Vector, bool) {
+	switch a.Type() {
+	case bat.Int:
+		if s, ok := adjoinSlice(a.Ints(), w.Ints()); ok {
+			return bat.NewIntVector(s), true
 		}
 	case bat.String:
-		for r := 0; r < n; r++ {
-			b.s = append(b.s, comp.fn(r).S)
+		if s, ok := adjoinSlice(a.Strings(), w.Strings()); ok {
+			return bat.NewStringVector(s), true
 		}
 	default:
-		for r := 0; r < n; r++ {
-			b.f = append(b.f, comp.fn(r).F)
+		if s, ok := adjoinSlice(a.Floats(), w.Floats()); ok {
+			return bat.NewFloatVector(s), true
 		}
 	}
+	return nil, false
 }
 
-// addVector appends a morsel column.
-func (b *colBuf) addVector(v *bat.Vector) {
-	switch b.typ {
-	case bat.Int:
-		b.i = append(b.i, v.Ints()...)
-	case bat.String:
-		b.s = append(b.s, v.Strings()...)
-	default:
-		b.f = append(b.f, v.Floats()...)
+func adjoinSlice[T any](a, w []T) ([]T, bool) {
+	if len(a) == 0 || len(w) == 0 || cap(a)-len(a) < len(w) {
+		return nil, false
 	}
+	ext := a[:len(a)+len(w)]
+	return ext, &ext[len(a)] == &w[0]
 }
 
-func (b *colBuf) bat(rows int) *bat.BAT {
-	switch b.typ {
+// cloneVec copies v into an arena vector.
+func cloneVec(c *exec.Ctx, v *bat.Vector) *bat.Vector {
+	switch v.Type() {
 	case bat.Int:
-		return bat.FromInts(b.i[:rows:rows])
+		out := c.Arena().Int64s(v.Len())
+		copy(out, v.Ints())
+		return bat.NewIntVector(out)
 	case bat.String:
-		return bat.FromStrings(b.s[:rows:rows])
+		out := c.Arena().Strings(v.Len())
+		copy(out, v.Strings())
+		return bat.NewStringVector(out)
 	}
-	return bat.FromFloats(b.f[:rows:rows])
+	out := c.Arena().Floats(v.Len())
+	copy(out, v.Floats())
+	return bat.NewFloatVector(out)
 }
 
 // runStreamProject drains the stream through the per-morsel projection:
-// every select item is compiled against each morsel and appended to
-// plain output columns. When an ORDER BY key needs unselected input
-// columns, the morsels' (pruned) input columns are kept alongside and
-// handed to finishOutput as its fallback source. Without DISTINCT or
-// ORDER BY, a LIMIT stops the pull as soon as enough rows have been
-// produced.
+// every select item's program evaluates over each morsel, and its vector
+// is appended to a plain output column. When an ORDER BY key needs
+// unselected input columns, the morsels' (pruned) input columns are kept
+// alongside for finishOutput. Without DISTINCT or ORDER BY, a LIMIT
+// stops the pull as soon as enough rows have been produced.
 func runStreamProject(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, st rowStream, ps *exec.PipelineStats) (*rel.Relation, error) {
-	out := make([]colBuf, len(plan.items))
+	out := make([]colBuf, len(plan.proj))
 	for k := range out {
 		out[k].typ = plan.outSchema[k].Type
 	}
@@ -716,49 +746,50 @@ func runStreamProject(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, st rowStre
 		if mb == nil {
 			break
 		}
-		msrc := plan.root.batchSource(mb)
-		mn := mb.Len()
-		for k, it := range plan.items {
-			comp, err := compileExpr(it.Expr, msrc)
+		f := batchFrame(c, mb)
+		for k, p := range plan.proj {
+			v, err := p.val(f, nil)
 			if err != nil {
+				f.release()
 				mb.Release(c)
 				return nil, err
 			}
-			out[k].addCompiled(comp, mn)
+			col := f.input(v)
+			out[k].add(c, v, col >= 0 && !mb.Owned(col), col < 0)
 		}
+		f.release()
 		for k := range in {
-			in[k].addVector(mb.Col(k))
+			in[k].add(c, mb.Col(k), !mb.Owned(k), false)
 		}
-		rows += mn
-		tr.Batch(mn, 0)
+		rows += mb.Len()
+		tr.Batch(mb.Len(), 0)
 		mb.Release(c)
 	}
 	outCols := make([]*bat.BAT, len(out))
 	for k := range out {
-		outCols[k] = out[k].bat(rows)
+		outCols[k] = bat.FromVector(out[k].vector(c, rows))
 	}
 	res, err := rel.New("", plan.outSchema, outCols)
 	if err != nil {
 		return nil, err
 	}
-	var inSrc *source
+	var inFrame *frame
 	if in != nil {
-		inCols := make([]*bat.BAT, len(in))
+		inFrame = &frame{c: c, n: rows, cols: make([]*bat.Vector, len(in))}
 		for k := range in {
-			inCols[k] = in[k].bat(rows)
+			inFrame.cols[k] = in[k].vector(c, rows)
 		}
-		inSrc = &source{rel: &rel.Relation{Schema: plan.root.batchSchema(), Cols: inCols}, syms: plan.root.outSyms}
+		defer inFrame.release()
 	}
-	return finishOutput(c, sel, res, plan.outSyms, inSrc)
+	return finishOutput(c, sel, res, plan.order, inFrame)
 }
 
 // runStreamGrouped drains the stream into the streaming aggregation
 // accumulator — bitwise-identical to rel.GroupBy over the whole input —
-// then finishes over the grouped relation: rewrite aggregate and key
-// expressions into grouped-column references, apply HAVING, and run the
-// projection/ORDER BY/LIMIT tail. The accumulator is bound to the
-// statement context, so a group table that outgrows the spill threshold
-// degrades to disk.
+// then finishes over the grouped relation: HAVING, the projection, and
+// the ORDER BY/LIMIT tail, all compiled by the planner against the
+// grouped schema. The accumulator is bound to the statement context, so
+// a group table that outgrows the spill threshold degrades to disk.
 func (db *DB) runStreamGrouped(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, st rowStream, ps *exec.PipelineStats) (*rel.Relation, error) {
 	gp := plan.group
 	sa, err := rel.NewStreamAgg(c, "", gp.keyNames, gp.keyTypes, gp.specs)
@@ -766,8 +797,9 @@ func (db *DB) runStreamGrouped(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, s
 		return nil, err
 	}
 	tr := ps.Stage("group")
-	keyVecs := make([]*bat.Vector, len(gp.keyNames))
-	aggIn := make([][]float64, len(gp.specs))
+	keyVecs := make([]*bat.Vector, len(gp.keyProg))
+	aggVecs := make([]*bat.Vector, len(gp.argProg))
+	aggIn := make([][]float64, len(gp.argProg))
 	for {
 		mb, err := st.next(c)
 		if err != nil {
@@ -776,43 +808,31 @@ func (db *DB) runStreamGrouped(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, s
 		if mb == nil {
 			break
 		}
-		msrc := plan.root.batchSource(mb)
-		mn := mb.Len()
-		for k, g := range sel.GroupBy {
-			comp, err := compileExpr(g, msrc)
-			if err != nil {
-				mb.Release(c)
-				return nil, err
-			}
-			keyVecs[k] = materializeVec(c, comp, mn)
-		}
-		for k, e := range gp.argExprs {
-			if e == nil {
+		f := batchFrame(c, mb)
+		err = groupInputs(f, gp, keyVecs, aggVecs)
+		if err == nil {
+			for k, v := range aggVecs {
 				aggIn[k] = nil
-				continue
+				if v != nil {
+					aggIn[k] = v.Floats()
+				}
 			}
-			comp, err := compileExpr(e, msrc)
-			if err != nil {
-				mb.Release(c)
-				return nil, err
-			}
-			aggIn[k] = aggInput(c, comp, mn)
+			err = sa.Consume(keyVecs, aggIn, mb.Len())
 		}
-		if err := sa.Consume(keyVecs, aggIn, mn); err != nil {
+		for _, vs := range [][]*bat.Vector{keyVecs, aggVecs} {
+			for k, v := range vs {
+				if v != nil {
+					f.free(v)
+					vs[k] = nil
+				}
+			}
+		}
+		f.release()
+		if err != nil {
 			mb.Release(c)
 			return nil, err
 		}
-		for k, v := range keyVecs {
-			freeVec(c, v)
-			keyVecs[k] = nil
-		}
-		for k, f := range aggIn {
-			if f != nil {
-				c.Arena().FreeFloats(f)
-				aggIn[k] = nil
-			}
-		}
-		tr.Batch(mn, 0)
+		tr.Batch(mb.Len(), 0)
 		mb.Release(c)
 	}
 	grouped, err := sa.Finish()
@@ -824,13 +844,49 @@ func (db *DB) runStreamGrouped(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, s
 	if len(gp.keyNames) == 0 && grouped.NumRows() == 0 {
 		grouped = zeroAggRow(grouped)
 	}
-	src := newSource(grouped, grpQual)
-
-	items, having := groupedItems(plan.items, sel.GroupBy, gp.aggs, sel.Having)
-	if having != nil {
-		if src, err = filterSource(c, src, having); err != nil {
+	if gp.having != nil {
+		if grouped, err = filterRel(c, grouped, []*compiled{gp.having}); err != nil {
 			return nil, err
 		}
 	}
-	return finishSelect(c, sel, items, src)
+	f := relFrame(c, grouped)
+	defer f.release()
+	cols := make([]*bat.BAT, len(plan.proj))
+	for k, p := range plan.proj {
+		v, err := p.val(f, nil)
+		if err != nil {
+			return nil, err
+		}
+		cols[k] = bat.FromVector(v)
+	}
+	out, err := rel.New("", plan.outSchema, cols)
+	if err != nil {
+		return nil, err
+	}
+	return finishOutput(c, sel, out, plan.order, f)
+}
+
+// groupInputs evaluates one morsel's grouping keys and aggregate inputs,
+// the latter converted to float64 exactly as rel.GroupBy's FloatsCtx
+// converts an int column. Entries stay nil for COUNT(*), and for
+// everything after a failing program.
+func groupInputs(f *frame, gp *groupPlan, keyVecs, aggVecs []*bat.Vector) error {
+	for k, p := range gp.keyProg {
+		v, err := p.val(f, nil)
+		if err != nil {
+			return err
+		}
+		keyVecs[k] = v
+	}
+	for k, p := range gp.argProg {
+		if p == nil {
+			continue
+		}
+		v, err := p.val(f, nil)
+		if err != nil {
+			return err
+		}
+		aggVecs[k] = f.asFloats(v, nil)
+	}
+	return nil
 }
