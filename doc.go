@@ -101,9 +101,10 @@
 // pooling — the owner's ledger and byte count are settled immediately
 // rather than at owner close, while the buffer itself still goes to the
 // garbage collector, never into another tenant's pools. Known limit:
-// the typed join-key hash slices bypass the arena deliberately — there
-// is no uint64 pool domain, and adding one for a single call site would
-// cost more in pool bookkeeping than the allocation it saves.
+// the typed key-hash slices (per-row hashes, and the hashes a hash
+// index stores beside its arena-drawn head/next arrays) bypass the
+// arena deliberately — there is no uint64 pool domain, and adding one
+// would cost more in pool bookkeeping than the allocations it saves.
 //
 // The surface is observable end to end: core.Options{Tenant,
 // MemoryBudget, Governor} governs one invocation and snapshots the
@@ -115,11 +116,12 @@
 //
 // The relational operators run on the same substrate:
 //
-//   - rel.HashJoin is a hash-partitioned join over typed 64-bit key
-//     hashes (no per-row string keys): the build side is
-//     radix-partitioned in two parallel passes, and the probe runs as a
-//     parallel count pass plus a parallel scatter through per-row output
-//     offsets. Output order is canonical — probe rows in left order,
+//   - rel.HashJoin is a hash join over typed 64-bit key hashes (no
+//     per-row string keys), hashed column at a time: the build side is
+//     indexed in one flat head/next hash index drawn from the arena
+//     (rel/hashtab.go, the same index under every group table and
+//     Distinct), and the probe runs as a parallel count pass plus a
+//     parallel scatter through per-row output offsets. Output order is canonical — probe rows in left order,
 //     matches per row in build order — at any worker budget.
 //   - rel.GroupBy folds rows into per-chunk partial aggregation tables
 //     over fixed chunks of bat.SerialCutoff rows, merged in ascending
@@ -178,11 +180,11 @@
 // filter→join→group pipeline holds one morsel per stage plus the join
 // build and aggregation tables — peak arena bytes become the maximum
 // across stages instead of the sum of full intermediates. Hash joins
-// build once via rel.JoinBuild sized from the (pruned, pre-filtered)
-// build side and probe per morsel; under a parallel budget a build side
-// above bat.SerialCutoff rows is radix-partitioned on its key hashes and
-// the partitions are indexed in parallel. Aggregations fold morsels into
-// rel.StreamAgg, which buffers rows into the same
+// build once via rel.JoinBuild over the (pruned, pre-filtered) build
+// side — one serial pass into the flat hash index, charged to the
+// statement's arena until the join drains — and probe per morsel.
+// Aggregations fold morsels into rel.StreamAgg, whose group table is
+// the same flat index and which buffers rows into the same
 // bat.SerialCutoff-aligned chunks as rel.GroupBy regardless of morsel
 // boundaries. Both therefore keep the determinism contract: probe
 // output stays in probe-row order with matches in build order, chunked

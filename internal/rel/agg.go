@@ -101,28 +101,26 @@ type aggGroup struct {
 	st  []aggState
 }
 
-// aggTable accumulates groups in first-seen order with hash lookup; the
-// same structure serves the per-chunk partials and the merged result.
+// aggTable accumulates groups in first-seen order, indexed by key hash
+// in the flat hash index; the same structure serves the per-chunk
+// partials and the merged result.
 type aggTable struct {
 	groups []aggGroup
-	byHash map[uint64][]int // hash -> indices into groups
-}
-
-func newAggTable(hint int) *aggTable {
-	return &aggTable{byHash: make(map[uint64][]int, hint)}
+	index  *hashIndex
 }
 
 // find returns the group of row i (keyed by kc/h), creating it when absent.
-func (t *aggTable) find(kc *keyCols, h []uint64, i, nAggs int) *aggGroup {
+func (t *aggTable) find(c *exec.Ctx, kc *keyCols, h []uint64, i, nAggs int) *aggGroup {
 	hv := h[i]
-	for _, g := range t.byHash[hv] {
-		if kc.equal(i, kc, t.groups[g].row) {
-			return &t.groups[g]
-		}
+	g := t.index.find(hv)
+	for g >= 0 && !kc.equal(i, kc, t.groups[g].row) {
+		g = t.index.findNext(g, hv)
 	}
-	t.byHash[hv] = append(t.byHash[hv], len(t.groups))
-	t.groups = append(t.groups, aggGroup{row: i, st: newAggStates(nAggs)})
-	return &t.groups[len(t.groups)-1]
+	if g < 0 {
+		g = t.index.add(c, hv)
+		t.groups = append(t.groups, aggGroup{row: i, st: newAggStates(nAggs)})
+	}
+	return &t.groups[g]
 }
 
 // GroupBy computes ϑ: grouping on the key attributes (none means a single
@@ -196,7 +194,7 @@ func GroupBy(c *exec.Ctx, r *Relation, keys []string, aggs []AggSpec) (res *Rela
 	c.ParallelFor(chunks, 1, func(clo, chi int) {
 		for ch := clo; ch < chi; ch++ {
 			lo, hi := ch*bat.SerialCutoff, min((ch+1)*bat.SerialCutoff, n)
-			t := newAggTable((hi-lo)/4 + 1)
+			t := &aggTable{}
 			if kc == nil {
 				g := aggGroup{row: lo, st: newAggStates(len(aggs))}
 				for i := lo; i < hi; i++ {
@@ -206,8 +204,9 @@ func GroupBy(c *exec.Ctx, r *Relation, keys []string, aggs []AggSpec) (res *Rela
 				}
 				t.groups = append(t.groups, g)
 			} else {
+				t.index = newHashIndex(c)
 				for i := lo; i < hi; i++ {
-					g := t.find(kc, hash, i, len(aggs))
+					g := t.find(c, kc, hash, i, len(aggs))
 					for k := range aggs {
 						g.st[k].accumulate(inCols[k], i)
 					}
@@ -224,8 +223,12 @@ func GroupBy(c *exec.Ctx, r *Relation, keys []string, aggs []AggSpec) (res *Rela
 	if chunks == 1 {
 		merged = partials[0]
 	} else {
-		merged = newAggTable(0)
+		merged = &aggTable{}
+		if kc != nil {
+			merged.index = newHashIndex(c)
+		}
 		for _, t := range partials {
+			t.index.release(c)
 			for li := range t.groups {
 				lg := &t.groups[li]
 				if kc == nil {
@@ -238,13 +241,14 @@ func GroupBy(c *exec.Ctx, r *Relation, keys []string, aggs []AggSpec) (res *Rela
 					}
 					continue
 				}
-				g := merged.find(kc, hash, lg.row, len(aggs))
+				g := merged.find(c, kc, hash, lg.row, len(aggs))
 				for k := range aggs {
 					g.st[k].combine(&lg.st[k])
 				}
 			}
 		}
 	}
+	merged.index.release(c)
 	groups := make([]int, len(merged.groups))
 	for g := range merged.groups {
 		groups[g] = merged.groups[g].row
@@ -255,16 +259,14 @@ func GroupBy(c *exec.Ctx, r *Relation, keys []string, aggs []AggSpec) (res *Rela
 	kc.release(c)
 
 	// Assemble the result: key columns first (one representative row per
-	// group), then aggregate columns.
+	// group, gathered from the key columns only, so no other column's
+	// gather is drawn from the arena and dropped), then aggregate columns.
 	schema := make(Schema, 0, len(keys)+len(aggs))
 	cols := make([]*bat.BAT, 0, len(keys)+len(aggs))
-	if len(keys) > 0 {
-		rep := r.Gather(c, groups)
-		for _, name := range keys {
-			j := rep.Schema.Index(name)
-			schema = append(schema, rep.Schema[j])
-			cols = append(cols, rep.Cols[j])
-		}
+	for _, name := range keys {
+		j := r.Schema.Index(name)
+		schema = append(schema, r.Schema[j])
+		cols = append(cols, r.Cols[j].Gather(c, groups))
 	}
 	for k, a := range aggs {
 		name := a.As

@@ -21,7 +21,10 @@ import (
 // states. Every resident group was created before every spilled key's
 // first row, so appending the recovered groups sorted by first global
 // row restores global first-seen order.
-const aggParts = 8
+const (
+	aggPartBits = 3
+	aggParts    = 1 << aggPartBits
+)
 
 // aggSpillState is the staging side of a frozen StreamAgg.
 type aggSpillState struct {
@@ -36,46 +39,14 @@ type aggSpillState struct {
 
 // aggPartBuf buffers one partition's pending records.
 type aggPartBuf struct {
-	n    int
 	grow []int64
-	keyF [][]float64
-	keyI [][]int64
-	keyS [][]string
+	keys keyCols
 	in   [][]float64
 }
 
-func newAggPartBuf(keys, aggs int) *aggPartBuf {
-	return &aggPartBuf{
-		keyF: make([][]float64, keys),
-		keyI: make([][]int64, keys),
-		keyS: make([][]string, keys),
-		in:   make([][]float64, aggs),
-	}
-}
-
-func (b *aggPartBuf) reset() {
-	b.n = 0
-	b.grow = b.grow[:0]
-	for k := range b.keyF {
-		if b.keyF[k] != nil {
-			b.keyF[k] = b.keyF[k][:0]
-		}
-		if b.keyI[k] != nil {
-			b.keyI[k] = b.keyI[k][:0]
-		}
-		if b.keyS[k] != nil {
-			b.keyS[k] = b.keyS[k][:0]
-		}
-	}
-	for k := range b.in {
-		if b.in[k] != nil {
-			b.in[k] = b.in[k][:0]
-		}
-	}
-}
-
-// spillRow stages row i of the morsel (key hash h) to its partition.
-func (a *StreamAgg) spillRow(keys []*bat.Vector, aggIn [][]float64, i int, h uint64) error {
+// spillRow stages row i of the current morsel (key hash h) to its
+// partition.
+func (a *StreamAgg) spillRow(aggIn [][]float64, i int, h uint64) error {
 	if a.spill == nil {
 		st := &aggSpillState{hasIn: make([]bool, len(a.aggs))}
 		st.specs = append(st.specs, store.ColSpec{Name: "g", Kind: store.KInt})
@@ -98,31 +69,23 @@ func (a *StreamAgg) spillRow(keys []*bat.Vector, aggIn [][]float64, i int, h uin
 		a.spill = st
 	}
 	st := a.spill
-	pt := int(h & (aggParts - 1))
+	// The partition is the hash's top bits; the group table's buckets
+	// use the low ones.
+	pt := int(h >> (64 - aggPartBits))
 	b := st.bufs[pt]
 	if b == nil {
-		b = newAggPartBuf(len(a.keys), len(a.aggs))
+		b = &aggPartBuf{keys: keyColsOfTypes(a.kt), in: make([][]float64, len(a.aggs))}
 		st.bufs[pt] = b
 	}
 	b.grow = append(b.grow, a.seen)
-	for k := range a.kt {
-		switch a.kt[k] {
-		case bat.Int:
-			b.keyI[k] = append(b.keyI[k], keys[k].Ints()[i])
-		case bat.String:
-			b.keyS[k] = append(b.keyS[k], keys[k].Strings()[i])
-		default:
-			b.keyF[k] = append(b.keyF[k], keys[k].Floats()[i])
-		}
-	}
+	b.keys.appendRow(&a.mk, i)
 	for k := range a.aggs {
 		if st.hasIn[k] {
 			b.in[k] = append(b.in[k], aggIn[k][i])
 		}
 	}
-	b.n++
 	st.rows++
-	if b.n == bat.MorselSize {
+	if b.keys.n == bat.MorselSize {
 		return a.flushPart(pt)
 	}
 	return nil
@@ -133,7 +96,7 @@ func (a *StreamAgg) spillRow(keys []*bat.Vector, aggIn [][]float64, i int, h uin
 func (a *StreamAgg) flushPart(pt int) error {
 	st := a.spill
 	b := st.bufs[pt]
-	if b == nil || b.n == 0 {
+	if b == nil || b.keys.n == 0 {
 		return nil
 	}
 	if st.writers[pt] == nil {
@@ -150,25 +113,15 @@ func (a *StreamAgg) flushPart(pt int) error {
 	cols := make([]store.ColData, 0, len(st.specs))
 	cols = append(cols, store.ColData{I: b.grow})
 	for k := range a.kt {
-		switch a.kt[k] {
-		case bat.Int:
-			cols = append(cols, store.ColData{I: b.keyI[k]})
-		case bat.String:
-			cols = append(cols, store.ColData{S: b.keyS[k]})
-		default:
-			cols = append(cols, store.ColData{F: b.keyF[k]})
-		}
+		cols = append(cols, store.ColData{F: b.keys.f[k], I: b.keys.i[k], S: b.keys.s[k]})
 	}
 	for k := range a.aggs {
 		if st.hasIn[k] {
 			cols = append(cols, store.ColData{F: b.in[k]})
 		}
 	}
-	if err := st.writers[pt].Append(b.n, cols); err != nil {
-		return err
-	}
-	b.reset()
-	return nil
+	st.bufs[pt] = nil
+	return st.writers[pt].Append(b.keys.n, cols)
 }
 
 // replaySpilled folds the staged partitions back into the group table
@@ -197,37 +150,15 @@ func (a *StreamAgg) replaySpilled() error {
 		}
 	}()
 
-	// Recovered groups, keyed like the resident table.
+	// Recovered groups, in a group table of their own.
 	var (
 		rfirst  []int64
-		rhash   []uint64
 		rstates [][]aggState
 		rcur    [][]aggState
 		rchunk  []int64
 	)
-	rkf := make([][]float64, len(a.keys))
-	rki := make([][]int64, len(a.keys))
-	rks := make([][]string, len(a.keys))
-	rby := make(map[uint64][]int)
-	equalAt := func(kvecs []*bat.Vector, i, g int) bool {
-		for k := range a.kt {
-			switch a.kt[k] {
-			case bat.Int:
-				if kvecs[k].Ints()[i] != rki[k][g] {
-					return false
-				}
-			case bat.String:
-				if kvecs[k].Strings()[i] != rks[k][g] {
-					return false
-				}
-			default:
-				if bat.CanonBits(kvecs[k].Floats()[i]) != bat.CanonBits(rkf[k][g]) {
-					return false
-				}
-			}
-		}
-		return true
-	}
+	rt := newKeyTable(a.c, a.kt)
+	defer rt.index.release(a.c)
 	inCol := make([]int, len(a.aggs))
 	ci := 1 + len(a.keys)
 	for k := range a.aggs {
@@ -239,6 +170,8 @@ func (a *StreamAgg) replaySpilled() error {
 		}
 	}
 
+	kc := keyColsOfTypes(a.kt)
+	var hs []uint64
 	for pt := range st.paths {
 		if st.paths[pt] == "" {
 			continue
@@ -259,46 +192,25 @@ func (a *StreamAgg) replaySpilled() error {
 			if n == 0 {
 				break
 			}
-			kvecs := make([]*bat.Vector, len(a.keys))
-			for k := range a.keys {
+			kc.n = n
+			for k := range a.kt {
 				d := cols[1+k]
-				switch a.kt[k] {
-				case bat.Int:
-					kvecs[k] = bat.FromInts(d.I).Vector()
-				case bat.String:
-					kvecs[k] = bat.FromStrings(d.S).Vector()
-				default:
-					kvecs[k] = bat.FromFloats(d.F).Vector()
-				}
+				kc.f[k], kc.i[k], kc.s[k] = d.F, d.I, d.S
 			}
+			if cap(hs) < n {
+				hs = make([]uint64, n)
+			}
+			kc.hashInto(hs[:n], 0)
 			for j := 0; j < n; j++ {
-				h := a.hashKeyRow(kvecs, j)
+				h := hs[j]
 				chunk := cols[0].I[j] / int64(bat.SerialCutoff)
-				g := -1
-				for _, cand := range rby[h] {
-					if equalAt(kvecs, j, cand) {
-						g = cand
-						break
-					}
-				}
+				g := rt.find(h, &kc, j)
 				if g < 0 {
-					g = len(rstates)
-					rby[h] = append(rby[h], g)
+					g = rt.add(a.c, h, &kc, j)
 					rfirst = append(rfirst, cols[0].I[j])
-					rhash = append(rhash, h)
 					rstates = append(rstates, newAggStates(len(a.aggs)))
 					rcur = append(rcur, newAggStates(len(a.aggs)))
 					rchunk = append(rchunk, chunk)
-					for k := range a.kt {
-						switch a.kt[k] {
-						case bat.Int:
-							rki[k] = append(rki[k], kvecs[k].Ints()[j])
-						case bat.String:
-							rks[k] = append(rks[k], kvecs[k].Strings()[j])
-						default:
-							rkf[k] = append(rkf[k], kvecs[k].Floats()[j])
-						}
-					}
 				} else if rchunk[g] != chunk {
 					// Crossing a global chunk boundary: fold the chunk
 					// partial in, ascending order as ever.
@@ -334,18 +246,8 @@ func (a *StreamAgg) replaySpilled() error {
 	}
 	sort.Slice(ord, func(x, y int) bool { return rfirst[ord[x]] < rfirst[ord[y]] })
 	for _, g := range ord {
-		a.ghash = append(a.ghash, rhash[g])
 		a.states = append(a.states, rstates[g])
-		for k := range a.kt {
-			switch a.kt[k] {
-			case bat.Int:
-				a.ki[k] = append(a.ki[k], rki[k][g])
-			case bat.String:
-				a.ks[k] = append(a.ks[k], rks[k][g])
-			default:
-				a.kf[k] = append(a.kf[k], rkf[k][g])
-			}
-		}
+		a.table.keys.appendRow(&rt.keys, g)
 	}
 	a.spill = nil
 	return nil

@@ -74,12 +74,12 @@ func TestSimultaneousCtxsBitwiseIdentical(t *testing.T) {
 // the coercion the SQL layer leans on after dropping string keys, and
 // that an empty key list is rejected.
 func TestCrossTypeJoinBuildProbe(t *testing.T) {
-	if _, err := NewJoinBuild(nil, nil, 0); err == nil {
+	if _, err := NewJoinBuild(nil, nil); err == nil {
 		t.Error("NewJoinBuild accepted an empty key list")
 	}
 	ints := bat.FromInts([]int64{1, 2, 3, 4})
 	floats := bat.FromFloats([]float64{2, 4, 6, 2})
-	jb, err := NewJoinBuild(nil, []*bat.BAT{floats}, 0)
+	jb, err := NewJoinBuild(nil, []*bat.BAT{floats})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,156 +17,62 @@ const (
 	Left
 )
 
-// joinTable is the hash-partitioned build-side index of HashJoin: rows of
-// the build relation grouped by key hash, split over 2^k partitions
-// selected by the low hash bits. Row lists are ascending, so probing
-// reproduces the canonical (build-order) match order no matter how the
-// table was built.
-type joinTable struct {
-	mask  uint64
-	parts []map[uint64][]int
-}
-
-func (t *joinTable) lookup(h uint64) []int {
-	return t.parts[h&t.mask][h]
-}
-
-// buildJoinTable indexes the build side from its row hashes. Small
-// inputs (or a single-worker budget) build one partition serially; larger
-// ones are radix-partitioned in two parallel passes — per-chunk histograms,
-// then a scatter through chunk-major offsets — and the per-partition hash
-// tables are built in parallel. Chunk-major offsets keep every partition's
-// row list ascending regardless of the chunk decomposition, which is what
-// makes the join output independent of the worker budget.
-//
-// hint is the expected number of distinct keys (≤ 0 for the default of
-// half the rows distinct): the hash maps are pre-sized to it instead of
-// growing incrementally. The partitioning staging (histograms, offsets,
-// the scattered row list) is charged to the invocation's arena and
-// released before return.
-func buildJoinTable(c *exec.Ctx, h []uint64, hint int) *joinTable {
-	m := len(h)
-	if hint <= 0 {
-		hint = m/2 + 1
-	}
-	if m <= bat.SerialCutoff || c.Workers() <= 1 {
-		part := make(map[uint64][]int, hint)
-		for j, hv := range h {
-			part[hv] = append(part[hv], j)
-		}
-		return &joinTable{mask: 0, parts: []map[uint64][]int{part}}
-	}
-	p := 1
-	for p < c.Workers() && p < 64 {
-		p <<= 1
-	}
-	mask := uint64(p - 1)
-	chunks, size := c.ParallelRuns(m)
-
-	hist := c.Arena().Ints(chunks * p)
-	clear(hist)
-	c.ParallelFor(chunks, 1, func(clo, chi int) {
-		for ch := clo; ch < chi; ch++ {
-			row := hist[ch*p : (ch+1)*p]
-			for j := ch * size; j < min((ch+1)*size, m); j++ {
-				row[h[j]&mask]++
-			}
-		}
-	})
-	// Chunk-major prefix sums: partition pt holds chunk 0's rows, then
-	// chunk 1's, …, each ascending — so the whole partition is ascending.
-	partStart := make([]int, p+1)
-	pos := c.Arena().Ints(chunks * p)
-	off := 0
-	for pt := 0; pt < p; pt++ {
-		partStart[pt] = off
-		for ch := 0; ch < chunks; ch++ {
-			pos[ch*p+pt] = off
-			off += hist[ch*p+pt]
-		}
-	}
-	partStart[p] = off
-
-	rows := c.Arena().Ints(m)
-	c.ParallelFor(chunks, 1, func(clo, chi int) {
-		for ch := clo; ch < chi; ch++ {
-			cursor := pos[ch*p : (ch+1)*p]
-			for j := ch * size; j < min((ch+1)*size, m); j++ {
-				pt := h[j] & mask
-				rows[cursor[pt]] = j
-				cursor[pt]++
-			}
-		}
-	})
-
-	parts := make([]map[uint64][]int, p)
-	c.ParallelFor(p, 1, func(plo, phi int) {
-		for pt := plo; pt < phi; pt++ {
-			span := rows[partStart[pt]:partStart[pt+1]]
-			szHint := len(span) / 2
-			if est := hint / p; est < szHint {
-				szHint = est
-			}
-			mp := make(map[uint64][]int, szHint+1)
-			for _, j := range span {
-				mp[h[j]] = append(mp[h[j]], j)
-			}
-			parts[pt] = mp
-		}
-	})
-	c.Arena().FreeInts(hist)
-	c.Arena().FreeInts(pos)
-	c.Arena().FreeInts(rows)
-	return &joinTable{mask: mask, parts: parts}
-}
-
 // joinPairs computes the matching (probe, build) row index pairs of an
-// equi-join between two typed key views: build a hash table on skc, probe
-// with rkc in two parallel passes — match counting, then a scatter through
-// per-row output offsets. leftOuter emits (i, -1) for unmatched probe
-// rows. Output order is canonical at any worker budget: probe rows in
-// probe order, matches per probe row in build order. The returned index
-// slices come from the context's arena; callers done with them hand them
-// back with FreeInts.
+// equi-join between two typed key views: index skc's rows in one flat
+// hash index, probe it with rkc in two parallel passes — match counting,
+// then a scatter through per-row output offsets — and release the index.
+// leftOuter emits (i, -1) for unmatched probe rows. Output order is
+// canonical at any worker budget: probe rows in probe order, matches per
+// probe row in build order. The returned index slices come from the
+// context's arena; callers done with them hand them back with FreeInts.
 func joinPairs(c *exec.Ctx, rkc, skc *keyCols, leftOuter bool) (li, ri []int, anyUnmatched bool) {
-	table := buildJoinTable(c, skc.hashes(c), 0)
-	return probePairs(c, table, rkc, skc, leftOuter)
+	table := indexRows(c, skc.hashes(c))
+	li, ri, anyUnmatched = probePairs(c, table, rkc, skc, leftOuter)
+	table.release(c)
+	return li, ri, anyUnmatched
 }
 
-// probePairs is the probe phase of joinPairs over an already-built table:
-// two parallel passes (match counting, then a scatter through per-row
-// output offsets) whose output order is canonical at any worker budget —
-// probe rows in probe order, matches per probe row in build order. The
-// streaming join probes the same table once per morsel through this
-// path, so morsel-probe pair sequences concatenate to exactly the
-// all-at-once sequence.
-func probePairs(c *exec.Ctx, table *joinTable, rkc, skc *keyCols, leftOuter bool) (li, ri []int, anyUnmatched bool) {
+// probePairs is the probe phase of joinPairs over an already-built
+// index: two parallel passes (match counting, then a scatter through
+// per-row output offsets) whose output order is canonical at any worker
+// budget — probe rows in probe order, matches per probe row in build
+// order. The count pass remembers each row's first match, so the scatter
+// writes single matches without probing again and stops a chain walk at
+// the row's last match. The streaming join probes the same index once
+// per morsel through this path, so morsel-probe pair sequences
+// concatenate to exactly the all-at-once sequence.
+func probePairs(c *exec.Ctx, table *hashIndex, rkc, skc *keyCols, leftOuter bool) (li, ri []int, anyUnmatched bool) {
 	rh := rkc.hashes(c)
 	n := rkc.n
 
-	// Probe pass 1: matches per probe row.
-	counts := c.Arena().Ints(n)
+	// Probe pass 1: matches per probe row, and the first of them.
+	off := c.Arena().Ints(n)
+	first := c.Arena().Ints(n)
 	c.ParallelFor(n, bat.SerialCutoff, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			cnt := 0
-			for _, j := range table.lookup(rh[i]) {
+			cnt, fst := 0, -1
+			h := rh[i]
+			for j := table.find(h); j >= 0; j = table.findNext(j, h) {
 				if rkc.equal(i, skc, j) {
+					if cnt == 0 {
+						fst = j
+					}
 					cnt++
 				}
 			}
-			counts[i] = cnt
+			off[i], first[i] = cnt, fst
 		}
 	})
 
 	// Prefix sum into output offsets (fixed serial combine).
 	total := 0
 	for i := 0; i < n; i++ {
-		cnt := counts[i]
+		cnt := off[i]
 		if cnt == 0 && leftOuter {
 			cnt = 1
 			anyUnmatched = true
 		}
-		counts[i] = total
+		off[i] = total
 		total += cnt
 	}
 
@@ -175,23 +81,28 @@ func probePairs(c *exec.Ctx, table *joinTable, rkc, skc *keyCols, leftOuter bool
 	ri = c.Arena().Ints(total)
 	c.ParallelFor(n, bat.SerialCutoff, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			k := counts[i]
-			wrote := false
-			for _, j := range table.lookup(rh[i]) {
-				if rkc.equal(i, skc, j) {
-					li[k] = i
-					ri[k] = j
-					k++
-					wrote = true
+			k, j := off[i], first[i]
+			if j < 0 {
+				if leftOuter {
+					li[k], ri[k] = i, -1
 				}
+				continue
 			}
-			if !wrote && leftOuter {
-				li[k] = i
-				ri[k] = -1
+			end := total
+			if i+1 < n {
+				end = off[i+1]
+			}
+			li[k], ri[k] = i, j
+			h := rh[i]
+			for k++; k < end; k++ {
+				for j = table.findNext(j, h); !rkc.equal(i, skc, j); j = table.findNext(j, h) {
+				}
+				li[k], ri[k] = i, j
 			}
 		}
 	})
-	c.Arena().FreeInts(counts)
+	c.Arena().FreeInts(off)
+	c.Arena().FreeInts(first)
 	return li, ri, anyUnmatched
 }
 
@@ -201,11 +112,11 @@ func probePairs(c *exec.Ctx, table *joinTable, rkc, skc *keyCols, leftOuter bool
 // natural-join convention the paper's examples use). For Left joins,
 // unmatched rows carry zero values in the right-hand attributes.
 //
-// The join is hash-partitioned: typed 64-bit key hashes (no per-row string
-// materialization) index the build side s, and the probe over r runs in two
-// parallel passes — match counting, then a scatter through per-row output
-// offsets. Output order is canonical at any worker budget: probe rows in r
-// order, matches per probe row in s order.
+// Typed 64-bit key hashes (no per-row string materialization) index the
+// build side s in one flat arena-charged hash index, and the probe over r
+// runs in two parallel passes — match counting, then a scatter through
+// per-row output offsets. Output order is canonical at any worker budget:
+// probe rows in r order, matches per probe row in s order.
 func HashJoin(c *exec.Ctx, r, s *Relation, rKeys, sKeys []string, jt JoinType) (res *Relation, err error) {
 	defer exec.CatchBudget(&err)
 	if len(rKeys) != len(sKeys) || len(rKeys) == 0 {
@@ -236,7 +147,7 @@ func HashJoin(c *exec.Ctx, r, s *Relation, rKeys, sKeys []string, jt JoinType) (
 	}
 
 	// Out-of-core path: stage the pair arrays to disk instead of
-	// materializing them (and shrink the build table to one partition at
+	// materializing them (and shrink the build index to one partition at
 	// a time). Same result, bit for bit.
 	if c.ShouldSpill(joinSpillEst(rkc.n, skc.n)) {
 		return hashJoinSpilled(c, r, s, rkc, skc, sAttrs, jt)

@@ -135,7 +135,7 @@ func equalRelations(a, b *Relation) bool {
 	return true
 }
 
-// TestQuickHashJoinMatchesNaive checks the partitioned hash join against
+// TestQuickHashJoinMatchesNaive checks the hash join against
 // the nested-loop reference on randomized relations with duplicate keys:
 // Inner and Left, single (int) and multi (int, string) key, at worker
 // budgets 1, 2, and 8.

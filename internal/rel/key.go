@@ -6,13 +6,14 @@ import (
 )
 
 // This file implements typed multi-column row keys for the hash-based
-// relational operators (HashJoin, GroupBy, Distinct). Rows are identified
-// by a 64-bit hash computed from typed cell values — no per-row string
-// materialization — and candidate collisions are resolved by comparing the
-// key columns directly. Cells are hashed in isolation (strings contribute
-// their length through the byte-wise FNV walk, numerics contribute a fixed
-// 8-byte word), so composite keys cannot collide through embedded
-// separator bytes the way the former NUL-joined string keys could.
+// relational operators (HashJoin, GroupBy, StreamAgg, Distinct). Rows are
+// identified by a 64-bit hash computed column at a time from typed cell
+// values — no per-row string materialization — and candidate collisions
+// are resolved by comparing the key columns directly. Cells are hashed in
+// isolation (numerics contribute one 8-byte word, strings their bytes
+// followed by their length), so composite keys cannot collide through
+// embedded separator bytes the way the former NUL-joined string keys
+// could.
 
 // keyCols binds typed views of a relation's key columns. Sparse float
 // columns are densified once at construction so the per-row accessors are
@@ -82,13 +83,67 @@ func keyColsOf(c *exec.Ctx, n int, cols []*bat.BAT) *keyCols {
 	return kc
 }
 
+// keyColsOfTypes returns empty key columns of the given types, ready for
+// appendRow: the stored group representatives of StreamAgg and the
+// staging buffers of its spill.
+func keyColsOfTypes(kt []bat.Type) keyCols {
+	kc := keyCols{
+		f: make([][]float64, len(kt)),
+		i: make([][]int64, len(kt)),
+		s: make([][]string, len(kt)),
+	}
+	for k, t := range kt {
+		switch t {
+		case bat.Int:
+			kc.i[k] = []int64{}
+		case bat.String:
+			kc.s[k] = []string{}
+		default:
+			kc.f[k] = []float64{}
+		}
+	}
+	return kc
+}
+
+// bind points kc at a morsel's key vectors of the given types. kc must
+// come from keyColsOfTypes over the same types; no buffer is copied.
+func (kc *keyCols) bind(n int, vecs []*bat.Vector, kt []bat.Type) {
+	kc.n = n
+	for k, v := range vecs {
+		switch kt[k] {
+		case bat.Int:
+			kc.i[k] = v.Ints()
+		case bat.String:
+			kc.s[k] = v.Strings()
+		default:
+			kc.f[k] = v.Floats()
+		}
+	}
+}
+
+// appendRow appends row i of src to kc, whose columns have src's types.
+func (kc *keyCols) appendRow(src *keyCols, i int) {
+	for k := range kc.f {
+		switch {
+		case kc.i[k] != nil:
+			kc.i[k] = append(kc.i[k], src.i[k][i])
+		case kc.s[k] != nil:
+			kc.s[k] = append(kc.s[k], src.s[k][i])
+		default:
+			kc.f[k] = append(kc.f[k], src.f[k][i])
+		}
+	}
+	kc.n++
+}
+
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
 // mix64 is the splitmix64 finalizer: it spreads the combined cell hashes
-// over all 64 bits so the partition selector can use the low bits.
+// over all 64 bits, so the hash index can take its bucket from the low
+// bits and the spill partitioners theirs from the high bits.
 func mix64(h uint64) uint64 {
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
@@ -98,38 +153,49 @@ func mix64(h uint64) uint64 {
 	return h
 }
 
-// hashRow computes the composite key hash of row i. Numeric cells hash
-// through their canonical float bits so an Int key column hashes
-// identically to a Float key column holding the same values (cross-type
-// equi-joins land in the same bucket; exactness is restored by equal).
-func (kc *keyCols) hashRow(i int) uint64 {
-	h := uint64(fnvOffset64)
+// mixWord folds one 64-bit cell word into a running key hash in a single
+// multiply-xorshift step. For a fixed running hash it is a bijection of
+// the word, so keys that differ in one cell never collide through it.
+func mixWord(h, w uint64) uint64 {
+	h = (h ^ w) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
+}
+
+// hashInto writes the composite key hash of rows lo..lo+len(h)-1 into h,
+// one key column at a time. Numeric cells mix their canonical float bits
+// as one word, so an Int key column hashes identically to a Float key
+// column holding the same values (cross-type equi-joins land in the same
+// bucket; exactness is restored by equal). String cells walk their bytes
+// FNV-style and are terminated by their length, so cell boundaries
+// cannot shift between adjacent string keys.
+func (kc *keyCols) hashInto(h []uint64, lo int) {
+	hi := lo + len(h)
+	for i := range h {
+		h[i] = fnvOffset64
+	}
 	for k := range kc.f {
 		switch {
 		case kc.f[k] != nil:
-			w := bat.CanonBits(kc.f[k][i])
-			for b := 0; b < 64; b += 8 {
-				h = (h ^ (w >> b & 0xff)) * fnvPrime64
+			for i, v := range kc.f[k][lo:hi] {
+				h[i] = mixWord(h[i], bat.CanonBits(v))
 			}
 		case kc.i[k] != nil:
-			w := bat.CanonBits(float64(kc.i[k][i]))
-			for b := 0; b < 64; b += 8 {
-				h = (h ^ (w >> b & 0xff)) * fnvPrime64
+			for i, v := range kc.i[k][lo:hi] {
+				h[i] = mixWord(h[i], bat.CanonBits(float64(v)))
 			}
 		default:
-			s := kc.s[k][i]
-			for b := 0; b < len(s); b++ {
-				h = (h ^ uint64(s[b])) * fnvPrime64
-			}
-			// Terminate the cell with its length so cell boundaries
-			// cannot be shifted between adjacent string keys.
-			w := uint64(len(s))
-			for b := 0; b < 64; b += 8 {
-				h = (h ^ (w >> b & 0xff)) * fnvPrime64
+			for i, s := range kc.s[k][lo:hi] {
+				x := h[i]
+				for b := 0; b < len(s); b++ {
+					x = (x ^ uint64(s[b])) * fnvPrime64
+				}
+				h[i] = mixWord(x, uint64(len(s)))
 			}
 		}
 	}
-	return mix64(h)
+	for i := range h {
+		h[i] = mix64(h[i])
+	}
 }
 
 // hashes computes the key hash of every row, decomposed over the
@@ -137,9 +203,7 @@ func (kc *keyCols) hashRow(i int) uint64 {
 func (kc *keyCols) hashes(c *exec.Ctx) []uint64 {
 	h := make([]uint64, kc.n)
 	c.ParallelFor(kc.n, bat.SerialCutoff, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			h[i] = kc.hashRow(i)
-		}
+		kc.hashInto(h[lo:hi], lo)
 	})
 	return h
 }

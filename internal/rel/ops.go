@@ -143,26 +143,25 @@ func Union(r, s *Relation) (*Relation, error) {
 // Distinct returns r with duplicate rows removed (first occurrence kept).
 // Rows are compared through the typed key hashes of key.go (hash computed
 // in parallel, collisions resolved by column comparison), not through
-// rendered strings.
+// rendered strings; the kept rows are indexed in the flat hash index of
+// hashtab.go.
 func (r *Relation) Distinct(c *exec.Ctx) *Relation {
 	n := r.NumRows()
 	kc := keyColsOf(c, n, r.Cols)
 	h := kc.hashes(c)
-	seen := make(map[uint64][]int, n)
+	seen := newHashIndex(c)
 	idx := make([]int, 0, n)
 	for i := 0; i < n; i++ {
-		dup := false
-		for _, j := range seen[h[i]] {
-			if kc.equal(i, kc, j) {
-				dup = true
-				break
-			}
+		e := seen.find(h[i])
+		for e >= 0 && !kc.equal(i, kc, idx[e]) {
+			e = seen.findNext(e, h[i])
 		}
-		if !dup {
-			seen[h[i]] = append(seen[h[i]], i)
+		if e < 0 {
+			seen.add(c, h[i])
 			idx = append(idx, i)
 		}
 	}
+	seen.release(c)
 	kc.release(c)
 	return r.Gather(c, idx)
 }

@@ -81,7 +81,7 @@ func TestGroupByBitwiseIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestHashJoinBitwiseIdenticalAcrossWorkers asserts the partitioned join
+// TestHashJoinBitwiseIdenticalAcrossWorkers asserts the hash join
 // produces the same rows in the same order at worker budgets 1, 2, and 8,
 // across chunk-boundary sizes (duplicate keys included).
 func TestHashJoinBitwiseIdenticalAcrossWorkers(t *testing.T) {

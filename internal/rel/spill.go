@@ -20,9 +20,14 @@ import (
 // order), so the streamed join is bitwise-identical to HashJoin.
 
 // pairParts is the partition fan-out of the spilled join. Each probe
-// row's matches land wholly in one partition (selected by key hash), so
-// a front-merge over the partition streams restores global probe order.
-const pairParts = 16
+// row's matches land wholly in one partition (selected by the top bits
+// of the key hash; the partition's hash index buckets on the low bits),
+// so a front-merge over the partition streams restores global probe
+// order.
+const (
+	pairPartBits = 4
+	pairParts    = 1 << pairPartBits
+)
 
 // spilledPairs is the on-disk result of a spilled equi-join pair
 // computation: per-partition segment files of (probe, build) row pairs,
@@ -50,7 +55,7 @@ var pairSpecs = []store.ColSpec{
 
 // spilledJoinPairs computes the equi-join pairs of rkc (probe) against
 // skc (build) partition by partition, staging the pairs to disk. The
-// build table only ever holds one partition's rows, and the pair arrays
+// build index only ever holds one partition's rows, and the pair arrays
 // never exist in memory.
 func spilledJoinPairs(c *exec.Ctx, rkc, skc *keyCols, leftOuter bool) (*spilledPairs, error) {
 	sh := skc.hashes(c)
@@ -61,15 +66,19 @@ func spilledJoinPairs(c *exec.Ctx, rkc, skc *keyCols, leftOuter bool) (*spilledP
 
 	bufL := make([]int64, 0, bat.MorselSize)
 	bufR := make([]int64, 0, bat.MorselSize)
+	var prow []int
+	var ph []uint64
 	for pt := uint64(0); pt < pairParts; pt++ {
-		// Build this partition's table: build rows in ascending order,
-		// so per-key match lists replay in build order.
-		mp := make(map[uint64][]int, len(sh)/pairParts+1)
+		// Index this partition's build rows, ascending, so each probe
+		// row's matches replay in build order.
+		prow, ph = prow[:0], ph[:0]
 		for j, hv := range sh {
-			if hv&(pairParts-1) == pt {
-				mp[hv] = append(mp[hv], j)
+			if hv>>(64-pairPartBits) == pt {
+				prow = append(prow, j)
+				ph = append(ph, hv)
 			}
 		}
+		table := indexRows(c, ph)
 		var w *store.Writer
 		flush := func() error {
 			if len(bufL) == 0 {
@@ -103,13 +112,14 @@ func spilledJoinPairs(c *exec.Ctx, rkc, skc *keyCols, leftOuter bool) (*spilledP
 			return nil
 		}
 		for i, hv := range rh {
-			if hv&(pairParts-1) != pt {
+			if hv>>(64-pairPartBits) != pt {
 				continue
 			}
 			wrote := false
-			for _, j := range mp[hv] {
-				if rkc.equal(i, skc, j) {
+			for e := table.find(hv); e >= 0; e = table.findNext(e, hv) {
+				if j := prow[e]; rkc.equal(i, skc, j) {
 					if err := emit(i, j); err != nil {
+						table.release(c)
 						sp.Close()
 						return nil, err
 					}
@@ -118,11 +128,13 @@ func spilledJoinPairs(c *exec.Ctx, rkc, skc *keyCols, leftOuter bool) (*spilledP
 			}
 			if !wrote && leftOuter {
 				if err := emit(i, -1); err != nil {
+					table.release(c)
 					sp.Close()
 					return nil, err
 				}
 			}
 		}
+		table.release(c)
 		if err := flush(); err != nil {
 			sp.Close()
 			return nil, err
@@ -431,10 +443,11 @@ func stagedFill(c *exec.Ctx, sp *spilledPairs, cols []*bat.BAT, rightSide []bool
 }
 
 // joinSpillEst is the rough in-memory footprint the join would take
-// beyond its inputs: the build table (~48 bytes per build row between
-// map headers and row lists) plus the pair arrays and probe counts
-// (~24 bytes per probe row before fan-out — so a high fan-out join is
-// underestimated).
+// beyond its inputs: the build index (at most 48 bytes per build row:
+// its stored hash, its link and two to four buckets) plus the pair
+// arrays and the probe's per-row scratch (counted as 24 bytes per probe
+// row before fan-out — an underestimate, most of all for a high fan-out
+// join).
 func joinSpillEst(probeRows, buildRows int) int64 {
 	return int64(buildRows)*48 + int64(probeRows)*24
 }

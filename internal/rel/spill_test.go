@@ -12,7 +12,7 @@ import (
 
 // bitwiseSame compares two relations cell by cell with floats compared
 // by bit pattern.
-func bitwiseSame(t *testing.T, label string, a, b *Relation) {
+func bitwiseSame(t testing.TB, label string, a, b *Relation) {
 	t.Helper()
 	if a.NumRows() != b.NumRows() || a.NumCols() != b.NumCols() {
 		t.Fatalf("%s: shape %dx%d != %dx%d", label, a.NumRows(), a.NumCols(), b.NumRows(), b.NumCols())

@@ -2,6 +2,7 @@ package rel
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/bat"
@@ -17,28 +18,26 @@ import (
 // per row and aggregation folds rows into the same SerialCutoff-aligned
 // chunks regardless of how the morsels slice the input.
 
-// JoinBuild is the hash-partitioned build side of a streaming equi-join:
-// constructed once from the materialized build keys, then probed once
-// per morsel. A build side above bat.SerialCutoff under a parallel budget
-// is radix-partitioned exactly as HashJoin's, over min(next power of two
-// ≥ workers, 64) partitions built in parallel. Probe emits pairs in probe
-// order with matches in build order — the same canonical order as
-// HashJoin — so concatenating the per-morsel pair lists reproduces the
-// all-at-once join exactly.
+// JoinBuild is the build side of a streaming equi-join: the build rows
+// indexed once by key hash in the flat index HashJoin uses, then probed
+// once per morsel. Probe emits pairs in probe order with matches
+// in build order — the same canonical order as HashJoin — so
+// concatenating the per-morsel pair lists reproduces the all-at-once
+// join exactly.
 type JoinBuild struct {
 	skc   *keyCols
-	table *joinTable
+	table *hashIndex
 }
 
-// NewJoinBuild indexes the build-side key columns. hint is the expected
-// number of distinct build keys (≤ 0 for the default sizing).
-func NewJoinBuild(c *exec.Ctx, buildKeys []*bat.BAT, hint int) (*JoinBuild, error) {
+// NewJoinBuild indexes the build-side key columns. The index is charged
+// to the context's arena until Release.
+func NewJoinBuild(c *exec.Ctx, buildKeys []*bat.BAT) (jb *JoinBuild, err error) {
+	defer exec.CatchBudget(&err)
 	if len(buildKeys) == 0 {
 		return nil, fmt.Errorf("rel: join build needs a non-empty key list")
 	}
-	bn := buildKeys[0].Len()
-	skc := keyColsOf(c, bn, buildKeys)
-	return &JoinBuild{skc: skc, table: buildJoinTable(c, skc.hashes(c), hint)}, nil
+	skc := keyColsOf(c, buildKeys[0].Len(), buildKeys)
+	return &JoinBuild{skc: skc, table: indexRows(c, skc.hashes(c))}, nil
 }
 
 // Rows returns the build-side row count.
@@ -60,13 +59,14 @@ func (b *JoinBuild) Probe(c *exec.Ctx, probeKeys []*bat.BAT, leftOuter bool) (li
 	return li, ri, anyUnmatched, nil
 }
 
-// Release hands back the build side's densified key buffers. The
-// JoinBuild must not be probed afterwards.
+// Release hands back the build side's hash index and densified key
+// buffers. The JoinBuild must not be probed afterwards.
 func (b *JoinBuild) Release(c *exec.Ctx) {
 	if b == nil {
 		return
 	}
 	b.skc.release(c)
+	b.table.release(c)
 	b.table = nil
 }
 
@@ -82,8 +82,8 @@ func (b *JoinBuild) Release(c *exec.Ctx) {
 // can never be -0 and min/max copy through the ±Inf sentinels.)
 //
 // Group identity and order also match: groups are created in global
-// first-seen order, keys compare with the same semantics as the
-// materializing key columns (ints exactly, floats by canonical bits,
+// first-seen order, keys hash and compare through the same keyCols code
+// as the materializing path (ints exactly, floats by canonical bits,
 // strings by bytes), and the first-seen row's key values are stored as
 // the group's representative — the value GroupBy gathers.
 type StreamAgg struct {
@@ -92,21 +92,24 @@ type StreamAgg struct {
 	aggs []AggSpec
 	kt   []bat.Type
 
-	// Persistent per-group storage, in global first-seen order: one
-	// typed column per key (kf/ki/ks selected by kt), the group's key
-	// hash, and the merged aggregate states.
-	kf     [][]float64
-	ki     [][]int64
-	ks     [][]string
-	ghash  []uint64
+	// Persistent per-group storage, in global first-seen order: the
+	// group table (key representatives and their hash index) and the
+	// merged aggregate states.
+	table  *keyTable
 	states [][]aggState
-	byHash map[uint64][]int // hash -> group ids
 
-	// Current chunk: per-group partial states, keyed by merged group id,
-	// touched ids in chunk-local first-seen order.
-	chunkStates  [][]aggState
+	// Current morsel: its key views and their hashes, one block of at
+	// most bat.MorselSize rows at a time.
+	mk keyCols
+	mh []uint64
+
+	// Current chunk: per-group partial states (len(aggs) per touched
+	// group, in chunk-local first-seen order), the touched merged group
+	// ids in that order, and each merged group's slot among them (-1
+	// when untouched this chunk).
+	chunkStates  []aggState
 	chunkTouched []int
-	chunkSlot    map[int]int
+	chunkSlot    []int
 	rowsInChunk  int
 
 	// Out-of-core state (nil ctx disables spilling): once the resident
@@ -124,92 +127,31 @@ type StreamAgg struct {
 // a single global group. name names the result relation. When c carries
 // a spill manager, a group table crossing the spill threshold degrades
 // to disk (see the StreamAgg doc) instead of growing without bound; a
-// nil context keeps the purely in-memory behavior.
-func NewStreamAgg(c *exec.Ctx, name string, keys []string, keyTypes []bat.Type, aggs []AggSpec) (*StreamAgg, error) {
+// nil context keeps the purely in-memory behavior. The group table's
+// index is charged to c's arena until Finish.
+func NewStreamAgg(c *exec.Ctx, name string, keys []string, keyTypes []bat.Type, aggs []AggSpec) (sa *StreamAgg, err error) {
+	defer exec.CatchBudget(&err)
 	if len(aggs) == 0 {
 		return nil, fmt.Errorf("rel: group by without aggregates")
 	}
 	if len(keys) != len(keyTypes) {
 		return nil, fmt.Errorf("rel: %d grouping keys with %d types", len(keys), len(keyTypes))
 	}
-	return &StreamAgg{
-		name:      name,
-		keys:      keys,
-		aggs:      aggs,
-		kt:        keyTypes,
-		c:         c,
-		kf:        make([][]float64, len(keys)),
-		ki:        make([][]int64, len(keys)),
-		ks:        make([][]string, len(keys)),
-		byHash:    make(map[uint64][]int),
-		chunkSlot: make(map[int]int),
-	}, nil
-}
-
-// hashKeyRow computes the composite key hash of row i of the morsel's
-// key vectors — the same canonical FNV-then-mix scheme as the
-// materializing keyCols, so equal keys always share a hash.
-func (a *StreamAgg) hashKeyRow(keys []*bat.Vector, i int) uint64 {
-	h := uint64(fnvOffset64)
-	for k, v := range keys {
-		switch a.kt[k] {
-		case bat.String:
-			s := v.Strings()[i]
-			for b := 0; b < len(s); b++ {
-				h = (h ^ uint64(s[b])) * fnvPrime64
-			}
-			w := uint64(len(s))
-			for b := 0; b < 64; b += 8 {
-				h = (h ^ (w >> b & 0xff)) * fnvPrime64
-			}
-		default:
-			var f float64
-			if a.kt[k] == bat.Int {
-				f = float64(v.Ints()[i])
-			} else {
-				f = v.Floats()[i]
-			}
-			w := bat.CanonBits(f)
-			for b := 0; b < 64; b += 8 {
-				h = (h ^ (w >> b & 0xff)) * fnvPrime64
-			}
-		}
+	sa = &StreamAgg{name: name, keys: keys, aggs: aggs, kt: keyTypes, c: c, mk: keyColsOfTypes(keyTypes)}
+	if len(keys) > 0 {
+		sa.table = newKeyTable(c, keyTypes)
 	}
-	return mix64(h)
+	return sa, nil
 }
 
-// equalKeyRow reports whether row i of the morsel's key vectors matches
-// stored group g, with the materializing equality semantics.
-func (a *StreamAgg) equalKeyRow(keys []*bat.Vector, i, g int) bool {
-	for k := range a.kt {
-		switch a.kt[k] {
-		case bat.Int:
-			if keys[k].Ints()[i] != a.ki[k][g] {
-				return false
-			}
-		case bat.String:
-			if keys[k].Strings()[i] != a.ks[k][g] {
-				return false
-			}
-		default:
-			if bat.CanonBits(keys[k].Floats()[i]) != bat.CanonBits(a.kf[k][g]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// groupOfHash returns the merged group id of row i (whose key hash is
+// groupOf returns the merged group id of morsel row i (whose key hash is
 // h), creating the group (and storing the row's key values as its
 // representative) when absent. Once the table is frozen, rows of unseen
 // keys return ok == false and must be spilled; resident groups keep
 // folding in memory.
-func (a *StreamAgg) groupOfHash(h uint64, keys []*bat.Vector, i int) (id int, ok bool) {
-	for _, g := range a.byHash[h] {
-		if a.equalKeyRow(keys, i, g) {
-			return g, true
-		}
+func (a *StreamAgg) groupOf(h uint64, i int) (id int, ok bool) {
+	if g := a.table.find(h, &a.mk, i); g >= 0 {
+		return g, true
 	}
 	if a.frozen {
 		return 0, false
@@ -217,58 +159,59 @@ func (a *StreamAgg) groupOfHash(h uint64, keys []*bat.Vector, i int) (id int, ok
 	// The resident table is about to grow: freeze it when the spill
 	// policy says its footprint is large enough to stage the tail of the
 	// key space on disk instead.
-	if !a.frozen && a.c.ShouldSpill(a.residentEst()) {
+	if a.c.ShouldSpill(a.residentEst()) {
 		a.frozen = true
 		return 0, false
 	}
-	g := len(a.states)
-	a.byHash[h] = append(a.byHash[h], g)
-	a.ghash = append(a.ghash, h)
-	a.states = append(a.states, newAggStates(len(a.aggs)))
-	for k := range a.kt {
-		switch a.kt[k] {
-		case bat.Int:
-			a.ki[k] = append(a.ki[k], keys[k].Ints()[i])
-		case bat.String:
-			a.ks[k] = append(a.ks[k], keys[k].Strings()[i])
-		default:
-			a.kf[k] = append(a.kf[k], keys[k].Floats()[i])
-		}
-	}
-	return g, true
+	a.newGroup()
+	return a.table.add(a.c, h, &a.mk, i), true
 }
 
-// residentEst is the rough in-memory footprint of the resident group
-// table: states, key representatives, and hash-map overhead per group.
+// newGroup appends the merged states of a new group.
+func (a *StreamAgg) newGroup() {
+	a.states = append(a.states, newAggStates(len(a.aggs)))
+	a.chunkSlot = append(a.chunkSlot, -1)
+}
+
+// residentEst is the in-memory footprint of the resident group table:
+// per group its merged states (a 24-byte slice header plus 32 bytes per
+// aggregate), its 8-byte chunk slot and its key representatives (at
+// most 16 bytes per key, a string header), plus the hash index's real
+// bytes: buckets, links and stored hashes.
 func (a *StreamAgg) residentEst() int64 {
-	per := int64(64 + 32*len(a.aggs) + 24*len(a.keys))
-	return int64(len(a.states)) * per
+	per := int64(32 + 32*len(a.aggs) + 16*len(a.keys))
+	ix := a.table.index
+	return int64(len(a.states))*per + 8*int64(len(ix.head)+len(ix.next)+cap(ix.hash))
 }
 
 // chunkStateOf returns the current chunk's partial states for merged
 // group g, creating them on the group's first row in this chunk.
 func (a *StreamAgg) chunkStateOf(g int) []aggState {
-	if slot, ok := a.chunkSlot[g]; ok {
-		return a.chunkStates[slot]
+	nA := len(a.aggs)
+	slot := a.chunkSlot[g]
+	if slot < 0 {
+		slot = len(a.chunkTouched)
+		a.chunkSlot[g] = slot
+		a.chunkTouched = append(a.chunkTouched, g)
+		for k := 0; k < nA; k++ {
+			a.chunkStates = append(a.chunkStates, aggState{min: math.Inf(1), max: math.Inf(-1)})
+		}
 	}
-	st := newAggStates(len(a.aggs))
-	a.chunkSlot[g] = len(a.chunkTouched)
-	a.chunkTouched = append(a.chunkTouched, g)
-	a.chunkStates = append(a.chunkStates, st)
-	return st
+	return a.chunkStates[slot*nA : (slot+1)*nA]
 }
 
 // flushChunk combines the chunk partials into the merged states in
 // chunk-local first-seen order and resets the chunk.
 func (a *StreamAgg) flushChunk() {
+	nA := len(a.aggs)
 	for slot, g := range a.chunkTouched {
 		for k := range a.aggs {
-			a.states[g][k].combine(&a.chunkStates[slot][k])
+			a.states[g][k].combine(&a.chunkStates[slot*nA+k])
 		}
+		a.chunkSlot[g] = -1
 	}
 	a.chunkStates = a.chunkStates[:0]
 	a.chunkTouched = a.chunkTouched[:0]
-	clear(a.chunkSlot)
 	a.rowsInChunk = 0
 }
 
@@ -276,44 +219,67 @@ func (a *StreamAgg) flushChunk() {
 // empty for the global group), aggIn one float view per aggregate (nil
 // for COUNT(*)), n the morsel's row count. Morsels must arrive in
 // stream order; rows are folded serially — at MorselSize ≤ SerialCutoff
-// the materializing path's chunks are serial too. The error is always
-// nil unless the accumulator is spilling and disk I/O fails.
-func (a *StreamAgg) Consume(keys []*bat.Vector, aggIn [][]float64, n int) error {
-	for i := 0; i < n; i++ {
-		if a.rowsInChunk == bat.SerialCutoff {
-			a.flushChunk()
+// the materializing path's chunks are serial too — after the keys of
+// each block of at most bat.MorselSize rows are hashed column at a time.
+// The error is nil unless the accumulator is spilling and disk I/O
+// fails, or the group table outgrows the tenant's budget.
+func (a *StreamAgg) Consume(keys []*bat.Vector, aggIn [][]float64, n int) (err error) {
+	defer exec.CatchBudget(&err)
+	if len(a.keys) > 0 {
+		a.mk.bind(n, keys, a.kt)
+		if cap(a.mh) < min(n, bat.MorselSize) {
+			a.mh = make([]uint64, min(n, bat.MorselSize))
 		}
-		g := 0
+	} else if len(a.states) == 0 && n > 0 {
+		a.newGroup()
+	}
+	for lo := 0; lo < n; lo += bat.MorselSize {
+		hi := min(lo+bat.MorselSize, n)
 		if len(a.keys) > 0 {
-			h := a.hashKeyRow(keys, i)
-			gg, ok := a.groupOfHash(h, keys, i)
-			if !ok {
-				// Unseen key after the freeze: stage the row to disk. It
-				// still occupies its global chunk position.
-				if err := a.spillRow(keys, aggIn, i, h); err != nil {
-					return err
+			a.mk.hashInto(a.mh[:hi-lo], lo)
+		}
+		for i := lo; i < hi; i++ {
+			if a.rowsInChunk == bat.SerialCutoff {
+				a.flushChunk()
+			}
+			g := 0
+			if len(a.keys) > 0 {
+				h := a.mh[i-lo]
+				gg, ok := a.groupOf(h, i)
+				if !ok {
+					// Unseen key after the freeze: stage the row to disk.
+					// It still occupies its global chunk position.
+					if err := a.spillRow(aggIn, i, h); err != nil {
+						return err
+					}
+					a.rowsInChunk++
+					a.seen++
+					continue
 				}
-				a.rowsInChunk++
-				a.seen++
-				continue
+				g = gg
 			}
-			g = gg
-		} else if len(a.states) == 0 {
-			a.ghash = append(a.ghash, 0)
-			a.states = append(a.states, newAggStates(len(a.aggs)))
-		}
-		st := a.chunkStateOf(g)
-		for k := range a.aggs {
-			var col []float64
-			if aggIn[k] != nil {
-				col = aggIn[k][i : i+1]
+			st := a.chunkStateOf(g)
+			for k := range a.aggs {
+				var col []float64
+				if aggIn[k] != nil {
+					col = aggIn[k][i : i+1]
+				}
+				st[k].accumulate(col, 0)
 			}
-			st[k].accumulate(col, 0)
+			a.rowsInChunk++
+			a.seen++
 		}
-		a.rowsInChunk++
-		a.seen++
 	}
 	return nil
+}
+
+// releaseIndex hands the group table's hash index back to the arena once
+// no further row can join a resident group; the key representatives stay
+// for the result.
+func (a *StreamAgg) releaseIndex() {
+	if a.table != nil {
+		a.table.index.release(a.c)
+	}
 }
 
 // NumGroups returns the number of groups seen so far.
@@ -323,8 +289,10 @@ func (a *StreamAgg) NumGroups() int { return len(a.states) }
 // relation: key columns first (the stored representatives, in global
 // first-seen order), then one column per aggregate — Count as BIGINT,
 // the rest as DOUBLE — exactly GroupBy's output shape.
-func (a *StreamAgg) Finish() (*Relation, error) {
+func (a *StreamAgg) Finish() (res *Relation, err error) {
+	defer exec.CatchBudget(&err)
 	a.flushChunk()
+	a.releaseIndex()
 	if a.spill != nil {
 		// Replay the staged partitions: every spilled key's rows fold on
 		// their original chunk boundaries and the recovered groups are
@@ -339,13 +307,14 @@ func (a *StreamAgg) Finish() (*Relation, error) {
 	cols := make([]*bat.BAT, 0, len(a.keys)+len(a.aggs))
 	for k, name := range a.keys {
 		schema = append(schema, Attr{Name: name, Type: a.kt[k]})
+		rep := &a.table.keys
 		switch a.kt[k] {
 		case bat.Int:
-			cols = append(cols, bat.FromInts(a.ki[k][:nGroups:nGroups]))
+			cols = append(cols, bat.FromInts(rep.i[k][:nGroups:nGroups]))
 		case bat.String:
-			cols = append(cols, bat.FromStrings(a.ks[k][:nGroups:nGroups]))
+			cols = append(cols, bat.FromStrings(rep.s[k][:nGroups:nGroups]))
 		default:
-			cols = append(cols, bat.FromFloats(a.kf[k][:nGroups:nGroups]))
+			cols = append(cols, bat.FromFloats(rep.f[k][:nGroups:nGroups]))
 		}
 	}
 	for k, sp := range a.aggs {

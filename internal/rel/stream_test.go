@@ -132,7 +132,7 @@ func TestStreamingAggGlobalGroup(t *testing.T) {
 // all-at-once serial join pairs (HashJoin's), inner and left outer, at
 // several worker budgets. The build sides run from empty (every probe
 // row unmatched) to above bat.SerialCutoff, where a parallel budget
-// radix-partitions the JoinBuild; the largest one's keys repeat and
+// hashes the build keys in parallel; the largest one's keys repeat and
 // cover only the even probe keys, so every probe morsel mixes duplicate
 // matches with unmatched rows.
 func TestStreamingJoinProbeMatchesJoinPairs(t *testing.T) {
@@ -154,7 +154,7 @@ func TestStreamingJoinProbeMatchesJoinPairs(t *testing.T) {
 				keyColsOf(nil, pn, probeKeys), keyColsOf(nil, bc.n, buildKeys), leftOuter)
 			for _, workers := range []int{1, 2, 8} {
 				c := exec.NewCtx(workers, nil, nil)
-				jb, err := NewJoinBuild(c, buildKeys, 0)
+				jb, err := NewJoinBuild(c, buildKeys)
 				if err != nil {
 					t.Fatal(err)
 				}

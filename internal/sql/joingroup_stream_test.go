@@ -10,7 +10,8 @@ import (
 
 // joinGroupDB builds a fact table big enough that morsels span many
 // SerialCutoff chunks and a dimension table above bat.SerialCutoff, so
-// a parallel context radix-partitions the join build side.
+// the join build side's hash index and the probe's parallel passes
+// cover more than one chunk.
 func joinGroupDB(t *testing.T) *DB {
 	t.Helper()
 	db := NewDB()
@@ -52,9 +53,8 @@ func joinGroupDB(t *testing.T) *DB {
 }
 
 // TestStreamedJoinGroupBitwise runs join+group statements streamed
-// serial (one build partition) and streamed parallel (radix-partitioned
-// build) and asserts every result is bitwise-identical to the reference
-// executor's.
+// serial and streamed parallel (parallel hashing and probe passes) and
+// asserts every result is bitwise-identical to the reference executor's.
 func TestStreamedJoinGroupBitwise(t *testing.T) {
 	queries := []string{
 		// Group keys = join keys.
@@ -63,10 +63,10 @@ func TestStreamedJoinGroupBitwise(t *testing.T) {
 		// Group keys differ from the join keys.
 		`SELECT t.id % 7 AS g, SUM(s.bonus) AS sb, COUNT(*) AS cnt
 			FROM t JOIN s ON t.grp = s.k GROUP BY t.id % 7 ORDER BY g`,
-		// Left join through the partitioned build.
+		// Left join through the shared build index.
 		`SELECT t.grp AS g, SUM(s.bonus) AS sb, COUNT(*) AS cnt
 			FROM t LEFT JOIN s ON t.grp = s.k GROUP BY t.grp ORDER BY g`,
-		// No grouping: the partitioned probe feeds projection.
+		// No grouping: the parallel probe feeds projection.
 		`SELECT t.id, t.val, s.bonus FROM t JOIN s ON t.grp = s.k ORDER BY t.id, s.bonus LIMIT 500`,
 	}
 	for qi, q := range queries {

@@ -274,7 +274,7 @@ func newJoinStream(c *exec.Ctx, n *streamNode, in rowStream, ps *exec.PipelineSt
 		j.buildKeys = append(j.buildKeys, v)
 		keys[k] = bat.FromVector(v)
 	}
-	if j.jb, err = rel.NewJoinBuild(c, keys, right.NumRows()); err != nil {
+	if j.jb, err = rel.NewJoinBuild(c, keys); err != nil {
 		j.freeBuild(c)
 		return nil, err
 	}
