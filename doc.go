@@ -76,11 +76,12 @@
 // converts back through exec.CatchBudget; the parallel drivers forward
 // worker-goroutine panics to the caller so the conversion works inside
 // fan-outs too. core.Unary/Binary retry a budget-failed invocation once
-// serially — the parallel kernels need extra scratch (merge-sort double
-// buffers) that the serial paths do not, and all kernels are
-// bitwise-deterministic across worker budgets, so a fallback result is
-// identical to the parallel one (core.Stats.SerialFallback records the
-// downgrade). sql.DB applies the same retry per statement.
+// serially — the parallel kernels need extra scratch that the serial
+// paths do not (per-worker partials; a parallel merge sort holds two
+// n-int buffers where a serial one holds the permutation plus an
+// n/2-int scratch), and all kernels are bitwise-deterministic across
+// worker budgets, so a fallback result is identical to the parallel one
+// (core.Stats.SerialFallback records the downgrade). sql.DB applies the same retry per statement.
 //
 // Admission control is reservation-based: a governor built with a
 // global cap admits a query only when the sum of admitted budgets stays
@@ -132,7 +133,10 @@
 //     canonicalised so −0 = +0 and NaN sorts after +Inf), 8-bit digits,
 //     skipping every digit all rows share. Every other order — strings,
 //     sparse keys, several key columns, and rel's ORDER BY path — uses
-//     bat.SortStable, a parallel stable merge sort. Both draw their
+//     bat.SortStable, one buffered stable merge sort: per-worker runs
+//     that insertion-sort 32-row blocks and merge them bottom-up in
+//     place through a half-run scratch, then pairwise merges of the runs
+//     against an n-int buffer. Both draw their
 //     permutation buffers from the arena, and the stable permutation is
 //     unique, so the result is independent of the worker budget.
 //   - The zero-suppressed kernels (bat.SparseAdd, Sparse.Gather,
@@ -203,11 +207,12 @@
 // strings byte-wise) and an independently chosen encoding —
 // dictionary codes when the segment's distinct count is small,
 // run-length pairs when runs dominate, raw fixed-width words
-// otherwise. Segments are aligned to blocks of store.BlockRows rows,
-// which equals bat.MorselSize (4096), and SegRows is an exact multiple
-// of it, so segment-granular decisions (zone-map skips, buffer-pool
-// residency) always preserve morsel boundaries and with them the
-// engine's bitwise determinism.
+// otherwise. The dictionary trial runs on a flat open-addressing table
+// that the writer reuses across segments. Segments are aligned to
+// blocks of store.BlockRows rows, which equals bat.MorselSize (4096),
+// and SegRows is an exact multiple of it, so segment-granular
+// decisions (zone-map skips, buffer-pool residency) always preserve
+// morsel boundaries and with them the engine's bitwise determinism.
 // Reads go through mmap when the platform provides it and fall back to
 // buffered I/O otherwise; decoded segments are charged to the reading
 // query's arena (store.Pool evicts LRU segments under a byte cap, so a
@@ -234,10 +239,12 @@
 // rel.HashJoin's pair staging (16-way partitioned pair files merged
 // back in canonical probe order), grouped aggregation (rel.StreamAgg
 // and rel.GroupBy freeze partial tables to disk and merge), and sort
-// (per-run files k-way merged; a serial sort is one run and never
-// stages). The streamed SQL join holds one probe morsel's pairs at a
-// time and has nothing to stage. Every spilled path reproduces its
-// in-memory result bit for bit at any worker count — asserted by a
+// (runs capped at store.SegRows rows, each worker sorting against one
+// half-run scratch, then per-run files k-way merged through a loser
+// tree, one block per run; a serial sort is one run and never stages).
+// The streamed SQL join holds one probe morsel's pairs at a time and
+// has nothing to stage. Every spilled path reproduces its in-memory
+// result bit for bit at any worker count — asserted by a
 // self-calibrating rel.HashJoin test (internal/rel) that measures the
 // in-memory and fully-spilled serial peaks and runs the join under the
 // midpoint budget, plus the spill leg of the fuzz oracle
@@ -272,13 +279,16 @@
 //
 // The tiled kernels drive tile updates through exec.Ctx.ParallelFor and
 // keep the repository's determinism contract: every output tile
-// accumulates its products in fixed ascending k, and the panel QR
+// accumulates its products in fixed ascending k (the cross product's
+// parallel unit is a set of interleaved 8-row strips of one output tile,
+// so a single-tile SYRK such as Fig. 17's 130×130 still fans out, and
+// each element keeps one owner and one order), and the panel QR
 // applies reflectors to each column in ascending order with the same
 // per-column arithmetic, so results are bitwise-identical at any worker
 // count and any tile-grid shape — asserted against naive reference
 // loops over tile edges yielding 1/2/7/16-tile grids, non-divisible
 // edge sizes, and worker budgets {1, 2, 8} under -race, and pinned to
-// recorded result digests in core.
+// recorded result digests in core at budgets {1, 2, 3, 8}.
 //
 // # Static analysis
 //

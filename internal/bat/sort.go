@@ -2,44 +2,60 @@ package bat
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/exec"
+	"repro/internal/store"
 )
 
 // SortStable computes the stable ascending sort permutation of [0, n) under
 // less, a strict weak ordering over original row positions (less(a, b)
-// reports whether row a orders before row b). At or below SerialCutoff
-// elements — or with a single worker — it defers to sort.SliceStable.
-// Above the cutoff it sorts contiguous runs in parallel and combines them
-// with a stable pairwise merge that prefers the left run on ties. A run
-// always holds smaller original positions than the run to its right, so
-// preferring left preserves stability, and because the stable permutation
-// of a sequence is unique, the result is identical at any worker budget.
+// reports whether row a orders before row b). It is one buffered merge
+// sort: the rows split into contiguous runs (one per worker above
+// SerialCutoff, else one), each run insertion-sorts blocks of sortBlock
+// rows and merges them bottom-up in place through a scratch of half its
+// length, and the runs then merge pairwise, level by level, against an
+// n-int buffer, preferring the left run on ties. A run always holds
+// smaller original positions than the run to its right, so preferring left
+// preserves stability, and because the stable permutation of a sequence is
+// unique, the result is identical at any worker budget and any run width.
 // It sorts every order SortIndex does not radix-sort (strings, sparse keys,
 // several key columns) and the comparators of rel.Sort and ORDER BY.
+//
+// A single run needs only the n/2-int scratch, so a serial sort peaks
+// below a parallel one and a budget-failed parallel invocation can still
+// retry serially. When the context's spill policy asks for it, the runs
+// are capped at store.SegRows rows, each worker sorts its runs against one
+// half-run scratch, and the runs merge back from disk (sortMergeSpilled),
+// so the spilled sort never holds a second n-int buffer.
+//
 // The permutation buffer comes from the context's arena; callers done with
 // it may hand it back with c.Arena().FreeInts.
 func SortStable(c *exec.Ctx, n int, less func(a, b int) bool) []int {
 	idx := Identity(c, n)
-	if n <= SerialCutoff || c.Workers() <= 1 {
-		sort.SliceStable(idx, func(a, b int) bool { return less(idx[a], idx[b]) })
+	if n <= sortBlock {
+		insertionSort(idx, less)
 		return idx
 	}
 	runs, size := c.ParallelRuns(n)
-	c.ParallelFor(runs, 1, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			s := idx[r*size : min((r+1)*size, n)]
-			sort.SliceStable(s, func(a, b int) bool { return less(s[a], s[b]) })
-		}
-	})
-	// Out-of-core merge: when the spill policy asks for it, the sorted
-	// runs go to disk and merge back streaming, skipping the second
-	// n-int buffer entirely.
-	if sortMergeSpilled(c, idx, n, size, less) {
+	if runs == 1 {
+		tmp := c.Arena().Ints(n / 2)
+		sortRun(idx, tmp, less)
+		c.Arena().FreeInts(tmp)
 		return idx
 	}
+	spill := c.ShouldSpill(int64(n) * int64(intSizeOf()))
+	if spill {
+		size = min(size, store.SegRows)
+		runs = (n + size - 1) / size
+		sortRuns(c, idx, nil, runs, size, less)
+		if sortMergeSpilled(c, idx, size, less) {
+			return idx
+		}
+	}
 	buf := c.Arena().Ints(n)
+	if !spill {
+		sortRuns(c, idx, buf, runs, size, less)
+	}
 	src, dst := idx, buf
 	for width := size; width < n; width *= 2 {
 		pairs := (n + 2*width - 1) / (2 * width)
@@ -59,19 +75,119 @@ func SortStable(c *exec.Ctx, n int, less func(a, b int) bool) []int {
 	return idx
 }
 
-// mergeRuns stably merges the sorted runs src[lo:mid] and src[mid:hi] into
-// dst[lo:hi], taking from the left run on ties.
-func mergeRuns(dst, src []int, lo, mid, hi int, less func(a, b int) bool) {
-	i, j := lo, mid
-	for k := lo; k < hi; k++ {
-		if i < mid && (j >= hi || !less(src[j], src[i])) {
-			dst[k] = src[i]
-			i++
-		} else {
-			dst[k] = src[j]
-			j++
+// sortBlock is the width of the blocks a run insertion-sorts before its
+// bottom-up merge starts.
+const sortBlock = 32
+
+// sortRuns sorts the runs idx[r*size : (r+1)*size] in parallel. Run r uses
+// buf's matching range as scratch; with buf nil every worker draws one
+// size/2-int scratch from the arena instead and returns it when its runs
+// are done.
+func sortRuns(c *exec.Ctx, idx, buf []int, runs, size int, less func(a, b int) bool) {
+	n := len(idx)
+	c.ParallelFor(runs, 1, func(lo, hi int) {
+		var own []int
+		if buf == nil {
+			own = c.Arena().Ints(size / 2)
+			defer c.Arena().FreeInts(own)
+		}
+		for r := lo; r < hi; r++ {
+			rlo, rhi := r*size, min((r+1)*size, n)
+			if buf != nil {
+				sortRun(idx[rlo:rhi], buf[rlo:rhi], less)
+			} else {
+				sortRun(idx[rlo:rhi], own, less)
+			}
+		}
+	})
+}
+
+// sortRun stably sorts s in place: it insertion-sorts blocks of sortBlock
+// rows, then merges them bottom-up with mergeInPlace. Two merged runs
+// never hold more than len(s) rows, so the shorter one fits in tmp when
+// len(tmp) >= len(s)/2.
+func sortRun(s, tmp []int, less func(a, b int) bool) {
+	n := len(s)
+	for lo := 0; lo < n; lo += sortBlock {
+		insertionSort(s[lo:min(lo+sortBlock, n)], less)
+	}
+	for w := sortBlock; w < n; w *= 2 {
+		for lo := 0; lo+w < n; lo += 2 * w {
+			mergeInPlace(s[lo:min(lo+2*w, n)], w, tmp, less)
 		}
 	}
+}
+
+// insertionSort stably sorts s in place.
+func insertionSort(s []int, less func(a, b int) bool) {
+	for i := 1; i < len(s); i++ {
+		v, j := s[i], i
+		for ; j > 0 && less(v, s[j-1]); j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = v
+	}
+}
+
+// mergeInPlace stably merges the sorted runs s[:mid] and s[mid:] into s,
+// taking from the left run on ties. The shorter run is copied to tmp and
+// merged back from its own end of s (front to back for the left run, back
+// to front for the right one), so the writes never overtake the unread
+// rows of the run left in place. Runs already in order are left alone.
+func mergeInPlace(s []int, mid int, tmp []int, less func(a, b int) bool) {
+	if !less(s[mid], s[mid-1]) {
+		return
+	}
+	if mid <= len(s)-mid {
+		l := tmp[:copy(tmp, s[:mid])]
+		i, j, k := 0, mid, 0
+		for ; i < len(l) && j < len(s); k++ {
+			if less(s[j], l[i]) {
+				s[k] = s[j]
+				j++
+			} else {
+				s[k] = l[i]
+				i++
+			}
+		}
+		copy(s[k:], l[i:]) // a right-run tail is already in place
+		return
+	}
+	r := tmp[:copy(tmp, s[mid:])]
+	i, j, k := mid-1, len(r)-1, len(s)-1
+	for ; i >= 0 && j >= 0; k-- {
+		if less(r[j], s[i]) {
+			s[k] = s[i]
+			i--
+		} else {
+			s[k] = r[j]
+			j--
+		}
+	}
+	copy(s[:j+1], r[:j+1]) // a left-run head is already in place
+}
+
+// mergeRuns stably merges the sorted runs src[lo:mid] and src[mid:hi] into
+// dst[lo:hi], taking from the left run on ties. Runs already in order
+// (the right run's head does not order before the left run's tail) are
+// copied without further comparisons.
+func mergeRuns(dst, src []int, lo, mid, hi int, less func(a, b int) bool) {
+	if mid == hi || !less(src[mid], src[mid-1]) {
+		copy(dst[lo:hi], src[lo:hi])
+		return
+	}
+	i, j, k := lo, mid, lo
+	for ; i < mid && j < hi; k++ {
+		if less(src[j], src[i]) {
+			dst[k] = src[j]
+			j++
+		} else {
+			dst[k] = src[i]
+			i++
+		}
+	}
+	k += copy(dst[k:], src[i:mid])
+	copy(dst[k:hi], src[j:hi])
 }
 
 // SortIndex computes the stable ascending sort permutation over one or more

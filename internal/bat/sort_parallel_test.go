@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/store"
 )
 
 // refStablePerm is the single-goroutine reference permutation the parallel
@@ -109,6 +110,44 @@ func TestSortStableIsStable(t *testing.T) {
 	}
 }
 
+// TestSortStableMatchesReference pins SortStable to the stable reference
+// around its block, serial-cutoff and spill-run (store.SegRows) widths, on
+// heavily duplicated and on distinct keys, at worker budgets 1, 2 and 8,
+// in memory and with a one-byte spill threshold.
+func TestSortStableMatchesReference(t *testing.T) {
+	sizes := []int{0, 1, 2, sortBlock - 1, sortBlock, sortBlock + 1, SerialCutoff - 1, SerialCutoff,
+		SerialCutoff + 1, 5*SerialCutoff + 321, 2*store.SegRows + 5}
+	for _, n := range sizes {
+		rng := rand.New(rand.NewSource(int64(n)))
+		dups := make([]int, n)
+		distinct := rng.Perm(n)
+		for k := range dups {
+			dups[k] = rng.Intn(5)
+		}
+		for _, kc := range []struct {
+			name string
+			keys []int
+		}{{"dups", dups}, {"distinct", distinct}} {
+			name, keys := kc.name, kc.keys
+			less := func(a, b int) bool { return keys[a] < keys[b] }
+			want := refStablePerm(n, less)
+			for _, workers := range []int{1, 2, 8} {
+				c := exec.New(workers)
+				got := SortStable(c, n, less)
+				permsEqual(t, "memory-"+name, n, workers, got, want)
+				c.Arena().FreeInts(got)
+
+				sp := exec.NewSpill(t.TempDir(), 1)
+				cs := exec.New(workers).WithSpill(sp)
+				got = SortStable(cs, n, less)
+				permsEqual(t, "spill-"+name, n, workers, got, want)
+				cs.Arena().FreeInts(got)
+				sp.Cleanup()
+			}
+		}
+	}
+}
+
 // floatOrderLess is the total order SortIndex sorts a float key under:
 // IEEE < (so −0 = +0), extended by one NaN class ordered after +Inf.
 func floatOrderLess(x, y float64) bool {
@@ -201,7 +240,8 @@ func TestSortIndexRadixMatchesStable(t *testing.T) {
 // FuzzSortIndex reads 8-byte words as int64 keys (arithmetically shifted
 // right by data[0]%64, which breeds duplicates and constant digits) and
 // reinterprets the same bits as float keys; both columns must sort exactly
-// like the stable reference.
+// like the stable reference through the radix sort, and an (Int, Float)
+// pair and a String key built from them through the merge sort.
 func FuzzSortIndex(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 255, 254, 253, 252, 251, 250, 249, 248})
 	f.Add([]byte{60, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0xf8, 0x7f})
@@ -222,5 +262,36 @@ func FuzzSortIndex(f *testing.F) {
 		checkSortIndex(t, "fuzz-int", FromInts(xs), wantI, 1, 8)
 		wantF := refStablePerm(n, func(a, b int) bool { return floatOrderLess(fs[a], fs[b]) })
 		checkSortIndex(t, "fuzz-float", FromFloats(fs), wantF, 1, 8)
+
+		// Keys SortIndex merge-sorts: an (Int, Float) pair, whose float
+		// column drops NaN (it compares equal to every value, so the
+		// pair would be no strict weak order), and a String key made of
+		// each word's low bytes.
+		gs := make([]float64, n)
+		ss := make([]string, n)
+		for i, w := range xs {
+			if gs[i] = fs[len(fs)-1-i]; gs[i] != gs[i] {
+				gs[i] = 0
+			}
+			var buf [8]byte
+			binary.LittleEndian.PutUint64(buf[:], uint64(w))
+			ss[i] = string(buf[:uint64(w)%9])
+		}
+		wantP := refStablePerm(n, func(a, b int) bool {
+			if xs[a] != xs[b] {
+				return xs[a] < xs[b]
+			}
+			return gs[a] < gs[b]
+		})
+		wantS := refStablePerm(n, func(a, b int) bool { return ss[a] < ss[b] })
+		for _, w := range []int{1, 8} {
+			c := exec.New(w)
+			idx := SortIndex(c, []*BAT{FromInts(xs), FromFloats(gs)})
+			permsEqual(t, "fuzz-int-float", n, w, idx, wantP)
+			c.Arena().FreeInts(idx)
+			idx = SortIndex(c, []*BAT{FromStrings(ss)})
+			permsEqual(t, "fuzz-string", n, w, idx, wantS)
+			c.Arena().FreeInts(idx)
+		}
 	})
 }

@@ -70,8 +70,9 @@ func relationHash(r *rel.Relation) string {
 // and the QR factors at small shapes with multi-tile grids (inner
 // dimension, output columns and QR columns past one 256 tile) and
 // shuffled keys. The digests were recorded when shapes this small still
-// ran on separate flat kernels, so a change in any kernel's
-// accumulation order fails here, at every worker budget.
+// ran on separate flat kernels (the cpd-self-7/9/130/257 ones while a
+// cross-product output tile was still one unit of work), so a change in
+// any kernel's accumulation order fails here, at every worker budget.
 func TestDenseResultBitsPinned(t *testing.T) {
 	tall := tileRel("t", "K", 600, 5, 1)
 	tall2 := tileRel("u", "K2", 600, 3, 2)
@@ -81,6 +82,13 @@ func TestDenseResultBitsPinned(t *testing.T) {
 	wide := tileRel("w", "Kw", 530, 262, 6)
 	wide2 := tileRel("v", "Kv", 530, 3, 8)
 	opdR := tileRel("o", "Ko", 260, 5, 7)
+	// Self cross products around the cross-product kernel's 8-row strips:
+	// one strip and a bit, one tile split into many strip sets, and a
+	// second output tile column.
+	cov7 := tileRel("c", "Kc", 300, 7, 9)
+	cov9 := tileRel("d", "Kd", 300, 9, 10)
+	cov130 := tileRel("e", "Ke", 700, 130, 11)
+	cov257 := tileRel("g", "Kg", 530, 257, 12)
 	k := []string{"K"}
 	cases := []struct {
 		name string
@@ -91,6 +99,10 @@ func TestDenseResultBitsPinned(t *testing.T) {
 		{"mmu-inner300", func(o *Options) (*rel.Relation, error) { return Mmu(left, []string{"Kl"}, right, []string{"Kr"}, o) }, "c434a80678de1a5b"},
 		{"cpd-self", func(o *Options) (*rel.Relation, error) { return Cpd(tall, k, tall, k, o) }, "ef25f67f5a6bdce4"},
 		{"cpd-self-wide", func(o *Options) (*rel.Relation, error) { return Cpd(wide, []string{"Kw"}, wide, []string{"Kw"}, o) }, "0776db04e7c06267"},
+		{"cpd-self-7", func(o *Options) (*rel.Relation, error) { return Cpd(cov7, []string{"Kc"}, cov7, []string{"Kc"}, o) }, "2964ae979bdc9220"},
+		{"cpd-self-9", func(o *Options) (*rel.Relation, error) { return Cpd(cov9, []string{"Kd"}, cov9, []string{"Kd"}, o) }, "572ad854357ffbe1"},
+		{"cpd-self-130", func(o *Options) (*rel.Relation, error) { return Cpd(cov130, []string{"Ke"}, cov130, []string{"Ke"}, o) }, "736ca361386732d1"},
+		{"cpd-self-257", func(o *Options) (*rel.Relation, error) { return Cpd(cov257, []string{"Kg"}, cov257, []string{"Kg"}, o) }, "58b105fa778d8b9b"},
 		{"cpd", func(o *Options) (*rel.Relation, error) { return Cpd(tall, k, tall2, []string{"K2"}, o) }, "30c8c26f880f6eca"},
 		{"cpd-wide", func(o *Options) (*rel.Relation, error) { return Cpd(wide, []string{"Kw"}, wide2, []string{"Kv"}, o) }, "8ab9f68bdeed25e7"},
 		{"opd", func(o *Options) (*rel.Relation, error) { return Opd(tall, k, opdR, []string{"Ko"}, o) }, "77d3fce5fe4121ec"},
@@ -100,7 +112,7 @@ func TestDenseResultBitsPinned(t *testing.T) {
 		{"rqr-wide", func(o *Options) (*rel.Relation, error) { return Rqr(wide, []string{"Kw"}, o) }, "1d7c89024ca18892"},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{1, 2, 8} {
+		for _, workers := range []int{1, 2, 3, 8} {
 			res, err := tc.run(&Options{Policy: PolicyDense, Parallelism: workers})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
@@ -108,6 +120,23 @@ func TestDenseResultBitsPinned(t *testing.T) {
 			if got := relationHash(res); got != tc.want {
 				t.Errorf("%s workers=%d: digest %s, want %s", tc.name, workers, got, tc.want)
 			}
+		}
+	}
+}
+
+// TestCpdNarrowerThanStripGoroutines pins the goroutines a self cross
+// product narrower than one 8-row strip spawns: it stays one unit of
+// work, so splitting output tiles into strip sets adds no fan-out.
+func TestCpdNarrowerThanStripGoroutines(t *testing.T) {
+	r := tileRel("n", "Kn", 600, 5, 13)
+	want := map[int]int64{1: 0, 2: 4, 3: 6, 8: 8} // recorded before the strip split
+	for _, workers := range []int{1, 2, 3, 8} {
+		var st Stats
+		if _, err := Cpd(r, []string{"Kn"}, r, []string{"Kn"}, &Options{Policy: PolicyDense, Parallelism: workers, Stats: &st}); err != nil {
+			t.Fatal(err)
+		}
+		if st.ParallelGoroutines != want[workers] {
+			t.Errorf("workers=%d: %d goroutines, want %d", workers, st.ParallelGoroutines, want[workers])
 		}
 	}
 }

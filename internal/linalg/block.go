@@ -11,12 +11,14 @@ import (
 // This file holds the tiled (block-partitioned) kernels over
 // matrix.BlockMatrix grids: the only implementation of the dense
 // products and of Householder QR. The parallel unit is an output tile
-// (or, for QR, a trailing column) — each is produced by exactly one
-// worker, and the inner reduction runs in fixed ascending order — so
-// results are bitwise-identical at any worker budget and any tile
-// edge: per output element the products add in ascending k with a
-// zero-skip on the left factor, and per column the Householder
-// reflectors apply in ascending order.
+// of MatMul, a strip set of a cross-product output tile (its rows, in
+// interleaved 8-row strips), or, for QR, a trailing column — each
+// output element is produced by exactly one worker, and the inner
+// reduction runs in fixed ascending order — so results are
+// bitwise-identical at any worker budget and any tile edge: per output
+// element the products add in ascending k with a zero-skip on the left
+// factor, and per column the Householder reflectors apply in ascending
+// order.
 
 // collectErr funnels the first error out of a ParallelFor body.
 type collectErr struct {
@@ -119,6 +121,14 @@ func matMulTile(c *exec.Ctx, a, b, out *matrix.BlockMatrix, ti, tj, kt int) erro
 // paper's cblas_dsyrk route) only the upper-triangle tiles — and on
 // diagonal tiles only j ≥ i — are computed, and the lower triangle is
 // mirrored from them.
+//
+// The parallel unit is a strip set of one output tile: when there are
+// fewer tiles than workers, each tile's rows split into crossStrip-row
+// strips dealt round robin to ceil(workers/tiles) sets (never more sets
+// than strips), and each set walks the row tiles once for its own rows.
+// Interleaving balances the triangular work of a diagonal tile. A row
+// belongs to one set, so every output element is still produced by one
+// worker in the same order, whatever the budget.
 func CrossProductBlocked(c *exec.Ctx, a, b *matrix.BlockMatrix) (*matrix.BlockMatrix, error) {
 	if a.Rows != b.Rows || a.Edge != b.Edge {
 		return nil, ErrShape
@@ -138,10 +148,19 @@ func CrossProductBlocked(c *exec.Ctx, a, b *matrix.BlockMatrix) (*matrix.BlockMa
 			todo = append(todo, [2]int{ti, tj})
 		}
 	}
+	perTile := (c.Workers() + len(todo) - 1) / max(len(todo), 1)
+	var units []crossUnit
+	for _, t := range todo {
+		h, _ := out.TileDims(t[0], t[1])
+		sets := max(1, min(perTile, (h+crossStrip-1)/crossStrip))
+		for s := 0; s < sets; s++ {
+			units = append(units, crossUnit{ti: t[0], tj: t[1], set: s, sets: sets})
+		}
+	}
 	var ce collectErr
-	c.ParallelFor(len(todo), 1, func(lo, hi int) {
-		for _, t := range todo[lo:hi] {
-			if err := crossTile(c, a, b, out, t[0], t[1], self && t[0] == t[1]); err != nil {
+	c.ParallelFor(len(units), 1, func(lo, hi int) {
+		for _, u := range units[lo:hi] {
+			if err := crossTile(c, a, b, out, u, self && u.ti == u.tj); err != nil {
 				ce.set(err)
 				return
 			}
@@ -167,9 +186,21 @@ func CrossProductBlocked(c *exec.Ctx, a, b *matrix.BlockMatrix) (*matrix.BlockMa
 	return out, nil
 }
 
-// crossTile accumulates output tile (ti, tj) of aᵀ·b; upper restricts a
-// diagonal tile of the self case to j ≥ i.
-func crossTile(c *exec.Ctx, a, b, out *matrix.BlockMatrix, ti, tj int, upper bool) error {
+// crossStrip is the row count of one strip of a cross-product output
+// tile.
+const crossStrip = 8
+
+// crossUnit is one strip set of output tile (ti, tj): the strips set,
+// set+sets, set+2·sets, … of crossStrip rows each.
+type crossUnit struct {
+	ti, tj, set, sets int
+}
+
+// crossTile accumulates the rows of output tile (u.ti, u.tj) of aᵀ·b that
+// strip set u owns; upper restricts a diagonal tile of the self case to
+// j ≥ i.
+func crossTile(c *exec.Ctx, a, b, out *matrix.BlockMatrix, u crossUnit, upper bool) error {
+	ti, tj := u.ti, u.tj
 	h, w := out.TileDims(ti, tj)
 	ot, err := out.Pin(c, ti, tj)
 	if err != nil {
@@ -189,17 +220,21 @@ func crossTile(c *exec.Ctx, a, b, out *matrix.BlockMatrix, ti, tj int, upper boo
 		rh, _ := a.TileDims(tr, ti)
 		for r := 0; r < rh; r++ {
 			brow := bt[r*w : (r+1)*w]
-			for i, ari := range at[r*h : (r+1)*h] {
-				if ari == 0 {
-					continue
-				}
-				j0 := 0
-				if upper {
-					j0 = i
-				}
-				orow := ot[i*w : (i+1)*w]
-				for j := j0; j < w; j++ {
-					orow[j] += ari * brow[j]
+			arow := at[r*h : (r+1)*h]
+			for s0 := u.set * crossStrip; s0 < h; s0 += u.sets * crossStrip {
+				for i, s1 := s0, min(s0+crossStrip, h); i < s1; i++ {
+					ari := arow[i]
+					if ari == 0 {
+						continue
+					}
+					j0 := 0
+					if upper {
+						j0 = i
+					}
+					orow := ot[i*w : (i+1)*w]
+					for j := j0; j < w; j++ {
+						orow[j] += ari * brow[j]
+					}
 				}
 			}
 		}

@@ -173,9 +173,9 @@ type OrderSpec struct {
 }
 
 // Sort returns r ordered by the given attributes (stable). The permutation
-// comes from bat.SortStable — a parallel merge sort above the serial
-// cutoff — and the stable permutation is unique, so the row order is
-// identical at any worker budget.
+// comes from bat.SortStable — a buffered merge sort, parallel above the
+// serial cutoff — and the stable permutation is unique, so the row order
+// is identical at any worker budget.
 func (r *Relation) Sort(c *exec.Ctx, specs ...OrderSpec) (res *Relation, err error) {
 	defer exec.CatchBudget(&err)
 	vecs := make([]*bat.Vector, len(specs))

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"os"
+	"slices"
 )
 
 // Writer streams rows into a segment file. Rows are appended in
@@ -22,6 +24,7 @@ type Writer struct {
 	name  string
 	specs []ColSpec
 	cols  []colBuilder
+	enc   *encoder // allocated at the first segment
 	off   int64
 	rows  int64
 	err   error
@@ -126,19 +129,22 @@ func (w *Writer) flushSeg(n int) error {
 	if w.err != nil {
 		return w.err
 	}
+	if w.enc == nil {
+		w.enc = new(encoder)
+	}
 	for k := range w.cols {
 		b := &w.cols[k]
 		var payload []byte
 		var meta SegMeta
 		switch b.kind {
 		case KFloat:
-			payload, meta = encodeFloats(b.f[:n])
+			payload, meta = w.enc.floats(b.f[:n])
 			b.f = b.f[:copy(b.f, b.f[n:])]
 		case KInt:
-			payload, meta = encodeInts(b.i[:n])
+			payload, meta = w.enc.ints(b.i[:n])
 			b.i = b.i[:copy(b.i, b.i[n:])]
 		case KString:
-			payload, meta = encodeStrings(b.s[:n])
+			payload, meta = w.enc.strings(b.s[:n])
 			b.s = b.s[:copy(b.s, b.s[n:])]
 		}
 		meta.Off = w.off
@@ -194,6 +200,7 @@ func (w *Writer) Close() error {
 		w.fail(fmt.Errorf("store: %w", err))
 	}
 	w.f = nil
+	w.enc = nil
 	return w.err
 }
 
@@ -208,12 +215,109 @@ const (
 	maxDict2 = 65536 // 2-byte codes
 )
 
-func encodeFloats(vals []float64) ([]byte, SegMeta) {
-	bits := make([]uint64, len(vals))
-	for i, v := range vals {
-		bits[i] = math.Float64bits(v)
+// encoder holds the scratch of the segment encoders. A Writer owns one
+// from its first segment to Close and reuses it for every segment column
+// it encodes. Payloads it returns alias out and stay valid until the next
+// encode.
+type encoder struct {
+	bits []uint64 // a float or int column as words
+	out  []byte   // the payload
+
+	// The dictionary trial: an open-addressing table over a power-of-two
+	// slot array holding code+1 (0 = empty, linear probing, load ≤ 1/2),
+	// the distinct values in first-appearance order (so a value's code is
+	// its index), and every row's code while the dictionary fits two-byte
+	// codes.
+	slots []int32
+	words []uint64
+	strs  []string
+	codes []uint16
+}
+
+var strSeed = maphash.MakeSeed()
+
+// resetDict clears the dictionary trial for a column of n rows. The
+// table never needs more than maxDict2+1 entries: the trial stops there.
+func (e *encoder) resetDict(n int) {
+	size := 2
+	for size < 2*min(n, maxDict2+1) {
+		size *= 2
 	}
-	payload, meta := encodeWords(bits)
+	if cap(e.slots) < size {
+		e.slots = make([]int32, size)
+	} else {
+		e.slots = e.slots[:size]
+		clear(e.slots)
+	}
+	if cap(e.codes) < n {
+		e.codes = make([]uint16, n)
+	}
+	e.codes = e.codes[:n]
+	e.words = e.words[:0]
+	clear(e.strs)
+	e.strs = e.strs[:0]
+}
+
+// mixWord scrambles a word so its low bits pick a slot.
+func mixWord(w uint64) uint64 {
+	w ^= w >> 33
+	w *= 0xff51afd7ed558ccd
+	return w ^ w>>33
+}
+
+// wordCode returns w's dictionary code, adding w as the next code when
+// it is new.
+func (e *encoder) wordCode(w uint64) int {
+	mask := uint64(len(e.slots) - 1)
+	for h := mixWord(w) & mask; ; h = (h + 1) & mask {
+		s := e.slots[h]
+		if s == 0 {
+			e.words = append(e.words, w)
+			e.slots[h] = int32(len(e.words))
+			return len(e.words) - 1
+		}
+		if e.words[s-1] == w {
+			return int(s - 1)
+		}
+	}
+}
+
+// strCode is wordCode for strings; isNew reports an added value.
+func (e *encoder) strCode(str string) (code int, isNew bool) {
+	mask := uint64(len(e.slots) - 1)
+	for h := maphash.String(strSeed, str) & mask; ; h = (h + 1) & mask {
+		s := e.slots[h]
+		if s == 0 {
+			e.strs = append(e.strs, str)
+			e.slots[h] = int32(len(e.strs))
+			return len(e.strs) - 1, true
+		}
+		if e.strs[s-1] == str {
+			return int(s - 1), false
+		}
+	}
+}
+
+// appendCodes appends every row's dictionary code, codeW bytes each.
+func (e *encoder) appendCodes(out []byte, codeW int) []byte {
+	if codeW == 1 {
+		for _, c := range e.codes {
+			out = append(out, byte(c))
+		}
+		return out
+	}
+	for _, c := range e.codes {
+		out = append(out, byte(c), byte(c>>8))
+	}
+	return out
+}
+
+func (e *encoder) floats(vals []float64) ([]byte, SegMeta) {
+	e.bits = slices.Grow(e.bits[:0], len(vals))
+	for _, v := range vals {
+		e.bits = append(e.bits, math.Float64bits(v))
+	}
+	payload, meta := e.encodeWords(e.bits)
 	// Zone map over value order; disabled when NaNs are present.
 	meta.HasZone = len(vals) > 0
 	mn, mx := math.Inf(1), math.Inf(-1)
@@ -236,12 +340,12 @@ func encodeFloats(vals []float64) ([]byte, SegMeta) {
 	return payload, meta
 }
 
-func encodeInts(vals []int64) ([]byte, SegMeta) {
-	bits := make([]uint64, len(vals))
-	for i, v := range vals {
-		bits[i] = uint64(v)
+func (e *encoder) ints(vals []int64) ([]byte, SegMeta) {
+	e.bits = slices.Grow(e.bits[:0], len(vals))
+	for _, v := range vals {
+		e.bits = append(e.bits, uint64(v))
 	}
-	payload, meta := encodeWords(bits)
+	payload, meta := e.encodeWords(e.bits)
 	if len(vals) > 0 {
 		meta.HasZone = true
 		mn, mx := vals[0], vals[0]
@@ -258,58 +362,51 @@ func encodeInts(vals []int64) ([]byte, SegMeta) {
 	return payload, meta
 }
 
-// encodeWords picks raw / RLE / dict for a segment of 64-bit words.
-func encodeWords(bits []uint64) ([]byte, SegMeta) {
+// encodeWords picks raw / RLE / dict for a segment of 64-bit words. One
+// pass counts the runs and runs the dictionary trial, which gives up
+// once the column holds more than maxDict2 distinct words.
+func (e *encoder) encodeWords(bits []uint64) ([]byte, SegMeta) {
 	n := len(bits)
-	runs := 1
-	dict := make(map[uint64]int)
+	e.resetDict(n)
+	runs := 0
 	for i, w := range bits {
-		if i > 0 && w != bits[i-1] {
-			runs++
-		}
-		if len(dict) <= maxDict2 {
-			if _, ok := dict[w]; !ok {
-				dict[w] = len(dict)
+		if i > 0 && w == bits[i-1] {
+			if len(e.words) <= maxDict2 {
+				e.codes[i] = e.codes[i-1]
 			}
+			continue
+		}
+		runs++
+		if len(e.words) <= maxDict2 {
+			e.codes[i] = uint16(e.wordCode(w))
 		}
 	}
-	if n == 0 {
-		runs = 0
-	}
+	ndict := len(e.words)
 	rawSz := 8 * n
 	rleSz := 4 + runs*12
 	codeW := 1
-	if len(dict) > maxDict1 {
+	if ndict > maxDict1 {
 		codeW = 2
 	}
-	dictSz := 4 + len(dict)*8 + n*codeW
-	if len(dict) > maxDict2 {
+	dictSz := 4 + ndict*8 + n*codeW
+	if ndict > maxDict2 {
 		dictSz = rawSz + 1 // out of range
 	}
 
+	out := e.out[:0]
+	var meta SegMeta
 	switch {
 	case n > 0 && dictSz < rawSz && dictSz <= rleSz:
 		// Dictionary: codes reference first-appearance order.
-		out := make([]byte, 0, dictSz)
-		out = put32(out, uint32(len(dict)))
-		ordered := make([]uint64, len(dict))
-		for w, c := range dict {
-			ordered[c] = w
-		}
-		for _, w := range ordered {
+		out = slices.Grow(out, dictSz)
+		out = put32(out, uint32(ndict))
+		for _, w := range e.words {
 			out = put64(out, w)
 		}
-		for _, w := range bits {
-			c := dict[w]
-			if codeW == 1 {
-				out = append(out, byte(c))
-			} else {
-				out = append(out, byte(c), byte(c>>8))
-			}
-		}
-		return out, SegMeta{Enc: encDict}
+		out = e.appendCodes(out, codeW)
+		meta.Enc = encDict
 	case n > 0 && rleSz < rawSz:
-		out := make([]byte, 0, rleSz)
+		out = slices.Grow(out, rleSz)
 		out = put32(out, uint32(runs))
 		count := uint32(1)
 		for i := 1; i <= n; i++ {
@@ -321,32 +418,41 @@ func encodeWords(bits []uint64) ([]byte, SegMeta) {
 			out = put64(out, bits[i-1])
 			count = 1
 		}
-		return out, SegMeta{Enc: encRLE}
+		meta.Enc = encRLE
 	default:
-		out := make([]byte, 0, rawSz)
+		out = slices.Grow(out, rawSz)
 		for _, w := range bits {
 			out = put64(out, w)
 		}
-		return out, SegMeta{Enc: encRaw}
+		meta.Enc = encRaw
 	}
+	e.out = out
+	return out, meta
 }
 
-func encodeStrings(vals []string) ([]byte, SegMeta) {
+func (e *encoder) strings(vals []string) ([]byte, SegMeta) {
 	n := len(vals)
-	dict := make(map[string]int)
+	e.resetDict(n)
 	rawSz := 0
 	dictBytes := 0
-	for _, s := range vals {
+	for i, s := range vals {
 		rawSz += 4 + len(s)
-		if len(dict) <= maxDict2 {
-			if _, ok := dict[s]; !ok {
-				dict[s] = len(dict)
-				dictBytes += 4 + len(s)
-			}
+		if len(e.strs) > maxDict2 {
+			continue
 		}
+		if i > 0 && s == vals[i-1] {
+			e.codes[i] = e.codes[i-1]
+			continue
+		}
+		c, isNew := e.strCode(s)
+		if isNew {
+			dictBytes += 4 + len(s)
+		}
+		e.codes[i] = uint16(c)
 	}
+	ndict := len(e.strs)
 	codeW := 1
-	if len(dict) > maxDict1 {
+	if ndict > maxDict1 {
 		codeW = 2
 	}
 	dictSz := 4 + dictBytes + n*codeW
@@ -366,33 +472,24 @@ func encodeStrings(vals []string) ([]byte, SegMeta) {
 		meta.MinS, meta.MaxS = []byte(mn), []byte(mx)
 	}
 
-	if n > 0 && len(dict) <= maxDict2 && dictSz < rawSz {
+	out := e.out[:0]
+	if n > 0 && ndict <= maxDict2 && dictSz < rawSz {
 		meta.Enc = encDict
-		out := make([]byte, 0, dictSz)
-		out = put32(out, uint32(len(dict)))
-		ordered := make([]string, len(dict))
-		for s, c := range dict {
-			ordered[c] = s
-		}
-		for _, s := range ordered {
+		out = slices.Grow(out, dictSz)
+		out = put32(out, uint32(ndict))
+		for _, s := range e.strs {
 			out = put32(out, uint32(len(s)))
 			out = append(out, s...)
 		}
+		out = e.appendCodes(out, codeW)
+	} else {
+		meta.Enc = encRaw
+		out = slices.Grow(out, rawSz)
 		for _, s := range vals {
-			c := dict[s]
-			if codeW == 1 {
-				out = append(out, byte(c))
-			} else {
-				out = append(out, byte(c), byte(c>>8))
-			}
+			out = put32(out, uint32(len(s)))
+			out = append(out, s...)
 		}
-		return out, meta
 	}
-	meta.Enc = encRaw
-	out := make([]byte, 0, rawSz)
-	for _, s := range vals {
-		out = put32(out, uint32(len(s)))
-		out = append(out, s...)
-	}
+	e.out = out
 	return out, meta
 }
