@@ -161,7 +161,7 @@ func meta(db *rma.DB, cmd string) bool {
 		if n == 0 {
 			fmt.Printf("memory budget removed (tenant %q)\n", tenantName())
 		} else {
-			fmt.Printf("memory budget set to %d MiB (tenant %q; statements over budget retry serially, then fail typed)\n",
+			fmt.Printf("memory budget set to %d MiB (tenant %q; operators fall back to serial scratch, statements over budget fail typed)\n",
 				n, tenantName())
 		}
 	case strings.HasPrefix(cmd, `\tenant`):

@@ -75,13 +75,19 @@
 // every error-returning API boundary (bat, batlin, rel, core, sql)
 // converts back through exec.CatchBudget; the parallel drivers forward
 // worker-goroutine panics to the caller so the conversion works inside
-// fan-outs too. core.Unary/Binary retry a budget-failed invocation once
-// serially — the parallel kernels need extra scratch that the serial
-// paths do not (per-worker partials; a parallel merge sort holds two
-// n-int buffers where a serial one holds the permutation plus an
-// n/2-int scratch), and all kernels are bitwise-deterministic across
-// worker budgets, so a fallback result is identical to the parallel one
-// (core.Stats.SerialFallback records the downgrade). sql.DB applies the same retry per statement.
+// fan-outs too. Nothing is re-run on a budget error: an invocation or
+// statement executes once, and no operator holds more arena memory at
+// many workers than at one. The operators whose parallel path needs
+// scratch the serial path does not (the merge sort's n-int buffer where
+// a serial sort holds an n/2-int scratch, the sparse gather's and
+// merge's per-run staging, Reduce's per-chunk partials) draw it first
+// through exec.Arena.TryInts/TryFloats and, when the budget refuses it,
+// run their serial body in place (counted in exec.Stats.SerialFallbacks;
+// core.Stats.SerialFallback records it per invocation). Column loops
+// over sparse or Int tails run one column at a time (bat.ColumnFor), and
+// Gauss-Jordan INV/DET update their work columns in place. All kernels
+// are bitwise-deterministic across worker budgets, so a fallback result
+// is identical to the parallel one.
 //
 // Admission control is reservation-based: a governor built with a
 // global cap admits a query only when the sum of admitted budgets stays
@@ -229,9 +235,9 @@
 // string equality) skip whole segments whose min/max ranges cannot
 // match, before any row is touched.
 //
-// Each statement runs normal → serial (on budget errors, when it ran
-// parallel); that is the whole retry ladder. Spill engages proactively
-// when the DB has a spill directory (sql.DB.SetSpill): every
+// Each statement runs once; a budget error that no operator's serial
+// fallback avoids fails it with the typed error. Spill engages
+// proactively when the DB has a spill directory (sql.DB.SetSpill): every
 // estimate-gated consumer asks exec.Ctx.ShouldSpill(estimate) before
 // allocating its dominant transient, where the threshold is the
 // configured byte count, or half the tenant's budget when configured as

@@ -124,6 +124,24 @@ func (b *BAT) ReleaseFloats(c *exec.Ctx, f []float64) {
 	}
 }
 
+// ColumnFor runs body over the columns [0, n) of an operator whose
+// kernels read the tails in cols, fanning the columns out only when all
+// of those tails are dense floats (FloatsCtx views, no buffer). A sparse
+// or Int tail costs a conversion buffer per column in flight, so then
+// the columns run one at a time and only the kernels in body fan out,
+// over rows: the loop never holds more than the serial loop does.
+func ColumnFor(c *exec.Ctx, n int, body func(lo, hi int), cols ...[]*BAT) {
+	for _, cs := range cols {
+		for _, b := range cs {
+			if b.sp != nil || b.vec.Type() != Float {
+				body(0, n)
+				return
+			}
+		}
+	}
+	c.ParallelFor(n, 1, body)
+}
+
 // --- Vectorized kernels -------------------------------------------------
 //
 // These are the BAT operations that MonetDB's kernel exposes and that both

@@ -21,12 +21,13 @@ import (
 // It sorts every order SortIndex does not radix-sort (strings, sparse keys,
 // several key columns) and the comparators of rel.Sort and ORDER BY.
 //
-// A single run needs only the n/2-int scratch, so a serial sort peaks
-// below a parallel one and a budget-failed parallel invocation can still
-// retry serially. When the context's spill policy asks for it, the runs
-// are capped at store.SegRows rows, each worker sorts its runs against one
-// half-run scratch, and the runs merge back from disk (sortMergeSpilled),
-// so the spilled sort never holds a second n-int buffer.
+// A single run needs only the n/2-int scratch; when the budget refuses
+// the parallel sort's extra scratch, the sort runs serially on the same
+// context instead (sortParallel). When the context's spill policy asks
+// for it, the runs are capped at store.SegRows rows, each worker sorts
+// its runs against one half-run scratch, and the runs merge back from
+// disk (sortMergeSpilled), so the spilled sort never holds a second
+// n-int buffer.
 //
 // The permutation buffer comes from the context's arena; callers done with
 // it may hand it back with c.Arena().FreeInts.
@@ -36,26 +37,46 @@ func SortStable(c *exec.Ctx, n int, less func(a, b int) bool) []int {
 		insertionSort(idx, less)
 		return idx
 	}
-	runs, size := c.ParallelRuns(n)
-	if runs == 1 {
-		tmp := c.Arena().Ints(n / 2)
-		sortRun(idx, tmp, less)
-		c.Arena().FreeInts(tmp)
-		return idx
-	}
-	spill := c.ShouldSpill(int64(n) * int64(intSizeOf()))
-	if spill {
-		size = min(size, store.SegRows)
-		runs = (n + size - 1) / size
-		sortRuns(c, idx, nil, runs, size, less)
-		if sortMergeSpilled(c, idx, size, less) {
+	if runs, size := c.ParallelRuns(n); runs > 1 {
+		if sortParallel(c, idx, size, less) {
 			return idx
 		}
+		c.NoteSerialFallback()
 	}
-	buf := c.Arena().Ints(n)
-	if !spill {
-		sortRuns(c, idx, buf, runs, size, less)
+	tmp := c.Arena().Ints(n / 2)
+	sortRun(idx, tmp, less)
+	c.Arena().FreeInts(tmp)
+	return idx
+}
+
+// sortParallel is SortStable's body for more than one run. Its scratch,
+// the n-int merge buffer or, spilled, one half-run scratch per worker,
+// is what a serial sort does not hold (the disk merge's per-run blocks
+// are at most a quarter of the rows, under the serial n/2). It draws the
+// scratch through TryInts before sorting and reports false, holding none,
+// when the arena refuses; idx then holds the identity or sorted runs,
+// from which the serial sort reaches the same stable permutation.
+func sortParallel(c *exec.Ctx, idx []int, size int, less func(a, b int) bool) bool {
+	n := len(idx)
+	a := c.Arena()
+	if c.ShouldSpill(int64(n) * int64(intSizeOf())) {
+		size = min(size, store.SegRows)
+		runs := (n + size - 1) / size
+		scratch := a.TryInts(min(runs, c.Workers()) * (size / 2))
+		if scratch == nil {
+			return false
+		}
+		sortRuns(c, idx, scratch, size/2, size, less)
+		a.FreeInts(scratch)
+		if sortMergeSpilled(c, idx, size, less) {
+			return true
+		}
 	}
+	buf := a.TryInts(n)
+	if buf == nil {
+		return false
+	}
+	sortRuns(c, idx, buf, size, size, less)
 	src, dst := idx, buf
 	for width := size; width < n; width *= 2 {
 		pairs := (n + 2*width - 1) / (2 * width)
@@ -71,32 +92,25 @@ func SortStable(c *exec.Ctx, n int, less func(a, b int) bool) []int {
 	if &src[0] != &idx[0] {
 		copy(idx, src)
 	}
-	c.Arena().FreeInts(buf)
-	return idx
+	a.FreeInts(buf)
+	return true
 }
 
 // sortBlock is the width of the blocks a run insertion-sorts before its
 // bottom-up merge starts.
 const sortBlock = 32
 
-// sortRuns sorts the runs idx[r*size : (r+1)*size] in parallel. Run r uses
-// buf's matching range as scratch; with buf nil every worker draws one
-// size/2-int scratch from the arena instead and returns it when its runs
-// are done.
-func sortRuns(c *exec.Ctx, idx, buf []int, runs, size int, less func(a, b int) bool) {
+// sortRuns sorts the runs idx[r*size : (r+1)*size] on g workers, one per
+// per-int slice of scratch: worker w sorts runs w, w+g, … against
+// scratch[w*per : (w+1)*per], which must hold half of each such run.
+func sortRuns(c *exec.Ctx, idx, scratch []int, per, size int, less func(a, b int) bool) {
 	n := len(idx)
-	c.ParallelFor(runs, 1, func(lo, hi int) {
-		var own []int
-		if buf == nil {
-			own = c.Arena().Ints(size / 2)
-			defer c.Arena().FreeInts(own)
-		}
-		for r := lo; r < hi; r++ {
-			rlo, rhi := r*size, min((r+1)*size, n)
-			if buf != nil {
-				sortRun(idx[rlo:rhi], buf[rlo:rhi], less)
-			} else {
-				sortRun(idx[rlo:rhi], own, less)
+	runs, g := (n+size-1)/size, (len(scratch)+per-1)/per
+	c.ParallelFor(g, 1, func(lo, hi int) {
+		for w := lo; w < hi; w++ {
+			tmp := scratch[w*per : min((w+1)*per, len(scratch))]
+			for r := w; r < runs; r += g {
+				sortRun(idx[r*size:min((r+1)*size, n)], tmp, less)
 			}
 		}
 	})

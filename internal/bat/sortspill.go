@@ -11,9 +11,10 @@ import (
 // sorted runs of width size already sitting in idx are written to disk
 // as segment files, then k-way merged back into idx streaming one block
 // per run, so the merge itself needs no buffer beyond those blocks. It
-// reports whether it completed; false means idx holds the sorted runs
-// again and the caller must merge them in memory. Only broken I/O on a
-// file this process just wrote lands there.
+// reports whether it completed; false means idx holds the sorted runs or,
+// when the merge had begun overwriting them, the identity again, and the
+// caller must sort it in memory. Only broken I/O on a file this process
+// just wrote lands there.
 //
 // The merge prefers the lowest-numbered run on ties, exactly like the
 // pairwise in-memory merge prefers its left input, and the stable
@@ -178,11 +179,10 @@ func sortMergeSpilled(c *exec.Ctx, idx []int, size int, less func(a, b int) bool
 	closeAll()
 	if !ioOK {
 		// The runs in idx may be partially overwritten and the disk
-		// copies are unreadable: sort the runs again.
+		// copies are unreadable: start again from the identity.
 		for k := range idx {
 			idx[k] = k
 		}
-		sortRuns(c, idx, nil, runs, size, less)
 		return false
 	}
 	return true

@@ -1,7 +1,6 @@
 package bat
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -134,24 +133,27 @@ func TestSortStableSpillScratchBounded(t *testing.T) {
 // TestSortStableSerialScratch pins a serial sort's arena peak to the
 // permutation plus a half-length scratch, below the two n-int buffers of a
 // parallel sort, and checks what that buys: under a budget between the two
-// peaks the parallel sort fails with ErrMemoryBudget and the serial retry
-// completes.
+// peaks the parallel sort falls back to its serial body in place, records
+// the fallback, stays within the budget and returns the same permutation.
 func TestSortStableSerialScratch(t *testing.T) {
 	n := 3*SerialCutoff + 7
 	keys := rand.New(rand.NewSource(5)).Perm(n)
 	less := func(a, b int) bool { return keys[a]/3 < keys[b]/3 }
 	want := refStablePerm(n, less)
+	var fallbacks int64
 	sortUnder := func(workers int, budget int64) (int64, error) {
 		tn := exec.NewGovernor(0, 0).Tenant("sort", budget)
 		a := tn.NewArena()
 		defer a.Close()
+		st := &exec.Stats{}
 		err := func() (err error) {
 			defer exec.CatchBudget(&err)
-			got := SortStable(exec.NewCtx(workers, a, nil), n, less)
+			got := SortStable(exec.NewCtx(workers, a, st), n, less)
 			permsEqual(t, "budgeted", n, workers, got, want)
 			a.FreeInts(got)
 			return nil
 		}()
+		fallbacks = st.SerialFallbacks.Load()
 		return tn.PeakBytes(), err
 	}
 	charge := func(m int) int64 {
@@ -176,8 +178,9 @@ func TestSortStableSerialScratch(t *testing.T) {
 		t.Fatalf("parallel sort peak %d bytes, want its two n-int buffers %d", parallel, 2*charge(n))
 	}
 	budget := (serial + parallel) / 2
-	if _, err := sortUnder(2, budget); !errors.Is(err, exec.ErrMemoryBudget) {
-		t.Fatalf("parallel sort under %d bytes: err = %v, want ErrMemoryBudget", budget, err)
+	if peak, err := sortUnder(2, budget); err != nil || peak > budget || fallbacks == 0 {
+		t.Fatalf("parallel sort under %d bytes: peak %d, err %v, %d serial fallbacks, want a fallback within the budget",
+			budget, peak, err, fallbacks)
 	}
 	if peak, err := sortUnder(1, budget); err != nil || peak > budget {
 		t.Fatalf("serial sort under %d bytes: peak %d, err %v", budget, peak, err)
@@ -200,7 +203,7 @@ func TestSortMergeSpilledManyRuns(t *testing.T) {
 		sp := exec.NewSpill(t.TempDir(), 1)
 		c := exec.New(2).WithSpill(sp)
 		idx := Identity(c, n)
-		sortRuns(c, idx, nil, runs, size, less)
+		sortRuns(c, idx, make([]int, 2*(size/2)), size/2, size, less)
 		if !sortMergeSpilled(c, idx, size, less) {
 			t.Fatalf("runs=%d: disk merge failed", runs)
 		}
@@ -229,7 +232,7 @@ func BenchmarkSortMergeSpilled(b *testing.B) {
 			defer sp.Cleanup()
 			c := exec.New(1).WithSpill(sp)
 			sorted := Identity(c, n)
-			sortRuns(c, sorted, nil, runs, size, less)
+			sortRuns(c, sorted, make([]int, size/2), size/2, size, less)
 			idx := make([]int, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -122,49 +122,26 @@ func (s *Sparse) Clone() *Sparse {
 // Ranges of the index list are gathered in parallel and concatenated in
 // range order.
 func (s *Sparse) Gather(c *exec.Ctx, idx []int) *Sparse {
-	out := &Sparse{n: len(idx)}
-	if c.Serial(len(idx)) {
-		for k, j := range idx {
-			if v := s.Get(j); v != 0 {
+	gather := func(out *Sparse, lo, hi int) {
+		for k := lo; k < hi; k++ {
+			if x := s.Get(idx[k]); x != 0 {
 				out.oid = append(out.oid, k)
-				out.val = append(out.val, v)
+				out.val = append(out.val, x)
 			}
 		}
-		return out
 	}
-	runs, size := c.ParallelRuns(len(idx))
-	oids := make([][]int, runs)
-	vals := make([][]float64, runs)
-	// The per-run staging buffers are charged to the invocation's arena
-	// (sized to the run's upper bound) and handed back after the
-	// concatenation, so a budgeted tenant sees the gather's transient
-	// footprint instead of untracked heap growth.
-	c.ParallelFor(runs, 1, func(rlo, rhi int) {
-		for r := rlo; r < rhi; r++ {
-			lo, hi := r*size, min((r+1)*size, len(idx))
-			o := c.Arena().Ints(hi - lo)[:0]
-			v := c.Arena().Floats(hi - lo)[:0]
-			for k := lo; k < hi; k++ {
-				if x := s.Get(idx[k]); x != 0 {
-					o = append(o, k)
-					v = append(v, x)
-				}
-			}
-			oids[r], vals[r] = o, v
+	out := &Sparse{n: len(idx)}
+	if !c.Serial(len(idx)) {
+		runs, size := c.ParallelRuns(len(idx))
+		off := make([]int, runs+1)
+		for r := range off {
+			off[r] = min(r*size, len(idx))
 		}
-	})
-	total := 0
-	for _, o := range oids {
-		total += len(o)
+		if stageRuns(c, out, off, func(r int, part *Sparse) { gather(part, off[r], off[r+1]) }) {
+			return out
+		}
 	}
-	out.oid = make([]int, 0, total)
-	out.val = make([]float64, 0, total)
-	for r := range oids {
-		out.oid = append(out.oid, oids[r]...)
-		out.val = append(out.val, vals[r]...)
-		c.Arena().FreeInts(oids[r])
-		c.Arena().FreeFloats(vals[r])
-	}
+	gather(out, 0, len(idx))
 	return out
 }
 
@@ -178,41 +155,69 @@ func (s *Sparse) Gather(c *exec.Ctx, idx []int) *Sparse {
 // range order; the merge result is unique, so the output is independent of
 // the worker budget.
 func SparseAdd(c *exec.Ctx, a, b *Sparse) *Sparse {
-	work := len(a.oid) + len(b.oid)
-	if c.Serial(work) {
-		out := &Sparse{n: a.n}
-		mergeSparse(out, a, 0, len(a.oid), b, 0, sort.SearchInts(b.oid, a.n))
-		return out
+	out := &Sparse{n: a.n}
+	if !c.Serial(len(a.oid) + len(b.oid)) {
+		runs, size := c.ParallelRuns(a.n)
+		ai, bi := make([]int, runs+1), make([]int, runs+1)
+		off := make([]int, runs+1)
+		for r := range off {
+			lo := min(r*size, a.n)
+			ai[r], bi[r] = sort.SearchInts(a.oid, lo), sort.SearchInts(b.oid, lo)
+			off[r] = ai[r] + bi[r]
+		}
+		if stageRuns(c, out, off, func(r int, part *Sparse) {
+			mergeSparse(part, a, ai[r], ai[r+1], b, bi[r], bi[r+1])
+		}) {
+			return out
+		}
 	}
-	runs, size := c.ParallelRuns(a.n)
-	parts := make([]Sparse, runs)
-	// Each range's merge output is at most the stored entries of both
-	// inputs in that range, so the staging buffers can be arena-charged
-	// at their exact upper bound — the appends in mergeSparse never
-	// reallocate past the ledgered capacity.
-	c.ParallelFor(runs, 1, func(rlo, rhi int) {
-		for r := rlo; r < rhi; r++ {
-			lo, hi := r*size, min((r+1)*size, a.n)
-			ai, aj := sort.SearchInts(a.oid, lo), sort.SearchInts(a.oid, hi)
-			bi, bj := sort.SearchInts(b.oid, lo), sort.SearchInts(b.oid, hi)
-			bound := (aj - ai) + (bj - bi)
-			parts[r].oid = c.Arena().Ints(bound)[:0]
-			parts[r].val = c.Arena().Floats(bound)[:0]
-			mergeSparse(&parts[r], a, ai, aj, b, bi, bj)
+	mergeSparse(out, a, 0, len(a.oid), b, 0, sort.SearchInts(b.oid, a.n))
+	return out
+}
+
+// stageRuns runs fill in parallel over the runs of a sparse kernel whose
+// run r emits at most off[r+1]-off[r] entries, each into its own arena
+// staging pair, and concatenates the runs into out. The staging is what
+// the serial kernel does not need, so when the budget refuses it
+// stageRuns records the fallback and reports false, holding and emitting
+// nothing, for the caller to run its serial body.
+func stageRuns(c *exec.Ctx, out *Sparse, off []int, fill func(r int, part *Sparse)) bool {
+	ar := c.Arena()
+	parts := make([]Sparse, len(off)-1)
+	release := func(parts []Sparse) {
+		for r := range parts {
+			ar.FreeInts(parts[r].oid)
+			ar.FreeFloats(parts[r].val)
+		}
+	}
+	for r := range parts {
+		if parts[r].oid = ar.TryInts(off[r+1] - off[r]); parts[r].oid != nil {
+			parts[r].val = ar.TryFloats(off[r+1] - off[r])
+		}
+		if parts[r].val == nil {
+			release(parts[:r+1])
+			c.NoteSerialFallback()
+			return false
+		}
+		parts[r].oid, parts[r].val = parts[r].oid[:0], parts[r].val[:0]
+	}
+	c.ParallelFor(len(parts), 1, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			fill(r, &parts[r])
 		}
 	})
-	total := 0
+	n := 0
 	for r := range parts {
-		total += len(parts[r].oid)
+		n += len(parts[r].oid)
 	}
-	out := &Sparse{n: a.n, oid: make([]int, 0, total), val: make([]float64, 0, total)}
+	out.oid = make([]int, 0, n)
+	out.val = make([]float64, 0, n)
 	for r := range parts {
 		out.oid = append(out.oid, parts[r].oid...)
 		out.val = append(out.val, parts[r].val...)
-		c.Arena().FreeInts(parts[r].oid)
-		c.Arena().FreeFloats(parts[r].val)
 	}
-	return out
+	release(parts)
+	return true
 }
 
 // mergeSparse merges a.oid[ai:aj] with b.oid[bi:bj] into out, summing

@@ -22,12 +22,13 @@
 // columns of mmu/cpd/opd, the scatter of tra, and the pivot-elimination
 // fan-out of Algorithm 2 — are spread over goroutines with the same
 // driver, so wide-and-short matrices parallelize over columns while
-// tall-and-narrow ones parallelize over rows. Scratch columns come from
-// the context's arena: the iterative algorithms (the elimination loop of
-// Inv/Det, the orthogonalization loop of QR) release each superseded
-// column with bat.Release, so one matrix worth of buffers is recycled
-// across all iterations instead of allocating O(n) fresh columns per
-// step.
+// tall-and-narrow ones parallelize over rows (bat.ColumnFor keeps the
+// columns serial when a sparse or Int operand would cost each worker a
+// conversion buffer). Scratch columns come from the context's arena: the
+// elimination loop of Inv/Det updates its work columns in place, and the
+// orthogonalization loop of QR releases each superseded column with
+// bat.Release, so one matrix worth of buffers is recycled across all
+// iterations instead of allocating O(n) fresh columns per step.
 package batlin
 
 import (
@@ -77,11 +78,11 @@ func Add(c *exec.Ctx, a, b []*bat.BAT) (res []*bat.BAT, err error) {
 		return nil, ErrShape
 	}
 	out := make([]*bat.BAT, len(a))
-	c.ParallelFor(len(a), colMinWork, func(lo, hi int) {
+	bat.ColumnFor(c, len(a), func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			out[j] = bat.Add(c, a[j], b[j])
 		}
-	})
+	}, a, b)
 	return out, nil
 }
 
@@ -92,11 +93,11 @@ func Sub(c *exec.Ctx, a, b []*bat.BAT) (res []*bat.BAT, err error) {
 		return nil, ErrShape
 	}
 	out := make([]*bat.BAT, len(a))
-	c.ParallelFor(len(a), colMinWork, func(lo, hi int) {
+	bat.ColumnFor(c, len(a), func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			out[j] = bat.Sub(c, a[j], b[j])
 		}
-	})
+	}, a, b)
 	return out, nil
 }
 
@@ -107,11 +108,11 @@ func EMU(c *exec.Ctx, a, b []*bat.BAT) (res []*bat.BAT, err error) {
 		return nil, ErrShape
 	}
 	out := make([]*bat.BAT, len(a))
-	c.ParallelFor(len(a), colMinWork, func(lo, hi int) {
+	bat.ColumnFor(c, len(a), func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			out[j] = bat.Mul(c, a[j], b[j])
 		}
-	})
+	}, a, b)
 	return out, nil
 }
 
@@ -127,7 +128,7 @@ func MMU(c *exec.Ctx, a, b []*bat.BAT) (res []*bat.BAT, err error) {
 	}
 	m := rows(a)
 	out := make([]*bat.BAT, len(b))
-	c.ParallelFor(len(b), colMinWork, func(lo, hi int) {
+	bat.ColumnFor(c, len(b), func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			acc := c.Arena().FloatsZero(m)
 			for l := 0; l < k; l++ {
@@ -139,7 +140,7 @@ func MMU(c *exec.Ctx, a, b []*bat.BAT) (res []*bat.BAT, err error) {
 			}
 			out[j] = bat.FromFloats(acc)
 		}
-	})
+	}, a)
 	return out, nil
 }
 
@@ -154,16 +155,21 @@ func CPD(c *exec.Ctx, a, b []*bat.BAT) (res []*bat.BAT, err error) {
 	if rows(a) != rows(b) {
 		return nil, ErrShape
 	}
+	// The result columns are drawn before the fan-out: inside it only
+	// Reduce's partials are drawn, which it gives up when refused.
 	out := make([]*bat.BAT, len(b))
-	c.ParallelFor(len(b), colMinWork, func(lo, hi int) {
+	cols := make([][]float64, len(b))
+	for j := range cols {
+		cols[j] = c.Arena().Floats(len(a))
+		out[j] = bat.FromFloats(cols[j])
+	}
+	bat.ColumnFor(c, len(b), func(lo, hi int) {
 		for j := lo; j < hi; j++ {
-			col := c.Arena().Floats(len(a))
 			for p := range a {
-				col[p] = bat.Dot(c, a[p], b[j])
+				cols[j][p] = bat.Dot(c, a[p], b[j])
 			}
-			out[j] = bat.FromFloats(col)
 		}
-	})
+	}, a, b)
 	return out, nil
 }
 
@@ -178,7 +184,7 @@ func OPD(c *exec.Ctx, a, b []*bat.BAT) (res []*bat.BAT, err error) {
 	m := rows(a)
 	n := rows(b)
 	out := make([]*bat.BAT, n)
-	c.ParallelFor(n, colMinWork, func(lo, hi int) {
+	bat.ColumnFor(c, n, func(lo, hi int) {
 		for q := lo; q < hi; q++ {
 			acc := c.Arena().FloatsZero(m)
 			for l := range a {
@@ -190,7 +196,7 @@ func OPD(c *exec.Ctx, a, b []*bat.BAT) (res []*bat.BAT, err error) {
 			}
 			out[q] = bat.FromFloats(acc)
 		}
-	})
+	}, a)
 	return out, nil
 }
 
@@ -205,7 +211,7 @@ func Tra(c *exec.Ctx, a []*bat.BAT) []*bat.BAT {
 	for i := range cols {
 		cols[i] = c.Arena().Floats(n)
 	}
-	c.ParallelFor(n, colMinWork, func(lo, hi int) {
+	bat.ColumnFor(c, n, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			f, err := a[j].FloatsCtx(c)
 			if err != nil {
@@ -216,7 +222,7 @@ func Tra(c *exec.Ctx, a []*bat.BAT) []*bat.BAT {
 			}
 			a[j].ReleaseFloats(c, f)
 		}
-	})
+	}, a)
 	out := make([]*bat.BAT, m)
 	for i := range out {
 		out[i] = bat.FromFloats(cols[i])
@@ -229,10 +235,10 @@ func Tra(c *exec.Ctx, a []*bat.BAT) []*bat.BAT {
 // column pivoting added for numerical robustness: at step i the column
 // with the largest |value| in row i is swapped in. All updates are
 // whole-column BAT operations; only pivots use single-element sel. The
-// elimination fan-out over the n-1 non-pivot columns runs column-parallel,
-// and every superseded scratch column is released back to the arena, so
-// the n-step elimination recycles two matrices worth of buffers instead
-// of allocating ~2n² fresh columns.
+// elimination fan-out over the n-1 non-pivot columns runs column-parallel
+// and updates the work columns in place (bat.AXPYInto), so it draws no
+// buffer at any worker budget; only the pivot column is replaced per
+// step, its superseded buffer released back to the arena.
 func Inv(c *exec.Ctx, b []*bat.BAT) (res []*bat.BAT, err error) {
 	defer exec.CatchBudget(&err)
 	n := len(b)
@@ -241,7 +247,7 @@ func Inv(c *exec.Ctx, b []*bat.BAT) (res []*bat.BAT, err error) {
 	}
 	work := make([]*bat.BAT, n)
 	for j := range b {
-		work[j] = b[j].Clone()
+		work[j] = bat.MulScalar(c, b[j], 1) // an owned dense copy: x·1 is x, bit for bit
 	}
 	br := IDMatrix(c, n)
 	releaseAll := func(cols []*bat.BAT) {
@@ -284,11 +290,8 @@ func Inv(c *exec.Ctx, b []*bat.BAT) (res []*bat.BAT, err error) {
 				if v2 == 0 {
 					continue
 				}
-				oldW, oldB := work[j], br[j]
-				work[j] = bat.AXPY(c, oldW, work[i], v2)
-				br[j] = bat.AXPY(c, oldB, br[i], v2)
-				bat.Release(c, oldW)
-				bat.Release(c, oldB)
+				bat.AXPYInto(c, work[j].VectorCtx(c).Floats(), work[i], v2)
+				bat.AXPYInto(c, br[j].VectorCtx(c).Floats(), br[i], v2)
 			}
 		})
 	}
@@ -353,8 +356,8 @@ func QR(c *exec.Ctx, a []*bat.BAT) (q, r []*bat.BAT, err error) {
 // Det computes the determinant by Gaussian elimination over columns with
 // column pivoting: adding a multiple of one column to another preserves
 // the determinant, swaps flip its sign. Like Inv, the per-step update of
-// the trailing columns fans out over goroutines and superseded scratch
-// columns return to the arena.
+// the trailing columns fans out over goroutines and updates the work
+// columns in place.
 func Det(c *exec.Ctx, b []*bat.BAT) (d float64, err error) {
 	defer exec.CatchBudget(&err)
 	n := len(b)
@@ -363,7 +366,7 @@ func Det(c *exec.Ctx, b []*bat.BAT) (d float64, err error) {
 	}
 	work := make([]*bat.BAT, n)
 	for j := range b {
-		work[j] = b[j].Clone()
+		work[j] = bat.MulScalar(c, b[j], 1)
 	}
 	det := 1.0
 	for i := 0; i < n; i++ {
@@ -392,9 +395,7 @@ func Det(c *exec.Ctx, b []*bat.BAT) (d float64, err error) {
 				if v == 0 {
 					continue
 				}
-				old := work[j]
-				work[j] = bat.AXPY(c, old, work[i], v/pivot)
-				bat.Release(c, old)
+				bat.AXPYInto(c, work[j].VectorCtx(c).Floats(), work[i], v/pivot)
 			}
 		})
 	}

@@ -140,3 +140,77 @@ func TestCpdNarrowerThanStripGoroutines(t *testing.T) {
 		}
 	}
 }
+
+// mixedSquareRel builds an n×n relation in shuffled key order whose
+// application columns cycle through a dense Float, an Int and a sparse
+// Float column, strictly diagonally dominant when ordered by the key,
+// so the BAT elimination starts from every tail kind.
+func mixedSquareRel(n int, seed int64) *rel.Relation {
+	rng := rand.New(rand.NewSource(seed))
+	perm := rng.Perm(n)
+	keys := make([]int64, n)
+	for r, i := range perm {
+		keys[r] = int64(i)
+	}
+	schema := rel.Schema{{Name: "Km", Type: bat.Int}}
+	bats := []*bat.BAT{bat.FromInts(keys)}
+	for j := 0; j < n; j++ {
+		f := make([]float64, n)
+		for r, i := range perm {
+			if i == j {
+				f[r] = float64(4 * n)
+			} else if rng.Intn(3) == 0 {
+				f[r] = float64(rng.Intn(7) - 3)
+			}
+		}
+		name := fmt.Sprintf("m%02d", j)
+		switch j % 3 {
+		case 0:
+			schema = append(schema, rel.Attr{Name: name, Type: bat.Float})
+			bats = append(bats, bat.FromFloats(f))
+		case 1:
+			xs := make([]int64, n)
+			for r, v := range f {
+				xs[r] = int64(v)
+			}
+			schema = append(schema, rel.Attr{Name: name, Type: bat.Int})
+			bats = append(bats, bat.FromInts(xs))
+		default:
+			schema = append(schema, rel.Attr{Name: name, Type: bat.Float})
+			bats = append(bats, bat.FromSparse(bat.Compress(f)))
+		}
+	}
+	return rel.MustNew("m", schema, bats)
+}
+
+// TestBATInvDetBitsPinned pins the result bits of the BAT-policy
+// Gauss-Jordan inversion and elimination determinant, on a dense float
+// input and on one mixing dense, Int and sparse tails. The digests were
+// recorded while every pivot step still allocated a fresh column per
+// update, so updating the work columns in place must keep the bits.
+func TestBATInvDetBitsPinned(t *testing.T) {
+	sq := squareRel(rand.New(rand.NewSource(31)), 96)
+	mixed := mixedSquareRel(24, 32)
+	kq, km := []string{"Kq"}, []string{"Km"}
+	cases := []struct {
+		name string
+		run  func(*Options) (*rel.Relation, error)
+		want string
+	}{
+		{"inv-96", func(o *Options) (*rel.Relation, error) { return Inv(sq, kq, o) }, "6912969620c91543"},
+		{"det-96", func(o *Options) (*rel.Relation, error) { return Det(sq, kq, o) }, "e1efa5e34acfbfd0"},
+		{"inv-mixed", func(o *Options) (*rel.Relation, error) { return Inv(mixed, km, o) }, "c802f802f30df9b2"},
+		{"det-mixed", func(o *Options) (*rel.Relation, error) { return Det(mixed, km, o) }, "0a12533292d3d348"},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 2, 8} {
+			res, err := tc.run(&Options{Policy: PolicyBAT, Parallelism: workers})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
+			}
+			if got := relationHash(res); got != tc.want {
+				t.Errorf("%s workers=%d: digest %s, want %s", tc.name, workers, got, tc.want)
+			}
+		}
+	}
+}

@@ -80,10 +80,10 @@ type Stats struct {
 	// timings.
 	ParallelSections   int64
 	ParallelGoroutines int64
-	// SerialFallback records that the invocation exceeded its memory
-	// budget at the configured parallelism and was retried — and
-	// completed — serially (see Options.MemoryBudget). It stays false
-	// when the serial retry failed too.
+	// SerialFallback records that at least one operator of an
+	// invocation sharing this Stats ran its serial body because the
+	// memory budget refused its parallel-only scratch (see
+	// Options.MemoryBudget). The invocation ran once either way.
 	SerialFallback bool
 	// Arena is the tenant's counter snapshot at the end of the
 	// invocation, after its arena closed: live bytes (what other
@@ -129,10 +129,11 @@ type Options struct {
 	// The invocation draws every kernel buffer from a private accounted
 	// arena charging the tenant; an allocation that would push the
 	// tenant past the cap fails the invocation with an error matching
-	// exec.ErrMemoryBudget — after one serial retry, since a serial run
-	// needs less scratch (see Stats.SerialFallback). The budget governs
-	// in-flight execution memory: the result relation returned to the
-	// caller leaves the governed scope when the invocation ends.
+	// exec.ErrMemoryBudget. Parallel execution never needs more than
+	// serial: an operator whose parallel-only scratch does not fit runs
+	// its serial body instead (see Stats.SerialFallback). The budget
+	// governs in-flight execution memory: the result relation returned
+	// to the caller leaves the governed scope when the invocation ends.
 	//
 	// Tenant caps persist on the governor: zero leaves a previously set
 	// cap in place (repeated invocations need not restate it), so going
@@ -156,19 +157,17 @@ func (o *Options) orDefault() *Options {
 	return o
 }
 
-// ctxWorkers builds the per-invocation execution context from the
-// options with an explicit worker budget (so the memory-budget serial
-// fallback can rebuild the context at parallelism 1 without mutating
-// the caller's options): the arena is a private accounted arena
-// charging the options' tenant when Tenant or MemoryBudget is set, the
-// shared arena otherwise, and a fresh stats sink is attached when Stats
-// is set. Nothing process-wide is touched — concurrent invocations with
-// different budgets each carry their own context, which is what makes
-// mixed-budget query streams race-free. Unary/Binary own the context's
-// lifecycle: finishCtx must run when the invocation ends, because it is
-// what closes an accounted arena and releases its charges — which is
-// why this constructor is not exported.
-func (o *Options) ctxWorkers(workers int) *exec.Ctx {
+// ctx builds the per-invocation execution context from the options: the
+// arena is a private accounted arena charging the options' tenant when
+// Tenant or MemoryBudget is set, the shared arena otherwise, and a fresh
+// stats sink is attached when Stats is set. Nothing process-wide is
+// touched — concurrent invocations with different budgets each carry
+// their own context, which is what makes mixed-budget query streams
+// race-free. Unary/Binary own the context's lifecycle: finishCtx must
+// run when the invocation ends, because it is what closes an accounted
+// arena and releases its charges — which is why this constructor is not
+// exported.
+func (o *Options) ctx() *exec.Ctx {
 	var sink *exec.Stats
 	if o.Stats != nil {
 		sink = &exec.Stats{}
@@ -177,7 +176,7 @@ func (o *Options) ctxWorkers(workers int) *exec.Ctx {
 	if gov == nil {
 		gov = exec.DefaultGovernor()
 	}
-	c := exec.NewCtx(workers, gov.ArenaFor(o.Tenant, o.MemoryBudget), sink)
+	c := exec.NewCtx(o.Parallelism, gov.ArenaFor(o.Tenant, o.MemoryBudget), sink)
 	if o.Stats != nil {
 		o.Stats.Workers = sink.Workers
 	}
@@ -202,6 +201,9 @@ func (o *Options) finishCtx(c *exec.Ctx) {
 	if s := c.Stats(); s != nil {
 		o.Stats.ParallelSections += s.Sections.Load()
 		o.Stats.ParallelGoroutines += s.Goroutines.Load()
+		if s.SerialFallbacks.Load() > 0 {
+			o.Stats.SerialFallback = true
+		}
 	}
 }
 

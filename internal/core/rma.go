@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/bat"
@@ -21,58 +20,21 @@ const contextAttr = "C"
 // must form a key of r; all remaining attributes form the application
 // schema and must be numeric.
 //
-// A governed invocation (Options.MemoryBudget) that fails its budget at
-// the configured parallelism is retried once serially: the parallel
-// kernels need extra scratch (merge-sort double buffers, per-run
-// staging) that the serial paths do not, and every kernel is
-// bitwise-deterministic across worker budgets, so the fallback result
-// is identical to the parallel one. If the serial retry exceeds the
-// budget too, the typed error (matching exec.ErrMemoryBudget) is
-// returned — never a panic.
-func Unary(op Op, r *rel.Relation, order []string, opts *Options) (*rel.Relation, error) {
+// A governed invocation (Options.MemoryBudget) runs once. Every operator
+// holds no more arena memory at the configured parallelism than at one
+// worker: one whose parallel path needs extra scratch (a merge buffer,
+// per-run staging) draws it up front and, when the budget refuses it,
+// runs its serial body in place, which Stats.SerialFallback records.
+// Kernels are bitwise-deterministic across worker budgets, so the result
+// does not depend on which path ran. An invocation that exceeds its
+// budget anyway returns the typed error (matching exec.ErrMemoryBudget)
+// — never a panic.
+func Unary(op Op, r *rel.Relation, order []string, opts *Options) (res *rel.Relation, err error) {
 	if op.Binary() {
 		return nil, fmt.Errorf("rma: %s takes two relations", op)
 	}
 	opts = opts.orDefault()
-	res, err := runUnary(op, r, order, opts, opts.Parallelism)
-	if retrySerial(opts, err) {
-		resetStats(opts)
-		res, err = runUnary(op, r, order, opts, 1)
-		if err == nil && opts.Stats != nil {
-			opts.Stats.SerialFallback = true
-		}
-	}
-	return res, err
-}
-
-// retrySerial reports whether a failed governed invocation should be
-// rerun at parallelism 1: only when the first attempt actually ran with
-// more than one worker — a serial (or serially-resolved dynamic) run
-// that exceeded its budget would fail identically, since the kernels
-// are deterministic across worker budgets.
-func retrySerial(opts *Options, err error) bool {
-	if err == nil || !errors.Is(err, exec.ErrMemoryBudget) {
-		return false
-	}
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = exec.DefaultWorkers()
-	}
-	return workers > 1
-}
-
-// resetStats clears the caller's Stats before the serial retry so the
-// failed parallel attempt's phase timings and fan-out counters do not
-// pollute the retry's report: after a fallback, Stats describe exactly
-// the run that produced the result (Workers=1, zero parallel sections).
-func resetStats(opts *Options) {
-	if opts.Stats != nil {
-		*opts.Stats = Stats{}
-	}
-}
-
-func runUnary(op Op, r *rel.Relation, order []string, opts *Options, workers int) (res *rel.Relation, err error) {
-	c := opts.ctxWorkers(workers)
+	c := opts.ctx()
 	defer opts.finishCtx(c)
 	defer exec.CatchBudget(&err)
 	clock := phaseClock{stats: opts.Stats}
@@ -111,25 +73,13 @@ func runUnary(op Op, r *rel.Relation, order []string, opts *Options, workers int
 }
 
 // Binary executes a binary relational matrix operation op_U;V(r, s),
-// with the same memory-budget serial fallback as Unary.
-func Binary(op Op, r *rel.Relation, rOrder []string, s *rel.Relation, sOrder []string, opts *Options) (*rel.Relation, error) {
+// under the same memory governance as Unary.
+func Binary(op Op, r *rel.Relation, rOrder []string, s *rel.Relation, sOrder []string, opts *Options) (res *rel.Relation, err error) {
 	if !op.Binary() {
 		return nil, fmt.Errorf("rma: %s takes one relation", op)
 	}
 	opts = opts.orDefault()
-	res, err := runBinary(op, r, rOrder, s, sOrder, opts, opts.Parallelism)
-	if retrySerial(opts, err) {
-		resetStats(opts)
-		res, err = runBinary(op, r, rOrder, s, sOrder, opts, 1)
-		if err == nil && opts.Stats != nil {
-			opts.Stats.SerialFallback = true
-		}
-	}
-	return res, err
-}
-
-func runBinary(op Op, r *rel.Relation, rOrder []string, s *rel.Relation, sOrder []string, opts *Options, workers int) (res *rel.Relation, err error) {
-	c := opts.ctxWorkers(workers)
+	c := opts.ctx()
 	defer opts.finishCtx(c)
 	defer exec.CatchBudget(&err)
 	clock := phaseClock{stats: opts.Stats}

@@ -33,7 +33,7 @@ const (
 // as an error matching exec.ErrMemoryBudget.
 func ToSkinny(r *rel.Relation, order []string, opts *Options) (res *rel.Relation, err error) {
 	opts = opts.orDefault()
-	c := opts.ctxWorkers(opts.Parallelism)
+	c := opts.ctx()
 	defer opts.finishCtx(c)
 	defer exec.CatchBudget(&err)
 	a, err := split(r, order)
@@ -85,7 +85,7 @@ func ToSkinny(r *rel.Relation, order []string, opts *Options) (res *rel.Relation
 // the dense-matrix semantics of the algebra). Governed like ToSkinny.
 func FromSkinny(r *rel.Relation, order []string, opts *Options) (res *rel.Relation, err error) {
 	opts = opts.orDefault()
-	c := opts.ctxWorkers(opts.Parallelism)
+	c := opts.ctx()
 	defer opts.finishCtx(c)
 	defer exec.CatchBudget(&err)
 	attrC, err := r.Col(SkinnyAttr)

@@ -121,7 +121,7 @@ func (a *argument) orderedAppCols(c *exec.Ctx) []*bat.BAT {
 // application part, ordered by the permutation, into that array (the
 // "copy BATs to an MKL compatible format" step whose cost Figure 14
 // measures). The op alone picks the constructor, never the operand
-// size. The copy-in is column-parallel: each source
+// size. The copy-in is column-parallel (bat.ColumnFor): each source
 // column scatters into a distinct stride of the row-major array, so the
 // writes are disjoint. The backing array is drawn from the context's
 // arena — every cell is overwritten below — and handed back with
@@ -131,7 +131,7 @@ func (a *argument) toMatrix(c *exec.Ctx) (*matrix.Matrix, error) {
 	n := len(a.appCols)
 	out := &matrix.Matrix{Rows: m, Cols: n, Data: c.Arena().Floats(m * n)}
 	errs := make([]error, n)
-	c.ParallelFor(n, 1, func(lo, hi int) {
+	bat.ColumnFor(c, n, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			f, err := a.appCols[j].FloatsCtx(c)
 			if err != nil {
@@ -149,7 +149,7 @@ func (a *argument) toMatrix(c *exec.Ctx) (*matrix.Matrix, error) {
 			}
 			a.appCols[j].ReleaseFloats(c, f)
 		}
-	})
+	}, a.appCols)
 	for _, err := range errs {
 		if err != nil {
 			releaseMatrix(c, out)

@@ -258,13 +258,13 @@ func free[T any](pools *[poolClasses]sync.Pool, s []T, clearRefs bool) {
 // acctAlloc is alloc for accounted arenas: it counts the pool hit/miss,
 // charges the buffer's full capacity against the tenant's budget, and
 // records the buffer in the arena's ledger. A budget overrun panics
-// with the typed budgetPanic (see CatchBudget); the pooled buffer, if
-// any, is returned to the pool first so a rejected allocation strands
-// nothing.
+// with the typed budgetPanic (see CatchBudget), or with try set returns
+// nil; either way before any buffer is taken, so a rejected allocation
+// strands nothing.
 // The ledger is passed as a pointer to the acct field and dereferenced
 // only under ac.mu: Close nils the field under the same lock, so a
 // racing alloc/free can never act on a stale map snapshot.
-func acctAlloc[T any](ac *acct, reg *ownerReg[T], pools *[poolClasses]sync.Pool, ctr *domainCounters, owned *map[*T]int64, elemSize, n int) []T {
+func acctAlloc[T any](ac *acct, reg *ownerReg[T], pools *[poolClasses]sync.Pool, ctr *domainCounters, owned *map[*T]int64, elemSize, n int, try bool) []T {
 	// Charge before allocating: the buffer's capacity is known up front
 	// (the pool class size, or exactly n outside the pooled range — Free
 	// only pools exact class capacities, so a pooled Get always matches),
@@ -280,6 +280,9 @@ func acctAlloc[T any](ac *acct, reg *ownerReg[T], pools *[poolClasses]sync.Pool,
 	bytes := int64(capElems) * int64(elemSize)
 	if bytes > 0 {
 		if err := ac.tenant.charge(bytes); err != nil {
+			if try {
+				return nil
+			}
 			panic(budgetPanic{err})
 		}
 	}
@@ -364,12 +367,19 @@ func acctFree[T any](ac *acct, reg *ownerReg[T], pools *[poolClasses]sync.Pool, 
 // suitable class is available. The contents are undefined; use FloatsZero
 // when the kernel does not overwrite every element. Nil-safe: a nil arena
 // delegates to the shared one.
-func (a *Arena) Floats(n int) []float64 {
+func (a *Arena) Floats(n int) []float64 { return a.floats(n, false) }
+
+// TryFloats is Floats for scratch an operator can do without: where the
+// budget refuses the buffer it returns nil, charging nothing, instead of
+// panicking. Unaccounted arenas never refuse.
+func (a *Arena) TryFloats(n int) []float64 { return a.floats(n, true) }
+
+func (a *Arena) floats(n int, try bool) []float64 {
 	if a == nil {
 		a = Shared()
 	}
 	if ac := a.acct; ac != nil {
-		return acctAlloc(ac, &floatOwners, &a.ps().floats, &ac.tenant.floats, &ac.floats, floatSize, n)
+		return acctAlloc(ac, &floatOwners, &a.ps().floats, &ac.tenant.floats, &ac.floats, floatSize, n, try)
 	}
 	return alloc[float64](&a.ps().floats, n)
 }
@@ -399,12 +409,19 @@ func (a *Arena) FreeFloats(f []float64) {
 
 // Ints returns an int slice of length n (the permutation buffers of
 // SortIndex and Identity).
-func (a *Arena) Ints(n int) []int {
+func (a *Arena) Ints(n int) []int { return a.ints(n, false) }
+
+// TryInts is Ints for scratch an operator can do without: where the
+// budget refuses the buffer it returns nil, charging nothing, instead of
+// panicking. Unaccounted arenas never refuse.
+func (a *Arena) TryInts(n int) []int { return a.ints(n, true) }
+
+func (a *Arena) ints(n int, try bool) []int {
 	if a == nil {
 		a = Shared()
 	}
 	if ac := a.acct; ac != nil {
-		return acctAlloc(ac, &intOwners, &a.ps().ints, &ac.tenant.ints, &ac.ints, intSize, n)
+		return acctAlloc(ac, &intOwners, &a.ps().ints, &ac.tenant.ints, &ac.ints, intSize, n, try)
 	}
 	return alloc[int](&a.ps().ints, n)
 }
@@ -430,7 +447,7 @@ func (a *Arena) Int64s(n int) []int64 {
 		a = Shared()
 	}
 	if ac := a.acct; ac != nil {
-		return acctAlloc(ac, &int64Owners, &a.ps().int64s, &ac.tenant.int64s, &ac.int64s, int64Size, n)
+		return acctAlloc(ac, &int64Owners, &a.ps().int64s, &ac.tenant.int64s, &ac.int64s, int64Size, n, false)
 	}
 	return alloc[int64](&a.ps().int64s, n)
 }
@@ -455,7 +472,7 @@ func (a *Arena) Strings(n int) []string {
 		a = Shared()
 	}
 	if ac := a.acct; ac != nil {
-		return acctAlloc(ac, &stringOwners, &a.ps().strings, &ac.tenant.strings, &ac.strings, stringSize, n)
+		return acctAlloc(ac, &stringOwners, &a.ps().strings, &ac.tenant.strings, &ac.strings, stringSize, n, false)
 	}
 	return alloc[string](&a.ps().strings, n)
 }

@@ -67,6 +67,9 @@ type Stats struct {
 	SpilledBytes atomic.Int64
 	// SpilledPartitions counts on-disk partitions those paths created.
 	SpilledPartitions atomic.Int64
+	// SerialFallbacks counts operators that ran their serial body
+	// because the arena refused their parallel-only scratch.
+	SerialFallbacks atomic.Int64
 }
 
 // section records one fan-out of g goroutines; nil-safe.
@@ -148,6 +151,14 @@ func (c *Ctx) Stats() *Stats {
 		return nil
 	}
 	return c.stats
+}
+
+// NoteSerialFallback records that an operator ran its serial body
+// because the arena refused its parallel-only scratch; nil-safe.
+func (c *Ctx) NoteSerialFallback() {
+	if s := c.Stats(); s != nil {
+		s.SerialFallbacks.Add(1)
+	}
 }
 
 // ParallelFor splits [0, n) into at most Workers() contiguous ranges and
@@ -245,14 +256,21 @@ func (c *Ctx) Reduce(n int, partial func(lo, hi int) float64) float64 {
 	if chunks == 1 {
 		return partial(0, n)
 	}
-	if c.Workers() <= 1 {
+	// The partials are the parallel path's only buffer, so the serial
+	// loop also takes over when the arena refuses them.
+	var parts []float64
+	if c.Workers() > 1 {
+		if parts = c.Arena().TryFloats(chunks); parts == nil {
+			c.NoteSerialFallback()
+		}
+	}
+	if parts == nil {
 		var s float64
 		for ch := 0; ch < chunks; ch++ {
 			s += partial(ch*SerialCutoff, min((ch+1)*SerialCutoff, n))
 		}
 		return s
 	}
-	parts := c.Arena().Floats(chunks)
 	c.ParallelFor(chunks, 1, func(clo, chi int) {
 		for ch := clo; ch < chi; ch++ {
 			parts[ch] = partial(ch*SerialCutoff, min((ch+1)*SerialCutoff, n))

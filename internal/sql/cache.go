@@ -13,9 +13,9 @@ import (
 // is almost entirely repeated statement shapes, so DB keeps the parsed
 // AST — and, once the statement first runs, its stream plan — keyed
 // by the normalized statement text. A hit skips lexing, parsing,
-// planning, pushdown, pruning, and dry compilation; per-morsel
-// expression compilation still happens per execution, which is what
-// keeps a shared plan immutable and safe under concurrent executions.
+// planning, pushdown, pruning, and expression compilation: the plan's
+// column-at-a-time programs are compiled once and are immutable, which
+// is what keeps a shared plan safe under concurrent executions.
 //
 // Caching is restricted to single-statement SELECTs whose FROM tree is
 // plain table references and joins: derived tables and RMA table

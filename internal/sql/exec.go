@@ -1,7 +1,6 @@
 package sql
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -236,11 +235,11 @@ func (db *DB) Exec(src string) (*rel.Relation, error) {
 // database-wide defaults (nil opts uses those defaults). Every
 // statement runs under its own execution context (see stmtCtx), so
 // concurrent statements with different parallelism budgets or tenants
-// never share a worker knob or an arena. A statement that exceeds its
-// memory budget at the configured parallelism is retried once serially
-// (the serial plans need less scratch and every operator is
-// deterministic across worker budgets); if the retry fails too, the
-// typed error — matching exec.ErrMemoryBudget — is returned.
+// never share a worker knob or an arena. Each statement is admitted,
+// planned and executed once: an operator whose parallel-only scratch
+// does not fit the memory budget runs its serial body in place, and a
+// statement that exceeds the budget anyway returns the typed error —
+// matching exec.ErrMemoryBudget.
 //
 // Single-statement SELECTs over plain tables and joins are served
 // through the plan cache: a repeat of the same normalized statement
@@ -270,10 +269,7 @@ func (db *DB) ExecWith(src string, opts *core.Options) (*rel.Relation, error) {
 	}
 	var last *rel.Relation
 	for _, s := range stmts {
-		res, err := db.runStmt(s, opts, 0)
-		if err != nil && errors.Is(err, exec.ErrMemoryBudget) && workersOf(opts) > 1 {
-			res, err = db.runStmt(s, opts, 1)
-		}
+		res, err := db.runStmt(s, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -284,21 +280,11 @@ func (db *DB) ExecWith(src string, opts *core.Options) (*rel.Relation, error) {
 	return last, nil
 }
 
-// execCached executes a cache-served SELECT with the same serial
-// memory-budget retry as the parse path.
-func (db *DB) execCached(e *planEntry, opts *core.Options) (*rel.Relation, error) {
-	res, err := db.runCached(e, opts, 0)
-	if err != nil && errors.Is(err, exec.ErrMemoryBudget) && workersOf(opts) > 1 {
-		res, err = db.runCached(e, opts, 1)
-	}
-	return res, err
-}
-
-// runCached runs one execution of a cached statement through the
+// execCached runs one execution of a cached statement through the
 // entry's stream plan (planned lazily on the entry's first execution,
 // shared and read-only afterwards).
-func (db *DB) runCached(e *planEntry, opts *core.Options, forceSerial int) (res *rel.Relation, err error) {
-	c, finish := db.stmtCtx(opts, forceSerial)
+func (db *DB) execCached(e *planEntry, opts *core.Options) (res *rel.Relation, err error) {
+	c, finish := db.stmtCtx(opts)
 	defer finish()
 	defer exec.CatchBudget(&err)
 	plan, err := e.planFor(db, c)
@@ -311,29 +297,17 @@ func (db *DB) runCached(e *planEntry, opts *core.Options, forceSerial int) (res 
 // runStmt admits one statement against the governor, executes it under
 // a fresh per-statement context, and tears the context down: the
 // statement's arena charges are released and the admission reservation
-// is handed back whether the statement succeeded or not. forceSerial
-// overrides the configured parallelism for the memory-budget retry.
-func (db *DB) runStmt(s Statement, opts *core.Options, forceSerial int) (res *rel.Relation, err error) {
-	c, finish := db.stmtCtx(opts, forceSerial)
+// is handed back whether the statement succeeded or not.
+func (db *DB) runStmt(s Statement, opts *core.Options) (res *rel.Relation, err error) {
+	c, finish := db.stmtCtx(opts)
 	defer finish()
 	defer exec.CatchBudget(&err)
 	return db.run(c, s)
 }
 
-// workersOf returns the resolved per-statement parallelism of a set of
-// options: the configured budget, or the process default when dynamic.
-// The serial budget retry keys off this — a statement that already ran
-// with one worker would fail identically on a rerun.
-func workersOf(opts *core.Options) int {
-	if opts != nil && opts.Parallelism > 0 {
-		return opts.Parallelism
-	}
-	return exec.DefaultWorkers()
-}
-
 // stmtCtx builds one statement's execution context from its options:
 // the Parallelism budget scopes to this statement only (zero follows
-// the process default; forceSerial > 0 overrides it), and a
+// the process default), and a
 // tenant/memory-budget configuration routes the statement's arena
 // traffic through a per-statement accounted arena charging the tenant.
 // The statement is admitted against the governor before the context is
@@ -347,7 +321,7 @@ func workersOf(opts *core.Options) int {
 // options inside core.Unary/Binary, charging the same tenant — the
 // context-to-options registration here is how evalRMA finds the
 // statement's options without consulting the database-wide defaults.
-func (db *DB) stmtCtx(opts *core.Options, forceSerial int) (*exec.Ctx, func()) {
+func (db *DB) stmtCtx(opts *core.Options) (*exec.Ctx, func()) {
 	gov := db.governorFor(opts)
 	var workers int
 	var budget int64
@@ -356,9 +330,6 @@ func (db *DB) stmtCtx(opts *core.Options, forceSerial int) (*exec.Ctx, func()) {
 		workers = opts.Parallelism
 		budget = opts.MemoryBudget
 		arena = gov.ArenaFor(opts.Tenant, budget)
-	}
-	if forceSerial > 0 {
-		workers = forceSerial
 	}
 	release := gov.Admit(budget)
 	c := exec.NewCtx(workers, arena, nil)
@@ -677,20 +648,13 @@ func (db *DB) evalRMA(c *exec.Ctx, x *RMARef) (*rel.Relation, error) {
 		args[k] = r
 	}
 	opts := db.stmtOptsFor(c)
-	gov := db.governorFor(opts)
 	// RMA table functions build their own per-invocation context inside
-	// core; route them through the database's governor so their tenant
-	// accounting lands in the same books as the statement pipeline, and
-	// pin them to the statement's resolved worker budget so a
-	// forced-serial budget retry does not re-attempt the op in parallel
-	// (core would just repeat the failed parallel plan plus its own
-	// internal serial retry).
-	if opts != nil {
+	// core from the statement's options; route them through the
+	// database's governor so their tenant accounting lands in the same
+	// books as the statement pipeline.
+	if opts != nil && opts.Governor == nil {
 		o := *opts
-		if o.Governor == nil {
-			o.Governor = gov
-		}
-		o.Parallelism = c.Workers()
+		o.Governor = db.governorFor(opts)
 		opts = &o
 	}
 	if op.Binary() {

@@ -172,7 +172,7 @@ func (db *DB) LoadPersisted() (loaded []string, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("sql: data dir: %w", err)
 	}
-	c, finish := db.stmtCtx(opts, 0)
+	c, finish := db.stmtCtx(opts)
 	defer finish()
 	defer exec.CatchBudget(&err)
 	for _, e := range ents {
