@@ -124,22 +124,26 @@
 // The relational operators run on the same substrate:
 //
 //   - rel.HashJoin is a hash join over typed 64-bit key hashes (no
-//     per-row string keys), hashed column at a time: the build side is
-//     indexed in one flat head/next hash index drawn from the arena
+//     per-row string keys), hashed column at a time. It is the
+//     streaming join core run once: rel.NewJoinBuild indexes the build
+//     side in one flat head/next hash index drawn from the arena
 //     (rel/hashtab.go, the same index under every group table and
-//     Distinct), and the probe runs as a parallel count pass plus a
-//     parallel scatter through per-row output offsets. Output order is canonical — probe rows in left order,
-//     matches per row in build order — at any worker budget.
-//   - rel.GroupBy folds rows into per-chunk partial aggregation tables
-//     over fixed chunks of bat.SerialCutoff rows, merged in ascending
-//     chunk order, so group order and float sums are bitwise-identical
-//     at any worker budget.
+//     Distinct), and one JoinBuild.Probe over the whole left side runs
+//     a parallel count pass plus a parallel scatter through per-row
+//     output offsets. Output order is canonical — probe rows in left
+//     order, matches per row in build order — at any worker budget.
+//   - rel.GroupBy is one rel.StreamAgg fed the whole relation: each
+//     row folds straight into its group's states, so every group
+//     accumulates its own rows in row order, groups appear in
+//     first-seen order, and the result is the same at any worker
+//     budget.
 //   - bat.SortIndex radix-sorts a single dense Int or Float key: an LSD
 //     radix sort over order-preserving unsigned keys (floats
 //     canonicalised so −0 = +0 and NaN sorts after +Inf), 8-bit digits,
 //     skipping every digit all rows share. Every other order — strings,
-//     sparse keys, several key columns, and rel's ORDER BY path — uses
-//     bat.SortStable, one buffered stable merge sort: per-worker runs
+//     sparse keys, several key columns, rel.Sort and SQL's ORDER BY —
+//     uses bat.SortStable, one buffered stable merge sort, with floats
+//     compared by bat.CompareFloat in the radix sort's order: per-worker runs
 //     that insertion-sort 32-row blocks and merge them bottom-up in
 //     place through a half-run scratch, then pairwise merges of the runs
 //     against an n-int buffer. Both draw their
@@ -194,11 +198,10 @@
 // side — one serial pass into the flat hash index, charged to the
 // statement's arena until the join drains — and probe per morsel.
 // Aggregations fold morsels into rel.StreamAgg, whose group table is
-// the same flat index and which buffers rows into the same
-// bat.SerialCutoff-aligned chunks as rel.GroupBy regardless of morsel
-// boundaries. Both therefore keep the determinism contract: probe
-// output stays in probe-row order with matches in build order, chunked
-// float sums combine in fixed chunk order, and results are
+// the same flat index and which folds every group's rows in row order
+// regardless of morsel boundaries. Both therefore keep the determinism
+// contract: probe output stays in probe-row order with matches in build
+// order, float sums associate sequentially per group, and results are
 // bitwise-identical to rel.HashJoin and rel.GroupBy over the whole input
 // at any worker budget.
 // exec.PipelineStats records per-stage batch/row counts and peak held
@@ -243,8 +246,9 @@
 // configured byte count, or half the tenant's budget when configured as
 // zero (unbudgeted tenants never auto-spill). The consumers are
 // rel.HashJoin's pair staging (16-way partitioned pair files merged
-// back in canonical probe order), grouped aggregation (rel.StreamAgg
-// and rel.GroupBy freeze partial tables to disk and merge), and sort
+// back in canonical probe order), grouped aggregation (rel.StreamAgg,
+// under rel.GroupBy too, freezes its group table and stages the rows of
+// unseen keys to partition files, replayed in row order), and sort
 // (runs capped at store.SegRows rows, each worker sorting against one
 // half-run scratch, then per-run files k-way merged through a loser
 // tree, one block per run; a serial sort is one run and never stages).

@@ -281,6 +281,27 @@ func floatKey(f float64) uint64 {
 	return b | signBit
 }
 
+// CompareFloat is the one float order of every sort: -1, 0 or +1 as a
+// sorts before, with or after b. It is floatKey's order — both zeros
+// equal, every NaN equal, NaN after +Inf — so the comparison sorts and
+// the radix sort place every value alike. The ordinary comparisons come
+// first; only a NaN falls through them.
+func CompareFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case a == b:
+		return 0
+	case a == a: // b is NaN
+		return -1
+	case b == b: // a is NaN
+		return 1
+	}
+	return 0
+}
+
 // radixSortIndex computes the stable ascending permutation of [0, n) under
 // the unsigned keys key(i) by an LSD radix sort over 8-bit digits. Keys
 // already in order return the identity before any scratch is drawn, like
@@ -388,7 +409,9 @@ func IsSortedIndex(idx []int) bool {
 
 // KeyUnique reports whether the key columns contain no duplicate
 // combination of values, i.e. whether they form a key of the relation.
-// idx must be the sort permutation over exactly those columns.
+// idx must be the sort permutation over exactly those columns. A NaN
+// equals no value under IEEE comparison, itself included, so it names no
+// row: a key column holding one is no key.
 func KeyUnique(keys []*BAT, idx []int) bool {
 	if len(keys) == 0 {
 		return false
@@ -396,6 +419,13 @@ func KeyUnique(keys []*BAT, idx []int) bool {
 	vecs := make([]*Vector, len(keys))
 	for k, b := range keys {
 		vecs[k] = b.Vector()
+		if vecs[k].Type() == Float {
+			for _, x := range vecs[k].Floats() {
+				if x != x {
+					return false
+				}
+			}
+		}
 	}
 	for k := 1; k < len(idx); k++ {
 		same := true

@@ -237,6 +237,39 @@ func TestSortIndexRadixMatchesStable(t *testing.T) {
 	}
 }
 
+// TestSortIndexFloatOrder pins one float order on both SortIndex paths:
+// a float key alone (radix sort) and the same key paired with a unique
+// row id (merge sort through Vector.Compare) order ±0, ±Inf and every
+// NaN payload alike — NaN after +Inf — at workers 1, 2 and 8, with
+// every fifth row NaN.
+func TestSortIndexFloatOrder(t *testing.T) {
+	n := 6*SerialCutoff + 13
+	rng := rand.New(rand.NewSource(5))
+	f := make([]float64, n)
+	ids := make([]int64, n)
+	for i := range f {
+		ids[i] = int64(i)
+		switch {
+		case i%5 == 0:
+			f[i] = math.NaN()
+		case i%3 == 0:
+			f[i] = floatSpecials[rng.Intn(len(floatSpecials))]
+		default:
+			f[i] = float64(rng.Intn(9)-4) / 2
+		}
+	}
+	want := refStablePerm(n, func(a, b int) bool { return floatOrderLess(f[a], f[b]) })
+	for _, w := range []int{1, 2, 8} {
+		c := exec.New(w)
+		idx := SortIndex(c, []*BAT{FromFloats(f)})
+		permsEqual(t, "radix", n, w, idx, want)
+		c.Arena().FreeInts(idx)
+		idx = SortIndex(c, []*BAT{FromFloats(f), FromInts(ids)})
+		permsEqual(t, "merge", n, w, idx, want)
+		c.Arena().FreeInts(idx)
+	}
+}
+
 // FuzzSortIndex reads 8-byte words as int64 keys (arithmetically shifted
 // right by data[0]%64, which breeds duplicates and constant digits) and
 // reinterprets the same bits as float keys; both columns must sort exactly
@@ -263,16 +296,12 @@ func FuzzSortIndex(f *testing.F) {
 		wantF := refStablePerm(n, func(a, b int) bool { return floatOrderLess(fs[a], fs[b]) })
 		checkSortIndex(t, "fuzz-float", FromFloats(fs), wantF, 1, 8)
 
-		// Keys SortIndex merge-sorts: an (Int, Float) pair, whose float
-		// column drops NaN (it compares equal to every value, so the
-		// pair would be no strict weak order), and a String key made of
-		// each word's low bytes.
+		// Keys SortIndex merge-sorts: an (Int, Float) pair and a String
+		// key made of each word's low bytes.
 		gs := make([]float64, n)
 		ss := make([]string, n)
 		for i, w := range xs {
-			if gs[i] = fs[len(fs)-1-i]; gs[i] != gs[i] {
-				gs[i] = 0
-			}
+			gs[i] = fs[len(fs)-1-i]
 			var buf [8]byte
 			binary.LittleEndian.PutUint64(buf[:], uint64(w))
 			ss[i] = string(buf[:uint64(w)%9])
@@ -281,7 +310,7 @@ func FuzzSortIndex(f *testing.F) {
 			if xs[a] != xs[b] {
 				return xs[a] < xs[b]
 			}
-			return gs[a] < gs[b]
+			return floatOrderLess(gs[a], gs[b])
 		})
 		wantS := refStablePerm(n, func(a, b int) bool { return ss[a] < ss[b] })
 		for _, w := range []int{1, 8} {

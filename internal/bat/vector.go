@@ -240,18 +240,11 @@ func (v *Vector) asFloats(c *exec.Ctx) (vals []float64, shared bool) {
 }
 
 // Compare compares v[i] with w[j] without boxing: -1, 0, or +1.
-// Both vectors must have the same type.
+// Both vectors must have the same type. Floats follow CompareFloat.
 func (v *Vector) Compare(i int, w *Vector, j int) int {
 	switch v.typ {
 	case Float:
-		a, b := v.f[i], w.f[j]
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
+		return CompareFloat(v.f[i], w.f[j])
 	case Int:
 		a, b := v.i[i], w.i[j]
 		switch {

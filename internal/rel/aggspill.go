@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/bat"
-	"repro/internal/exec"
 	"repro/internal/store"
 )
 
@@ -14,13 +13,14 @@ import (
 // freezes (StreamAgg.groupOf), rows of keys unseen at freeze time are
 // staged to aggParts hash-partitioned segment files, each record
 // carrying its global row number, its key cells, and its aggregate
-// inputs. Finish replays one partition at a time: a key's rows all land
-// in one partition in global row order, so per-group chunk partials
-// rebuild on the exact bat.SerialCutoff boundaries the in-memory fold
-// uses and combine in the same ascending chunk order — bitwise the same
-// states. Every resident group was created before every spilled key's
-// first row, so appending the recovered groups sorted by first global
-// row restores global first-seen order.
+// inputs. A group is therefore either resident at freeze time, and
+// folds all its rows in memory, or staged in full. Finish replays one
+// partition at a time; a key's rows all land in one partition in global
+// row order, so every group folds exactly its own rows in row order
+// either way — bitwise the same states. Every resident group was
+// created before every spilled key's first row, so appending the
+// recovered groups sorted by first global row restores global
+// first-seen order.
 const (
 	aggPartBits = 3
 	aggParts    = 1 << aggPartBits
@@ -154,8 +154,6 @@ func (a *StreamAgg) replaySpilled() error {
 	var (
 		rfirst  []int64
 		rstates [][]aggState
-		rcur    [][]aggState
-		rchunk  []int64
 	)
 	rt := newKeyTable(a.c, a.kt)
 	defer rt.index.release(a.c)
@@ -181,7 +179,6 @@ func (a *StreamAgg) replaySpilled() error {
 			return err
 		}
 		cu := store.NewCursor(a.c, rd, nil)
-		g0 := len(rstates)
 		for {
 			cols, n, err := cu.Next(bat.MorselSize)
 			if err != nil {
@@ -203,40 +200,24 @@ func (a *StreamAgg) replaySpilled() error {
 			kc.hashInto(hs[:n], 0)
 			for j := 0; j < n; j++ {
 				h := hs[j]
-				chunk := cols[0].I[j] / int64(bat.SerialCutoff)
 				g := rt.find(h, &kc, j)
 				if g < 0 {
 					g = rt.add(a.c, h, &kc, j)
 					rfirst = append(rfirst, cols[0].I[j])
 					rstates = append(rstates, newAggStates(len(a.aggs)))
-					rcur = append(rcur, newAggStates(len(a.aggs)))
-					rchunk = append(rchunk, chunk)
-				} else if rchunk[g] != chunk {
-					// Crossing a global chunk boundary: fold the chunk
-					// partial in, ascending order as ever.
-					for k := range a.aggs {
-						rstates[g][k].combine(&rcur[g][k])
-					}
-					rcur[g] = newAggStates(len(a.aggs))
-					rchunk[g] = chunk
 				}
-				for k := range a.aggs {
+				st := rstates[g]
+				for k := range st {
 					if inCol[k] >= 0 {
-						rcur[g][k].accumulate(cols[inCol[k]].F, j)
+						st[k].accumulate(cols[inCol[k]].F, j)
 					} else {
-						rcur[g][k].accumulate(nil, 0)
+						st[k].accumulate(nil, 0)
 					}
 				}
 			}
 		}
 		cu.Close()
 		rd.Close()
-		for g := g0; g < len(rstates); g++ {
-			for k := range a.aggs {
-				rstates[g][k].combine(&rcur[g][k])
-			}
-			rcur[g] = nil
-		}
 	}
 
 	// Append in global first-seen order (first rows are unique).
@@ -251,36 +232,4 @@ func (a *StreamAgg) replaySpilled() error {
 	}
 	a.spill = nil
 	return nil
-}
-
-// groupSpillEst is the rough per-input-row footprint the materializing
-// GroupBy would take for its chunk partials and merged table, assuming
-// the pessimistic half-distinct default.
-func groupSpillEst(n, keys, aggs int) int64 {
-	return int64(n) * int64(16+8*keys+16*aggs) / 2
-}
-
-// groupBySpilled routes a materialized GroupBy through a spilling
-// StreamAgg: one serial pass over the input (the accumulator's chunking
-// reproduces the parallel fold bitwise), with the tail of the key space
-// staged to disk.
-func groupBySpilled(c *exec.Ctx, r *Relation, keys []string, aggs []AggSpec, inCols [][]float64) (*Relation, error) {
-	kt := make([]bat.Type, len(keys))
-	kvecs := make([]*bat.Vector, len(keys))
-	for k, name := range keys {
-		col, err := r.Col(name)
-		if err != nil {
-			return nil, err
-		}
-		kvecs[k] = col.VectorCtx(c)
-		kt[k] = kvecs[k].Type()
-	}
-	sa, err := NewStreamAgg(c, r.Name, keys, kt, aggs)
-	if err != nil {
-		return nil, err
-	}
-	if err := sa.Consume(kvecs, inCols, r.NumRows()); err != nil {
-		return nil, err
-	}
-	return sa.Finish()
 }

@@ -146,8 +146,9 @@ func refGroups(k *refKeys) (first, gid []int) {
 	return first, gid
 }
 
-// hashOpsAggs are the aggregates the group checks run; the value column
-// holds small integers, so sums are exact in any association.
+// hashOpsAggs are the aggregates the group checks run. The value column
+// holds non-integer floats, so a sum matches the reference bitwise only
+// when it folds each group's rows in row order.
 var hashOpsAggs = []AggSpec{
 	{Func: Count, As: "n"},
 	{Func: Sum, Attr: "bv", As: "s"},
@@ -156,7 +157,7 @@ var hashOpsAggs = []AggSpec{
 }
 
 // keyRel builds a relation with typed key columns <prefix>0.., a row-id
-// column <prefix>id holding row+1, and a small-integer value column
+// column <prefix>id holding row+1, and a non-integer value column
 // <prefix>v. cell(k, i) picks the pool index of key column k, row i.
 func keyRel(prefix string, types []bat.Type, n int, cell func(k, i int) int) *Relation {
 	var schema Schema
@@ -188,7 +189,7 @@ func keyRel(prefix string, types []bat.Type, n int, cell func(k, i int) int) *Re
 	vs := make([]float64, n)
 	for i := range ids {
 		ids[i] = int64(i + 1)
-		vs[i] = float64(i%7 - 3)
+		vs[i] = float64(i%7-3) + 0.1*float64(i%10)
 	}
 	schema = append(schema, Attr{Name: prefix + "id", Type: bat.Int}, Attr{Name: prefix + "v", Type: bat.Float})
 	cols = append(cols, bat.FromInts(ids), bat.FromFloats(vs))
@@ -228,7 +229,8 @@ func samePairs(tb testing.TB, label string, li, ri, wantLi, wantRi []int) {
 }
 
 // wantGrouped is the reference grouped relation of b over its key
-// columns: first-seen order, the first row's key cells, exact aggregates.
+// columns: first-seen order, the first row's key cells, and aggregates
+// that fold each group's rows in row order.
 func wantGrouped(b *Relation, keys []string) *Relation {
 	first, gid := refGroups(refKeysOf(b, keys))
 	rep := b.Gather(nil, first)

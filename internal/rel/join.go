@@ -17,29 +17,14 @@ const (
 	Left
 )
 
-// joinPairs computes the matching (probe, build) row index pairs of an
-// equi-join between two typed key views: index skc's rows in one flat
-// hash index, probe it with rkc in two parallel passes — match counting,
-// then a scatter through per-row output offsets — and release the index.
-// leftOuter emits (i, -1) for unmatched probe rows. Output order is
-// canonical at any worker budget: probe rows in probe order, matches per
-// probe row in build order. The returned index slices come from the
-// context's arena; callers done with them hand them back with FreeInts.
-func joinPairs(c *exec.Ctx, rkc, skc *keyCols, leftOuter bool) (li, ri []int, anyUnmatched bool) {
-	table := indexRows(c, skc.hashes(c))
-	li, ri, anyUnmatched = probePairs(c, table, rkc, skc, leftOuter)
-	table.release(c)
-	return li, ri, anyUnmatched
-}
-
-// probePairs is the probe phase of joinPairs over an already-built
-// index: two parallel passes (match counting, then a scatter through
-// per-row output offsets) whose output order is canonical at any worker
-// budget — probe rows in probe order, matches per probe row in build
-// order. The count pass remembers each row's first match, so the scatter
+// probePairs probes an already-built index over skc with rkc, emitting
+// the matching (probe, build) row index pairs in two parallel passes
+// (match counting, then a scatter through per-row output offsets) whose
+// output order is canonical at any worker budget — probe rows in probe
+// order, matches per probe row in build order. The count pass remembers each row's first match, so the scatter
 // writes single matches without probing again and stops a chain walk at
-// the row's last match. The streaming join probes the same index once
-// per morsel through this path, so morsel-probe pair sequences
+// the row's last match. leftOuter emits (i, -1) for unmatched probe
+// rows. Probing is stateless per row, so morsel-probe pair sequences
 // concatenate to exactly the all-at-once sequence.
 func probePairs(c *exec.Ctx, table *hashIndex, rkc, skc *keyCols, leftOuter bool) (li, ri []int, anyUnmatched bool) {
 	rh := rkc.hashes(c)
@@ -112,26 +97,25 @@ func probePairs(c *exec.Ctx, table *hashIndex, rkc, skc *keyCols, leftOuter bool
 // natural-join convention the paper's examples use). For Left joins,
 // unmatched rows carry zero values in the right-hand attributes.
 //
-// Typed 64-bit key hashes (no per-row string materialization) index the
-// build side s in one flat arena-charged hash index, and the probe over r
-// runs in two parallel passes — match counting, then a scatter through
-// per-row output offsets. Output order is canonical at any worker budget:
-// probe rows in r order, matches per probe row in s order.
+// HashJoin runs the streaming join core once: s is the build side
+// (NewJoinBuild), r is probed as a single morsel, and the pairs gather
+// the result. Output order is canonical at any worker budget: probe rows
+// in r order, matches per probe row in s order. When the spill policy
+// says the join is too large, the pairs are staged to disk instead
+// (hashJoinSpilled). Same result, bit for bit.
 func HashJoin(c *exec.Ctx, r, s *Relation, rKeys, sKeys []string, jt JoinType) (res *Relation, err error) {
 	defer exec.CatchBudget(&err)
 	if len(rKeys) != len(sKeys) || len(rKeys) == 0 {
 		return nil, fmt.Errorf("rel: join needs matching non-empty key lists")
 	}
-	rkc, err := newKeyCols(c, r, rKeys)
+	rCols, err := r.colsOf(rKeys)
 	if err != nil {
 		return nil, err
 	}
-	defer rkc.release(c) // idempotent: a no-op after the early release below
-	skc, err := newKeyCols(c, s, sKeys)
+	sCols, err := s.colsOf(sKeys)
 	if err != nil {
 		return nil, err
 	}
-	defer skc.release(c)
 	dropped := make(map[string]bool, len(sKeys))
 	for _, a := range sKeys {
 		dropped[a] = true
@@ -146,20 +130,21 @@ func HashJoin(c *exec.Ctx, r, s *Relation, rKeys, sKeys []string, jt JoinType) (
 		}
 	}
 
-	// Out-of-core path: stage the pair arrays to disk instead of
-	// materializing them (and shrink the build index to one partition at
-	// a time). Same result, bit for bit.
-	if c.ShouldSpill(joinSpillEst(rkc.n, skc.n)) {
-		return hashJoinSpilled(c, r, s, rkc, skc, sAttrs, jt)
+	if c.ShouldSpill(joinSpillEst(r.NumRows(), s.NumRows())) {
+		return hashJoinSpilled(c, r, s, rCols, sCols, sAttrs, jt)
 	}
-
-	// Build on s, probe with r.
-	li, ri, anyUnmatched := joinPairs(c, rkc, skc, jt == Left)
-	// The key views are done once the pairs exist; hand any densified
-	// sparse tails back to the per-query arena before the gathers below
-	// allocate the result columns.
-	rkc.release(c)
-	skc.release(c)
+	jb, err := NewJoinBuild(c, sCols)
+	if err != nil {
+		return nil, err
+	}
+	li, ri, anyUnmatched, err := jb.Probe(c, rCols, jt == Left)
+	// The index and key views are done once the pairs exist; hand them
+	// back to the per-query arena before the gathers below allocate the
+	// result columns.
+	jb.Release(c)
+	if err != nil {
+		return nil, err
+	}
 
 	left := r.Gather(c, li)
 	schema := left.Schema.Clone()

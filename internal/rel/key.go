@@ -43,19 +43,6 @@ func (kc *keyCols) release(c *exec.Ctx) {
 	kc.owned = nil
 }
 
-// newKeyCols resolves the named attributes of r into typed key views.
-func newKeyCols(c *exec.Ctx, r *Relation, attrs []string) (*keyCols, error) {
-	cols := make([]*bat.BAT, len(attrs))
-	for k, a := range attrs {
-		col, err := r.Col(a)
-		if err != nil {
-			return nil, err
-		}
-		cols[k] = col
-	}
-	return keyColsOf(c, r.NumRows(), cols), nil
-}
-
 // keyColsOf builds typed key views over already-resolved columns.
 func keyColsOf(c *exec.Ctx, n int, cols []*bat.BAT) *keyCols {
 	kc := &keyCols{

@@ -93,7 +93,8 @@ func TestGroupByReleasesSparseKeyBuffers(t *testing.T) {
 // int) aggregate column from the per-query arena, and GroupBy used to
 // drop those buffers on the floor. With a sparse key AND a sparse
 // aggregate column, nothing in the aggregation retains arena floats, so
-// the tenant must drain to zero live bytes.
+// the tenant must drain to zero live bytes — in memory and on the
+// spilled path, which used to keep the densified key view.
 func TestGroupByReleasesSparseAggregateBuffers(t *testing.T) {
 	const n = 256
 	k := make([]float64, n)
@@ -109,17 +110,27 @@ func TestGroupByReleasesSparseAggregateBuffers(t *testing.T) {
 		bat.FromSparse(bat.Compress(k)),
 		bat.FromSparse(bat.Compress(v)),
 	})
-	c, tn := tenantCtx("group-aggs")
-
 	aggs := []AggSpec{{Func: Sum, Attr: "v", As: "s"}}
-	if _, err := GroupBy(c, r, []string{"k"}, aggs); err != nil {
-		t.Fatal(err)
-	}
-	if got := tn.Stats().Floats.Frees; got < 2 {
-		t.Fatalf("float frees after GroupBy = %d, want >= 2 (densified key and aggregate views)", got)
-	}
-	if got := tn.LiveBytes(); got != 0 {
-		t.Fatalf("live bytes after GroupBy = %d, want 0 (no arena buffer may leak)", got)
+	for _, spill := range []bool{false, true} {
+		c, tn := tenantCtx("group-aggs")
+		var sp *exec.Spill
+		if spill {
+			sp = exec.NewSpill(t.TempDir(), 1)
+			c = c.WithSpill(sp)
+		}
+		if _, err := GroupBy(c, r, []string{"k"}, aggs); err != nil {
+			t.Fatal(err)
+		}
+		if spill && sp.Stats().SpilledBytes == 0 {
+			t.Fatal("GroupBy did not spill")
+		}
+		sp.Cleanup()
+		if got := tn.Stats().Floats.Frees; got < 2 {
+			t.Fatalf("spill=%v: float frees after GroupBy = %d, want >= 2 (densified key and aggregate views)", spill, got)
+		}
+		if got := tn.LiveBytes(); got != 0 {
+			t.Fatalf("spill=%v: live bytes after GroupBy = %d, want 0 (no arena buffer may leak)", spill, got)
+		}
 	}
 }
 

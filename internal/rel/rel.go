@@ -7,9 +7,10 @@
 //
 // The hash-based operators (HashJoin, GroupBy, Distinct) identify rows by
 // typed 64-bit key hashes with collision resolution against the actual key
-// columns (see key.go) and decompose their scans over the exec.Ctx passed
-// per invocation — concurrent queries with different worker budgets each
-// carry their own context and never share a knob. HashJoin, GroupBy, and
+// columns (see key.go). HashJoin and Distinct decompose their scans over
+// the exec.Ctx passed per invocation, and GroupBy folds its rows serially
+// — concurrent queries with different worker budgets each carry their
+// own context and never share a knob. HashJoin, GroupBy, and
 // Sort are deterministic at any worker budget: the same row order and
 // bitwise-identical float payloads whether they run serially or on eight
 // workers.
@@ -125,6 +126,19 @@ func (r *Relation) Col(name string) (*bat.BAT, error) {
 		return nil, fmt.Errorf("rel: no attribute %q in %s", name, r.describe())
 	}
 	return r.Cols[k], nil
+}
+
+// colsOf resolves the named attributes to their columns.
+func (r *Relation) colsOf(names []string) ([]*bat.BAT, error) {
+	cols := make([]*bat.BAT, len(names))
+	for k, name := range names {
+		col, err := r.Col(name)
+		if err != nil {
+			return nil, err
+		}
+		cols[k] = col
+	}
+	return cols, nil
 }
 
 // Value returns the cell at row i, attribute position k.

@@ -1,10 +1,13 @@
 package rel
 
 import (
+	"math"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/bat"
+	"repro/internal/exec"
 )
 
 // ratings is the example database of the paper's Figure 5.
@@ -346,6 +349,62 @@ func TestSortLimit(t *testing.T) {
 	}
 	if _, err := r.Sort(nil, OrderSpec{Attr: "Nope"}); err == nil {
 		t.Error("sorting on missing attribute accepted")
+	}
+}
+
+// TestSortFloatOrder sorts a float column with every fifth row NaN,
+// plus both zeros and both infinities, by (x, id) ascending and
+// descending at workers 1, 2 and 8. Every run must produce the one
+// order of bat.CompareFloat: ±0 tie, and NaN ties with NaN and sorts
+// after +Inf, so ascending puts NaN last and descending first.
+func TestSortFloatOrder(t *testing.T) {
+	n := 6*bat.SerialCutoff + 13
+	x := make([]float64, n)
+	ids := make([]int64, n)
+	specials := []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1)}
+	for i := range x {
+		ids[i] = int64(n - i) // descending, so the id tie-break reorders
+		switch {
+		case i%5 == 0:
+			x[i] = math.NaN()
+		case i%7 == 0:
+			x[i] = specials[i%len(specials)]
+		default:
+			x[i] = float64(i%11) / 4
+		}
+	}
+	r := MustNew("f", Schema{{Name: "x", Type: bat.Float}, {Name: "id", Type: bat.Int}},
+		[]*bat.BAT{bat.FromFloats(x), bat.FromInts(ids)})
+	// xLess is the order under test, spelled out: numbers by < (so ±0
+	// tie), NaN after every number.
+	xLess := func(a, b float64) bool { return a < b || (a == a && b != b) }
+	for _, desc := range []bool{false, true} {
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		sort.Slice(want, func(a, b int) bool {
+			xa, xb := x[want[a]], x[want[b]]
+			if desc {
+				xa, xb = xb, xa
+			}
+			if xLess(xa, xb) || xLess(xb, xa) {
+				return xLess(xa, xb)
+			}
+			return ids[want[a]] < ids[want[b]]
+		})
+		for _, w := range []int{1, 2, 8} {
+			got, err := r.Sort(exec.NewCtx(w, nil, nil), OrderSpec{Attr: "x", Desc: desc}, OrderSpec{Attr: "id"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotIDs := got.Cols[1].Vector().Ints()
+			for k, i := range want {
+				if gotIDs[k] != ids[i] {
+					t.Fatalf("desc=%v workers=%d: row %d has id %d, want %d", desc, w, k, gotIDs[k], ids[i])
+				}
+			}
+		}
 	}
 }
 

@@ -452,11 +452,15 @@ func joinSpillEst(probeRows, buildRows int) int64 {
 	return int64(buildRows)*48 + int64(probeRows)*24
 }
 
-// hashJoinSpilled is HashJoin's out-of-core path: pairs staged to
-// disk, gathered column intermediates staged likewise, result columns
-// materialized one at a time. The result is bitwise-identical to the
-// in-memory join.
-func hashJoinSpilled(c *exec.Ctx, r, s *Relation, rkc, skc *keyCols, sAttrs []string, jt JoinType) (*Relation, error) {
+// hashJoinSpilled is HashJoin's out-of-core path over the key columns
+// rKeys (probe) and sKeys (build): pairs staged to disk, gathered column
+// intermediates staged likewise, result columns materialized one at a
+// time. The result is bitwise-identical to the in-memory join.
+func hashJoinSpilled(c *exec.Ctx, r, s *Relation, rKeys, sKeys []*bat.BAT, sAttrs []string, jt JoinType) (*Relation, error) {
+	rkc := keyColsOf(c, r.NumRows(), rKeys)
+	defer rkc.release(c) // idempotent: a no-op after the early release below
+	skc := keyColsOf(c, s.NumRows(), sKeys)
+	defer skc.release(c)
 	sp, err := spilledJoinPairs(c, rkc, skc, jt == Left)
 	if err != nil {
 		return nil, err

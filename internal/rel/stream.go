@@ -2,21 +2,17 @@ package rel
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/bat"
 	"repro/internal/exec"
 )
 
-// This file holds the streaming (morsel-driven) counterparts of the
-// pipeline breakers: a reusable join build side probed one morsel at a
-// time, and a group-by accumulator fed one morsel at a time. Both
-// preserve the determinism contract of their materializing originals —
-// the streamed result is bitwise-identical to HashJoin/GroupBy over the
-// concatenated input at any worker count — because probing is stateless
-// per row and aggregation folds rows into the same SerialCutoff-aligned
-// chunks regardless of how the morsels slice the input.
+// This file holds the pipeline breakers fed one morsel at a time: a
+// reusable join build side probed per morsel, and the grouped
+// aggregation accumulator that GroupBy itself drives. The results do not
+// depend on how the morsels slice the input: probing is stateless per
+// row, and every group folds its own rows in row order.
 
 // JoinBuild is the build side of a streaming equi-join: the build rows
 // indexed once by key hash in the flat index HashJoin uses, then probed
@@ -70,31 +66,24 @@ func (b *JoinBuild) Release(c *exec.Ctx) {
 	b.table = nil
 }
 
-// StreamAgg folds a stream of morsels into the same grouped result
-// GroupBy computes over the materialized input. Bitwise identity holds
-// because rows are folded into the same fixed chunks of bat.SerialCutoff
-// global rows regardless of morsel boundaries: each chunk accumulates
-// into fresh per-chunk states, and chunk partials are combined into the
-// merged states in ascending chunk order — the exact association
-// GroupBy uses. (Flushing every chunk, including the first, is safe:
-// combining a chunk partial into a zero-initialized merged state
-// reproduces the partial bitwise, since accumulated sums starting at +0
-// can never be -0 and min/max copy through the ±Inf sentinels.)
-//
-// Group identity and order also match: groups are created in global
-// first-seen order, keys hash and compare through the same keyCols code
-// as the materializing path (ints exactly, floats by canonical bits,
-// strings by bytes), and the first-seen row's key values are stored as
-// the group's representative — the value GroupBy gathers.
+// StreamAgg is the one grouped aggregation: it folds a stream of morsels
+// into a grouped relation, and GroupBy is this accumulator fed the whole
+// relation at once. Each row folds straight into its group's states, so
+// every group accumulates exactly its own rows in row order and the
+// result does not depend on morsel boundaries or worker counts. Groups
+// are created in global first-seen order, keys hash and compare through
+// keyCols (ints exactly, floats by canonical bits, strings by bytes),
+// and the first-seen row's key values are stored as the group's
+// representative.
 type StreamAgg struct {
 	name string
 	keys []string
 	aggs []AggSpec
 	kt   []bat.Type
 
-	// Persistent per-group storage, in global first-seen order: the
-	// group table (key representatives and their hash index) and the
-	// merged aggregate states.
+	// Per-group storage, in global first-seen order: the group table
+	// (key representatives and their hash index) and the aggregate
+	// states.
 	table  *keyTable
 	states [][]aggState
 
@@ -102,15 +91,6 @@ type StreamAgg struct {
 	// most bat.MorselSize rows at a time.
 	mk keyCols
 	mh []uint64
-
-	// Current chunk: per-group partial states (len(aggs) per touched
-	// group, in chunk-local first-seen order), the touched merged group
-	// ids in that order, and each merged group's slot among them (-1
-	// when untouched this chunk).
-	chunkStates  []aggState
-	chunkTouched []int
-	chunkSlot    []int
-	rowsInChunk  int
 
 	// Out-of-core state (nil ctx disables spilling): once the resident
 	// group table crosses the spill policy's threshold it freezes — rows
@@ -144,7 +124,7 @@ func NewStreamAgg(c *exec.Ctx, name string, keys []string, keyTypes []bat.Type, 
 	return sa, nil
 }
 
-// groupOf returns the merged group id of morsel row i (whose key hash is
+// groupOf returns the group id of morsel row i (whose key hash is
 // h), creating the group (and storing the row's key values as its
 // representative) when absent. Once the table is frozen, rows of unseen
 // keys return ok == false and must be spilled; resident groups keep
@@ -163,64 +143,26 @@ func (a *StreamAgg) groupOf(h uint64, i int) (id int, ok bool) {
 		a.frozen = true
 		return 0, false
 	}
-	a.newGroup()
+	a.states = append(a.states, newAggStates(len(a.aggs)))
 	return a.table.add(a.c, h, &a.mk, i), true
 }
 
-// newGroup appends the merged states of a new group.
-func (a *StreamAgg) newGroup() {
-	a.states = append(a.states, newAggStates(len(a.aggs)))
-	a.chunkSlot = append(a.chunkSlot, -1)
-}
-
 // residentEst is the in-memory footprint of the resident group table:
-// per group its merged states (a 24-byte slice header plus 32 bytes per
-// aggregate), its 8-byte chunk slot and its key representatives (at
-// most 16 bytes per key, a string header), plus the hash index's real
-// bytes: buckets, links and stored hashes.
+// per group its states (a 24-byte slice header plus 32 bytes per
+// aggregate) and its key representatives (at most 16 bytes per key, a
+// string header), plus the hash index's real bytes: buckets, links and
+// stored hashes.
 func (a *StreamAgg) residentEst() int64 {
-	per := int64(32 + 32*len(a.aggs) + 16*len(a.keys))
+	per := int64(24 + 32*len(a.aggs) + 16*len(a.keys))
 	ix := a.table.index
 	return int64(len(a.states))*per + 8*int64(len(ix.head)+len(ix.next)+cap(ix.hash))
-}
-
-// chunkStateOf returns the current chunk's partial states for merged
-// group g, creating them on the group's first row in this chunk.
-func (a *StreamAgg) chunkStateOf(g int) []aggState {
-	nA := len(a.aggs)
-	slot := a.chunkSlot[g]
-	if slot < 0 {
-		slot = len(a.chunkTouched)
-		a.chunkSlot[g] = slot
-		a.chunkTouched = append(a.chunkTouched, g)
-		for k := 0; k < nA; k++ {
-			a.chunkStates = append(a.chunkStates, aggState{min: math.Inf(1), max: math.Inf(-1)})
-		}
-	}
-	return a.chunkStates[slot*nA : (slot+1)*nA]
-}
-
-// flushChunk combines the chunk partials into the merged states in
-// chunk-local first-seen order and resets the chunk.
-func (a *StreamAgg) flushChunk() {
-	nA := len(a.aggs)
-	for slot, g := range a.chunkTouched {
-		for k := range a.aggs {
-			a.states[g][k].combine(&a.chunkStates[slot*nA+k])
-		}
-		a.chunkSlot[g] = -1
-	}
-	a.chunkStates = a.chunkStates[:0]
-	a.chunkTouched = a.chunkTouched[:0]
-	a.rowsInChunk = 0
 }
 
 // Consume folds one morsel: keys holds the grouping key vectors (nil or
 // empty for the global group), aggIn one float view per aggregate (nil
 // for COUNT(*)), n the morsel's row count. Morsels must arrive in
-// stream order; rows are folded serially — at MorselSize ≤ SerialCutoff
-// the materializing path's chunks are serial too — after the keys of
-// each block of at most bat.MorselSize rows are hashed column at a time.
+// stream order; rows are folded serially, after the keys of each block
+// of at most bat.MorselSize rows are hashed column at a time.
 // The error is nil unless the accumulator is spilling and disk I/O
 // fails, or the group table outgrows the tenant's budget.
 func (a *StreamAgg) Consume(keys []*bat.Vector, aggIn [][]float64, n int) (err error) {
@@ -231,7 +173,7 @@ func (a *StreamAgg) Consume(keys []*bat.Vector, aggIn [][]float64, n int) (err e
 			a.mh = make([]uint64, min(n, bat.MorselSize))
 		}
 	} else if len(a.states) == 0 && n > 0 {
-		a.newGroup()
+		a.states = append(a.states, newAggStates(len(a.aggs)))
 	}
 	for lo := 0; lo < n; lo += bat.MorselSize {
 		hi := min(lo+bat.MorselSize, n)
@@ -239,34 +181,24 @@ func (a *StreamAgg) Consume(keys []*bat.Vector, aggIn [][]float64, n int) (err e
 			a.mk.hashInto(a.mh[:hi-lo], lo)
 		}
 		for i := lo; i < hi; i++ {
-			if a.rowsInChunk == bat.SerialCutoff {
-				a.flushChunk()
-			}
 			g := 0
 			if len(a.keys) > 0 {
 				h := a.mh[i-lo]
 				gg, ok := a.groupOf(h, i)
 				if !ok {
 					// Unseen key after the freeze: stage the row to disk.
-					// It still occupies its global chunk position.
 					if err := a.spillRow(aggIn, i, h); err != nil {
 						return err
 					}
-					a.rowsInChunk++
 					a.seen++
 					continue
 				}
 				g = gg
 			}
-			st := a.chunkStateOf(g)
-			for k := range a.aggs {
-				var col []float64
-				if aggIn[k] != nil {
-					col = aggIn[k][i : i+1]
-				}
-				st[k].accumulate(col, 0)
+			st := a.states[g]
+			for k := range st {
+				st[k].accumulate(aggIn[k], i)
 			}
-			a.rowsInChunk++
 			a.seen++
 		}
 	}
@@ -285,19 +217,17 @@ func (a *StreamAgg) releaseIndex() {
 // NumGroups returns the number of groups seen so far.
 func (a *StreamAgg) NumGroups() int { return len(a.states) }
 
-// Finish flushes the last partial chunk and assembles the grouped
-// relation: key columns first (the stored representatives, in global
-// first-seen order), then one column per aggregate — Count as BIGINT,
-// the rest as DOUBLE — exactly GroupBy's output shape.
+// Finish assembles the grouped relation: key columns first (the stored
+// representatives, in global first-seen order), then one column per
+// aggregate — Count as BIGINT, the rest as DOUBLE.
 func (a *StreamAgg) Finish() (res *Relation, err error) {
 	defer exec.CatchBudget(&err)
-	a.flushChunk()
 	a.releaseIndex()
 	if a.spill != nil {
-		// Replay the staged partitions: every spilled key's rows fold on
-		// their original chunk boundaries and the recovered groups are
-		// appended in global first-seen order, so the result below is
-		// bitwise what the unfrozen accumulator would have produced.
+		// Replay the staged partitions: every spilled key's rows fold in
+		// row order and the recovered groups are appended in global
+		// first-seen order, so the result below is bitwise what the
+		// unfrozen accumulator would have produced.
 		if err := a.replaySpilled(); err != nil {
 			return nil, err
 		}

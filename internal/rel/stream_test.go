@@ -129,8 +129,9 @@ func TestStreamingAggGlobalGroup(t *testing.T) {
 
 // TestStreamingJoinProbeMatchesJoinPairs probes a JoinBuild one morsel
 // at a time and asserts the concatenated pair lists equal the
-// all-at-once serial join pairs (HashJoin's), inner and left outer, at
-// several worker budgets. The build sides run from empty (every probe
+// all-at-once join pairs of a map-based reference (probe rows in order,
+// each one's matches in build order), inner and left outer, at several
+// worker budgets. The build sides run from empty (every probe
 // row unmatched) to above bat.SerialCutoff, where a parallel budget
 // hashes the build keys in parallel; the largest one's keys repeat and
 // cover only the even probe keys, so every probe morsel mixes duplicate
@@ -141,7 +142,6 @@ func TestStreamingJoinProbeMatchesJoinPairs(t *testing.T) {
 	for i := range probe {
 		probe[i] = int64((i*7919 + 3) % 1500)
 	}
-	probeKeys := []*bat.BAT{bat.FromInts(probe)}
 
 	for _, bc := range []struct{ n, stride int }{{0, 1}, {1, 1}, {2000, 1}, {bat.SerialCutoff + 301, 2}} {
 		build := make([]int64, bc.n)
@@ -149,9 +149,20 @@ func TestStreamingJoinProbeMatchesJoinPairs(t *testing.T) {
 			build[j] = int64((j*104729 + 1) % 1500 * bc.stride)
 		}
 		buildKeys := []*bat.BAT{bat.FromInts(build)}
+		rowsOf := map[int64][]int{}
+		for j, k := range build {
+			rowsOf[k] = append(rowsOf[k], j)
+		}
 		for _, leftOuter := range []bool{false, true} {
-			wantLi, wantRi, _ := joinPairs(exec.NewCtx(1, nil, nil),
-				keyColsOf(nil, pn, probeKeys), keyColsOf(nil, bc.n, buildKeys), leftOuter)
+			var wantLi, wantRi []int
+			for i, k := range probe {
+				for _, j := range rowsOf[k] {
+					wantLi, wantRi = append(wantLi, i), append(wantRi, j)
+				}
+				if len(rowsOf[k]) == 0 && leftOuter {
+					wantLi, wantRi = append(wantLi, i), append(wantRi, -1)
+				}
+			}
 			for _, workers := range []int{1, 2, 8} {
 				c := exec.NewCtx(workers, nil, nil)
 				jb, err := NewJoinBuild(c, buildKeys)

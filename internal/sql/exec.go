@@ -798,7 +798,9 @@ func projectMeta(items []SelectItem, src *source) (rel.Schema, []sym, []*compile
 		}
 		name := it.As
 		if name == "" {
-			if cr, ok := it.Expr.(*ColRef); ok {
+			// A grouped column's name is internal: an unaliased grouped
+			// item is named like any other expression.
+			if cr, ok := it.Expr.(*ColRef); ok && cr.Qualifier != grpQual {
 				name = cr.Name
 			} else {
 				name = fmt.Sprintf("col%d", k+1)
@@ -856,9 +858,10 @@ func finishOutput(c *exec.Ctx, sel *SelectStmt, out *rel.Relation, order []order
 }
 
 // sortIndex materializes every ORDER BY key once, then returns the
-// stable sort permutation of out's rows under them. The comparator only
-// reads the materialized keys, so the parallel (and, under pressure,
-// disk-merging) stable sort is safe.
+// stable sort permutation of out's rows under them. Floats order by
+// bat.CompareFloat, so NaN sorts last ascending and first descending.
+// The comparator only reads the materialized keys, so the parallel
+// (and, under pressure, disk-merging) stable sort is safe.
 func sortIndex(c *exec.Ctx, out *rel.Relation, order []orderKey, in *frame) ([]int, error) {
 	of := relFrame(c, out)
 	keys := make([]*bat.Vector, 0, len(order))
@@ -888,14 +891,11 @@ func sortIndex(c *exec.Ctx, out *rel.Relation, order []orderKey, in *frame) ([]i
 			desc := order[k].desc
 			switch v.Type() {
 			case bat.Float:
-				x, y := v.Floats()[a], v.Floats()[b]
-				if x == y {
+				cmp := bat.CompareFloat(v.Floats()[a], v.Floats()[b])
+				if cmp == 0 {
 					continue
 				}
-				if desc {
-					return y < x
-				}
-				return x < y
+				return (cmp < 0) != desc
 			case bat.Int:
 				x, y := v.Ints()[a], v.Ints()[b]
 				if x == y {

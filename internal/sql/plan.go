@@ -369,8 +369,9 @@ func planGroup(sel *SelectStmt, aggs []*FuncCall, proto *source) (*groupPlan, er
 	}
 	gp.specs = make([]rel.AggSpec, len(aggs))
 	gp.argProg = make([]*compiled, len(aggs))
-	// A string aggregate input is rel.GroupBy's error, in rel's words,
-	// and ranks behind every argument-shape error.
+	// A string aggregate input is rel's error for a non-numeric
+	// aggregate, in rel's words, and ranks behind every argument-shape
+	// error.
 	var nonNumeric error
 	for k, a := range aggs {
 		fn := aggFuncs[a.Name]

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -13,13 +14,14 @@ import (
 // This file is the reference SELECT executor of the differential tests:
 // a deliberately naive, serial evaluator over whole relations. Joins
 // bucket the right side on the printed key value, WHERE filters the
-// whole joined relation, and grouping runs through rel.GroupBy. Every
-// expression is evaluated by the row-wise evaluator of rowexpr_test.go.
-// It shares only name resolution, output naming (projectMeta),
-// extractEqui and the grouped-item rewrite with the engine — no
-// planner, pushdown, pruning, column-at-a-time evaluator, JoinBuild,
-// StreamAgg or spill — so the streamed engine is checked against an
-// independent evaluation.
+// whole joined relation, and grouping maps the printed key value to its
+// group and folds every group's rows in row order. Every expression is
+// evaluated by the row-wise evaluator of rowexpr_test.go. It shares
+// only name resolution, output naming (projectMeta), extractEqui and
+// the grouped-item rewrite with the engine — no planner, pushdown,
+// pruning, column-at-a-time evaluator, hash table, JoinBuild, StreamAgg
+// or spill — so the streamed engine is checked against an independent
+// evaluation.
 
 // refQuery evaluates one SELECT over db's catalog with the reference
 // executor.
@@ -62,7 +64,7 @@ func refSelect(db *DB, sel *SelectStmt) (*rel.Relation, error) {
 		}
 		return refFinish(c, sel, items, src)
 	}
-	if src, err = refGroup(c, src, sel.GroupBy, aggs); err != nil {
+	if src, err = refGroup(src, sel.GroupBy, aggs); err != nil {
 		return nil, err
 	}
 	items, having := groupedItems(items, sel.GroupBy, aggs, sel.Having)
@@ -170,26 +172,29 @@ func refKeys(left, right *source, lk, rk []Expr) (lkeys, rkeys []string, err err
 			return nil, nil, err
 		}
 	}
-	printKeys := func(own, other []*rowExpr, n int) []string {
-		out := make([]string, n)
-		for i := range out {
-			parts := make([]string, len(own))
-			for k, comp := range own {
-				switch v := comp.fn(i); {
-				case v.Type == bat.String:
-					parts[k] = strconv.Quote(v.S)
-				case v.Type == bat.Int && other[k].typ == bat.Int:
-					parts[k] = strconv.FormatInt(v.I, 10)
-				default: // +0 folds -0 into 0; every NaN prints "NaN"
-					parts[k] = strconv.FormatFloat(v.AsFloat()+0, 'g', -1, 64)
-				}
-			}
-			out[i] = strings.Join(parts, "|")
-		}
-		return out
-	}
 	lc, rc := comps[:len(lk)], comps[len(lk):]
 	return printKeys(lc, rc, left.rel.NumRows()), printKeys(rc, lc, right.rel.NumRows()), nil
+}
+
+// printKeys prints rows 0..n-1 of the composite key own, whose columns
+// are compared with those of other (own itself when grouping).
+func printKeys(own, other []*rowExpr, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		parts := make([]string, len(own))
+		for k, comp := range own {
+			switch v := comp.fn(i); {
+			case v.Type == bat.String:
+				parts[k] = strconv.Quote(v.S)
+			case v.Type == bat.Int && other[k].typ == bat.Int:
+				parts[k] = strconv.FormatInt(v.I, 10)
+			default: // +0 folds -0 into 0; every NaN prints "NaN"
+				parts[k] = strconv.FormatFloat(v.AsFloat()+0, 'g', -1, 64)
+			}
+		}
+		out[i] = strings.Join(parts, "|")
+	}
+	return out
 }
 
 // refFilter keeps the rows of src on which pred is truthy.
@@ -207,65 +212,131 @@ func refFilter(src *source, pred Expr) (*source, error) {
 	return refSource(src.syms, refGather(src.rel.Cols, keep)), nil
 }
 
-// refGroup evaluates the grouping keys g<k> and aggregate inputs a<k>
-// over the whole source and groups them with rel.GroupBy, exposing the
-// result under the grouped-source qualifier. A zero column keeps the row
-// count when nothing else is evaluated.
-func refGroup(c *exec.Ctx, src *source, groupBy []Expr, aggs []*FuncCall) (*source, error) {
+// refGroup groups the whole source on the printed values of the
+// grouping keys, in first-seen order, and folds every group's aggregate
+// inputs in row order. The result has the engine's grouped schema — the
+// keys g<k> (each group's first row), then agg<k>, Int for COUNT and
+// Float otherwise — under the grouped-source qualifier.
+func refGroup(src *source, groupBy []Expr, aggs []*FuncCall) (*source, error) {
 	n := src.rel.NumRows()
-	schema := rel.Schema{{Name: "#rows", Type: bat.Int}}
-	cols := []*bat.BAT{bat.FromInts(make([]int64, n))}
-	add := func(name string, e Expr) error {
-		comp, err := rowCompile(e, src)
-		if err != nil {
-			return err
-		}
-		v := bat.NewEmptyVector(comp.typ, n)
-		for i := 0; i < n; i++ {
-			v.Append(comp.fn(i))
-		}
-		schema = append(schema, rel.Attr{Name: name, Type: comp.typ})
-		cols = append(cols, bat.FromVector(v))
-		return nil
-	}
-	var keys []string
+	keys := make([]*rowExpr, len(groupBy))
 	for k, g := range groupBy {
-		keys = append(keys, fmt.Sprintf("g%d", k))
-		if err := add(keys[k], g); err != nil {
+		var err error
+		if keys[k], err = rowCompile(g, src); err != nil {
 			return nil, err
 		}
 	}
-	specs := make([]rel.AggSpec, len(aggs))
+	fns := make([]rel.AggFunc, len(aggs))
+	args := make([]*rowExpr, len(aggs))
 	for k, a := range aggs {
-		specs[k] = rel.AggSpec{Func: aggFuncs[a.Name], As: fmt.Sprintf("agg%d", k)}
+		fns[k] = aggFuncs[a.Name]
 		switch {
-		case a.Star && specs[k].Func != rel.Count:
+		case a.Star && fns[k] != rel.Count:
 			return nil, fmt.Errorf("sql: %s(*) not supported", a.Name)
 		case a.Star:
 		case len(a.Args) != 1:
 			return nil, fmt.Errorf("sql: %s takes one argument", a.Name)
 		default:
-			specs[k].Attr = fmt.Sprintf("a%d", k)
-			if err := add(specs[k].Attr, a.Args[0]); err != nil {
+			var err error
+			if args[k], err = rowCompile(a.Args[0], src); err != nil {
 				return nil, err
 			}
 		}
 	}
-	grouped, err := rel.GroupBy(c, rel.MustNew("", schema, cols), keys, specs)
-	if err != nil {
-		return nil, err
+	if len(aggs) == 0 {
+		return nil, fmt.Errorf("rel: group by without aggregates")
 	}
-	if len(keys) == 0 && grouped.NumRows() == 0 {
+	for k, arg := range args {
+		if arg != nil && arg.typ == bat.String {
+			return nil, fmt.Errorf("rel: aggregate %v over non-numeric %q", fns[k], fmt.Sprintf("a%d", k))
+		}
+	}
+
+	// Assign groups, then fold each row into its group in row order.
+	var first, gid []int
+	ids := map[string]int{}
+	for i, key := range printKeys(keys, keys, n) {
+		g, ok := ids[key]
+		if !ok {
+			g = len(first)
+			ids[key] = g
+			first = append(first, i)
+		}
+		gid = append(gid, g)
+	}
+	var schema rel.Schema
+	var cols []*bat.BAT
+	for k, key := range keys {
+		v := bat.NewEmptyVector(key.typ, len(first))
+		for _, i := range first {
+			v.Append(key.fn(i))
+		}
+		schema = append(schema, rel.Attr{Name: fmt.Sprintf("g%d", k), Type: key.typ})
+		cols = append(cols, bat.FromVector(v))
+	}
+	for k, arg := range args {
+		cnt := make([]int64, len(first))
+		sum := make([]float64, len(first))
+		lo := make([]float64, len(first))
+		hi := make([]float64, len(first))
+		for g := range first {
+			lo[g], hi[g] = math.Inf(1), math.Inf(-1)
+		}
+		for i, g := range gid {
+			cnt[g]++
+			if arg == nil {
+				continue
+			}
+			x := arg.fn(i).AsFloat()
+			sum[g] += x
+			if x < lo[g] {
+				lo[g] = x
+			}
+			if x > hi[g] {
+				hi[g] = x
+			}
+		}
+		name := fmt.Sprintf("agg%d", k)
+		if fns[k] == rel.Count {
+			schema = append(schema, rel.Attr{Name: name, Type: bat.Int})
+			cols = append(cols, bat.FromInts(cnt))
+			continue
+		}
+		out := sum
+		switch fns[k] {
+		case rel.Avg:
+			for g := range out {
+				out[g] /= float64(cnt[g])
+			}
+		case rel.Min:
+			out = lo
+		case rel.Max:
+			out = hi
+		}
+		schema = append(schema, rel.Attr{Name: name, Type: bat.Float})
+		cols = append(cols, bat.FromFloats(out))
+	}
+	grouped := rel.MustNew("", schema, cols)
+	if len(keys) == 0 && n == 0 {
 		// A global aggregate over no rows is one row of zeros.
-		b := rel.NewBuilder("", grouped.Schema)
-		vals := make([]bat.Value, len(grouped.Schema))
-		for k, a := range grouped.Schema {
+		b := rel.NewBuilder("", schema)
+		vals := make([]bat.Value, len(schema))
+		for k, a := range schema {
 			vals[k] = bat.Value{Type: a.Type}
 		}
 		b.MustAdd(vals...)
 		grouped = b.Relation()
 	}
 	return newSource(grouped, grpQual), nil
+}
+
+// refLess is the ORDER BY order: Value.Less, except that NaN sorts
+// after every number and ties with NaN.
+func refLess(a, b bat.Value) bool {
+	if a.Type == bat.Float && b.Type == bat.Float {
+		return a.F < b.F || (a.F == a.F && b.F != b.F)
+	}
+	return a.Less(b)
 }
 
 // refGather copies the rows idx of every column; -1 yields the column
@@ -336,13 +407,11 @@ func refFinish(c *exec.Ctx, sel *SelectStmt, items []SelectItem, src *source) (*
 		idx := bat.SortStable(c, out.NumRows(), func(a, b int) bool {
 			for k, e := range keys {
 				va, vb := e.fn(a), e.fn(b)
-				if va.Equal(vb) {
+				lt, gt := refLess(va, vb), refLess(vb, va)
+				if lt == gt {
 					continue
 				}
-				if sel.OrderBy[k].Desc {
-					return vb.Less(va)
-				}
-				return va.Less(vb)
+				return lt != sel.OrderBy[k].Desc
 			}
 			return false
 		})

@@ -18,9 +18,9 @@ import (
 //
 // Determinism: morsels are emitted in row order, every per-morsel kernel
 // runs serially (MorselSize never exceeds exec.SerialCutoff), and the
-// breakers delegate to rel.JoinBuild / rel.StreamAgg, whose results are
-// bitwise-identical to rel.HashJoin / rel.GroupBy over the whole input
-// at any worker count.
+// breakers delegate to rel.JoinBuild / rel.StreamAgg — the cores under
+// rel.HashJoin / rel.GroupBy — whose results do not depend on morsel
+// boundaries or the worker count.
 
 // rowStream is the morsel iterator: next returns the next non-empty
 // batch, or nil at end of stream. The caller owns the returned batch and
@@ -784,9 +784,9 @@ func runStreamProject(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, st rowStre
 	return finishOutput(c, sel, res, plan.order, inFrame)
 }
 
-// runStreamGrouped drains the stream into the streaming aggregation
-// accumulator — bitwise-identical to rel.GroupBy over the whole input —
-// then finishes over the grouped relation: HAVING, the projection, and
+// runStreamGrouped drains the stream into the grouped aggregation
+// accumulator — the one rel.GroupBy runs over a whole relation — then
+// finishes over the grouped relation: HAVING, the projection, and
 // the ORDER BY/LIMIT tail, all compiled by the planner against the
 // grouped schema. The accumulator is bound to the statement context, so
 // a group table that outgrows the spill threshold degrades to disk.
@@ -867,8 +867,8 @@ func (db *DB) runStreamGrouped(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, s
 }
 
 // groupInputs evaluates one morsel's grouping keys and aggregate inputs,
-// the latter converted to float64 exactly as rel.GroupBy's FloatsCtx
-// converts an int column. Entries stay nil for COUNT(*), and for
+// the latter converted to float64 exactly as BAT.FloatsCtx converts an
+// int column for rel.GroupBy. Entries stay nil for COUNT(*), and for
 // everything after a failing program.
 func groupInputs(f *frame, gp *groupPlan, keyVecs, aggVecs []*bat.Vector) error {
 	for k, p := range gp.keyProg {

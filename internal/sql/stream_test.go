@@ -3,6 +3,7 @@ package sql
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"unsafe"
 
@@ -237,6 +238,92 @@ func TestGroupKeyKeepsColumnName(t *testing.T) {
 		}
 		if a, b := dup.Schema[0].Name, dup.Schema[1].Name; a != "grp" || b != "grp_2" {
 			t.Fatalf("%s: repeated key columns named %q, %q, want \"grp\", \"grp_2\"", ev.name, a, b)
+		}
+	}
+}
+
+// TestGroupedItemNames pins the output names of unaliased grouped items
+// to the ones an ungrouped SELECT gives: an expression over a group key
+// and an aggregate call are col<k>, never the internal g<k>/agg<k>
+// columns they are rewritten to — in the engine and in the reference
+// executor.
+func TestGroupedItemNames(t *testing.T) {
+	db := streamDB(t, 100)
+	for _, ev := range []struct {
+		name  string
+		query func(string) (*rel.Relation, error)
+	}{
+		{"engine", db.Query},
+		{"reference", func(q string) (*rel.Relation, error) { return refQuery(db, q) }},
+	} {
+		for q, want := range map[string]string{
+			"SELECT id % 3, SUM(val), COUNT(*) FROM t GROUP BY id % 3;":  "[col1 col2 col3]",
+			"SELECT id % 3, val FROM t;":                                 "[col1 val]",
+			"SELECT grp, SUM(val) + 1, MAX(w) AS m FROM t GROUP BY grp;": "[grp col2 m]",
+			"SELECT COUNT(*), MIN(val) FROM t;":                          "[col1 col2]",
+			"SELECT id % 3, id % 3, COUNT(*) FROM t GROUP BY id % 3;":    "[col1 col2 col3]",
+		} {
+			out, err := ev.query(q)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", ev.name, q, err)
+			}
+			if got := fmt.Sprint(out.Schema.Names()); got != want {
+				t.Fatalf("%s: %s: columns %s, want %s", ev.name, q, got, want)
+			}
+		}
+	}
+}
+
+// TestOrderByFloatOrder sorts a float column with every fifth row NaN,
+// plus both zeros and both infinities, at workers 1, 2 and 8. Every
+// ORDER BY must produce the one order of bat.CompareFloat — ±0 tie, NaN
+// ties with NaN and sorts after +Inf — with ties in row order.
+func TestOrderByFloatOrder(t *testing.T) {
+	n := 6*bat.SerialCutoff + 13
+	x := make([]float64, n)
+	ids := make([]int64, n)
+	specials := []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1)}
+	for i := range x {
+		ids[i] = int64(i)
+		switch {
+		case i%5 == 0:
+			x[i] = math.NaN()
+		case i%7 == 0:
+			x[i] = specials[i%len(specials)]
+		default:
+			x[i] = float64(i%11) / 4
+		}
+	}
+	db := NewDB()
+	db.Register("f", rel.MustNew("f", rel.Schema{{Name: "x", Type: bat.Float}, {Name: "id", Type: bat.Int}},
+		[]*bat.BAT{bat.FromFloats(x), bat.FromInts(ids)}))
+	// xLess is the order under test, spelled out: numbers by < (so ±0
+	// tie), NaN after every number.
+	xLess := func(a, b float64) bool { return a < b || (a == a && b != b) }
+	for _, tc := range []struct {
+		order string
+		desc  bool
+	}{{"x", false}, {"x, id", false}, {"x DESC, id", true}} {
+		want := make([]int64, n)
+		copy(want, ids)
+		sort.SliceStable(want, func(a, b int) bool {
+			xa, xb := x[want[a]], x[want[b]]
+			if tc.desc {
+				xa, xb = xb, xa
+			}
+			return xLess(xa, xb)
+		})
+		for _, w := range []int{1, 2, 8} {
+			out, err := db.QueryWith("SELECT id FROM f ORDER BY "+tc.order+";", &core.Options{Parallelism: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := out.Cols[0].Vector().Ints()
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("ORDER BY %s workers=%d: row %d has id %d, want %d", tc.order, w, k, got[k], want[k])
+				}
+			}
 		}
 	}
 }
