@@ -124,14 +124,20 @@
 // The relational operators run on the same substrate:
 //
 //   - rel.HashJoin is a hash join over typed 64-bit key hashes (no
-//     per-row string keys), hashed column at a time. It is the
-//     streaming join core run once: rel.NewJoinBuild indexes the build
-//     side in one flat head/next hash index drawn from the arena
+//     per-row string keys), hashed column at a time. It drives the one
+//     join core over whole relations: rel.NewJoinBuild indexes the
+//     build side in one flat head/next hash index drawn from the arena
 //     (rel/hashtab.go, the same index under every group table and
-//     Distinct), and one JoinBuild.Probe over the whole left side runs
-//     a parallel count pass plus a parallel scatter through per-row
-//     output offsets. Output order is canonical — probe rows in left
-//     order, matches per row in build order — at any worker budget.
+//     Distinct); a parallel count pass records every left row's first
+//     match and output offset; the result columns are drawn once at
+//     their exact length; and a scatter pass runs over the workers by
+//     probe morsel, each worker gathering at most bat.MorselSize pairs
+//     at a time straight into the result at its offset. No pair list
+//     of the whole join exists, so its footprint beyond the inputs is
+//     the index, the offsets and the result. JoinBuild.Probe runs the
+//     same two passes over one streamed SQL morsel. Output order is
+//     canonical — probe rows in left order, matches per row in build
+//     order — at any worker budget.
 //   - rel.GroupBy is one rel.StreamAgg fed the whole relation: each
 //     row folds straight into its group's states, so every group
 //     accumulates its own rows in row order, groups appear in
@@ -245,19 +251,17 @@
 // allocating its dominant transient, where the threshold is the
 // configured byte count, or half the tenant's budget when configured as
 // zero (unbudgeted tenants never auto-spill). The consumers are
-// rel.HashJoin's pair staging (16-way partitioned pair files merged
-// back in canonical probe order), grouped aggregation (rel.StreamAgg,
-// under rel.GroupBy too, freezes its group table and stages the rows of
-// unseen keys to partition files, replayed in row order), and sort
-// (runs capped at store.SegRows rows, each worker sorting against one
-// half-run scratch, then per-run files k-way merged through a loser
-// tree, one block per run; a serial sort is one run and never stages).
-// The streamed SQL join holds one probe morsel's pairs at a time and
-// has nothing to stage. Every spilled path reproduces its in-memory
-// result bit for bit at any worker count — asserted by a
-// self-calibrating rel.HashJoin test (internal/rel) that measures the
-// in-memory and fully-spilled serial peaks and runs the join under the
-// midpoint budget, plus the spill leg of the fuzz oracle
+// grouped aggregation (rel.StreamAgg, under rel.GroupBy too, freezes
+// its group table and stages the rows of unseen keys to partition
+// files, replayed in row order) and sort (runs capped at store.SegRows
+// rows, each worker sorting against one half-run scratch, then per-run
+// files k-way merged through a loser tree, one block per run; a serial
+// sort is one run and never stages). The join has nothing to stage:
+// rel.HashJoin gathers each block of pairs straight into its result,
+// and the streamed SQL join holds one probe morsel's pairs at a time.
+// Every spilled path reproduces its in-memory result bit for bit at
+// any worker count — asserted by the spill tests of internal/bat,
+// internal/rel and internal/sql, the spill leg of the fuzz oracle
 // (RMA_ORACLE_SPILL) and a -race CI stress step.
 // exec.SpillStats (bytes, partitions, events) aggregates into
 // sql.DB.Metrics alongside the arena counters.

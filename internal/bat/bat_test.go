@@ -82,6 +82,64 @@ func TestVectorGather(t *testing.T) {
 	}
 }
 
+// TestGatherPadded gathers each domain into a View in the middle of a
+// larger vector, as a join writes one morsel's block at its offset:
+// index -1 writes the zero value, and nothing outside the view moves.
+func TestGatherPadded(t *testing.T) {
+	idx := []int{2, -1, 0, 0, -1}
+	for _, v := range []*Vector{
+		NewFloatVector([]float64{1.5, -2, 3}),
+		NewIntVector([]int64{7, 8, 9}),
+		NewStringVector([]string{"x", "y", "z"}),
+	} {
+		dst := NewVectorCtx(nil, v.Type(), len(idx)+2)
+		for k := 0; k < dst.Len(); k++ {
+			dst.Set(k, v.Get(1))
+		}
+		v.GatherPadded(dst.View(1, 1+len(idx)), idx)
+		zero := NewEmptyVector(v.Type(), 1)
+		zero.Append(Value{Type: v.Type()})
+		for k := 0; k < dst.Len(); k++ {
+			want := v.Get(1)
+			if k >= 1 && k <= len(idx) {
+				if j := idx[k-1]; j >= 0 {
+					want = v.Get(j)
+				} else {
+					want = zero.Get(0)
+				}
+			}
+			if dst.Get(k) != want {
+				t.Fatalf("%v: dst[%d] = %v, want %v", v.Type(), k, dst.Get(k), want)
+			}
+		}
+	}
+}
+
+// TestSparseGatherPieces checks that gathering an index list in pieces
+// with GatherAppend and joining them with ConcatSparse is Gather.
+func TestSparseGatherPieces(t *testing.T) {
+	sp := Compress([]float64{0, 1, 0, 3, 0, 5})
+	idx := []int{5, 0, 3, 3, 1, 2, 4, 5}
+	want := sp.Gather(nil, idx)
+	for _, cuts := range [][]int{{0, 8}, {0, 3, 8}, {0, 1, 2, 6, 8}} {
+		var parts []*Sparse
+		for p := 0; p+1 < len(cuts); p++ {
+			part := NewSparse(len(idx), nil, nil)
+			sp.GatherAppend(part, cuts[p], idx[cuts[p]:cuts[p+1]])
+			parts = append(parts, part)
+		}
+		got := ConcatSparse(len(idx), parts)
+		if got.Len() != want.Len() || got.NNZ() != want.NNZ() {
+			t.Fatalf("cuts %v: len %d nnz %d, want %d %d", cuts, got.Len(), got.NNZ(), want.Len(), want.NNZ())
+		}
+		for k := range idx {
+			if got.Get(k) != want.Get(k) {
+				t.Fatalf("cuts %v: [%d] = %v, want %v", cuts, k, got.Get(k), want.Get(k))
+			}
+		}
+	}
+}
+
 func TestVectorAsFloats(t *testing.T) {
 	iv := NewIntVector([]int64{1, 2, 3})
 	f, shared := iv.AsFloats()

@@ -122,14 +122,6 @@ func (s *Sparse) Clone() *Sparse {
 // Ranges of the index list are gathered in parallel and concatenated in
 // range order.
 func (s *Sparse) Gather(c *exec.Ctx, idx []int) *Sparse {
-	gather := func(out *Sparse, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			if x := s.Get(idx[k]); x != 0 {
-				out.oid = append(out.oid, k)
-				out.val = append(out.val, x)
-			}
-		}
-	}
 	out := &Sparse{n: len(idx)}
 	if !c.Serial(len(idx)) {
 		runs, size := c.ParallelRuns(len(idx))
@@ -137,11 +129,42 @@ func (s *Sparse) Gather(c *exec.Ctx, idx []int) *Sparse {
 		for r := range off {
 			off[r] = min(r*size, len(idx))
 		}
-		if stageRuns(c, out, off, func(r int, part *Sparse) { gather(part, off[r], off[r+1]) }) {
+		if stageRuns(c, out, off, func(r int, part *Sparse) { s.GatherAppend(part, off[r], idx[off[r]:off[r+1]]) }) {
 			return out
 		}
 	}
-	gather(out, 0, len(idx))
+	s.GatherAppend(out, 0, idx)
+	return out
+}
+
+// GatherAppend is Gather of one piece: it appends the non-zero values
+// s[idx[k]] to t at OIDs at+k. Pieces gathered over consecutive ranges
+// of an index list, in order, and joined with ConcatSparse are the
+// Gather of the whole list; t's OIDs must lie below at.
+func (s *Sparse) GatherAppend(t *Sparse, at int, idx []int) {
+	for k, j := range idx {
+		if x := s.Get(j); x != 0 {
+			t.oid = append(t.oid, at+k)
+			t.val = append(t.val, x)
+		}
+	}
+}
+
+// ConcatSparse joins zero-suppressed pieces whose OIDs lie in ascending,
+// disjoint ranges, given in that order, into one column of length n.
+func ConcatSparse(n int, parts []*Sparse) *Sparse {
+	if len(parts) == 1 {
+		return &Sparse{n: n, oid: parts[0].oid, val: parts[0].val}
+	}
+	nnz := 0
+	for _, p := range parts {
+		nnz += len(p.oid)
+	}
+	out := &Sparse{n: n, oid: make([]int, 0, nnz), val: make([]float64, 0, nnz)}
+	for _, p := range parts {
+		out.oid = append(out.oid, p.oid...)
+		out.val = append(out.val, p.val...)
+	}
 	return out
 }
 

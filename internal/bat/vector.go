@@ -209,6 +209,58 @@ func (v *Vector) Gather(c *exec.Ctx, idx []int) *Vector {
 	return out
 }
 
+// NewVectorCtx returns a vector of n undefined values of domain t drawn
+// from the context's arena, for a kernel to fill (GatherPadded).
+func NewVectorCtx(c *exec.Ctx, t Type, n int) *Vector {
+	v := &Vector{typ: t}
+	switch t {
+	case Float:
+		v.f = c.Arena().Floats(n)
+	case Int:
+		v.i = c.Arena().Int64s(n)
+	case String:
+		v.s = c.Arena().Strings(n)
+	}
+	return v
+}
+
+// GatherPadded is the join's leftfetchjoin: it writes v[idx[k]] to
+// dst[k], and the zero value of the domain where idx[k] is -1 (the build
+// side of an unmatched left-outer probe row). dst has v's domain and
+// len(idx) values: a fresh NewVectorCtx for one streamed morsel, or a
+// View of a whole join result at the morsel's offset.
+func (v *Vector) GatherPadded(dst *Vector, idx []int) {
+	switch v.typ {
+	case Float:
+		out := dst.f[:len(idx)]
+		for k, j := range idx {
+			if j >= 0 {
+				out[k] = v.f[j]
+			} else {
+				out[k] = 0
+			}
+		}
+	case Int:
+		out := dst.i[:len(idx)]
+		for k, j := range idx {
+			if j >= 0 {
+				out[k] = v.i[j]
+			} else {
+				out[k] = 0
+			}
+		}
+	case String:
+		out := dst.s[:len(idx)]
+		for k, j := range idx {
+			if j >= 0 {
+				out[k] = v.s[j]
+			} else {
+				out[k] = ""
+			}
+		}
+	}
+}
+
 // AsFloats returns the column as a float64 slice on the default context,
 // converting integer columns. Float columns are returned without copying;
 // the second result reports whether the slice is shared with the vector

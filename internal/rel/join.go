@@ -7,6 +7,19 @@ import (
 	"repro/internal/exec"
 )
 
+// This file holds the one equi-join. JoinBuild indexes the build side
+// once; a probe input then runs two passes against it. The count pass
+// records every probe row's first match and its output offset; the
+// scatter pass writes the (probe, build) row pairs from there, at most
+// a caller-sized buffer at a time, and resumes where it stopped.
+// JoinBuild.Probe runs both passes over one streamed morsel and returns
+// its pairs. HashJoin runs them over a whole relation and gathers each
+// block of pairs straight into the result columns at its offset, so no
+// pair list of the whole join ever exists — MonetDB's leftfetchjoin
+// (b↓G in the paper's Algorithm 1) fetching by position. Pairs come in
+// one canonical order at any worker budget and any morsel slicing:
+// probe rows in probe order, matches per probe row in build order.
+
 // JoinType selects the join semantics.
 type JoinType uint8
 
@@ -17,28 +30,80 @@ const (
 	Left
 )
 
-// probePairs probes an already-built index over skc with rkc, emitting
-// the matching (probe, build) row index pairs in two parallel passes
-// (match counting, then a scatter through per-row output offsets) whose
-// output order is canonical at any worker budget — probe rows in probe
-// order, matches per probe row in build order. The count pass remembers each row's first match, so the scatter
-// writes single matches without probing again and stops a chain walk at
-// the row's last match. leftOuter emits (i, -1) for unmatched probe
-// rows. Probing is stateless per row, so morsel-probe pair sequences
-// concatenate to exactly the all-at-once sequence.
-func probePairs(c *exec.Ctx, table *hashIndex, rkc, skc *keyCols, leftOuter bool) (li, ri []int, anyUnmatched bool) {
-	rh := rkc.hashes(c)
-	n := rkc.n
+// JoinBuild is the build side of the equi-join: the build rows indexed
+// by key hash in the flat hash index, ascending along every chain, so a
+// probe visits its matches in build order. It is built once and probed
+// by any number of inputs; probing is stateless per row, so the pairs of
+// consecutive morsels concatenate to the pairs of the whole input.
+type JoinBuild struct {
+	skc   *keyCols
+	table *hashIndex
+}
 
-	// Probe pass 1: matches per probe row, and the first of them.
-	off := c.Arena().Ints(n)
-	first := c.Arena().Ints(n)
+// NewJoinBuild indexes the build-side key columns. The index is charged
+// to the context's arena until Release.
+func NewJoinBuild(c *exec.Ctx, buildKeys []*bat.BAT) (jb *JoinBuild, err error) {
+	defer exec.CatchBudget(&err)
+	if len(buildKeys) == 0 {
+		return nil, fmt.Errorf("rel: join build needs a non-empty key list")
+	}
+	skc := keyColsOf(c, buildKeys[0].Len(), buildKeys)
+	return &JoinBuild{skc: skc, table: indexRows(c, skc.hashes(c))}, nil
+}
+
+// Release hands back the build side's hash index and densified key
+// buffers. The JoinBuild must not be probed afterwards. Nil-safe.
+func (b *JoinBuild) Release(c *exec.Ctx) {
+	if b == nil {
+		return
+	}
+	b.skc.release(c)
+	b.table.release(c)
+	b.table = nil
+}
+
+// probeSide is a probe input after the count pass: its key views and
+// hashes, and per row the output position of its first pair (off) and
+// its first match (first, -1 for none). An unmatched row owns one pair
+// (i, -1) in a left-outer join and none otherwise.
+type probeSide struct {
+	kc           *keyCols
+	h            []uint64
+	off, first   []int
+	total        int
+	leftOuter    bool
+	anyUnmatched bool
+}
+
+// release hands back the probe side's arena buffers. Nil-safe on every
+// field, so it also cleans up a count pass a budget panic cut short.
+func (p *probeSide) release(c *exec.Ctx) {
+	p.kc.release(c)
+	c.Arena().FreeInts(p.off)
+	c.Arena().FreeInts(p.first)
+	p.kc, p.off, p.first = nil, nil, nil
+}
+
+// count is the first probe pass: it binds the probe keys into p and
+// records each row's match count, in parallel, and its first match;
+// then a serial prefix sum turns the counts into output offsets.
+// Buffers land in p as they are drawn, so p.release frees them however
+// count ends.
+func (b *JoinBuild) count(c *exec.Ctx, p *probeSide, probeKeys []*bat.BAT, leftOuter bool) {
+	n := probeKeys[0].Len()
+	p.leftOuter = leftOuter
+	p.kc = keyColsOf(c, n, probeKeys)
+	p.h = p.kc.hashes(c)
+	p.off = c.Arena().Ints(n)
+	p.first = c.Arena().Ints(n)
+	// Locals, not fields of p, keep the loops' slices in registers.
+	kc, hs, off, first := p.kc, p.h, p.off, p.first
 	c.ParallelFor(n, bat.SerialCutoff, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			cnt, fst := 0, -1
-			h := rh[i]
-			for j := table.find(h); j >= 0; j = table.findNext(j, h) {
-				if rkc.equal(i, skc, j) {
+			h := hs[i]
+			for j := b.table.find(h); j >= 0; j = b.table.findNext(j, h) {
+				if kc.equal(i, b.skc, j) {
 					if cnt == 0 {
 						fst = j
 					}
@@ -48,47 +113,110 @@ func probePairs(c *exec.Ctx, table *hashIndex, rkc, skc *keyCols, leftOuter bool
 			off[i], first[i] = cnt, fst
 		}
 	})
-
-	// Prefix sum into output offsets (fixed serial combine).
 	total := 0
-	for i := 0; i < n; i++ {
-		cnt := off[i]
+	for i, cnt := range off {
 		if cnt == 0 && leftOuter {
 			cnt = 1
-			anyUnmatched = true
+			p.anyUnmatched = true
 		}
 		off[i] = total
 		total += cnt
 	}
+	p.total = total
+}
 
-	// Probe pass 2: scatter the match pairs; rows write disjoint ranges.
-	li = c.Arena().Ints(total)
-	ri = c.Arena().Ints(total)
-	c.ParallelFor(n, bat.SerialCutoff, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			k, j := off[i], first[i]
-			if j < 0 {
-				if leftOuter {
-					li[k], ri[k] = i, -1
-				}
+// pairCursor is a position in a probe side's pair sequence: probe row i,
+// output position pos, and j, the build row of the pair before pos when
+// that pair belongs to row i.
+type pairCursor struct{ i, pos, j int }
+
+// scatter is the second probe pass: it writes the pairs from cur onward
+// into li and ri — at most len(li) of them, none of a probe row at or
+// beyond hi — advances cur past them, and returns how many it wrote.
+// Every row's pairs go to its recorded offset, so rows do not depend on
+// each other; a row's first pair comes from the count pass, so a single
+// match is never probed again, and a chain walk stops at the row's last
+// match.
+func (b *JoinBuild) scatter(p *probeSide, cur *pairCursor, hi int, li, ri []int) int {
+	off, first, hs, kc, leftOuter := p.off, p.first, p.h, p.kc, p.leftOuter
+	base, lim := cur.pos, cur.pos+len(li)
+	for i := cur.i; i < hi; i++ {
+		pos, j := off[i], first[i]
+		if pos < base {
+			// Only the first row can start before the window: it was
+			// cut mid-chain, so resume it after its last pair.
+			pos, j = base, cur.j
+		} else {
+			if j < 0 && !leftOuter {
 				continue
 			}
-			end := total
-			if i+1 < n {
-				end = off[i+1]
+			if pos == lim {
+				*cur = pairCursor{i: i, pos: lim}
+				return len(li)
 			}
-			li[k], ri[k] = i, j
-			h := rh[i]
-			for k++; k < end; k++ {
-				for j = table.findNext(j, h); !rkc.equal(i, skc, j); j = table.findNext(j, h) {
-				}
-				li[k], ri[k] = i, j
+			li[pos-base], ri[pos-base] = i, j
+			pos++
+			if j < 0 {
+				continue
 			}
 		}
+		end := p.total
+		if i+1 < len(off) {
+			end = off[i+1]
+		}
+		if pos == end {
+			continue
+		}
+		for h := hs[i]; pos < end; pos++ {
+			if pos == lim {
+				*cur = pairCursor{i: i, pos: lim, j: j}
+				return len(li)
+			}
+			for j = b.table.findNext(j, h); !kc.equal(i, b.skc, j); j = b.table.findNext(j, h) {
+			}
+			li[pos-base], ri[pos-base] = i, j
+		}
+	}
+	pos := p.total
+	if hi < len(off) {
+		pos = off[hi]
+	}
+	*cur = pairCursor{i: hi, pos: pos}
+	return pos - base
+}
+
+// Probe joins one probe morsel against the build side. probeKeys are the
+// morsel's key columns, paired with the build keys. leftOuter emits
+// (i, -1) for unmatched probe rows. The returned index slices come from
+// the context's arena; callers hand them back with FreeInts when the
+// morsel's output has been gathered.
+func (b *JoinBuild) Probe(c *exec.Ctx, probeKeys []*bat.BAT, leftOuter bool) (li, ri []int, anyUnmatched bool, err error) {
+	defer exec.CatchBudget(&err)
+	if len(probeKeys) != len(b.skc.f) {
+		return nil, nil, false, fmt.Errorf("rel: join probe with %d keys against %d build keys", len(probeKeys), len(b.skc.f))
+	}
+	var p probeSide
+	defer p.release(c)
+	b.count(c, &p, probeKeys, leftOuter)
+	li = c.Arena().Ints(p.total)
+	ri = c.Arena().Ints(p.total)
+	c.ParallelFor(p.kc.n, bat.SerialCutoff, func(lo, hi int) {
+		cur := pairCursor{i: lo, pos: p.off[lo]}
+		b.scatter(&p, &cur, hi, li[cur.pos:], ri[cur.pos:])
 	})
-	c.Arena().FreeInts(off)
-	c.Arena().FreeInts(first)
-	return li, ri, anyUnmatched
+	return li, ri, p.anyUnmatched, nil
+}
+
+// joinCol is one result column of HashJoin: its source, which half of
+// each pair indexes it, and its destination — a dense arena vector, or
+// zero-suppressed pieces, one per worker range of probe morsels.
+type joinCol struct {
+	right bool
+	src   *bat.Vector // dense source
+	own   []float64   // densified sparse source, handed back at the end
+	sp    *bat.Sparse // sparse source, gathered piecewise
+	dst   *bat.Vector
+	parts []*bat.Sparse // by first morsel of a worker range; nil elsewhere
 }
 
 // HashJoin computes r ⋈ s on equality of the paired key attributes. The
@@ -97,12 +225,14 @@ func probePairs(c *exec.Ctx, table *hashIndex, rkc, skc *keyCols, leftOuter bool
 // natural-join convention the paper's examples use). For Left joins,
 // unmatched rows carry zero values in the right-hand attributes.
 //
-// HashJoin runs the streaming join core once: s is the build side
-// (NewJoinBuild), r is probed as a single morsel, and the pairs gather
-// the result. Output order is canonical at any worker budget: probe rows
-// in r order, matches per probe row in s order. When the spill policy
-// says the join is too large, the pairs are staged to disk instead
-// (hashJoinSpilled). Same result, bit for bit.
+// HashJoin drives the join core over whole relations: s is the build
+// side, the count pass over r fixes every probe morsel's output offset,
+// the result columns are drawn once at their exact length, and the
+// scatter runs over the context's workers by probe morsel, each worker
+// gathering at most bat.MorselSize pairs at a time straight into the
+// result. Its footprint beyond the inputs is the build index, the
+// per-row offsets and the result. Sparse columns stay sparse, except a
+// padded right side of a left join, which is dense.
 func HashJoin(c *exec.Ctx, r, s *Relation, rKeys, sKeys []string, jt JoinType) (res *Relation, err error) {
 	defer exec.CatchBudget(&err)
 	if len(rKeys) != len(sKeys) || len(rKeys) == 0 {
@@ -120,93 +250,104 @@ func HashJoin(c *exec.Ctx, r, s *Relation, rKeys, sKeys []string, jt JoinType) (
 	for _, a := range sKeys {
 		dropped[a] = true
 	}
-	var sAttrs []string
-	for _, a := range s.Schema {
+	schema := r.Schema.Clone()
+	srcs := append([]*bat.BAT(nil), r.Cols...)
+	for j, a := range s.Schema {
 		if !dropped[a.Name] {
 			if r.Schema.Index(a.Name) >= 0 {
 				return nil, fmt.Errorf("rel: join: attribute %q appears on both sides; rename first", a.Name)
 			}
-			sAttrs = append(sAttrs, a.Name)
+			schema = append(schema, a)
+			srcs = append(srcs, s.Cols[j])
 		}
 	}
 
-	if c.ShouldSpill(joinSpillEst(r.NumRows(), s.NumRows())) {
-		return hashJoinSpilled(c, r, s, rCols, sCols, sAttrs, jt)
-	}
 	jb, err := NewJoinBuild(c, sCols)
 	if err != nil {
 		return nil, err
 	}
-	li, ri, anyUnmatched, err := jb.Probe(c, rCols, jt == Left)
-	// The index and key views are done once the pairs exist; hand them
-	// back to the per-query arena before the gathers below allocate the
-	// result columns.
-	jb.Release(c)
-	if err != nil {
-		return nil, err
+	defer jb.Release(c)
+	var p probeSide
+	defer p.release(c)
+	jb.count(c, &p, rCols, jt == Left)
+
+	n := r.NumRows()
+	morsels := (n + bat.MorselSize - 1) / bat.MorselSize
+	cols := make([]joinCol, len(srcs))
+	defer func() {
+		for k := range cols {
+			if cols[k].own != nil {
+				c.Arena().FreeFloats(cols[k].own)
+			}
+			if res == nil && cols[k].dst != nil {
+				bat.Release(c, bat.FromVector(cols[k].dst))
+			}
+		}
+	}()
+	for k, col := range srcs {
+		jc := &cols[k]
+		jc.right = k >= len(r.Cols)
+		switch {
+		case col.IsSparse() && jc.right && p.anyUnmatched:
+			jc.own, _ = col.FloatsCtx(c)
+			jc.src = bat.NewFloatVector(jc.own)
+		case col.IsSparse():
+			jc.sp = col.Sparse()
+			jc.parts = make([]*bat.Sparse, morsels)
+			continue
+		default:
+			jc.src = col.Vector()
+		}
+		jc.dst = bat.NewVectorCtx(c, col.Type(), p.total)
 	}
 
-	left := r.Gather(c, li)
-	schema := left.Schema.Clone()
-	cols := append([]*bat.BAT(nil), left.Cols...)
-	for _, name := range sAttrs {
-		j := s.Schema.Index(name)
-		schema = append(schema, s.Schema[j])
-		cols = append(cols, gatherWithNulls(c, s.Cols[j], ri, jt == Left && anyUnmatched))
-	}
-	c.Arena().FreeInts(li)
-	c.Arena().FreeInts(ri)
-	return New(r.Name, schema, cols)
-}
+	c.ParallelFor(morsels, bat.SerialCutoff/bat.MorselSize, func(lo, hi int) {
+		li := c.Arena().Ints(bat.MorselSize)
+		defer c.Arena().FreeInts(li)
+		ri := c.Arena().Ints(bat.MorselSize)
+		defer c.Arena().FreeInts(ri)
+		for k := range cols {
+			if cols[k].parts != nil {
+				cols[k].parts[lo] = bat.NewSparse(p.total, nil, nil)
+			}
+		}
+		first := lo * bat.MorselSize
+		cur := pairCursor{i: first, pos: p.off[first]}
+		for {
+			m := jb.scatter(&p, &cur, min(hi*bat.MorselSize, n), li, ri)
+			if m == 0 {
+				return
+			}
+			at := cur.pos - m
+			for k := range cols {
+				jc := &cols[k]
+				idx := li[:m]
+				if jc.right {
+					idx = ri[:m]
+				}
+				if jc.sp != nil {
+					jc.sp.GatherAppend(jc.parts[lo], at, idx)
+				} else {
+					jc.src.GatherPadded(jc.dst.View(at, at+m), idx)
+				}
+			}
+		}
+	})
 
-// gatherWithNulls gathers col by idx; positions with idx < 0 (left-join
-// non-matches) produce the zero value of the column type. The fill is
-// decomposed over the context's workers with one typed loop per tail
-// domain; all three domains draw their output from the context's arena.
-func gatherWithNulls(c *exec.Ctx, col *bat.BAT, idx []int, anyUnmatched bool) *bat.BAT {
-	if !anyUnmatched {
-		return col.Gather(c, idx)
+	out := make([]*bat.BAT, len(cols))
+	for k := range cols {
+		jc := &cols[k]
+		if jc.sp == nil {
+			out[k] = bat.FromVector(jc.dst)
+			continue
+		}
+		var parts []*bat.Sparse
+		for _, part := range jc.parts {
+			if part != nil {
+				parts = append(parts, part)
+			}
+		}
+		out[k] = bat.FromSparse(bat.ConcatSparse(p.total, parts))
 	}
-	switch col.Type() {
-	case bat.Float:
-		f, _ := col.FloatsCtx(c)
-		out := c.Arena().Floats(len(idx))
-		c.ParallelFor(len(idx), bat.SerialCutoff, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				if j := idx[k]; j >= 0 {
-					out[k] = f[j]
-				} else {
-					out[k] = 0
-				}
-			}
-		})
-		col.ReleaseFloats(c, f)
-		return bat.FromFloats(out)
-	case bat.Int:
-		xs := col.VectorCtx(c).Ints()
-		out := c.Arena().Int64s(len(idx))
-		c.ParallelFor(len(idx), bat.SerialCutoff, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				if j := idx[k]; j >= 0 {
-					out[k] = xs[j]
-				} else {
-					out[k] = 0
-				}
-			}
-		})
-		return bat.FromInts(out)
-	default:
-		ss := col.VectorCtx(c).Strings()
-		out := c.Arena().Strings(len(idx))
-		c.ParallelFor(len(idx), bat.SerialCutoff, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				if j := idx[k]; j >= 0 {
-					out[k] = ss[j]
-				} else {
-					out[k] = ""
-				}
-			}
-		})
-		return bat.FromStrings(out)
-	}
+	return New(r.Name, schema, out)
 }

@@ -1,0 +1,111 @@
+package rel
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/bat"
+	"repro/internal/exec"
+)
+
+// TestJoinProbeArity checks that a probe whose key list is shorter or
+// longer than the build side's is refused: a shorter one would match on
+// a key prefix, a longer one would index past the build keys.
+func TestJoinProbeArity(t *testing.T) {
+	a := bat.FromInts([]int64{1, 2, 3})
+	b := bat.FromInts([]int64{4, 5, 6})
+	jb, err := NewJoinBuild(nil, []*bat.BAT{a, b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jb.Release(nil)
+	for _, keys := range [][]*bat.BAT{nil, {a}, {a, b, a}} {
+		if _, _, _, err := jb.Probe(nil, keys, false); err == nil {
+			t.Errorf("Probe with %d keys against 2 build keys: no error", len(keys))
+		}
+	}
+	li, ri, _, err := jb.Probe(nil, []*bat.BAT{a, b}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(li) != 3 || li[2] != 2 || ri[2] != 2 {
+		t.Fatalf("matching arity: pairs %v %v, want the diagonal", li, ri)
+	}
+}
+
+// sparseJoinRels builds a join whose payload columns are zero-suppressed
+// on both sides: n probe rows over keys i%997, a build side holding keys
+// below 900 twice (so probe morsels scatter in more than one block and
+// pieces span morsel edges) and none of the rest (unmatched probe rows).
+func sparseJoinRels(n int) (*Relation, *Relation) {
+	pk := make([]int64, n)
+	pv := make([]float64, n)
+	for i := range pk {
+		pk[i] = int64(i % 997)
+		if i%3 == 0 {
+			pv[i] = float64(i)*0.25 - 7
+		}
+	}
+	const m = 1800
+	bk := make([]int64, m)
+	bv := make([]float64, m)
+	for j := range bk {
+		bk[j] = int64(j % 900)
+		if j%5 != 0 {
+			bv[j] = float64(j) * 1.5
+		}
+	}
+	r := MustNew("p", Schema{{Name: "k", Type: bat.Int}, {Name: "pv", Type: bat.Float}},
+		[]*bat.BAT{bat.FromInts(pk), bat.FromSparse(bat.Compress(pv))})
+	s := MustNew("b", Schema{{Name: "kb", Type: bat.Int}, {Name: "bv", Type: bat.Float}},
+		[]*bat.BAT{bat.FromInts(bk), bat.FromSparse(bat.Compress(bv))})
+	return r, s
+}
+
+// TestHashJoinSparsePayloads drives sparse payload columns through the
+// scatter of every worker range: Inner and Left joins (the Left one with
+// unmatched rows) over 5·SerialCutoff+ probe rows at workers 1, 2 and 8.
+// A sparse column stays sparse except the padded right side of the Left
+// join, which is dense; the values are bitwise those of the same join
+// over dense copies, identical at every worker count; and once the
+// result is released the tenant's live bytes are back where they
+// started.
+func TestHashJoinSparsePayloads(t *testing.T) {
+	r, s := sparseJoinRels(5*bat.SerialCutoff + 123)
+	dense := func(rel *Relation) *Relation {
+		cols := make([]*bat.BAT, len(rel.Cols))
+		for k, col := range rel.Cols {
+			cols[k] = bat.FromVector(col.Vector())
+		}
+		return MustNew(rel.Name, rel.Schema, cols)
+	}
+	for _, jt := range []JoinType{Inner, Left} {
+		want, err := HashJoin(exec.New(1), dense(r), dense(s), []string{"k"}, []string{"kb"}, jt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSparse := []bool{false, true, jt == Inner}
+		for _, workers := range []int{1, 2, 8} {
+			at := fmt.Sprintf("jt=%d workers=%d", jt, workers)
+			c, tn := tenantCtx("sparse-join")
+			c = exec.NewCtx(workers, c.Arena(), nil)
+			start := tn.LiveBytes()
+			got, err := HashJoin(c, r, s, []string{"k"}, []string{"kb"}, jt)
+			if err != nil {
+				t.Fatalf("%s: %v", at, err)
+			}
+			for k, col := range got.Cols {
+				if col.IsSparse() != wantSparse[k] {
+					t.Fatalf("%s: column %s sparse = %v, want %v", at, got.Schema[k].Name, col.IsSparse(), wantSparse[k])
+				}
+			}
+			bitwiseSame(t, at, want, got)
+			for _, col := range got.Cols {
+				bat.Release(c, col)
+			}
+			if live := tn.LiveBytes(); live != start {
+				t.Fatalf("%s: live bytes %d after releasing the result, want %d", at, live, start)
+			}
+		}
+	}
+}

@@ -99,8 +99,10 @@ func TestHashJoinSpillBitwise(t *testing.T) {
 			}
 			label := fmt.Sprintf("join jt=%d workers=%d", jt, workers)
 			bitwiseSame(t, label, base, got)
-			if st := sp.Stats(); st.SpilledBytes == 0 || st.Partitions == 0 {
-				t.Fatalf("%s: join did not spill: %+v", label, st)
+			// The join holds no pair list to stage: its footprint beyond
+			// the inputs is the build index, the offsets and the result.
+			if st := sp.Stats(); st.SpilledBytes != 0 || st.Events != 0 {
+				t.Fatalf("%s: join spilled: %+v", label, st)
 			}
 		}
 	}
@@ -129,16 +131,32 @@ func fanoutRels(width int) (*Relation, *Relation) {
 	return MustNew("p", schema, cols), MustNew("b", Schema{{Name: "kb", Type: bat.Int}}, []*bat.BAT{bat.FromInts(pk[:bn])})
 }
 
-// TestHashJoinSpillSelfCalibrated is the out-of-core join oracle,
+// resultBytes returns the arena bytes a relation's dense columns hold:
+// their full capacities, which is what the arena charged for them.
+func resultBytes(r *Relation) int64 {
+	var total int64
+	for _, col := range r.Cols {
+		switch v := col.Vector(); v.Type() {
+		case bat.Float:
+			total += int64(cap(v.Floats())) * 8
+		case bat.Int:
+			total += int64(cap(v.Ints())) * 8
+		default:
+			total += int64(cap(v.Strings())) * 16
+		}
+	}
+	return total
+}
+
+// TestHashJoinSpillSelfCalibrated holds the join to its result budget,
 // calibrated against the machine instead of hard-coded byte counts: for
-// a narrow and a wide fan-out join it measures the serial peaks P in
-// memory and S with a one-byte spill threshold, requires S < P, and at
-// the midpoint budget requires the in-memory join to fail at workers 8
-// with the typed error and no stranded bytes, and the spilling join to
-// succeed at workers 1, 2 and 8, bitwise identical, under the budget.
-// The threshold is explicit because the automatic one (half the budget)
-// never sends these joins to disk: joinSpillEst counts probe rows before
-// fan-out.
+// a narrow and a wide fan-out join it measures R, the bytes of the
+// reference result columns. Under a budget of R + 1 MiB the join must
+// succeed at workers 1, 2 and 8, with and without a spill manager,
+// bitwise identical, without spilling, and peak within the budget.
+// Under R - 1 it must fail with the typed error, and the tenant's live
+// bytes must be back at 0 before the arena closes: a result column not
+// handed back when the budget panic unwinds fails this leg.
 func TestHashJoinSpillSelfCalibrated(t *testing.T) {
 	type outcome struct {
 		res               *Relation
@@ -157,40 +175,44 @@ func TestHashJoinSpillSelfCalibrated(t *testing.T) {
 				c = c.WithSpill(sp)
 			}
 			res, err := HashJoin(c, r, s, []string{"k"}, []string{"kb"}, Inner)
+			live := tn.LiveBytes()
+			if res != nil {
+				live -= resultBytes(res)
+			}
 			sp.Cleanup()
 			arena.Close()
-			return outcome{res, tn.PeakBytes(), tn.LiveBytes(), sp.Stats().SpilledBytes, err}
+			return outcome{res, tn.PeakBytes(), live, sp.Stats().SpilledBytes, err}
 		}
 		label := fmt.Sprintf("width=%d", width)
 
-		mem := join(1, 0, false)
-		shed := join(1, 0, true)
-		if mem.err != nil || shed.err != nil {
-			t.Fatalf("%s: calibration runs failed: %v / %v", label, mem.err, shed.err)
+		ref := join(1, 0, false)
+		if ref.err != nil {
+			t.Fatalf("%s: reference join failed: %v", label, ref.err)
 		}
-		bitwiseSame(t, label+" spilled calibration", mem.res, shed.res)
-		if shed.spill == 0 || shed.peak >= mem.peak {
-			t.Fatalf("%s: spilling %d bytes did not reduce the resident peak: %d spilled vs %d in-memory",
-				label, shed.spill, shed.peak, mem.peak)
-		}
-		budget := (mem.peak + shed.peak) / 2
-		t.Logf("%s: serial peaks %d in-memory, %d spilled; midpoint budget %d", label, mem.peak, shed.peak, budget)
-
-		tight := join(8, budget, false)
-		if !errors.Is(tight.err, exec.ErrMemoryBudget) {
-			t.Fatalf("%s: in-memory join under %d bytes: err = %v, want ErrMemoryBudget", label, budget, tight.err)
-		}
-		if tight.live != 0 {
-			t.Fatalf("%s: tenant live = %d after the failed join, want 0", label, tight.live)
-		}
+		R := resultBytes(ref.res)
+		budget := R + 1<<20
+		t.Logf("%s: result %d bytes, unbudgeted serial peak %d", label, R, ref.peak)
 		for _, workers := range []int{1, 2, 8} {
-			got := join(workers, budget, true)
-			if got.err != nil {
-				t.Fatalf("%s workers=%d: spilled join failed under budget %d: %v", label, workers, budget, got.err)
-			}
-			bitwiseSame(t, fmt.Sprintf("%s workers=%d", label, workers), mem.res, got.res)
-			if got.spill == 0 || got.peak > budget {
-				t.Fatalf("%s workers=%d: spilled %d bytes, peak %d against budget %d", label, workers, got.spill, got.peak, budget)
+			for _, spill := range []bool{false, true} {
+				at := fmt.Sprintf("%s workers=%d spill=%v", label, workers, spill)
+				got := join(workers, budget, spill)
+				if got.err != nil {
+					t.Fatalf("%s: join failed under budget %d: %v", at, budget, got.err)
+				}
+				bitwiseSame(t, at, ref.res, got.res)
+				if got.spill != 0 || got.peak > budget || got.live != 0 {
+					t.Fatalf("%s: spilled %d bytes, peak %d against budget %d, %d live bytes beside the result",
+						at, got.spill, got.peak, budget, got.live)
+				}
+				t.Logf("%s: peak %d", at, got.peak)
+
+				tight := join(workers, R-1, spill)
+				if !errors.Is(tight.err, exec.ErrMemoryBudget) {
+					t.Fatalf("%s: join under %d bytes: err = %v, want ErrMemoryBudget", at, R-1, tight.err)
+				}
+				if tight.live != 0 {
+					t.Fatalf("%s: tenant live = %d after the failed join, want 0", at, tight.live)
+				}
 			}
 		}
 	}

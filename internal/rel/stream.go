@@ -8,63 +8,11 @@ import (
 	"repro/internal/exec"
 )
 
-// This file holds the pipeline breakers fed one morsel at a time: a
-// reusable join build side probed per morsel, and the grouped
-// aggregation accumulator that GroupBy itself drives. The results do not
-// depend on how the morsels slice the input: probing is stateless per
-// row, and every group folds its own rows in row order.
-
-// JoinBuild is the build side of a streaming equi-join: the build rows
-// indexed once by key hash in the flat index HashJoin uses, then probed
-// once per morsel. Probe emits pairs in probe order with matches
-// in build order — the same canonical order as HashJoin — so
-// concatenating the per-morsel pair lists reproduces the all-at-once
-// join exactly.
-type JoinBuild struct {
-	skc   *keyCols
-	table *hashIndex
-}
-
-// NewJoinBuild indexes the build-side key columns. The index is charged
-// to the context's arena until Release.
-func NewJoinBuild(c *exec.Ctx, buildKeys []*bat.BAT) (jb *JoinBuild, err error) {
-	defer exec.CatchBudget(&err)
-	if len(buildKeys) == 0 {
-		return nil, fmt.Errorf("rel: join build needs a non-empty key list")
-	}
-	skc := keyColsOf(c, buildKeys[0].Len(), buildKeys)
-	return &JoinBuild{skc: skc, table: indexRows(c, skc.hashes(c))}, nil
-}
-
-// Rows returns the build-side row count.
-func (b *JoinBuild) Rows() int { return b.skc.n }
-
-// Probe joins one probe morsel against the build side. probeKeys are the
-// morsel's key columns (same arity and pairing as the build keys).
-// leftOuter emits (i, -1) for unmatched probe rows. The returned index
-// slices come from the context's arena; callers hand them back with
-// FreeInts when the morsel's output has been gathered.
-func (b *JoinBuild) Probe(c *exec.Ctx, probeKeys []*bat.BAT, leftOuter bool) (li, ri []int, anyUnmatched bool, err error) {
-	defer exec.CatchBudget(&err)
-	if len(probeKeys) == 0 {
-		return nil, nil, false, fmt.Errorf("rel: join probe needs a non-empty key list")
-	}
-	rkc := keyColsOf(c, probeKeys[0].Len(), probeKeys)
-	li, ri, anyUnmatched = probePairs(c, b.table, rkc, b.skc, leftOuter)
-	rkc.release(c)
-	return li, ri, anyUnmatched, nil
-}
-
-// Release hands back the build side's hash index and densified key
-// buffers. The JoinBuild must not be probed afterwards.
-func (b *JoinBuild) Release(c *exec.Ctx) {
-	if b == nil {
-		return
-	}
-	b.skc.release(c)
-	b.table.release(c)
-	b.table = nil
-}
+// This file holds the grouped aggregation accumulator, the pipeline
+// breaker that SQL feeds one morsel at a time and GroupBy feeds the
+// whole relation at once. Its result does not depend on how the morsels
+// slice the input: every group folds its own rows in row order. The
+// join's build side, the other breaker, is JoinBuild (join.go).
 
 // StreamAgg is the one grouped aggregation: it folds a stream of morsels
 // into a grouped relation, and GroupBy is this accumulator fed the whole

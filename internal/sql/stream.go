@@ -331,9 +331,17 @@ func (j *joinStream) next(c *exec.Ctx) (*bat.Batch, error) {
 		for k := 0; k < mb.NumCols(); k++ {
 			out.AddCol(mb.Col(k).Gather(c, li), true)
 		}
-		pad := j.leftOuter && anyUnmatched
+		// Unmatched left-outer rows (ri = -1) take the zero value of each
+		// build column's domain: bat.Vector.GatherPadded, the same gather
+		// rel.HashJoin writes its results with.
 		for _, v := range j.buildVecs {
-			out.AddCol(gatherVecPadded(c, v, ri, pad), true)
+			if !anyUnmatched {
+				out.AddCol(v.Gather(c, ri), true)
+				continue
+			}
+			dst := bat.NewVectorCtx(c, v.Type(), len(ri))
+			v.GatherPadded(dst, ri)
+			out.AddCol(dst, true)
 		}
 		mb.Release(c)
 		c.Arena().FreeInts(li)
@@ -514,52 +522,6 @@ func freeVec(c *exec.Ctx, v *bat.Vector) {
 		c.Arena().FreeStrings(v.Strings())
 	default:
 		c.Arena().FreeFloats(v.Floats())
-	}
-}
-
-// gatherVecPadded gathers v at idx into an arena buffer; pad marks that
-// idx may contain -1 (unmatched left-outer probe rows), which produce
-// the zero value of the column's domain — the same padding rel.HashJoin
-// applies.
-func gatherVecPadded(c *exec.Ctx, v *bat.Vector, idx []int, pad bool) *bat.Vector {
-	if !pad {
-		return v.Gather(c, idx)
-	}
-	n := len(idx)
-	switch v.Type() {
-	case bat.Int:
-		src := v.Ints()
-		out := c.Arena().Int64s(n)
-		for k, j := range idx {
-			if j < 0 {
-				out[k] = 0
-			} else {
-				out[k] = src[j]
-			}
-		}
-		return bat.NewIntVector(out)
-	case bat.String:
-		src := v.Strings()
-		out := c.Arena().Strings(n)
-		for k, j := range idx {
-			if j < 0 {
-				out[k] = ""
-			} else {
-				out[k] = src[j]
-			}
-		}
-		return bat.NewStringVector(out)
-	default:
-		src := v.Floats()
-		out := c.Arena().Floats(n)
-		for k, j := range idx {
-			if j < 0 {
-				out[k] = 0
-			} else {
-				out[k] = src[j]
-			}
-		}
-		return bat.NewFloatVector(out)
 	}
 }
 
