@@ -134,10 +134,14 @@
 //     probe morsel, each worker gathering at most bat.MorselSize pairs
 //     at a time straight into the result at its offset. No pair list
 //     of the whole join exists, so its footprint beyond the inputs is
-//     the index, the offsets and the result. JoinBuild.Probe runs the
-//     same two passes over one streamed SQL morsel. Output order is
-//     canonical — probe rows in left order, matches per row in build
-//     order — at any worker budget.
+//     the index, the offsets and the result. The streamed SQL join
+//     runs the same two passes (JoinBuild.Count, JoinProbe.Scatter)
+//     over one morsel at a time. Output order is canonical — probe rows
+//     in left order, matches per row in build order — at any worker
+//     budget. A JoinBuild over no key columns is the cross product (a
+//     product is the join on the empty attribute set), so the SQL
+//     layer has one join operator for equi, LEFT, CROSS and non-equi
+//     ON joins; rel.HashJoin itself still requires keys.
 //   - rel.GroupBy is one rel.StreamAgg fed the whole relation: each
 //     row folds straight into its group's states, so every group
 //     accumulates its own rows in row order, groups appear in
@@ -199,10 +203,15 @@
 // its consumer has drained it, so a
 // filter→join→group pipeline holds one morsel per stage plus the join
 // build and aggregation tables — peak arena bytes become the maximum
-// across stages instead of the sum of full intermediates. Hash joins
-// build once via rel.JoinBuild over the (pruned, pre-filtered) build
-// side — one serial pass into the flat hash index, charged to the
-// statement's arena until the join drains — and probe per morsel.
+// across stages instead of the sum of full intermediates. Every join —
+// equi, LEFT, CROSS, and a non-equi ON as a cross product under its
+// residual filter — builds once via rel.JoinBuild over the (pruned,
+// pre-filtered) build side, keyless for a cross product — one serial
+// pass into the flat hash index, charged to the statement's arena until
+// the join drains. Each probe morsel then runs the count pass and
+// scatters its pairs in blocks of at most bat.MorselSize through
+// scratch drawn at open, so a batch never outgrows a morsel however
+// far a probe row fans out.
 // Aggregations fold morsels into rel.StreamAgg, whose group table is
 // the same flat index and which folds every group's rows in row order
 // regardless of morsel boundaries. Both therefore keep the determinism
@@ -258,7 +267,8 @@
 // files k-way merged through a loser tree, one block per run; a serial
 // sort is one run and never stages). The join has nothing to stage:
 // rel.HashJoin gathers each block of pairs straight into its result,
-// and the streamed SQL join holds one probe morsel's pairs at a time.
+// and the streamed SQL join holds at most bat.MorselSize pairs at a
+// time.
 // Every spilled path reproduces its in-memory result bit for bit at
 // any worker count — asserted by the spill tests of internal/bat,
 // internal/rel and internal/sql, the spill leg of the fuzz oracle

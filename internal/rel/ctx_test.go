@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -72,18 +73,27 @@ func TestSimultaneousCtxsBitwiseIdentical(t *testing.T) {
 // TestCrossTypeJoinBuildProbe asserts int and float key columns holding
 // the same values join against each other (canonical float-bit hashing),
 // the coercion the SQL layer leans on after dropping string keys, and
-// that an empty key list is rejected.
+// that an empty key list yields the cross product.
 func TestCrossTypeJoinBuildProbe(t *testing.T) {
-	if _, err := NewJoinBuild(nil, nil); err == nil {
-		t.Error("NewJoinBuild accepted an empty key list")
-	}
-	ints := bat.FromInts([]int64{1, 2, 3, 4})
-	floats := bat.FromFloats([]float64{2, 4, 6, 2})
-	jb, err := NewJoinBuild(nil, []*bat.BAT{floats})
+	cross, err := NewJoinBuild(nil, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	li, ri, _, err := jb.Probe(nil, []*bat.BAT{ints}, false)
+	li, ri, err := probePairs(nil, cross, 2, nil, false, bat.MorselSize)
+	cross.Release(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(li, ri) != "[0 0 1 1] [0 1 0 1]" {
+		t.Errorf("empty key list: pairs %v %v, want the 2x2 cross product", li, ri)
+	}
+	ints := bat.FromInts([]int64{1, 2, 3, 4})
+	floats := bat.FromFloats([]float64{2, 4, 6, 2})
+	jb, err := NewJoinBuild(nil, 4, []*bat.BAT{floats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	li, ri, err = probePairs(nil, jb, 4, []*bat.BAT{ints}, false, bat.MorselSize)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -298,7 +298,7 @@ func checkHashOps(tb testing.TB, label string, p, b *Relation, m int, workers []
 				buildKeys[k], _ = b.Col(bk[k])
 				probeCols[k], _ = p.Col(pk[k])
 			}
-			jb, err := NewJoinBuild(c, buildKeys)
+			jb, err := NewJoinBuild(c, b.NumRows(), buildKeys)
 			if err != nil {
 				tb.Fatalf("%s: NewJoinBuild: %v", at, err)
 			}
@@ -310,18 +310,16 @@ func checkHashOps(tb testing.TB, label string, p, b *Relation, m int, workers []
 				for k, col := range probeCols {
 					mk[k] = col.Gather(nil, seqIdx(lo, hi))
 				}
-				ml, mr, _, err := jb.Probe(c, mk, leftOuter)
+				ml, mr, err := probePairs(c, jb, hi-lo, mk, leftOuter, 5)
 				if err != nil {
 					tb.Fatalf("%s: Probe: %v", at, err)
 				}
 				for k := range ml {
 					li, ri = append(li, ml[k]+lo), append(ri, mr[k])
 				}
-				c.Arena().FreeInts(ml)
-				c.Arena().FreeInts(mr)
 			}
 			jb.Release(c)
-			samePairs(tb, at+" JoinBuild.Probe", li, ri, wantLi, wantRi)
+			samePairs(tb, at+" JoinBuild.Scatter", li, ri, wantLi, wantRi)
 		}
 	}
 
@@ -506,7 +504,7 @@ func TestHashIndexArenaReleased(t *testing.T) {
 	for k, name := range bk {
 		keys[k], _ = b.Col(name)
 	}
-	jb, err := NewJoinBuild(c, keys)
+	jb, err := NewJoinBuild(c, n, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,6 +558,8 @@ func TestHashIndexArenaReleased(t *testing.T) {
 // TestHashIndexAdversarialKeys on fuzzed typed key columns: the first
 // bytes pick the key arity and each side's column types, the next two
 // the row counts, and the rest index the adversarial pools cell by cell.
+// A zero-key JoinBuild over the same row counts is checked against the
+// nested-loop cross product.
 func FuzzHashJoinGroup(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 40, 90, 3, 5, 7, 6, 5, 4, 3, 2, 1, 0, 11, 9})
 	f.Add([]byte{2, 2, 0, 2, 1, 17, 33, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
@@ -588,5 +588,6 @@ func FuzzHashJoinGroup(f *testing.F) {
 		p := keyRel("p", pt, pn, cell(0))
 		b := keyRel("b", bt, bn, cell(pn*m))
 		checkHashOps(t, "fuzz", p, b, m, []int{1, 2})
+		checkCrossPairs(t, "fuzz cross", pn, bn, 7, []int{1, 2})
 	})
 }

@@ -7,18 +7,21 @@ import (
 	"repro/internal/exec"
 )
 
-// This file holds the one equi-join. JoinBuild indexes the build side
-// once; a probe input then runs two passes against it. The count pass
-// records every probe row's first match and its output offset; the
-// scatter pass writes the (probe, build) row pairs from there, at most
-// a caller-sized buffer at a time, and resumes where it stopped.
-// JoinBuild.Probe runs both passes over one streamed morsel and returns
-// its pairs. HashJoin runs them over a whole relation and gathers each
-// block of pairs straight into the result columns at its offset, so no
-// pair list of the whole join ever exists — MonetDB's leftfetchjoin
-// (b↓G in the paper's Algorithm 1) fetching by position. Pairs come in
-// one canonical order at any worker budget and any morsel slicing:
-// probe rows in probe order, matches per probe row in build order.
+// This file holds the one join. JoinBuild indexes the build side once;
+// a probe input then runs two passes against it. The count pass records
+// every probe row's first match and its output offset; the scatter pass
+// writes the (probe, build) row pairs from there, at most a
+// caller-sized buffer at a time, and resumes where it stopped. HashJoin
+// runs both passes over a whole relation and gathers each block of
+// pairs straight into the result columns at its offset; the SQL layer's
+// streamed join runs them over one probe morsel at a time. No pair list
+// of a whole join ever exists — MonetDB's leftfetchjoin (b↓G in the
+// paper's Algorithm 1) fetching by position. Pairs come in one
+// canonical order at any worker budget and any morsel slicing: probe
+// rows in probe order, matches per probe row in build order. With no
+// key columns every row matches every row, so the same two passes
+// enumerate the cross product in that order — a product is the join on
+// the empty attribute set.
 
 // JoinType selects the join semantics.
 type JoinType uint8
@@ -30,24 +33,23 @@ const (
 	Left
 )
 
-// JoinBuild is the build side of the equi-join: the build rows indexed
-// by key hash in the flat hash index, ascending along every chain, so a
-// probe visits its matches in build order. It is built once and probed
-// by any number of inputs; probing is stateless per row, so the pairs of
+// JoinBuild is the build side of the join: the build rows indexed by key
+// hash in the flat hash index, ascending along every chain, so a probe
+// visits its matches in build order. It is built once and probed by any
+// number of inputs; probing is stateless per row, so the pairs of
 // consecutive morsels concatenate to the pairs of the whole input.
 type JoinBuild struct {
 	skc   *keyCols
 	table *hashIndex
 }
 
-// NewJoinBuild indexes the build-side key columns. The index is charged
-// to the context's arena until Release.
-func NewJoinBuild(c *exec.Ctx, buildKeys []*bat.BAT) (jb *JoinBuild, err error) {
+// NewJoinBuild indexes n build rows by their key columns. Without key
+// columns every row hashes alike and sits on one chain in build order,
+// so every probe row matches every build row: the cross product. The
+// index is charged to the context's arena until Release.
+func NewJoinBuild(c *exec.Ctx, n int, buildKeys []*bat.BAT) (jb *JoinBuild, err error) {
 	defer exec.CatchBudget(&err)
-	if len(buildKeys) == 0 {
-		return nil, fmt.Errorf("rel: join build needs a non-empty key list")
-	}
-	skc := keyColsOf(c, buildKeys[0].Len(), buildKeys)
+	skc := keyColsOf(c, n, buildKeys)
 	return &JoinBuild{skc: skc, table: indexRows(c, skc.hashes(c))}, nil
 }
 
@@ -62,11 +64,12 @@ func (b *JoinBuild) Release(c *exec.Ctx) {
 	b.table = nil
 }
 
-// probeSide is a probe input after the count pass: its key views and
+// JoinProbe is a probe input after the count pass: its key views and
 // hashes, and per row the output position of its first pair (off) and
 // its first match (first, -1 for none). An unmatched row owns one pair
 // (i, -1) in a left-outer join and none otherwise.
-type probeSide struct {
+type JoinProbe struct {
+	b            *JoinBuild
 	kc           *keyCols
 	h            []uint64
 	off, first   []int
@@ -75,23 +78,38 @@ type probeSide struct {
 	anyUnmatched bool
 }
 
-// release hands back the probe side's arena buffers. Nil-safe on every
+// Release hands back the probe's arena buffers. Nil-safe on every
 // field, so it also cleans up a count pass a budget panic cut short.
-func (p *probeSide) release(c *exec.Ctx) {
+func (p *JoinProbe) Release(c *exec.Ctx) {
+	if p == nil {
+		return
+	}
 	p.kc.release(c)
 	c.Arena().FreeInts(p.off)
 	c.Arena().FreeInts(p.first)
 	p.kc, p.off, p.first = nil, nil, nil
 }
 
-// count is the first probe pass: it binds the probe keys into p and
-// records each row's match count, in parallel, and its first match;
-// then a serial prefix sum turns the counts into output offsets.
-// Buffers land in p as they are drawn, so p.release frees them however
-// count ends.
-func (b *JoinBuild) count(c *exec.Ctx, p *probeSide, probeKeys []*bat.BAT, leftOuter bool) {
-	n := probeKeys[0].Len()
-	p.leftOuter = leftOuter
+// Count is the first probe pass over n probe rows, whose key columns
+// pair with the build keys: it records each row's match count, in
+// parallel, and its first match; then a serial prefix sum turns the
+// counts into output offsets. leftOuter gives an unmatched row the pair
+// (i, -1). The probe's buffers come from the context's arena; the
+// caller hands them back with Release.
+func (b *JoinBuild) Count(c *exec.Ctx, n int, probeKeys []*bat.BAT, leftOuter bool) (p *JoinProbe, err error) {
+	if len(probeKeys) != len(b.skc.f) {
+		return nil, fmt.Errorf("rel: join probe with %d keys against %d build keys", len(probeKeys), len(b.skc.f))
+	}
+	p = &JoinProbe{b: b, leftOuter: leftOuter}
+	defer func() {
+		if err != nil {
+			p.Release(c)
+			p = nil
+		}
+	}()
+	defer exec.CatchBudget(&err)
+	// Buffers land in p as they are drawn, so Release frees them however
+	// the pass ends.
 	p.kc = keyColsOf(c, n, probeKeys)
 	p.h = p.kc.hashes(c)
 	p.off = c.Arena().Ints(n)
@@ -123,21 +141,23 @@ func (b *JoinBuild) count(c *exec.Ctx, p *probeSide, probeKeys []*bat.BAT, leftO
 		total += cnt
 	}
 	p.total = total
+	return p, nil
 }
 
-// pairCursor is a position in a probe side's pair sequence: probe row i,
+// PairCursor is a position in a probe's pair sequence: probe row i,
 // output position pos, and j, the build row of the pair before pos when
-// that pair belongs to row i.
-type pairCursor struct{ i, pos, j int }
+// that pair belongs to row i. The zero PairCursor is the first pair.
+type PairCursor struct{ i, pos, j int }
 
-// scatter is the second probe pass: it writes the pairs from cur onward
+// Scatter is the second probe pass: it writes the pairs from cur onward
 // into li and ri — at most len(li) of them, none of a probe row at or
-// beyond hi — advances cur past them, and returns how many it wrote.
-// Every row's pairs go to its recorded offset, so rows do not depend on
-// each other; a row's first pair comes from the count pass, so a single
-// match is never probed again, and a chain walk stops at the row's last
-// match.
-func (b *JoinBuild) scatter(p *probeSide, cur *pairCursor, hi int, li, ri []int) int {
+// beyond hi — advances cur past them, and returns how many it wrote; it
+// writes fewer than len(li) only once it reaches hi. Every row's pairs
+// go to its recorded offset, so rows do not depend on each other; a
+// row's first pair comes from the count pass, so a single match is never
+// probed again, and a chain walk stops at the row's last match.
+func (p *JoinProbe) Scatter(cur *PairCursor, hi int, li, ri []int) int {
+	b := p.b
 	off, first, hs, kc, leftOuter := p.off, p.first, p.h, p.kc, p.leftOuter
 	base, lim := cur.pos, cur.pos+len(li)
 	for i := cur.i; i < hi; i++ {
@@ -151,7 +171,7 @@ func (b *JoinBuild) scatter(p *probeSide, cur *pairCursor, hi int, li, ri []int)
 				continue
 			}
 			if pos == lim {
-				*cur = pairCursor{i: i, pos: lim}
+				*cur = PairCursor{i: i, pos: lim}
 				return len(li)
 			}
 			li[pos-base], ri[pos-base] = i, j
@@ -169,7 +189,7 @@ func (b *JoinBuild) scatter(p *probeSide, cur *pairCursor, hi int, li, ri []int)
 		}
 		for h := hs[i]; pos < end; pos++ {
 			if pos == lim {
-				*cur = pairCursor{i: i, pos: lim, j: j}
+				*cur = PairCursor{i: i, pos: lim, j: j}
 				return len(li)
 			}
 			for j = b.table.findNext(j, h); !kc.equal(i, b.skc, j); j = b.table.findNext(j, h) {
@@ -181,30 +201,8 @@ func (b *JoinBuild) scatter(p *probeSide, cur *pairCursor, hi int, li, ri []int)
 	if hi < len(off) {
 		pos = off[hi]
 	}
-	*cur = pairCursor{i: hi, pos: pos}
+	*cur = PairCursor{i: hi, pos: pos}
 	return pos - base
-}
-
-// Probe joins one probe morsel against the build side. probeKeys are the
-// morsel's key columns, paired with the build keys. leftOuter emits
-// (i, -1) for unmatched probe rows. The returned index slices come from
-// the context's arena; callers hand them back with FreeInts when the
-// morsel's output has been gathered.
-func (b *JoinBuild) Probe(c *exec.Ctx, probeKeys []*bat.BAT, leftOuter bool) (li, ri []int, anyUnmatched bool, err error) {
-	defer exec.CatchBudget(&err)
-	if len(probeKeys) != len(b.skc.f) {
-		return nil, nil, false, fmt.Errorf("rel: join probe with %d keys against %d build keys", len(probeKeys), len(b.skc.f))
-	}
-	var p probeSide
-	defer p.release(c)
-	b.count(c, &p, probeKeys, leftOuter)
-	li = c.Arena().Ints(p.total)
-	ri = c.Arena().Ints(p.total)
-	c.ParallelFor(p.kc.n, bat.SerialCutoff, func(lo, hi int) {
-		cur := pairCursor{i: lo, pos: p.off[lo]}
-		b.scatter(&p, &cur, hi, li[cur.pos:], ri[cur.pos:])
-	})
-	return li, ri, p.anyUnmatched, nil
 }
 
 // joinCol is one result column of HashJoin: its source, which half of
@@ -262,16 +260,18 @@ func HashJoin(c *exec.Ctx, r, s *Relation, rKeys, sKeys []string, jt JoinType) (
 		}
 	}
 
-	jb, err := NewJoinBuild(c, sCols)
+	n := r.NumRows()
+	jb, err := NewJoinBuild(c, s.NumRows(), sCols)
 	if err != nil {
 		return nil, err
 	}
 	defer jb.Release(c)
-	var p probeSide
-	defer p.release(c)
-	jb.count(c, &p, rCols, jt == Left)
+	p, err := jb.Count(c, n, rCols, jt == Left)
+	if err != nil {
+		return nil, err
+	}
+	defer p.Release(c)
 
-	n := r.NumRows()
 	morsels := (n + bat.MorselSize - 1) / bat.MorselSize
 	cols := make([]joinCol, len(srcs))
 	defer func() {
@@ -312,9 +312,9 @@ func HashJoin(c *exec.Ctx, r, s *Relation, rKeys, sKeys []string, jt JoinType) (
 			}
 		}
 		first := lo * bat.MorselSize
-		cur := pairCursor{i: first, pos: p.off[first]}
+		cur := PairCursor{i: first, pos: p.off[first]}
 		for {
-			m := jb.scatter(&p, &cur, min(hi*bat.MorselSize, n), li, ri)
+			m := p.Scatter(&cur, min(hi*bat.MorselSize, n), li, ri)
 			if m == 0 {
 				return
 			}

@@ -8,28 +8,101 @@ import (
 	"repro/internal/exec"
 )
 
+// probePairs drains a probe of n rows against jb through Count and
+// Scatter, at most block pairs at a time into arena scratch, and returns
+// every pair with the probe's and the scratch's buffers handed back.
+func probePairs(c *exec.Ctx, jb *JoinBuild, n int, probeKeys []*bat.BAT, leftOuter bool, block int) (li, ri []int, err error) {
+	p, err := jb.Count(c, n, probeKeys, leftOuter)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer p.Release(c)
+	bl := c.Arena().Ints(block)
+	defer c.Arena().FreeInts(bl)
+	br := c.Arena().Ints(block)
+	defer c.Arena().FreeInts(br)
+	var cur PairCursor
+	for {
+		m := p.Scatter(&cur, n, bl, br)
+		li, ri = append(li, bl[:m]...), append(ri, br[:m]...)
+		if m < block {
+			return li, ri, nil
+		}
+	}
+}
+
 // TestJoinProbeArity checks that a probe whose key list is shorter or
 // longer than the build side's is refused: a shorter one would match on
 // a key prefix, a longer one would index past the build keys.
 func TestJoinProbeArity(t *testing.T) {
 	a := bat.FromInts([]int64{1, 2, 3})
 	b := bat.FromInts([]int64{4, 5, 6})
-	jb, err := NewJoinBuild(nil, []*bat.BAT{a, b})
+	jb, err := NewJoinBuild(nil, 3, []*bat.BAT{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer jb.Release(nil)
 	for _, keys := range [][]*bat.BAT{nil, {a}, {a, b, a}} {
-		if _, _, _, err := jb.Probe(nil, keys, false); err == nil {
+		if _, _, err := probePairs(nil, jb, 3, keys, false, bat.MorselSize); err == nil {
 			t.Errorf("Probe with %d keys against 2 build keys: no error", len(keys))
 		}
 	}
-	li, ri, _, err := jb.Probe(nil, []*bat.BAT{a, b}, false)
+	li, ri, err := probePairs(nil, jb, 3, []*bat.BAT{a, b}, false, bat.MorselSize)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(li) != 3 || li[2] != 2 || ri[2] != 2 {
 		t.Fatalf("matching arity: pairs %v %v, want the diagonal", li, ri)
+	}
+}
+
+// checkCrossPairs checks a zero-key JoinBuild against the nested-loop
+// cross product of pn probe rows and bn build rows in i-major order
+// (probe rows outer, build rows inner; a left-outer probe row meeting an
+// empty build side pairs with -1), drained block pairs at a time at
+// each worker budget, with the tenant's arena books back at their start.
+func checkCrossPairs(tb testing.TB, label string, pn, bn, block int, workers []int) {
+	tb.Helper()
+	for _, leftOuter := range []bool{false, true} {
+		var wantLi, wantRi []int
+		for i := 0; i < pn; i++ {
+			for j := 0; j < bn; j++ {
+				wantLi, wantRi = append(wantLi, i), append(wantRi, j)
+			}
+			if bn == 0 && leftOuter {
+				wantLi, wantRi = append(wantLi, i), append(wantRi, -1)
+			}
+		}
+		for _, w := range workers {
+			at := fmt.Sprintf("%s left=%v workers=%d", label, leftOuter, w)
+			tc, tn := tenantCtx("cross")
+			c := exec.NewCtx(w, tc.Arena(), nil)
+			start := tn.LiveBytes()
+			jb, err := NewJoinBuild(c, bn, nil)
+			if err != nil {
+				tb.Fatalf("%s: NewJoinBuild: %v", at, err)
+			}
+			li, ri, err := probePairs(c, jb, pn, nil, leftOuter, block)
+			jb.Release(c)
+			if err != nil {
+				tb.Fatalf("%s: probe: %v", at, err)
+			}
+			samePairs(tb, at, li, ri, wantLi, wantRi)
+			if live := tn.LiveBytes(); live != start {
+				tb.Fatalf("%s: live bytes %d after release, want %d", at, live, start)
+			}
+		}
+	}
+}
+
+// TestZeroKeyJoinBuildIsCross checks the join on the empty attribute set
+// against the nested-loop cross product: an empty, a one-row and a
+// MorselSize+7-row build side, inner and left outer. On the largest,
+// every probe row's pairs span two scatter blocks, so the cursor
+// resumes mid-chain.
+func TestZeroKeyJoinBuildIsCross(t *testing.T) {
+	for _, bn := range []int{0, 1, bat.MorselSize + 7} {
+		checkCrossPairs(t, fmt.Sprintf("build=%d", bn), 3, bn, bat.MorselSize, []int{1, 2, 8})
 	}
 }
 

@@ -165,7 +165,7 @@ func TestStreamingJoinProbeMatchesJoinPairs(t *testing.T) {
 			}
 			for _, workers := range []int{1, 2, 8} {
 				c := exec.NewCtx(workers, nil, nil)
-				jb, err := NewJoinBuild(c, buildKeys)
+				jb, err := NewJoinBuild(c, bc.n, buildKeys)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -173,7 +173,7 @@ func TestStreamingJoinProbeMatchesJoinPairs(t *testing.T) {
 				for lo := 0; lo < pn; lo += bat.MorselSize {
 					hi := min(lo+bat.MorselSize, pn)
 					mk := []*bat.BAT{bat.FromInts(probe[lo:hi])}
-					li, ri, _, err := jb.Probe(c, mk, leftOuter)
+					li, ri, err := probePairs(c, jb, hi-lo, mk, leftOuter, bat.MorselSize)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -181,8 +181,6 @@ func TestStreamingJoinProbeMatchesJoinPairs(t *testing.T) {
 						gotLi = append(gotLi, li[k]+lo)
 						gotRi = append(gotRi, ri[k])
 					}
-					c.Arena().FreeInts(li)
-					c.Arena().FreeInts(ri)
 				}
 				jb.Release(c)
 

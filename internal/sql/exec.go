@@ -159,10 +159,10 @@ type Metrics struct {
 // plan cache's hit/miss/invalidation counters.
 func (db *DB) Metrics() Metrics {
 	db.mu.RLock()
-	g := db.governorLocked()
+	opts := db.rmaOpts
 	db.mu.RUnlock()
 	return Metrics{
-		GovernorMetrics: g.Metrics(),
+		GovernorMetrics: db.governorFor(opts).Metrics(),
 		PlanCache:       db.cache.stats(),
 		Spill:           db.SpillStats(),
 	}
@@ -178,18 +178,6 @@ func (db *DB) SpillStats() exec.SpillStats {
 		Partitions:   db.spillParts.Load(),
 		Events:       db.spillEvents.Load(),
 	}
-}
-
-// governorLocked resolves the governor statements run under: an explicit
-// Options.Governor wins over the database's own, so a caller that
-// configures one through SetRMAOptions gets a single set of books — the
-// statement pipeline, the RMA table functions, admission, and Metrics
-// all land on the same governor. Callers hold db.mu (either mode).
-func (db *DB) governorLocked() *exec.Governor {
-	if db.rmaOpts != nil && db.rmaOpts.Governor != nil {
-		return db.rmaOpts.Governor
-	}
-	return db.gov
 }
 
 // Register stores a relation under a name, replacing any previous one.

@@ -18,7 +18,7 @@ import (
 // tenant's allocs minus frees equals exactly the buffers retained by
 // the result relation (one per result column of that domain), and no
 // live bytes remain. Before the fix the filtered build side of
-// joinStream/crossStream was never freed, leaving one stranded buffer
+// the join (equi or cross) was never freed, leaving one stranded buffer
 // per build-side column (u: +1 int64 +1 string; s: +1 float +1 int64
 // +1 string) for the whole statement lifetime.
 func TestLimitEarlyStopNoArenaLeak(t *testing.T) {
@@ -30,7 +30,7 @@ func TestLimitEarlyStopNoArenaLeak(t *testing.T) {
 		floats, int64s, strse int64 // result-retained buffers per domain
 	}{
 		{
-			// crossStream with a pushed-down filter on u (uid BIGINT,
+			// A cross join with a pushed-down filter on u (uid BIGINT,
 			// utag VARCHAR): both filtered columns leaked before the fix.
 			name:   "cross-filtered",
 			query:  "SELECT t.id, u.utag FROM t CROSS JOIN u WHERE u.utag = 'a' AND t.id % 7 = 0 LIMIT 50",

@@ -176,7 +176,7 @@ func genQuery(rng *rand.Rand) string {
 
 	var from, qual string
 	joined := false
-	switch r := rng.Intn(10); {
+	switch r := rng.Intn(12); {
 	case r < 6:
 		from, qual = "f", ""
 	case r < 9:
@@ -185,8 +185,15 @@ func genQuery(rng *rand.Rand) string {
 			kind = "LEFT JOIN"
 		}
 		from, qual, joined = fmt.Sprintf("f %s d ON f.g = d.k", kind), "f", true
-	default:
+	case r == 9:
 		from, qual, joined = "f CROSS JOIN z", "f", true
+	case r == 10:
+		// No equi key: the nested-loop fallback, a cross product under
+		// the whole ON.
+		from, qual, joined = "f JOIN d ON f.v > d.b", "f", true
+	default:
+		// An equi key plus a residual conjunct.
+		from, qual, joined = "f JOIN d ON f.g = d.k AND f.v > d.b", "f", true
 	}
 
 	var where string

@@ -178,7 +178,8 @@ func (n *streamNode) compile() error {
 			if n.kind == JoinLeft {
 				return fmt.Errorf("sql: LEFT JOIN requires an equi-join condition")
 			}
-			// Nested-loop fallback: cross then filter on the whole ON.
+			// Nested-loop fallback: a keyless join, the cross product,
+			// filtered on the whole ON.
 			n.residual = []Expr{n.on}
 		}
 	}

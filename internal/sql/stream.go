@@ -14,7 +14,9 @@ import (
 // peak arena footprint tracks the widest pipeline stage instead of the
 // sum of its materialized intermediates. Pipeline breakers (join build
 // sides, the grouping accumulator) consume their input fully, then
-// stream or hand off materialized output.
+// stream or hand off materialized output. Every join kind runs through
+// one operator, joinStream, whose batches never exceed bat.MorselSize
+// rows whatever a probe row's fan-out.
 //
 // Determinism: morsels are emitted in row order, every per-morsel kernel
 // runs serially (MorselSize never exceeds exec.SerialCutoff), and the
@@ -238,11 +240,16 @@ func (f *filterStream) close(c *exec.Ctx) {
 	f.in.close(c)
 }
 
-// --- equi-join -------------------------------------------------------------
+// --- join ------------------------------------------------------------------
 
-// joinStream probes each left morsel against a build side materialized
-// and indexed at open. Pushed-down build filters run before indexing,
-// and the hash table is pre-sized with the exact post-filter row count.
+// joinStream is the one join operator: equi, LEFT, CROSS and non-equi
+// ON (a cross product under the residual filter) alike. It probes each
+// left morsel against a build side materialized and indexed at open; a
+// join without equi keys indexes no key columns, and rel.JoinBuild then
+// pairs every left row with every build row. Pushed-down build filters
+// run before indexing. A morsel's pairs leave in blocks of at most
+// bat.MorselSize, scattered into scratch drawn at open, so one batch
+// never outgrows a morsel however far a probe row fans out.
 type joinStream struct {
 	in        rowStream
 	node      *streamNode
@@ -253,6 +260,12 @@ type joinStream struct {
 	buildOwn  [][]float64
 	filtered  *rel.Relation // pushed-down-filter intermediate, freed at close
 	leftOuter bool
+	cur       *bat.Batch     // left morsel whose pairs are being scattered
+	curFrame  *frame         // cur's frame, which its key programs ran over
+	curKeys   []*bat.Vector  // cur's evaluated keys, read until drop
+	probe     *rel.JoinProbe // cur after the count pass
+	pc        rel.PairCursor
+	li, ri    []int // arena pair scratch
 	tr        *exec.StageTracker
 	prev      int64
 	heldOpen  int64
@@ -274,7 +287,7 @@ func newJoinStream(c *exec.Ctx, n *streamNode, in rowStream, ps *exec.PipelineSt
 		j.buildKeys = append(j.buildKeys, v)
 		keys[k] = bat.FromVector(v)
 	}
-	if j.jb, err = rel.NewJoinBuild(c, keys); err != nil {
+	if j.jb, err = rel.NewJoinBuild(c, right.NumRows(), keys); err != nil {
 		j.freeBuild(c)
 		return nil, err
 	}
@@ -287,65 +300,82 @@ func newJoinStream(c *exec.Ctx, n *streamNode, in rowStream, ps *exec.PipelineSt
 		}
 		j.buildVecs = append(j.buildVecs, v)
 	}
+	j.li, j.ri = c.Arena().Ints(bat.MorselSize), c.Arena().Ints(bat.MorselSize)
 	j.tr.Hold(j.heldOpen)
 	return j, nil
+}
+
+// pull pulls the next left morsel, evaluates its join keys and runs the
+// count pass over it. It reports false at the end of the input.
+func (j *joinStream) pull(c *exec.Ctx) (bool, error) {
+	mb, err := j.in.next(c)
+	if err != nil || mb == nil {
+		return false, err
+	}
+	j.cur, j.curFrame, j.pc = mb, batchFrame(c, mb), rel.PairCursor{}
+	keys := make([]*bat.BAT, len(j.node.lkProg))
+	for k, p := range j.node.lkProg {
+		v, err := p.val(j.curFrame, nil)
+		if err != nil {
+			j.drop(c)
+			return false, err
+		}
+		j.curKeys = append(j.curKeys, v)
+		keys[k] = bat.FromVector(v)
+	}
+	if j.probe, err = j.jb.Count(c, mb.Len(), keys, j.leftOuter); err != nil {
+		j.drop(c)
+		return false, err
+	}
+	return true, nil
+}
+
+// drop releases the current left morsel: its count pass, then the keys
+// the pass reads, then the morsel itself. Nil-safe.
+func (j *joinStream) drop(c *exec.Ctx) {
+	j.probe.Release(c)
+	j.probe = nil
+	if j.cur == nil {
+		return
+	}
+	for _, v := range j.curKeys {
+		j.curFrame.free(v)
+	}
+	j.curFrame.release()
+	j.cur.Release(c)
+	j.cur, j.curFrame, j.curKeys = nil, nil, nil
 }
 
 func (j *joinStream) next(c *exec.Ctx) (*bat.Batch, error) {
 	j.tr.Unhold(j.prev)
 	j.prev = 0
 	for {
-		mb, err := j.in.next(c)
-		if err != nil || mb == nil {
-			return nil, err
-		}
-		f := batchFrame(c, mb)
-		keys := make([]*bat.BAT, 0, len(j.node.lkProg))
-		for _, p := range j.node.lkProg {
-			v, verr := p.val(f, nil)
-			if err = verr; err != nil {
-				break
+		if j.cur == nil {
+			if ok, err := j.pull(c); !ok {
+				return nil, err
 			}
-			keys = append(keys, bat.FromVector(v))
 		}
-		var li, ri []int
-		var anyUnmatched bool
-		if err == nil {
-			li, ri, anyUnmatched, err = j.jb.Probe(c, keys, j.leftOuter)
-		}
-		for _, kb := range keys {
-			f.free(kb.Vector())
-		}
-		f.release()
-		if err != nil {
-			mb.Release(c)
-			return nil, err
-		}
-		if len(li) == 0 {
-			c.Arena().FreeInts(li)
-			c.Arena().FreeInts(ri)
-			mb.Release(c)
+		m := j.probe.Scatter(&j.pc, j.cur.Len(), j.li, j.ri)
+		if m == 0 {
+			j.drop(c)
 			continue
 		}
-		out := bat.NewBatch(len(li))
-		for k := 0; k < mb.NumCols(); k++ {
-			out.AddCol(mb.Col(k).Gather(c, li), true)
+		li, ri := j.li[:m], j.ri[:m]
+		out := bat.NewBatch(m)
+		for k := 0; k < j.cur.NumCols(); k++ {
+			out.AddCol(j.cur.Col(k).Gather(c, li), true)
 		}
 		// Unmatched left-outer rows (ri = -1) take the zero value of each
-		// build column's domain: bat.Vector.GatherPadded, the same gather
-		// rel.HashJoin writes its results with.
+		// build column's domain: the same gather rel.HashJoin writes its
+		// results with.
 		for _, v := range j.buildVecs {
-			if !anyUnmatched {
-				out.AddCol(v.Gather(c, ri), true)
-				continue
-			}
-			dst := bat.NewVectorCtx(c, v.Type(), len(ri))
+			dst := bat.NewVectorCtx(c, v.Type(), m)
 			v.GatherPadded(dst, ri)
 			out.AddCol(dst, true)
 		}
-		mb.Release(c)
-		c.Arena().FreeInts(li)
-		c.Arena().FreeInts(ri)
+		if m < len(j.li) {
+			j.drop(c)
+		}
 		j.prev = out.Bytes()
 		j.tr.Batch(out.Len(), j.prev)
 		return out, nil
@@ -372,114 +402,18 @@ func (j *joinStream) close(c *exec.Ctx) {
 	j.tr.Unhold(j.prev + j.heldOpen)
 	j.prev, j.heldOpen = 0, 0
 	j.in.close(c)
+	j.drop(c)
+	if j.li != nil {
+		c.Arena().FreeInts(j.li)
+		c.Arena().FreeInts(j.ri)
+		j.li, j.ri = nil, nil
+	}
 	for _, f := range j.buildOwn {
 		c.Arena().FreeFloats(f)
 	}
 	j.buildOwn = nil
 	j.freeBuild(c)
 	j.buildVecs = nil
-}
-
-// --- cross join ------------------------------------------------------------
-
-// crossStream pairs every left-morsel row with every build-side row, in
-// i-major order (left rows outer, build rows inner), emitting
-// pair chunks of at most MorselSize rows.
-type crossStream struct {
-	in        rowStream
-	rightVecs []*bat.Vector
-	rightOwn  [][]float64
-	filtered  *rel.Relation // pushed-down-filter intermediate, freed at close
-	nr        int
-	cur       *bat.Batch // left morsel currently being expanded
-	i, j      int        // cursor into cur × right
-	li, ri    []int      // arena pair scratch
-	tr        *exec.StageTracker
-	prev      int64
-	heldOpen  int64
-}
-
-func newCrossStream(c *exec.Ctx, n *streamNode, in rowStream, ps *exec.PipelineStats) (*crossStream, error) {
-	right, filtered, err := filterBuild(c, n)
-	if err != nil {
-		return nil, err
-	}
-	x := &crossStream{
-		in: in, nr: right.NumRows(), filtered: filtered,
-		li: c.Arena().Ints(bat.MorselSize), ri: c.Arena().Ints(bat.MorselSize),
-		tr: ps.Stage("cross"),
-	}
-	for _, k := range n.needed {
-		col := right.Cols[k]
-		v := col.VectorCtx(c)
-		if col.IsSparse() {
-			x.rightOwn = append(x.rightOwn, v.Floats())
-			x.heldOpen += int64(cap(v.Floats())) * 8
-		}
-		x.rightVecs = append(x.rightVecs, v)
-	}
-	x.tr.Hold(x.heldOpen)
-	return x, nil
-}
-
-func (x *crossStream) next(c *exec.Ctx) (*bat.Batch, error) {
-	x.tr.Unhold(x.prev)
-	x.prev = 0
-	if x.nr == 0 {
-		return nil, nil
-	}
-	for {
-		if x.cur == nil {
-			mb, err := x.in.next(c)
-			if err != nil || mb == nil {
-				return nil, err
-			}
-			x.cur, x.i, x.j = mb, 0, 0
-		}
-		li, ri := x.li[:0], x.ri[:0]
-		for len(li) < bat.MorselSize && x.i < x.cur.Len() {
-			li = append(li, x.i)
-			ri = append(ri, x.j)
-			x.j++
-			if x.j == x.nr {
-				x.j = 0
-				x.i++
-			}
-		}
-		out := bat.NewBatch(len(li))
-		for k := 0; k < x.cur.NumCols(); k++ {
-			out.AddCol(x.cur.Col(k).Gather(c, li), true)
-		}
-		for _, v := range x.rightVecs {
-			out.AddCol(v.Gather(c, ri), true)
-		}
-		if x.i >= x.cur.Len() {
-			x.cur.Release(c)
-			x.cur = nil
-		}
-		x.prev = out.Bytes()
-		x.tr.Batch(out.Len(), x.prev)
-		return out, nil
-	}
-}
-
-func (x *crossStream) close(c *exec.Ctx) {
-	x.tr.Unhold(x.prev + x.heldOpen)
-	x.prev, x.heldOpen = 0, 0
-	x.in.close(c)
-	x.cur.Release(c)
-	x.cur = nil
-	if x.li != nil {
-		c.Arena().FreeInts(x.li)
-		c.Arena().FreeInts(x.ri)
-		x.li, x.ri = nil, nil
-	}
-	for _, f := range x.rightOwn {
-		c.Arena().FreeFloats(f)
-	}
-	x.rightOwn = nil
-	freeFiltered(c, x.filtered)
-	x.filtered, x.rightVecs = nil, nil
 }
 
 // --- helpers ---------------------------------------------------------------
@@ -536,16 +470,12 @@ func (db *DB) openStream(c *exec.Ctx, n *streamNode, ps *exec.PipelineStats) (ro
 	if err != nil {
 		return nil, err
 	}
-	var out rowStream
-	if len(n.lk) > 0 {
-		out, err = newJoinStream(c, n, in, ps)
-	} else {
-		out, err = newCrossStream(c, n, in, ps)
-	}
+	j, err := newJoinStream(c, n, in, ps)
 	if err != nil {
 		in.close(c)
 		return nil, err
 	}
+	var out rowStream = j
 	if len(n.filterProg) > 0 {
 		out = newFilterStream(out, n.filterProg, ps)
 	}

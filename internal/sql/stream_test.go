@@ -396,3 +396,78 @@ func TestStreamingPipelineStats(t *testing.T) {
 		t.Fatalf("no project stage in %v", stats)
 	}
 }
+
+// TestStreamedJoinBatchesCapped pulls a join plan's batches straight
+// from its stream: however far one probe morsel fans out — the equi
+// join's keys repeat about four times on the build side, the cross join
+// triples every row — no batch exceeds bat.MorselSize rows, and the
+// batches concatenate to the reference executor's result, bitwise, at
+// every worker budget.
+func TestStreamedJoinBatchesCapped(t *testing.T) {
+	db := streamDB(t, 2*bat.MorselSize+100)
+	for _, q := range []string{
+		"SELECT t.id, t.grp, t.val, t.w, t.tag, s.k, s.bonus, s.label FROM t JOIN s ON t.grp = s.k;",
+		"SELECT t.id, t.grp, t.val, t.w, t.tag, u.uid, u.utag FROM t CROSS JOIN u;",
+	} {
+		want, err := refQuery(db, q)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", q, err)
+		}
+		stmts, err := Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel := stmts[0].(*SelectStmt)
+		for _, workers := range []int{1, 2, 8} {
+			c := exec.NewCtx(workers, nil, nil)
+			plan, err := db.planStream(c, sel)
+			if err != nil {
+				t.Fatalf("%s: plan: %v", q, err)
+			}
+			st, err := db.openStream(c, plan.root, exec.NewPipelineStats())
+			if err != nil {
+				t.Fatalf("%s: open: %v", q, err)
+			}
+			cols := make([]colBuf, len(plan.root.outTypes))
+			for k := range cols {
+				cols[k].typ = plan.root.outTypes[k]
+			}
+			rows, widest := 0, 0
+			for {
+				mb, err := st.next(c)
+				if err != nil {
+					st.close(c)
+					t.Fatalf("%s workers=%d: %v", q, workers, err)
+				}
+				if mb == nil {
+					break
+				}
+				if mb.Len() > bat.MorselSize {
+					st.close(c)
+					t.Fatalf("%s workers=%d: batch of %d rows, want at most %d", q, workers, mb.Len(), bat.MorselSize)
+				}
+				widest = max(widest, mb.Len())
+				for k := range cols {
+					cols[k].add(c, mb.Col(k), false, false)
+				}
+				rows += mb.Len()
+				mb.Release(c)
+			}
+			st.close(c)
+			if widest != bat.MorselSize {
+				t.Fatalf("%s workers=%d: widest batch %d rows: the fan-out never reached the cap", q, workers, widest)
+			}
+			out := make([]*bat.BAT, len(cols))
+			for k := range cols {
+				out[k] = bat.FromVector(cols[k].vector(c, rows))
+			}
+			got, err := rel.New("", want.Schema, out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := equalBits(want, got); err != nil {
+				t.Fatalf("%s workers=%d: %v", q, workers, err)
+			}
+		}
+	}
+}
