@@ -24,9 +24,9 @@
 // knob, concurrent queries with different core.Options.Parallelism
 // settings are race-free by construction: each query's operators resolve
 // workers against the query's own Ctx, and core.Stats.Workers reports
-// that budget per invocation. The only process-wide setting left is the
-// fallback budget nil contexts resolve against (exec.SetDefaultWorkers,
-// GOMAXPROCS unless set). A dedicated CI step runs the mixed-budget
+// that budget per invocation. No process-wide setting remains: nil
+// contexts and contexts built without a budget run with GOMAXPROCS as it
+// was when the process started. A dedicated CI step runs the mixed-budget
 // concurrency stress tests under -race with GOMAXPROCS=4.
 //
 //   - Ctx.ParallelFor splits an index range over at most Ctx.Workers()
@@ -235,13 +235,16 @@
 // that the writer reuses across segments. Segments are aligned to
 // blocks of store.BlockRows rows, which equals bat.MorselSize (4096),
 // and SegRows is an exact multiple of it, so segment-granular
-// decisions (zone-map skips, buffer-pool residency) always preserve
+// decisions (zone-map skips, spill replay blocks) always preserve
 // morsel boundaries and with them the engine's bitwise determinism.
 // Reads go through mmap when the platform provides it and fall back to
-// buffered I/O otherwise; decoded segments are charged to the reading
-// query's arena (store.Pool evicts LRU segments under a byte cap, so a
-// scan's resident footprint is bounded regardless of table size) and
-// handed back when the cursor advances.
+// buffered I/O otherwise, and decoded segments are charged to the
+// reading query's arena. Segments are read incrementally only through
+// store.Cursor, which spill replay uses: it holds one decoded segment
+// per column and hands it back as it advances. A persisted table loads
+// whole into memory (sql.DB.LoadPersisted), so a scan's footprint is the
+// table's; scanning persisted tables through the cursor under the tenant
+// budget is ROADMAP item 3(d).
 //
 // Persistence rides the same format: CREATE TABLE ... PERSIST
 // checkpoints the table into the DB's data directory (sql.DB.SetDataDir)

@@ -135,7 +135,7 @@ func runBudgetBoundary(pass *Pass) error {
 func isBudgetSafeKernelCall(f *types.Func) bool {
 	switch f.Name() {
 	case "Free", "FreeInts", "FreeFloats", "FreeInt64s", "FreeStrings",
-		"Release", "ReleaseFloats", "Close", "Unreserve",
+		"Release", "ReleaseFloats", "Close",
 		"Len", "Type", "IsSparse", "Sparse", "Workers", "Stats", "Arena",
 		"Serial", "Tenant", "Name", "String":
 		return true

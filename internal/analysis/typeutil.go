@@ -32,7 +32,7 @@ var budgetBoundaryPkgs = []string{
 // internal/exec is deliberately absent: arena allocations are matched
 // as *exec.Arena method calls directly (including inside closures), so
 // listing the package here would only poison benign helpers such as
-// exec.DefaultWorkers or exec.Shared with phantom risk.
+// exec.Default or exec.Shared with phantom risk.
 var kernelPkgs = []string{
 	"internal/bat", "internal/batlin", "internal/linalg",
 	"internal/rel", "internal/matrix", "internal/store",

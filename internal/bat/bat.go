@@ -230,26 +230,6 @@ func Mul(c *exec.Ctx, b, x *BAT) *BAT {
 	return FromFloats(out)
 }
 
-// Div returns b / x elementwise.
-func Div(c *exec.Ctx, b, x *BAT) *BAT {
-	xs, ys := floatsOf(c, b), floatsOf(c, x)
-	out := c.Arena().Floats(len(xs))
-	if c.Serial(len(xs)) {
-		for k := range xs {
-			out[k] = xs[k] / ys[k]
-		}
-	} else {
-		c.ParallelFor(len(xs), SerialCutoff, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				out[k] = xs[k] / ys[k]
-			}
-		})
-	}
-	b.ReleaseFloats(c, xs)
-	x.ReleaseFloats(c, ys)
-	return FromFloats(out)
-}
-
 // AddScalar returns b + s elementwise.
 func AddScalar(c *exec.Ctx, b *BAT, s float64) *BAT {
 	xs := floatsOf(c, b)

@@ -129,8 +129,8 @@ func TestSparseGatherPieces(t *testing.T) {
 			parts = append(parts, part)
 		}
 		got := ConcatSparse(len(idx), parts)
-		if got.Len() != want.Len() || got.NNZ() != want.NNZ() {
-			t.Fatalf("cuts %v: len %d nnz %d, want %d %d", cuts, got.Len(), got.NNZ(), want.Len(), want.NNZ())
+		if got.Len() != want.Len() || len(got.val) != len(want.val) {
+			t.Fatalf("cuts %v: len %d nnz %d, want %d %d", cuts, got.Len(), len(got.val), want.Len(), len(want.val))
 		}
 		for k := range idx {
 			if got.Get(k) != want.Get(k) {
@@ -183,7 +183,6 @@ func TestBATKernels(t *testing.T) {
 	check("add", Add(nil, a, b), []float64{11, 22, 33})
 	check("sub", Sub(nil, b, a), []float64{9, 18, 27})
 	check("mul", Mul(nil, a, b), []float64{10, 40, 90})
-	check("div", Div(nil, b, a), []float64{10, 10, 10})
 	check("addScalar", AddScalar(nil, a, 1), []float64{2, 3, 4})
 	check("mulScalar", MulScalar(nil, a, 2), []float64{2, 4, 6})
 	check("divScalar", DivScalar(nil, b, 10), []float64{1, 2, 3})
@@ -268,8 +267,8 @@ func TestIsSortedIndexAndIdentity(t *testing.T) {
 func TestSparseRoundTrip(t *testing.T) {
 	dense := []float64{0, 1.5, 0, 0, -2, 0}
 	sp := Compress(dense)
-	if sp.Len() != 6 || sp.NNZ() != 2 {
-		t.Fatalf("Len/NNZ = %d/%d", sp.Len(), sp.NNZ())
+	if sp.Len() != 6 || len(sp.val) != 2 {
+		t.Fatalf("Len/NNZ = %d/%d", sp.Len(), len(sp.val))
 	}
 	back := sp.Densify(nil)
 	for k := range dense {
@@ -341,8 +340,8 @@ func TestSparseAddViaBAT(t *testing.T) {
 	// Cancellation removes the entry.
 	c := FromSparse(Compress([]float64{0, -1, 0}))
 	z := Add(nil, a, c)
-	if z.Sparse().NNZ() != 0 {
-		t.Errorf("cancellation kept %d entries", z.Sparse().NNZ())
+	if len(z.Sparse().val) != 0 {
+		t.Errorf("cancellation kept %d entries", len(z.Sparse().val))
 	}
 }
 

@@ -23,14 +23,6 @@ func randomFloats(n int, seed int64) []float64 {
 	return f
 }
 
-// withParallelism runs f under the given worker budget and restores the
-// previous budget afterwards.
-func withParallelism(workers int, f func()) {
-	prev := exec.SetDefaultWorkers(workers)
-	defer exec.SetDefaultWorkers(prev)
-	f()
-}
-
 func bitsEqual(t *testing.T, name string, n int, serial, parallel []float64) {
 	t.Helper()
 	if len(serial) != len(parallel) {
@@ -50,24 +42,21 @@ func bitsEqual(t *testing.T, name string, n int, serial, parallel []float64) {
 func TestElementwiseBitwiseIdentical(t *testing.T) {
 	kernels := []struct {
 		name string
-		run  func(b, c *BAT) *BAT
+		run  func(x *exec.Ctx, b, c *BAT) *BAT
 	}{
-		{"add", func(b, c *BAT) *BAT { return Add(nil, b, c) }},
-		{"sub", func(b, c *BAT) *BAT { return Sub(nil, b, c) }},
-		{"mul", func(b, c *BAT) *BAT { return Mul(nil, b, c) }},
-		{"div", func(b, c *BAT) *BAT { return Div(nil, b, c) }},
-		{"axpy", func(b, c *BAT) *BAT { return AXPY(nil, b, c, 1.5) }},
-		{"addscalar", func(b, c *BAT) *BAT { return AddScalar(nil, b, 2.25) }},
-		{"mulscalar", func(b, c *BAT) *BAT { return MulScalar(nil, b, -3.5) }},
-		{"divscalar", func(b, c *BAT) *BAT { return DivScalar(nil, b, 7) }},
+		{"add", func(x *exec.Ctx, b, c *BAT) *BAT { return Add(x, b, c) }},
+		{"sub", func(x *exec.Ctx, b, c *BAT) *BAT { return Sub(x, b, c) }},
+		{"mul", func(x *exec.Ctx, b, c *BAT) *BAT { return Mul(x, b, c) }},
+		{"axpy", func(x *exec.Ctx, b, c *BAT) *BAT { return AXPY(x, b, c, 1.5) }},
+		{"addscalar", func(x *exec.Ctx, b, c *BAT) *BAT { return AddScalar(x, b, 2.25) }},
+		{"mulscalar", func(x *exec.Ctx, b, c *BAT) *BAT { return MulScalar(x, b, -3.5) }},
+		{"divscalar", func(x *exec.Ctx, b, c *BAT) *BAT { return DivScalar(x, b, 7) }},
 	}
 	for _, n := range chunkBoundarySizes() {
 		b := FromFloats(randomFloats(n, 1))
 		c := FromFloats(randomFloats(n, 2))
 		for _, k := range kernels {
-			var serial, parallel *BAT
-			withParallelism(1, func() { serial = k.run(b, c) })
-			withParallelism(8, func() { parallel = k.run(b, c) })
+			serial, parallel := k.run(exec.New(1), b, c), k.run(exec.New(8), b, c)
 			bitsEqual(t, k.name, n, serial.Vector().Floats(), parallel.Vector().Floats())
 		}
 	}
@@ -81,9 +70,9 @@ func TestReductionsBitwiseIdentical(t *testing.T) {
 		b := FromFloats(randomFloats(n, 3))
 		c := FromFloats(randomFloats(n, 4))
 		for _, workers := range []int{2, 3, 8} {
-			var sum1, sumP, dot1, dotP float64
-			withParallelism(1, func() { sum1, dot1 = Sum(nil, b), Dot(nil, b, c) })
-			withParallelism(workers, func() { sumP, dotP = Sum(nil, b), Dot(nil, b, c) })
+			one, par := exec.New(1), exec.New(workers)
+			sum1, dot1 := Sum(one, b), Dot(one, b, c)
+			sumP, dotP := Sum(par, b), Dot(par, b, c)
 			if math.Float64bits(sum1) != math.Float64bits(sumP) {
 				t.Fatalf("sum n=%d workers=%d: %v vs %v", n, workers, sum1, sumP)
 			}
@@ -103,9 +92,7 @@ func TestGatherBitwiseIdentical(t *testing.T) {
 			idx[k] = n - 1 - k
 		}
 		fb := FromFloats(randomFloats(n, 5))
-		var serial, parallel *BAT
-		withParallelism(1, func() { serial = fb.Gather(nil, idx) })
-		withParallelism(8, func() { parallel = fb.Gather(nil, idx) })
+		serial, parallel := fb.Gather(exec.New(1), idx), fb.Gather(exec.New(8), idx)
 		bitsEqual(t, "gather-float", n, serial.Vector().Floats(), parallel.Vector().Floats())
 
 		ints := make([]int64, n)
@@ -113,9 +100,7 @@ func TestGatherBitwiseIdentical(t *testing.T) {
 			ints[k] = int64(k * 3)
 		}
 		ib := FromInts(ints)
-		var is, ip *BAT
-		withParallelism(1, func() { is = ib.Gather(nil, idx) })
-		withParallelism(8, func() { ip = ib.Gather(nil, idx) })
+		is, ip := ib.Gather(exec.New(1), idx), ib.Gather(exec.New(8), idx)
 		for k := 0; k < n; k++ {
 			if is.Vector().Ints()[k] != ip.Vector().Ints()[k] {
 				t.Fatalf("gather-int n=%d: element %d differs", n, k)

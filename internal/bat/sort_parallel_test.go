@@ -48,11 +48,9 @@ func TestSortIndexIdenticalAcrossWorkers(t *testing.T) {
 		want := refStablePerm(n, func(a, b int) bool { return f[a] < f[b] })
 		b := FromFloats(f)
 		for _, workers := range []int{1, 2, 8} {
-			withParallelism(workers, func() {
-				idx := SortIndex(nil, []*BAT{b})
-				permsEqual(t, "sortindex-float", n, workers, idx, want)
-				exec.Shared().FreeInts(idx)
-			})
+			idx := SortIndex(exec.New(workers), []*BAT{b})
+			permsEqual(t, "sortindex-float", n, workers, idx, want)
+			exec.Shared().FreeInts(idx)
 		}
 	}
 }
@@ -77,11 +75,9 @@ func TestSortIndexMultiKeyIdenticalAcrossWorkers(t *testing.T) {
 		return strs[a] < strs[b]
 	})
 	for _, workers := range []int{1, 2, 8} {
-		withParallelism(workers, func() {
-			idx := SortIndex(nil, []*BAT{bi, bs})
-			permsEqual(t, "sortindex-multikey", n, workers, idx, want)
-			exec.Shared().FreeInts(idx)
-		})
+		idx := SortIndex(exec.New(workers), []*BAT{bi, bs})
+		permsEqual(t, "sortindex-multikey", n, workers, idx, want)
+		exec.Shared().FreeInts(idx)
 	}
 }
 
@@ -94,19 +90,17 @@ func TestSortStableIsStable(t *testing.T) {
 		for k := range keys {
 			keys[k] = k % 7
 		}
-		withParallelism(8, func() {
-			idx := SortStable(nil, n, func(a, b int) bool { return keys[a] < keys[b] })
-			for k := 1; k < n; k++ {
-				ka, kb := keys[idx[k-1]], keys[idx[k]]
-				if ka > kb {
-					t.Fatalf("n=%d: not sorted at %d", n, k)
-				}
-				if ka == kb && idx[k-1] > idx[k] {
-					t.Fatalf("n=%d: stability violated at %d: %d before %d", n, k, idx[k-1], idx[k])
-				}
+		idx := SortStable(exec.New(8), n, func(a, b int) bool { return keys[a] < keys[b] })
+		for k := 1; k < n; k++ {
+			ka, kb := keys[idx[k-1]], keys[idx[k]]
+			if ka > kb {
+				t.Fatalf("n=%d: not sorted at %d", n, k)
 			}
-			exec.Shared().FreeInts(idx)
-		})
+			if ka == kb && idx[k-1] > idx[k] {
+				t.Fatalf("n=%d: stability violated at %d: %d before %d", n, k, idx[k-1], idx[k])
+			}
+		}
+		exec.Shared().FreeInts(idx)
 	}
 }
 

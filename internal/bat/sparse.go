@@ -51,9 +51,6 @@ func Compress(f []float64) *Sparse {
 // Len returns the logical length of the column.
 func (s *Sparse) Len() int { return s.n }
 
-// NNZ returns the number of stored non-zero values.
-func (s *Sparse) NNZ() int { return len(s.val) }
-
 // Get returns the value at OID k (0 when suppressed).
 func (s *Sparse) Get(k int) float64 {
 	i := sort.SearchInts(s.oid, k)

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/exec"
 )
 
 // randDense generates a dense slice with the given zero density: d = 0
@@ -43,18 +45,12 @@ func TestQuickSparseAddMatchesDense(t *testing.T) {
 		fb := randDense(rng, n, sparseDensities(rng))
 		a, b := Compress(fa), Compress(fb)
 		for _, w := range []int{1, 2, 8} {
-			ok := true
-			withParallelism(w, func() {
-				got := SparseAdd(nil, a, b).Densify(nil)
-				for k := range got {
-					if math.Float64bits(got[k]) != math.Float64bits(fa[k]+fb[k]) {
-						ok = false
-						return
-					}
+			c := exec.New(w)
+			got := SparseAdd(c, a, b).Densify(c)
+			for k := range got {
+				if math.Float64bits(got[k]) != math.Float64bits(fa[k]+fb[k]) {
+					return false
 				}
-			})
-			if !ok {
-				return false
 			}
 		}
 		return true
@@ -72,20 +68,17 @@ func TestSparseAddParallelBoundary(t *testing.T) {
 	fa := randDense(rng, n, 0.7)
 	fb := randDense(rng, n, 0.7)
 	a, b := Compress(fa), Compress(fb)
-	var want *Sparse
-	withParallelism(1, func() { want = SparseAdd(nil, a, b) })
+	want := SparseAdd(exec.New(1), a, b)
 	for _, w := range []int{2, 8} {
-		withParallelism(w, func() {
-			got := SparseAdd(nil, a, b)
-			if got.NNZ() != want.NNZ() || got.Len() != want.Len() {
-				t.Fatalf("workers=%d: nnz %d/%d len %d/%d", w, got.NNZ(), want.NNZ(), got.Len(), want.Len())
+		got := SparseAdd(exec.New(w), a, b)
+		if len(got.val) != len(want.val) || got.Len() != want.Len() {
+			t.Fatalf("workers=%d: nnz %d/%d len %d/%d", w, len(got.val), len(want.val), got.Len(), want.Len())
+		}
+		for k := range want.oid {
+			if got.oid[k] != want.oid[k] || math.Float64bits(got.val[k]) != math.Float64bits(want.val[k]) {
+				t.Fatalf("workers=%d: entry %d differs", w, k)
 			}
-			for k := range want.oid {
-				if got.oid[k] != want.oid[k] || math.Float64bits(got.val[k]) != math.Float64bits(want.val[k]) {
-					t.Fatalf("workers=%d: entry %d differs", w, k)
-				}
-			}
-		})
+		}
 	}
 }
 
@@ -103,22 +96,15 @@ func TestQuickSparseGatherMatchesDense(t *testing.T) {
 			idx[k] = rng.Intn(n)
 		}
 		for _, w := range []int{1, 2, 8} {
-			ok := true
-			withParallelism(w, func() {
-				got := sp.Gather(nil, idx).Densify(nil)
-				if len(got) != len(idx) {
-					ok = false
-					return
-				}
-				for k, j := range idx {
-					if math.Float64bits(got[k]) != math.Float64bits(fa[j]) {
-						ok = false
-						return
-					}
-				}
-			})
-			if !ok {
+			c := exec.New(w)
+			got := sp.Gather(c, idx).Densify(c)
+			if len(got) != len(idx) {
 				return false
+			}
+			for k, j := range idx {
+				if math.Float64bits(got[k]) != math.Float64bits(fa[j]) {
+					return false
+				}
 			}
 		}
 		return true
@@ -139,16 +125,13 @@ func TestSparseGatherDensifyParallelBoundary(t *testing.T) {
 	for k := range idx {
 		idx[k] = rng.Intn(n)
 	}
-	var wantG, wantD []float64
-	withParallelism(1, func() {
-		wantG = sp.Gather(nil, idx).Densify(nil)
-		wantD = sp.Densify(nil)
-	})
+	one := exec.New(1)
+	wantG := sp.Gather(one, idx).Densify(one)
+	wantD := sp.Densify(one)
 	for _, w := range []int{2, 8} {
-		withParallelism(w, func() {
-			bitsEqual(t, "sparse-gather", n, wantG, sp.Gather(nil, idx).Densify(nil))
-			bitsEqual(t, "sparse-densify", n, wantD, sp.Densify(nil))
-		})
+		c := exec.New(w)
+		bitsEqual(t, "sparse-gather", n, wantG, sp.Gather(c, idx).Densify(c))
+		bitsEqual(t, "sparse-densify", n, wantD, sp.Densify(c))
 	}
 }
 
@@ -159,14 +142,11 @@ func TestSparseSumDeterministicAcrossWorkers(t *testing.T) {
 	n := 3*SerialCutoff + 1
 	fa := randDense(rng, n, 0.8)
 	sp := Compress(fa)
-	var want float64
-	withParallelism(1, func() { want = sp.Sum(nil) })
+	want := sp.Sum(exec.New(1))
 	for _, w := range []int{2, 3, 8} {
-		withParallelism(w, func() {
-			if got := sp.Sum(nil); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("workers=%d: %v vs %v", w, got, want)
-			}
-		})
+		if got := sp.Sum(exec.New(w)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("workers=%d: %v vs %v", w, got, want)
+		}
 	}
 	var naive float64
 	for _, v := range fa {
@@ -182,8 +162,8 @@ func TestSparseSumDeterministicAcrossWorkers(t *testing.T) {
 func TestSparseDifferentialDegenerate(t *testing.T) {
 	zero := Compress(make([]float64, 100))
 	dense := Compress(randDense(rand.New(rand.NewSource(3)), 100, 1))
-	if zero.NNZ() != 0 || dense.NNZ() != 100 {
-		t.Fatalf("nnz: zero=%d dense=%d", zero.NNZ(), dense.NNZ())
+	if len(zero.val) != 0 || len(dense.val) != 100 {
+		t.Fatalf("nnz: zero=%d dense=%d", len(zero.val), len(dense.val))
 	}
 	sum := SparseAdd(nil, zero, dense)
 	for k := 0; k < 100; k++ {
@@ -191,7 +171,7 @@ func TestSparseDifferentialDegenerate(t *testing.T) {
 			t.Fatalf("zero+dense at %d: %v vs %v", k, sum.Get(k), dense.Get(k))
 		}
 	}
-	if s := SparseAdd(nil, zero, zero); s.NNZ() != 0 || s.Sum(nil) != 0 {
-		t.Fatalf("zero+zero: nnz=%d sum=%v", s.NNZ(), s.Sum(nil))
+	if s := SparseAdd(nil, zero, zero); len(s.val) != 0 || s.Sum(nil) != 0 {
+		t.Fatalf("zero+zero: nnz=%d sum=%v", len(s.val), s.Sum(nil))
 	}
 }

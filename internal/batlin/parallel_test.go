@@ -22,12 +22,6 @@ func randomCols(rows, cols int, seed int64) []*bat.BAT {
 	return out
 }
 
-func withParallelism(workers int, f func()) {
-	prev := exec.SetDefaultWorkers(workers)
-	defer exec.SetDefaultWorkers(prev)
-	f()
-}
-
 func colsBitsEqual(t *testing.T, name string, rows int, serial, parallel []*bat.BAT) {
 	t.Helper()
 	if len(serial) != len(parallel) {
@@ -56,21 +50,19 @@ func TestColumnKernelsBitwiseIdentical(t *testing.T) {
 		b := randomCols(rows, k, int64(rows)+1)
 		sq := randomCols(k, 3, int64(rows)+2) // k×3 right operand for MMU
 
-		run := func(name string, f func() ([]*bat.BAT, error)) {
-			var serial, parallel []*bat.BAT
-			var err1, err2 error
-			withParallelism(1, func() { serial, err1 = f() })
-			withParallelism(8, func() { parallel, err2 = f() })
+		run := func(name string, f func(c *exec.Ctx) ([]*bat.BAT, error)) {
+			serial, err1 := f(exec.New(1))
+			parallel, err2 := f(exec.New(8))
 			if err1 != nil || err2 != nil {
 				t.Fatalf("%s rows=%d: %v / %v", name, rows, err1, err2)
 			}
 			colsBitsEqual(t, name, rows, serial, parallel)
 		}
-		run("add", func() ([]*bat.BAT, error) { return Add(nil, a, b) })
-		run("sub", func() ([]*bat.BAT, error) { return Sub(nil, a, b) })
-		run("emu", func() ([]*bat.BAT, error) { return EMU(nil, a, b) })
-		run("mmu", func() ([]*bat.BAT, error) { return MMU(nil, a, sq) })
-		run("tra", func() ([]*bat.BAT, error) { return Tra(nil, a), nil })
+		run("add", func(c *exec.Ctx) ([]*bat.BAT, error) { return Add(c, a, b) })
+		run("sub", func(c *exec.Ctx) ([]*bat.BAT, error) { return Sub(c, a, b) })
+		run("emu", func(c *exec.Ctx) ([]*bat.BAT, error) { return EMU(c, a, b) })
+		run("mmu", func(c *exec.Ctx) ([]*bat.BAT, error) { return MMU(c, a, sq) })
+		run("tra", func(c *exec.Ctx) ([]*bat.BAT, error) { return Tra(c, a), nil })
 	}
 }
 
@@ -81,17 +73,11 @@ func TestColumnKernelsBitwiseIdentical(t *testing.T) {
 func TestInvDetParallelFanOut(t *testing.T) {
 	n := 24
 	a := randomCols(n, n, 99)
-	var invSerial, invParallel []*bat.BAT
-	var detSerial, detParallel float64
-	var err1, err2, err3, err4 error
-	withParallelism(1, func() {
-		invSerial, err1 = Inv(nil, a)
-		detSerial, err2 = Det(nil, a)
-	})
-	withParallelism(8, func() {
-		invParallel, err3 = Inv(nil, a)
-		detParallel, err4 = Det(nil, a)
-	})
+	one, par := exec.New(1), exec.New(8)
+	invSerial, err1 := Inv(one, a)
+	detSerial, err2 := Det(one, a)
+	invParallel, err3 := Inv(par, a)
+	detParallel, err4 := Det(par, a)
 	for _, err := range []error{err1, err2, err3, err4} {
 		if err != nil {
 			t.Fatal(err)

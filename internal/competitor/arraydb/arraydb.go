@@ -57,15 +57,6 @@ func FromColumns(cols [][]float64, chunkRows int) *Array {
 	return a
 }
 
-// NumCells returns the number of stored cells.
-func (a *Array) NumCells() int {
-	n := 0
-	for _, ch := range a.chunks {
-		n += len(ch.vals)
-	}
-	return n
-}
-
 // Add performs AQL's elementwise addition: an array join aligning the
 // cells of both operands by (row, col) coordinates, then adding. The
 // coordinate comparison per cell is the cost RMA+ avoids (Table 7).

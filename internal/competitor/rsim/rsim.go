@@ -9,8 +9,6 @@
 //     share);
 //   - matrix math itself is fast and multi-core (R links a tuned BLAS), so
 //     it delegates to the shared dense kernels of internal/linalg;
-//   - character matrices hold every cell as a string and are grossly
-//     inefficient for relational work (§8.5's 40s vs 2s join);
 //   - data is loaded from CSV text, whose parse time Figure 15a shows as
 //     the dark bar.
 package rsim
@@ -56,22 +54,6 @@ func (df *DataFrame) Col(name string) (*bat.Vector, error) {
 		}
 	}
 	return nil, fmt.Errorf("rsim: no column %q", name)
-}
-
-// WriteCSV renders the data.frame as CSV text (test fixture for LoadCSV).
-func (df *DataFrame) WriteCSV(sb *strings.Builder) {
-	sb.WriteString(strings.Join(df.Names, ","))
-	sb.WriteByte('\n')
-	n := df.NumRows()
-	for i := 0; i < n; i++ {
-		for k, c := range df.Cols {
-			if k > 0 {
-				sb.WriteByte(',')
-			}
-			sb.WriteString(c.Get(i).String())
-		}
-		sb.WriteByte('\n')
-	}
 }
 
 // LoadCSV parses CSV text into a data.frame, inferring column types from
@@ -225,60 +207,4 @@ func FromMatrix(m *matrix.Matrix, names []string) *DataFrame {
 		df.Cols = append(df.Cols, bat.NewFloatVector(m.Column(j)))
 	}
 	return df
-}
-
-// CharMatrix is R's character matrix: every cell a string. Mixing types
-// forces this representation, and §8.5 measures how badly it performs.
-type CharMatrix struct {
-	Names []string
-	Rows  [][]string
-}
-
-// ToCharMatrix converts the whole data.frame to a character matrix,
-// formatting every cell.
-func (df *DataFrame) ToCharMatrix() *CharMatrix {
-	n := df.NumRows()
-	cm := &CharMatrix{Names: append([]string(nil), df.Names...)}
-	cm.Rows = make([][]string, n)
-	for i := 0; i < n; i++ {
-		row := make([]string, len(df.Cols))
-		for k, c := range df.Cols {
-			row[k] = c.Get(i).String()
-		}
-		cm.Rows[i] = row
-	}
-	return cm
-}
-
-// MergeChar joins two character matrices on key columns — string
-// comparisons and whole-row copies everywhere (the 40s-vs-2s case).
-func MergeChar(l, r *CharMatrix, lKey, rKey string) (*CharMatrix, error) {
-	lk, rk := -1, -1
-	for k, n := range l.Names {
-		if n == lKey {
-			lk = k
-		}
-	}
-	for k, n := range r.Names {
-		if n == rKey {
-			rk = k
-		}
-	}
-	if lk < 0 || rk < 0 {
-		return nil, fmt.Errorf("rsim: key not found")
-	}
-	build := make(map[string][]int, len(r.Rows))
-	for j, row := range r.Rows {
-		build[row[rk]] = append(build[row[rk]], j)
-	}
-	out := &CharMatrix{Names: append(append([]string(nil), l.Names...), r.Names...)}
-	for _, lrow := range l.Rows {
-		for _, j := range build[lrow[lk]] {
-			row := make([]string, 0, len(l.Names)+len(r.Names))
-			row = append(row, lrow...)
-			row = append(row, r.Rows[j]...)
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	return out, nil
 }

@@ -3,11 +3,11 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/bat"
-	"repro/internal/exec"
 	"repro/internal/rel"
 )
 
@@ -144,18 +144,16 @@ func TestConcurrentMixedBudgetQueries(t *testing.T) {
 
 // TestZeroParallelismFallsBackToDefault is the regression test that an
 // absent budget (Options.Parallelism == 0, or nil Options) resolves to
-// the process default rather than panicking or forcing serial execution.
+// the process default (GOMAXPROCS at start-up) rather than panicking or
+// forcing serial execution.
 func TestZeroParallelismFallsBackToDefault(t *testing.T) {
-	prev := exec.SetDefaultWorkers(5)
-	defer exec.SetDefaultWorkers(prev)
-
 	r := mixedRel("r", 64, 2, 3)
 	stats := &Stats{}
 	if _, err := Tra(r, []string{"k"}, &Options{Stats: stats}); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Workers != 5 {
-		t.Fatalf("Stats.Workers = %d, want the default budget 5", stats.Workers)
+	if def := runtime.GOMAXPROCS(0); stats.Workers != def {
+		t.Fatalf("Stats.Workers = %d, want the default budget %d", stats.Workers, def)
 	}
 	// nil Options must keep working end to end.
 	if _, err := Tra(r, []string{"k"}, nil); err != nil {

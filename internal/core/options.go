@@ -98,16 +98,6 @@ type Stats struct {
 // Total returns the instrumented wall time.
 func (s *Stats) Total() time.Duration { return s.Context + s.Transform + s.Kernel }
 
-// TransformShare returns the fraction of total time spent transforming
-// data (the quantity plotted in Figure 14b).
-func (s *Stats) TransformShare() float64 {
-	t := s.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(s.Transform) / float64(t)
-}
-
 // Options configures an RMA operation invocation. The zero value is
 // PolicyAuto with full sorting, default-budget parallelism, and no
 // instrumentation.
@@ -116,9 +106,8 @@ type Options struct {
 	SortMode SortMode
 	// Parallelism bounds the number of workers used by the invocation's
 	// kernels and copy loops on both the BAT and dense paths. Zero (the
-	// default) follows the process default budget (exec.DefaultWorkers,
-	// GOMAXPROCS unless exec.SetDefaultWorkers moved it);
-	// 1 forces serial execution.
+	// default) selects the process default budget, GOMAXPROCS at
+	// start-up; 1 forces serial execution.
 	Parallelism int
 	// Tenant names the accounting principal the invocation's arena
 	// buffers are charged to. Empty with a zero MemoryBudget means

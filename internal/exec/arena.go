@@ -81,11 +81,6 @@ type acct struct {
 	ints    map[*int]int64
 	int64s  map[*int64]int64
 	strings map[*string]int64
-	// reserved carries bytes charged through Reserve — buffer-pool
-	// residency and other non-slice memory (decoded disk segments,
-	// spill staging) that the slice ledgers cannot see. Released by
-	// Unreserve or, in bulk, by Close.
-	reserved int64
 }
 
 // ownerReg maps a live accounted buffer's first-element pointer to the
@@ -491,53 +486,6 @@ func (a *Arena) FreeStrings(ss []string) {
 	free(&a.ps().strings, ss, true)
 }
 
-// Reserve charges bytes of non-slice residency — the buffer pool's
-// decoded segments, a spill consumer's transient staging — against the
-// arena's tenant so the governor's ledger stays truthful for memory
-// the slice ledgers cannot see. Returns the typed budget error on
-// overrun (nothing is charged then). Plain arenas accept any
-// reservation for free. Balance with Unreserve; Close releases any
-// remainder.
-func (a *Arena) Reserve(bytes int64) error {
-	if a == nil || a.acct == nil || bytes <= 0 {
-		return nil
-	}
-	ac := a.acct
-	if err := ac.tenant.charge(bytes); err != nil {
-		return err
-	}
-	ac.mu.Lock()
-	if ac.closed {
-		ac.mu.Unlock()
-		ac.tenant.uncharge(bytes)
-		return nil
-	}
-	ac.reserved += bytes
-	ac.mu.Unlock()
-	return nil
-}
-
-// Unreserve releases bytes previously charged with Reserve. Releasing
-// more than is reserved is clamped; after Close it is a no-op (Close
-// already settled the remainder).
-func (a *Arena) Unreserve(bytes int64) {
-	if a == nil || a.acct == nil || bytes <= 0 {
-		return
-	}
-	ac := a.acct
-	ac.mu.Lock()
-	if ac.closed {
-		ac.mu.Unlock()
-		return
-	}
-	if bytes > ac.reserved {
-		bytes = ac.reserved
-	}
-	ac.reserved -= bytes
-	ac.mu.Unlock()
-	ac.tenant.uncharge(bytes)
-}
-
 // Tenant returns the tenant an accounted arena charges, or nil for
 // plain arenas (including the shared one).
 func (a *Arena) Tenant() *Tenant {
@@ -580,8 +528,6 @@ func (a *Arena) Close() {
 	for _, b := range ac.strings {
 		total += b
 	}
-	total += ac.reserved
-	ac.reserved = 0
 	dropOwners(&floatOwners, ac.floats)
 	dropOwners(&intOwners, ac.ints)
 	dropOwners(&int64Owners, ac.int64s)

@@ -6,9 +6,9 @@
 //
 // A Ctx scopes the worker budget to one invocation: concurrent queries
 // each carry their own Ctx and never observe each other's settings, so
-// two queries with different budgets cannot race on a global knob. The
-// only process-wide setting is the fallback budget of the default Ctx
-// (see DefaultWorkers).
+// two queries with different budgets cannot race on a global knob. No
+// process-wide setting exists: a context built without a budget runs with
+// GOMAXPROCS as it was when the process started.
 //
 // A nil *Ctx is valid everywhere and behaves like Default(): the default
 // worker budget, the shared arena, and no stats. Kernels therefore never
@@ -29,26 +29,9 @@ import (
 // boundary at SerialCutoff-1, SerialCutoff, SerialCutoff+1.
 const SerialCutoff = 1 << 14
 
-// defaultWorkers is the process-wide fallback budget used by contexts
-// without an explicit budget (and by nil contexts), defaulting to
-// GOMAXPROCS. SetDefaultWorkers writes it.
-var defaultWorkers atomic.Int32
-
-func init() { defaultWorkers.Store(int32(runtime.GOMAXPROCS(0))) }
-
-// DefaultWorkers returns the process-wide fallback worker budget.
-func DefaultWorkers() int { return int(defaultWorkers.Load()) }
-
-// SetDefaultWorkers sets the fallback budget and returns the previous
-// value. Values below 1 are clamped to 1. Prefer per-invocation contexts
-// (New); this knob only exists so legacy callers and tests can steer code
-// paths that run without an explicit Ctx.
-func SetDefaultWorkers(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	return int(defaultWorkers.Swap(int32(n)))
-}
+// defaultWorkers is the budget of contexts built without one (and of nil
+// contexts): GOMAXPROCS when the process starts.
+var defaultWorkers = runtime.GOMAXPROCS(0)
 
 // Stats is the per-invocation sink of execution counters. Workers is
 // recorded at context construction; the atomic counters are bumped by the
@@ -81,58 +64,48 @@ func (s *Stats) section(g int) {
 }
 
 // Ctx is one invocation's execution context. The zero value (and nil) is
-// the default context: fallback worker budget, shared arena, no stats.
+// the default context: default worker budget, shared arena, no stats.
 type Ctx struct {
-	workers int    // 0 means "track DefaultWorkers dynamically"
+	workers int    // 0 means the default budget
 	arena   *Arena // nil means the shared arena
 	stats   *Stats
 	spill   *Spill // nil disables out-of-core execution
 }
 
-// defaultCtx backs Default; its zero fields resolve dynamically.
+// defaultCtx backs Default.
 var defaultCtx Ctx
 
-// Default returns the process default context: DefaultWorkers() workers,
-// the shared arena, no stats sink.
+// Default returns the process default context: the default worker
+// budget (GOMAXPROCS at start-up), the shared arena, no stats sink.
 func Default() *Ctx { return &defaultCtx }
 
-// New returns a context with a fixed worker budget. workers <= 0 leaves
-// the budget dynamic (the context follows DefaultWorkers, the documented
-// fallback for zero/absent budgets); workers == 1 forces serial execution.
+// New returns a context with a fixed worker budget. workers <= 0 selects
+// the default budget (GOMAXPROCS at start-up); workers == 1 forces serial
+// execution.
 func New(workers int) *Ctx {
-	if workers < 0 {
-		workers = 0
+	if workers <= 0 {
+		workers = defaultWorkers
 	}
 	return &Ctx{workers: workers}
 }
 
 // NewCtx returns a fully specified context. arena == nil selects the
 // shared arena; stats == nil disables instrumentation. When stats is
-// non-nil its Workers field is set to the resolved budget — and a
-// dynamic budget (workers <= 0) is pinned to DefaultWorkers() at
-// construction, so the recorded value can never go stale against the
-// budget the invocation actually runs with: an instrumented context
-// executes with exactly the budget its Stats report, even if the
-// process default changes between construction and the query running.
-// Only uninstrumented contexts keep following the default dynamically.
+// non-nil its Workers field is set to the context's budget.
 func NewCtx(workers int, arena *Arena, stats *Stats) *Ctx {
 	c := New(workers)
 	c.arena = arena
 	c.stats = stats
 	if stats != nil {
-		if c.workers == 0 {
-			c.workers = DefaultWorkers()
-		}
-		stats.Workers = c.Workers()
+		stats.Workers = c.workers
 	}
 	return c
 }
 
-// Workers resolves the context's worker budget; nil-safe. A context built
-// without an explicit budget follows DefaultWorkers.
+// Workers returns the context's worker budget; nil-safe.
 func (c *Ctx) Workers() int {
 	if c == nil || c.workers <= 0 {
-		return DefaultWorkers()
+		return defaultWorkers
 	}
 	return c.workers
 }

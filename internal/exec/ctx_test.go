@@ -2,40 +2,35 @@ package exec
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 )
 
 // TestNilAndZeroCtxFallBackToDefault is the regression test for the
 // documented budget fallback: a nil context, the zero value, and a
-// context built with a non-positive budget all resolve Workers against
-// the process default — and track later changes to it.
+// context built with a non-positive budget all resolve Workers to the
+// process default, GOMAXPROCS at start-up.
 func TestNilAndZeroCtxFallBackToDefault(t *testing.T) {
-	prev := SetDefaultWorkers(3)
-	defer SetDefaultWorkers(prev)
-
+	def := runtime.GOMAXPROCS(0)
 	var nilCtx *Ctx
-	if got := nilCtx.Workers(); got != 3 {
-		t.Errorf("nil ctx Workers = %d, want 3", got)
+	if got := nilCtx.Workers(); got != def {
+		t.Errorf("nil ctx Workers = %d, want %d", got, def)
 	}
-	if got := (&Ctx{}).Workers(); got != 3 {
-		t.Errorf("zero ctx Workers = %d, want 3", got)
+	if got := (&Ctx{}).Workers(); got != def {
+		t.Errorf("zero ctx Workers = %d, want %d", got, def)
 	}
-	if got := New(0).Workers(); got != 3 {
-		t.Errorf("New(0).Workers = %d, want 3", got)
+	if got := New(0).Workers(); got != def {
+		t.Errorf("New(0).Workers = %d, want %d", got, def)
 	}
-	if got := New(-5).Workers(); got != 3 {
-		t.Errorf("New(-5).Workers = %d, want 3", got)
+	if got := New(-5).Workers(); got != def {
+		t.Errorf("New(-5).Workers = %d, want %d", got, def)
 	}
-	// Dynamic: the unbudgeted context follows the default knob.
-	SetDefaultWorkers(7)
-	if got := New(0).Workers(); got != 7 {
-		t.Errorf("New(0).Workers after SetDefaultWorkers(7) = %d, want 7", got)
+	st := &Stats{}
+	if got := NewCtx(0, nil, st).Workers(); got != def || st.Workers != def {
+		t.Errorf("NewCtx(0) Workers = %d, Stats.Workers = %d, want %d", got, st.Workers, def)
 	}
-	// Fixed budgets are immune to the knob.
-	c := New(2)
-	SetDefaultWorkers(5)
-	if got := c.Workers(); got != 2 {
+	if got := New(2).Workers(); got != 2 {
 		t.Errorf("New(2).Workers = %d, want 2", got)
 	}
 	// Nil-safe arena and stats accessors.
@@ -173,32 +168,6 @@ func TestParallelForPanicReachesCaller(t *testing.T) {
 		}
 	})
 	t.Fatal("ParallelFor returned past a worker panic")
-}
-
-// TestNewCtxPinsDynamicBudgetForStats is the regression test for the
-// stats-staleness bug: an instrumented context built with a dynamic
-// budget (workers <= 0) recorded DefaultWorkers() into Stats.Workers at
-// construction but kept resolving the live default at run time, so a
-// default change between construction and execution made the recorded
-// value a lie. The context now pins the budget at construction:
-// execution and Stats.Workers always agree.
-func TestNewCtxPinsDynamicBudgetForStats(t *testing.T) {
-	prev := SetDefaultWorkers(3)
-	defer SetDefaultWorkers(prev)
-
-	st := &Stats{}
-	c := NewCtx(0, nil, st)
-	SetDefaultWorkers(5)
-	if got := c.Workers(); got != 3 {
-		t.Fatalf("instrumented dynamic ctx resolves %d workers, want the pinned 3", got)
-	}
-	if st.Workers != 3 {
-		t.Fatalf("Stats.Workers = %d, want 3", st.Workers)
-	}
-	// Uninstrumented dynamic contexts still follow the default.
-	if got := NewCtx(0, nil, nil).Workers(); got != 5 {
-		t.Fatalf("uninstrumented dynamic ctx = %d workers, want 5", got)
-	}
 }
 
 // TestArenaClasses checks the size-class mapping and the round-trip

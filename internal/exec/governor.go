@@ -350,26 +350,14 @@ func (g *Governor) Metrics() GovernorMetrics {
 
 // defaultGov is the process-default governor behind DefaultGovernor and
 // the package-level Metrics: unlimited admission, so it only provides
-// tenancy and per-tenant budgets until a deployment installs real caps
-// through its own NewGovernor.
+// tenancy and per-tenant budgets; a deployment that needs admission caps
+// builds its own with NewGovernor.
 var defaultGov = NewGovernor(0, 0)
 
 // DefaultGovernor returns the process-default governor. core.Options
 // and sql.DB resolve tenants against it unless an explicit governor is
 // configured.
 func DefaultGovernor() *Governor { return defaultGov }
-
-// SetDefaultGovernorLimits replaces the default governor's admission
-// limits (globalCap in bytes, maxQueries concurrent; 0 = unlimited).
-// Existing tenants and their counters are preserved.
-func SetDefaultGovernorLimits(globalCap int64, maxQueries int) {
-	g := defaultGov
-	g.mu.Lock()
-	g.globalCap = globalCap
-	g.maxQueries = maxQueries
-	g.mu.Unlock()
-	g.cond.Broadcast()
-}
 
 // Metrics snapshots the default governor — the package-level metrics
 // surface the CLIs publish through expvar.

@@ -231,8 +231,22 @@ func crossTile(c *exec.Ctx, a, b, out *matrix.BlockMatrix, u crossUnit, upper bo
 					if upper {
 						j0 = i
 					}
+					// Four elements per iteration keep this loop's speed
+					// independent of its 64-byte placement, which
+					// unrelated code changes move: the one-element loop
+					// ran 18 % slower across a boundary (34000×130 SYRK,
+					// 2-vCPU Xeon VM). Each element still gets one
+					// multiply and one add, so the bits do not change.
 					orow := ot[i*w : (i+1)*w]
-					for j := j0; j < w; j++ {
+					j := j0
+					for ; j+4 <= w; j += 4 {
+						o, b := orow[j:j+4:j+4], brow[j:j+4:j+4]
+						o[0] += ari * b[0]
+						o[1] += ari * b[1]
+						o[2] += ari * b[2]
+						o[3] += ari * b[3]
+					}
+					for ; j < w; j++ {
 						orow[j] += ari * brow[j]
 					}
 				}

@@ -262,19 +262,6 @@ func TestQRReconstruction(t *testing.T) {
 	}
 }
 
-func TestFullQ(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	a := randMatrix(rng, 6, 2)
-	d, _ := NewQR(nil, a)
-	fq := d.FullQ()
-	if fq.Rows != 6 || fq.Cols != 6 {
-		t.Fatalf("FullQ shape %dx%d", fq.Rows, fq.Cols)
-	}
-	if !matrix.ApproxEqual(CrossProduct(nil, fq, fq), matrix.Identity(6), 1e-9) {
-		t.Error("FullQ not orthogonal")
-	}
-}
-
 func TestQQRRQRAndErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := randMatrix(rng, 5, 3)

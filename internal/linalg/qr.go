@@ -83,28 +83,16 @@ func (d *QR) R() *matrix.Matrix {
 	return r
 }
 
-// Q returns the thin m×n orthonormal factor.
-func (d *QR) Q() *matrix.Matrix {
-	return d.q(d.cols)
-}
-
-// FullQ returns the full m×m orthogonal factor.
-func (d *QR) FullQ() *matrix.Matrix {
-	return d.q(d.rows)
-}
-
-// q accumulates the Householder reflectors against the first w identity
-// columns, producing an m×w orthonormal matrix. The per-column
+// Q returns the thin m×n orthonormal factor: the Householder reflectors
+// accumulated against the first n identity columns. The per-column
 // accumulations are independent and run on all cores for large factors.
-func (d *QR) q(w int) *matrix.Matrix {
+func (d *QR) Q() *matrix.Matrix {
 	m, n := d.rows, d.cols
-	qcols := make([][]float64, w)
+	qcols := make([][]float64, n)
 	apply := func(jLo, jHi int) {
 		for j := jLo; j < jHi; j++ {
 			col := make([]float64, m)
-			if j < m {
-				col[j] = 1
-			}
+			col[j] = 1
 			for k := n - 1; k >= 0; k-- {
 				ck := d.v[k]
 				beta := ck[k]
@@ -124,18 +112,18 @@ func (d *QR) q(w int) *matrix.Matrix {
 		}
 	}
 	workers := d.workers
-	if workers <= 1 || w < 2 || m*n < 1<<15 {
-		apply(0, w)
+	if workers <= 1 || n < 2 || m*n < 1<<15 {
+		apply(0, n)
 	} else {
-		if workers > w {
-			workers = w
+		if workers > n {
+			workers = n
 		}
 		var wg sync.WaitGroup
-		chunk := (w + workers - 1) / workers
+		chunk := (n + workers - 1) / workers
 		for wk := 0; wk < workers; wk++ {
 			lo, hi := wk*chunk, (wk+1)*chunk
-			if hi > w {
-				hi = w
+			if hi > n {
+				hi = n
 			}
 			if lo >= hi {
 				break

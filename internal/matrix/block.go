@@ -106,13 +106,6 @@ func (b *BlockMatrix) SpillConfig() (*exec.Spill, int) {
 	return b.sp, b.maxResident
 }
 
-// Resident returns the number of currently resident tiles.
-func (b *BlockMatrix) Resident() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.resident
-}
-
 // Pin loads tile (ti, tj) for reading and writing and returns its
 // row-major h×w data. The tile stays resident until the matching
 // Unpin. Pinning may evict unpinned tiles of this matrix to honor the

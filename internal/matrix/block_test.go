@@ -67,14 +67,14 @@ func TestTileLazyZero(t *testing.T) {
 	if v, err := b.At(c, 57, 31); err != nil || v != 0 {
 		t.Fatalf("virgin At = %v, %v", v, err)
 	}
-	if b.Resident() != 0 {
-		t.Fatalf("virgin read materialized %d tiles", b.Resident())
+	if b.resident != 0 {
+		t.Fatalf("virgin read materialized %d tiles", b.resident)
 	}
 	if err := b.Set(c, 57, 31, 4.5); err != nil {
 		t.Fatal(err)
 	}
-	if b.Resident() != 1 {
-		t.Fatalf("after one Set: %d resident tiles, want 1", b.Resident())
+	if b.resident != 1 {
+		t.Fatalf("after one Set: %d resident tiles, want 1", b.resident)
 	}
 	b.Free(c)
 }
@@ -101,7 +101,7 @@ func TestTileSpillEviction(t *testing.T) {
 			}
 		}
 	}
-	if r := b.Resident(); r > 5 {
+	if r := b.resident; r > 5 {
 		t.Fatalf("%d resident tiles, cap 5", r)
 	}
 	// Page everything back (twice: a clean reload must not rewrite).

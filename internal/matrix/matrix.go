@@ -162,20 +162,6 @@ func (m *Matrix) Scale(s float64) *Matrix {
 	return out
 }
 
-// Concat returns m ⊕ n: the row-wise concatenation of two matrices with the
-// same number of rows (the paper's matrix concatenation, Equation 3).
-func Concat(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("matrix: concat rows %d vs %d", a.Rows, b.Rows))
-	}
-	out := New(a.Rows, a.Cols+b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		copy(out.Row(i)[:a.Cols], a.Row(i))
-		copy(out.Row(i)[a.Cols:], b.Row(i))
-	}
-	return out
-}
-
 // ApproxEqual reports whether the matrices match elementwise within tol.
 func ApproxEqual(a, b *Matrix, tol float64) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols {

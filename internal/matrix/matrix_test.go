@@ -97,21 +97,6 @@ func TestShapeMismatchPanics(t *testing.T) {
 	Add(New(1, 2), New(2, 1))
 }
 
-func TestConcat(t *testing.T) {
-	a := FromRows([][]float64{{1}, {2}})
-	b := FromRows([][]float64{{3, 4}, {5, 6}})
-	c := Concat(a, b)
-	if c.Rows != 2 || c.Cols != 3 || c.At(1, 2) != 6 || c.At(1, 0) != 2 {
-		t.Fatalf("Concat = %v", c)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Concat of mismatched rows should panic")
-		}
-	}()
-	Concat(a, New(3, 1))
-}
-
 func TestPredicates(t *testing.T) {
 	s := FromRows([][]float64{{2, 1}, {1, 3}})
 	if !s.IsSymmetric(0) {

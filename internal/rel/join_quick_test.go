@@ -10,14 +10,6 @@ import (
 	"repro/internal/exec"
 )
 
-// withWorkers runs f under the given worker budget and restores the
-// previous budget afterwards.
-func withWorkers(w int, f func()) {
-	prev := exec.SetDefaultWorkers(w)
-	defer exec.SetDefaultWorkers(prev)
-	f()
-}
-
 // naiveJoin is the nested-loop reference implementation HashJoin is tested
 // against: probe rows in r order, matches per probe row in s order, key
 // equality by typed value comparison.
@@ -163,12 +155,8 @@ func TestQuickHashJoinMatchesNaive(t *testing.T) {
 				}
 				want := naiveJoin(t, r, s, rKeys, sKeys, tc.jt)
 				for _, w := range []int{1, 2, 8} {
-					ok := false
-					withWorkers(w, func() {
-						got, err := HashJoin(nil, r, s, rKeys, sKeys, tc.jt)
-						ok = err == nil && equalRelations(got, want)
-					})
-					if !ok {
+					got, err := HashJoin(exec.New(w), r, s, rKeys, sKeys, tc.jt)
+					if err != nil || !equalRelations(got, want) {
 						return false
 					}
 				}

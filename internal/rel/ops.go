@@ -101,27 +101,6 @@ func (r *Relation) Rename(mapping map[string]string) (*Relation, error) {
 	return New(r.Name, schema, r.Cols)
 }
 
-// Cross returns r × s. Attribute names must be disjoint.
-func Cross(c *exec.Ctx, r, s *Relation) (*Relation, error) {
-	for _, a := range s.Schema {
-		if r.Schema.Index(a.Name) >= 0 {
-			return nil, fmt.Errorf("rel: cross: duplicate attribute %q", a.Name)
-		}
-	}
-	nr, ns := r.NumRows(), s.NumRows()
-	li := make([]int, 0, nr*ns)
-	ri := make([]int, 0, nr*ns)
-	for i := 0; i < nr; i++ {
-		for j := 0; j < ns; j++ {
-			li = append(li, i)
-			ri = append(ri, j)
-		}
-	}
-	left := r.Gather(c, li)
-	right := s.Gather(c, ri)
-	return New(r.Name, append(left.Schema.Clone(), right.Schema...), append(left.Cols, right.Cols...))
-}
-
 // Union returns r ∪ s (bag semantics: concatenation). Schemas must be
 // union-compatible (same arity and types; names from r win).
 func Union(r, s *Relation) (*Relation, error) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/bat"
+	"repro/internal/exec"
 )
 
 // boundaryRel builds a deterministic relation of n rows with a
@@ -48,35 +49,26 @@ func TestGroupByBitwiseIdenticalAcrossWorkers(t *testing.T) {
 	}
 	for _, n := range boundarySizes() {
 		r := boundaryRel("r", n, 64)
-		var want *Relation
-		withWorkers(1, func() {
-			g, err := GroupBy(nil, r, []string{"r_k", "r_t"}, aggs)
+		want, err := GroupBy(exec.New(1), r, []string{"r_k", "r_t"}, aggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{2, 8} {
+			got, err := GroupBy(exec.New(w), r, []string{"r_k", "r_t"}, aggs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want = g
-		})
-		for _, w := range []int{2, 8} {
-			withWorkers(w, func() {
-				got, err := GroupBy(nil, r, []string{"r_k", "r_t"}, aggs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !equalRelations(got, want) {
-					t.Fatalf("GroupBy n=%d workers=%d differs from serial", n, w)
-				}
-			})
+			if !equalRelations(got, want) {
+				t.Fatalf("GroupBy n=%d workers=%d differs from serial", n, w)
+			}
 		}
 		// Global group (no keys): the chunked sum must also be stable.
-		var wantG *Relation
-		withWorkers(1, func() { wantG, _ = GroupBy(nil, r, nil, aggs) })
+		wantG, _ := GroupBy(exec.New(1), r, nil, aggs)
 		for _, w := range []int{2, 8} {
-			withWorkers(w, func() {
-				got, _ := GroupBy(nil, r, nil, aggs)
-				if !equalRelations(got, wantG) {
-					t.Fatalf("global GroupBy n=%d workers=%d differs from serial", n, w)
-				}
-			})
+			got, _ := GroupBy(exec.New(w), r, nil, aggs)
+			if !equalRelations(got, wantG) {
+				t.Fatalf("global GroupBy n=%d workers=%d differs from serial", n, w)
+			}
 		}
 	}
 }
@@ -89,24 +81,18 @@ func TestHashJoinBitwiseIdenticalAcrossWorkers(t *testing.T) {
 		r := boundaryRel("r", n, int64(n/3+2))
 		s := boundaryRel("s", n, int64(n/3+2))
 		for _, jt := range []JoinType{Inner, Left} {
-			var want *Relation
-			withWorkers(1, func() {
-				j, err := HashJoin(nil, r, s, []string{"r_k"}, []string{"s_k"}, jt)
+			want, err := HashJoin(exec.New(1), r, s, []string{"r_k"}, []string{"s_k"}, jt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range []int{2, 8} {
+				got, err := HashJoin(exec.New(w), r, s, []string{"r_k"}, []string{"s_k"}, jt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want = j
-			})
-			for _, w := range []int{2, 8} {
-				withWorkers(w, func() {
-					got, err := HashJoin(nil, r, s, []string{"r_k"}, []string{"s_k"}, jt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !equalRelations(got, want) {
-						t.Fatalf("HashJoin n=%d jt=%d workers=%d differs from serial", n, jt, w)
-					}
-				})
+				if !equalRelations(got, want) {
+					t.Fatalf("HashJoin n=%d jt=%d workers=%d differs from serial", n, jt, w)
+				}
 			}
 		}
 	}
@@ -119,24 +105,18 @@ func TestSortBitwiseIdenticalAcrossWorkers(t *testing.T) {
 	for _, n := range boundarySizes() {
 		r := boundaryRel("r", n, 16)
 		specs := []OrderSpec{{Attr: "r_t"}, {Attr: "r_k", Desc: true}}
-		var want *Relation
-		withWorkers(1, func() {
-			s, err := r.Sort(nil, specs...)
+		want, err := r.Sort(exec.New(1), specs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{2, 8} {
+			got, err := r.Sort(exec.New(w), specs...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want = s
-		})
-		for _, w := range []int{2, 8} {
-			withWorkers(w, func() {
-				got, err := r.Sort(nil, specs...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !equalRelations(got, want) {
-					t.Fatalf("Sort n=%d workers=%d differs from serial", n, w)
-				}
-			})
+			if !equalRelations(got, want) {
+				t.Fatalf("Sort n=%d workers=%d differs from serial", n, w)
+			}
 		}
 	}
 }

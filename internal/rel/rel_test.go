@@ -224,21 +224,6 @@ func TestJoinErrors(t *testing.T) {
 	}
 }
 
-func TestCross(t *testing.T) {
-	a := MustNew("a", Schema{{Name: "X", Type: bat.Int}}, []*bat.BAT{bat.FromInts([]int64{1, 2})})
-	b := MustNew("b", Schema{{Name: "Y", Type: bat.Int}}, []*bat.BAT{bat.FromInts([]int64{10, 20, 30})})
-	c, err := Cross(nil, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NumRows() != 6 || c.NumCols() != 2 {
-		t.Fatalf("cross size = %dx%d", c.NumRows(), c.NumCols())
-	}
-	if _, err := Cross(nil, a, a); err == nil {
-		t.Error("cross with duplicate attributes accepted")
-	}
-}
-
 func TestUnionDistinct(t *testing.T) {
 	a := MustNew("a", Schema{{Name: "X", Type: bat.Int}}, []*bat.BAT{bat.FromInts([]int64{1, 2})})
 	b := MustNew("b", Schema{{Name: "X", Type: bat.Int}}, []*bat.BAT{bat.FromInts([]int64{2, 3})})

@@ -162,9 +162,6 @@ func (a *StreamAgg) releaseIndex() {
 	}
 }
 
-// NumGroups returns the number of groups seen so far.
-func (a *StreamAgg) NumGroups() int { return len(a.states) }
-
 // Finish assembles the grouped relation: key columns first (the stored
 // representatives, in global first-seen order), then one column per
 // aggregate — Count as BIGINT, the rest as DOUBLE.

@@ -9,10 +9,10 @@ import (
 	"repro/internal/exec"
 )
 
-// This file is the prepared-statement / plan cache. A serving workload
-// is almost entirely repeated statement shapes, so DB keeps the parsed
-// AST — and, once the statement first runs, its stream plan — keyed
-// by the normalized statement text. A hit skips lexing, parsing,
+// This file is the plan cache. A serving workload is almost entirely
+// repeated statement shapes, so DB keeps the parsed AST — and, once the
+// statement first runs, its stream plan — keyed by the normalized
+// statement text; ExecWith fills it on a statement's first run. A hit skips lexing, parsing,
 // planning, pushdown, pruning, and expression compilation: the plan's
 // column-at-a-time programs are compiled once and are immutable, which
 // is what keeps a shared plan safe under concurrent executions.

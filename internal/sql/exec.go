@@ -387,39 +387,6 @@ func (db *DB) QueryWith(src string, opts *core.Options) (*rel.Relation, error) {
 	return res, nil
 }
 
-// Stmt is a prepared statement: Prepare validates the script once and
-// warms the plan cache for cacheable SELECTs; executions go through the
-// same normalized-text cache as ExecWith, so a Stmt holds no plan state
-// of its own to invalidate.
-type Stmt struct {
-	db  *DB
-	src string
-}
-
-// Prepare parses and validates a script and returns a reusable handle.
-func (db *DB) Prepare(src string) (*Stmt, error) {
-	stmts, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(stmts) == 1 {
-		if sel, ok := stmts[0].(*SelectStmt); ok && cacheableSelect(sel) {
-			if key, ok := normalizeStmt(src); ok {
-				db.cache.put(key, sel)
-			}
-		}
-	}
-	return &Stmt{db: db, src: src}, nil
-}
-
-// Exec executes the prepared statement under the database defaults.
-func (s *Stmt) Exec() (*rel.Relation, error) { return s.db.ExecWith(s.src, nil) }
-
-// ExecWith executes the prepared statement under per-call options.
-func (s *Stmt) ExecWith(opts *core.Options) (*rel.Relation, error) {
-	return s.db.ExecWith(s.src, opts)
-}
-
 func (db *DB) run(c *exec.Ctx, s Statement) (*rel.Relation, error) {
 	switch x := s.(type) {
 	case *SelectStmt:

@@ -220,7 +220,10 @@ func (p *parser) dropStmt() (Statement, error) {
 // --- SELECT -------------------------------------------------------------
 
 func (p *parser) selectStmt() (Statement, error) {
-	p.pos++ // SELECT
+	// A derived table reaches here on '(' alone, so SELECT is checked.
+	if _, err := p.expect(tokKeyword, "SELECT"); err != nil {
+		return nil, err
+	}
 	sel := &SelectStmt{Limit: -1}
 	sel.Distinct = p.accept(tokKeyword, "DISTINCT")
 	for {

@@ -159,25 +159,31 @@ DROP TABLE t;
 	}
 }
 
+// parseErrorInputs are statements Parse must reject with an error. A
+// "(" in FROM must open a SELECT (the derived-table inputs).
+var parseErrorInputs = []string{
+	`SELECT FROM t`,
+	`SELECT * FROM`,
+	`SELECT * FROM t WHERE`,
+	`SELECT * FROM t GROUP`,
+	`SELECT * FROM t ORDER x`,
+	`SELECT * FROM t LIMIT x`,
+	`CREATE TABLE`,
+	`CREATE TABLE t (x NOTATYPE)`,
+	`INSERT INTO t VALUES 1`,
+	`DROP t`,
+	`SELECT * FROM (SELECT * FROM t`,
+	`SELECT * FROM (`,
+	`SELECT a FROM t JOIN (`,
+	`SELECT * FROM (t x) AS s`,
+	`SELECT * FROM INV(t)`,
+	`SELECT a. FROM t`,
+	`SELECT COUNT( FROM t`,
+	`garbage`,
+}
+
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		`SELECT FROM t`,
-		`SELECT * FROM`,
-		`SELECT * FROM t WHERE`,
-		`SELECT * FROM t GROUP`,
-		`SELECT * FROM t ORDER x`,
-		`SELECT * FROM t LIMIT x`,
-		`CREATE TABLE`,
-		`CREATE TABLE t (x NOTATYPE)`,
-		`INSERT INTO t VALUES 1`,
-		`DROP t`,
-		`SELECT * FROM (SELECT * FROM t`,
-		`SELECT * FROM INV(t)`,
-		`SELECT a. FROM t`,
-		`SELECT COUNT( FROM t`,
-		`garbage`,
-	}
-	for _, q := range bad {
+	for _, q := range parseErrorInputs {
 		if _, err := Parse(q); err == nil {
 			t.Errorf("no parse error for %q", q)
 		}
@@ -207,4 +213,32 @@ func TestKeyOfStability(t *testing.T) {
 	if keyOf(c[0].(*SelectStmt).Items[0].Expr) == ka {
 		t.Error("different expressions share a key")
 	}
+}
+
+// FuzzParse holds Parse to its contract on arbitrary input: an error or
+// statements, never a panic.
+func FuzzParse(f *testing.F) {
+	for _, q := range parseErrorInputs {
+		f.Add(q)
+	}
+	for _, q := range []string{
+		`SELECT a + b * c FROM t`,
+		`SELECT * FROM t WHERE NOT a OR b AND c`,
+		`SELECT (a + b) * -c FROM t`,
+		`SELECT * FROM a JOIN b ON a.x = b.y LEFT JOIN c ON b.z = c.w CROSS JOIN d`,
+		`SELECT * FROM MMU(w4 BY C, w3 BY a, b) AS w5`,
+		`SELECT * FROM TRA(TRA(w BY T) BY C)`,
+		"CREATE TABLE t (x DOUBLE);\nINSERT INTO t VALUES (1), (2);\nSELECT * FROM t;\nDROP TABLE t;",
+		`CREATE TABLE t (a DOUBLE, b REAL, c INT, d BIGINT, e VARCHAR(10), f TEXT, g DATE) PERSIST`,
+		`INSERT INTO t SELECT k, v, s FROM src`,
+		`SELECT * FROM MMU(tall BY K, (SELECT K2, x FROM tall2 WHERE K2 < 2) BY K2)`,
+		`SELECT * FROM USV(tall BY K, x)`,
+		`SELECT DISTINCT s, COUNT(*) AS n FROM t GROUP BY s HAVING n > 1 ORDER BY n DESC, s LIMIT 3`,
+		`SELECT * FROM t WHERE k BETWEEN 1 AND 5 AND s = 'it''s'`,
+	} {
+		f.Add(q)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		_, _ = Parse(src)
+	})
 }

@@ -34,14 +34,6 @@ func (db *DB) SetDataDir(dir string) error {
 	return nil
 }
 
-// DataDir returns the configured data directory ("" when persistence is
-// disabled).
-func (db *DB) DataDir() string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.dataDir
-}
-
 // segPathLocked returns the checkpoint path for a table; callers hold
 // db.mu. Table names come from the identifier lexer, so they contain no
 // path separators.
@@ -55,13 +47,6 @@ func (db *DB) storedReader(name string) *store.Reader {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.stored[name]
-}
-
-// Persisted reports whether a table is checkpointed to disk.
-func (db *DB) Persisted(name string) bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.persisted[name]
 }
 
 // Close releases the segment readers of persisted tables. The in-memory

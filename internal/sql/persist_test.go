@@ -74,7 +74,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 	mustExec(db1, "CREATE TABLE t (k BIGINT, v DOUBLE, s VARCHAR) PERSIST")
 	mustExec(db1, "INSERT INTO t SELECT k, v, s FROM src")
-	if !db1.Persisted("t") {
+	if !db1.persisted["t"] {
 		t.Fatal("t not marked persisted")
 	}
 	if _, err := os.Stat(filepath.Join(dir, "t.seg")); err != nil {

@@ -217,7 +217,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 		c := exec.Default()
 		for col := range specs {
 			for seg := 0; seg < r.NumSegs(); seg++ {
-				lo := int(r.SegStart(seg))
+				lo := seg * SegRows
 				meta := *r.Seg(col, seg)
 				hi := lo + meta.Rows
 				var want []byte

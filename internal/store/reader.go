@@ -11,8 +11,7 @@ import (
 
 // Reader is an open segment file: the footer is parsed eagerly, the
 // payload stays memory-mapped (or, where mmap is unavailable, read
-// once) and segments decode on demand into arena-charged buffers —
-// the governed side of the buffer pool.
+// once) and segments decode on demand into arena-charged buffers.
 type Reader struct {
 	path   string
 	data   []byte
@@ -119,10 +118,6 @@ func (r *Reader) NumSegs() int { return len(r.cols[0].Segs) }
 // Seg returns segment metadata (offsets, encoding, zone map) for
 // column col, segment seg.
 func (r *Reader) Seg(col, seg int) *SegMeta { return &r.cols[col].Segs[seg] }
-
-// SegStart returns the first global row of segment seg (the segments
-// of every column cover identical row ranges).
-func (r *Reader) SegStart(seg int) int64 { return int64(seg) * SegRows }
 
 // ReadSeg decodes column col's segment seg into buffers drawn from
 // the context's arena — charged to the owning tenant. Release with

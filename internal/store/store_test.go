@@ -188,50 +188,6 @@ func TestNaNDisablesZoneMap(t *testing.T) {
 	}
 }
 
-func TestPoolEvictionAndCharging(t *testing.T) {
-	n := 4 * SegRows
-	f := make([]float64, n)
-	for k := range f {
-		f[k] = float64(k) * 1.5
-	}
-	path := writeFile(t, "pool", n, []ColSpec{{Name: "f", Kind: KFloat}}, []ColData{{F: f}})
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	gov := exec.NewGovernor(0, 0)
-	tn := gov.Tenant("pool-test", 1<<30)
-	ar := tn.NewArena()
-	defer ar.Close()
-	c := exec.NewCtx(1, ar, nil)
-
-	p := NewPool(c, r, 2*SegRows*8) // room for two segments
-	for seg := 0; seg < 4; seg++ {
-		if _, err := p.Seg(0, seg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if p.Resident() > 2*SegRows*8 {
-		t.Fatalf("pool resident %d exceeds cap %d", p.Resident(), 2*SegRows*8)
-	}
-	if live := tn.LiveBytes(); live <= 0 {
-		t.Fatalf("pool residency not charged to tenant (live=%d)", live)
-	}
-	// A re-read of a resident segment must hit the cache (same backing
-	// array).
-	d1, _ := p.Seg(0, 3)
-	d2, _ := p.Seg(0, 3)
-	if &d1.F[0] != &d2.F[0] {
-		t.Fatal("pool did not cache the resident segment")
-	}
-	p.Close()
-	if live := tn.LiveBytes(); live != 0 {
-		t.Fatalf("pool close left %d bytes charged", live)
-	}
-}
-
 func TestCursorLockstep(t *testing.T) {
 	n := SegRows + 777
 	f := make([]float64, n)

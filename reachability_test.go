@@ -1,0 +1,165 @@
+package repro
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// uncalledAllowed lists the top-level functions and methods under internal/
+// that TestEveryInternalFuncHasACaller accepts without a non-test caller,
+// each with the reason it stays. Keys are "<package dir>.<Func>" or
+// "<package dir>.<Recv>.<Method>". An entry whose name gains a caller is
+// stale and fails the test: delete it.
+var uncalledAllowed = map[string]string{
+	"internal/exec.MemoryBudgetError.Unwrap": "called by errors.Is/errors.As through the Unwrap interface, never by name",
+	"internal/core.ToSkinny":                 "kept for ROADMAP item 16, the K-relation view as a second RMA executor, which builds on it; skinny_test.go pins it",
+	"internal/core.FromSkinny":               "kept for ROADMAP item 16, the K-relation view as a second RMA executor, which builds on it; skinny_test.go pins it",
+	"internal/sql.DB.SetPlanCache":           "tests disable the plan cache through it; kept until ROADMAP item 4(d) decides the cache's fate",
+	"internal/linalg.RQR":                    "shared test helper: the reference R factor in the linalg and core property tests",
+	"internal/bat.Value.Less":                "shared test helper: the reference value order in the bat and sql tests",
+	"internal/linalg.MatVec":                 "shared test helper: the reference product in the linalg and batlin tests",
+	"internal/matrix.ApproxEqual":            "shared test helper: tolerance comparison in the matrix, linalg, batlin and core tests",
+}
+
+// decl is one top-level function or method in a non-test internal/ file.
+type decl struct {
+	key  string // allowlist key
+	name string
+	dir  string // package directory, slash-separated, relative to the repo root
+	file string
+	pos  token.Pos
+	end  token.Pos
+}
+
+// ref is one identifier use in a non-test file.
+type ref struct {
+	dir  string
+	file string
+	pos  token.Pos
+}
+
+// TestEveryInternalFuncHasACaller fails on any top-level function or method
+// in a non-test internal/ file whose name no non-test .go file mentions
+// outside its own declaration. It is name-based, so it over-approximates
+// "called": it can miss dead code (a same-named method elsewhere counts as a
+// caller) but never flags live code. Exported names count mentions anywhere
+// in the repository (benchmark/ included, testdata/ excluded); unexported
+// names count mentions inside their own package only.
+func TestEveryInternalFuncHasACaller(t *testing.T) {
+	fset := token.NewFileSet()
+	var decls []decl
+	refs := map[string][]ref{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		declNames := map[*ast.Ident]bool{}
+		for _, fd := range f.Decls {
+			fn, ok := fd.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			declNames[fn.Name] = true
+			if !strings.HasPrefix(dir, "internal/") || fn.Name.Name == "init" {
+				continue
+			}
+			key := dir + "." + fn.Name.Name
+			if fn.Recv != nil {
+				key = dir + "." + recvName(fn.Recv.List[0].Type) + "." + fn.Name.Name
+			}
+			decls = append(decls, decl{key: key, name: fn.Name.Name, dir: dir, file: path, pos: fn.Pos(), end: fn.End()})
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declNames[id] {
+				refs[id.Name] = append(refs[id.Name], ref{dir: dir, file: path, pos: id.Pos()})
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	called := func(d decl) bool {
+		for _, r := range refs[d.name] {
+			if r.file == d.file && r.pos >= d.pos && r.pos < d.end {
+				continue // the declaration's own body
+			}
+			if ast.IsExported(d.name) || r.dir == d.dir {
+				return true
+			}
+		}
+		return false
+	}
+	seen := map[string]bool{}
+	var uncalled, stale []string
+	for _, d := range decls {
+		seen[d.key] = true
+		_, allowed := uncalledAllowed[d.key]
+		switch c := called(d); {
+		case !c && !allowed:
+			uncalled = append(uncalled, d.key+" ("+fset.Position(d.pos).String()+")")
+		case c && allowed:
+			stale = append(stale, d.key+" now has a caller")
+		}
+	}
+	for key, reason := range uncalledAllowed {
+		if !seen[key] {
+			stale = append(stale, key+" no longer exists")
+		}
+		if strings.TrimSpace(reason) == "" {
+			t.Errorf("allowlist entry %s gives no reason", key)
+		}
+	}
+	sort.Strings(uncalled)
+	sort.Strings(stale)
+	for _, u := range uncalled {
+		t.Errorf("no non-test caller: %s; delete it, or allowlist it with a reason", u)
+	}
+	for _, s := range stale {
+		t.Errorf("stale allowlist entry: %s; remove it from uncalledAllowed", s)
+	}
+}
+
+// recvName is the receiver's base type name, without pointer or type
+// parameters.
+func recvName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return "?"
+		}
+	}
+}
