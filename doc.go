@@ -147,18 +147,23 @@
 //     accumulates its own rows in row order, groups appear in
 //     first-seen order, and the result is the same at any worker
 //     budget.
-//   - bat.SortIndex radix-sorts a single dense Int or Float key: an LSD
-//     radix sort over order-preserving unsigned keys (floats
-//     canonicalised so −0 = +0 and NaN sorts after +Inf), 8-bit digits,
-//     skipping every digit all rows share. Every other order — strings,
-//     sparse keys, several key columns, rel.Sort and SQL's ORDER BY —
-//     uses bat.SortStable, one buffered stable merge sort, with floats
-//     compared by bat.CompareFloat in the radix sort's order: per-worker runs
-//     that insertion-sort 32-row blocks and merge them bottom-up in
-//     place through a half-run scratch, then pairwise merges of the runs
-//     against an n-int buffer. Both draw their
-//     permutation buffers from the arena, and the stable permutation is
-//     unique, so the result is independent of the worker budget.
+//   - bat.SortKeys is the one code that orders rows: ORDER BY, rel.Sort
+//     and the order schemas of RMA (bat.SortIndex) all call it, and the
+//     key shape alone picks the algorithm. One Int or Float key, either
+//     direction, is radix-sorted: an LSD radix sort over
+//     order-preserving unsigned keys (floats canonicalised so −0 = +0
+//     and NaN sorts after +Inf; a descending key complements them),
+//     8-bit digits, skipping every digit all rows share. If the arena
+//     refuses its n-int scratch it gives its buffers back and the merge
+//     sort runs instead. Every other key list — strings, several keys —
+//     goes through bat.SortStable, one buffered stable merge sort under
+//     one typed comparator (floats by bat.CompareFloat, the radix
+//     sort's order): per-worker runs that insertion-sort 32-row blocks
+//     and merge them bottom-up in place through a half-run scratch,
+//     then pairwise merges of the runs against an n-int buffer. Both
+//     draw their permutation buffers from the arena, and the stable
+//     permutation is unique, so the result is independent of the path
+//     and of the worker budget.
 //   - The zero-suppressed kernels (bat.SparseAdd, Sparse.Gather,
 //     Sparse.Densify, Sparse.Sum) decompose over OID ranges concatenated
 //     in range order (Sum reduces over fixed chunks), with the same

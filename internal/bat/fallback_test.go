@@ -56,3 +56,45 @@ func TestSparseKernelsSerialFallback(t *testing.T) {
 		}
 	}
 }
+
+// TestSortKeysRadixFallsBackToMerge sorts one Float key, ascending and
+// descending, under the serial merge sort's own budget (the permutation
+// plus an n/2-int scratch), where the radix sort's n-int scratch does
+// not fit beside its result. SortKeys records one fallback, merge-sorts
+// within the budget and returns the stable reference permutation.
+func TestSortKeysRadixFallsBackToMerge(t *testing.T) {
+	n := 3*SerialCutoff + 7
+	f := make([]float64, n)
+	for k := range f {
+		f[k] = float64((k*7919 + 13) % n)
+	}
+	charge := func(m int) int64 {
+		tn := exec.NewGovernor(0, 0).Tenant("charge", 0)
+		a := tn.NewArena()
+		defer a.Close()
+		a.Ints(m)
+		return tn.LiveBytes()
+	}
+	budget := charge(n) + charge(n/2)
+	for _, desc := range []bool{false, true} {
+		want := refStablePerm(n, func(a, b int) bool {
+			if desc {
+				return floatOrderLess(f[b], f[a])
+			}
+			return floatOrderLess(f[a], f[b])
+		})
+		tn := exec.NewGovernor(0, 0).Tenant("radix", budget)
+		ar := tn.NewArena()
+		st := &exec.Stats{}
+		got := SortKeys(exec.NewCtx(1, ar, st), []*Vector{NewFloatVector(f)}, []bool{desc})
+		permsEqual(t, "radix-fallback", n, 1, got, want)
+		ar.FreeInts(got)
+		ar.Close()
+		if fb := st.SerialFallbacks.Load(); fb != 1 {
+			t.Fatalf("desc=%v: %d fallbacks, want 1", desc, fb)
+		}
+		if p := tn.PeakBytes(); p > budget {
+			t.Fatalf("desc=%v: peak %d exceeds budget %d", desc, p, budget)
+		}
+	}
+}

@@ -18,8 +18,9 @@ import (
 // smaller original positions than the run to its right, so preferring left
 // preserves stability, and because the stable permutation of a sequence is
 // unique, the result is identical at any worker budget and any run width.
-// It sorts every order SortIndex does not radix-sort (strings, sparse keys,
-// several key columns) and the comparators of rel.Sort and ORDER BY.
+// Its one caller is SortKeys, which passes keyLess for every key list it
+// does not radix-sort (strings, several key columns) and for a single
+// key whose radix scratch the arena refuses.
 //
 // A single run needs only the n/2-int scratch; when the budget refuses
 // the parallel sort's extra scratch, the sort runs serially on the same
@@ -209,49 +210,87 @@ func mergeRuns(dst, src []int, lo, mid, hi int, less func(a, b int) bool) {
 // slice idx satisfies: gathering any tail of the same relation by idx yields
 // that tail ordered by the key columns. This is the "sorting" step of the
 // paper's Algorithm 1: G <- sort(D), followed by b↓G for the other tails.
-// A single dense Int or Float key is radix-sorted (radixSortIndex); every
-// other schema — strings, sparse keys, several columns — is merge-sorted
-// by SortStable. Both are stable and the stable permutation is unique, so
-// the result is identical at any worker budget.
+// Sparse keys are densified, and the order is SortKeys'; no key gives nil.
 func SortIndex(c *exec.Ctx, keys []*BAT) []int {
-	if len(keys) == 0 {
-		return nil
-	}
-	n := keys[0].Len()
-	if len(keys) == 1 && !keys[0].IsSparse() {
-		switch v := keys[0].vec; v.Type() {
-		case Float:
-			f := v.Floats()
-			return radixSortIndex(c, n, func(i int) uint64 { return floatKey(f[i]) })
-		case Int:
-			xs := v.Ints()
-			return radixSortIndex(c, n, func(i int) uint64 { return uint64(xs[i]) ^ signBit })
-		}
-	}
-	// MonetDB tracks sortedness on BATs; one linear pre-scan buys the
-	// same effect and turns sorts over already-ordered keys into no-ops —
-	// crucially before the permutation buffer below is even allocated.
-	if keysSorted(keys) {
-		return Identity(c, n)
-	}
-	// A single dense string key avoids the per-comparison column loop and
-	// interface dispatch.
-	if len(keys) == 1 && !keys[0].IsSparse() && keys[0].vec.Type() == String {
-		ss := keys[0].vec.Strings()
-		return SortStable(c, n, func(a, b int) bool { return ss[a] < ss[b] })
-	}
 	vecs := make([]*Vector, len(keys))
 	for k, b := range keys {
 		vecs[k] = b.VectorCtx(c)
 	}
-	return SortStable(c, n, func(a, b int) bool {
-		for _, v := range vecs {
-			if cmp := v.Compare(a, v, b); cmp != 0 {
-				return cmp < 0
+	return SortKeys(c, vecs, nil)
+}
+
+// SortKeys computes the stable sort permutation of the rows of the key
+// columns, lexicographic with the first key most significant; desc[k]
+// (nil: all false) sorts key k descending. It is the one code that
+// orders rows — ORDER BY, rel.Sort and SortIndex all call it — and the
+// key shape alone picks the algorithm. One Int or Float key is
+// radix-sorted (radixSortIndex), a descending one on complemented bits;
+// if the arena refuses the radix sort's scratch, or for any other key
+// list, SortStable merge-sorts under keyLess, after one linear pre-scan
+// that returns the identity for keys already in order. Floats follow
+// CompareFloat on both paths, and the stable permutation is unique, so
+// the result is the same on either path and at any worker budget.
+func SortKeys(c *exec.Ctx, keys []*Vector, desc []bool) []int {
+	if len(keys) == 0 {
+		return nil
+	}
+	if desc == nil {
+		desc = make([]bool, len(keys))
+	}
+	n := keys[0].Len()
+	if v := keys[0]; len(keys) == 1 && v.typ != String {
+		var flip uint64 // complements every key of a descending sort
+		if desc[0] {
+			flip = ^flip
+		}
+		xs, fs, mask := v.i, v.f, signBit^flip
+		key := func(i int) uint64 { return uint64(xs[i]) ^ mask }
+		if v.typ == Float {
+			key = func(i int) uint64 { return floatKey(fs[i]) ^ flip }
+		}
+		if idx := radixSortIndex(c, n, key); idx != nil {
+			return idx
+		}
+		c.NoteSerialFallback()
+	}
+	less := keyLess(keys, desc)
+	for i := 1; i < n; i++ {
+		if less(i, i-1) {
+			return SortStable(c, n, less)
+		}
+	}
+	return Identity(c, n)
+}
+
+// keyLess returns the row order of SortKeys' merge path: less(a, b)
+// reports whether row a orders before row b under keys, desc[k] reversing
+// key k. Floats compare by CompareFloat.
+func keyLess(keys []*Vector, desc []bool) func(a, b int) bool {
+	return func(a, b int) bool {
+		for k, v := range keys {
+			switch v.typ {
+			case Float:
+				cmp := CompareFloat(v.f[a], v.f[b])
+				if cmp == 0 {
+					continue
+				}
+				return (cmp < 0) != desc[k]
+			case Int:
+				x, y := v.i[a], v.i[b]
+				if x == y {
+					continue
+				}
+				return (x < y) != desc[k]
+			default:
+				x, y := v.s[a], v.s[b]
+				if x == y {
+					continue
+				}
+				return (x < y) != desc[k]
 			}
 		}
 		return false
-	})
+	}
 }
 
 const signBit = 1 << 63
@@ -304,14 +343,17 @@ func CompareFloat(a, b float64) int {
 
 // radixSortIndex computes the stable ascending permutation of [0, n) under
 // the unsigned keys key(i) by an LSD radix sort over 8-bit digits. Keys
-// already in order return the identity before any scratch is drawn, like
-// keysSorted for the merge path. Otherwise one pre-pass builds all eight
-// digit histograms, and a digit on which every row agrees is skipped, so
-// keys spanning few low bytes (ids below 2^24: three passes) pay only for
-// the bytes that vary. Each pass scatters the permutation alone and reads
-// each key through it from the column, so the scratch is one extra n-int
-// arena buffer, returned before the result. Counting passes are stable,
-// so the result is the unique stable permutation under the key order.
+// already in order return the identity before any scratch is drawn.
+// Otherwise one pre-pass builds all eight digit histograms, and a digit on
+// which every row agrees is skipped, so keys spanning few low bytes (ids
+// below 2^24: three passes) pay only for the bytes that vary. Each pass
+// scatters the permutation alone and reads each key through it from the
+// column, so beside the n-int result it holds one n-int scratch,
+// returned before the result. Both buffers are drawn through TryInts:
+// when the arena refuses one,
+// radixSortIndex frees what it drew and returns nil. Counting passes are
+// stable, so the result is the unique stable permutation under the key
+// order.
 func radixSortIndex(c *exec.Ctx, n int, key func(i int) uint64) []int {
 	if n < 2 {
 		return Identity(c, n)
@@ -345,7 +387,12 @@ func radixSortIndex(c *exec.Ctx, n int, key func(i int) uint64) []int {
 			h[b], sum = sum, sum+h[b]
 		}
 		if dst == nil {
-			dst = a.Ints(n)
+			if dst = a.TryInts(n); dst == nil {
+				if src != nil {
+					a.FreeInts(src)
+				}
+				return nil
+			}
 		}
 		if src == nil {
 			for i := 0; i < n; i++ {
@@ -366,34 +413,6 @@ func radixSortIndex(c *exec.Ctx, n int, key func(i int) uint64) []int {
 		a.FreeInts(dst)
 	}
 	return src
-}
-
-// keysSorted reports whether the key columns are already in ascending
-// lexicographic order.
-func keysSorted(keys []*BAT) bool {
-	n := keys[0].Len()
-	if n < 2 {
-		return true
-	}
-	vecs := make([]*Vector, len(keys))
-	for k, b := range keys {
-		if b.IsSparse() {
-			return false
-		}
-		vecs[k] = b.vec
-	}
-	for i := 1; i < n; i++ {
-		for _, v := range vecs {
-			c := v.Compare(i-1, v, i)
-			if c < 0 {
-				break
-			}
-			if c > 0 {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // IsSortedIndex reports whether idx is the identity permutation, i.e. the
@@ -427,15 +446,9 @@ func KeyUnique(keys []*BAT, idx []int) bool {
 			}
 		}
 	}
+	less := keyLess(vecs, make([]bool, len(vecs)))
 	for k := 1; k < len(idx); k++ {
-		same := true
-		for _, v := range vecs {
-			if v.Compare(idx[k-1], v, idx[k]) != 0 {
-				same = false
-				break
-			}
-		}
-		if same {
+		if !less(idx[k-1], idx[k]) {
 			return false
 		}
 	}

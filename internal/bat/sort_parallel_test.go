@@ -233,7 +233,7 @@ func TestSortIndexRadixMatchesStable(t *testing.T) {
 
 // TestSortIndexFloatOrder pins one float order on both SortIndex paths:
 // a float key alone (radix sort) and the same key paired with a unique
-// row id (merge sort through Vector.Compare) order ±0, ±Inf and every
+// row id (merge sort under keyLess) order ±0, ±Inf and every
 // NaN payload alike — NaN after +Inf — at workers 1, 2 and 8, with
 // every fifth row NaN.
 func TestSortIndexFloatOrder(t *testing.T) {
@@ -267,17 +267,22 @@ func TestSortIndexFloatOrder(t *testing.T) {
 // FuzzSortIndex reads 8-byte words as int64 keys (arithmetically shifted
 // right by data[0]%64, which breeds duplicates and constant digits) and
 // reinterprets the same bits as float keys; both columns must sort exactly
-// like the stable reference through the radix sort, and an (Int, Float)
-// pair and a String key built from them through the merge sort.
+// like the stable reference through SortIndex's radix sort. data[1:3]
+// then pick 1–3 keys for SortKeys, each an Int, Float or String column
+// drawn from the same words and each with its own desc flag: one numeric
+// key takes the radix path, every other list the merge path, and both
+// must match the stable reference under the order spelled out here.
 func FuzzSortIndex(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 255, 254, 253, 252, 251, 250, 249, 248})
-	f.Add([]byte{60, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0xf8, 0x7f})
+	f.Add([]byte{0, 12, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 255, 254, 253, 252, 251, 250, 249, 248})
+	f.Add([]byte{60, 7, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0xf8, 0x7f})
+	f.Add([]byte{3, 0x5e, 0x9c, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0x80, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
+		if len(data) < 3 {
 			return
 		}
 		shift := data[0] % 64
-		words := data[1:]
+		spec := int(data[1]) | int(data[2])<<8
+		words := data[3:]
 		n := len(words) / 8
 		xs := make([]int64, n)
 		fs := make([]float64, n)
@@ -290,30 +295,50 @@ func FuzzSortIndex(f *testing.F) {
 		wantF := refStablePerm(n, func(a, b int) bool { return floatOrderLess(fs[a], fs[b]) })
 		checkSortIndex(t, "fuzz-float", FromFloats(fs), wantF, 1, 8)
 
-		// Keys SortIndex merge-sorts: an (Int, Float) pair and a String
-		// key made of each word's low bytes.
-		gs := make([]float64, n)
-		ss := make([]string, n)
-		for i, w := range xs {
-			gs[i] = fs[len(fs)-1-i]
-			var buf [8]byte
-			binary.LittleEndian.PutUint64(buf[:], uint64(w))
-			ss[i] = string(buf[:uint64(w)%9])
-		}
-		wantP := refStablePerm(n, func(a, b int) bool {
-			if xs[a] != xs[b] {
-				return xs[a] < xs[b]
+		// Key k reads word (i*(2k+1)+k) mod n at row i, so the keys
+		// differ and tie in different places.
+		nkeys := 1 + spec%3
+		spec /= 3
+		keys := make([]*Vector, nkeys)
+		desc := make([]bool, nkeys)
+		for k := range keys {
+			typ := spec % 3
+			desc[k] = spec/3%2 == 1
+			spec /= 6
+			is, gs, ss := make([]int64, n), make([]float64, n), make([]string, n)
+			for i := range is {
+				w := xs[(i*(2*k+1)+k)%n]
+				var buf [8]byte
+				binary.LittleEndian.PutUint64(buf[:], uint64(w))
+				is[i], gs[i], ss[i] = w, math.Float64frombits(uint64(w)), string(buf[:uint64(w)%9])
 			}
-			return floatOrderLess(gs[a], gs[b])
+			keys[k] = [...]*Vector{NewIntVector(is), NewFloatVector(gs), NewStringVector(ss)}[typ]
+		}
+		want := refStablePerm(n, func(a, b int) bool {
+			for k, v := range keys {
+				x, y := a, b
+				if desc[k] {
+					x, y = b, a
+				}
+				var lt, gt bool
+				switch v.Type() {
+				case Int:
+					lt, gt = v.Ints()[x] < v.Ints()[y], v.Ints()[x] > v.Ints()[y]
+				case Float:
+					lt, gt = floatOrderLess(v.Floats()[x], v.Floats()[y]), floatOrderLess(v.Floats()[y], v.Floats()[x])
+				default:
+					lt, gt = v.Strings()[x] < v.Strings()[y], v.Strings()[x] > v.Strings()[y]
+				}
+				if lt || gt {
+					return lt
+				}
+			}
+			return false
 		})
-		wantS := refStablePerm(n, func(a, b int) bool { return ss[a] < ss[b] })
 		for _, w := range []int{1, 8} {
 			c := exec.New(w)
-			idx := SortIndex(c, []*BAT{FromInts(xs), FromFloats(gs)})
-			permsEqual(t, "fuzz-int-float", n, w, idx, wantP)
-			c.Arena().FreeInts(idx)
-			idx = SortIndex(c, []*BAT{FromStrings(ss)})
-			permsEqual(t, "fuzz-string", n, w, idx, wantS)
+			idx := SortKeys(c, keys, desc)
+			permsEqual(t, "fuzz-sortkeys", n, w, idx, want)
 			c.Arena().FreeInts(idx)
 		}
 	})

@@ -290,31 +290,3 @@ func (v *Vector) asFloats(c *exec.Ctx) (vals []float64, shared bool) {
 	}
 	panic("bat: AsFloats on string vector")
 }
-
-// Compare compares v[i] with w[j] without boxing: -1, 0, or +1.
-// Both vectors must have the same type. Floats follow CompareFloat.
-func (v *Vector) Compare(i int, w *Vector, j int) int {
-	switch v.typ {
-	case Float:
-		return CompareFloat(v.f[i], w.f[j])
-	case Int:
-		a, b := v.i[i], w.i[j]
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
-	case String:
-		a, b := v.s[i], w.s[j]
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
-	}
-	return 0
-}

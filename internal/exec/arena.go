@@ -403,7 +403,7 @@ func (a *Arena) FreeFloats(f []float64) {
 }
 
 // Ints returns an int slice of length n (the permutation buffers of
-// SortIndex and Identity).
+// SortKeys and Identity).
 func (a *Arena) Ints(n int) []int { return a.ints(n, false) }
 
 // TryInts is Ints for scratch an operator can do without: where the

@@ -152,31 +152,25 @@ type OrderSpec struct {
 }
 
 // Sort returns r ordered by the given attributes (stable). The permutation
-// comes from bat.SortStable — a buffered merge sort, parallel above the
-// serial cutoff — and the stable permutation is unique, so the row order
-// is identical at any worker budget.
+// comes from bat.SortKeys, the one row order of the engine, and the
+// stable permutation is unique, so the row order is identical at any
+// worker budget. With no attribute every row ties: the rows keep their
+// input order.
 func (r *Relation) Sort(c *exec.Ctx, specs ...OrderSpec) (res *Relation, err error) {
 	defer exec.CatchBudget(&err)
+	if len(specs) == 0 {
+		return r.Limit(c, r.NumRows()), nil
+	}
 	vecs := make([]*bat.Vector, len(specs))
+	desc := make([]bool, len(specs))
 	for k, sp := range specs {
 		col, err := r.Col(sp.Attr)
 		if err != nil {
 			return nil, err
 		}
-		vecs[k] = col.VectorCtx(c)
+		vecs[k], desc[k] = col.VectorCtx(c), sp.Desc
 	}
-	idx := bat.SortStable(c, r.NumRows(), func(a, b int) bool {
-		for k, v := range vecs {
-			cmp := v.Compare(a, v, b)
-			if cmp != 0 {
-				if specs[k].Desc {
-					return cmp > 0
-				}
-				return cmp < 0
-			}
-		}
-		return false
-	})
+	idx := bat.SortKeys(c, vecs, desc)
 	out := r.Gather(c, idx)
 	c.Arena().FreeInts(idx)
 	return out, nil

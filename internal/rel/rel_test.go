@@ -391,6 +391,45 @@ func TestSortFloatOrder(t *testing.T) {
 			}
 		}
 	}
+	// x alone, descending (the radix sort on complemented bits): NaN
+	// first, and ties, ±0 included, keep their row order.
+	want := make([]int, n)
+	for i := range want {
+		want[i] = i
+	}
+	sort.SliceStable(want, func(a, b int) bool { return xLess(x[want[b]], x[want[a]]) })
+	for _, w := range []int{1, 2, 8} {
+		got, err := r.Sort(exec.NewCtx(w, nil, nil), OrderSpec{Attr: "x", Desc: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotIDs := got.Cols[1].Vector().Ints()
+		for k, i := range want {
+			if gotIDs[k] != ids[i] {
+				t.Fatalf("x DESC workers=%d: row %d has id %d, want %d", w, k, gotIDs[k], ids[i])
+			}
+		}
+	}
+}
+
+// TestSortNoSpecs sorts by no attribute: every row ties, so the rows
+// come back in input order.
+func TestSortNoSpecs(t *testing.T) {
+	r := ratings()
+	s, err := r.Sort(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.NumRows() != r.NumRows() || len(s.Cols) != len(r.Cols) {
+		t.Fatalf("sorted %dx%d, want %dx%d", s.NumRows(), len(s.Cols), r.NumRows(), len(r.Cols))
+	}
+	for i := 0; i < r.NumRows(); i++ {
+		for j := range r.Cols {
+			if got, want := s.Value(i, j), r.Value(i, j); got != want {
+				t.Fatalf("row %d col %d = %v, want %v", i, j, got, want)
+			}
+		}
+	}
 }
 
 func TestPrint(t *testing.T) {

@@ -10,13 +10,14 @@ import (
 )
 
 // TestStatementRunsOnce runs an ORDER BY whose parallel merge sort peaks
-// above its serial one under a budget between the two peaks. The
+// above its serial one under a budget between the two peaks (two keys,
+// so the sort is the merge sort, not the single-key radix sort). The
 // statement is admitted and executed exactly once: the sort falls back to
 // its serial body inside the statement, the result equals the workers-1
 // result, the tenant peak stays within the budget, and the statement's
 // charges are all released afterwards.
 func TestStatementRunsOnce(t *testing.T) {
-	const query = `SELECT x FROM t ORDER BY x * 2`
+	const query = `SELECT x FROM t ORDER BY x * 2, x`
 	n := 12*bat.SerialCutoff + 7
 	run := func(workers int, budget int64) (*rel.Relation, *exec.Governor, error) {
 		gov := exec.NewGovernor(0, 0)
@@ -63,5 +64,43 @@ func TestStatementRunsOnce(t *testing.T) {
 	}
 	if live := tn.LiveBytes(); live != 0 {
 		t.Fatalf("tenant live = %d after the statement, want 0", live)
+	}
+}
+
+// TestRadixSortDegradesInPlace runs a single-key ORDER BY, which
+// radix-sorts, under the workers-1 peak of the same sort on two keys,
+// which merge-sorts. The radix sort's n-int scratch does not fit beside
+// its result there, so it gives both back and the merge sort runs in
+// its place: the statement succeeds within the budget, bitwise equal to
+// its unbudgeted result. No sort needs more memory than the merge sort.
+func TestRadixSortDegradesInPlace(t *testing.T) {
+	n := 12*bat.SerialCutoff + 7
+	run := func(query string, budget int64) (*rel.Relation, int64, error) {
+		gov := exec.NewGovernor(0, 0)
+		db := NewDB()
+		db.Register("t", wideRelation(n))
+		res, err := db.QueryWith(query, &core.Options{
+			Tenant: "radix", Governor: gov, MemoryBudget: budget, Parallelism: 1,
+		})
+		return res, gov.Tenant("radix", 0).PeakBytes(), err
+	}
+	_, budget, err := run(`SELECT x FROM t ORDER BY x * 2, x`, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const query = `SELECT x FROM t ORDER BY x * 2`
+	want, _, err := run(query, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, peak, err := run(query, budget)
+	if err != nil {
+		t.Fatalf("single-key ORDER BY under the merge sort's peak %d: %v", budget, err)
+	}
+	if peak > budget {
+		t.Fatalf("peak %d exceeds budget %d", peak, budget)
+	}
+	if err := equalBits(want, got); err != nil {
+		t.Fatalf("budgeted result differs from the unbudgeted one: %v", err)
 	}
 }

@@ -813,13 +813,13 @@ func finishOutput(c *exec.Ctx, sel *SelectStmt, out *rel.Relation, order []order
 }
 
 // sortIndex materializes every ORDER BY key once, then returns the
-// stable sort permutation of out's rows under them. Floats order by
-// bat.CompareFloat, so NaN sorts last ascending and first descending.
-// The comparator only reads the materialized keys, so the parallel
-// (and, under pressure, disk-merging) stable sort is safe.
+// stable sort permutation of out's rows under them (bat.SortKeys).
+// Floats order by bat.CompareFloat, so NaN sorts last ascending and
+// first descending.
 func sortIndex(c *exec.Ctx, out *rel.Relation, order []orderKey, in *frame) ([]int, error) {
 	of := relFrame(c, out)
 	keys := make([]*bat.Vector, 0, len(order))
+	desc := make([]bool, len(order))
 	defer func() {
 		for k, v := range keys {
 			if order[k].input {
@@ -830,7 +830,7 @@ func sortIndex(c *exec.Ctx, out *rel.Relation, order []orderKey, in *frame) ([]i
 		}
 		of.release()
 	}()
-	for _, ok := range order {
+	for k, ok := range order {
 		f := of
 		if ok.input {
 			f = in
@@ -840,39 +840,9 @@ func sortIndex(c *exec.Ctx, out *rel.Relation, order []orderKey, in *frame) ([]i
 			return nil, err
 		}
 		keys = append(keys, v)
+		desc[k] = ok.desc
 	}
-	return bat.SortStable(c, out.NumRows(), func(a, b int) bool {
-		for k, v := range keys {
-			desc := order[k].desc
-			switch v.Type() {
-			case bat.Float:
-				cmp := bat.CompareFloat(v.Floats()[a], v.Floats()[b])
-				if cmp == 0 {
-					continue
-				}
-				return (cmp < 0) != desc
-			case bat.Int:
-				x, y := v.Ints()[a], v.Ints()[b]
-				if x == y {
-					continue
-				}
-				if desc {
-					return y < x
-				}
-				return x < y
-			default:
-				x, y := v.Strings()[a], v.Strings()[b]
-				if x == y {
-					continue
-				}
-				if desc {
-					return y < x
-				}
-				return x < y
-			}
-		}
-		return false
-	}), nil
+	return bat.SortKeys(c, keys, desc), nil
 }
 
 // grpQual is the reserved qualifier for grouped columns.

@@ -303,7 +303,7 @@ func TestOrderByFloatOrder(t *testing.T) {
 	for _, tc := range []struct {
 		order string
 		desc  bool
-	}{{"x", false}, {"x, id", false}, {"x DESC, id", true}} {
+	}{{"x", false}, {"x, id", false}, {"x DESC", true}, {"x DESC, id", true}} {
 		want := make([]int64, n)
 		copy(want, ids)
 		sort.SliceStable(want, func(a, b int) bool {
