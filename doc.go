@@ -44,9 +44,9 @@
 //     kernel has consumed them.
 //     Iterative algorithms release each superseded scratch column,
 //     keeping Gauss-Jordan inversion and Gram-Schmidt QR allocation-flat
-//     across iterations. Queries wanting buffer isolation can carry a
-//     private exec.NewArena in their context; multi-tenant deployments
-//     use accounted arenas instead (see below).
+//     across iterations. There are two kinds of arena: the shared one,
+//     which keeps no books, and the per-query tenant arenas of governed
+//     execution (see below).
 //
 // # Memory governance
 //
@@ -55,10 +55,10 @@
 // governed query draws its buffers from a per-query accounted arena
 // (Tenant.NewArena) charging that tenant. Accounted arenas track
 // live/peak bytes and per-domain pool hit/miss/free counters, and
-// verify buffer origin through a per-arena ledger — a buffer freed into
-// an arena that did not allocate it is left to the garbage collector
-// rather than corrupting the tenant's byte count or smuggling
-// unaccounted memory into the pools. Arena.Close at end of query
+// verify buffer origin through a per-arena ledger — a tenant arena
+// neither uncharges nor pools a buffer it did not allocate, so a stray
+// free cannot corrupt a tenant's byte count or smuggle unaccounted
+// memory into the pools. Arena.Close at end of query
 // releases the query's outstanding charges, so failed or abandoned
 // queries cannot strand bytes against a budget; result columns handed
 // to the caller simply leave the governed scope (the budget bounds
@@ -100,26 +100,24 @@
 // conversion views back to the arena as soon as the kernel has read
 // them, and a tenant's arenas share one warm pool set so consecutive
 // statements reuse each other's buffers instead of starting from cold
-// pools. A buffer freed into a foreign arena is uncharged from its true
-// owner at free time: accounted allocations register in a process-wide
-// owner registry (sync.Map keyed by the buffer's first-element pointer,
-// guarded by an atomic live-count fast path so ungoverned execution
-// pays one atomic load), and any arena's free path consults it before
-// pooling — the owner's ledger and byte count are settled immediately
-// rather than at owner close, while the buffer itself still goes to the
-// garbage collector, never into another tenant's pools. Known limit:
-// the typed key-hash slices (per-row hashes, and the hashes a hash
-// index stores beside its arena-drawn head/next arrays) bypass the
-// arena deliberately — there is no uint64 pool domain, and adding one
-// would cost more in pool bookkeeping than the allocations it saves.
+// pools. An accounted arena keeps one ledger, keyed by each buffer's
+// typed first-element pointer, and nothing else tracks its buffers: a
+// buffer freed into an arena that did not draw it (another tenant's, or
+// the shared one) stays charged to its owner until the owner's Close,
+// and a tenant arena that did not draw it neither charges nor pools it,
+// so accounting may over-count live bytes for a while but never
+// under-counts. Known limit: the typed key-hash slices (per-row hashes,
+// and the hashes a hash index stores beside its arena-drawn head/next
+// arrays) bypass the arena deliberately — there is no uint64 pool
+// domain, and adding one would cost more in pool bookkeeping than the
+// allocations it saves.
 //
 // The surface is observable end to end: core.Options{Tenant,
 // MemoryBudget, Governor} governs one invocation and snapshots the
-// tenant counters into core.Stats.Arena; exec.Metrics() (the default
-// governor) and sql.DB.Metrics() return per-tenant live/peak bytes and
-// pool hit rates; rmacli exposes \mem n, \tenant name and \stats;
-// rmacli and rmaserver publish the snapshot through expvar as
-// "rma.memory".
+// tenant counters into core.Stats.Arena; exec.Governor.Metrics and
+// sql.DB.Metrics() return per-tenant live/peak bytes and pool hit
+// rates; rmacli exposes \mem n, \tenant name and \stats; rmacli and
+// rmaserver publish the snapshot through expvar as "rma.memory".
 //
 // The relational operators run on the same substrate:
 //

@@ -9,13 +9,12 @@ import (
 
 // ArenaPair checks the arena ownership invariant: within a function,
 // every buffer obtained from an arena allocator (exec.Arena Floats /
-// FloatsZero / Ints / Int64s / Strings, or the bat.Alloc* shims) must,
-// on every control-flow path to a return, either be freed (Arena.Free*,
-// bat.Free / bat.FreeInts, BAT.ReleaseFloats, a deferred Arena.Close)
-// or escape the function (returned, passed to a call, stored into a
-// field, slice, map, or closure). A path that returns while a buffer is
-// still exclusively local leaks the buffer's pool charge — the exact
-// bug class PRs 4, 5, and 7 fixed by hand.
+// FloatsZero / Ints / Int64s / Strings) must, on every control-flow path
+// to a return, either be freed (Arena.Free*, BAT.ReleaseFloats, a
+// deferred Arena.Close) or escape the function (returned, passed to a
+// call, stored into a field, slice, map, or closure). A path that
+// returns while a buffer is still exclusively local leaks the buffer's
+// pool charge, a bug class that was fixed by hand more than once.
 //
 // The analysis is a conservative abstract interpretation over the AST:
 // aliases made with plain assignment or re-slicing are tracked
@@ -145,10 +144,7 @@ func (t *apTracker) isAllocCall(call *ast.CallExpr) bool {
 	if f == nil {
 		return false
 	}
-	if isArenaMethod(f, "Floats", "FloatsZero", "Ints", "Int64s", "Strings") {
-		return true
-	}
-	return isPkgFunc(f, batPkgSuffix, "Alloc", "AllocZero", "AllocInts")
+	return isArenaMethod(f, "Floats", "FloatsZero", "Ints", "Int64s", "Strings")
 }
 
 // freeArgs returns the argument expressions a call consumes as frees,
@@ -159,9 +155,6 @@ func (t *apTracker) freeArgs(call *ast.CallExpr) []ast.Expr {
 		return nil
 	}
 	if isArenaMethod(f, "FreeFloats", "FreeInts", "FreeInt64s", "FreeStrings") {
-		return call.Args[:1]
-	}
-	if isPkgFunc(f, batPkgSuffix, "Free", "FreeInts") {
 		return call.Args[:1]
 	}
 	// (*bat.BAT).ReleaseFloats(c, view) retires the view in arg 1.

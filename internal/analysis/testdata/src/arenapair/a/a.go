@@ -67,13 +67,13 @@ func AliasFree(c *exec.Ctx, n int) {
 	c.Arena().FreeFloats(buf)
 }
 
-// ShimPair uses the package-level bat.Alloc / bat.Free shims.
-func ShimPair(n int, fail bool) float64 {
-	buf := bat.Alloc(n)
+// SharedPair draws from and frees into the shared arena directly.
+func SharedPair(n int, fail bool) float64 {
+	buf := exec.Shared().Floats(n)
 	if fail {
 		return 0 // want `arena buffer "buf"`
 	}
-	bat.Free(buf)
+	exec.Shared().FreeFloats(buf)
 	return 0
 }
 
@@ -89,7 +89,7 @@ func BranchBothFree(c *exec.Ctx, n int, cond bool) {
 	if cond {
 		c.Arena().FreeFloats(buf)
 	} else {
-		bat.Free(buf)
+		exec.Shared().FreeFloats(buf)
 	}
 }
 
@@ -127,7 +127,7 @@ func ClosureCapture(c *exec.Ctx, n int) {
 
 // DeferClose settles everything drawn from the arena.
 func DeferClose(c *exec.Ctx, n int, fail bool) error {
-	a := exec.NewArena()
+	a := exec.Shared()
 	defer a.Close()
 	buf := a.Floats(n)
 	if fail {

@@ -11,12 +11,6 @@ func (b *BAT) Len() int { return len(b.f) }
 
 func (b *BAT) ReleaseFloats(c *exec.Ctx, f []float64) {}
 
-func Alloc(n int) []float64     { return exec.Shared().Floats(n) }
-func AllocZero(n int) []float64 { return exec.Shared().FloatsZero(n) }
-func AllocInts(n int) []int     { return exec.Shared().Ints(n) }
-func Free(f []float64)          { exec.Shared().FreeFloats(f) }
-func FreeInts(idx []int)        { exec.Shared().FreeInts(idx) }
-
 func Release(c *exec.Ctx, b *BAT) {}
 
 // Kernel stands in for a bat kernel that allocates from the context's

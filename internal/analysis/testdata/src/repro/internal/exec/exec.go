@@ -15,8 +15,7 @@ func (a *Arena) FreeInt64s(xs []int64)      {}
 func (a *Arena) FreeStrings(ss []string)    {}
 func (a *Arena) Close()                     {}
 
-func Shared() *Arena   { return &shared }
-func NewArena() *Arena { return &Arena{} }
+func Shared() *Arena { return &shared }
 
 var shared Arena
 

@@ -28,8 +28,7 @@ func TestSortStableSpillBitwise(t *testing.T) {
 	dir := t.TempDir()
 	sp := exec.NewSpill(dir, 1)
 	defer sp.Cleanup()
-	var stats exec.Stats
-	cs := exec.NewCtx(4, nil, &stats).WithSpill(sp)
+	cs := exec.NewCtx(4, nil, nil).WithSpill(sp)
 	got := SortStable(cs, n, less)
 
 	if len(got) != len(want) {
@@ -43,9 +42,6 @@ func TestSortStableSpillBitwise(t *testing.T) {
 	st := sp.Stats()
 	if st.SpilledBytes == 0 || st.Partitions < 2 {
 		t.Fatalf("spill not recorded: %+v", st)
-	}
-	if stats.SpilledBytes.Load() != st.SpilledBytes {
-		t.Fatalf("Stats.SpilledBytes %d != spill manager %d", stats.SpilledBytes.Load(), st.SpilledBytes)
 	}
 	// Run files are removed eagerly after the merge.
 	d, err := sp.Dir()

@@ -3,7 +3,6 @@ package exec
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 )
 
 // Arena recycles the buffers the vectorized kernels produce: float64
@@ -16,41 +15,32 @@ import (
 // Buffers are pooled in power-of-two size classes backed by sync.Pool, so
 // anything never freed is simply garbage collected and a Get after a GC
 // falls back to make; an arena can only reduce allocations, never retain
-// memory beyond what the GC allows. Each Arena instance owns its own
-// pools: the shared arena serves default contexts, while a query that
-// wants buffer isolation (bounded interference) carries a private
-// NewArena in its Ctx.
+// memory beyond what the GC allows.
 //
-// Arenas come in two accounting flavors. Plain arenas (Shared, NewArena)
-// keep zero bookkeeping: buffers may migrate between them freely — Free
-// only checks the capacity class, never the origin. Accounted arenas
-// (Tenant.NewArena) additionally charge every allocation's full capacity
-// in bytes against their tenant's live count, enforce the tenant's
-// budget (an overrun unwinds as a typed panic that CatchBudget converts
-// back into ErrMemoryBudget at the nearest error boundary), and verify
-// buffer origin through a per-arena ledger: Free on an accounted arena
-// only pools buffers that arena itself handed out. A buffer freed into
-// the wrong arena is resolved through a process-wide owner registry —
-// the true owner's tenant is uncharged at that moment, not at Close —
-// but the foreign buffer still never enters an accounted arena's pools,
-// so migration cannot smuggle memory into pools the owner never fed.
-// Close releases an accounted arena's remaining charges at end of
-// query.
-//
-// Tenant arenas share their tenant's pool set (warm non-nil) instead of
-// carrying private pools: buffers freed during one statement warm the
-// pools for the tenant's next statement, so budgeted tenants stop paying
-// the cold-pool cost on every query. The ledger stays per-arena, so the
-// shared pools change nothing about origin verification or budgets.
+// There are two kinds of arena. The shared arena (Shared, and every Ctx
+// without an arena of its own) keeps no books: its Free checks only the
+// capacity class, never the origin. A tenant arena (Tenant.NewArena)
+// draws from its tenant's warm pool set, so buffers freed during one
+// statement serve the tenant's next one, and accounts for what it
+// hands out: every allocation's full capacity is charged in bytes
+// against the tenant's live count, the tenant's budget is enforced (an
+// overrun unwinds as a typed panic that CatchBudget converts back into
+// ErrMemoryBudget at the nearest error boundary), and the buffer is
+// entered in the arena's one ledger. The ledger is the only record of a
+// buffer: Free on a tenant arena uncharges and pools only buffers in its
+// own ledger. A buffer freed into any other arena stays charged to its
+// owner until the owner's Close, and a tenant arena that did not draw it
+// neither charges nor pools it — accounting may over-count live bytes
+// for a while, never under-count. Close releases the arena's remaining
+// charges at end of query.
 type Arena struct {
-	local poolSet
-	warm  *poolSet // tenant-shared pools; nil for standalone arenas
-	acct  *acct    // nil for plain (unaccounted) arenas
+	pools *poolSet
+	acct  *acct // nil for the shared arena
 }
 
 // poolSet holds one size-classed sync.Pool array per element domain.
-// Standalone arenas embed one; tenants own one shared by all of their
-// arenas.
+// The shared arena draws from sharedPools; each tenant owns one set,
+// shared by all of its arenas.
 type poolSet struct {
 	floats  [poolClasses]sync.Pool // class c holds *[]float64 of cap 1<<(minPoolShift+c)
 	ints    [poolClasses]sync.Pool // class c holds *[]int
@@ -58,116 +48,16 @@ type poolSet struct {
 	strings [poolClasses]sync.Pool // class c holds *[]string
 }
 
-// ps returns the pool set this arena draws from: the tenant's shared
-// set when present, otherwise the arena's own.
-func (a *Arena) ps() *poolSet {
-	if a.warm != nil {
-		return a.warm
-	}
-	return &a.local
-}
-
-// acct is the accounting state of a budgeted arena: the tenant the
-// bytes are charged to, plus one ledger per element domain mapping a
-// buffer's first-element pointer to the bytes charged for it. The
-// ledger is what lets Free verify origin — only buffers this arena
-// allocated (and has not yet released) appear in it.
+// acct is the accounting state of a tenant arena: the tenant the bytes
+// are charged to, plus the ledger mapping each live buffer's typed
+// first-element pointer (*float64, *int, *int64 or *string) to the
+// bytes charged for it. Only buffers this arena allocated (and has not
+// yet released) appear in it.
 type acct struct {
 	tenant *Tenant
 
-	mu      sync.Mutex
-	closed  bool
-	floats  map[*float64]int64
-	ints    map[*int]int64
-	int64s  map[*int64]int64
-	strings map[*string]int64
-}
-
-// ownerReg maps a live accounted buffer's first-element pointer to the
-// acct that charged it, one registry per element domain. It closes the
-// foreign-free accounting gap: a buffer freed into an arena that did
-// not allocate it used to stay charged against its owner until the
-// owning arena closed; the registry lets any arena's Free find the true
-// owner and release the charge immediately. Registry and ledger are
-// updated together under the owner's mutex, so an entry here always has
-// a matching ledger entry (and vice versa) — a foreign free that loses
-// the race with the owner's own free or Close simply finds no ledger
-// entry and backs off.
-type ownerReg[T any] struct {
-	m      sync.Map // *T -> *acct
-	ledger func(ac *acct) map[*T]int64
-	ctr    func(tn *Tenant) *domainCounters
-}
-
-// liveOwned counts registered buffers process-wide. It is the fast-path
-// guard on unaccounted frees: while no accounted arena holds live
-// buffers, a plain Free pays one atomic load and nothing else.
-var liveOwned atomic.Int64
-
-var (
-	floatOwners = ownerReg[float64]{
-		ledger: func(ac *acct) map[*float64]int64 { return ac.floats },
-		ctr:    func(tn *Tenant) *domainCounters { return &tn.floats },
-	}
-	intOwners = ownerReg[int]{
-		ledger: func(ac *acct) map[*int]int64 { return ac.ints },
-		ctr:    func(tn *Tenant) *domainCounters { return &tn.ints },
-	}
-	int64Owners = ownerReg[int64]{
-		ledger: func(ac *acct) map[*int64]int64 { return ac.int64s },
-		ctr:    func(tn *Tenant) *domainCounters { return &tn.int64s },
-	}
-	stringOwners = ownerReg[string]{
-		ledger: func(ac *acct) map[*string]int64 { return ac.strings },
-		ctr:    func(tn *Tenant) *domainCounters { return &tn.strings },
-	}
-)
-
-// release uncharges a buffer freed into an arena that does not own it.
-// When some accounted arena's ledger still carries the buffer, the
-// owner's ledger entry is removed, the free is counted on the owner's
-// tenant, and the charge is released — exactly what the owner's own
-// Free would have done, minus the pooling. Returns false for buffers no
-// registry knows (plain-arena or already-released memory), leaving the
-// caller's behavior unchanged.
-func (r *ownerReg[T]) release(s []T) bool {
-	if cap(s) == 0 || liveOwned.Load() == 0 {
-		return false
-	}
-	key := &s[:1][0]
-	v, ok := r.m.Load(key)
-	if !ok {
-		return false
-	}
-	ac := v.(*acct)
-	ac.mu.Lock()
-	var bytes int64
-	if ac.closed {
-		ok = false
-	} else {
-		m := r.ledger(ac)
-		if bytes, ok = m[key]; ok {
-			delete(m, key)
-			r.m.Delete(key)
-			liveOwned.Add(-1)
-		}
-	}
-	ac.mu.Unlock()
-	if !ok {
-		return false
-	}
-	r.ctr(ac.tenant).frees.Add(1)
-	ac.tenant.uncharge(bytes)
-	return true
-}
-
-// dropOwners clears the registry entries for every buffer still in an
-// arena's ledger; called by Close under the owner's mutex.
-func dropOwners[T any](r *ownerReg[T], m map[*T]int64) {
-	for k := range m {
-		r.m.Delete(k)
-		liveOwned.Add(-1)
-	}
+	mu     sync.Mutex
+	ledger map[any]int64 // nil once the arena is closed
 }
 
 // Element sizes charged per domain, in bytes.
@@ -188,15 +78,15 @@ const (
 	poolClasses  = maxPoolShift - minPoolShift + 1
 )
 
-// shared is the process-wide arena behind Shared() and every Ctx without
-// a private arena.
-var shared Arena
+// sharedPools backs the process-wide arena behind Shared() and every
+// Ctx without an arena of its own.
+var (
+	sharedPools poolSet
+	shared      = Arena{pools: &sharedPools}
+)
 
 // Shared returns the process-wide arena.
 func Shared() *Arena { return &shared }
-
-// NewArena returns a fresh arena with empty pools.
-func NewArena() *Arena { return &Arena{} }
 
 // classFor returns the pool class whose capacity 1<<(minPoolShift+class)
 // is the smallest one holding n elements, or -1 when n is outside the
@@ -223,16 +113,17 @@ func capClass(c int) int {
 }
 
 // alloc returns a slice of length n from the size-classed pools, falling
-// back to make outside the pooled range. Contents are undefined.
-func alloc[T any](pools *[poolClasses]sync.Pool, n int) []T {
+// back to make outside the pooled range, and whether the pools served
+// it. Contents are undefined.
+func alloc[T any](pools *[poolClasses]sync.Pool, n int) (s []T, hit bool) {
 	c := classFor(n)
 	if c < 0 {
-		return make([]T, n)
+		return make([]T, n), false
 	}
 	if p, _ := pools[c].Get().(*[]T); p != nil {
-		return (*p)[:n]
+		return (*p)[:n], true
 	}
-	return make([]T, n, 1<<(c+minPoolShift))
+	return make([]T, n, 1<<(c+minPoolShift)), false
 }
 
 // free returns a slice to the pools. clearRefs zeroes the full capacity
@@ -250,16 +141,13 @@ func free[T any](pools *[poolClasses]sync.Pool, s []T, clearRefs bool) {
 	pools[c].Put(&s)
 }
 
-// acctAlloc is alloc for accounted arenas: it counts the pool hit/miss,
+// acctAlloc is alloc for tenant arenas: it counts the pool hit/miss,
 // charges the buffer's full capacity against the tenant's budget, and
 // records the buffer in the arena's ledger. A budget overrun panics
 // with the typed budgetPanic (see CatchBudget), or with try set returns
 // nil; either way before any buffer is taken, so a rejected allocation
 // strands nothing.
-// The ledger is passed as a pointer to the acct field and dereferenced
-// only under ac.mu: Close nils the field under the same lock, so a
-// racing alloc/free can never act on a stale map snapshot.
-func acctAlloc[T any](ac *acct, reg *ownerReg[T], pools *[poolClasses]sync.Pool, ctr *domainCounters, owned *map[*T]int64, elemSize, n int, try bool) []T {
+func acctAlloc[T any](ac *acct, pools *[poolClasses]sync.Pool, ctr *domainCounters, elemSize, n int, try bool) []T {
 	// Charge before allocating: the buffer's capacity is known up front
 	// (the pool class size, or exactly n outside the pooled range — Free
 	// only pools exact class capacities, so a pooled Get always matches),
@@ -267,9 +155,8 @@ func acctAlloc[T any](ac *acct, reg *ownerReg[T], pools *[poolClasses]sync.Pool,
 	// memory is committed, or the budget would not prevent the very
 	// transient spike it exists to bound. Rejected allocations are not
 	// counted: the metrics report buffers actually delivered.
-	cls := classFor(n)
 	capElems := n
-	if cls >= 0 {
+	if cls := classFor(n); cls >= 0 {
 		capElems = 1 << (cls + minPoolShift)
 	}
 	bytes := int64(capElems) * int64(elemSize)
@@ -281,18 +168,7 @@ func acctAlloc[T any](ac *acct, reg *ownerReg[T], pools *[poolClasses]sync.Pool,
 			panic(budgetPanic{err})
 		}
 	}
-	var s []T
-	hit := false
-	if cls >= 0 {
-		if p, _ := pools[cls].Get().(*[]T); p != nil {
-			s = (*p)[:n]
-			hit = true
-		} else {
-			s = make([]T, n, capElems)
-		}
-	} else {
-		s = make([]T, n)
-	}
+	s, hit := alloc[T](pools, n)
 	ctr.allocs.Add(1)
 	if hit {
 		ctr.hits.Add(1)
@@ -302,60 +178,40 @@ func acctAlloc[T any](ac *acct, reg *ownerReg[T], pools *[poolClasses]sync.Pool,
 	if bytes == 0 {
 		return s
 	}
-	key := &s[:1][0]
 	ac.mu.Lock()
-	if ac.closed {
-		ac.mu.Unlock()
-		ac.tenant.uncharge(bytes)
-		return s
+	open := ac.ledger != nil
+	if open {
+		ac.ledger[&s[:1][0]] = bytes
 	}
-	(*owned)[key] = bytes
-	reg.m.Store(key, ac)
-	liveOwned.Add(1)
 	ac.mu.Unlock()
+	if !open { // closed: the buffer is the heap's, uncharged
+		ac.tenant.uncharge(bytes)
+	}
 	return s
 }
 
-// acctFree is free for accounted arenas. Origin is verified through the
+// acctFree is free for tenant arenas. Origin is verified through the
 // ledger: only buffers this arena handed out are uncharged and pooled.
-// A buffer owned by some other accounted arena is uncharged against its
-// true owner through the registry but still left to the garbage
-// collector rather than pooled here, so cross-arena migration can
-// neither corrupt a tenant's byte count nor smuggle memory into pools
-// the owner never fed. Double frees and stray make()d buffers remain
-// no-ops.
-func acctFree[T any](ac *acct, reg *ownerReg[T], pools *[poolClasses]sync.Pool, ctr *domainCounters, owned *map[*T]int64, s []T, clearRefs bool) {
+// Anything else — a buffer another arena drew, which stays charged to
+// its owner until the owner's Close, a double free, a stray make()d
+// slice — is left alone, so cross-arena migration can neither corrupt a
+// tenant's byte count nor smuggle memory into pools the tenant never
+// fed.
+func acctFree[T any](ac *acct, pools *[poolClasses]sync.Pool, ctr *domainCounters, s []T, clearRefs bool) {
 	if cap(s) == 0 {
 		return
 	}
 	key := &s[:1][0]
 	ac.mu.Lock()
-	bytes, ok := (*owned)[key]
-	if ok {
-		delete(*owned, key)
-		reg.m.Delete(key)
-		liveOwned.Add(-1)
-	}
-	closed := ac.closed
+	bytes, ok := ac.ledger[key]
+	delete(ac.ledger, key)
 	ac.mu.Unlock()
 	if !ok {
-		reg.release(s)
 		return
 	}
 	ctr.frees.Add(1)
 	ac.tenant.uncharge(bytes)
-	if closed {
-		return
-	}
-	cls := capClass(cap(s))
-	if cls < 0 {
-		return
-	}
-	if clearRefs {
-		clear(s[:cap(s)])
-	}
-	s = s[:0]
-	pools[cls].Put(&s)
+	free(pools, s, clearRefs)
 }
 
 // Floats returns a float64 slice of length n, recycled when a buffer of a
@@ -366,7 +222,7 @@ func (a *Arena) Floats(n int) []float64 { return a.floats(n, false) }
 
 // TryFloats is Floats for scratch an operator can do without: where the
 // budget refuses the buffer it returns nil, charging nothing, instead of
-// panicking. Unaccounted arenas never refuse.
+// panicking. The shared arena never refuses.
 func (a *Arena) TryFloats(n int) []float64 { return a.floats(n, true) }
 
 func (a *Arena) floats(n int, try bool) []float64 {
@@ -374,9 +230,10 @@ func (a *Arena) floats(n int, try bool) []float64 {
 		a = Shared()
 	}
 	if ac := a.acct; ac != nil {
-		return acctAlloc(ac, &floatOwners, &a.ps().floats, &ac.tenant.floats, &ac.floats, floatSize, n, try)
+		return acctAlloc[float64](ac, &a.pools.floats, &ac.tenant.floats, floatSize, n, try)
 	}
-	return alloc[float64](&a.ps().floats, n)
+	s, _ := alloc[float64](&a.pools.floats, n)
+	return s
 }
 
 // FloatsZero returns a zeroed float64 slice of length n.
@@ -395,11 +252,10 @@ func (a *Arena) FreeFloats(f []float64) {
 		a = Shared()
 	}
 	if ac := a.acct; ac != nil {
-		acctFree(ac, &floatOwners, &a.ps().floats, &ac.tenant.floats, &ac.floats, f, false)
+		acctFree(ac, &a.pools.floats, &ac.tenant.floats, f, false)
 		return
 	}
-	floatOwners.release(f)
-	free(&a.ps().floats, f, false)
+	free(&a.pools.floats, f, false)
 }
 
 // Ints returns an int slice of length n (the permutation buffers of
@@ -408,7 +264,7 @@ func (a *Arena) Ints(n int) []int { return a.ints(n, false) }
 
 // TryInts is Ints for scratch an operator can do without: where the
 // budget refuses the buffer it returns nil, charging nothing, instead of
-// panicking. Unaccounted arenas never refuse.
+// panicking. The shared arena never refuses.
 func (a *Arena) TryInts(n int) []int { return a.ints(n, true) }
 
 func (a *Arena) ints(n int, try bool) []int {
@@ -416,9 +272,10 @@ func (a *Arena) ints(n int, try bool) []int {
 		a = Shared()
 	}
 	if ac := a.acct; ac != nil {
-		return acctAlloc(ac, &intOwners, &a.ps().ints, &ac.tenant.ints, &ac.ints, intSize, n, try)
+		return acctAlloc[int](ac, &a.pools.ints, &ac.tenant.ints, intSize, n, try)
 	}
-	return alloc[int](&a.ps().ints, n)
+	s, _ := alloc[int](&a.pools.ints, n)
+	return s
 }
 
 // FreeInts returns an int slice to the arena under the same ownership
@@ -428,11 +285,10 @@ func (a *Arena) FreeInts(idx []int) {
 		a = Shared()
 	}
 	if ac := a.acct; ac != nil {
-		acctFree(ac, &intOwners, &a.ps().ints, &ac.tenant.ints, &ac.ints, idx, false)
+		acctFree(ac, &a.pools.ints, &ac.tenant.ints, idx, false)
 		return
 	}
-	intOwners.release(idx)
-	free(&a.ps().ints, idx, false)
+	free(&a.pools.ints, idx, false)
 }
 
 // Int64s returns an int64 slice of length n (the int tails of gathered
@@ -442,9 +298,10 @@ func (a *Arena) Int64s(n int) []int64 {
 		a = Shared()
 	}
 	if ac := a.acct; ac != nil {
-		return acctAlloc(ac, &int64Owners, &a.ps().int64s, &ac.tenant.int64s, &ac.int64s, int64Size, n, false)
+		return acctAlloc[int64](ac, &a.pools.int64s, &ac.tenant.int64s, int64Size, n, false)
 	}
-	return alloc[int64](&a.ps().int64s, n)
+	s, _ := alloc[int64](&a.pools.int64s, n)
+	return s
 }
 
 // FreeInt64s returns an int64 slice to the arena.
@@ -453,11 +310,10 @@ func (a *Arena) FreeInt64s(xs []int64) {
 		a = Shared()
 	}
 	if ac := a.acct; ac != nil {
-		acctFree(ac, &int64Owners, &a.ps().int64s, &ac.tenant.int64s, &ac.int64s, xs, false)
+		acctFree(ac, &a.pools.int64s, &ac.tenant.int64s, xs, false)
 		return
 	}
-	int64Owners.release(xs)
-	free(&a.ps().int64s, xs, false)
+	free(&a.pools.int64s, xs, false)
 }
 
 // Strings returns a string slice of length n. Recycled buffers come back
@@ -467,9 +323,10 @@ func (a *Arena) Strings(n int) []string {
 		a = Shared()
 	}
 	if ac := a.acct; ac != nil {
-		return acctAlloc(ac, &stringOwners, &a.ps().strings, &ac.tenant.strings, &ac.strings, stringSize, n, false)
+		return acctAlloc[string](ac, &a.pools.strings, &ac.tenant.strings, stringSize, n, false)
 	}
-	return alloc[string](&a.ps().strings, n)
+	s, _ := alloc[string](&a.pools.strings, n)
+	return s
 }
 
 // FreeStrings returns a string slice to the arena, clearing it first so
@@ -479,15 +336,14 @@ func (a *Arena) FreeStrings(ss []string) {
 		a = Shared()
 	}
 	if ac := a.acct; ac != nil {
-		acctFree(ac, &stringOwners, &a.ps().strings, &ac.tenant.strings, &ac.strings, ss, true)
+		acctFree(ac, &a.pools.strings, &ac.tenant.strings, ss, true)
 		return
 	}
-	stringOwners.release(ss)
-	free(&a.ps().strings, ss, true)
+	free(&a.pools.strings, ss, true)
 }
 
-// Tenant returns the tenant an accounted arena charges, or nil for
-// plain arenas (including the shared one).
+// Tenant returns the tenant a tenant arena charges, or nil for the
+// shared arena.
 func (a *Arena) Tenant() *Tenant {
 	if a == nil || a.acct == nil {
 		return nil
@@ -495,44 +351,26 @@ func (a *Arena) Tenant() *Tenant {
 	return a.acct.tenant
 }
 
-// Close ends an accounted arena's accounting: every outstanding charge
-// is released back to the tenant and the ledgers are dropped, so a
-// finished (or failed) query cannot strand bytes against the budget.
-// Buffers still referenced — a query's result columns, typically —
-// remain valid; they simply leave the governed scope, which is the
-// budget's contract: it bounds in-flight execution memory, not results
-// a caller holds on to. Frees arriving after Close are ignored (the
-// ledger no longer knows the buffer) and allocations fall through to
-// the heap uncharged. Close is idempotent and a no-op on plain arenas.
+// Close ends a tenant arena's accounting: every outstanding charge is
+// released back to the tenant and the ledger is dropped, so a finished
+// (or failed) query cannot strand bytes against the budget. Buffers
+// still referenced — a query's result columns, typically — remain
+// valid; they simply leave the governed scope, which is the budget's
+// contract: it bounds in-flight execution memory, not results a caller
+// holds on to. Frees arriving after Close are ignored (the ledger no
+// longer knows the buffer) and allocations fall through to the heap
+// uncharged. Close is idempotent and a no-op on the shared arena.
 func (a *Arena) Close() {
 	if a == nil || a.acct == nil {
 		return
 	}
 	ac := a.acct
 	ac.mu.Lock()
-	if ac.closed {
-		ac.mu.Unlock()
-		return
-	}
-	ac.closed = true
 	var total int64
-	for _, b := range ac.floats {
+	for _, b := range ac.ledger {
 		total += b
 	}
-	for _, b := range ac.ints {
-		total += b
-	}
-	for _, b := range ac.int64s {
-		total += b
-	}
-	for _, b := range ac.strings {
-		total += b
-	}
-	dropOwners(&floatOwners, ac.floats)
-	dropOwners(&intOwners, ac.ints)
-	dropOwners(&int64Owners, ac.int64s)
-	dropOwners(&stringOwners, ac.strings)
-	ac.floats, ac.ints, ac.int64s, ac.strings = nil, nil, nil, nil
+	ac.ledger = nil
 	ac.mu.Unlock()
 	ac.tenant.uncharge(total)
 }

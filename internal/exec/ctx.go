@@ -45,11 +45,6 @@ type Stats struct {
 	Sections atomic.Int64
 	// Goroutines counts goroutines spawned by those sections.
 	Goroutines atomic.Int64
-	// SpilledBytes counts bytes written to disk by spill paths
-	// (hash-join partitions, aggregation partials, sort runs).
-	SpilledBytes atomic.Int64
-	// SpilledPartitions counts on-disk partitions those paths created.
-	SpilledPartitions atomic.Int64
 	// SerialFallbacks counts operators that ran their serial body
 	// because the arena refused their parallel-only scratch.
 	SerialFallbacks atomic.Int64

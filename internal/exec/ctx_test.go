@@ -174,7 +174,7 @@ func TestParallelForPanicReachesCaller(t *testing.T) {
 // behavior of all four element domains, including the string-clearing
 // contract.
 func TestArenaClasses(t *testing.T) {
-	a := NewArena()
+	a := Shared()
 	f := a.Floats(100)
 	if len(f) != 100 || cap(f) != 128 {
 		t.Fatalf("Floats(100): len=%d cap=%d, want 100/128", len(f), cap(f))

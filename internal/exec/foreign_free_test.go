@@ -5,83 +5,92 @@ import (
 	"testing"
 )
 
-// TestForeignFreeUnchargesOwner is the regression test for the carried
-// PR 4/5 accounting gap: a buffer freed into an arena other than the
-// one that allocated it used to stay charged against its owner until
-// the owning arena closed. The owner registry fix releases the charge
-// at the moment of the foreign free, whichever arena receives it.
-// (Verified failing before the registry fix: owner live stayed at 512
-// after each foreign free below.)
-func TestForeignFreeUnchargesOwner(t *testing.T) {
+// TestForeignFreeChargesOwnerUntilClose pins the foreign-free contract:
+// a buffer freed into an arena that did not draw it — another tenant's
+// arena or the shared one — stays charged to its owner until the owner's
+// Close. The receiving tenant neither charges, counts nor pools it; the
+// owner's own later free uncharges it once, a second free is a no-op,
+// and Close never drives live bytes negative.
+func TestForeignFreeChargesOwnerUntilClose(t *testing.T) {
 	g := NewGovernor(0, 0)
 	owner := g.Tenant("owner", 0)
 	other := g.Tenant("other", 0)
 	a1 := owner.NewArena()
 	a2 := other.NewArena()
-	plain := NewArena()
-	defer a1.Close()
 	defer a2.Close()
 
-	// Freed into a plain (unaccounted) arena.
-	buf := a1.Floats(64) // 512 bytes charged to owner
-	if got := owner.LiveBytes(); got != 512 {
-		t.Fatalf("owner live after alloc = %d, want 512", got)
+	live := func(tn *Tenant, want int64, when string) {
+		t.Helper()
+		if got := tn.LiveBytes(); got != want {
+			t.Fatalf("%s live %s = %d, want %d", tn.Name(), when, got, want)
+		}
 	}
-	plain.FreeFloats(buf)
-	if got := owner.LiveBytes(); got != 0 {
-		t.Fatalf("owner live after free into plain arena = %d, want 0 (gap: charge carried to Close)", got)
+
+	// Freed into another tenant's arena: the owner stays at +512 B and
+	// the receiver's books do not move.
+	buf := a1.Floats(64)
+	live(owner, 512, "after alloc")
+	a2.FreeFloats(buf)
+	live(owner, 512, "after a free into another tenant's arena")
+	live(other, 0, "after receiving a foreign buffer")
+	if st := other.Stats().Floats; st.Frees != 0 {
+		t.Fatalf("receiving tenant counted %d frees for a foreign buffer", st.Frees)
 	}
+	if st := owner.Stats().Floats; st.Frees != 0 {
+		t.Fatalf("owner counted %d frees for a buffer it never got back", st.Frees)
+	}
+	// The foreign buffer did not enter the receiver's pools: its next
+	// allocation of the same class is a miss.
+	x := a2.Floats(64)
+	if got := other.Stats().Floats.PoolHits; got != 0 {
+		t.Fatalf("receiving tenant's pool served %d hits after a foreign free", got)
+	}
+	a2.FreeFloats(x)
+	live(other, 0, "after its own round trip")
+
+	// Freed into the shared arena: the same, +512 B more.
+	Shared().FreeFloats(a1.Floats(64))
+	live(owner, 1024, "after a free into the shared arena")
+
+	// Every element domain takes the same path.
+	ints, i64s, strs := a1.Ints(64), a1.Int64s(64), a1.Strings(64)
+	charged := owner.LiveBytes()
+	a2.FreeInts(ints)
+	Shared().FreeInt64s(i64s)
+	a2.FreeStrings(strs)
+	live(owner, charged, "after foreign frees across domains")
+	live(other, 0, "after foreign frees across domains")
+	if got := other.Stats().Total().Frees; got != 1 {
+		t.Fatalf("receiving tenant counted %d frees, want 1 (its own round trip)", got)
+	}
+
+	// The owner's own free uncharges once; a second free is a no-op.
+	a1.FreeFloats(buf)
+	live(owner, charged-512, "after the owner's own free")
+	a1.FreeFloats(buf)
+	live(owner, charged-512, "after a double free")
 	if got := owner.Stats().Floats.Frees; got != 1 {
 		t.Fatalf("owner counted %d float frees, want 1", got)
 	}
 
-	// Freed into another tenant's accounted arena: the owner is
-	// uncharged, the receiving tenant's books are untouched.
-	buf = a1.Floats(64)
-	a2.FreeFloats(buf)
-	if got := owner.LiveBytes(); got != 0 {
-		t.Fatalf("owner live after free into foreign accounted arena = %d, want 0", got)
-	}
-	if got := other.LiveBytes(); got != 0 {
-		t.Fatalf("receiving tenant live = %d after foreign free, want 0", got)
-	}
-	if got := other.Stats().Floats.Frees; got != 0 {
-		t.Fatalf("receiving tenant counted %d frees for a foreign buffer", got)
-	}
-
-	// Every element domain takes the same path.
-	ints := a1.Ints(64)
-	i64s := a1.Int64s(64)
-	strs := a1.Strings(64)
-	if got := owner.LiveBytes(); got == 0 {
-		t.Fatal("nothing charged for the three remaining domains")
-	}
-	plain.FreeInts(ints)
-	plain.FreeInt64s(i64s)
-	plain.FreeStrings(strs)
-	if got := owner.LiveBytes(); got != 0 {
-		t.Fatalf("owner live after foreign frees across domains = %d, want 0", got)
-	}
-
-	// Close after a foreign free must not double-uncharge: the ledger
-	// entry went with the foreign free, so Close releases nothing more.
-	buf = a1.Floats(64)
-	plain.FreeFloats(buf)
+	// Close releases what is still charged and nothing more.
 	a1.Close()
-	if got := owner.LiveBytes(); got != 0 {
-		t.Fatalf("owner live after Close = %d, want 0 (double uncharge would go negative)", got)
-	}
+	live(owner, 0, "after Close")
+	a1.FreeFloats(buf)
+	a1.Close()
+	live(owner, 0, "after frees and a second Close past the first")
 }
 
-// TestForeignFreeConcurrent hammers the owner-registry seam under
-// -race: many goroutines allocate from per-tenant accounted arenas and
-// free half of the buffers into the wrong arena. Every tenant must
-// drain to exactly zero live bytes before its arenas close.
-func TestForeignFreeConcurrent(t *testing.T) {
+// TestForeignFreeConcurrentClose runs the contract under -race: eight
+// goroutines across two tenants allocate from their own arenas and free
+// a third of the buffers into the other tenant's arena and a third into
+// the shared one. While an arena is open its tenant holds at least the
+// bytes that arena stranded; once every arena has closed, each tenant is
+// back at exactly zero.
+func TestForeignFreeConcurrentClose(t *testing.T) {
 	g := NewGovernor(0, 0)
 	t1 := g.Tenant("ff-a", 0)
 	t2 := g.Tenant("ff-b", 0)
-	plain := NewArena()
 
 	const (
 		workers  = 8
@@ -101,6 +110,7 @@ func TestForeignFreeConcurrent(t *testing.T) {
 			defer a.Close()
 			foreign := theirs.NewArena()
 			defer foreign.Close()
+			var stranded int64
 			for r := 0; r < rounds; r++ {
 				f := a.Floats(elements)
 				i := a.Ints(elements)
@@ -111,18 +121,22 @@ func TestForeignFreeConcurrent(t *testing.T) {
 				case 1: // free into the other tenant's arena
 					foreign.FreeFloats(f)
 					foreign.FreeInts(i)
-				default: // free into a plain arena
-					plain.FreeFloats(f)
-					plain.FreeInts(i)
+					stranded += int64(cap(f)*floatSize + cap(i)*intSize)
+				default: // free into the shared arena
+					Shared().FreeFloats(f)
+					Shared().FreeInts(i)
+					stranded += int64(cap(f)*floatSize + cap(i)*intSize)
 				}
+			}
+			if got := mine.LiveBytes(); got < stranded {
+				t.Errorf("%s live = %d before Close, below the %d B this arena stranded", mine.Name(), got, stranded)
 			}
 		}(w)
 	}
 	wg.Wait()
-	if got := t1.LiveBytes(); got != 0 {
-		t.Fatalf("tenant a live after drain = %d, want 0", got)
-	}
-	if got := t2.LiveBytes(); got != 0 {
-		t.Fatalf("tenant b live after drain = %d, want 0", got)
+	for _, tn := range []*Tenant{t1, t2} {
+		if got := tn.LiveBytes(); got != 0 {
+			t.Fatalf("%s live after every arena closed = %d, want 0", tn.Name(), got)
+		}
 	}
 }

@@ -122,13 +122,7 @@ func (t *Tenant) PeakBytes() int64 { return t.peak.Load() }
 // The arena draws from the tenant's shared warm pools — only the
 // ledger (origin verification) is per-arena.
 func (t *Tenant) NewArena() *Arena {
-	return &Arena{warm: &t.pools, acct: &acct{
-		tenant:  t,
-		floats:  make(map[*float64]int64),
-		ints:    make(map[*int]int64),
-		int64s:  make(map[*int64]int64),
-		strings: make(map[*string]int64),
-	}}
+	return &Arena{pools: &t.pools, acct: &acct{tenant: t, ledger: map[any]int64{}}}
 }
 
 // Stats snapshots the tenant's counters.
@@ -348,17 +342,13 @@ func (g *Governor) Metrics() GovernorMetrics {
 	return m
 }
 
-// defaultGov is the process-default governor behind DefaultGovernor and
-// the package-level Metrics: unlimited admission, so it only provides
-// tenancy and per-tenant budgets; a deployment that needs admission caps
-// builds its own with NewGovernor.
+// defaultGov is the process-default governor behind DefaultGovernor:
+// unlimited admission, so it only provides tenancy and per-tenant
+// budgets; a deployment that needs admission caps builds its own with
+// NewGovernor.
 var defaultGov = NewGovernor(0, 0)
 
 // DefaultGovernor returns the process-default governor. core.Options
 // and sql.DB resolve tenants against it unless an explicit governor is
 // configured.
 func DefaultGovernor() *Governor { return defaultGov }
-
-// Metrics snapshots the default governor — the package-level metrics
-// surface the CLIs publish through expvar.
-func Metrics() GovernorMetrics { return defaultGov.Metrics() }

@@ -10,13 +10,14 @@ import (
 // Spill is the per-statement spill manager: it owns a scratch
 // directory for on-disk staging (created lazily, removed by Cleanup)
 // and the policy deciding when an operator should degrade to disk.
-// The big memory consumers — the hash-join build, the grouped
-// aggregation's partial tables, the sort's merge runs — ask
-// Ctx.ShouldSpill with their estimated in-memory footprint and take
-// the out-of-core path when it answers true. Spilling never changes
-// results: every spill path reproduces the in-memory operator's
-// canonical output order bit for bit, so the decision only trades
-// memory for disk traffic.
+// The big memory consumers — the grouped aggregation's partial
+// tables and the sort's merge runs — ask Ctx.ShouldSpill with their
+// estimated in-memory footprint and take the out-of-core path when it
+// answers true; a BlockMatrix with a resident-tile cap evicts tiles
+// through the same manager. Spilling never changes results: every
+// spill path reproduces the in-memory operator's canonical output
+// order bit for bit, so the decision only trades memory for disk
+// traffic.
 type Spill struct {
 	base      string // parent directory for the scratch dir
 	threshold int64  // explicit byte threshold; 0 derives from the tenant budget
@@ -25,8 +26,8 @@ type Spill struct {
 	dir string // lazily created scratch dir
 	seq atomic.Int64
 
-	// Counters for the statement's spill activity, mirrored into the
-	// owning Stats by Ctx.NoteSpill.
+	// Counters for the statement's spill activity, bumped by
+	// Ctx.NoteSpill.
 	bytes  atomic.Int64
 	parts  atomic.Int64
 	events atomic.Int64
@@ -149,13 +150,8 @@ func (c *Ctx) ShouldSpill(est int64) bool {
 }
 
 // NoteSpill records bytes written to disk and partitions created by
-// one spill event, on both the context's Stats and the spill manager.
-// Nil-safe in every direction.
+// one spill event on the context's spill manager. Nil-safe.
 func (c *Ctx) NoteSpill(bytes, partitions int64) {
-	if s := c.Stats(); s != nil {
-		s.SpilledBytes.Add(bytes)
-		s.SpilledPartitions.Add(partitions)
-	}
 	if sp := c.Spill(); sp != nil {
 		sp.bytes.Add(bytes)
 		sp.parts.Add(partitions)

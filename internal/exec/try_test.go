@@ -41,9 +41,8 @@ func TestArenaTryRefusesWithoutCharging(t *testing.T) {
 		t.Fatal("a zero-length Try was refused")
 	}
 
-	plain := NewArena()
-	if plain.TryFloats(1<<20) == nil || plain.TryInts(1<<20) == nil {
-		t.Fatal("an unaccounted arena refused a Try")
+	if Shared().TryFloats(1<<20) == nil || Shared().TryInts(1<<20) == nil {
+		t.Fatal("the shared arena refused a Try")
 	}
 }
 

@@ -2,8 +2,10 @@ package sql
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -356,4 +358,117 @@ func TestDifferentialOracle(t *testing.T) {
 	if m := oc.cached.Metrics().PlanCache; m.Hits == 0 {
 		t.Fatal("oracle ran without a single plan-cache hit")
 	}
+}
+
+// TestOracleRowPermutation is the SQL slice of the row-permutation law:
+// a relation has no row order, so shuffling the rows of f and d (seeded)
+// must leave every generated statement's result the same multiset of
+// rows — cells compared bitwise, rows sorted canonically — and its error
+// text the same, at workers 1, 2 and 8. Statements with LIMIT are
+// skipped: which tied rows a limit keeps depends on the input order.
+// The comparison can be bitwise because the generator's values are
+// dyadic (multiples of 0.25, 0.0625 and 0.5) and small, so every SUM
+// and AVG is exact and the order a fold visits the rows in cannot
+// change a bit. The statement stream is the differential oracle's: the
+// same seed draws the same catalogs and statements.
+func TestOracleRowPermutation(t *testing.T) {
+	iters := oracleEnvInt("RMA_ORACLE_ITERS", 60)
+	seed := int64(oracleEnvInt("RMA_ORACLE_SEED", 1))
+	rng := rand.New(rand.NewSource(seed))
+
+	var oc *oracleCatalog
+	var shuffled *DB
+	checked := 0
+	for round := 0; round < iters; round++ {
+		if round%25 == 0 || oc == nil {
+			oc = newOracleCatalog(t, rng, round/25)
+			perm := rand.New(rand.NewSource(seed*7919 + int64(round)))
+			shuffled = NewDB()
+			for _, name := range []string{"f", "d", "z"} {
+				r, err := oc.stream.Table(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if name != "z" {
+					r = r.Gather(nil, perm.Perm(r.NumRows()))
+				}
+				shuffled.Register(name, r)
+			}
+		}
+		q := genQuery(rng)
+		if strings.Contains(q, " LIMIT ") {
+			continue
+		}
+		checked++
+		for _, w := range []int{1, 2, 8} {
+			opts := &core.Options{Parallelism: w}
+			want, wantErr := oc.stream.ExecWith(q, opts)
+			got, gotErr := shuffled.ExecWith(q, opts)
+			fail := func(format string, args ...any) {
+				t.Fatalf("seed=%d round=%d workers=%d\nquery: %s\n%s", seed, round, w, q, fmt.Sprintf(format, args...))
+			}
+			if (wantErr == nil) != (gotErr == nil) {
+				fail("error divergence: original=%v shuffled=%v", wantErr, gotErr)
+			}
+			if wantErr != nil {
+				if wantErr.Error() != gotErr.Error() {
+					fail("error strings differ:\n  original: %s\n  shuffled: %s", wantErr, gotErr)
+				}
+				continue
+			}
+			if err := equalRowMultisets(want, got); err != nil {
+				fail("%v", err)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("every generated statement had a LIMIT; nothing was checked")
+	}
+}
+
+// equalRowMultisets reports whether a and b have the same schema and
+// the same multiset of rows, cells compared bitwise.
+func equalRowMultisets(a, b *rel.Relation) error {
+	if fmt.Sprint(a.Schema) != fmt.Sprint(b.Schema) {
+		return fmt.Errorf("schema %v vs %v", a.Schema, b.Schema)
+	}
+	ra, rb := canonicalRows(a), canonicalRows(b)
+	if len(ra) != len(rb) {
+		return fmt.Errorf("%d rows vs %d", len(ra), len(rb))
+	}
+	for i := range ra {
+		if ra[i] != rb[i] {
+			return fmt.Errorf("sorted row %d: %s vs %s", i, ra[i], rb[i])
+		}
+	}
+	return nil
+}
+
+// canonicalRows renders every row of r as one string of its cells'
+// bits (floats as their IEEE bit patterns) and returns them sorted.
+func canonicalRows(r *rel.Relation) []string {
+	rows := make([]strings.Builder, r.NumRows())
+	for k, col := range r.Cols {
+		v := col.Vector()
+		switch r.Schema[k].Type {
+		case bat.Float:
+			for i, x := range v.Floats() {
+				fmt.Fprintf(&rows[i], "%#x|", math.Float64bits(x))
+			}
+		case bat.Int:
+			for i, x := range v.Ints() {
+				fmt.Fprintf(&rows[i], "%d|", x)
+			}
+		default:
+			for i, x := range v.Strings() {
+				fmt.Fprintf(&rows[i], "%q|", x)
+			}
+		}
+	}
+	out := make([]string, len(rows))
+	for i := range rows {
+		out[i] = rows[i].String()
+	}
+	sort.Strings(out)
+	return out
 }

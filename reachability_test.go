@@ -25,16 +25,22 @@ var uncalledAllowed = map[string]string{
 	"internal/bat.Value.Less":                "shared test helper: the reference value order in the bat and sql tests",
 	"internal/linalg.MatVec":                 "shared test helper: the reference product in the linalg and batlin tests",
 	"internal/matrix.ApproxEqual":            "shared test helper: tolerance comparison in the matrix, linalg, batlin and core tests",
+	"internal/analysis/atest.Run":            "the rmalint fixture runner: only analyzers_test.go calls it",
 }
+
+// module is the repository's module path, the prefix of every import of
+// one of its packages.
+const module = "repro"
 
 // decl is one top-level function or method in a non-test internal/ file.
 type decl struct {
-	key  string // allowlist key
-	name string
-	dir  string // package directory, slash-separated, relative to the repo root
-	file string
-	pos  token.Pos
-	end  token.Pos
+	key    string // allowlist key
+	name   string
+	method bool
+	dir    string // package directory, slash-separated, relative to the repo root
+	file   string
+	pos    token.Pos
+	end    token.Pos
 }
 
 // ref is one identifier use in a non-test file.
@@ -42,19 +48,36 @@ type ref struct {
 	dir  string
 	file string
 	pos  token.Pos
+	// bare is set for an identifier that is not the selected name of a
+	// selector expression.
+	bare bool
+	// qual is, for the selected name of pkg.Name, the package directory
+	// of the import pkg names; "" otherwise.
+	qual string
+}
+
+// parsed is one non-test Go file of the repository.
+type parsed struct {
+	path, dir string
+	f         *ast.File
 }
 
 // TestEveryInternalFuncHasACaller fails on any top-level function or method
-// in a non-test internal/ file whose name no non-test .go file mentions
-// outside its own declaration. It is name-based, so it over-approximates
-// "called": it can miss dead code (a same-named method elsewhere counts as a
-// caller) but never flags live code. Exported names count mentions anywhere
-// in the repository (benchmark/ included, testdata/ excluded); unexported
-// names count mentions inside their own package only.
+// in a non-test internal/ file that no non-test .go file calls outside its
+// own declaration. A function without a receiver counts as called only
+// through a bare identifier in its own package, or through a pkg.F
+// selector whose pkg is an import of its package; a method counts as
+// called wherever its name is mentioned (exported methods anywhere in the
+// repository, benchmark/ included and testdata/ excluded; unexported ones
+// inside their own package). The method rule is name-based, so it
+// over-approximates "called": a same-named method or selector elsewhere
+// hides a dead method (an uncalled Close, say). The test never flags live
+// code, except a function called only through a dot import, which the
+// repository does not use.
 func TestEveryInternalFuncHasACaller(t *testing.T) {
 	fset := token.NewFileSet()
-	var decls []decl
-	refs := map[string][]ref{}
+	var files []parsed
+	pkgName := map[string]string{} // package directory -> package name
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -74,32 +97,64 @@ func TestEveryInternalFuncHasACaller(t *testing.T) {
 			return err
 		}
 		dir := filepath.ToSlash(filepath.Dir(path))
+		pkgName[dir] = f.Name.Name
+		files = append(files, parsed{path, dir, f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var decls []decl
+	refs := map[string][]ref{}
+	for _, pf := range files {
+		// imports maps the file's local name of each repository package
+		// to that package's directory.
+		imports := map[string]string{}
+		for _, im := range pf.f.Imports {
+			dir, ok := strings.CutPrefix(strings.Trim(im.Path.Value, `"`), module+"/")
+			if !ok {
+				continue
+			}
+			local := pkgName[dir]
+			if im.Name != nil {
+				local = im.Name.Name
+			}
+			imports[local] = dir
+		}
 		declNames := map[*ast.Ident]bool{}
-		for _, fd := range f.Decls {
+		for _, fd := range pf.f.Decls {
 			fn, ok := fd.(*ast.FuncDecl)
 			if !ok {
 				continue
 			}
 			declNames[fn.Name] = true
-			if !strings.HasPrefix(dir, "internal/") || fn.Name.Name == "init" {
+			if !strings.HasPrefix(pf.dir, "internal/") || fn.Name.Name == "init" {
 				continue
 			}
-			key := dir + "." + fn.Name.Name
+			key := pf.dir + "." + fn.Name.Name
 			if fn.Recv != nil {
-				key = dir + "." + recvName(fn.Recv.List[0].Type) + "." + fn.Name.Name
+				key = pf.dir + "." + recvName(fn.Recv.List[0].Type) + "." + fn.Name.Name
 			}
-			decls = append(decls, decl{key: key, name: fn.Name.Name, dir: dir, file: path, pos: fn.Pos(), end: fn.End()})
+			decls = append(decls, decl{key: key, name: fn.Name.Name, method: fn.Recv != nil,
+				dir: pf.dir, file: pf.path, pos: fn.Pos(), end: fn.End()})
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declNames[id] {
-				refs[id.Name] = append(refs[id.Name], ref{dir: dir, file: path, pos: id.Pos()})
+		selected := map[*ast.Ident]string{} // selected name -> qualifier's package directory
+		ast.Inspect(pf.f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.SelectorExpr:
+				selected[x.Sel] = ""
+				if id, ok := x.X.(*ast.Ident); ok {
+					selected[x.Sel] = imports[id.Name]
+				}
+			case *ast.Ident:
+				if !declNames[x] {
+					qual, sel := selected[x]
+					refs[x.Name] = append(refs[x.Name], ref{dir: pf.dir, file: pf.path, pos: x.Pos(), bare: !sel, qual: qual})
+				}
 			}
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	called := func(d decl) bool {
@@ -107,7 +162,12 @@ func TestEveryInternalFuncHasACaller(t *testing.T) {
 			if r.file == d.file && r.pos >= d.pos && r.pos < d.end {
 				continue // the declaration's own body
 			}
-			if ast.IsExported(d.name) || r.dir == d.dir {
+			switch {
+			case d.method:
+				if ast.IsExported(d.name) || r.dir == d.dir {
+					return true
+				}
+			case r.qual == d.dir, r.bare && r.dir == d.dir:
 				return true
 			}
 		}
