@@ -289,10 +289,11 @@
 // rows/columns, edge tiles ragged. Each tile is charged to the owning
 // query's arena as its own allocation, so a matrix bigger than any
 // single arena size class materializes tile by tile instead of
-// demanding one contiguous slab — and spills tile-at-a-time through the
-// same exec.Spill machinery as the relational operators
-// (BlockMatrix.EnableSpill bounds resident tiles; evictions report
-// through Ctx.NoteSpill).
+// demanding one contiguous slab. Tiles stay in memory, as the paper's
+// MKL route keeps its copied arrays: BlockMatrix.Tile hands a kernel
+// a tile (a zeroed arena tile on first use) and BlockMatrix.Free
+// returns them all. RMA table functions never spill; the spill
+// consumers are the relational operators above.
 //
 // Each dense op has exactly one route, picked by the op and never by
 // the operand size. MMU, CPD, QQR and RQR materialize the ordered

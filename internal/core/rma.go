@@ -355,10 +355,10 @@ func evalTiledProduct(c *exec.Ctx, op Op, a, b *argument, clock *phaseClock) ([]
 		return nil, err
 	}
 	clock.begin()
-	cols, err := blockToCols(c, res)
+	cols := blockToCols(c, res)
 	res.Free(c)
 	clock.endTransform()
-	return cols, err
+	return cols, nil
 }
 
 // sameApplicationPart reports whether two arguments share the same

@@ -175,9 +175,8 @@ func releaseMatrix(c *exec.Ctx, m *matrix.Matrix) {
 // toBlockMatrix is µ_Ū(r) for the tiled kernels of MMU, CPD, QQR and
 // RQR: it materializes the ordered application part directly into
 // matrix.TileEdge tiles. Each tile is arena-charged individually, so a
-// huge operand never needs one contiguous allocation and can spill
-// tile-at-a-time. Tiles are filled in parallel; writes are disjoint
-// per tile.
+// huge operand never needs one contiguous allocation. Tiles are filled
+// in parallel; writes are disjoint per tile.
 func (a *argument) toBlockMatrix(c *exec.Ctx) (*matrix.BlockMatrix, error) {
 	m := a.rows()
 	n := len(a.appCols)
@@ -193,21 +192,12 @@ func (a *argument) toBlockMatrix(c *exec.Ctx) (*matrix.BlockMatrix, error) {
 		fcols[j] = f
 	}
 	out := matrix.NewBlock(m, n)
-	if sp := c.Spill(); sp != nil {
-		out.EnableSpill(sp, blockResidency(out))
-	}
 	edge := out.Edge
-	nt := out.TileRows() * out.TileCols()
-	errs := make([]error, nt)
-	c.ParallelFor(nt, 1, func(lo, hi int) {
+	c.ParallelFor(out.TileRows()*out.TileCols(), 1, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			ti, tj := t/out.TileCols(), t%out.TileCols()
 			h, w := out.TileDims(ti, tj)
-			buf, err := out.Pin(c, ti, tj)
-			if err != nil {
-				errs[t] = err
-				continue
-			}
+			buf := out.Tile(c, ti, tj)
 			for r := 0; r < h; r++ {
 				src := ti*edge + r
 				if a.perm != nil {
@@ -218,73 +208,35 @@ func (a *argument) toBlockMatrix(c *exec.Ctx) (*matrix.BlockMatrix, error) {
 					row[l] = fcols[tj*edge+l][src]
 				}
 			}
-			out.Unpin(ti, tj)
 		}
 	})
 	for j, f := range fcols {
 		a.appCols[j].ReleaseFloats(c, f)
 	}
-	for _, err := range errs {
-		if err != nil {
-			out.Free(c)
-			return nil, err
-		}
-	}
 	return out, nil
 }
 
-// blockResidency picks the tile residency cap for a spilling blocked
-// operand: a quarter of the grid, at least two tile rows so the
-// kernels' row-of-a × column-of-b pins never thrash.
-func blockResidency(b *matrix.BlockMatrix) int {
-	cap := b.TileRows() * b.TileCols() / 4
-	if floor := 2 * b.TileCols(); cap < floor {
-		cap = floor
-	}
-	return cap
-}
-
 // blockToCols converts a blocked base result back into one BAT per
-// column, paging each tile in at most once per column stripe. The
-// inverse of toBlockMatrix for the copy-back half.
-func blockToCols(c *exec.Ctx, bm *matrix.BlockMatrix) ([]*bat.BAT, error) {
+// column, reading each tile once per column. The inverse of
+// toBlockMatrix for the copy-back half.
+func blockToCols(c *exec.Ctx, bm *matrix.BlockMatrix) []*bat.BAT {
 	out := make([]*bat.BAT, bm.Cols)
-	errs := make([]error, bm.Cols)
 	c.ParallelFor(bm.Cols, 1, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			col := c.Arena().Floats(bm.Rows)
 			tj, lj := j/bm.Edge, j%bm.Edge
 			for ti := 0; ti < bm.TileRows(); ti++ {
-				buf, err := bm.PinRead(c, ti, tj)
-				if err != nil {
-					errs[j] = err
-					break
-				}
+				buf := bm.Tile(c, ti, tj)
 				h, w := bm.TileDims(ti, tj)
 				base := ti * bm.Edge
 				for r := 0; r < h; r++ {
 					col[base+r] = buf[r*w+lj]
 				}
-				bm.Unpin(ti, tj)
-			}
-			if errs[j] != nil {
-				c.Arena().FreeFloats(col)
-				continue
 			}
 			out[j] = bat.FromFloats(col)
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			for _, b := range out {
-				if b != nil {
-					bat.Release(c, b)
-				}
-			}
-			return nil, err
-		}
-	}
-	return out, nil
+	return out
 }
 
 // columnCast is ▽U: the sorted values of a single-attribute order schema,

@@ -13,11 +13,11 @@ import (
 // The big memory consumers — the grouped aggregation's partial
 // tables and the sort's merge runs — ask Ctx.ShouldSpill with their
 // estimated in-memory footprint and take the out-of-core path when it
-// answers true; a BlockMatrix with a resident-tile cap evicts tiles
-// through the same manager. Spilling never changes results: every
-// spill path reproduces the in-memory operator's canonical output
-// order bit for bit, so the decision only trades memory for disk
-// traffic.
+// answers true, staging store segments under the scratch directory.
+// Dense matrices (matrix.BlockMatrix) never spill. Spilling never
+// changes results: every spill path reproduces the in-memory
+// operator's canonical output order bit for bit, so the decision only
+// trades memory for disk traffic.
 type Spill struct {
 	base      string // parent directory for the scratch dir
 	threshold int64  // explicit byte threshold; 0 derives from the tenant budget

@@ -51,28 +51,24 @@ func SYRK(c *exec.Ctx, a *matrix.Matrix) *matrix.Matrix {
 	return onTiles(c, a, nil, CrossProductBlocked)
 }
 
-// onTiles copies a (and b, or a again when b is nil) into in-memory tile
-// grids, runs the tiled kernel, and copies the result into a heap
-// matrix. Without spill a kernel can only fail on shapes, which the
-// callers check first, so an error here is a bug.
+// onTiles copies a (and b, or a again when b is nil) into tile grids,
+// runs the tiled kernel, and copies the result into a heap matrix. A
+// kernel fails only on shapes, which the callers check first, so an
+// error here is a bug.
 func onTiles(c *exec.Ctx, a, b *matrix.Matrix, kernel func(*exec.Ctx, *matrix.BlockMatrix, *matrix.BlockMatrix) (*matrix.BlockMatrix, error)) *matrix.Matrix {
-	ta := must(matrix.BlockOf(c, a, 0))
+	ta := matrix.BlockOf(c, a, 0)
 	defer ta.Free(c)
 	tb := ta
 	if b != nil {
-		tb = must(matrix.BlockOf(c, b, 0))
+		tb = matrix.BlockOf(c, b, 0)
 		defer tb.Free(c)
 	}
-	out := must(kernel(c, ta, tb))
-	defer out.Free(c)
-	return must(out.Flatten(c))
-}
-
-func must[T any](v T, err error) T {
+	out, err := kernel(c, ta, tb)
 	if err != nil {
 		panic("linalg: " + err.Error())
 	}
-	return v
+	defer out.Free(c)
+	return out.Flatten(c)
 }
 
 // MatVec returns a·x for a vector x.

@@ -2,7 +2,6 @@ package linalg
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/exec"
 	"repro/internal/matrix"
@@ -20,31 +19,6 @@ import (
 // factor, and per column the Householder reflectors apply in ascending
 // order.
 
-// collectErr funnels the first error out of a ParallelFor body.
-type collectErr struct {
-	mu  sync.Mutex
-	err error
-}
-
-func (e *collectErr) set(err error) {
-	e.mu.Lock()
-	if e.err == nil {
-		e.err = err
-	}
-	e.mu.Unlock()
-}
-
-// inherit copies the spill regime of src (falling back to alt) onto a
-// freshly built output matrix, so kernel outputs stay out-of-core
-// when their inputs are.
-func inherit(out, src, alt *matrix.BlockMatrix) {
-	if sp, maxRes := src.SpillConfig(); sp != nil {
-		out.EnableSpill(sp, maxRes)
-	} else if sp, maxRes := alt.SpillConfig(); sp != nil {
-		out.EnableSpill(sp, maxRes)
-	}
-}
-
 // MatMulBlocked returns a·b over tile grids (SUMMA-style: each output
 // tile accumulates its row-of-a × column-of-b tile products in
 // ascending k-tile order). Requires matching tile edges. Per output
@@ -58,41 +32,20 @@ func MatMulBlocked(c *exec.Ctx, a, b *matrix.BlockMatrix) (*matrix.BlockMatrix, 
 		return nil, ErrShape
 	}
 	out := matrix.NewBlockEdge(a.Rows, b.Cols, a.Edge)
-	inherit(out, a, b)
 	kt := a.TileCols()
-	var ce collectErr
 	c.ParallelFor(out.TileRows()*out.TileCols(), 1, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
-			if err := matMulTile(c, a, b, out, t/out.TileCols(), t%out.TileCols(), kt); err != nil {
-				ce.set(err)
-				return
-			}
+			matMulTile(c, a, b, out, t/out.TileCols(), t%out.TileCols(), kt)
 		}
 	})
-	if ce.err != nil {
-		out.Free(c)
-		return nil, ce.err
-	}
 	return out, nil
 }
 
-func matMulTile(c *exec.Ctx, a, b, out *matrix.BlockMatrix, ti, tj, kt int) error {
+func matMulTile(c *exec.Ctx, a, b, out *matrix.BlockMatrix, ti, tj, kt int) {
 	h, w := out.TileDims(ti, tj)
-	ot, err := out.Pin(c, ti, tj)
-	if err != nil {
-		return err
-	}
-	defer out.Unpin(ti, tj)
+	ot := out.Tile(c, ti, tj)
 	for tk := 0; tk < kt; tk++ {
-		at, err := a.PinRead(c, ti, tk)
-		if err != nil {
-			return err
-		}
-		bt, err := b.PinRead(c, tk, tj)
-		if err != nil {
-			a.Unpin(ti, tk)
-			return err
-		}
+		at, bt := a.Tile(c, ti, tk), b.Tile(c, tk, tj)
 		_, ka := a.TileDims(ti, tk)
 		for i := 0; i < h; i++ {
 			arow := at[i*ka : (i+1)*ka]
@@ -107,10 +60,7 @@ func matMulTile(c *exec.Ctx, a, b, out *matrix.BlockMatrix, ti, tj, kt int) erro
 				}
 			}
 		}
-		a.Unpin(ti, tk)
-		b.Unpin(tk, tj)
 	}
-	return nil
 }
 
 // CrossProductBlocked returns aᵀ·b (CPD) over tile grids with equal row
@@ -135,7 +85,6 @@ func CrossProductBlocked(c *exec.Ctx, a, b *matrix.BlockMatrix) (*matrix.BlockMa
 	}
 	self := a == b
 	out := matrix.NewBlockEdge(a.Cols, b.Cols, a.Edge)
-	inherit(out, a, b)
 	// Output tiles in fixed row-major order, upper triangle only for
 	// the self case.
 	var todo [][2]int
@@ -157,31 +106,20 @@ func CrossProductBlocked(c *exec.Ctx, a, b *matrix.BlockMatrix) (*matrix.BlockMa
 			units = append(units, crossUnit{ti: t[0], tj: t[1], set: s, sets: sets})
 		}
 	}
-	var ce collectErr
 	c.ParallelFor(len(units), 1, func(lo, hi int) {
 		for _, u := range units[lo:hi] {
-			if err := crossTile(c, a, b, out, u, self && u.ti == u.tj); err != nil {
-				ce.set(err)
-				return
-			}
+			crossTile(c, a, b, out, u, self && u.ti == u.tj)
 		}
 	})
-	if ce.err == nil && self {
+	if self {
 		// Mirror the strict lower triangle, one tile row per worker.
 		c.ParallelFor(out.TileRows(), 1, func(lo, hi int) {
 			for ti := lo; ti < hi; ti++ {
 				for tj := 0; tj <= ti; tj++ {
-					if err := mirrorTile(c, out, ti, tj); err != nil {
-						ce.set(err)
-						return
-					}
+					mirrorTile(c, out, ti, tj)
 				}
 			}
 		})
-	}
-	if ce.err != nil {
-		out.Free(c)
-		return nil, ce.err
 	}
 	return out, nil
 }
@@ -199,24 +137,12 @@ type crossUnit struct {
 // crossTile accumulates the rows of output tile (u.ti, u.tj) of aᵀ·b that
 // strip set u owns; upper restricts a diagonal tile of the self case to
 // j ≥ i.
-func crossTile(c *exec.Ctx, a, b, out *matrix.BlockMatrix, u crossUnit, upper bool) error {
+func crossTile(c *exec.Ctx, a, b, out *matrix.BlockMatrix, u crossUnit, upper bool) {
 	ti, tj := u.ti, u.tj
 	h, w := out.TileDims(ti, tj)
-	ot, err := out.Pin(c, ti, tj)
-	if err != nil {
-		return err
-	}
-	defer out.Unpin(ti, tj)
+	ot := out.Tile(c, ti, tj)
 	for tr := 0; tr < a.TileRows(); tr++ {
-		at, err := a.PinRead(c, tr, ti)
-		if err != nil {
-			return err
-		}
-		bt, err := b.PinRead(c, tr, tj)
-		if err != nil {
-			a.Unpin(tr, ti)
-			return err
-		}
+		at, bt := a.Tile(c, tr, ti), b.Tile(c, tr, tj)
 		rh, _ := a.TileDims(tr, ti)
 		for r := 0; r < rh; r++ {
 			brow := bt[r*w : (r+1)*w]
@@ -252,28 +178,18 @@ func crossTile(c *exec.Ctx, a, b, out *matrix.BlockMatrix, u crossUnit, upper bo
 				}
 			}
 		}
-		a.Unpin(tr, ti)
-		b.Unpin(tr, tj)
 	}
-	return nil
 }
 
 // mirrorTile fills tile (ti, tj), ti ≥ tj, below the diagonal with the
 // transpose of upper tile (tj, ti); a diagonal tile mirrors within
 // itself.
-func mirrorTile(c *exec.Ctx, out *matrix.BlockMatrix, ti, tj int) error {
+func mirrorTile(c *exec.Ctx, out *matrix.BlockMatrix, ti, tj int) {
 	h, w := out.TileDims(ti, tj)
-	ot, err := out.Pin(c, ti, tj)
-	if err != nil {
-		return err
-	}
-	defer out.Unpin(ti, tj)
+	ot := out.Tile(c, ti, tj)
 	src, sw := ot, w
 	if ti != tj {
-		if src, err = out.PinRead(c, tj, ti); err != nil {
-			return err
-		}
-		defer out.Unpin(tj, ti)
+		src = out.Tile(c, tj, ti)
 		_, sw = out.TileDims(tj, ti)
 	}
 	for i := 0; i < h; i++ {
@@ -285,7 +201,6 @@ func mirrorTile(c *exec.Ctx, out *matrix.BlockMatrix, ti, tj int) error {
 			ot[i*w+j] = src[j*sw+i]
 		}
 	}
-	return nil
 }
 
 // QRBlocked factors a block matrix with panel-organized Householder
@@ -301,28 +216,19 @@ func QRBlocked(c *exec.Ctx, a *matrix.BlockMatrix) (*QR, error) {
 	for j := 0; j < n; j++ {
 		v[j] = make([]float64, m)
 	}
-	var ce collectErr
 	c.ParallelFor(a.TileRows()*a.TileCols(), 1, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			ti, tj := t/a.TileCols(), t%a.TileCols()
 			h, w := a.TileDims(ti, tj)
-			data, err := a.PinRead(c, ti, tj)
-			if err != nil {
-				ce.set(err)
-				return
-			}
+			data := a.Tile(c, ti, tj)
 			for r := 0; r < h; r++ {
 				gi := ti*a.Edge + r
 				for jj := 0; jj < w; jj++ {
 					v[tj*a.Edge+jj][gi] = data[r*w+jj]
 				}
 			}
-			a.Unpin(ti, tj)
 		}
 	})
-	if ce.err != nil {
-		return nil, ce.err
-	}
 	return qrPanels(c, v, m, qrPanel), nil
 }
 

@@ -97,23 +97,13 @@ func TestBlockedMatMulBitwiseFlat(t *testing.T) {
 			sameBits(t, "matmul adapter", MatMul(c, a, b), want)
 			for _, tiles := range blockTileGrid {
 				edge := edgeForTiles(max(m, max(k, n)), tiles)
-				ab, err := matrix.BlockOf(c, a, edge)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bb, err := matrix.BlockOf(c, b, edge)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ab := matrix.BlockOf(c, a, edge)
+				bb := matrix.BlockOf(c, b, edge)
 				ob, err := MatMulBlocked(c, ab, bb)
 				if err != nil {
 					t.Fatalf("MatMulBlocked(%v, workers=%d, tiles=%d): %v", dims, workers, tiles, err)
 				}
-				got, err := ob.Flatten(c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameBits(t, "blocked matmul", got, want)
+				sameBits(t, "blocked matmul", ob.Flatten(c), want)
 				ab.Free(c)
 				bb.Free(c)
 				ob.Free(c)
@@ -139,14 +129,8 @@ func TestBlockedSYRKBitwiseFlat(t *testing.T) {
 			sameBits(t, "cross product adapter", CrossProduct(c, a, b), wantCross)
 			for _, tiles := range blockTileGrid {
 				edge := edgeForTiles(max(m, n), tiles)
-				ab, err := matrix.BlockOf(c, a, edge)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bb, err := matrix.BlockOf(c, b, edge)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ab := matrix.BlockOf(c, a, edge)
+				bb := matrix.BlockOf(c, b, edge)
 				for _, leg := range []struct {
 					name string
 					rhs  *matrix.BlockMatrix
@@ -156,11 +140,7 @@ func TestBlockedSYRKBitwiseFlat(t *testing.T) {
 					if err != nil {
 						t.Fatalf("CrossProductBlocked %s (%v, workers=%d, tiles=%d): %v", leg.name, dims, workers, tiles, err)
 					}
-					got, err := ob.Flatten(c)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameBits(t, "blocked cross product "+leg.name, got, leg.want)
+					sameBits(t, "blocked cross product "+leg.name, ob.Flatten(c), leg.want)
 					ob.Free(c)
 				}
 				ab.Free(c)
@@ -196,10 +176,7 @@ func TestBlockedQRBitwiseFlat(t *testing.T) {
 			}
 			for _, tiles := range blockTileGrid {
 				edge := edgeForTiles(m, tiles)
-				ab, err := matrix.BlockOf(c, a, edge)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ab := matrix.BlockOf(c, a, edge)
 				d, err := QRBlocked(c, ab)
 				if err != nil {
 					t.Fatalf("QRBlocked(%v, workers=%d, tiles=%d): %v", dims, workers, tiles, err)

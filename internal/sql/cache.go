@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 )
 
@@ -56,11 +57,11 @@ type planEntry struct {
 // planFor returns the entry's stream plan, planning it on first use. A
 // failed plan is not memoized: the error goes to the caller and the
 // next execution plans again.
-func (e *planEntry) planFor(db *DB, c *exec.Ctx) (*selectPlan, error) {
+func (e *planEntry) planFor(db *DB, c *exec.Ctx, opts *core.Options) (*selectPlan, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.plan == nil {
-		plan, err := db.planStream(c, e.sel)
+		plan, err := db.planStream(c, opts, e.sel)
 		if err != nil {
 			return nil, err
 		}

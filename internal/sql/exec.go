@@ -35,7 +35,6 @@ type DB struct {
 	rmaOpts  *core.Options
 	gov      *exec.Governor
 	lastPipe []exec.StageStats
-	stmtOpts map[*exec.Ctx]*core.Options
 	cache    planCache
 
 	// Out-of-core execution (SetSpill): when enabled, every statement
@@ -65,7 +64,6 @@ func NewDB() *DB {
 	db := &DB{
 		tables:    make(map[string]*rel.Relation),
 		gov:       exec.DefaultGovernor(),
-		stmtOpts:  make(map[*exec.Ctx]*core.Options),
 		persisted: make(map[string]bool),
 		stored:    make(map[string]*store.Reader),
 	}
@@ -105,7 +103,9 @@ func (db *DB) SetGovernor(g *exec.Governor) {
 // derives half the statement tenant's budget at decision time).
 // Spilling never changes results — every spill path is bitwise
 // identical to its in-memory twin — so the switch only trades memory
-// for disk traffic. A negative threshold disables spilling again.
+// for disk traffic. RMA table functions run in memory: their
+// per-invocation context carries no spill manager. A negative
+// threshold disables spilling again.
 func (db *DB) SetSpill(dir string, threshold int64) {
 	db.mu.Lock()
 	db.spillOn = threshold >= 0
@@ -275,7 +275,7 @@ func (db *DB) execCached(e *planEntry, opts *core.Options) (res *rel.Relation, e
 	c, finish := db.stmtCtx(opts)
 	defer finish()
 	defer exec.CatchBudget(&err)
-	plan, err := e.planFor(db, c)
+	plan, err := e.planFor(db, c, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -290,7 +290,7 @@ func (db *DB) runStmt(s Statement, opts *core.Options) (res *rel.Relation, err e
 	c, finish := db.stmtCtx(opts)
 	defer finish()
 	defer exec.CatchBudget(&err)
-	return db.run(c, s)
+	return db.run(c, opts, s)
 }
 
 // stmtCtx builds one statement's execution context from its options:
@@ -306,9 +306,8 @@ func (db *DB) runStmt(s Statement, opts *core.Options) (res *rel.Relation, err e
 //
 // The relational operators of the SELECT pipeline run under this
 // context; RMA table functions build their own context from the same
-// options inside core.Unary/Binary, charging the same tenant — the
-// context-to-options registration here is how evalRMA finds the
-// statement's options without consulting the database-wide defaults.
+// options inside core.Unary/Binary, charging the same tenant (the
+// statement's options reach evalRMA as a parameter).
 func (db *DB) stmtCtx(opts *core.Options) (*exec.Ctx, func()) {
 	gov := db.governorFor(opts)
 	var workers int
@@ -326,13 +325,7 @@ func (db *DB) stmtCtx(opts *core.Options) (*exec.Ctx, func()) {
 		sp = exec.NewSpill(dir, th)
 		c = c.WithSpill(sp)
 	}
-	db.mu.Lock()
-	db.stmtOpts[c] = opts
-	db.mu.Unlock()
 	return c, func() {
-		db.mu.Lock()
-		delete(db.stmtOpts, c)
-		db.mu.Unlock()
 		if st := sp.Stats(); st.Events > 0 {
 			db.spillBytes.Add(st.SpilledBytes)
 			db.spillParts.Add(st.Partitions)
@@ -358,18 +351,6 @@ func (db *DB) governorFor(opts *core.Options) *exec.Governor {
 	return db.gov
 }
 
-// stmtOptsFor returns the options the statement owning ctx was launched
-// with, falling back to the database-wide defaults for contexts this DB
-// did not create.
-func (db *DB) stmtOptsFor(c *exec.Ctx) *core.Options {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if o, ok := db.stmtOpts[c]; ok {
-		return o
-	}
-	return db.rmaOpts
-}
-
 // Query executes a single SELECT statement.
 func (db *DB) Query(src string) (*rel.Relation, error) {
 	return db.QueryWith(src, nil)
@@ -387,10 +368,10 @@ func (db *DB) QueryWith(src string, opts *core.Options) (*rel.Relation, error) {
 	return res, nil
 }
 
-func (db *DB) run(c *exec.Ctx, s Statement) (*rel.Relation, error) {
+func (db *DB) run(c *exec.Ctx, opts *core.Options, s Statement) (*rel.Relation, error) {
 	switch x := s.(type) {
 	case *SelectStmt:
-		src, err := db.execSelect(c, x)
+		src, err := db.execSelect(c, opts, x)
 		if err != nil {
 			return nil, err
 		}
@@ -398,7 +379,7 @@ func (db *DB) run(c *exec.Ctx, s Statement) (*rel.Relation, error) {
 	case *CreateStmt:
 		return nil, db.runCreate(x)
 	case *InsertStmt:
-		return nil, db.runInsert(c, x)
+		return nil, db.runInsert(c, opts, x)
 	case *DropStmt:
 		db.writeMu.Lock()
 		defer db.writeMu.Unlock()
@@ -455,7 +436,7 @@ func (db *DB) runCreate(x *CreateStmt) error {
 	return nil
 }
 
-func (db *DB) runInsert(c *exec.Ctx, x *InsertStmt) error {
+func (db *DB) runInsert(c *exec.Ctx, opts *core.Options, x *InsertStmt) error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 	tbl, err := db.Table(x.Table)
@@ -464,7 +445,7 @@ func (db *DB) runInsert(c *exec.Ctx, x *InsertStmt) error {
 	}
 	var rows *rel.Relation
 	if x.Select != nil {
-		rows, err = db.execSelect(c, x.Select)
+		rows, err = db.execSelect(c, opts, x.Select)
 		if err != nil {
 			return err
 		}
@@ -541,7 +522,8 @@ func coerceCols(r *rel.Relation, target rel.Schema) []*bat.BAT {
 
 // --- FROM clause ----------------------------------------------------------
 
-func (db *DB) buildFrom(c *exec.Ctx, te TableExpr) (*source, error) {
+func (db *DB) buildFrom(c *exec.Ctx, opts *core.Options, te TableExpr) (*source, error) {
+	var alias string
 	switch x := te.(type) {
 	case *TableRef:
 		r, err := db.Table(x.Name)
@@ -556,53 +538,46 @@ func (db *DB) buildFrom(c *exec.Ctx, te TableExpr) (*source, error) {
 		src.stored = db.storedReader(x.Name)
 		return src, nil
 	case *SubqueryRef:
-		r, err := db.execSelect(c, x.Select)
-		if err != nil {
-			return nil, err
-		}
-		return newSource(r, x.Alias), nil
+		alias = x.Alias
 	case *RMARef:
-		return db.buildRMA(c, x)
+		alias = x.Alias
+	default:
+		return nil, fmt.Errorf("sql: unsupported table expression %T", te)
 	}
-	return nil, fmt.Errorf("sql: unsupported table expression %T", te)
-}
-
-func (db *DB) buildRMA(c *exec.Ctx, x *RMARef) (*source, error) {
-	res, err := db.evalRMA(c, x)
+	r, err := db.relationOf(c, opts, te)
 	if err != nil {
 		return nil, err
 	}
-	return newSource(res, x.Alias), nil
+	return newSource(r, alias), nil
 }
 
 // relationOf evaluates an RMA argument relation with its original
 // attribute names intact (BY clauses reference them).
-func (db *DB) relationOf(c *exec.Ctx, te TableExpr) (*rel.Relation, error) {
+func (db *DB) relationOf(c *exec.Ctx, opts *core.Options, te TableExpr) (*rel.Relation, error) {
 	switch x := te.(type) {
 	case *TableRef:
 		return db.Table(x.Name)
 	case *SubqueryRef:
-		return db.execSelect(c, x.Select)
+		return db.execSelect(c, opts, x.Select)
 	case *RMARef:
-		return db.evalRMA(c, x)
+		return db.evalRMA(c, opts, x)
 	}
 	return nil, fmt.Errorf("sql: unsupported RMA argument %T", te)
 }
 
-func (db *DB) evalRMA(c *exec.Ctx, x *RMARef) (*rel.Relation, error) {
+func (db *DB) evalRMA(c *exec.Ctx, opts *core.Options, x *RMARef) (*rel.Relation, error) {
 	op, err := core.ParseOp(x.Op)
 	if err != nil {
 		return nil, err
 	}
 	args := make([]*rel.Relation, len(x.Args))
 	for k, a := range x.Args {
-		r, err := db.relationOf(c, a.Rel)
+		r, err := db.relationOf(c, opts, a.Rel)
 		if err != nil {
 			return nil, err
 		}
 		args[k] = r
 	}
-	opts := db.stmtOptsFor(c)
 	// RMA table functions build their own per-invocation context inside
 	// core from the statement's options; route them through the
 	// database's governor so their tenant accounting lands in the same
@@ -728,8 +703,8 @@ func filterRel(c *exec.Ctx, r *rel.Relation, preds []*compiled) (*rel.Relation, 
 
 // execSelect plans a SELECT and runs it through the streaming morsel
 // pipeline. A planning error is the statement's error.
-func (db *DB) execSelect(c *exec.Ctx, sel *SelectStmt) (*rel.Relation, error) {
-	plan, err := db.planStream(c, sel)
+func (db *DB) execSelect(c *exec.Ctx, opts *core.Options, sel *SelectStmt) (*rel.Relation, error) {
+	plan, err := db.planStream(c, opts, sel)
 	if err != nil {
 		return nil, err
 	}

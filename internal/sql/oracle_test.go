@@ -364,8 +364,12 @@ func TestDifferentialOracle(t *testing.T) {
 // a relation has no row order, so shuffling the rows of f and d (seeded)
 // must leave every generated statement's result the same multiset of
 // rows — cells compared bitwise, rows sorted canonically — and its error
-// text the same, at workers 1, 2 and 8. Statements with LIMIT are
-// skipped: which tied rows a limit keeps depends on the input order.
+// text the same, at workers 1, 2 and 8. A statement with LIMIT is
+// checked only where its order is total, and then row for row: an
+// aggregate (ORDER BY gk yields one row per group), or a non-DISTINCT
+// projection over f alone whose ORDER BY gets ", id" appended (f.id is
+// unique). Other LIMIT statements are skipped: which tied rows a limit
+// keeps depends on the input order.
 // The comparison can be bitwise because the generator's values are
 // dyadic (multiples of 0.25, 0.0625 and 0.5) and small, so every SUM
 // and AVG is exact and the order a fold visits the rows in cannot
@@ -378,7 +382,7 @@ func TestOracleRowPermutation(t *testing.T) {
 
 	var oc *oracleCatalog
 	var shuffled *DB
-	checked := 0
+	checked, limited := 0, 0
 	for round := 0; round < iters; round++ {
 		if round%25 == 0 || oc == nil {
 			oc = newOracleCatalog(t, rng, round/25)
@@ -395,11 +399,14 @@ func TestOracleRowPermutation(t *testing.T) {
 				shuffled.Register(name, r)
 			}
 		}
-		q := genQuery(rng)
-		if strings.Contains(q, " LIMIT ") {
+		q, ordered := totalLimitOrder(genQuery(rng))
+		if strings.Contains(q, " LIMIT ") && !ordered {
 			continue
 		}
 		checked++
+		if ordered {
+			limited++
+		}
 		for _, w := range []int{1, 2, 8} {
 			opts := &core.Options{Parallelism: w}
 			want, wantErr := oc.stream.ExecWith(q, opts)
@@ -416,7 +423,11 @@ func TestOracleRowPermutation(t *testing.T) {
 				}
 				continue
 			}
-			if err := equalRowMultisets(want, got); err != nil {
+			same := equalRowMultisets
+			if ordered {
+				same = equalBits
+			}
+			if err := same(want, got); err != nil {
 				fail("%v", err)
 			}
 		}
@@ -424,6 +435,27 @@ func TestOracleRowPermutation(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("every generated statement had a LIMIT; nothing was checked")
 	}
+	t.Logf("%d statements checked, %d of them LIMIT statements in row order", checked, limited)
+	if limited == 0 && iters >= 60 { // the default draws several
+		t.Fatal("no LIMIT statement with a total order was checked")
+	}
+}
+
+// totalLimitOrder returns q, made total where it can be, and whether q
+// is a LIMIT statement whose result order is total: an aggregate
+// (ORDER BY gk, one row per group) or a non-DISTINCT projection over f
+// alone, whose ORDER BY gets the unique id as a last key.
+func totalLimitOrder(q string) (string, bool) {
+	lim := strings.Index(q, " LIMIT ")
+	switch {
+	case lim < 0:
+		return q, false
+	case strings.Contains(q, " GROUP BY "):
+		return q, true
+	case strings.Contains(q, "JOIN") || strings.Contains(q, "DISTINCT") || !strings.Contains(q, " ORDER BY "):
+		return q, false
+	}
+	return q[:lim] + ", id" + q[lim:], true
 }
 
 // equalRowMultisets reports whether a and b have the same schema and

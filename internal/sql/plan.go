@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/bat"
-	"repro/internal/rel"
-
+	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/rel"
 )
 
 // This file is the logical planner of the SELECT pipeline, the only
@@ -59,13 +59,13 @@ type streamNode struct {
 // ordinary FROM machinery (which may itself stream a subquery); every
 // other table expression becomes a scan leaf over its materialized —
 // for base tables, zero-copy — source.
-func (db *DB) planNode(c *exec.Ctx, te TableExpr) (*streamNode, error) {
+func (db *DB) planNode(c *exec.Ctx, opts *core.Options, te TableExpr) (*streamNode, error) {
 	if x, ok := te.(*JoinExpr); ok {
-		left, err := db.planNode(c, x.Left)
+		left, err := db.planNode(c, opts, x.Left)
 		if err != nil {
 			return nil, err
 		}
-		right, err := db.buildFrom(c, x.Right)
+		right, err := db.buildFrom(c, opts, x.Right)
 		if err != nil {
 			return nil, err
 		}
@@ -73,7 +73,7 @@ func (db *DB) planNode(c *exec.Ctx, te TableExpr) (*streamNode, error) {
 		n.allSyms = append(append([]sym(nil), left.allSyms...), right.syms...)
 		return n, nil
 	}
-	src, err := db.buildFrom(c, te)
+	src, err := db.buildFrom(c, opts, te)
 	if err != nil {
 		return nil, err
 	}
@@ -255,8 +255,8 @@ type groupPlan struct {
 // planStream plans one SELECT for streaming execution. Its error —
 // unsupported shape, unresolved column, type problem — is the
 // statement's error.
-func (db *DB) planStream(c *exec.Ctx, sel *SelectStmt) (*selectPlan, error) {
-	root, err := db.planNode(c, sel.From)
+func (db *DB) planStream(c *exec.Ctx, opts *core.Options, sel *SelectStmt) (*selectPlan, error) {
+	root, err := db.planNode(c, opts, sel.From)
 	if err != nil {
 		return nil, err
 	}

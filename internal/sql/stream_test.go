@@ -420,7 +420,7 @@ func TestStreamedJoinBatchesCapped(t *testing.T) {
 		sel := stmts[0].(*SelectStmt)
 		for _, workers := range []int{1, 2, 8} {
 			c := exec.NewCtx(workers, nil, nil)
-			plan, err := db.planStream(c, sel)
+			plan, err := db.planStream(c, nil, sel)
 			if err != nil {
 				t.Fatalf("%s: plan: %v", q, err)
 			}
