@@ -261,24 +261,22 @@
 //
 // Each statement runs once; a budget error that no operator's serial
 // fallback avoids fails it with the typed error. Spill engages
-// proactively when the DB has a spill directory (sql.DB.SetSpill): every
-// estimate-gated consumer asks exec.Ctx.ShouldSpill(estimate) before
-// allocating its dominant transient, where the threshold is the
-// configured byte count, or half the tenant's budget when configured as
-// zero (unbudgeted tenants never auto-spill). The consumers are
-// grouped aggregation (rel.StreamAgg, under rel.GroupBy too, freezes
-// its group table and stages the rows of unseen keys to partition
-// files, replayed in row order) and sort (runs capped at store.SegRows
-// rows, each worker sorting against one half-run scratch, then per-run
-// files k-way merged through a loser tree, one block per run; a serial
-// sort is one run and never stages). The join has nothing to stage:
-// rel.HashJoin gathers each block of pairs straight into its result,
-// and the streamed SQL join holds at most bat.MorselSize pairs at a
-// time.
-// Every spilled path reproduces its in-memory result bit for bit at
-// any worker count — asserted by the spill tests of internal/bat,
-// internal/rel and internal/sql, the spill leg of the fuzz oracle
-// (RMA_ORACLE_SPILL) and a -race CI stress step.
+// proactively when the DB has a spill directory (sql.DB.SetSpill), and
+// grouped aggregation is the one spilling operator: rel.StreamAgg (under
+// rel.GroupBy too) asks exec.Ctx.ShouldSpill(estimate) before its group
+// table grows, where the threshold is the configured byte count, or half
+// the tenant's budget when configured as zero (unbudgeted tenants never
+// auto-spill). Once it answers true, the aggregation freezes its group
+// table and stages the rows of unseen keys to partition files, replayed
+// in row order. The other operators have nothing worth staging: a sort
+// would write only its permutation, while the keys it compares and the
+// output gathered through it stay resident; rel.HashJoin gathers each
+// block of pairs straight into its result; and the streamed SQL join
+// holds at most bat.MorselSize pairs at a time.
+// The spilled aggregation reproduces its in-memory result bit for bit
+// at any worker count — asserted by the spill tests of internal/rel and
+// internal/sql, the spill leg of the fuzz oracle (RMA_ORACLE_SPILL) and
+// a -race CI stress step.
 // exec.SpillStats (bytes, partitions, events) aggregates into
 // sql.DB.Metrics alongside the arena counters.
 //
@@ -292,8 +290,11 @@
 // demanding one contiguous slab. Tiles stay in memory, as the paper's
 // MKL route keeps its copied arrays: BlockMatrix.Tile hands a kernel
 // a tile (a zeroed arena tile on first use) and BlockMatrix.Free
-// returns them all. RMA table functions never spill; the spill
-// consumers are the relational operators above.
+// returns them all. QR's column-major working columns and Q's columns
+// are drawn from the same arena; QR.Free hands the working columns back
+// and the dense QQR takes Q's columns as its result columns. RMA table
+// functions never spill; the one spill consumer is the grouped
+// aggregation above.
 //
 // Each dense op has exactly one route, picked by the op and never by
 // the operand size. MMU, CPD, QQR and RQR materialize the ordered

@@ -2,6 +2,7 @@ package bat
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/exec"
@@ -95,6 +96,69 @@ func TestSortKeysRadixFallsBackToMerge(t *testing.T) {
 		}
 		if p := tn.PeakBytes(); p > budget {
 			t.Fatalf("desc=%v: peak %d exceeds budget %d", desc, p, budget)
+		}
+	}
+}
+
+// TestSortStableSerialScratch pins a serial sort's arena peak to the
+// permutation plus a half-length scratch, below the two n-int buffers of a
+// parallel sort, and checks what that buys: under budgets between the two
+// peaks the parallel sort falls back to its serial body in place, records
+// the fallback, stays within the budget and returns the same permutation.
+func TestSortStableSerialScratch(t *testing.T) {
+	n := 3*SerialCutoff + 7
+	keys := rand.New(rand.NewSource(5)).Perm(n)
+	less := func(a, b int) bool { return keys[a]/3 < keys[b]/3 }
+	want := refStablePerm(n, less)
+	var fallbacks int64
+	sortUnder := func(workers int, budget int64) (int64, error) {
+		tn := exec.NewGovernor(0, 0).Tenant("sort", budget)
+		a := tn.NewArena()
+		defer a.Close()
+		st := &exec.Stats{}
+		err := func() (err error) {
+			defer exec.CatchBudget(&err)
+			got := SortStable(exec.NewCtx(workers, a, st), n, less)
+			permsEqual(t, "budgeted", n, workers, got, want)
+			a.FreeInts(got)
+			return nil
+		}()
+		fallbacks = st.SerialFallbacks.Load()
+		return tn.PeakBytes(), err
+	}
+	charge := func(m int) int64 {
+		tn := exec.NewGovernor(0, 0).Tenant("charge", 0)
+		a := tn.NewArena()
+		defer a.Close()
+		a.Ints(m)
+		return tn.LiveBytes()
+	}
+	serial, err := sortUnder(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := sortUnder(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lim := charge(n) + charge(n/2); serial > lim {
+		t.Fatalf("serial sort peak %d bytes, want at most idx + n/2 ints = %d", serial, lim)
+	}
+	if parallel < 2*charge(n) {
+		t.Fatalf("parallel sort peak %d bytes, want its two n-int buffers %d", parallel, 2*charge(n))
+	}
+	// Two budgets between the peaks, neither with room for a second n-int
+	// buffer: midway, and the permutation plus three quarters of it.
+	for _, budget := range []int64{(serial + parallel) / 2, charge(n) + charge(n)*3/4} {
+		if budget <= serial || budget >= parallel {
+			t.Fatalf("budget %d bytes not between the serial %d and parallel %d peaks", budget, serial, parallel)
+		}
+		if peak, err := sortUnder(2, budget); err != nil || peak > budget || fallbacks == 0 {
+			t.Fatalf("parallel sort under %d bytes: peak %d, err %v, %d serial fallbacks, want a fallback within the budget",
+				budget, peak, err, fallbacks)
+		}
+		if peak, err := sortUnder(1, budget); err != nil || peak > budget {
+			t.Fatalf("serial sort under %d bytes: peak %d, err %v", budget, peak, err)
 		}
 	}
 }

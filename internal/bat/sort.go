@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/exec"
-	"repro/internal/store"
 )
 
 // SortStable computes the stable ascending sort permutation of [0, n) under
@@ -24,11 +23,7 @@ import (
 //
 // A single run needs only the n/2-int scratch; when the budget refuses
 // the parallel sort's extra scratch, the sort runs serially on the same
-// context instead (sortParallel). When the context's spill policy asks
-// for it, the runs are capped at store.SegRows rows, each worker sorts
-// its runs against one half-run scratch, and the runs merge back from
-// disk (sortMergeSpilled), so the spilled sort never holds a second
-// n-int buffer.
+// context instead (sortParallel).
 //
 // The permutation buffer comes from the context's arena; callers done with
 // it may hand it back with c.Arena().FreeInts.
@@ -50,34 +45,19 @@ func SortStable(c *exec.Ctx, n int, less func(a, b int) bool) []int {
 	return idx
 }
 
-// sortParallel is SortStable's body for more than one run. Its scratch,
-// the n-int merge buffer or, spilled, one half-run scratch per worker,
-// is what a serial sort does not hold (the disk merge's per-run blocks
-// are at most a quarter of the rows, under the serial n/2). It draws the
-// scratch through TryInts before sorting and reports false, holding none,
-// when the arena refuses; idx then holds the identity or sorted runs,
-// from which the serial sort reaches the same stable permutation.
+// sortParallel is SortStable's body for more than one run. Its scratch is
+// the n-int merge buffer, which a serial sort does not hold. It draws the
+// buffer through TryInts before sorting and reports false, holding none,
+// when the arena refuses; idx then holds the identity, from which the
+// serial sort reaches the same stable permutation.
 func sortParallel(c *exec.Ctx, idx []int, size int, less func(a, b int) bool) bool {
 	n := len(idx)
 	a := c.Arena()
-	if c.ShouldSpill(int64(n) * int64(intSizeOf())) {
-		size = min(size, store.SegRows)
-		runs := (n + size - 1) / size
-		scratch := a.TryInts(min(runs, c.Workers()) * (size / 2))
-		if scratch == nil {
-			return false
-		}
-		sortRuns(c, idx, scratch, size/2, size, less)
-		a.FreeInts(scratch)
-		if sortMergeSpilled(c, idx, size, less) {
-			return true
-		}
-	}
 	buf := a.TryInts(n)
 	if buf == nil {
 		return false
 	}
-	sortRuns(c, idx, buf, size, size, less)
+	sortRuns(c, idx, buf, size, less)
 	src, dst := idx, buf
 	for width := size; width < n; width *= 2 {
 		pairs := (n + 2*width - 1) / (2 * width)
@@ -101,18 +81,13 @@ func sortParallel(c *exec.Ctx, idx []int, size int, less func(a, b int) bool) bo
 // bottom-up merge starts.
 const sortBlock = 32
 
-// sortRuns sorts the runs idx[r*size : (r+1)*size] on g workers, one per
-// per-int slice of scratch: worker w sorts runs w, w+g, … against
-// scratch[w*per : (w+1)*per], which must hold half of each such run.
-func sortRuns(c *exec.Ctx, idx, scratch []int, per, size int, less func(a, b int) bool) {
+// sortRuns sorts each run idx[r*size : (r+1)*size] in place against the
+// same rows of scratch, which is as long as idx.
+func sortRuns(c *exec.Ctx, idx, scratch []int, size int, less func(a, b int) bool) {
 	n := len(idx)
-	runs, g := (n+size-1)/size, (len(scratch)+per-1)/per
-	c.ParallelFor(g, 1, func(lo, hi int) {
-		for w := lo; w < hi; w++ {
-			tmp := scratch[w*per : min((w+1)*per, len(scratch))]
-			for r := w; r < runs; r += g {
-				sortRun(idx[r*size:min((r+1)*size, n)], tmp, less)
-			}
+	c.ParallelFor((n+size-1)/size, 1, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			sortRun(idx[r*size:min((r+1)*size, n)], scratch[r*size:], less)
 		}
 	})
 }

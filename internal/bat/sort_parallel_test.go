@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/exec"
-	"repro/internal/store"
 )
 
 // refStablePerm is the single-goroutine reference permutation the parallel
@@ -105,12 +104,12 @@ func TestSortStableIsStable(t *testing.T) {
 }
 
 // TestSortStableMatchesReference pins SortStable to the stable reference
-// around its block, serial-cutoff and spill-run (store.SegRows) widths, on
-// heavily duplicated and on distinct keys, at worker budgets 1, 2 and 8,
-// in memory and with a one-byte spill threshold.
+// around its block and serial-cutoff widths and at a size of several
+// parallel runs, on heavily duplicated and on distinct keys, at worker
+// budgets 1, 2 and 8.
 func TestSortStableMatchesReference(t *testing.T) {
 	sizes := []int{0, 1, 2, sortBlock - 1, sortBlock, sortBlock + 1, SerialCutoff - 1, SerialCutoff,
-		SerialCutoff + 1, 5*SerialCutoff + 321, 2*store.SegRows + 5}
+		SerialCutoff + 1, 5*SerialCutoff + 321, 8*SerialCutoff + 5}
 	for _, n := range sizes {
 		rng := rand.New(rand.NewSource(int64(n)))
 		dups := make([]int, n)
@@ -128,15 +127,8 @@ func TestSortStableMatchesReference(t *testing.T) {
 			for _, workers := range []int{1, 2, 8} {
 				c := exec.New(workers)
 				got := SortStable(c, n, less)
-				permsEqual(t, "memory-"+name, n, workers, got, want)
+				permsEqual(t, name, n, workers, got, want)
 				c.Arena().FreeInts(got)
-
-				sp := exec.NewSpill(t.TempDir(), 1)
-				cs := exec.New(workers).WithSpill(sp)
-				got = SortStable(cs, n, less)
-				permsEqual(t, "spill-"+name, n, workers, got, want)
-				cs.Arena().FreeInts(got)
-				sp.Cleanup()
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/competitor/rsim"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/exec"
 	"repro/internal/linalg"
 	"repro/internal/matrix"
 )
@@ -218,7 +219,7 @@ func init() {
 							if err != nil {
 								return err
 							}
-							qr.Q()
+							matrix.FromColumns(qr.Q(exec.New(1)))
 							return nil
 						})
 						if err != nil {

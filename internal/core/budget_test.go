@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -227,4 +228,29 @@ func TestTenantSharedAcrossInvocations(t *testing.T) {
 	if got := gov.Tenant("shared", 0).LiveBytes(); got != 0 {
 		t.Fatalf("tenant live = %d after both invocations closed, want 0", got)
 	}
+}
+
+// TestQRWorkingMemoryCharged holds the dense QQR route to its tenant's
+// books: QRBlocked's working columns and Q's columns are live together
+// while Q is formed, so the tenant peak covers both, and every byte is
+// released once the invocation closes.
+func TestQRWorkingMemoryCharged(t *testing.T) {
+	const m, n = 20000, 40
+	r := randRelation(rand.New(rand.NewSource(47)), "q", m, n)
+	gov := exec.NewGovernor(0, 0)
+	res, err := Qqr(r, []string{"Kq"}, &Options{Policy: PolicyDense, Parallelism: 1, Tenant: "qr", Governor: gov})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NumRows() != m {
+		t.Fatalf("QQR returned %d rows, want %d", res.NumRows(), m)
+	}
+	tn := gov.Tenant("qr", 0)
+	if want := int64(2 * m * n * 8); tn.PeakBytes() < want {
+		t.Fatalf("tenant peak %d bytes, want at least the working and Q columns' %d", tn.PeakBytes(), want)
+	}
+	if live := tn.LiveBytes(); live != 0 {
+		t.Fatalf("tenant live = %d after the QQR, want 0", live)
+	}
+	t.Logf("tenant peak %d bytes", tn.PeakBytes())
 }

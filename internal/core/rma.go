@@ -293,7 +293,9 @@ func evalBinaryBase(c *exec.Ctx, op Op, a, b *argument, opts *Options, clock *ph
 
 // evalTiledQR is the one dense route of QQR and RQR: the ordered
 // application part materializes straight into tiles, QRBlocked factors
-// it, and forming Q or R counts as kernel time.
+// it, and forming Q or R counts as kernel time. Q's arena columns are
+// the result columns; the working columns go back to the arena once Q
+// or R is formed.
 func evalTiledQR(c *exec.Ctx, op Op, a *argument, clock *phaseClock) ([]*bat.BAT, error) {
 	clock.begin()
 	bm, err := a.toBlockMatrix(c)
@@ -309,16 +311,22 @@ func evalTiledQR(c *exec.Ctx, op Op, a *argument, clock *phaseClock) ([]*bat.BAT
 		return nil, err
 	}
 	clock.begin()
-	var res *matrix.Matrix
-	if op == OpQQR {
-		res = d.Q()
-	} else {
-		res = d.R()
+	if op == OpRQR {
+		r := d.R()
+		d.Free(c)
+		clock.endKernel()
+		clock.begin()
+		cols := matrixToCols(c, r)
+		clock.endTransform()
+		return cols, nil
+	}
+	q := d.Q(c) // arena columns: they become the result columns as they are
+	d.Free(c)
+	cols := make([]*bat.BAT, len(q))
+	for j, col := range q {
+		cols[j] = bat.FromFloats(col)
 	}
 	clock.endKernel()
-	clock.begin()
-	cols := matrixToCols(c, res)
-	clock.endTransform()
 	return cols, nil
 }
 

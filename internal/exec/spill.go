@@ -10,11 +10,11 @@ import (
 // Spill is the per-statement spill manager: it owns a scratch
 // directory for on-disk staging (created lazily, removed by Cleanup)
 // and the policy deciding when an operator should degrade to disk.
-// The big memory consumers — the grouped aggregation's partial
-// tables and the sort's merge runs — ask Ctx.ShouldSpill with their
-// estimated in-memory footprint and take the out-of-core path when it
-// answers true, staging store segments under the scratch directory.
-// Dense matrices (matrix.BlockMatrix) never spill. Spilling never
+// Grouped aggregation is the one spilling operator: its group table
+// asks Ctx.ShouldSpill with its estimated in-memory footprint and
+// takes the out-of-core path when it answers true, staging store
+// segments under the scratch directory. Sorts and dense matrices
+// (matrix.BlockMatrix) always run in memory. Spilling never
 // changes results: every spill path reproduces the in-memory
 // operator's canonical output order bit for bit, so the decision only
 // trades memory for disk traffic.

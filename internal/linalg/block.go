@@ -205,7 +205,8 @@ func mirrorTile(c *exec.Ctx, out *matrix.BlockMatrix, ti, tj int) {
 
 // QRBlocked factors a block matrix with panel-organized Householder
 // reflections (qrPanels). The tiles are gathered straight into the
-// column-major working form, so the operand never needs one contiguous
+// column-major working form, drawn from the context's arena (the tile
+// loop writes every cell), so the operand never needs one contiguous
 // row-major copy.
 func QRBlocked(c *exec.Ctx, a *matrix.BlockMatrix) (*QR, error) {
 	if a.Rows < a.Cols {
@@ -214,7 +215,7 @@ func QRBlocked(c *exec.Ctx, a *matrix.BlockMatrix) (*QR, error) {
 	m, n := a.Rows, a.Cols
 	v := make([][]float64, n)
 	for j := 0; j < n; j++ {
-		v[j] = make([]float64, m)
+		v[j] = c.Arena().Floats(m)
 	}
 	c.ParallelFor(a.TileRows()*a.TileCols(), 1, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
@@ -297,5 +298,5 @@ func qrPanels(c *exec.Ctx, v [][]float64, m, panel int) *QR {
 			})
 		}
 	}
-	return &QR{v: v, tau: tau, rows: m, cols: n, workers: c.Workers()}
+	return &QR{v: v, tau: tau, rows: m, cols: n}
 }

@@ -163,7 +163,7 @@ func TestBlockedQRBitwiseFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantQ, wantR := ref.Q(), ref.R()
+		wantQ, wantR := matrix.FromColumns(ref.Q(nil)), ref.R()
 		for _, workers := range blockWorkerGrid {
 			c := exec.New(workers)
 			for _, panel := range []int{1, 3, qrPanel, n - 1} {
@@ -171,7 +171,7 @@ func TestBlockedQRBitwiseFlat(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameBits(t, fmt.Sprintf("QR panel %d: Q", panel), d.Q(), wantQ)
+				sameBits(t, fmt.Sprintf("QR panel %d: Q", panel), matrix.FromColumns(d.Q(c)), wantQ)
 				sameBits(t, fmt.Sprintf("QR panel %d: R", panel), d.R(), wantR)
 			}
 			for _, tiles := range blockTileGrid {
@@ -181,7 +181,7 @@ func TestBlockedQRBitwiseFlat(t *testing.T) {
 				if err != nil {
 					t.Fatalf("QRBlocked(%v, workers=%d, tiles=%d): %v", dims, workers, tiles, err)
 				}
-				sameBits(t, "blocked QR: Q", d.Q(), wantQ)
+				sameBits(t, "blocked QR: Q", matrix.FromColumns(d.Q(c)), wantQ)
 				sameBits(t, "blocked QR: R", d.R(), wantR)
 				ab.Free(c)
 			}

@@ -240,7 +240,7 @@ func TestQRReconstruction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, r := d.Q(), d.R()
+		q, r := matrix.FromColumns(d.Q(nil)), d.R()
 		if q.Rows != m || q.Cols != n || r.Rows != n || r.Cols != n {
 			t.Fatalf("QR shapes: Q %dx%d R %dx%d", q.Rows, q.Cols, r.Rows, r.Cols)
 		}

@@ -1,8 +1,6 @@
 package linalg
 
 import (
-	"sync"
-
 	"repro/internal/exec"
 	"repro/internal/matrix"
 )
@@ -14,11 +12,10 @@ import (
 // kernel fast — with the Householder vectors stored below the diagonal and
 // R strictly above it; R's diagonal lives in tau.
 type QR struct {
-	v       [][]float64 // n columns of length m
-	tau     []float64
-	rows    int
-	cols    int
-	workers int // the factoring context's budget, reused by Q accumulation
+	v    [][]float64 // n columns of length m, drawn from the factoring context's arena
+	tau  []float64
+	rows int
+	cols int
 }
 
 // NewQR factors a with Householder reflections using the context's
@@ -31,26 +28,34 @@ func NewQR(c *exec.Ctx, a *matrix.Matrix) (*QR, error) {
 
 // NewQRSerial factors on a single core — the behavior of R's default
 // LINPACK qr(), which the Table 6 experiment compares against: one
-// panel never fans out, and Q accumulates serially.
+// panel never fans out.
 func NewQRSerial(a *matrix.Matrix) (*QR, error) {
-	d, err := newQR(nil, a, a.Cols)
-	if d != nil {
-		d.workers = 1
-	}
-	return d, err
+	return newQR(nil, a, a.Cols)
 }
 
-// newQR copies a's columns into the column-major working form and
-// factors them with qrPanels.
+// newQR copies a's columns into the column-major working form, drawn
+// from the context's arena, and factors them with qrPanels.
 func newQR(c *exec.Ctx, a *matrix.Matrix, panel int) (*QR, error) {
 	if a.Rows < a.Cols {
 		return nil, ErrShape
 	}
 	v := make([][]float64, a.Cols)
 	for j := range v {
-		v[j] = a.Column(j)
+		v[j] = c.Arena().Floats(a.Rows)
+		for i := range v[j] {
+			v[j][i] = a.Data[i*a.Cols+j]
+		}
 	}
 	return qrPanels(c, v, a.Rows, panel), nil
+}
+
+// Free hands the working columns back to the arena of c, the context
+// that factored them. The factorization must not be used afterwards.
+func (d *QR) Free(c *exec.Ctx) {
+	for _, col := range d.v {
+		c.Arena().FreeFloats(col)
+	}
+	d.v = nil
 }
 
 // applyReflectorTo applies the reflector stored in ck (column k) to
@@ -83,16 +88,21 @@ func (d *QR) R() *matrix.Matrix {
 	return r
 }
 
-// Q returns the thin m×n orthonormal factor: the Householder reflectors
-// accumulated against the first n identity columns. The per-column
-// accumulations are independent and run on all cores for large factors.
-func (d *QR) Q() *matrix.Matrix {
+// Q returns the thin m×n orthonormal factor as its n columns of length
+// m, drawn from c's arena: the Householder reflectors accumulated
+// against the first n identity columns. The per-column accumulations
+// are independent and fan out on c's workers once the factor holds
+// about 1<<15 elements.
+func (d *QR) Q(c *exec.Ctx) [][]float64 {
 	m, n := d.rows, d.cols
-	qcols := make([][]float64, n)
-	apply := func(jLo, jHi int) {
+	q := make([][]float64, n)
+	for j := range q {
+		q[j] = c.Arena().FloatsZero(m)
+		q[j][j] = 1
+	}
+	c.ParallelFor(n, max(1, (1<<15)/max(1, m)), func(jLo, jHi int) {
 		for j := jLo; j < jHi; j++ {
-			col := make([]float64, m)
-			col[j] = 1
+			col := q[j]
 			for k := n - 1; k >= 0; k-- {
 				ck := d.v[k]
 				beta := ck[k]
@@ -108,35 +118,9 @@ func (d *QR) Q() *matrix.Matrix {
 					col[i] += s * ck[i]
 				}
 			}
-			qcols[j] = col
 		}
-	}
-	workers := d.workers
-	if workers <= 1 || n < 2 || m*n < 1<<15 {
-		apply(0, n)
-	} else {
-		if workers > n {
-			workers = n
-		}
-		var wg sync.WaitGroup
-		chunk := (n + workers - 1) / workers
-		for wk := 0; wk < workers; wk++ {
-			lo, hi := wk*chunk, (wk+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				apply(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
-	return matrix.FromColumns(qcols)
+	})
+	return q
 }
 
 // QQR returns matrix Q of the QR decomposition (the paper's QQR, shape
@@ -146,7 +130,13 @@ func QQR(c *exec.Ctx, a *matrix.Matrix) (*matrix.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	return d.Q(), nil
+	q := d.Q(c)
+	d.Free(c)
+	res := matrix.FromColumns(q)
+	for _, col := range q {
+		c.Arena().FreeFloats(col)
+	}
+	return res, nil
 }
 
 // RQR returns matrix R of the QR decomposition (the paper's RQR, shape
@@ -156,7 +146,9 @@ func RQR(c *exec.Ctx, a *matrix.Matrix) (*matrix.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	return d.R(), nil
+	r := d.R()
+	d.Free(c)
+	return r, nil
 }
 
 // lstsq solves min ‖a·x − b‖₂ for overdetermined a via QR, applying the
@@ -166,6 +158,7 @@ func lstsq(c *exec.Ctx, a *matrix.Matrix, b []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer d.Free(c)
 	m, n := d.rows, d.cols
 	qtb := append([]float64(nil), b...)
 	for k := 0; k < n; k++ {

@@ -81,7 +81,7 @@ func TestQuickQRReconstruction(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		q, r := d.Q(), d.R()
+		q, r := matrix.FromColumns(d.Q(nil)), d.R()
 		return matrix.ApproxEqual(MatMul(nil, q, r), a, 1e-8) &&
 			matrix.ApproxEqual(CrossProduct(nil, q, q), matrix.Identity(n), 1e-8)
 	}

@@ -98,14 +98,14 @@ func (db *DB) SetGovernor(g *exec.Governor) {
 
 // SetSpill enables out-of-core statement execution: every statement
 // context carries a spill manager staging under dir (empty means the OS
-// temp dir), and an operator whose estimated in-memory footprint
-// exceeds threshold bytes takes its disk-backed path (threshold 0
-// derives half the statement tenant's budget at decision time).
-// Spilling never changes results — every spill path is bitwise
-// identical to its in-memory twin — so the switch only trades memory
-// for disk traffic. RMA table functions run in memory: their
-// per-invocation context carries no spill manager. A negative
-// threshold disables spilling again.
+// temp dir), and a grouped aggregation — the one spilling operator —
+// whose estimated in-memory footprint exceeds threshold bytes takes its
+// disk-backed path (threshold 0 derives half the statement tenant's
+// budget at decision time). Spilling never changes results — the
+// spilled aggregation is bitwise identical to its in-memory twin — so
+// the switch only trades memory for disk traffic. Sorts, joins and RMA
+// table functions run in memory. A negative threshold disables
+// spilling again.
 func (db *DB) SetSpill(dir string, threshold int64) {
 	db.mu.Lock()
 	db.spillOn = threshold >= 0

@@ -165,42 +165,59 @@ func fanoutSelfCalibrated(t *testing.T, width int, query string, budget int64) {
 	}
 }
 
-// TestSpillConsumersIsolated attributes proactive (threshold-crossing)
-// spill traffic to each disk-backed operator of the streamed SELECT
-// separately, by running a statement whose plan contains exactly one
-// spillable consumer and checking the spilled result against a no-spill
-// run of the same statement at the same worker count.
+// TestSpillConsumersIsolated runs statements whose plan contains exactly
+// one operator the spill policy could reach, under a threshold well below
+// every operator's estimate, and checks each result bitwise against a
+// no-spill run of the same statement at the same worker count. The
+// grouped aggregation is the one operator that spills; the sort stays in
+// memory, so its statement spills nothing and keeps its tenant peak.
 func TestSpillConsumersIsolated(t *testing.T) {
 	const n = 1 << 15
 	cases := []struct {
-		name  string
-		query string
+		name   string
+		query  string
+		spills bool
 	}{
-		// No join, no sort: the only spillable operator is the grouped
-		// aggregation (freeze-and-divert).
-		{"agg", "SELECT id, SUM(val) AS sv, COUNT(*) AS cnt FROM t GROUP BY id"},
-		// No join, no grouping: only the final sort can spill (per-run
-		// files plus k-way merge; workers > 1).
-		{"sort", "SELECT id, val, tag FROM t ORDER BY val DESC, id LIMIT 200"},
+		// No join, no sort: the grouped aggregation freezes and diverts.
+		{"agg", "SELECT id, SUM(val) AS sv, COUNT(*) AS cnt FROM t GROUP BY id", true},
+		// No join, no grouping: a multi-key ORDER BY, whose merge sort
+		// splits into parallel runs at workers > 1.
+		{"sort", "SELECT id, val, tag FROM t ORDER BY val DESC, id LIMIT 200", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := streamDB(t, n).QueryWith(tc.query, &core.Options{Parallelism: 8})
-			if err != nil {
-				t.Fatal(err)
+			run := func(db *DB) (*rel.Relation, int64) {
+				t.Helper()
+				gov := exec.NewGovernor(0, 0)
+				res, err := db.QueryWith(tc.query, &core.Options{Tenant: "iso", Governor: gov, Parallelism: 8})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tn := gov.Tenant("iso", 0)
+				if live := tn.LiveBytes(); live != 0 {
+					t.Fatalf("tenant live = %d after the statement, want 0", live)
+				}
+				return res, tn.PeakBytes()
 			}
+			want, wantPeak := run(streamDB(t, n))
 			db := streamDB(t, n)
 			db.SetSpill(t.TempDir(), 1<<12) // well under every operator's estimate
-			got, err := db.QueryWith(tc.query, &core.Options{Parallelism: 8})
-			if err != nil {
-				t.Fatal(err)
+			got, peak := run(db)
+			if err := equalBits(want, got); err != nil {
+				t.Fatalf("%s: result under the spill threshold differs: %v", tc.name, err)
 			}
 			st := db.SpillStats()
+			if !tc.spills {
+				if st.Events != 0 || st.SpilledBytes != 0 {
+					t.Fatalf("%s spilled (%+v), want 0 bytes", tc.name, st)
+				}
+				if peak != wantPeak {
+					t.Fatalf("%s: tenant peak %d under the spill threshold, %d without", tc.name, peak, wantPeak)
+				}
+				return
+			}
 			if st.Events == 0 || st.SpilledBytes == 0 {
 				t.Fatalf("%s consumer never spilled (%+v)", tc.name, st)
-			}
-			if err := equalBits(want, got); err != nil {
-				t.Fatalf("%s: spilled result differs: %v", tc.name, err)
 			}
 		})
 	}

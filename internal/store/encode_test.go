@@ -169,9 +169,8 @@ func fuzzColumns(data []byte) (int, []ColData) {
 }
 
 // FuzzSegmentRoundTrip writes random typed columns through
-// Create/Append/Close and reads them back through Open, whole segments
-// with ReadSeg and int segments also block by block with ReadInts: every
-// value must come back bit for bit, and every segment's payload and
+// Create/Append/Close and reads them back through Open and ReadSeg:
+// every value must come back bit for bit, and every segment's payload and
 // metadata must equal the map-based reference encoder's.
 func FuzzSegmentRoundTrip(f *testing.F) {
 	f.Add([]byte{40, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8})
@@ -254,22 +253,6 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 					}
 				}
 				ReleaseColData(c, d)
-
-				if col == 1 {
-					// The block-wise read the spilled sort merges with.
-					blk := make([]int64, 1000)
-					for off := 0; off < meta.Rows; off += len(blk) {
-						part := blk[:min(len(blk), meta.Rows-off)]
-						if err := r.ReadInts(col, seg, off, part); err != nil {
-							t.Fatal(err)
-						}
-						for j, v := range part {
-							if v != cols[1].I[lo+off+j] {
-								t.Fatalf("ReadInts row %d: %d, want %d", lo+off+j, v, cols[1].I[lo+off+j])
-							}
-						}
-					}
-				}
 			}
 		}
 	})

@@ -9,9 +9,8 @@
 //
 // The format serves two masters: durable named tables
 // (CREATE TABLE ... PERSIST, checkpoint/restore across rmaserver
-// restarts) and the spill paths of the big memory consumers
-// (aggregation partials, sort runs), which stage transient partitions
-// in the same segment files.
+// restarts) and the grouped aggregation's spill partitions, which
+// stage transient rows in the same segment files.
 //
 // Layout:
 //

@@ -132,14 +132,14 @@ func (r *Reader) ReadSeg(c *exec.Ctx, col, seg int) (ColData, error) {
 	switch cm.Kind {
 	case KFloat:
 		out := c.Arena().Floats(sg.Rows)
-		if err := decodeWords(payload, sg, 0, sg.Rows, func(i int, w uint64) { out[i] = math.Float64frombits(w) }); err != nil {
+		if err := decodeWords(payload, sg, func(i int, w uint64) { out[i] = math.Float64frombits(w) }); err != nil {
 			c.Arena().FreeFloats(out)
 			return ColData{}, fmt.Errorf("store: %s: %w", r.path, err)
 		}
 		return ColData{F: out}, nil
 	case KInt:
 		out := c.Arena().Int64s(sg.Rows)
-		if err := decodeWords(payload, sg, 0, sg.Rows, func(i int, w uint64) { out[i] = int64(w) }); err != nil {
+		if err := decodeWords(payload, sg, func(i int, w uint64) { out[i] = int64(w) }); err != nil {
 			c.Arena().FreeInt64s(out)
 			return ColData{}, fmt.Errorf("store: %s: %w", r.path, err)
 		}
@@ -154,25 +154,6 @@ func (r *Reader) ReadSeg(c *exec.Ctx, col, seg int) (ColData, error) {
 	}
 }
 
-// ReadInts decodes rows [lo, lo+len(dst)) of int column col's segment
-// seg into dst. It lets a consumer stream a segment block by block
-// without holding it decoded whole.
-func (r *Reader) ReadInts(col, seg, lo int, dst []int64) error {
-	if r.data == nil {
-		return fmt.Errorf("store: %s: reader closed", r.path)
-	}
-	cm := &r.cols[col]
-	if cm.Kind != KInt {
-		return fmt.Errorf("store: %s: column %d is %s, not int", r.path, col, cm.Kind)
-	}
-	sg := &cm.Segs[seg]
-	payload := r.data[sg.Off : sg.Off+sg.Len]
-	if err := decodeWords(payload, sg, lo, lo+len(dst), func(i int, w uint64) { dst[i] = int64(w) }); err != nil {
-		return fmt.Errorf("store: %s: %w", r.path, err)
-	}
-	return nil
-}
-
 // ReleaseColData hands a decoded segment's buffers back to the arena.
 func ReleaseColData(c *exec.Ctx, d ColData) {
 	switch {
@@ -185,20 +166,17 @@ func ReleaseColData(c *exec.Ctx, d ColData) {
 	}
 }
 
-// decodeWords walks rows [lo, hi) of a numeric segment payload,
-// invoking set(i-lo, w) for every row i's 64-bit word.
-func decodeWords(p []byte, sg *SegMeta, lo, hi int, set func(i int, w uint64)) error {
+// decodeWords walks every row of a numeric segment payload, invoking
+// set(i, w) for row i's 64-bit word.
+func decodeWords(p []byte, sg *SegMeta, set func(i int, w uint64)) error {
 	n := sg.Rows
-	if lo < 0 || hi > n || lo > hi {
-		return fmt.Errorf("rows [%d, %d) outside a %d-row segment", lo, hi, n)
-	}
 	switch sg.Enc {
 	case encRaw:
 		if len(p) < 8*n {
 			return fmt.Errorf("raw segment truncated")
 		}
-		for i := lo; i < hi; i++ {
-			set(i-lo, le.Uint64(p[8*i:]))
+		for i := 0; i < n; i++ {
+			set(i, le.Uint64(p[8*i:]))
 		}
 	case encRLE:
 		if len(p) < 4 {
@@ -216,8 +194,8 @@ func decodeWords(p []byte, sg *SegMeta, lo, hi int, set func(i int, w uint64)) e
 			if i+count > n {
 				return fmt.Errorf("rle run overflow")
 			}
-			for j := max(i, lo); j < min(i+count, hi); j++ {
-				set(j-lo, w)
+			for j := i; j < i+count; j++ {
+				set(j, w)
 			}
 			i += count
 		}
@@ -245,7 +223,7 @@ func decodeWords(p []byte, sg *SegMeta, lo, hi int, set func(i int, w uint64)) e
 		if len(p) < n*codeW {
 			return fmt.Errorf("dict codes truncated")
 		}
-		for i := lo; i < hi; i++ {
+		for i := 0; i < n; i++ {
 			var c int
 			if codeW == 1 {
 				c = int(p[i])
@@ -255,7 +233,7 @@ func decodeWords(p []byte, sg *SegMeta, lo, hi int, set func(i int, w uint64)) e
 			if c >= d {
 				return fmt.Errorf("dict code out of range")
 			}
-			set(i-lo, dict[c])
+			set(i, dict[c])
 		}
 	default:
 		return fmt.Errorf("unknown encoding %d", sg.Enc)
