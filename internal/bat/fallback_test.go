@@ -102,7 +102,7 @@ func TestSortKeysRadixFallsBackToMerge(t *testing.T) {
 
 // TestSortStableSerialScratch pins a serial sort's arena peak to the
 // permutation plus a half-length scratch, below the two n-int buffers of a
-// parallel sort, and checks what that buys: under budgets between the two
+// parallel sort, and checks what that buys: under a budget between the two
 // peaks the parallel sort falls back to its serial body in place, records
 // the fallback, stays within the budget and returns the same permutation.
 func TestSortStableSerialScratch(t *testing.T) {
@@ -147,18 +147,63 @@ func TestSortStableSerialScratch(t *testing.T) {
 	if parallel < 2*charge(n) {
 		t.Fatalf("parallel sort peak %d bytes, want its two n-int buffers %d", parallel, 2*charge(n))
 	}
-	// Two budgets between the peaks, neither with room for a second n-int
-	// buffer: midway, and the permutation plus three quarters of it.
-	for _, budget := range []int64{(serial + parallel) / 2, charge(n) + charge(n)*3/4} {
-		if budget <= serial || budget >= parallel {
-			t.Fatalf("budget %d bytes not between the serial %d and parallel %d peaks", budget, serial, parallel)
-		}
-		if peak, err := sortUnder(2, budget); err != nil || peak > budget || fallbacks == 0 {
-			t.Fatalf("parallel sort under %d bytes: peak %d, err %v, %d serial fallbacks, want a fallback within the budget",
-				budget, peak, err, fallbacks)
-		}
-		if peak, err := sortUnder(1, budget); err != nil || peak > budget {
-			t.Fatalf("serial sort under %d bytes: peak %d, err %v", budget, peak, err)
-		}
+	budget := (serial + parallel) / 2
+	if peak, err := sortUnder(2, budget); err != nil || peak > budget || fallbacks == 0 {
+		t.Fatalf("parallel sort under %d bytes: peak %d, err %v, %d serial fallbacks, want a fallback within the budget",
+			budget, peak, err, fallbacks)
 	}
+	if peak, err := sortUnder(1, budget); err != nil || peak > budget {
+		t.Fatalf("serial sort under %d bytes: peak %d, err %v", budget, peak, err)
+	}
+}
+
+// TestSortStableSpillScratchBounded runs a two-worker sort whose tenant
+// budget covers the permutation plus three quarters of it but not a second
+// n-int buffer, with a spill manager at its automatic threshold attached.
+// The sort holds no disk path: it must fall back to its serial body, spill
+// nothing, stay within the budget and return the stable permutation.
+func TestSortStableSpillScratchBounded(t *testing.T) {
+	const workers = 2
+	n := 16 * SerialCutoff
+	rng := rand.New(rand.NewSource(3))
+	keys := make([]int, n)
+	for k := range keys {
+		keys[k] = rng.Intn(n / 16)
+	}
+	less := func(a, b int) bool { return keys[a] < keys[b] }
+
+	tn := exec.NewGovernor(0, 0).Tenant("sort-scratch", 0)
+	a := tn.NewArena()
+	a.Ints(n)
+	idxBytes := tn.LiveBytes()
+	a.Close()
+	budget := idxBytes + idxBytes*3/4
+
+	tn = exec.NewGovernor(0, 0).Tenant("sort-scratch", budget)
+	a = tn.NewArena()
+	defer a.Close()
+	sp := exec.NewSpill(t.TempDir(), 0)
+	defer sp.Cleanup()
+	st := &exec.Stats{}
+	c := exec.NewCtx(workers, a, st).WithSpill(sp)
+	var got []int
+	err := func() (err error) {
+		defer exec.CatchBudget(&err)
+		got = SortStable(c, n, less)
+		return nil
+	}()
+	if err != nil {
+		t.Fatalf("sort under a %d-byte budget: %v", budget, err)
+	}
+	if f := st.SerialFallbacks.Load(); f == 0 {
+		t.Fatal("sort under a budget below two n-int buffers did not fall back to its serial body")
+	}
+	if s := sp.Stats(); s.SpilledBytes != 0 || s.Partitions != 0 {
+		t.Fatalf("sort spilled: %+v", s)
+	}
+	if peak := tn.PeakBytes(); peak > budget {
+		t.Fatalf("peak %d bytes over the %d-byte budget", peak, budget)
+	}
+	permsEqual(t, "scratch-bounded", n, workers, got, refStablePerm(n, less))
+	a.FreeInts(got)
 }
