@@ -37,6 +37,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/sql"
 )
@@ -100,7 +101,8 @@ func main() {
 	}
 
 	db := sql.NewDB()
-	db.SetGovernor(exec.NewGovernor(int64(*globalCap)<<20, *maxQueries))
+	gov := exec.NewGovernor(int64(*globalCap)<<20, *maxQueries)
+	db.SetRMAOptions(&core.Options{Governor: gov})
 	if *spillDir != "" {
 		db.SetSpill(*spillDir, int64(*spillMiB)<<20)
 		log.Printf("out-of-core execution enabled: staging under %s", *spillDir)
@@ -125,7 +127,7 @@ func main() {
 	}
 	expvar.Publish("rma.memory", expvar.Func(func() any { return db.Metrics() }))
 
-	srv := NewServer(db, keys)
+	srv := NewServer(db, gov, keys)
 	mux := http.NewServeMux()
 	mux.Handle("/", srv)
 	mux.Handle("/debug/vars", expvar.Handler())

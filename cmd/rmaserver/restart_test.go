@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/sql"
 )
 
@@ -60,7 +61,7 @@ func TestServerRestartRoundTrip(t *testing.T) {
 	if err := db1.SetDataDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	ts1 := httptest.NewServer(NewServer(db1, keys))
+	ts1 := httptest.NewServer(NewServer(db1, exec.DefaultGovernor(), keys))
 	for _, stmt := range []string{
 		"CREATE TABLE kv (id BIGINT, score DOUBLE, who VARCHAR) PERSIST",
 		"INSERT INTO kv VALUES (1, 0.125, 'ann'), (2, -0.0, 'bob'), (3, 2.5, 'cat')",
@@ -90,7 +91,7 @@ func TestServerRestartRoundTrip(t *testing.T) {
 	if len(loaded) != 1 || loaded[0] != "kv" {
 		t.Fatalf("restored %v, want [kv]", loaded)
 	}
-	ts2 := httptest.NewServer(NewServer(db2, keys))
+	ts2 := httptest.NewServer(NewServer(db2, exec.DefaultGovernor(), keys))
 	defer ts2.Close()
 	code, after := postQuery(t, ts2, "k", probe)
 	if code != 200 {

@@ -29,12 +29,15 @@ type TenantKey struct {
 
 // Server is the concurrent wire-protocol front end over a sql.DB. Each
 // request authenticates by API key, executes under its tenant's budget
-// through the governor configured on the DB (admission, per-tenant
-// arenas, typed budget errors), and streams its result set back in
-// column batches. The zero draining state serves; BeginDrain flips the
-// server to rejecting new statements while in-flight ones finish.
+// through the server's governor (admission, per-tenant arenas, typed
+// budget errors), and streams its result set back in column batches. A
+// request whose client goes away while its statement waits for
+// admission leaves the queue. The zero draining state serves;
+// BeginDrain flips the server to rejecting new statements while
+// in-flight ones finish.
 type Server struct {
 	db   *sql.DB
+	gov  *exec.Governor
 	keys map[string]TenantKey
 	mux  *http.ServeMux
 
@@ -46,9 +49,11 @@ type Server struct {
 }
 
 // NewServer builds the HTTP front end. The DB arrives fully configured
-// (catalog, governor, streaming mode); keys maps API keys to tenants.
-func NewServer(db *sql.DB, keys map[string]TenantKey) *Server {
-	s := &Server{db: db, keys: keys, lat: make(map[string]*latHist)}
+// (catalog, spill, persistence, and gov in its RMA options, so its
+// Metrics read gov's books); every request runs under gov, and keys
+// maps API keys to tenants.
+func NewServer(db *sql.DB, gov *exec.Governor, keys map[string]TenantKey) *Server {
+	s := &Server{db: db, gov: gov, keys: keys, lat: make(map[string]*latHist)}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/query", s.handleQuery)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -160,9 +165,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Tenant:       key.Tenant,
 		MemoryBudget: key.Budget,
 		Parallelism:  req.Workers,
+		Governor:     s.gov,
 	}
 	start := time.Now()
-	res, err := s.db.ExecWith(req.SQL, opts)
+	res, err := s.db.ExecContext(r.Context(), req.SQL, opts)
 	s.histFor(key.Tenant).observe(time.Since(start))
 	if err != nil {
 		status, e := errorFor(err)

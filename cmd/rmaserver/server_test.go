@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/bat"
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/rel"
 	"repro/internal/sql"
@@ -47,10 +48,11 @@ func groupRel(n int) *rel.Relation {
 func newTestServer(t *testing.T, globalCap int64, maxQueries int, keys map[string]TenantKey) (*Server, *sql.DB, *httptest.Server) {
 	t.Helper()
 	db := sql.NewDB()
-	db.SetGovernor(exec.NewGovernor(globalCap, maxQueries))
+	gov := exec.NewGovernor(globalCap, maxQueries)
+	db.SetRMAOptions(&core.Options{Governor: gov})
 	db.Register("t", wideRel(1<<16))
 	db.Register("g", groupRel(1<<14))
-	srv := NewServer(db, keys)
+	srv := NewServer(db, gov, keys)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return srv, db, ts
@@ -219,6 +221,66 @@ func TestServerAdmissionQueue(t *testing.T) {
 	}
 	if m.Memory.Running != 0 || m.Memory.Queued != 0 {
 		t.Fatalf("after completion: running=%d queued=%d", m.Memory.Running, m.Memory.Queued)
+	}
+}
+
+// TestAdmissionCancelledClientLeavesQueue holds the one slot of a
+// maxQueries=1 governor while a client whose request times out waits in
+// the admission queue: its handler returns without running the
+// statement, /metrics shows the queue empty, the next request succeeds
+// once the slot frees, and the tenant is left with 0 live bytes.
+func TestAdmissionCancelledClientLeavesQueue(t *testing.T) {
+	keys := map[string]TenantKey{"alpha": {Tenant: "t1", Budget: 64 << 20}}
+	db := sql.NewDB()
+	gov := exec.NewGovernor(0, 1)
+	db.SetRMAOptions(&core.Options{Governor: gov})
+	db.Register("t", wideRel(1<<16))
+	srv := NewServer(db, gov, keys)
+	returned := make(chan struct{}, 4)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.ServeHTTP(w, r)
+		if r.URL.Path == "/query" {
+			returned <- struct{}{}
+		}
+	}))
+	t.Cleanup(ts.Close)
+
+	hold, err := gov.Admit(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	body, _ := json.Marshal(map[string]any{"sql": heavySort})
+	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/query", bytes.NewReader(body))
+	req.Header.Set("X-API-Key", "alpha")
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		resp.Body.Close()
+		t.Fatalf("request answered %d while the only slot was held", resp.StatusCode)
+	}
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("handler of the timed-out client never returned")
+	}
+	m := getMetrics(t, ts)
+	if m.Memory.Queued != 0 || m.Memory.Admitted != 1 {
+		t.Fatalf("after the client left: queued=%d admitted=%d, want 0 and 1 (the holder)", m.Memory.Queued, m.Memory.Admitted)
+	}
+
+	hold()
+	if status, qr := postQuery(t, ts, "alpha", heavySort); status != http.StatusOK || qr.Rows != 10 {
+		t.Fatalf("next request: status %d rows %d (err %+v)", status, qr.Rows, qr.Error)
+	}
+	<-returned
+	m = getMetrics(t, ts)
+	if m.Memory.Queued != 0 || m.Memory.Running != 0 {
+		t.Fatalf("after the next request: queued=%d running=%d, want 0", m.Memory.Queued, m.Memory.Running)
+	}
+	for _, tn := range m.Memory.Tenants {
+		if tn.LiveBytes != 0 {
+			t.Fatalf("tenant %s holds %d live bytes, want 0", tn.Tenant, tn.LiveBytes)
+		}
 	}
 }
 

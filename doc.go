@@ -14,7 +14,7 @@
 // (internal/exec.Ctx) carrying three things: the worker budget, a
 // size-classed buffer arena, and a stats sink. Every layer takes the
 // context as its first argument — the vectorized BAT kernels, the sort
-// and sparse kernels, the column loops of package batlin, the dense
+// and zero-suppressed (sparse) kernels, the column loops of package batlin, the dense
 // kernels of package linalg (MatMul, SYRK, QR, SVD), the relational
 // operators of package rel, and the copy-in/copy-out loops of package
 // core. A nil context is valid everywhere and means "default budget,
@@ -93,7 +93,11 @@
 // global cap admits a query only when the sum of admitted budgets stays
 // under the cap (plus an optional concurrent-query limit), queueing
 // excess queries instead of overcommitting; sql.DB admits every
-// statement against its governor. The per-run staging of the sparse
+// statement against its options' governor (core.Options.Governor, the
+// process default when nil — the one rule core applies too), and a
+// statement still queued when the context.Context passed to
+// DB.ExecContext is done gives up its place (Governor.Admit skips the
+// abandoned ticket) and returns ctx.Err(). The per-run staging of the sparse
 // kernels (Sparse.Gather, bat.SparseAdd) and the join build's
 // partitioning scratch are arena-charged at their upper bounds, the
 // elementwise BAT kernels hand their int→float and densified-sparse
@@ -165,7 +169,12 @@
 //   - The zero-suppressed kernels (bat.SparseAdd, Sparse.Gather,
 //     Sparse.Densify, Sparse.Sum) decompose over OID ranges concatenated
 //     in range order (Sum reduces over fixed chunks), with the same
-//     determinism guarantee.
+//     determinism guarantee. The format stays behind the RMA kernels:
+//     BAT tails, package batlin and core's BAT policy read it (Table 5's
+//     ADD runs bat.SparseAdd on the compressed columns). The relational
+//     engine handles dense columns only: package rel densifies sparse
+//     keys, aggregate inputs and join payloads on read, and sql.DB.Register
+//     densifies a registered relation's sparse tails once.
 //
 // # Streaming execution
 //
@@ -375,7 +384,8 @@
 // invalidates wholesale on CREATE/INSERT/DROP/Register and on option
 // changes; DB.Metrics carries
 // hit/miss/invalidation counters. Per-statement execution options
-// (tenant, budget, workers) ride DB.ExecWith/QueryWith rather than
+// (tenant, budget, workers, governor) ride
+// DB.ExecContext/ExecWith/QueryWith rather than
 // DB-global state, so a multi-tenant server never serializes on
 // configuration.
 //
@@ -383,8 +393,11 @@
 //
 // cmd/rmaserver fronts a sql.DB over HTTP/JSON: API keys map to
 // governed tenants (key=tenant:budgetMiB), every statement is admitted
-// through the governor and executed via ExecWith under its tenant's
-// budget, and result sets stream back as column batches of
+// through the server's governor (installed with DB.SetRMAOptions and
+// carried in each request's core.Options) and executed via
+// DB.ExecContext under the request's context and its tenant's budget —
+// a client that disconnects while its statement is queued leaves the
+// admission queue — and result sets stream back as column batches of
 // bat.MorselSize rows. Errors are typed JSON — a tenant over its
 // memory budget gets HTTP 429 with code "memory_budget" and the byte
 // arithmetic; neighbors are untouched. GET /metrics serves the
@@ -395,7 +408,7 @@
 // "draining" while in-flight ones finish and close their arenas, then
 // the process exits. The e2e tests (cmd/rmaserver/server_test.go)
 // drive budget isolation, admission queueing under a single-slot
-// governor, graceful drain, and the 4-tenants-by-8-connections load
+// governor, a queued client that times out, graceful drain, and the 4-tenants-by-8-connections load
 // under -race.
 //
 // core.Options.Parallelism bounds the worker budget per invocation

@@ -115,31 +115,6 @@ func TestGatherPadded(t *testing.T) {
 	}
 }
 
-// TestSparseGatherPieces checks that gathering an index list in pieces
-// with GatherAppend and joining them with ConcatSparse is Gather.
-func TestSparseGatherPieces(t *testing.T) {
-	sp := Compress([]float64{0, 1, 0, 3, 0, 5})
-	idx := []int{5, 0, 3, 3, 1, 2, 4, 5}
-	want := sp.Gather(nil, idx)
-	for _, cuts := range [][]int{{0, 8}, {0, 3, 8}, {0, 1, 2, 6, 8}} {
-		var parts []*Sparse
-		for p := 0; p+1 < len(cuts); p++ {
-			part := NewSparse(len(idx), nil, nil)
-			sp.GatherAppend(part, cuts[p], idx[cuts[p]:cuts[p+1]])
-			parts = append(parts, part)
-		}
-		got := ConcatSparse(len(idx), parts)
-		if got.Len() != want.Len() || len(got.val) != len(want.val) {
-			t.Fatalf("cuts %v: len %d nnz %d, want %d %d", cuts, got.Len(), len(got.val), want.Len(), len(want.val))
-		}
-		for k := range idx {
-			if got.Get(k) != want.Get(k) {
-				t.Fatalf("cuts %v: [%d] = %v, want %v", cuts, k, got.Get(k), want.Get(k))
-			}
-		}
-	}
-}
-
 func TestVectorAsFloats(t *testing.T) {
 	iv := NewIntVector([]int64{1, 2, 3})
 	f, shared := iv.AsFloats()

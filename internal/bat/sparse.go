@@ -11,6 +11,12 @@ import (
 // compression MonetDB applies to value-repetitive columns, which the
 // paper's Table 5 experiment shows speeds up add on sparse relations.
 //
+// The format stays behind the RMA kernels: a BAT's sparse tail, core's
+// BAT policy (package batlin) and the kernels below read it. The
+// relational engine sees dense columns only: package rel densifies
+// sparse keys, aggregate inputs and join payloads on read, and the SQL
+// catalog densifies sparse tails once, at DB.Register.
+//
 // The kernels below (SparseAdd, Gather, Densify, Sum) take the
 // invocation's exec.Ctx and decompose their work through its ParallelFor
 // like the dense kernels in bat.go. Each one produces
@@ -22,12 +28,6 @@ type Sparse struct {
 	n   int   // logical length
 	oid []int // positions of the non-zero values, strictly ascending
 	val []float64
-}
-
-// NewSparse builds a zero-suppressed column from parallel (oid, val) lists.
-// OIDs must be strictly ascending and < n; values should be non-zero.
-func NewSparse(n int, oid []int, val []float64) *Sparse {
-	return &Sparse{n: n, oid: oid, val: val}
 }
 
 // Compress converts a dense float slice to zero-suppressed form.
@@ -126,43 +126,23 @@ func (s *Sparse) Gather(c *exec.Ctx, idx []int) *Sparse {
 		for r := range off {
 			off[r] = min(r*size, len(idx))
 		}
-		if stageRuns(c, out, off, func(r int, part *Sparse) { s.GatherAppend(part, off[r], idx[off[r]:off[r+1]]) }) {
+		if stageRuns(c, out, off, func(r int, part *Sparse) { s.gatherAppend(part, off[r], idx[off[r]:off[r+1]]) }) {
 			return out
 		}
 	}
-	s.GatherAppend(out, 0, idx)
+	s.gatherAppend(out, 0, idx)
 	return out
 }
 
-// GatherAppend is Gather of one piece: it appends the non-zero values
-// s[idx[k]] to t at OIDs at+k. Pieces gathered over consecutive ranges
-// of an index list, in order, and joined with ConcatSparse are the
-// Gather of the whole list; t's OIDs must lie below at.
-func (s *Sparse) GatherAppend(t *Sparse, at int, idx []int) {
+// gatherAppend is Gather of one piece: it appends the non-zero values
+// s[idx[k]] to t at OIDs at+k; t's OIDs must lie below at.
+func (s *Sparse) gatherAppend(t *Sparse, at int, idx []int) {
 	for k, j := range idx {
 		if x := s.Get(j); x != 0 {
 			t.oid = append(t.oid, at+k)
 			t.val = append(t.val, x)
 		}
 	}
-}
-
-// ConcatSparse joins zero-suppressed pieces whose OIDs lie in ascending,
-// disjoint ranges, given in that order, into one column of length n.
-func ConcatSparse(n int, parts []*Sparse) *Sparse {
-	if len(parts) == 1 {
-		return &Sparse{n: n, oid: parts[0].oid, val: parts[0].val}
-	}
-	nnz := 0
-	for _, p := range parts {
-		nnz += len(p.oid)
-	}
-	out := &Sparse{n: n, oid: make([]int, 0, nnz), val: make([]float64, 0, nnz)}
-	for _, p := range parts {
-		out.oid = append(out.oid, p.oid...)
-		out.val = append(out.val, p.val...)
-	}
-	return out
 }
 
 // SparseAdd adds two zero-suppressed columns without densifying: a merge

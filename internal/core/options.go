@@ -139,6 +139,16 @@ type Options struct {
 	Stats *Stats
 }
 
+// GovernorOrDefault returns the governor the options resolve tenants
+// (and, for callers that own a query boundary, admission) against:
+// Governor, or exec.DefaultGovernor() when that or o is nil.
+func (o *Options) GovernorOrDefault() *exec.Governor {
+	if o == nil || o.Governor == nil {
+		return exec.DefaultGovernor()
+	}
+	return o.Governor
+}
+
 func (o *Options) orDefault() *Options {
 	if o == nil {
 		return &Options{}
@@ -161,11 +171,7 @@ func (o *Options) ctx() *exec.Ctx {
 	if o.Stats != nil {
 		sink = &exec.Stats{}
 	}
-	gov := o.Governor
-	if gov == nil {
-		gov = exec.DefaultGovernor()
-	}
-	c := exec.NewCtx(o.Parallelism, gov.ArenaFor(o.Tenant, o.MemoryBudget), sink)
+	c := exec.NewCtx(o.Parallelism, o.GovernorOrDefault().ArenaFor(o.Tenant, o.MemoryBudget), sink)
 	if o.Stats != nil {
 		o.Stats.Workers = sink.Workers
 	}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -194,9 +195,11 @@ type Governor struct {
 	// holding serveTicket may be admitted, so a large-budget waiter
 	// cannot be starved by a stream of small queries slipping past it —
 	// the standard head-of-line tradeoff: arrivals behind a blocked
-	// query wait their turn.
+	// query wait their turn. A waiter that gives up leaves its ticket in
+	// abandoned, and serveTicket steps over it.
 	nextTicket  int64
 	serveTicket int64
+	abandoned   map[int64]bool
 }
 
 // NewGovernor returns a governor with the given admission limits:
@@ -208,6 +211,7 @@ func NewGovernor(globalCap int64, maxQueries int) *Governor {
 		globalCap:  globalCap,
 		maxQueries: maxQueries,
 		tenants:    make(map[string]*Tenant),
+		abandoned:  make(map[int64]bool),
 	}
 	g.cond = sync.NewCond(&g.mu)
 	return g
@@ -267,7 +271,11 @@ func (g *Governor) ArenaFor(tenant string, budget int64) *Arena {
 // declared budget alone exceeds the global cap is admitted when it
 // would run alone rather than queueing forever; its tenant budget still
 // governs its allocations.
-func (g *Governor) Admit(budget int64) (release func()) {
+//
+// A query that must wait gives up when ctx is done: Admit returns
+// ctx.Err() and its ticket is skipped, so the queries behind it keep
+// their turn. A query admitted at once never consults ctx.
+func (g *Governor) Admit(ctx context.Context, budget int64) (release func(), err error) {
 	if budget < 0 {
 		budget = 0
 	}
@@ -275,10 +283,27 @@ func (g *Governor) Admit(budget int64) (release func()) {
 	ticket := g.nextTicket
 	g.nextTicket++
 	g.queued++
-	for ticket != g.serveTicket || !g.fitsLocked(budget) {
-		g.cond.Wait()
+	if ticket != g.serveTicket || !g.fitsLocked(budget) {
+		stop := context.AfterFunc(ctx, func() {
+			g.mu.Lock()
+			g.cond.Broadcast()
+			g.mu.Unlock()
+		})
+		defer stop()
+		for ticket != g.serveTicket || !g.fitsLocked(budget) {
+			if err := ctx.Err(); err != nil {
+				g.queued--
+				g.abandoned[ticket] = true
+				g.advanceLocked()
+				g.mu.Unlock()
+				g.cond.Broadcast()
+				return nil, err
+			}
+			g.cond.Wait()
+		}
 	}
 	g.serveTicket++
+	g.advanceLocked()
 	g.queued--
 	g.running++
 	g.reserved += budget
@@ -295,6 +320,15 @@ func (g *Governor) Admit(budget int64) (release func()) {
 			g.mu.Unlock()
 			g.cond.Broadcast()
 		})
+	}, nil
+}
+
+// advanceLocked steps serveTicket over the tickets of waiters that gave
+// up, so the next live waiter holds it.
+func (g *Governor) advanceLocked() {
+	for g.abandoned[g.serveTicket] {
+		delete(g.abandoned, g.serveTicket)
+		g.serveTicket++
 	}
 }
 

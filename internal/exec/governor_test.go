@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -254,11 +255,11 @@ func waitUntil(t *testing.T, d time.Duration, cond func() bool, msg string) {
 // global cap queues until a running query releases its reservation.
 func TestAdmissionQueueing(t *testing.T) {
 	g := NewGovernor(1000, 0)
-	release1 := g.Admit(600)
+	release1 := admitNow(g, 600)
 
 	admitted := make(chan struct{})
 	go func() {
-		release2 := g.Admit(600)
+		release2 := admitNow(g, 600)
 		close(admitted)
 		release2()
 	}()
@@ -288,13 +289,94 @@ func TestAdmissionQueueing(t *testing.T) {
 	}, "governor did not drain to idle")
 }
 
+// admitNow admits budget on g under a context that is never done, so
+// Admit cannot fail.
+func admitNow(g *Governor, budget int64) func() {
+	release, err := g.Admit(context.Background(), budget)
+	if err != nil {
+		panic(err)
+	}
+	return release
+}
+
+// TestAdmissionCancelledWaiterSkipped holds the one slot of a
+// maxQueries=1 governor and queues waiters behind it. The cancelled
+// waiter B returns ctx.Err() and leaves the queue, and C, queued behind
+// B's abandoned ticket, is admitted in FIFO order once the slot frees,
+// whether B held the head of the queue or sat behind another waiter A.
+func TestAdmissionCancelledWaiterSkipped(t *testing.T) {
+	for _, ahead := range []int{0, 1} {
+		g := NewGovernor(0, 1)
+		holder := admitNow(g, 0)
+		queued := 0
+		waiter := func(ctx context.Context) (chan func(), chan error) {
+			admitted, failed := make(chan func(), 1), make(chan error, 1)
+			go func() {
+				if release, err := g.Admit(ctx, 0); err != nil {
+					failed <- err
+				} else {
+					admitted <- release
+				}
+			}()
+			queued++
+			waitUntil(t, 2*time.Second, func() bool { return g.Metrics().Queued == queued },
+				"waiter never queued")
+			return admitted, failed
+		}
+		var aAdmitted chan func()
+		if ahead == 1 {
+			aAdmitted, _ = waiter(context.Background())
+		}
+		ctxB, cancelB := context.WithCancel(context.Background())
+		_, bFailed := waiter(ctxB)
+		cAdmitted, _ := waiter(context.Background())
+
+		cancelB()
+		select {
+		case err := <-bFailed:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("ahead=%d: cancelled waiter returned %v, want context.Canceled", ahead, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("ahead=%d: cancelled waiter never returned", ahead)
+		}
+		waitUntil(t, 2*time.Second, func() bool { return g.Metrics().Queued == queued-1 },
+			"cancelled waiter still counted as queued")
+		select {
+		case <-cAdmitted:
+			t.Fatalf("ahead=%d: C admitted while the slot is held", ahead)
+		case <-time.After(20 * time.Millisecond):
+		}
+
+		holder()
+		if aAdmitted != nil {
+			select {
+			case release := <-aAdmitted:
+				release()
+			case <-time.After(2 * time.Second):
+				t.Fatal("A not admitted after the holder released")
+			}
+		}
+		select {
+		case release := <-cAdmitted:
+			release()
+		case <-time.After(2 * time.Second):
+			t.Fatalf("ahead=%d: C stalled behind the abandoned ticket", ahead)
+		}
+		m := g.Metrics()
+		if m.Queued != 0 || m.Running != 0 || m.Admitted != int64(2+ahead) {
+			t.Fatalf("ahead=%d: queued=%d running=%d admitted=%d, want 0, 0, %d", ahead, m.Queued, m.Running, m.Admitted, 2+ahead)
+		}
+	}
+}
+
 // TestAdmissionOversizedQuery checks the no-deadlock rule: a budget
 // larger than the global cap is admitted when it would run alone.
 func TestAdmissionOversizedQuery(t *testing.T) {
 	g := NewGovernor(1000, 0)
 	done := make(chan struct{})
 	go func() {
-		release := g.Admit(5000)
+		release := admitNow(g, 5000)
 		release()
 		close(done)
 	}()
@@ -308,10 +390,10 @@ func TestAdmissionOversizedQuery(t *testing.T) {
 // TestAdmissionMaxQueries checks the concurrency slot limit.
 func TestAdmissionMaxQueries(t *testing.T) {
 	g := NewGovernor(0, 1)
-	release1 := g.Admit(0)
+	release1 := admitNow(g, 0)
 	admitted := make(chan struct{})
 	go func() {
-		release2 := g.Admit(0)
+		release2 := admitNow(g, 0)
 		close(admitted)
 		release2()
 	}()

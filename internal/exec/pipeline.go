@@ -81,19 +81,10 @@ func (t *StageTracker) Batch(rows int, bytes int64) {
 	}
 	t.batches.Add(1)
 	t.rows.Add(int64(rows))
-	t.Hold(bytes)
-}
-
-// Hold charges bytes the stage keeps resident (batch buffers in flight,
-// a breaker's build state) and raises the peak watermark.
-func (t *StageTracker) Hold(bytes int64) {
-	if t == nil || bytes == 0 {
-		return
-	}
 	maxInt64(&t.peak, t.held.Add(bytes))
 }
 
-// Unhold releases bytes previously recorded by Hold or Batch.
+// Unhold releases bytes previously recorded by Batch.
 func (t *StageTracker) Unhold(bytes int64) {
 	if t == nil || bytes == 0 {
 		return

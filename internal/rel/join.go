@@ -69,13 +69,12 @@ func (b *JoinBuild) Release(c *exec.Ctx) {
 // its first match (first, -1 for none). An unmatched row owns one pair
 // (i, -1) in a left-outer join and none otherwise.
 type JoinProbe struct {
-	b            *JoinBuild
-	kc           *keyCols
-	h            []uint64
-	off, first   []int
-	total        int
-	leftOuter    bool
-	anyUnmatched bool
+	b          *JoinBuild
+	kc         *keyCols
+	h          []uint64
+	off, first []int
+	total      int
+	leftOuter  bool
 }
 
 // Release hands back the probe's arena buffers. Nil-safe on every
@@ -135,7 +134,6 @@ func (b *JoinBuild) Count(c *exec.Ctx, n int, probeKeys []*bat.BAT, leftOuter bo
 	for i, cnt := range off {
 		if cnt == 0 && leftOuter {
 			cnt = 1
-			p.anyUnmatched = true
 		}
 		off[i] = total
 		total += cnt
@@ -206,15 +204,12 @@ func (p *JoinProbe) Scatter(cur *PairCursor, hi int, li, ri []int) int {
 }
 
 // joinCol is one result column of HashJoin: its source, which half of
-// each pair indexes it, and its destination — a dense arena vector, or
-// zero-suppressed pieces, one per worker range of probe morsels.
+// each pair indexes it, and its destination arena vector.
 type joinCol struct {
 	right bool
-	src   *bat.Vector // dense source
-	own   []float64   // densified sparse source, handed back at the end
-	sp    *bat.Sparse // sparse source, gathered piecewise
+	src   *bat.Vector
+	own   []float64 // densified sparse source, handed back at the end
 	dst   *bat.Vector
-	parts []*bat.Sparse // by first morsel of a worker range; nil elsewhere
 }
 
 // HashJoin computes r ⋈ s on equality of the paired key attributes. The
@@ -229,8 +224,8 @@ type joinCol struct {
 // scatter runs over the context's workers by probe morsel, each worker
 // gathering at most bat.MorselSize pairs at a time straight into the
 // result. Its footprint beyond the inputs is the build index, the
-// per-row offsets and the result. Sparse columns stay sparse, except a
-// padded right side of a left join, which is dense.
+// per-row offsets and the result. The result is dense: a zero-suppressed
+// payload is read densified, like a sparse key.
 func HashJoin(c *exec.Ctx, r, s *Relation, rKeys, sKeys []string, jt JoinType) (res *Relation, err error) {
 	defer exec.CatchBudget(&err)
 	if len(rKeys) != len(sKeys) || len(rKeys) == 0 {
@@ -287,15 +282,10 @@ func HashJoin(c *exec.Ctx, r, s *Relation, rKeys, sKeys []string, jt JoinType) (
 	for k, col := range srcs {
 		jc := &cols[k]
 		jc.right = k >= len(r.Cols)
-		switch {
-		case col.IsSparse() && jc.right && p.anyUnmatched:
+		if col.IsSparse() {
 			jc.own, _ = col.FloatsCtx(c)
 			jc.src = bat.NewFloatVector(jc.own)
-		case col.IsSparse():
-			jc.sp = col.Sparse()
-			jc.parts = make([]*bat.Sparse, morsels)
-			continue
-		default:
+		} else {
 			jc.src = col.Vector()
 		}
 		jc.dst = bat.NewVectorCtx(c, col.Type(), p.total)
@@ -306,11 +296,6 @@ func HashJoin(c *exec.Ctx, r, s *Relation, rKeys, sKeys []string, jt JoinType) (
 		defer c.Arena().FreeInts(li)
 		ri := c.Arena().Ints(bat.MorselSize)
 		defer c.Arena().FreeInts(ri)
-		for k := range cols {
-			if cols[k].parts != nil {
-				cols[k].parts[lo] = bat.NewSparse(p.total, nil, nil)
-			}
-		}
 		first := lo * bat.MorselSize
 		cur := PairCursor{i: first, pos: p.off[first]}
 		for {
@@ -325,29 +310,14 @@ func HashJoin(c *exec.Ctx, r, s *Relation, rKeys, sKeys []string, jt JoinType) (
 				if jc.right {
 					idx = ri[:m]
 				}
-				if jc.sp != nil {
-					jc.sp.GatherAppend(jc.parts[lo], at, idx)
-				} else {
-					jc.src.GatherPadded(jc.dst.View(at, at+m), idx)
-				}
+				jc.src.GatherPadded(jc.dst.View(at, at+m), idx)
 			}
 		}
 	})
 
 	out := make([]*bat.BAT, len(cols))
 	for k := range cols {
-		jc := &cols[k]
-		if jc.sp == nil {
-			out[k] = bat.FromVector(jc.dst)
-			continue
-		}
-		var parts []*bat.Sparse
-		for _, part := range jc.parts {
-			if part != nil {
-				parts = append(parts, part)
-			}
-		}
-		out[k] = bat.FromSparse(bat.ConcatSparse(p.total, parts))
+		out[k] = bat.FromVector(cols[k].dst)
 	}
 	return New(r.Name, schema, out)
 }

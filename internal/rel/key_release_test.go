@@ -30,22 +30,27 @@ func tenantCtx(name string) (*exec.Ctx, *exec.Tenant) {
 // sparse-key arena leak: keyColsOf densifies sparse key columns from
 // the per-query arena, and HashJoin used to drop those buffers on the
 // floor. Both sides' densified views must be freed — and with a single
-// sparse column on each side nothing else in the join retains arena
-// floats, so the tenant must drain to zero live bytes.
+// sparse column on each side the join retains no arena floats but its
+// dense result column, so once that is released the tenant must drain
+// to zero live bytes.
 func TestHashJoinReleasesSparseKeyBuffers(t *testing.T) {
 	const n = 256
 	r := sparseKeyRel("r", "k", n, 4, 1)
 	s := sparseKeyRel("s", "k2", n, 4, 1)
 	c, tn := tenantCtx("join-keys")
 
-	if _, err := HashJoin(c, r, s, []string{"k"}, []string{"k2"}, Inner); err != nil {
+	res, err := HashJoin(c, r, s, []string{"k"}, []string{"k2"}, Inner)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := tn.Stats().Floats.Frees; got < 2 {
 		t.Fatalf("float frees after HashJoin = %d, want >= 2 (both densified key views)", got)
 	}
+	for _, col := range res.Cols {
+		bat.Release(c, col)
+	}
 	if got := tn.LiveBytes(); got != 0 {
-		t.Fatalf("live bytes after HashJoin = %d, want 0 (no arena buffer may leak)", got)
+		t.Fatalf("live bytes after HashJoin and releasing its result = %d, want 0 (no arena buffer may leak)", got)
 	}
 
 	// The freed buffers must actually be reusable: repeated joins serve

@@ -28,8 +28,7 @@ func wideRelation(n int) *rel.Relation {
 // released when it finishes.
 func TestStatementTenantAccounting(t *testing.T) {
 	db := NewDB()
-	db.SetGovernor(exec.NewGovernor(0, 0))
-	db.SetRMAOptions(&core.Options{Tenant: "alice", MemoryBudget: 64 << 20})
+	db.SetRMAOptions(&core.Options{Governor: exec.NewGovernor(0, 0), Tenant: "alice", MemoryBudget: 64 << 20})
 	db.Register("t", wideRelation(1<<16))
 
 	if _, err := db.Query(`SELECT x FROM t ORDER BY x LIMIT 5`); err != nil {
@@ -60,8 +59,7 @@ func TestStatementTenantAccounting(t *testing.T) {
 func TestStatementBudgetError(t *testing.T) {
 	db := NewDB()
 	gov := exec.NewGovernor(0, 0)
-	db.SetGovernor(gov)
-	db.SetRMAOptions(&core.Options{Tenant: "bob", MemoryBudget: 4096})
+	db.SetRMAOptions(&core.Options{Governor: gov, Tenant: "bob", MemoryBudget: 4096})
 	db.Register("t", wideRelation(1<<16))
 
 	_, err := db.Query(`SELECT x FROM t ORDER BY x`)
@@ -76,7 +74,7 @@ func TestStatementBudgetError(t *testing.T) {
 	}
 
 	// The same query under an adequate budget succeeds on the same DB.
-	db.SetRMAOptions(&core.Options{Tenant: "bob", MemoryBudget: 64 << 20})
+	db.SetRMAOptions(&core.Options{Governor: gov, Tenant: "bob", MemoryBudget: 64 << 20})
 	if _, err := db.Query(`SELECT x FROM t ORDER BY x LIMIT 3`); err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +87,7 @@ func TestStatementBudgetError(t *testing.T) {
 func TestOrderByPermutationWarmsTenantPool(t *testing.T) {
 	db := NewDB()
 	gov := exec.NewGovernor(0, 0)
-	db.SetGovernor(gov)
-	db.SetRMAOptions(&core.Options{Tenant: "warm", MemoryBudget: 64 << 20})
+	db.SetRMAOptions(&core.Options{Governor: gov, Tenant: "warm", MemoryBudget: 64 << 20})
 	db.Register("t", wideRelation(1<<12))
 	tn := gov.Tenant("warm", 0)
 	// sync.Pool drops a fraction of Puts under the race detector: retry.
@@ -108,8 +105,8 @@ func TestOrderByPermutationWarmsTenantPool(t *testing.T) {
 }
 
 // TestOptionsGovernorUnifiesAccounting is the regression test for the
-// split-books bug: an explicit Options.Governor (set via SetRMAOptions,
-// without SetGovernor) must carry the statement pipeline, admission,
+// split-books bug: an explicit Options.Governor (set via SetRMAOptions)
+// must carry the statement pipeline, admission,
 // and Metrics — not just the RMA table functions — so one tenant's
 // budget is enforced on a single set of books.
 func TestOptionsGovernorUnifiesAccounting(t *testing.T) {
@@ -147,8 +144,7 @@ func TestOptionsGovernorUnifiesAccounting(t *testing.T) {
 func TestStatementAdmissionSerializes(t *testing.T) {
 	db := NewDB()
 	gov := exec.NewGovernor(0, 1)
-	db.SetGovernor(gov)
-	db.SetRMAOptions(&core.Options{Tenant: "q", MemoryBudget: 64 << 20})
+	db.SetRMAOptions(&core.Options{Governor: gov, Tenant: "q", MemoryBudget: 64 << 20})
 	db.Register("t", wideRelation(1<<12))
 
 	var wg sync.WaitGroup

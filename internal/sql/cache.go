@@ -13,7 +13,7 @@ import (
 // This file is the plan cache. A serving workload is almost entirely
 // repeated statement shapes, so DB keeps the parsed AST — and, once the
 // statement first runs, its stream plan — keyed by the normalized
-// statement text; ExecWith fills it on a statement's first run. A hit skips lexing, parsing,
+// statement text; ExecContext fills it on a statement's first run. A hit skips lexing, parsing,
 // planning, pushdown, pruning, and expression compilation: the plan's
 // column-at-a-time programs are compiled once and are immutable, which
 // is what keeps a shared plan safe under concurrent executions.
@@ -24,7 +24,7 @@ import (
 // cached plan for them could silently pin stale data or a stale RMA
 // policy. The cache is invalidated wholesale on every catalog change
 // (CREATE/INSERT/DROP/Register) and on every execution-option change
-// (SetRMAOptions, SetGovernor): plans hold references
+// (SetRMAOptions): plans hold references
 // to the catalog relations that existed at plan time, so any event that
 // could change what a statement reads — or how — drops every entry.
 

@@ -124,8 +124,7 @@ func refName(qual, name string) string {
 type frame struct {
 	c    *exec.Ctx
 	n    int
-	cols []*bat.Vector // by source position; nil where not (yet) bound
-	bats []*bat.BAT    // relation frames: column k materializes on first use
+	cols []*bat.Vector // by source position; nil where not bound
 	all  []int         // the identity candidate list, drawn on first use
 }
 
@@ -138,17 +137,13 @@ func batchFrame(c *exec.Ctx, b *bat.Batch) *frame {
 	return &frame{c: c, n: b.Len(), cols: cols}
 }
 
-// relFrame binds a whole relation. Only the columns a program references
-// are materialized, so a sparse column nobody reads is never densified.
+// relFrame binds a whole relation's columns.
 func relFrame(c *exec.Ctx, r *rel.Relation) *frame {
-	return &frame{c: c, n: r.NumRows(), cols: make([]*bat.Vector, len(r.Cols)), bats: r.Cols}
-}
-
-func (f *frame) col(k int) *bat.Vector {
-	if f.cols[k] == nil {
-		f.cols[k] = f.bats[k].Vector()
+	cols := make([]*bat.Vector, len(r.Cols))
+	for k, col := range r.Cols {
+		cols[k] = col.Vector()
 	}
-	return f.cols[k]
+	return &frame{c: c, n: r.NumRows(), cols: cols}
 }
 
 // rows resolves a candidate list: nil stands for every row.
@@ -380,7 +375,7 @@ func compileExpr(e Expr, s *source) (*compiled, error) {
 			return nil, err
 		}
 		return valueNode(s.rel.Schema[k].Type, func(f *frame, _ []int) (*bat.Vector, error) {
-			return f.col(k), nil
+			return f.cols[k], nil
 		}), nil
 	case *UnaryExpr:
 		in, err := compileExpr(x.E, s)

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sort"
@@ -22,7 +23,7 @@ import (
 // Every statement runs under its own execution context and — when the
 // configured options name a tenant or set a memory budget — draws its
 // buffers from a per-statement accounted arena charging that tenant.
-// Statements are admitted against the database's governor before they
+// Statements are admitted against their options' governor before they
 // run, so a global cap queues excess concurrent queries instead of
 // letting them overcommit memory.
 type DB struct {
@@ -33,7 +34,6 @@ type DB struct {
 	writeMu  sync.Mutex
 	tables   map[string]*rel.Relation
 	rmaOpts  *core.Options
-	gov      *exec.Governor
 	lastPipe []exec.StageStats
 	cache    planCache
 
@@ -58,12 +58,12 @@ type DB struct {
 	stored    map[string]*store.Reader
 }
 
-// NewDB returns an empty database bound to the process-default
-// governor, with the plan cache enabled.
+// NewDB returns an empty database with the plan cache enabled.
+// Statements run under the process-default governor until the options
+// name another (SetRMAOptions, ExecContext).
 func NewDB() *DB {
 	db := &DB{
 		tables:    make(map[string]*rel.Relation),
-		gov:       exec.DefaultGovernor(),
 		persisted: make(map[string]bool),
 		stored:    make(map[string]*store.Reader),
 	}
@@ -72,26 +72,16 @@ func NewDB() *DB {
 }
 
 // SetRMAOptions sets the default execution options (policy, sort mode,
-// tenant, memory budget, stats) used by RMA table functions and the
-// statement pipeline; nil restores the defaults. Statements executed
-// through ExecWith carry their own options instead. Changing the
-// defaults invalidates the plan cache: RMA policy can change what a
-// table function returns.
+// tenant, memory budget, governor, stats) used by RMA table functions
+// and the statement pipeline; nil restores the defaults. A statement
+// is admitted against, and charges its tenant on, the options'
+// Governor, or exec.DefaultGovernor() when that is nil. Statements
+// executed through ExecContext carry their own options instead.
+// Changing the defaults invalidates the plan cache: RMA policy can
+// change what a table function returns.
 func (db *DB) SetRMAOptions(opts *core.Options) {
 	db.mu.Lock()
 	db.rmaOpts = opts
-	db.mu.Unlock()
-	db.cache.invalidate()
-}
-
-// SetGovernor installs the governor statements are admitted against and
-// tenants are resolved through; nil restores the process default.
-func (db *DB) SetGovernor(g *exec.Governor) {
-	db.mu.Lock()
-	if g == nil {
-		g = exec.DefaultGovernor()
-	}
-	db.gov = g
 	db.mu.Unlock()
 	db.cache.invalidate()
 }
@@ -162,7 +152,7 @@ func (db *DB) Metrics() Metrics {
 	opts := db.rmaOpts
 	db.mu.RUnlock()
 	return Metrics{
-		GovernorMetrics: db.governorFor(opts).Metrics(),
+		GovernorMetrics: opts.GovernorOrDefault().Metrics(),
 		PlanCache:       db.cache.stats(),
 		Spill:           db.SpillStats(),
 	}
@@ -181,9 +171,19 @@ func (db *DB) SpillStats() exec.SpillStats {
 }
 
 // Register stores a relation under a name, replacing any previous one.
+// It is the one way columns the catalog did not build enter it, and
+// the catalog holds dense columns only: a zero-suppressed tail
+// (bat.Sparse, the RMA kernels' compressed format) is densified here,
+// once, so every relational operator reads one column representation.
 func (db *DB) Register(name string, r *rel.Relation) {
+	cols := append([]*bat.BAT(nil), r.Cols...)
+	for k, col := range cols {
+		if col.IsSparse() {
+			cols[k] = bat.FromVector(col.Vector())
+		}
+	}
 	db.mu.Lock()
-	db.tables[name] = r.WithName(name)
+	db.tables[name] = &rel.Relation{Name: name, Schema: r.Schema, Cols: cols}
 	db.mu.Unlock()
 	db.cache.invalidate()
 }
@@ -213,12 +213,17 @@ func (db *DB) Tables() []string {
 
 // Exec parses and executes a script and returns the result of the last
 // SELECT (nil if the script contains none) under the database's default
-// options. See ExecWith.
+// options. See ExecContext.
 func (db *DB) Exec(src string) (*rel.Relation, error) {
 	return db.ExecWith(src, nil)
 }
 
-// ExecWith is Exec with per-call execution options: a concurrent server
+// ExecWith is ExecContext without a cancellation signal.
+func (db *DB) ExecWith(src string, opts *core.Options) (*rel.Relation, error) {
+	return db.ExecContext(context.Background(), src, opts)
+}
+
+// ExecContext is Exec with per-call execution options: a concurrent server
 // maps each request to its tenant's options without touching the
 // database-wide defaults (nil opts uses those defaults). Every
 // statement runs under its own execution context (see stmtCtx), so
@@ -232,7 +237,11 @@ func (db *DB) Exec(src string) (*rel.Relation, error) {
 // Single-statement SELECTs over plain tables and joins are served
 // through the plan cache: a repeat of the same normalized statement
 // text skips parsing and planning entirely.
-func (db *DB) ExecWith(src string, opts *core.Options) (*rel.Relation, error) {
+//
+// A statement that waits for admission gives up when ctx is done and
+// the script returns ctx.Err(); ctx is not consulted once a statement
+// runs.
+func (db *DB) ExecContext(ctx context.Context, src string, opts *core.Options) (*rel.Relation, error) {
 	if opts == nil {
 		db.mu.RLock()
 		opts = db.rmaOpts
@@ -241,7 +250,7 @@ func (db *DB) ExecWith(src string, opts *core.Options) (*rel.Relation, error) {
 	key, normOK := normalizeStmt(src)
 	if normOK {
 		if e := db.cache.get(key); e != nil {
-			return db.execCached(e, opts)
+			return db.execCached(ctx, e, opts)
 		}
 	}
 	stmts, err := Parse(src)
@@ -251,13 +260,13 @@ func (db *DB) ExecWith(src string, opts *core.Options) (*rel.Relation, error) {
 	if normOK && len(stmts) == 1 {
 		if sel, ok := stmts[0].(*SelectStmt); ok && cacheableSelect(sel) {
 			if e := db.cache.put(key, sel); e != nil {
-				return db.execCached(e, opts)
+				return db.execCached(ctx, e, opts)
 			}
 		}
 	}
 	var last *rel.Relation
 	for _, s := range stmts {
-		res, err := db.runStmt(s, opts)
+		res, err := db.runStmt(ctx, s, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -271,8 +280,11 @@ func (db *DB) ExecWith(src string, opts *core.Options) (*rel.Relation, error) {
 // execCached runs one execution of a cached statement through the
 // entry's stream plan (planned lazily on the entry's first execution,
 // shared and read-only afterwards).
-func (db *DB) execCached(e *planEntry, opts *core.Options) (res *rel.Relation, err error) {
-	c, finish := db.stmtCtx(opts)
+func (db *DB) execCached(ctx context.Context, e *planEntry, opts *core.Options) (res *rel.Relation, err error) {
+	c, finish, err := db.stmtCtx(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
 	defer finish()
 	defer exec.CatchBudget(&err)
 	plan, err := e.planFor(db, c, opts)
@@ -286,8 +298,11 @@ func (db *DB) execCached(e *planEntry, opts *core.Options) (res *rel.Relation, e
 // a fresh per-statement context, and tears the context down: the
 // statement's arena charges are released and the admission reservation
 // is handed back whether the statement succeeded or not.
-func (db *DB) runStmt(s Statement, opts *core.Options) (res *rel.Relation, err error) {
-	c, finish := db.stmtCtx(opts)
+func (db *DB) runStmt(ctx context.Context, s Statement, opts *core.Options) (res *rel.Relation, err error) {
+	c, finish, err := db.stmtCtx(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
 	defer finish()
 	defer exec.CatchBudget(&err)
 	return db.run(c, opts, s)
@@ -298,18 +313,20 @@ func (db *DB) runStmt(s Statement, opts *core.Options) (res *rel.Relation, err e
 // the process default), and a
 // tenant/memory-budget configuration routes the statement's arena
 // traffic through a per-statement accounted arena charging the tenant.
-// The statement is admitted against the governor before the context is
-// handed out — its declared budget reserves room under the global cap —
-// and the returned finish func must be called when the statement ends:
-// it closes the arena (releasing the statement's outstanding charges)
-// and returns the admission reservation.
+// The statement is admitted against the options' governor before the
+// context is handed out — its declared budget reserves room under the
+// global cap — and the returned finish func must be called when the
+// statement ends: it closes the arena (releasing the statement's
+// outstanding charges) and returns the admission reservation. When ctx
+// is done before the statement is admitted, stmtCtx closes the arena
+// and returns ctx.Err().
 //
 // The relational operators of the SELECT pipeline run under this
 // context; RMA table functions build their own context from the same
 // options inside core.Unary/Binary, charging the same tenant (the
 // statement's options reach evalRMA as a parameter).
-func (db *DB) stmtCtx(opts *core.Options) (*exec.Ctx, func()) {
-	gov := db.governorFor(opts)
+func (db *DB) stmtCtx(ctx context.Context, opts *core.Options) (*exec.Ctx, func(), error) {
+	gov := opts.GovernorOrDefault()
 	var workers int
 	var budget int64
 	var arena *exec.Arena
@@ -318,7 +335,11 @@ func (db *DB) stmtCtx(opts *core.Options) (*exec.Ctx, func()) {
 		budget = opts.MemoryBudget
 		arena = gov.ArenaFor(opts.Tenant, budget)
 	}
-	release := gov.Admit(budget)
+	release, err := gov.Admit(ctx, budget)
+	if err != nil {
+		arena.Close()
+		return nil, nil, err
+	}
 	c := exec.NewCtx(workers, arena, nil)
 	var sp *exec.Spill
 	if dir, th, on := db.spillConfig(); on {
@@ -334,21 +355,7 @@ func (db *DB) stmtCtx(opts *core.Options) (*exec.Ctx, func()) {
 		sp.Cleanup()
 		arena.Close()
 		release()
-	}
-}
-
-// governorFor resolves the governor a statement runs under: an explicit
-// Options.Governor wins over the database's own, so a caller that
-// configures one gets a single set of books — the statement pipeline,
-// the RMA table functions, admission, and Metrics all land on the same
-// governor.
-func (db *DB) governorFor(opts *core.Options) *exec.Governor {
-	if opts != nil && opts.Governor != nil {
-		return opts.Governor
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.gov
+	}, nil
 }
 
 // Query executes a single SELECT statement.
@@ -356,7 +363,7 @@ func (db *DB) Query(src string) (*rel.Relation, error) {
 	return db.QueryWith(src, nil)
 }
 
-// QueryWith is Query with per-call execution options (see ExecWith).
+// QueryWith is Query with per-call execution options (see ExecContext).
 func (db *DB) QueryWith(src string, opts *core.Options) (*rel.Relation, error) {
 	res, err := db.ExecWith(src, opts)
 	if err != nil {
@@ -577,15 +584,6 @@ func (db *DB) evalRMA(c *exec.Ctx, opts *core.Options, x *RMARef) (*rel.Relation
 			return nil, err
 		}
 		args[k] = r
-	}
-	// RMA table functions build their own per-invocation context inside
-	// core from the statement's options; route them through the
-	// database's governor so their tenant accounting lands in the same
-	// books as the statement pipeline.
-	if opts != nil && opts.Governor == nil {
-		o := *opts
-		o.Governor = db.governorFor(opts)
-		opts = &o
 	}
 	if op.Binary() {
 		if len(args) != 2 {

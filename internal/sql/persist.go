@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -83,14 +84,9 @@ func (db *DB) checkpoint(name string) error {
 
 	specs := make([]store.ColSpec, len(r.Schema))
 	data := make([]store.ColData, len(r.Cols))
-	var owned [][]float64 // densified sparse tails, returned below
-	c := exec.Default()
 	for j, a := range r.Schema {
 		specs[j] = store.ColSpec{Name: a.Name, Kind: kindOfType(a.Type)}
-		v := r.Cols[j].VectorCtx(c) // densifies sparse tails
-		if r.Cols[j].IsSparse() {
-			owned = append(owned, v.Floats())
-		}
+		v := r.Cols[j].Vector()
 		switch v.Type() {
 		case bat.Float:
 			data[j] = store.ColData{F: v.Floats()}
@@ -100,11 +96,6 @@ func (db *DB) checkpoint(name string) error {
 			data[j] = store.ColData{S: v.Strings()}
 		}
 	}
-	defer func() {
-		for _, f := range owned {
-			c.Arena().FreeFloats(f)
-		}
-	}()
 
 	w, err := store.Create(tmp, name, specs)
 	if err != nil {
@@ -157,7 +148,10 @@ func (db *DB) LoadPersisted() (loaded []string, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("sql: data dir: %w", err)
 	}
-	c, finish := db.stmtCtx(opts)
+	c, finish, err := db.stmtCtx(context.Background(), opts)
+	if err != nil {
+		return nil, err
+	}
 	defer finish()
 	defer exec.CatchBudget(&err)
 	for _, e := range ents {

@@ -41,16 +41,13 @@ type rowStream interface {
 // morsels are zero-copy views; otherwise only the matching rows of the
 // needed columns are gathered (arena-drawn).
 type scanStream struct {
-	vecs     []*bat.Vector // emitted columns, sparse ones densified at open
-	dense    []bool        // vecs entries that are densified (arena) buffers
+	vecs     []*bat.Vector // emitted columns
 	predCols []*bat.Vector // columns the predicate reads, by source position
-	owned    [][]float64   // densified buffers handed back at close
 	preds    []*compiled   // the planner's compiled conjuncts
 	skip     []bool        // per-segment zone-map prune flags (persisted tables)
 	n, pos   int
 	tr       *exec.StageTracker
 	prev     int64 // bytes of the last emitted batch, unheld on the next call
-	heldOpen int64 // bytes of the densified columns, unheld at close
 }
 
 func newScanStream(c *exec.Ctx, n *streamNode, ps *exec.PipelineStats) (*scanStream, error) {
@@ -60,48 +57,18 @@ func newScanStream(c *exec.Ctx, n *streamNode, ps *exec.PipelineStats) (*scanStr
 		s.skip = segSkips(src.stored, src, n.pred, s.n)
 	}
 
-	// Columns the scan touches: emitted ones plus predicate inputs.
-	// Sparse ones densify once into arena buffers so the per-morsel pass
-	// (and the compiled predicate) reads dense storage.
-	touched := make(map[int]bool, len(n.needed))
-	for _, k := range n.needed {
-		touched[k] = true
-	}
-	predCol := make(map[int]bool)
-	for _, p := range n.pred {
-		for _, cr := range collectCols(p, nil) {
-			if k, err := src.resolve(cr.Qualifier, cr.Name); err == nil {
-				touched[k], predCol[k] = true, true
-			}
-		}
-	}
-	// Iterate columns by position, not by ranging the touched map: the
-	// densified vectors land in s.owned, and a deterministic order keeps
-	// the arena's buffer reuse (and therefore allocation stats) stable
-	// across runs.
-	cols, copied := src.rel.Cols, false
-	for k := range cols {
-		if !touched[k] || !cols[k].IsSparse() {
-			continue
-		}
-		if !copied {
-			cols, copied = append([]*bat.BAT(nil), cols...), true
-		}
-		v := cols[k].VectorCtx(c)
-		s.owned = append(s.owned, v.Floats())
-		s.heldOpen += int64(cap(v.Floats())) * 8
-		cols[k] = bat.FromVector(v)
-	}
-	s.tr.Hold(s.heldOpen)
-
+	cols := src.rel.Cols
 	for _, k := range n.needed {
 		s.vecs = append(s.vecs, cols[k].Vector())
-		s.dense = append(s.dense, src.rel.Cols[k].IsSparse())
 	}
 	if len(s.preds) > 0 {
 		s.predCols = make([]*bat.Vector, len(cols))
-		for k := range predCol {
-			s.predCols[k] = cols[k].Vector()
+		for _, p := range n.pred {
+			for _, cr := range collectCols(p, nil) {
+				if k, err := src.resolve(cr.Qualifier, cr.Name); err == nil {
+					s.predCols[k] = cols[k].Vector()
+				}
+			}
 		}
 	}
 	return s, nil
@@ -148,16 +115,10 @@ func (s *scanStream) next(c *exec.Ctx) (*bat.Batch, error) {
 			rows = len(idx)
 		}
 		b := bat.NewBatch(rows)
-		for k, v := range s.vecs {
-			switch {
-			case idx != nil:
+		for _, v := range s.vecs {
+			if idx != nil {
 				b.AddCol(v.View(lo, hi).Gather(c, idx), true)
-			case s.dense[k]:
-				// A densified buffer goes back to the arena at close, so
-				// it leaves the scan as a copy: a view column promises
-				// storage that outlives the statement.
-				b.AddCol(cloneVec(c, v.View(lo, hi)), true)
-			default:
+			} else {
 				b.AddCol(v.View(lo, hi), false)
 			}
 		}
@@ -172,12 +133,8 @@ func (s *scanStream) next(c *exec.Ctx) (*bat.Batch, error) {
 }
 
 func (s *scanStream) close(c *exec.Ctx) {
-	s.tr.Unhold(s.prev + s.heldOpen)
-	s.prev, s.heldOpen = 0, 0
-	for _, f := range s.owned {
-		c.Arena().FreeFloats(f)
-	}
-	s.owned = nil
+	s.tr.Unhold(s.prev)
+	s.prev = 0
 }
 
 // --- filter ----------------------------------------------------------------
@@ -256,8 +213,7 @@ type joinStream struct {
 	jb        *rel.JoinBuild
 	build     *frame        // the build side the key programs ran over
 	buildKeys []*bat.Vector // evaluated build keys, indexed by jb until close
-	buildVecs []*bat.Vector // needed build columns, sparse ones densified
-	buildOwn  [][]float64
+	buildVecs []*bat.Vector // needed build columns
 	filtered  *rel.Relation // pushed-down-filter intermediate, freed at close
 	leftOuter bool
 	cur       *bat.Batch     // left morsel whose pairs are being scattered
@@ -268,7 +224,6 @@ type joinStream struct {
 	li, ri    []int // arena pair scratch
 	tr        *exec.StageTracker
 	prev      int64
-	heldOpen  int64
 }
 
 func newJoinStream(c *exec.Ctx, n *streamNode, in rowStream, ps *exec.PipelineStats) (*joinStream, error) {
@@ -292,16 +247,9 @@ func newJoinStream(c *exec.Ctx, n *streamNode, in rowStream, ps *exec.PipelineSt
 		return nil, err
 	}
 	for _, k := range n.needed {
-		col := right.Cols[k]
-		v := col.VectorCtx(c)
-		if col.IsSparse() {
-			j.buildOwn = append(j.buildOwn, v.Floats())
-			j.heldOpen += int64(cap(v.Floats())) * 8
-		}
-		j.buildVecs = append(j.buildVecs, v)
+		j.buildVecs = append(j.buildVecs, right.Cols[k].Vector())
 	}
 	j.li, j.ri = c.Arena().Ints(bat.MorselSize), c.Arena().Ints(bat.MorselSize)
-	j.tr.Hold(j.heldOpen)
 	return j, nil
 }
 
@@ -399,8 +347,8 @@ func (j *joinStream) freeBuild(c *exec.Ctx) {
 }
 
 func (j *joinStream) close(c *exec.Ctx) {
-	j.tr.Unhold(j.prev + j.heldOpen)
-	j.prev, j.heldOpen = 0, 0
+	j.tr.Unhold(j.prev)
+	j.prev = 0
 	j.in.close(c)
 	j.drop(c)
 	if j.li != nil {
@@ -408,10 +356,6 @@ func (j *joinStream) close(c *exec.Ctx) {
 		c.Arena().FreeInts(j.ri)
 		j.li, j.ri = nil, nil
 	}
-	for _, f := range j.buildOwn {
-		c.Arena().FreeFloats(f)
-	}
-	j.buildOwn = nil
 	j.freeBuild(c)
 	j.buildVecs = nil
 }
@@ -432,18 +376,15 @@ func filterBuild(c *exec.Ctx, n *streamNode) (right, filtered *rel.Relation, err
 }
 
 // freeFiltered hands back a build-side relation a pushed-down filter
-// gathered into arena buffers. It is freed at close: its dense columns
-// are aliased by buildVecs/rightVecs (and by evaluated build keys) until
-// the last probe. Sparse gather results are plain heap slices and have
-// nothing to return. Nil-safe.
+// gathered into arena buffers. It is freed at close: its columns
+// are aliased by buildVecs (and by evaluated build keys) until the last
+// probe. Nil-safe.
 func freeFiltered(c *exec.Ctx, r *rel.Relation) {
 	if r == nil {
 		return
 	}
 	for _, col := range r.Cols {
-		if !col.IsSparse() {
-			freeVec(c, col.Vector())
-		}
+		freeVec(c, col.Vector())
 	}
 }
 

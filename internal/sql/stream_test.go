@@ -339,8 +339,7 @@ func TestStreamingPeakMemoryWin(t *testing.T) {
 
 	db := streamDB(t, n)
 	gov := exec.NewGovernor(1<<30, 8)
-	db.SetGovernor(gov)
-	db.SetRMAOptions(&core.Options{Tenant: "streamside", MemoryBudget: budget})
+	db.SetRMAOptions(&core.Options{Governor: gov, Tenant: "streamside", MemoryBudget: budget})
 	streamed, err := db.Query(q)
 	if err != nil {
 		t.Fatal(err)
