@@ -62,7 +62,9 @@
 // releases the query's outstanding charges, so failed or abandoned
 // queries cannot strand bytes against a budget; result columns handed
 // to the caller simply leave the governed scope (the budget bounds
-// in-flight execution memory, not retained results).
+// in-flight execution memory, not retained results). The SQL tests
+// hold a statement's Go heap allocation to twice its tenant peak plus
+// 1 MiB (TestGroupStateAccounting, TestOracleAccounting).
 //
 // An allocation that would push a tenant past its budget fails the
 // query with an error matching exec.ErrMemoryBudget — never a panic —
@@ -110,11 +112,9 @@
 // the shared one) stays charged to its owner until the owner's Close,
 // and a tenant arena that did not draw it neither charges nor pools it,
 // so accounting may over-count live bytes for a while but never
-// under-counts. Known limit: the typed key-hash slices (per-row hashes,
-// and the hashes a hash index stores beside its arena-drawn head/next
-// arrays) bypass the arena deliberately — there is no uint64 pool
-// domain, and adding one would cost more in pool bookkeeping than the
-// allocations it saves.
+// under-counts. Known limit: the join's per-row key hashes bypass the
+// arena (there is no uint64 pool domain); the group table stores none
+// and rehashes its keys when it grows.
 //
 // The surface is observable end to end: core.Options{Tenant,
 // MemoryBudget, Governor} governs one invocation and snapshots the
@@ -129,8 +129,8 @@
 //     per-row string keys), hashed column at a time. It drives the one
 //     join core over whole relations: rel.NewJoinBuild indexes the
 //     build side in one flat head/next hash index drawn from the arena
-//     (rel/hashtab.go, the same index under every group table and
-//     Distinct); a parallel count pass records every left row's first
+//     (rel/hashtab.go, the same index under every group table); a
+//     parallel count pass records every left row's first
 //     match and output offset; the result columns are drawn once at
 //     their exact length; and a scatter pass runs over the workers by
 //     probe morsel, each worker gathering at most bat.MorselSize pairs
@@ -145,10 +145,13 @@
 //     layer has one join operator for equi, LEFT, CROSS and non-equi
 //     ON joins; rel.HashJoin itself still requires keys.
 //   - rel.GroupBy is one rel.StreamAgg fed the whole relation: each
-//     row folds straight into its group's states, so every group
+//     row folds straight into its group's state, so every group
 //     accumulates its own rows in row order, groups appear in
 //     first-seen order, and the result is the same at any worker
-//     budget.
+//     budget. Its group table is typed arena columns (the keys, and per
+//     aggregate a count, a float or both) that the result takes over.
+//     Without aggregates GroupBy returns the distinct keys: SQL's
+//     DISTINCT.
 //   - bat.SortKeys is the one code that orders rows: ORDER BY, rel.Sort
 //     and the order schemas of RMA (bat.SortIndex) all call it, and the
 //     key shape alone picks the algorithm. One Int or Float key, either
@@ -272,10 +275,10 @@
 // fallback avoids fails it with the typed error. Spill engages
 // proactively when the DB has a spill directory (sql.DB.SetSpill), and
 // grouped aggregation is the one spilling operator: rel.StreamAgg (under
-// rel.GroupBy too) asks exec.Ctx.ShouldSpill(estimate) before its group
-// table grows, where the threshold is the configured byte count, or half
-// the tenant's budget when configured as zero (unbudgeted tenants never
-// auto-spill). Once it answers true, the aggregation freezes its group
+// rel.GroupBy and DISTINCT too) asks exec.Ctx.ShouldSpill(bytes held)
+// before its group table grows, where the threshold is the configured
+// byte count, or half the tenant's budget when configured as zero
+// (unbudgeted tenants never auto-spill). Once it answers true, the aggregation freezes its group
 // table and stages the rows of unseen keys to partition files, replayed
 // in row order. The other operators have nothing worth staging: a sort
 // would write only its permutation, while the keys it compares and the

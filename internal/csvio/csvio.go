@@ -19,26 +19,12 @@ import (
 // Read parses CSV with a header row into a relation, inferring column
 // types from the data.
 func Read(r io.Reader, name string) (*rel.Relation, error) {
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
+	header, rows, err := records(r)
 	if err != nil {
-		return nil, fmt.Errorf("csvio: header: %v", err)
+		return nil, err
 	}
-	names := append([]string(nil), header...)
-	var rows [][]string
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("csvio: %v", err)
-		}
-		rows = append(rows, append([]string(nil), rec...))
-	}
-	schema := make(rel.Schema, len(names))
-	for k, n := range names {
+	schema := make(rel.Schema, len(header))
+	for k, n := range header {
 		schema[k] = rel.Attr{Name: n, Type: inferType(rows, k)}
 	}
 	return build(name, schema, rows)
@@ -46,27 +32,26 @@ func Read(r io.Reader, name string) (*rel.Relation, error) {
 
 // ReadWithSchema parses CSV with a header row against a declared schema.
 func ReadWithSchema(r io.Reader, name string, schema rel.Schema) (*rel.Relation, error) {
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
+	header, rows, err := records(r)
 	if err != nil {
-		return nil, fmt.Errorf("csvio: header: %v", err)
+		return nil, err
 	}
 	if len(header) != len(schema) {
 		return nil, fmt.Errorf("csvio: %d header fields for schema of arity %d", len(header), len(schema))
 	}
-	var rows [][]string
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("csvio: %v", err)
-		}
-		rows = append(rows, append([]string(nil), rec...))
-	}
 	return build(name, schema, rows)
+}
+
+// records reads the header row and every record after it.
+func records(r io.Reader) (header []string, rows [][]string, err error) {
+	cr := csv.NewReader(r)
+	if header, err = cr.Read(); err != nil {
+		return nil, nil, fmt.Errorf("csvio: header: %v", err)
+	}
+	if rows, err = cr.ReadAll(); err != nil {
+		return nil, nil, fmt.Errorf("csvio: %v", err)
+	}
+	return header, rows, nil
 }
 
 func inferType(rows [][]string, k int) bat.Type {
@@ -124,7 +109,7 @@ func build(name string, schema rel.Schema, rows [][]string) (*rel.Relation, erro
 // Write renders the relation as CSV with a header row.
 func Write(w io.Writer, r *rel.Relation) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(r.Schema.Names()); err != nil {
+	if err := writeRecord(w, cw, r.Schema.Names()); err != nil {
 		return fmt.Errorf("csvio: %v", err)
 	}
 	n := r.NumRows()
@@ -133,10 +118,24 @@ func Write(w io.Writer, r *rel.Relation) error {
 		for k, c := range r.Cols {
 			rec[k] = c.Get(i).String()
 		}
-		if err := cw.Write(rec); err != nil {
+		if err := writeRecord(w, cw, rec); err != nil {
 			return fmt.Errorf("csvio: %v", err)
 		}
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// writeRecord writes one record through cw, which writes to w.
+// encoding/csv writes a lone empty field as a blank line, which readers
+// skip, so that record goes out as a quoted empty field.
+func writeRecord(w io.Writer, cw *csv.Writer, rec []string) error {
+	if len(rec) != 1 || rec[0] != "" {
+		return cw.Write(rec)
+	}
+	if cw.Flush(); cw.Error() != nil {
+		return cw.Error()
+	}
+	_, err := io.WriteString(w, "\"\"\n")
+	return err
 }

@@ -11,7 +11,7 @@ import (
 // directory for on-disk staging (created lazily, removed by Cleanup)
 // and the policy deciding when an operator should degrade to disk.
 // Grouped aggregation is the one spilling operator: its group table
-// asks Ctx.ShouldSpill with its estimated in-memory footprint and
+// asks Ctx.ShouldSpill with the bytes it holds in memory and
 // takes the out-of-core path when it answers true, staging store
 // segments under the scratch directory. Sorts and dense matrices
 // (matrix.BlockMatrix) always run in memory. Spilling never
@@ -127,13 +127,13 @@ func (c *Ctx) Spill() *Spill {
 	return c.spill
 }
 
-// ShouldSpill reports whether an operator expecting to hold roughly
-// est bytes in memory should take its out-of-core path. False without
-// a spill manager. With one, the estimate is compared against the
-// explicit threshold or, when none is set, half the tenant's byte budget
-// (unbudgeted tenants never auto-spill). The answer never affects
-// results, only the memory/disk trade.
-func (c *Ctx) ShouldSpill(est int64) bool {
+// ShouldSpill reports whether an operator holding held bytes in memory
+// should take its out-of-core path. False without a spill manager.
+// With one, held is compared against the explicit threshold or, when
+// none is set, half the tenant's byte budget (unbudgeted tenants never
+// auto-spill). The answer never affects results, only the memory/disk
+// trade.
+func (c *Ctx) ShouldSpill(held int64) bool {
 	sp := c.Spill()
 	if sp == nil {
 		return false
@@ -146,7 +146,7 @@ func (c *Ctx) ShouldSpill(est int64) bool {
 		}
 		th = t.Budget() / 2
 	}
-	return est > th
+	return held > th
 }
 
 // NoteSpill records bytes written to disk and partitions created by

@@ -2,7 +2,6 @@ package rel
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/bat"
 	"repro/internal/exec"
@@ -49,47 +48,19 @@ type AggSpec struct {
 	As   string
 }
 
-type aggState struct {
-	count int64
-	sum   float64
-	min   float64
-	max   float64
-}
-
-func newAggStates(k int) []aggState {
-	st := make([]aggState, k)
-	for i := range st {
-		st[i].min = math.Inf(1)
-		st[i].max = math.Inf(-1)
-	}
-	return st
-}
-
-// accumulate folds row value v (valid when col != nil) into the state.
-func (st *aggState) accumulate(col []float64, i int) {
-	st.count++
-	if col != nil {
-		v := col[i]
-		st.sum += v
-		if v < st.min {
-			st.min = v
-		}
-		if v > st.max {
-			st.max = v
-		}
-	}
-}
-
 // GroupBy computes ϑ: grouping on the key attributes (none means a single
 // global group) with the given aggregates. The result schema is the keys
 // followed by one column per aggregate. Count yields BIGINT; the other
-// functions yield DOUBLE. Groups appear in first-seen row order.
+// functions yield DOUBLE. Groups appear in first-seen row order. Without
+// aggregates the result is the distinct key rows, each the first
+// occurrence: GroupBy(c, r, r.Schema.Names(), nil) is DISTINCT.
 //
 // GroupBy is one StreamAgg fed the whole relation: every group folds its
 // own rows in row order, so sums associate sequentially and the result is
-// the same at any worker budget. When c carries a spill manager, a group
-// table crossing the spill threshold stages the tail of the key space to
-// disk, exactly as the streamed SQL aggregation does.
+// the same at any worker budget. The result's columns are the group
+// table's arena columns. When c carries a spill manager, a group table
+// holding more bytes than the spill threshold stages the tail of the key
+// space to disk, exactly as the streamed SQL aggregation does.
 func GroupBy(c *exec.Ctx, r *Relation, keys []string, aggs []AggSpec) (res *Relation, err error) {
 	defer exec.CatchBudget(&err)
 	var keyBATs []*bat.BAT

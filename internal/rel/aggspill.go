@@ -3,7 +3,6 @@ package rel
 import (
 	"fmt"
 	"os"
-	"sort"
 
 	"repro/internal/bat"
 	"repro/internal/store"
@@ -26,38 +25,26 @@ const (
 	aggParts    = 1 << aggPartBits
 )
 
-// aggSpillState is the staging side of a frozen StreamAgg.
+// aggSpillState is the staging side of a frozen StreamAgg. The
+// partition writers buffer their records up to a segment.
 type aggSpillState struct {
 	hasIn   []bool          // which aggregates carry an input column
 	specs   []store.ColSpec // g, then key cells, then inputs
 	paths   [aggParts]string
 	writers [aggParts]*store.Writer
-	bufs    [aggParts]*aggPartBuf
-	bytes   int64
-	rows    int64
+	rows    [aggParts][]int // the current block's rows, by partition
 }
 
-// aggPartBuf buffers one partition's pending records.
-type aggPartBuf struct {
-	grow []int64
-	keys keyCols
-	in   [][]float64
-}
-
-// spillRow stages row i of the current morsel (key hash h) to its
-// partition.
-func (a *StreamAgg) spillRow(aggIn [][]float64, i int, h uint64) error {
-	if a.spill == nil {
-		st := &aggSpillState{hasIn: make([]bool, len(a.aggs))}
+// spillBlock stages the rows of the current block (rows lo.. of the
+// morsel) whose group is gs[j] < 0, each to the partition its key hash
+// picks.
+func (a *StreamAgg) spillBlock(aggIn [][]float64, lo int, gs []int) error {
+	st := a.spill
+	if st == nil {
+		st = &aggSpillState{hasIn: make([]bool, len(a.aggs))}
 		st.specs = append(st.specs, store.ColSpec{Name: "g", Kind: store.KInt})
-		for k := range a.keys {
-			kind := store.KFloat
-			switch a.kt[k] {
-			case bat.Int:
-				kind = store.KInt
-			case bat.String:
-				kind = store.KString
-			}
+		for k, t := range a.kt {
+			kind := map[bat.Type]store.ColKind{bat.Int: store.KInt, bat.String: store.KString}[t] // else KFloat
 			st.specs = append(st.specs, store.ColSpec{Name: fmt.Sprintf("k%d", k), Kind: kind})
 		}
 		for k := range a.aggs {
@@ -68,80 +55,79 @@ func (a *StreamAgg) spillRow(aggIn [][]float64, i int, h uint64) error {
 		}
 		a.spill = st
 	}
-	st := a.spill
-	// The partition is the hash's top bits; the group table's buckets
-	// use the low ones.
-	pt := int(h >> (64 - aggPartBits))
-	b := st.bufs[pt]
-	if b == nil {
-		b = &aggPartBuf{keys: keyColsOfTypes(a.kt), in: make([][]float64, len(a.aggs))}
-		st.bufs[pt] = b
+	for pt := range st.rows {
+		st.rows[pt] = st.rows[pt][:0]
 	}
-	b.grow = append(b.grow, a.seen)
-	b.keys.appendRow(&a.mk, i)
-	for k := range a.aggs {
-		if st.hasIn[k] {
-			b.in[k] = append(b.in[k], aggIn[k][i])
+	for j, g := range gs {
+		if g < 0 {
+			// The partition is the hash's top bits; the group table's
+			// buckets use the low ones.
+			pt := a.mh[j] >> (64 - aggPartBits)
+			st.rows[pt] = append(st.rows[pt], lo+j)
 		}
 	}
-	st.rows++
-	if b.keys.n == bat.MorselSize {
-		return a.flushPart(pt)
+	for pt, rows := range st.rows {
+		if len(rows) == 0 {
+			continue
+		}
+		if st.writers[pt] == nil {
+			path, err := a.c.Spill().Path("aggpart")
+			if err != nil {
+				return err
+			}
+			w, err := store.Create(path, "aggpart", st.specs)
+			if err != nil {
+				return err
+			}
+			st.paths[pt], st.writers[pt] = path, w
+		}
+		g := make([]int64, len(rows))
+		for x, i := range rows {
+			g[x] = a.seen + int64(i-lo)
+		}
+		cols := []store.ColData{{I: g}}
+		for k := range a.kt {
+			cols = append(cols, store.ColData{F: pick(a.mk.f[k], rows), I: pick(a.mk.i[k], rows), S: pick(a.mk.s[k], rows)})
+		}
+		for k := range a.aggs {
+			if st.hasIn[k] {
+				cols = append(cols, store.ColData{F: pick(aggIn[k], rows)})
+			}
+		}
+		if err := st.writers[pt].Append(len(rows), cols); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// flushPart appends one partition's buffered records to its writer,
-// creating the file lazily.
-func (a *StreamAgg) flushPart(pt int) error {
-	st := a.spill
-	b := st.bufs[pt]
-	if b == nil || b.keys.n == 0 {
+// pick returns the elements of s at rows, or nil for a nil s.
+func pick[T any](s []T, rows []int) []T {
+	if s == nil {
 		return nil
 	}
-	if st.writers[pt] == nil {
-		path, err := a.c.Spill().Path("aggpart")
-		if err != nil {
-			return err
-		}
-		w, err := store.Create(path, "aggpart", st.specs)
-		if err != nil {
-			return err
-		}
-		st.paths[pt], st.writers[pt] = path, w
+	out := make([]T, len(rows))
+	for x, i := range rows {
+		out[x] = s[i]
 	}
-	cols := make([]store.ColData, 0, len(st.specs))
-	cols = append(cols, store.ColData{I: b.grow})
-	for k := range a.kt {
-		cols = append(cols, store.ColData{F: b.keys.f[k], I: b.keys.i[k], S: b.keys.s[k]})
-	}
-	for k := range a.aggs {
-		if st.hasIn[k] {
-			cols = append(cols, store.ColData{F: b.in[k]})
-		}
-	}
-	st.bufs[pt] = nil
-	return st.writers[pt].Append(b.keys.n, cols)
+	return out
 }
 
 // replaySpilled folds the staged partitions back into the group table
 // (see the file comment for why the result is bitwise-identical).
 func (a *StreamAgg) replaySpilled() error {
 	st := a.spill
-	var parts int64
-	for pt := range st.writers {
-		if err := a.flushPart(pt); err != nil {
-			return err
-		}
-		if st.writers[pt] != nil {
-			if err := st.writers[pt].Close(); err != nil {
+	var bytes, parts int64
+	for _, w := range st.writers {
+		if w != nil {
+			if err := w.Close(); err != nil {
 				return err
 			}
-			st.bytes += st.writers[pt].BytesWritten()
+			bytes += w.BytesWritten()
 			parts++
 		}
 	}
-	a.c.NoteSpill(st.bytes, parts)
+	a.c.NoteSpill(bytes, parts)
 	defer func() {
 		for _, p := range st.paths {
 			if p != "" {
@@ -150,85 +136,68 @@ func (a *StreamAgg) replaySpilled() error {
 		}
 	}()
 
-	// Recovered groups, in a group table of their own.
-	var (
-		rfirst  []int64
-		rstates [][]aggState
-	)
-	rt := newKeyTable(a.c, a.kt)
-	defer rt.index.release(a.c)
-	inCol := make([]int, len(a.aggs))
-	ci := 1 + len(a.keys)
-	for k := range a.aggs {
-		if st.hasIn[k] {
-			inCol[k] = ci
-			ci++
-		} else {
-			inCol[k] = -1
-		}
-	}
-
-	kc := keyColsOfTypes(a.kt)
-	var hs []uint64
-	for pt := range st.paths {
-		if st.paths[pt] == "" {
+	// Recovered groups fold in an accumulator of their own, without a
+	// spill manager. Its extra last aggregate takes the minimum of the
+	// rows' global numbers: each group's first row.
+	first := len(a.aggs)
+	rt := newStreamAgg(a.c.WithSpill(nil), "", a.keys, a.kt, append(a.aggs[:first:first], AggSpec{Func: Min}))
+	defer rt.free()
+	kc, keys := keyColsOfTypes(a.kt), make([]*bat.Vector, len(a.kt))
+	in := make([][]float64, first+1)
+	for _, path := range st.paths {
+		if path == "" {
 			continue
 		}
-		rd, err := store.Open(st.paths[pt])
+		rd, err := store.Open(path)
 		if err != nil {
 			return err
 		}
 		cu := store.NewCursor(a.c, rd, nil)
-		for {
-			cols, n, err := cu.Next(bat.MorselSize)
-			if err != nil {
-				cu.Close()
-				rd.Close()
-				return err
-			}
-			if n == 0 {
+		for err == nil {
+			var cols []store.ColData
+			var n int
+			if cols, n, err = cu.Next(bat.MorselSize); err != nil || n == 0 {
 				break
 			}
 			kc.n = n
 			for k := range a.kt {
 				d := cols[1+k]
 				kc.f[k], kc.i[k], kc.s[k] = d.F, d.I, d.S
+				keys[k] = kc.vector(k)
 			}
-			if cap(hs) < n {
-				hs = make([]uint64, n)
-			}
-			kc.hashInto(hs[:n], 0)
-			for j := 0; j < n; j++ {
-				h := hs[j]
-				g := rt.find(h, &kc, j)
-				if g < 0 {
-					g = rt.add(a.c, h, &kc, j)
-					rfirst = append(rfirst, cols[0].I[j])
-					rstates = append(rstates, newAggStates(len(a.aggs)))
-				}
-				st := rstates[g]
-				for k := range st {
-					if inCol[k] >= 0 {
-						st[k].accumulate(cols[inCol[k]].F, j)
-					} else {
-						st[k].accumulate(nil, 0)
-					}
+			ci := 1 + len(a.kt)
+			for k, has := range st.hasIn {
+				if in[k] = nil; has {
+					in[k], ci = cols[ci].F, ci+1
 				}
 			}
+			in[first] = make([]float64, n)
+			for j, g := range cols[0].I {
+				in[first][j] = float64(g)
+			}
+			err = rt.Consume(keys, in, n)
 		}
 		cu.Close()
 		rd.Close()
+		if err != nil {
+			return err
+		}
 	}
 
 	// Append in global first-seen order (first rows are unique).
-	ord := make([]int, len(rstates))
-	for g := range ord {
-		ord[g] = g
-	}
-	sort.Slice(ord, func(x, y int) bool { return rfirst[ord[x]] < rfirst[ord[y]] })
+	ord := bat.SortKeys(a.c, []*bat.Vector{bat.NewFloatVector(rt.val[first][:rt.gk.n])}, []bool{false})
+	defer a.c.Arena().FreeInts(ord)
 	for _, g := range ord {
-		a.states = append(a.states, rstates[g])
-		a.table.keys.appendRow(&rt.keys, g)
+		d := a.newGroup()
+		a.gk.set(d, &rt.gk, g)
+		for k := range a.aggs {
+			if a.cnt[k] != nil {
+				a.cnt[k][d] = rt.cnt[k][g]
+			}
+			if a.val[k] != nil {
+				a.val[k][d] = rt.val[k][g]
+			}
+		}
 	}
 	a.spill = nil
 	return nil

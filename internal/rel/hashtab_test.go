@@ -264,7 +264,8 @@ func wantGrouped(b *Relation, keys []string) *Relation {
 
 // checkHashOps runs every operator on the hash index against the
 // references: HashJoin inner and left, the streamed JoinBuild probe,
-// GroupBy, StreamAgg and Distinct (the last three over the build side),
+// GroupBy, StreamAgg and the zero-aggregate GroupBy that is DISTINCT (the
+// last three over the build side),
 // at each worker budget. Pairs and groups must match in order, bitwise.
 func checkHashOps(tb testing.TB, label string, p, b *Relation, m int, workers []int) {
 	tb.Helper()
@@ -363,7 +364,11 @@ func checkHashOps(tb testing.TB, label string, p, b *Relation, m int, workers []
 		}
 		bitwiseSame(tb, at+" StreamAgg", wantGroups, got)
 
-		bitwiseSame(tb, at+" Distinct", wantDistinct, bkeys.Distinct(c))
+		distinct, err := GroupBy(c, bkeys, bk, nil)
+		if err != nil {
+			tb.Fatalf("%s: zero-aggregate GroupBy: %v", at, err)
+		}
+		bitwiseSame(tb, at+" Distinct", wantDistinct, distinct)
 	}
 }
 
@@ -413,43 +418,45 @@ func TestHashIndexAdversarialKeys(t *testing.T) {
 }
 
 // TestHashIndexChains checks the index itself on hashes crafted to share
-// a bucket (equal low bits) or the whole hash: a lookup visits exactly
-// the entries of its full hash, in ascending order, both when built in
-// one pass and when grown one entry at a time.
+// a bucket (equal low bits, different high bits): a chain walk from a
+// bucket's head visits exactly the entries of that bucket, in ascending
+// order when built in one pass, and as a set when linked one entry at a
+// time in ascending order as a group table links its groups.
 func TestHashIndexChains(t *testing.T) {
 	const n = 1000
 	h := make([]uint64, n)
 	for j := range h {
-		// Eight full hashes, all in one bucket of any table up to 2^32
-		// buckets.
-		h[j] = uint64(j%8) << 40
+		// Five buckets of any table with more than four buckets, each
+		// holding eight distinct full hashes.
+		h[j] = uint64(j%8)<<40 | uint64(j%5)
 	}
 	c := exec.NewCtx(1, nil, nil)
 	bulk := indexRows(c, h)
-	grown := newHashIndex(c)
+	grown := &hashIndex{}
+	grown.alloc(c, n)
 	for j := range h {
-		if e := grown.add(c, h[j]); e != j {
-			t.Fatalf("add returned %d, want %d", e, j)
-		}
+		grown.link(j, h[j])
 	}
-	for _, probe := range append(h[:8:8], 1<<39, 0xdead) {
-		var want []int
-		for j := range h {
-			if h[j] == probe {
-				want = append(want, j)
+	for _, ix := range []*hashIndex{bulk, grown} {
+		for _, b := range []uint64{0, 1, 2, 3, 4, 7} {
+			var want []int
+			for j := range h {
+				if h[j]&ix.mask == b {
+					want = append(want, j)
+				}
 			}
-		}
-		for name, ix := range map[string]*hashIndex{"bulk": bulk, "grown": grown} {
 			var got []int
-			for e := ix.find(probe); e >= 0; e = ix.findNext(e, probe) {
+			for e := ix.head[b]; e >= 0; e = ix.next[e] {
 				got = append(got, e)
 			}
-			if name == "grown" {
+			name := "bulk"
+			if ix == grown {
 				// Grown chains need not be ascending; compare as sets.
+				name = "grown"
 				sort.Ints(got)
 			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%s: hash %#x visits %v, want %v", name, probe, got, want)
+				t.Fatalf("%s: bucket %d visits %v, want %v", name, b, got, want)
 			}
 		}
 	}
@@ -460,8 +467,8 @@ func TestHashIndexChains(t *testing.T) {
 // TestHashIndexArenaReleased checks the arena books of every operator on
 // the hash index: the index is charged while it lives, and after
 // HashJoin, GroupBy, JoinBuild.Release, StreamAgg.Finish (resident and
-// spilled) and Distinct — with the result columns handed back — the
-// tenant's live bytes are where they started.
+// spilled) and a zero-aggregate GroupBy (DISTINCT) — with the result
+// columns handed back — the tenant's live bytes are where they started.
 func TestHashIndexArenaReleased(t *testing.T) {
 	const n = 5000
 	cells := func(k, i int) int { return (i*7919 + k) % 4093 }
@@ -547,11 +554,15 @@ func TestHashIndexArenaReleased(t *testing.T) {
 			t.Fatal("StreamAgg did not spill")
 		}
 		sp.Cleanup()
-		drained(fmt.Sprintf("StreamAgg.Finish spill=%v", spill), nil)
+		drained(fmt.Sprintf("StreamAgg.Finish spill=%v", spill), res)
 	}
 
 	bkeys, _ := b.Project(bk...)
-	drained("Distinct", bkeys.Distinct(c))
+	res, err = GroupBy(c, bkeys, bk, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drained("Distinct", res)
 }
 
 // FuzzHashJoinGroup runs the differential harness of

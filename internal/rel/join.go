@@ -40,6 +40,7 @@ const (
 // consecutive morsels concatenate to the pairs of the whole input.
 type JoinBuild struct {
 	skc   *keyCols
+	h     []uint64 // build key hashes, checked before key equality
 	table *hashIndex
 }
 
@@ -50,7 +51,8 @@ type JoinBuild struct {
 func NewJoinBuild(c *exec.Ctx, n int, buildKeys []*bat.BAT) (jb *JoinBuild, err error) {
 	defer exec.CatchBudget(&err)
 	skc := keyColsOf(c, n, buildKeys)
-	return &JoinBuild{skc: skc, table: indexRows(c, skc.hashes(c))}, nil
+	h := skc.hashes(c)
+	return &JoinBuild{skc: skc, h: h, table: indexRows(c, h)}, nil
 }
 
 // Release hands back the build side's hash index and densified key
@@ -61,7 +63,7 @@ func (b *JoinBuild) Release(c *exec.Ctx) {
 	}
 	b.skc.release(c)
 	b.table.release(c)
-	b.table = nil
+	b.table, b.h = nil, nil
 }
 
 // JoinProbe is a probe input after the count pass: its key views and
@@ -114,13 +116,13 @@ func (b *JoinBuild) Count(c *exec.Ctx, n int, probeKeys []*bat.BAT, leftOuter bo
 	p.off = c.Arena().Ints(n)
 	p.first = c.Arena().Ints(n)
 	// Locals, not fields of p, keep the loops' slices in registers.
-	kc, hs, off, first := p.kc, p.h, p.off, p.first
+	kc, hs, off, first, bh, next := p.kc, p.h, p.off, p.first, b.h, b.table.next
 	c.ParallelFor(n, bat.SerialCutoff, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			cnt, fst := 0, -1
 			h := hs[i]
-			for j := b.table.find(h); j >= 0; j = b.table.findNext(j, h) {
-				if kc.equal(i, b.skc, j) {
+			for j := b.table.head[h&b.table.mask]; j >= 0; j = next[j] {
+				if bh[j] == h && kc.equal(i, b.skc, j) {
 					if cnt == 0 {
 						fst = j
 					}
@@ -157,6 +159,7 @@ type PairCursor struct{ i, pos, j int }
 func (p *JoinProbe) Scatter(cur *PairCursor, hi int, li, ri []int) int {
 	b := p.b
 	off, first, hs, kc, leftOuter := p.off, p.first, p.h, p.kc, p.leftOuter
+	bh, next := b.h, b.table.next
 	base, lim := cur.pos, cur.pos+len(li)
 	for i := cur.i; i < hi; i++ {
 		pos, j := off[i], first[i]
@@ -190,7 +193,7 @@ func (p *JoinProbe) Scatter(cur *PairCursor, hi int, li, ri []int) int {
 				*cur = PairCursor{i: i, pos: lim, j: j}
 				return len(li)
 			}
-			for j = b.table.findNext(j, h); !kc.equal(i, b.skc, j); j = b.table.findNext(j, h) {
+			for j = next[j]; bh[j] != h || !kc.equal(i, b.skc, j); j = next[j] {
 			}
 			li[pos-base], ri[pos-base] = i, j
 		}

@@ -6,9 +6,10 @@ import (
 )
 
 // This file implements typed multi-column row keys for the hash-based
-// relational operators (HashJoin, GroupBy, StreamAgg, Distinct). Rows are
-// identified by a 64-bit hash computed column at a time from typed cell
-// values — no per-row string materialization — and candidate collisions
+// relational operators (HashJoin and StreamAgg, which GroupBy and DISTINCT
+// run through). Rows are identified by a 64-bit hash computed column at
+// a time from typed cell values — no per-row string materialization —
+// and candidate collisions
 // are resolved by comparing the key columns directly. Cells are hashed in
 // isolation (numerics contribute one 8-byte word, strings their bytes
 // followed by their length), so composite keys cannot collide through
@@ -71,8 +72,8 @@ func keyColsOf(c *exec.Ctx, n int, cols []*bat.BAT) *keyCols {
 }
 
 // keyColsOfTypes returns empty key columns of the given types, ready for
-// appendRow: the stored group representatives of StreamAgg and the
-// staging buffers of its spill.
+// grow and set: the group representatives of StreamAgg and the staging
+// buffers of its spill.
 func keyColsOfTypes(kt []bat.Type) keyCols {
 	kc := keyCols{
 		f: make([][]float64, len(kt)),
@@ -108,19 +109,64 @@ func (kc *keyCols) bind(n int, vecs []*bat.Vector, kt []bat.Type) {
 	}
 }
 
-// appendRow appends row i of src to kc, whose columns have src's types.
-func (kc *keyCols) appendRow(src *keyCols, i int) {
+// set copies row i of src into row j of kc, whose columns have src's
+// types and room for row j.
+func (kc *keyCols) set(j int, src *keyCols, i int) {
 	for k := range kc.f {
 		switch {
 		case kc.i[k] != nil:
-			kc.i[k] = append(kc.i[k], src.i[k][i])
+			kc.i[k][j] = src.i[k][i]
 		case kc.s[k] != nil:
-			kc.s[k] = append(kc.s[k], src.s[k][i])
+			kc.s[k][j] = src.s[k][i]
 		default:
-			kc.f[k] = append(kc.f[k], src.f[k][i])
+			kc.f[k][j] = src.f[k][i]
 		}
 	}
-	kc.n++
+}
+
+// vector returns column k of kc, cut to its n rows.
+func (kc *keyCols) vector(k int) *bat.Vector {
+	switch {
+	case kc.i[k] != nil:
+		return bat.NewIntVector(kc.i[k][:kc.n])
+	case kc.s[k] != nil:
+		return bat.NewStringVector(kc.s[k][:kc.n])
+	}
+	return bat.NewFloatVector(kc.f[k][:kc.n])
+}
+
+// grow redraws kc's columns (from keyColsOfTypes) from c's arena with
+// room for size rows, keeping its n rows, and frees the old ones.
+func (kc *keyCols) grow(c *exec.Ctx, size int) {
+	a := c.Arena()
+	for k := range kc.f {
+		switch {
+		case kc.i[k] != nil:
+			kc.i[k] = regrow(kc.i[k], kc.n, size, a.Int64s, a.FreeInt64s)
+		case kc.s[k] != nil:
+			kc.s[k] = regrow(kc.s[k], kc.n, size, a.Strings, a.FreeStrings)
+		default:
+			kc.f[k] = regrow(kc.f[k], kc.n, size, a.Floats, a.FreeFloats)
+		}
+	}
+}
+
+// free hands the columns grow drew back to c's arena.
+func (kc *keyCols) free(c *exec.Ctx) {
+	for k := range kc.f {
+		c.Arena().FreeInt64s(kc.i[k])
+		c.Arena().FreeStrings(kc.s[k])
+		c.Arena().FreeFloats(kc.f[k])
+	}
+}
+
+// regrow draws a column of size elements, copies the first n of old into
+// it and frees old: one doubling step of an arena-held column.
+func regrow[T any](old []T, n, size int, draw func(int) []T, free func([]T)) []T {
+	s := draw(size)
+	copy(s, old[:n])
+	free(old)
+	return s
 }
 
 const (

@@ -97,9 +97,10 @@ func TestGroupByReleasesSparseKeyBuffers(t *testing.T) {
 // the aggregate-view leak: FloatsCtx densifies a sparse (or converts an
 // int) aggregate column from the per-query arena, and GroupBy used to
 // drop those buffers on the floor. With a sparse key AND a sparse
-// aggregate column, nothing in the aggregation retains arena floats, so
-// the tenant must drain to zero live bytes — in memory and on the
-// spilled path, which used to keep the densified key view.
+// aggregate column, the aggregation retains no arena buffer but its
+// result's columns, so once those are handed back the tenant must drain
+// to zero live bytes — in memory and on the spilled path, which used to
+// keep the densified key view.
 func TestGroupByReleasesSparseAggregateBuffers(t *testing.T) {
 	const n = 256
 	k := make([]float64, n)
@@ -123,7 +124,8 @@ func TestGroupByReleasesSparseAggregateBuffers(t *testing.T) {
 			sp = exec.NewSpill(t.TempDir(), 1)
 			c = c.WithSpill(sp)
 		}
-		if _, err := GroupBy(c, r, []string{"k"}, aggs); err != nil {
+		res, err := GroupBy(c, r, []string{"k"}, aggs)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if spill && sp.Stats().SpilledBytes == 0 {
@@ -132,6 +134,9 @@ func TestGroupByReleasesSparseAggregateBuffers(t *testing.T) {
 		sp.Cleanup()
 		if got := tn.Stats().Floats.Frees; got < 2 {
 			t.Fatalf("spill=%v: float frees after GroupBy = %d, want >= 2 (densified key and aggregate views)", spill, got)
+		}
+		for _, col := range res.Cols {
+			bat.Release(c, col)
 		}
 		if got := tn.LiveBytes(); got != 0 {
 			t.Fatalf("spill=%v: live bytes after GroupBy = %d, want 0 (no arena buffer may leak)", spill, got)
@@ -187,17 +192,29 @@ func seqF(n int) []float64 {
 }
 
 // TestDistinctReleasesSparseKeyBuffers checks the contract on the
-// deduplication path, where every column is a key column.
+// deduplication path, a zero-aggregate GroupBy where every column is a
+// key column: the densified view is freed, and once the result's key
+// column is handed back the tenant holds nothing.
 func TestDistinctReleasesSparseKeyBuffers(t *testing.T) {
 	const n = 256
 	r := sparseKeyRel("d", "k", n, 4, 1)
 	c, tn := tenantCtx("distinct-keys")
 
-	r.Distinct(c)
+	res, err := GroupBy(c, r, r.Schema.Names(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := tn.Stats().Floats.Frees; got < 1 {
 		t.Fatalf("float frees after Distinct = %d, want >= 1 (the densified view)", got)
 	}
+	// Every fourth row is non-zero and distinct; the rest share 0.
+	if got, want := res.NumRows(), n/4+1; got != want {
+		t.Fatalf("distinct rows = %d, want %d", got, want)
+	}
+	for _, col := range res.Cols {
+		bat.Release(c, col)
+	}
 	if got := tn.LiveBytes(); got != 0 {
-		t.Fatalf("live bytes after Distinct = %d, want 0", got)
+		t.Fatalf("live bytes after Distinct and releasing its result = %d, want 0", got)
 	}
 }

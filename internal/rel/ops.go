@@ -119,32 +119,6 @@ func Union(r, s *Relation) (*Relation, error) {
 	return New(r.Name, r.Schema.Clone(), cols)
 }
 
-// Distinct returns r with duplicate rows removed (first occurrence kept).
-// Rows are compared through the typed key hashes of key.go (hash computed
-// in parallel, collisions resolved by column comparison), not through
-// rendered strings; the kept rows are indexed in the flat hash index of
-// hashtab.go.
-func (r *Relation) Distinct(c *exec.Ctx) *Relation {
-	n := r.NumRows()
-	kc := keyColsOf(c, n, r.Cols)
-	h := kc.hashes(c)
-	seen := newHashIndex(c)
-	idx := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		e := seen.find(h[i])
-		for e >= 0 && !kc.equal(i, kc, idx[e]) {
-			e = seen.findNext(e, h[i])
-		}
-		if e < 0 {
-			seen.add(c, h[i])
-			idx = append(idx, i)
-		}
-	}
-	seen.release(c)
-	kc.release(c)
-	return r.Gather(c, idx)
-}
-
 // OrderSpec describes one ORDER BY item.
 type OrderSpec struct {
 	Attr string
@@ -178,12 +152,7 @@ func (r *Relation) Sort(c *exec.Ctx, specs ...OrderSpec) (res *Relation, err err
 
 // Limit returns the first n rows.
 func (r *Relation) Limit(c *exec.Ctx, n int) *Relation {
-	if n > r.NumRows() {
-		n = r.NumRows()
-	}
-	idx := make([]int, n)
-	for k := range idx {
-		idx[k] = k
-	}
+	idx := bat.Identity(c, min(n, r.NumRows()))
+	defer c.Arena().FreeInts(idx)
 	return r.Gather(c, idx)
 }

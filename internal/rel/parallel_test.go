@@ -157,7 +157,11 @@ func TestHashJoinNulSeparatorRegression(t *testing.T) {
 // TestDistinctNulSeparatorRegression: the two distinct rows must both
 // survive.
 func TestDistinctNulSeparatorRegression(t *testing.T) {
-	if got := nulRel("r", "A", "B").Distinct(nil).NumRows(); got != 2 {
+	d, err := GroupBy(nil, nulRel("r", "A", "B"), []string{"A", "B"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.NumRows(); got != 2 {
 		t.Fatalf("distinct over NUL keys = %d rows, want 2", got)
 	}
 }

@@ -5,15 +5,15 @@
 // internal/core produce and consume the same Relation type, which is what
 // makes the algebra closed.
 //
-// The hash-based operators (HashJoin, GroupBy, Distinct) identify rows by
-// typed 64-bit key hashes with collision resolution against the actual key
-// columns (see key.go). HashJoin and Distinct decompose their scans over
-// the exec.Ctx passed per invocation, and GroupBy folds its rows serially
-// — concurrent queries with different worker budgets each carry their
-// own context and never share a knob. HashJoin, GroupBy, and
-// Sort are deterministic at any worker budget: the same row order and
-// bitwise-identical float payloads whether they run serially or on eight
-// workers.
+// The hash-based operators (HashJoin, and GroupBy, which without
+// aggregates is DISTINCT) identify rows by typed 64-bit key hashes with
+// collision resolution against the actual key columns (see key.go).
+// HashJoin decomposes its scans over the exec.Ctx passed per invocation,
+// and GroupBy folds its rows serially — concurrent queries with
+// different worker budgets each carry their own context and never share
+// a knob. HashJoin, GroupBy, and Sort are deterministic at any worker
+// budget: the same row order and bitwise-identical float payloads
+// whether they run serially or on eight workers.
 package rel
 
 import (

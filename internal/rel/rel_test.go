@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -234,9 +235,12 @@ func TestUnionDistinct(t *testing.T) {
 	if u.NumRows() != 4 {
 		t.Fatalf("bag union rows = %d", u.NumRows())
 	}
-	d := u.Distinct(nil)
-	if d.NumRows() != 3 {
-		t.Errorf("distinct rows = %d", d.NumRows())
+	d, err := GroupBy(nil, u, []string{"X"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if col, _ := d.Col("X"); fmt.Sprint(col.Vector().Ints()) != "[1 2 3]" {
+		t.Errorf("distinct rows = %v, want [1 2 3]", col.Vector().Ints())
 	}
 	c := MustNew("c", Schema{{Name: "X", Type: bat.Float}}, []*bat.BAT{bat.FromFloats([]float64{1})})
 	if _, err := Union(a, c); err == nil {
@@ -299,7 +303,24 @@ func TestGroupByGlobal(t *testing.T) {
 func TestGroupByErrors(t *testing.T) {
 	r := ratings()
 	if _, err := GroupBy(nil, r, nil, nil); err == nil {
-		t.Error("no aggregates accepted")
+		t.Error("neither keys nor aggregates accepted")
+	}
+	// No aggregates: the distinct keys, in first-seen order.
+	rr, err := Union(r, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := GroupBy(nil, rr, []string{"User"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := d.NumCols(), 1; got != want {
+		t.Fatalf("zero-aggregate GroupBy has %d columns, want %d", got, want)
+	}
+	got, _ := d.Col("User")
+	want, _ := r.Col("User")
+	if fmt.Sprint(got.Vector().Strings()) != fmt.Sprint(want.Vector().Strings()) {
+		t.Errorf("zero-aggregate GroupBy keys = %v, want %v", got.Vector().Strings(), want.Vector().Strings())
 	}
 	if _, err := GroupBy(nil, r, nil, []AggSpec{{Func: Avg}}); err == nil {
 		t.Error("AVG(*) accepted")

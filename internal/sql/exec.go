@@ -89,7 +89,7 @@ func (db *DB) SetRMAOptions(opts *core.Options) {
 // SetSpill enables out-of-core statement execution: every statement
 // context carries a spill manager staging under dir (empty means the OS
 // temp dir), and a grouped aggregation — the one spilling operator —
-// whose estimated in-memory footprint exceeds threshold bytes takes its
+// whose group table holds more than threshold bytes takes its
 // disk-backed path (threshold 0 derives half the statement tenant's
 // budget at decision time). Spilling never changes results — the
 // spilled aggregation is bitwise identical to its in-memory twin — so
@@ -742,7 +742,13 @@ func projectMeta(items []SelectItem, src *source) (rel.Schema, []sym, []*compile
 			if q := userQual(it.Expr); q != "" {
 				name = q + "." + name
 			} else {
-				name = fmt.Sprintf("%s_%d", name, k+1)
+				// The position's suffix, or the first free one after it.
+				for s, base := k+1, name; ; s++ {
+					name = fmt.Sprintf("%s_%d", base, s)
+					if _, taken := seen[name]; !taken {
+						break
+					}
+				}
 			}
 		}
 		seen[name] = k
@@ -767,13 +773,16 @@ func userQual(e Expr) string {
 // output. in, when non-nil, binds the pre-projection rows the ORDER BY
 // keys marked input are evaluated over (row for row the output's, since
 // such keys exist only without DISTINCT).
-func finishOutput(c *exec.Ctx, sel *SelectStmt, out *rel.Relation, order []orderKey, in *frame) (*rel.Relation, error) {
+func finishOutput(c *exec.Ctx, sel *SelectStmt, out *rel.Relation, order []orderKey, in *frame) (_ *rel.Relation, err error) {
 	if sel.Distinct {
-		out = out.Distinct(c)
+		// Output names are unique (rel.New): every column is a key.
+		if out, err = rel.GroupBy(c, out, out.Schema.Names(), nil); err != nil {
+			return nil, err
+		}
 	}
 	if len(order) > 0 {
-		idx, err := sortIndex(c, out, order, in)
-		if err != nil {
+		var idx []int
+		if idx, err = sortIndex(c, out, order, in); err != nil {
 			return nil, err
 		}
 		out = out.Gather(c, idx)

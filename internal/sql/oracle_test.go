@@ -360,6 +360,53 @@ func TestDifferentialOracle(t *testing.T) {
 	}
 }
 
+// TestOracleAccounting holds every operator class the generator reaches
+// — scans, filters, joins, GROUP BY, DISTINCT, ORDER BY, LIMIT — to the
+// tenant ledger: each statement runs twice at one worker, each time on a
+// fresh tenant, and on the warm second run the Go heap may allocate at
+// most twice the tenant's peak plus allocSlack. A statement the engine
+// rejects is skipped (its error text is the differential oracle's
+// business), and so is a plain projection over a join: the streamed
+// projection concatenates its output into columns outside the ledger
+// (colBuf.vector), so a join's output, which can outgrow its inputs
+// many times, escapes the bound whatever the group table does. GROUP BY
+// and DISTINCT statements are never skipped. The statement stream is
+// the differential oracle's: the same seed draws the same catalogs and
+// statements.
+func TestOracleAccounting(t *testing.T) {
+	skipUnderRace(t)
+	iters := oracleEnvInt("RMA_ORACLE_ITERS", 60)
+	seed := int64(oracleEnvInt("RMA_ORACLE_SEED", 1))
+	rng := rand.New(rand.NewSource(seed))
+
+	var oc *oracleCatalog
+	checked := 0
+	for round := 0; round < iters; round++ {
+		if round%25 == 0 || oc == nil {
+			oc = newOracleCatalog(t, rng, round/25)
+		}
+		q := genQuery(rng)
+		if strings.Contains(q, " JOIN ") && !strings.Contains(q, " GROUP BY ") && !strings.Contains(q, "DISTINCT") {
+			continue
+		}
+		if _, _, err := statementAlloc(oc.stream, q); err != nil {
+			continue
+		}
+		peak, alloc, err := statementAlloc(oc.stream, q)
+		if err != nil {
+			t.Fatalf("seed=%d round=%d\nquery: %s\nwarm run failed: %v", seed, round, q, err)
+		}
+		if limit := 2*uint64(peak) + allocSlack; alloc > limit {
+			t.Fatalf("seed=%d round=%d\nquery: %s\nallocated %d B, above 2 x tenant peak %d B + %d B",
+				seed, round, q, alloc, peak, allocSlack)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("every generated statement failed; nothing was checked")
+	}
+}
+
 // TestOracleRowPermutation is the SQL slice of the row-permutation law:
 // a relation has no row order, so shuffling the rows of f and d (seeded)
 // must leave every generated statement's result the same multiset of

@@ -365,7 +365,7 @@ func planGroup(sel *SelectStmt, aggs []*FuncCall, proto *source) (*groupPlan, er
 		gp.keyProg = append(gp.keyProg, p)
 	}
 	if len(aggs) == 0 {
-		// The grouping operator's own rejection, in its words.
+		// The dialect's rule: DISTINCT, not GROUP BY, asks for the keys.
 		return nil, fmt.Errorf("rel: group by without aggregates")
 	}
 	gp.specs = make([]rel.AggSpec, len(aggs))

@@ -197,6 +197,24 @@ func printKeys(own, other []*rowExpr, n int) []string {
 	return out
 }
 
+// refDistinct keeps the first occurrence of every row of r, rows keyed by
+// their printed cells.
+func refDistinct(r *rel.Relation) []*bat.BAT {
+	cols := make([]*rowExpr, len(r.Cols))
+	for k, col := range r.Cols {
+		cols[k] = &rowExpr{typ: col.Type(), fn: col.Get}
+	}
+	seen := map[string]bool{}
+	var keep []int
+	for i, key := range printKeys(cols, cols, r.NumRows()) {
+		if !seen[key] {
+			seen[key] = true
+			keep = append(keep, i)
+		}
+	}
+	return refGather(r.Cols, keep)
+}
+
 // refFilter keeps the rows of src on which pred is truthy.
 func refFilter(src *source, pred Expr) (*source, error) {
 	comp, err := rowCompile(pred, src)
@@ -389,7 +407,9 @@ func refFinish(c *exec.Ctx, sel *SelectStmt, items []SelectItem, src *source) (*
 		return nil, err
 	}
 	if sel.Distinct {
-		out = out.Distinct(c)
+		if out, err = rel.New("", schema, refDistinct(out)); err != nil {
+			return nil, err
+		}
 	}
 	if len(sel.OrderBy) > 0 {
 		outSrc := &source{rel: out, syms: syms}

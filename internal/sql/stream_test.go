@@ -262,6 +262,9 @@ func TestGroupedItemNames(t *testing.T) {
 			"SELECT grp, SUM(val) + 1, MAX(w) AS m FROM t GROUP BY grp;": "[grp col2 m]",
 			"SELECT COUNT(*), MIN(val) FROM t;":                          "[col1 col2]",
 			"SELECT id % 3, id % 3, COUNT(*) FROM t GROUP BY id % 3;":    "[col1 col2 col3]",
+			// A positional suffix already taken moves to the next free one.
+			"SELECT 1 AS x_3, 2 AS x, 3 AS x FROM t;":                 "[x_3 x x_4]",
+			"SELECT id AS x_3, val AS x, w AS x FROM t ORDER BY x_3;": "[x_3 x x_4]",
 		} {
 			out, err := ev.query(q)
 			if err != nil {
