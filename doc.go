@@ -39,9 +39,9 @@
 //   - The arena (exec.Arena, reachable as Ctx.Arena) recycles float64,
 //     int, int64, and string buffers through size-classed sync.Pools;
 //     bat.Release retires a whole column tail of any domain. The dense
-//     path's toMatrix operands and toBlockMatrix tiles draw their
-//     backing arrays from the context's arena and return them once the
-//     kernel has consumed them.
+//     path's toMatrix operands, its gathered or converted operand
+//     columns and QR's working columns draw their buffers from the
+//     context's arena and return them once the kernel has consumed them.
 //     Iterative algorithms release each superseded scratch column,
 //     keeping Gauss-Jordan inversion and Gram-Schmidt QR allocation-flat
 //     across iterations. There are two kinds of arena: the shared one,
@@ -292,47 +292,47 @@
 // exec.SpillStats (bytes, partitions, events) aggregates into
 // sql.DB.Metrics alongside the arena counters.
 //
-// # Block-partitioned execution
+// # Column-form dense execution
 //
-// Dense operands of the products and of QR are held as
-// matrix.BlockMatrix: a grid of row-major tiles of matrix.TileEdge (256)
-// rows/columns, edge tiles ragged. Each tile is charged to the owning
-// query's arena as its own allocation, so a matrix bigger than any
-// single arena size class materializes tile by tile instead of
-// demanding one contiguous slab. Tiles stay in memory, as the paper's
-// MKL route keeps its copied arrays: BlockMatrix.Tile hands a kernel
-// a tile (a zeroed arena tile on first use) and BlockMatrix.Free
-// returns them all. QR's column-major working columns and Q's columns
-// are drawn from the same arena; QR.Free hands the working columns back
-// and the dense QQR takes Q's columns as its result columns. RMA table
-// functions never spill; the one spill consumer is the grouped
-// aggregation above.
+// The dense operand of the products and of QR is the relation's own
+// ordered float columns, as RMA's closure asks: no third representation
+// sits between the BATs and the kernel. MMU, CPD and OPD read the
+// ordered application columns in place (core's floatCols over
+// orderedAppCols): a dense float column whose rows are already in
+// operation order is aliased, a permuted column is gathered once and an
+// Int or sparse one converted once into the context's arena. The
+// kernels — linalg.MatMulCols, OuterProductCols (a·bᵀ read in place),
+// CrossProductCols and SYRKCols (the self case CPD(r, r), the paper's
+// cblas_dsyrk route: j ≥ i, then mirrored) — draw their result columns
+// from the arena, and those become the result's BATs as they are. QQR
+// and RQR copy each ordered column once into arena working columns,
+// which linalg.NewQRColumns factors in place; Q's columns are the
+// result columns and QR.Free hands the working columns back. Everything
+// stays in memory; the one spill consumer is the grouped aggregation
+// above.
 //
 // Each dense op has exactly one route, picked by the op and never by
-// the operand size. MMU, CPD, QQR and RQR materialize the ordered
-// relation straight into tiles (core's toBlockMatrix) and run the one
-// tiled kernel: linalg.MatMulBlocked, linalg.CrossProductBlocked (whose
-// self case, CPD(r, r), computes the upper tiles and mirrors them — the
-// paper's cblas_dsyrk route) and linalg.QRBlocked. Results flow back
-// column-wise without an intermediate flat copy. Every other dense op
-// (INV, DET, SOL, OPD, CHF, the eigen and SVD ops, and the elementwise
-// family under PolicyDense) copies into one contiguous array (toMatrix).
-// The exported flat names linalg.MatMul, CrossProduct, OuterProduct,
-// SYRK, NewQR, QQR and RQR are adapters that copy into tiles and call
+// the operand size. Every dense op other than MMU, CPD, OPD, QQR and
+// RQR (INV, DET, SOL, CHF, the eigen and SVD ops, and the elementwise
+// family under PolicyDense) copies into one contiguous row-major array
+// (toMatrix). The exported flat names linalg.MatMul, CrossProduct,
+// SYRK, NewQR, QQR and RQR copy a matrix.Matrix into columns and call
 // the same kernels.
 //
-// The tiled kernels drive tile updates through exec.Ctx.ParallelFor and
-// keep the repository's determinism contract: every output tile
-// accumulates its products in fixed ascending k (the cross product's
-// parallel unit is a set of interleaved 8-row strips of one output tile,
-// so a single-tile SYRK such as Fig. 17's 130×130 still fans out, and
-// each element keeps one owner and one order), and the panel QR
-// applies reflectors to each column in ascending order with the same
-// per-column arithmetic, so results are bitwise-identical at any worker
-// count and any tile-grid shape — asserted against naive reference
-// loops over tile edges yielding 1/2/7/16-tile grids, non-divisible
-// edge sizes, and worker budgets {1, 2, 8} under -race, and pinned to
-// recorded result digests in core at budgets {1, 2, 3, 8}.
+// The column kernels walk their operands in row strips of 256 rows, so
+// one strip of every operand column stays in cache while it is reused,
+// and keep the repository's determinism contract: every output element
+// has one owner and one accumulator that adds its products in
+// ascending order, skipping zero left factors (the product's parallel
+// unit is a row strip of one output column; the cross product's is one
+// output row, or in the self case the pair of rows i and n−1−i, which
+// balances the triangle), and the panel QR applies reflectors to each
+// column in ascending order with the same per-column arithmetic, so
+// results are bitwise-identical at any worker count — asserted against
+// naive reference loops at row counts around one strip, column counts
+// of every residue mod 4, Inf/NaN opposite zero left factors and worker
+// budgets {1, 2, 8} under -race, and pinned to recorded result digests
+// in core at budgets {1, 2, 3, 8}.
 //
 // # Static analysis
 //

@@ -104,7 +104,7 @@ func TestCPDOPDAgainstDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !matrix.ApproxEqual(toMatrix(god), linalg.OuterProduct(nil, c, d), 1e-10) {
+	if !matrix.ApproxEqual(toMatrix(god), linalg.MatMul(nil, c, d.T()), 1e-10) {
 		t.Error("OPD mismatch")
 	}
 	if _, err := CPD(nil, toCols(a), toCols(c)); err != ErrShape {

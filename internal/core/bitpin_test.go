@@ -12,10 +12,10 @@ import (
 	"repro/internal/rel"
 )
 
-// tileRel builds a rows×cols relation with a shuffled int key and float
+// denseRel builds a rows×cols relation with a shuffled int key and float
 // application columns holding negatives, exact zeros (the kernels'
 // zero-skip) and magnitude spread.
-func tileRel(name, key string, rows, cols int, seed int64) *rel.Relation {
+func denseRel(name, key string, rows, cols int, seed int64) *rel.Relation {
 	rng := rand.New(rand.NewSource(seed))
 	keys := make([]int64, rows)
 	for i, k := range rng.Perm(rows) {
@@ -67,28 +67,28 @@ func relationHash(r *rel.Relation) string {
 }
 
 // TestDenseResultBitsPinned pins the result bits of the dense products
-// and the QR factors at small shapes with multi-tile grids (inner
-// dimension, output columns and QR columns past one 256 tile) and
-// shuffled keys. The digests were recorded when shapes this small still
-// ran on separate flat kernels (the cpd-self-7/9/130/257 ones while a
-// cross-product output tile was still one unit of work), so a change in
-// any kernel's accumulation order fails here, at every worker budget.
+// and the QR factors at small shapes (inner dimension, output columns
+// and QR columns past 256, rows past one row strip) and shuffled keys.
+// The digests were recorded when shapes this small still ran on
+// separate flat kernels (the cpd-self-7/9/130/257 ones while the cross
+// product still ran on 256×256 tiles), so a change in any kernel's
+// accumulation order fails here, at every worker budget.
 func TestDenseResultBitsPinned(t *testing.T) {
-	tall := tileRel("t", "K", 600, 5, 1)
-	tall2 := tileRel("u", "K2", 600, 3, 2)
-	small := tileRel("s", "Ks", 5, 4, 3)
-	left := tileRel("l", "Kl", 20, 300, 4)
-	right := tileRel("r", "Kr", 300, 3, 5)
-	wide := tileRel("w", "Kw", 530, 262, 6)
-	wide2 := tileRel("v", "Kv", 530, 3, 8)
-	opdR := tileRel("o", "Ko", 260, 5, 7)
-	// Self cross products around the cross-product kernel's 8-row strips:
-	// one strip and a bit, one tile split into many strip sets, and a
-	// second output tile column.
-	cov7 := tileRel("c", "Kc", 300, 7, 9)
-	cov9 := tileRel("d", "Kd", 300, 9, 10)
-	cov130 := tileRel("e", "Ke", 700, 130, 11)
-	cov257 := tileRel("g", "Kg", 530, 257, 12)
+	tall := denseRel("t", "K", 600, 5, 1)
+	tall2 := denseRel("u", "K2", 600, 3, 2)
+	small := denseRel("s", "Ks", 5, 4, 3)
+	left := denseRel("l", "Kl", 20, 300, 4)
+	right := denseRel("r", "Kr", 300, 3, 5)
+	wide := denseRel("w", "Kw", 530, 262, 6)
+	wide2 := denseRel("v", "Kv", 530, 3, 8)
+	opdR := denseRel("o", "Ko", 260, 5, 7)
+	// Self cross products of output widths ≡ 3 and 1 mod 4 (the
+	// kernel's four-wide body and its tail), 130 paired rows, and an
+	// output wider than 256.
+	cov7 := denseRel("c", "Kc", 300, 7, 9)
+	cov9 := denseRel("d", "Kd", 300, 9, 10)
+	cov130 := denseRel("e", "Ke", 700, 130, 11)
+	cov257 := denseRel("g", "Kg", 530, 257, 12)
 	k := []string{"K"}
 	cases := []struct {
 		name string
@@ -125,18 +125,28 @@ func TestDenseResultBitsPinned(t *testing.T) {
 }
 
 // TestCpdNarrowerThanStripGoroutines pins the goroutines a self cross
-// product narrower than one 8-row strip spawns: it stays one unit of
-// work, so splitting output tiles into strip sets adds no fan-out.
+// product spawns. One whose work is less than one parallel grain of the
+// column kernel (600×5: 9 000 multiply-adds against linalg's 1<<15)
+// runs on the calling goroutine at every budget, and with its operand
+// read in place there is no copy-in or copy-out to fan out either; a
+// wider one (600×64) deals its paired output rows to every worker.
 func TestCpdNarrowerThanStripGoroutines(t *testing.T) {
-	r := tileRel("n", "Kn", 600, 5, 13)
-	want := map[int]int64{1: 0, 2: 4, 3: 6, 8: 8} // recorded before the strip split
-	for _, workers := range []int{1, 2, 3, 8} {
-		var st Stats
-		if _, err := Cpd(r, []string{"Kn"}, r, []string{"Kn"}, &Options{Policy: PolicyDense, Parallelism: workers, Stats: &st}); err != nil {
-			t.Fatal(err)
-		}
-		if st.ParallelGoroutines != want[workers] {
-			t.Errorf("workers=%d: %d goroutines, want %d", workers, st.ParallelGoroutines, want[workers])
+	for _, tc := range []struct {
+		cols int
+		want map[int]int64
+	}{
+		{5, map[int]int64{1: 0, 2: 0, 3: 0, 8: 0}},
+		{64, map[int]int64{1: 0, 2: 2, 3: 3, 8: 8}},
+	} {
+		r := denseRel("n", "Kn", 600, tc.cols, 13)
+		for _, workers := range []int{1, 2, 3, 8} {
+			var st Stats
+			if _, err := Cpd(r, []string{"Kn"}, r, []string{"Kn"}, &Options{Policy: PolicyDense, Parallelism: workers, Stats: &st}); err != nil {
+				t.Fatal(err)
+			}
+			if st.ParallelGoroutines != tc.want[workers] {
+				t.Errorf("600x%d, workers=%d: %d goroutines, want %d", tc.cols, workers, st.ParallelGoroutines, tc.want[workers])
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -231,7 +232,7 @@ func TestTenantSharedAcrossInvocations(t *testing.T) {
 }
 
 // TestQRWorkingMemoryCharged holds the dense QQR route to its tenant's
-// books: QRBlocked's working columns and Q's columns are live together
+// books: NewQRColumns' working columns and Q's columns are live together
 // while Q is formed, so the tenant peak covers both, and every byte is
 // released once the invocation closes.
 func TestQRWorkingMemoryCharged(t *testing.T) {
@@ -253,4 +254,62 @@ func TestQRWorkingMemoryCharged(t *testing.T) {
 		t.Fatalf("tenant live = %d after the QQR, want 0", live)
 	}
 	t.Logf("tenant peak %d bytes", tn.PeakBytes())
+}
+
+// orderedFloatRel builds a rows×cols relation whose rows are already in
+// key order, with float application columns.
+func orderedFloatRel(rng *rand.Rand, name string, rows, cols int) *rel.Relation {
+	keys := make([]int64, rows)
+	for i := range keys {
+		keys[i] = int64(i)
+	}
+	schema := rel.Schema{{Name: "K" + name, Type: bat.Int}}
+	bats := []*bat.BAT{bat.FromInts(keys)}
+	for j := 0; j < cols; j++ {
+		f := make([]float64, rows)
+		for i := range f {
+			f[i] = rng.NormFloat64()
+		}
+		schema = append(schema, rel.Attr{Name: fmt.Sprintf("%s%02d", name, j), Type: bat.Float})
+		bats = append(bats, bat.FromFloats(f))
+	}
+	return rel.MustNew(name, schema, bats)
+}
+
+// TestDenseProductsReadOrderedOperandInPlace holds the dense MMU, CPD
+// and OPD routes to reading an operand that is already in key order,
+// with float columns, where it lies: the tenant peak of each (sort
+// permutation, result columns) stays below one copy of that operand.
+func TestDenseProductsReadOrderedOperandInPlace(t *testing.T) {
+	const m, n = 20000, 10
+	rng := rand.New(rand.NewSource(53))
+	r := orderedFloatRel(rng, "a", m, n)
+	r2 := orderedFloatRel(rng, "b", m, 3)
+	inner := orderedFloatRel(rng, "i", n, 3)
+	narrow := orderedFloatRel(rng, "o", 3, n)
+	k := func(r *rel.Relation) []string { return []string{r.Schema[0].Name} }
+	operand := int64(m * n * 8)
+	for _, tc := range []struct {
+		name string
+		run  func(*Options) (*rel.Relation, error)
+	}{
+		{"cpd-self", func(o *Options) (*rel.Relation, error) { return Cpd(r, k(r), r, k(r), o) }},
+		{"cpd", func(o *Options) (*rel.Relation, error) { return Cpd(r, k(r), r2, k(r2), o) }},
+		{"mmu", func(o *Options) (*rel.Relation, error) { return Mmu(r, k(r), inner, k(inner), o) }},
+		{"opd", func(o *Options) (*rel.Relation, error) { return Opd(r, k(r), narrow, k(narrow), o) }},
+	} {
+		gov := exec.NewGovernor(0, 0)
+		if _, err := tc.run(&Options{Policy: PolicyDense, Parallelism: 1, Tenant: "p", Governor: gov}); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		tn := gov.Tenant("p", 0)
+		if peak := tn.PeakBytes(); peak >= operand {
+			t.Errorf("%s: tenant peak %d bytes, want below one copy of the operand (%d)", tc.name, peak, operand)
+		} else {
+			t.Logf("%s: tenant peak %d bytes against a %d-byte operand", tc.name, peak, operand)
+		}
+		if live := tn.LiveBytes(); live != 0 {
+			t.Errorf("%s: tenant live = %d after the invocation, want 0", tc.name, live)
+		}
+	}
 }

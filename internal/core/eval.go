@@ -103,8 +103,6 @@ func evalDenseBinary(c *exec.Ctx, op Op, a, b *matrix.Matrix) (*matrix.Matrix, e
 		return matrix.Sub(a, b), nil
 	case OpEMU:
 		return matrix.EMU(a, b), nil
-	case OpOPD:
-		return linalg.OuterProduct(c, a, b), nil
 	case OpSOL:
 		x, err := linalg.Solve(c, a, b.Column(0))
 		if err != nil {

@@ -117,7 +117,7 @@ func TestTraInvolution(t *testing.T) {
 
 // TestCpdSelfMatchesCopy checks that cpd(A, A), which takes the dense
 // kernel's symmetric self case, is bitwise cpd(A, A′) over a distinct
-// copy A′ of the same values, on a tall and on a wide (multi-tile)
+// copy A′ of the same values, on a tall and on a wide (300 columns)
 // relation.
 func TestCpdSelfMatchesCopy(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))

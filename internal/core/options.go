@@ -12,15 +12,16 @@ type Policy uint8
 const (
 	// PolicyAuto mirrors the paper's optimizer decision: the linear
 	// elementwise family (add, sub, emu) runs no-copy over BATs, all
-	// other operations are delegated to the dense kernel, paying the
-	// copy-in/copy-out.
+	// other operations are delegated to the dense kernel, paying its
+	// data transformation (none for an ordered float operand of the
+	// column-form products).
 	PolicyAuto Policy = iota
 	// PolicyBAT forces the no-copy column-at-a-time implementation
 	// (RMA+BAT). Operations without a BAT algorithm (evc, evl, chf, dsv,
 	// usv, vsv, rnk) fall back to the dense kernel.
 	PolicyBAT
 	// PolicyDense forces delegation to the dense kernel (RMA+MKL),
-	// including the data transformation.
+	// including its data transformation.
 	PolicyDense
 )
 

@@ -17,9 +17,10 @@ import (
 // policy for every op outside the bitwise family: an element may differ
 // by policyTol·(1 + the largest magnitude in the dense result). The two
 // policies sum in different orders (chunked column dot products against
-// ascending-k tiles), and the factorizations differ outright
-// (Gauss-Jordan vs LU, Gram-Schmidt vs Householder), so only rounding
-// separates them on the well-conditioned inputs below.
+// the dense kernels' one ascending accumulator per element), and the
+// factorizations differ outright (Gauss-Jordan vs LU, Gram-Schmidt vs
+// Householder), so only rounding separates them on the
+// well-conditioned inputs below.
 const policyTol = 1e-9
 
 // squareRel builds an n×n relation, rows in shuffled key order, whose

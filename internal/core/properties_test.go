@@ -216,7 +216,7 @@ func TestMatrixConsistencyBinary(t *testing.T) {
 	// Column names are ▽Ks = "0".."5"; they sort as strings, so reduce by
 	// Kr and compare against OPD with s columns permuted to string order.
 	got := reduce(t, v, []string{"Kr"})
-	want := linalg.OuterProduct(nil, mr, ms)
+	want := linalg.MatMul(nil, mr, ms.T())
 	if got.Rows != want.Rows || got.Cols != want.Cols {
 		t.Fatalf("opd shape %dx%d, want %dx%d", got.Rows, got.Cols, want.Rows, want.Cols)
 	}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/bat"
 	"repro/internal/exec"
 	"repro/internal/linalg"
-	"repro/internal/matrix"
 	"repro/internal/rel"
 )
 
@@ -220,7 +219,7 @@ func evalUnaryBase(c *exec.Ctx, op Op, a *argument, opts *Options, clock *phaseC
 			opts.Stats.UsedDense = true
 		}
 		if op == OpQQR || op == OpRQR {
-			return evalTiledQR(c, op, a, clock)
+			return evalColumnQR(c, op, a, clock)
 		}
 		clock.begin()
 		m, err := a.toMatrix(c)
@@ -254,8 +253,8 @@ func evalBinaryBase(c *exec.Ctx, op Op, a, b *argument, opts *Options, clock *ph
 		if opts.Stats != nil {
 			opts.Stats.UsedDense = true
 		}
-		if op == OpMMU || op == OpCPD {
-			return evalTiledProduct(c, op, a, b, clock)
+		if op == OpMMU || op == OpCPD || op == OpOPD {
+			return evalColumnProduct(c, op, a, b, clock)
 		}
 		clock.begin()
 		ma, err := a.toMatrix(c)
@@ -291,26 +290,27 @@ func evalBinaryBase(c *exec.Ctx, op Op, a, b *argument, opts *Options, clock *ph
 	return res, err
 }
 
-// evalTiledQR is the one dense route of QQR and RQR: the ordered
-// application part materializes straight into tiles, QRBlocked factors
-// it, and forming Q or R counts as kernel time. Q's arena columns are
-// the result columns; the working columns go back to the arena once Q
-// or R is formed.
-func evalTiledQR(c *exec.Ctx, op Op, a *argument, clock *phaseClock) ([]*bat.BAT, error) {
+// evalColumnQR is the one dense route of QQR and RQR: the ordered
+// application part is copied once into arena working columns, which
+// linalg.NewQRColumns factors in place, and forming Q or R counts as
+// kernel time. Q's arena columns are the result columns; the working
+// columns go back to the arena once Q or R is formed.
+func evalColumnQR(c *exec.Ctx, op Op, a *argument, clock *phaseClock) ([]*bat.BAT, error) {
 	clock.begin()
-	bm, err := a.toBlockMatrix(c)
+	v, err := a.workCols(c)
 	clock.endTransform()
 	if err != nil {
 		return nil, err
 	}
 	clock.begin()
-	d, err := linalg.QRBlocked(c, bm)
-	clock.endKernel()
-	bm.Free(c) // QRBlocked copied the tiles into its working columns
+	d, err := linalg.NewQRColumns(c, v, a.rows())
 	if err != nil {
+		clock.endKernel()
+		for _, col := range v {
+			c.Arena().FreeFloats(col)
+		}
 		return nil, err
 	}
-	clock.begin()
 	if op == OpRQR {
 		r := d.R()
 		d.Free(c)
@@ -320,29 +320,26 @@ func evalTiledQR(c *exec.Ctx, op Op, a *argument, clock *phaseClock) ([]*bat.BAT
 		clock.endTransform()
 		return cols, nil
 	}
-	q := d.Q(c) // arena columns: they become the result columns as they are
+	q := d.Q(c)
 	d.Free(c)
-	cols := make([]*bat.BAT, len(q))
-	for j, col := range q {
-		cols[j] = bat.FromFloats(col)
-	}
 	clock.endKernel()
-	return cols, nil
+	return floatBATs(q), nil
 }
 
-// evalTiledProduct is the one dense route of MMU and CPD: tiles in,
-// the tiled kernel, tiles back out column-wise. A cross product of a
-// relation with itself (the covariance pattern of §8.6(3)) copies once
-// and takes the kernel's symmetric self case, the paper's cblas_dsyrk
-// route.
-func evalTiledProduct(c *exec.Ctx, op Op, a, b *argument, clock *phaseClock) ([]*bat.BAT, error) {
+// evalColumnProduct is the one dense route of MMU, CPD and OPD: the
+// kernels read the ordered application columns (in place when the
+// rows are already in operation order) and their arena result columns
+// become the result BATs as they are. A cross product of a relation
+// with itself (the covariance pattern of §8.6(3)) reads one operand and
+// takes the kernel's symmetric self case, the paper's cblas_dsyrk route.
+func evalColumnProduct(c *exec.Ctx, op Op, a, b *argument, clock *phaseClock) ([]*bat.BAT, error) {
 	self := op == OpCPD && sameApplicationPart(a, b)
 	clock.begin()
-	ma, err := a.toBlockMatrix(c)
-	mb := ma
+	fa, releaseA, err := a.floatCols(c)
+	fb, releaseB := fa, func() {}
 	if err == nil && !self {
-		if mb, err = b.toBlockMatrix(c); err != nil {
-			ma.Free(c)
+		if fb, releaseB, err = b.floatCols(c); err != nil {
+			releaseA()
 		}
 	}
 	clock.endTransform()
@@ -350,23 +347,30 @@ func evalTiledProduct(c *exec.Ctx, op Op, a, b *argument, clock *phaseClock) ([]
 		return nil, err
 	}
 	clock.begin()
-	var res *matrix.BlockMatrix
-	if op == OpMMU {
-		res, err = linalg.MatMulBlocked(c, ma, mb)
-	} else {
-		res, err = linalg.CrossProductBlocked(c, ma, mb)
+	var res [][]float64
+	switch {
+	case op == OpMMU:
+		res = linalg.MatMulCols(c, fa, fb, a.rows())
+	case op == OpOPD:
+		res = linalg.OuterProductCols(c, fa, fb, a.rows(), b.rows())
+	case self:
+		res = linalg.SYRKCols(c, fa)
+	default:
+		res = linalg.CrossProductCols(c, fa, fb)
 	}
 	clock.endKernel()
-	ma.Free(c)
-	mb.Free(c) // a no-op when mb is ma
-	if err != nil {
-		return nil, err
+	releaseA()
+	releaseB()
+	return floatBATs(res), nil
+}
+
+// floatBATs wraps result columns as BATs without copying them.
+func floatBATs(cols [][]float64) []*bat.BAT {
+	out := make([]*bat.BAT, len(cols))
+	for j, col := range cols {
+		out[j] = bat.FromFloats(col)
 	}
-	clock.begin()
-	cols := blockToCols(c, res)
-	res.Free(c)
-	clock.endTransform()
-	return cols, nil
+	return out
 }
 
 // sameApplicationPart reports whether two arguments share the same

@@ -80,8 +80,8 @@ func ToSkinny(r *rel.Relation, order []string, opts *Options) (res *rel.Relation
 }
 
 // FromSkinny pivots a skinny relation (order schema + attr + val) back to
-// the wide form. Attribute columns appear in sorted name order; every key
-// must carry the same attribute set (missing cells are an error, matching
+// the wide form. Rows appear in key order and attribute columns in sorted
+// name order; every key must carry the same attribute set (missing cells are an error, matching
 // the dense-matrix semantics of the algebra). Governed like ToSkinny.
 func FromSkinny(r *rel.Relation, order []string, opts *Options) (res *rel.Relation, err error) {
 	opts = opts.orDefault()
@@ -117,8 +117,7 @@ func FromSkinny(r *rel.Relation, order []string, opts *Options) (res *rel.Relati
 		orderSchema = append(orderSchema, r.Schema[j])
 	}
 
-	// Collect distinct attribute names (sorted) and distinct keys (in
-	// order of first appearance, then sorted via the key columns).
+	// Collect the distinct attribute names, sorted.
 	attrs := attrC.Vector().Strings()
 	attrSet := map[string]int{}
 	var attrNames []string
@@ -133,23 +132,23 @@ func FromSkinny(r *rel.Relation, order []string, opts *Options) (res *rel.Relati
 		attrSet[s] = j
 	}
 
+	// Key the rows with the engine's typed key equality: sort by the
+	// order columns and cut the equal runs. Keys come out in key order.
 	n := r.NumRows()
-	keyOfRow := make([]string, n)
-	for i := 0; i < n; i++ {
-		key := ""
-		for _, oc := range orderCols {
-			key += oc.Get(i).String() + "\x00"
-		}
-		keyOfRow[i] = key
+	vecs := make([]*bat.Vector, len(orderCols))
+	for k, col := range orderCols {
+		vecs[k] = col.VectorCtx(c)
 	}
-	keyIndex := map[string]int{}
-	var keyRows []int // first row of each key
-	for i := 0; i < n; i++ {
-		if _, ok := keyIndex[keyOfRow[i]]; !ok {
-			keyIndex[keyOfRow[i]] = len(keyRows)
+	idx := bat.SortKeys(c, vecs, nil)
+	keyOfRow := make([]int, n)
+	var keyRows []int // a row of each key
+	for k, i := range idx {
+		if k == 0 || !sameKey(vecs, idx[k-1], i) {
 			keyRows = append(keyRows, i)
 		}
+		keyOfRow[i] = len(keyRows) - 1
 	}
+	c.Arena().FreeInts(idx)
 	width := len(attrNames)
 	if len(keyRows)*width != n {
 		return nil, fmt.Errorf("rma: skinny relation is not dense: %d rows, %d keys × %d attributes",
@@ -163,7 +162,7 @@ func FromSkinny(r *rel.Relation, order []string, opts *Options) (res *rel.Relati
 		filled[j] = make([]bool, len(keyRows))
 	}
 	for i := 0; i < n; i++ {
-		kIdx := keyIndex[keyOfRow[i]]
+		kIdx := keyOfRow[i]
 		aIdx := attrSet[attrs[i]]
 		if filled[aIdx][kIdx] {
 			return nil, fmt.Errorf("rma: duplicate cell for key %d attribute %q", kIdx, attrs[i])
@@ -189,4 +188,27 @@ func FromSkinny(r *rel.Relation, order []string, opts *Options) (res *rel.Relati
 		cols = append(cols, bat.FromFloats(out[j]))
 	}
 	return rel.New(r.Name, schema, cols)
+}
+
+// sameKey reports whether rows a and b carry the same key under the
+// engine's typed key equality, the one every sort and group uses:
+// floats compare by bat.CompareFloat, so +0 and −0 are one key.
+func sameKey(keys []*bat.Vector, a, b int) bool {
+	for _, v := range keys {
+		switch v.Type() {
+		case bat.Float:
+			if bat.CompareFloat(v.Floats()[a], v.Floats()[b]) != 0 {
+				return false
+			}
+		case bat.Int:
+			if v.Ints()[a] != v.Ints()[b] {
+				return false
+			}
+		default:
+			if v.Strings()[a] != v.Strings()[b] {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bat"
@@ -144,5 +146,53 @@ func TestSkinnyBudgetBoundary(t *testing.T) {
 	}
 	if _, err := FromSkinny(skinny, []string{"Kr"}, opts); !errors.Is(err, exec.ErrMemoryBudget) {
 		t.Fatalf("FromSkinny under a 1-byte budget: err = %v, want ErrMemoryBudget", err)
+	}
+}
+
+// TestSkinnyTypedKeys holds FromSkinny to the engine's typed key
+// equality. Order keys ("a\x00", "b") and ("a", "\x00b") are two keys,
+// so their relation round-trips; rows keyed +0 and −0 are one key given
+// the same cell twice, so the relation is not dense.
+func TestSkinnyTypedKeys(t *testing.T) {
+	nul := rel.MustNew("n", rel.Schema{
+		{Name: "A", Type: bat.String},
+		{Name: "B", Type: bat.String},
+		{Name: "x", Type: bat.Float},
+	}, []*bat.BAT{
+		bat.FromStrings([]string{"a\x00", "a"}),
+		bat.FromStrings([]string{"b", "\x00b"}),
+		bat.FromFloats([]float64{1, 2}),
+	})
+	skinny, err := ToSkinny(nul, []string{"A", "B"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := FromSkinny(skinny, []string{"A", "B"}, nil)
+	if err != nil {
+		t.Fatalf("FromSkinny over NUL-bearing keys: %v", err)
+	}
+	if back.NumRows() != 2 {
+		t.Fatalf("round trip has %d rows, want 2", back.NumRows())
+	}
+	for i, want := range []struct {
+		a, b string
+		x    float64
+	}{{"a", "\x00b", 2}, {"a\x00", "b", 1}} {
+		if a, b, x := back.Cols[0].Get(i).S, back.Cols[1].Get(i).S, back.Cols[2].Get(i).F; a != want.a || b != want.b || x != want.x {
+			t.Errorf("row %d = (%q, %q, %v), want (%q, %q, %v)", i, a, b, x, want.a, want.b, want.x)
+		}
+	}
+
+	zeros := rel.MustNew("z", rel.Schema{
+		{Name: "K", Type: bat.Float},
+		{Name: SkinnyAttr, Type: bat.String},
+		{Name: SkinnyValue, Type: bat.Float},
+	}, []*bat.BAT{
+		bat.FromFloats([]float64{0, math.Copysign(0, -1)}),
+		bat.FromStrings([]string{"a", "a"}),
+		bat.FromFloats([]float64{1, 2}),
+	})
+	if _, err := FromSkinny(zeros, []string{"K"}, nil); err == nil || !strings.Contains(err.Error(), "not dense") {
+		t.Fatalf("FromSkinny over keys +0 and -0: err = %v, want the not-dense error", err)
 	}
 }

@@ -86,38 +86,93 @@ func (a *argument) sortArg(c *exec.Ctx) error {
 // rows returns |r|.
 func (a *argument) rows() int { return a.rel.NumRows() }
 
+// ordered reports whether the rows are already in operation order, so
+// the columns can be read as they are.
+func (a *argument) ordered() bool {
+	return a.perm == nil || bat.IsSortedIndex(a.perm)
+}
+
 // orderedOrderCols returns the order part gathered into operation order
 // (X in Algorithm 1 for shape (r,·) operations).
 func (a *argument) orderedOrderCols(c *exec.Ctx) []*bat.BAT {
-	out := make([]*bat.BAT, len(a.orderCols))
-	for k, col := range a.orderCols {
-		if a.perm == nil || bat.IsSortedIndex(a.perm) {
-			out[k] = col
-		} else {
-			out[k] = col.Gather(c, a.perm)
-		}
+	return a.gathered(c, a.orderCols)
+}
+
+// orderedAppCols returns the application part gathered into operation
+// order (Y in Algorithm 1) — the no-copy µ constructor of the BAT
+// execution path and of the dense products.
+func (a *argument) orderedAppCols(c *exec.Ctx) []*bat.BAT {
+	return a.gathered(c, a.appCols)
+}
+
+// gathered returns cols as they are when the rows are in operation
+// order, and gathered through the permutation otherwise.
+func (a *argument) gathered(c *exec.Ctx, cols []*bat.BAT) []*bat.BAT {
+	if a.ordered() {
+		return cols
+	}
+	out := make([]*bat.BAT, len(cols))
+	for k, col := range cols {
+		out[k] = col.Gather(c, a.perm)
 	}
 	return out
 }
 
-// orderedAppCols returns the application part gathered into operation
-// order (Y in Algorithm 1) — the no-copy µ constructor used by the BAT
-// execution path.
-func (a *argument) orderedAppCols(c *exec.Ctx) []*bat.BAT {
-	out := make([]*bat.BAT, len(a.appCols))
-	for k, col := range a.appCols {
-		if a.perm == nil || bat.IsSortedIndex(a.perm) {
-			out[k] = col
-		} else {
-			out[k] = col.Gather(c, a.perm)
+// floatCols is µ_Ū(r) for the dense products (MMU, CPD, OPD): the
+// ordered application columns as float slices. A dense float column in
+// operation order is read in place; a permuted column is gathered once,
+// and an Int or sparse one converted once, into the context's arena.
+// release hands every such copy back once the kernel has read it.
+func (a *argument) floatCols(c *exec.Ctx) (fs [][]float64, release func(), err error) {
+	cols := a.orderedAppCols(c)
+	fs = make([][]float64, len(cols))
+	release = func() {
+		for k, col := range cols {
+			col.ReleaseFloats(c, fs[k])
+			if col != a.appCols[k] {
+				bat.Release(c, col) // a gathered copy
+			}
 		}
 	}
-	return out
+	for k, col := range cols {
+		if fs[k], err = col.FloatsCtx(c); err != nil {
+			release()
+			return nil, nil, fmt.Errorf("rma: %v", err)
+		}
+	}
+	return fs, release, nil
+}
+
+// workCols is µ_Ū(r) for QR, which factors its operand in place: the
+// ordered application part copied once, column by column, into columns
+// drawn from the context's arena.
+func (a *argument) workCols(c *exec.Ctx) ([][]float64, error) {
+	ordered := a.ordered()
+	v := make([][]float64, len(a.appCols))
+	for j, col := range a.appCols {
+		f, err := col.FloatsCtx(c)
+		if err != nil {
+			for _, w := range v[:j] {
+				c.Arena().FreeFloats(w)
+			}
+			return nil, fmt.Errorf("rma: %v", err)
+		}
+		v[j] = c.Arena().Floats(a.rows())
+		if ordered {
+			copy(v[j], f)
+		} else {
+			for i, p := range a.perm {
+				v[j][i] = f[p]
+			}
+		}
+		col.ReleaseFloats(c, f)
+	}
+	return v, nil
 }
 
 // toMatrix is the matrix constructor µ_Ū(r) for the dense ops whose
 // kernels run on one contiguous row-major array — every dense op but
-// MMU, CPD, QQR and RQR, which take toBlockMatrix: it copies the
+// MMU, CPD, OPD, QQR and RQR, which run on columns: it copies the
 // application part, ordered by the permutation, into that array (the
 // "copy BATs to an MKL compatible format" step whose cost Figure 14
 // measures). The op alone picks the constructor, never the operand
@@ -170,73 +225,6 @@ func releaseMatrix(c *exec.Ctx, m *matrix.Matrix) {
 	data := m.Data
 	m.Data = nil
 	c.Arena().FreeFloats(data)
-}
-
-// toBlockMatrix is µ_Ū(r) for the tiled kernels of MMU, CPD, QQR and
-// RQR: it materializes the ordered application part directly into
-// matrix.TileEdge tiles. Each tile is arena-charged individually, so a
-// huge operand never needs one contiguous allocation. Tiles are filled
-// in parallel; writes are disjoint per tile.
-func (a *argument) toBlockMatrix(c *exec.Ctx) (*matrix.BlockMatrix, error) {
-	m := a.rows()
-	n := len(a.appCols)
-	fcols := make([][]float64, n)
-	for j, col := range a.appCols {
-		f, err := col.FloatsCtx(c)
-		if err != nil {
-			for k := 0; k < j; k++ {
-				a.appCols[k].ReleaseFloats(c, fcols[k])
-			}
-			return nil, fmt.Errorf("rma: %v", err)
-		}
-		fcols[j] = f
-	}
-	out := matrix.NewBlock(m, n)
-	edge := out.Edge
-	c.ParallelFor(out.TileRows()*out.TileCols(), 1, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			ti, tj := t/out.TileCols(), t%out.TileCols()
-			h, w := out.TileDims(ti, tj)
-			buf := out.Tile(c, ti, tj)
-			for r := 0; r < h; r++ {
-				src := ti*edge + r
-				if a.perm != nil {
-					src = a.perm[src]
-				}
-				row := buf[r*w : (r+1)*w]
-				for l := range row {
-					row[l] = fcols[tj*edge+l][src]
-				}
-			}
-		}
-	})
-	for j, f := range fcols {
-		a.appCols[j].ReleaseFloats(c, f)
-	}
-	return out, nil
-}
-
-// blockToCols converts a blocked base result back into one BAT per
-// column, reading each tile once per column. The inverse of
-// toBlockMatrix for the copy-back half.
-func blockToCols(c *exec.Ctx, bm *matrix.BlockMatrix) []*bat.BAT {
-	out := make([]*bat.BAT, bm.Cols)
-	c.ParallelFor(bm.Cols, 1, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			col := c.Arena().Floats(bm.Rows)
-			tj, lj := j/bm.Edge, j%bm.Edge
-			for ti := 0; ti < bm.TileRows(); ti++ {
-				buf := bm.Tile(c, ti, tj)
-				h, w := bm.TileDims(ti, tj)
-				base := ti * bm.Edge
-				for r := 0; r < h; r++ {
-					col[base+r] = buf[r*w+lj]
-				}
-			}
-			out[j] = bat.FromFloats(col)
-		}
-	})
-	return out
 }
 
 // columnCast is ▽U: the sorted values of a single-attribute order schema,

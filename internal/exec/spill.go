@@ -13,8 +13,8 @@ import (
 // Grouped aggregation is the one spilling operator: its group table
 // asks Ctx.ShouldSpill with the bytes it holds in memory and
 // takes the out-of-core path when it answers true, staging store
-// segments under the scratch directory. Sorts and dense matrices
-// (matrix.BlockMatrix) always run in memory. Spilling never
+// segments under the scratch directory. Sorts and the dense matrix
+// kernels always run in memory. Spilling never
 // changes results: every spill path reproduces the in-memory
 // operator's canonical output order bit for bit, so the decision only
 // trades memory for disk traffic.

@@ -28,12 +28,6 @@ func blockRandMatrix(rng *rand.Rand, rows, cols int) *matrix.Matrix {
 	return m
 }
 
-// edgeForTiles picks a tile edge so an n-wide matrix splits into
-// exactly `tiles` tile columns (the last one possibly ragged).
-func edgeForTiles(n, tiles int) int {
-	return max(1, (n+tiles-1)/tiles)
-}
-
 func sameBits(t *testing.T, name string, got, want *matrix.Matrix) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Cols != want.Cols {
@@ -79,85 +73,107 @@ func naiveSYRK(a *matrix.Matrix) *matrix.Matrix {
 }
 
 var blockWorkerGrid = []int{1, 2, 8}
-var blockTileGrid = []int{1, 2, 7, 16}
 
-// TestBlockedMatMulBitwiseFlat: the tiled product must be
-// bitwise-identical to the naive ascending-k loop at every worker
-// budget and tile count, including non-divisible edges (n = tile ± 1
-// cases fall out of the 7- and 16-tile grids over prime-ish sizes).
+// blockRowGrid straddles one row strip: stripRows−1, stripRows and
+// stripRows+1 rows.
+var blockRowGrid = []int{stripRows - 1, stripRows, stripRows + 1}
+
+// TestBlockedMatMulBitwiseFlat: the strip-blocked column product a·b,
+// and a·bᵀ through the same kernel, must be bitwise-identical to the
+// naive ascending-k loop at every worker budget: row counts around one
+// strip, column counts ≡ 0–3 mod 4, a 1×1 operand, and Inf/NaN in the
+// right factor opposite zeros in the left one.
 func TestBlockedMatMulBitwiseFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for _, dims := range [][3]int{{97, 53, 61}, {64, 64, 64}, {33, 65, 31}} {
-		m, k, n := dims[0], dims[1], dims[2]
+	dims := [][3]int{{97, 53, 61}, {33, 65, 31}, {1, 1, 1}}
+	for k, m := range blockRowGrid {
+		dims = append(dims, [3]int{m, 4 + k, 5 + k})
+	}
+	dims = append(dims, [3]int{stripRows + 1, 7, 4})
+	for _, d := range dims {
+		m, k, n := d[0], d[1], d[2]
 		a := blockRandMatrix(rng, m, k)
 		b := blockRandMatrix(rng, k, n)
+		bt := blockRandMatrix(rng, n, k)
+		if m > 1 {
+			// Inf and NaN in row k0 of both right factors, opposite
+			// zeros in every other row of a's column k0: a kernel that
+			// did not skip the zero left factor would turn those rows'
+			// sums into NaN.
+			k0 := k / 2
+			for i := 0; i < m; i += 2 {
+				a.Set(i, k0, 0)
+			}
+			b.Set(k0, 0, math.Inf(1))
+			b.Set(k0, n-1, math.NaN())
+			bt.Set(0, k0, math.Inf(-1))
+			bt.Set(n-1, k0, math.NaN())
+		}
 		want := naiveMatMul(a, b)
+		wantOuter := naiveMatMul(a, bt.T())
 		for _, workers := range blockWorkerGrid {
 			c := exec.New(workers)
+			sameBits(t, fmt.Sprintf("matmul %v workers=%d", d, workers),
+				matrix.FromColumns(MatMulCols(c, a.Columns(), b.Columns(), m)), want)
+			sameBits(t, fmt.Sprintf("outer product %v workers=%d", d, workers),
+				matrix.FromColumns(OuterProductCols(c, a.Columns(), bt.Columns(), m, n)), wantOuter)
 			sameBits(t, "matmul adapter", MatMul(c, a, b), want)
-			for _, tiles := range blockTileGrid {
-				edge := edgeForTiles(max(m, max(k, n)), tiles)
-				ab := matrix.BlockOf(c, a, edge)
-				bb := matrix.BlockOf(c, b, edge)
-				ob, err := MatMulBlocked(c, ab, bb)
-				if err != nil {
-					t.Fatalf("MatMulBlocked(%v, workers=%d, tiles=%d): %v", dims, workers, tiles, err)
-				}
-				sameBits(t, "blocked matmul", ob.Flatten(c), want)
-				ab.Free(c)
-				bb.Free(c)
-				ob.Free(c)
-			}
 		}
 	}
 }
 
-// TestBlockedSYRKBitwiseFlat mirrors the MatMul test for the tiled
-// cross product: aᵀ·a through the self case (upper tiles plus mirror)
-// and aᵀ·b through the general case.
+// TestBlockedSYRKBitwiseFlat mirrors the MatMul test for the column
+// cross product: aᵀ·a through the self case (j ≥ i, paired rows, then
+// the mirror) and aᵀ·b through the general case.
 func TestBlockedSYRKBitwiseFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, dims := range [][3]int{{89, 47, 13}, {50, 17, 29}} {
-		m, n, nb := dims[0], dims[1], dims[2]
+	dims := [][3]int{{89, 47, 13}, {50, 17, 29}, {1, 1, 1}}
+	for _, m := range blockRowGrid {
+		for w := 4; w < 8; w++ {
+			dims = append(dims, [3]int{m, w, 11 - w})
+		}
+	}
+	for _, d := range dims {
+		m, n, nb := d[0], d[1], d[2]
 		a := blockRandMatrix(rng, m, n)
 		b := blockRandMatrix(rng, m, nb)
+		if n > 1 {
+			// Inf and NaN in the right factor (b, and a itself for the
+			// self case) opposite zeros in a's column 0, the left
+			// factor of output row 0.
+			for r := 0; r < m; r += 2 {
+				a.Set(r, 0, 0)
+				a.Set(r, n-1, math.Inf(1))
+				b.Set(r, 0, math.Inf(-1))
+				b.Set(r, nb-1, math.NaN())
+			}
+		}
 		wantSelf := naiveSYRK(a)
 		wantCross := naiveMatMul(a.T(), b)
 		for _, workers := range blockWorkerGrid {
 			c := exec.New(workers)
+			sameBits(t, fmt.Sprintf("syrk %v workers=%d", d, workers),
+				matrix.FromColumns(SYRKCols(c, a.Columns())), wantSelf)
+			sameBits(t, fmt.Sprintf("cross product %v workers=%d", d, workers),
+				matrix.FromColumns(CrossProductCols(c, a.Columns(), b.Columns())), wantCross)
 			sameBits(t, "syrk adapter", SYRK(c, a), wantSelf)
 			sameBits(t, "cross product adapter", CrossProduct(c, a, b), wantCross)
-			for _, tiles := range blockTileGrid {
-				edge := edgeForTiles(max(m, n), tiles)
-				ab := matrix.BlockOf(c, a, edge)
-				bb := matrix.BlockOf(c, b, edge)
-				for _, leg := range []struct {
-					name string
-					rhs  *matrix.BlockMatrix
-					want *matrix.Matrix
-				}{{"self", ab, wantSelf}, {"cross", bb, wantCross}} {
-					ob, err := CrossProductBlocked(c, ab, leg.rhs)
-					if err != nil {
-						t.Fatalf("CrossProductBlocked %s (%v, workers=%d, tiles=%d): %v", leg.name, dims, workers, tiles, err)
-					}
-					sameBits(t, "blocked cross product "+leg.name, ob.Flatten(c), leg.want)
-					ob.Free(c)
-				}
-				ab.Free(c)
-				bb.Free(c)
-			}
 		}
 	}
 }
 
-// TestBlockedQRBitwiseFlat: the panel-blocked factorization must
-// reproduce NewQRSerial — one panel, so the plain column-by-column
+// TestBlockedQRBitwiseFlat: the panel factorization of arena columns
+// must reproduce NewQRSerial — one panel, so the plain column-by-column
 // Householder loop on one worker — bit for bit, Q and R both, at every
-// panel width, tile edge and worker budget.
+// panel width and worker budget.
 func TestBlockedQRBitwiseFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for _, dims := range [][2]int{{90, 37}, {65, 65}, {33, 9}} {
-		m, n := dims[0], dims[1]
+	dims := [][2]int{{90, 37}, {65, 65}, {33, 9}, {1, 1}}
+	for k, m := range blockRowGrid {
+		dims = append(dims, [2]int{m, 4 + k}, [2]int{m, 7})
+	}
+	for _, dim := range dims {
+		m, n := dim[0], dim[1]
 		a := blockRandMatrix(rng, m, n)
 		ref, err := NewQRSerial(a)
 		if err != nil {
@@ -166,25 +182,29 @@ func TestBlockedQRBitwiseFlat(t *testing.T) {
 		wantQ, wantR := matrix.FromColumns(ref.Q(nil)), ref.R()
 		for _, workers := range blockWorkerGrid {
 			c := exec.New(workers)
-			for _, panel := range []int{1, 3, qrPanel, n - 1} {
+			for _, panel := range []int{1, 3, qrPanel, max(1, n-1)} {
 				d, err := newQR(c, a, panel)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameBits(t, fmt.Sprintf("QR panel %d: Q", panel), matrix.FromColumns(d.Q(c)), wantQ)
-				sameBits(t, fmt.Sprintf("QR panel %d: R", panel), d.R(), wantR)
+				sameBits(t, fmt.Sprintf("QR %v panel %d: Q", dim, panel), matrix.FromColumns(d.Q(c)), wantQ)
+				sameBits(t, fmt.Sprintf("QR %v panel %d: R", dim, panel), d.R(), wantR)
+				d.Free(c)
 			}
-			for _, tiles := range blockTileGrid {
-				edge := edgeForTiles(m, tiles)
-				ab := matrix.BlockOf(c, a, edge)
-				d, err := QRBlocked(c, ab)
-				if err != nil {
-					t.Fatalf("QRBlocked(%v, workers=%d, tiles=%d): %v", dims, workers, tiles, err)
-				}
-				sameBits(t, "blocked QR: Q", matrix.FromColumns(d.Q(c)), wantQ)
-				sameBits(t, "blocked QR: R", d.R(), wantR)
-				ab.Free(c)
+			v := a.Columns()
+			for j, col := range v {
+				v[j] = append(c.Arena().Floats(m)[:0], col...)
 			}
+			d, err := NewQRColumns(c, v, m)
+			if err != nil {
+				t.Fatalf("NewQRColumns(%v, workers=%d): %v", dim, workers, err)
+			}
+			sameBits(t, fmt.Sprintf("column QR %v workers=%d: Q", dim, workers), matrix.FromColumns(d.Q(c)), wantQ)
+			sameBits(t, fmt.Sprintf("column QR %v workers=%d: R", dim, workers), d.R(), wantR)
+			d.Free(c)
 		}
+	}
+	if _, err := NewQRColumns(nil, make([][]float64, 3), 2); err != ErrShape {
+		t.Fatalf("NewQRColumns on 2 rows x 3 columns: %v, want ErrShape", err)
 	}
 }

@@ -89,7 +89,7 @@ func TestCrossOuterProduct(t *testing.T) {
 	}
 	c := randMatrix(rng, 5, 3)
 	d := randMatrix(rng, 6, 3)
-	opd := OuterProduct(nil, c, d)
+	opd := fromCols(nil, c.Rows, OuterProductCols(nil, c.Columns(), d.Columns(), c.Rows, d.Rows))
 	if opd.Rows != 5 || opd.Cols != 6 {
 		t.Fatalf("OPD shape %dx%d", opd.Rows, opd.Cols)
 	}

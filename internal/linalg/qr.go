@@ -1,6 +1,8 @@
 package linalg
 
 import (
+	"math"
+
 	"repro/internal/exec"
 	"repro/internal/matrix"
 )
@@ -20,8 +22,7 @@ type QR struct {
 
 // NewQR factors a with Householder reflections using the context's
 // worker budget for the trailing-column updates (the LAPACK/MKL
-// behavior), in panels as QRBlocked factors a tile grid. Requires
-// Rows >= Cols.
+// behavior), in panels of qrPanel columns. Requires Rows >= Cols.
 func NewQR(c *exec.Ctx, a *matrix.Matrix) (*QR, error) {
 	return newQR(c, a, qrPanel)
 }
@@ -47,6 +48,16 @@ func newQR(c *exec.Ctx, a *matrix.Matrix, panel int) (*QR, error) {
 		}
 	}
 	return qrPanels(c, v, a.Rows, panel), nil
+}
+
+// NewQRColumns factors the columns v in place: n columns of m rows
+// drawn from c's arena, which the QR then owns and Free hands back.
+// Requires m >= n.
+func NewQRColumns(c *exec.Ctx, v [][]float64, m int) (*QR, error) {
+	if m < len(v) {
+		return nil, ErrShape
+	}
+	return qrPanels(c, v, m, qrPanel), nil
 }
 
 // Free hands the working columns back to the arena of c, the context
@@ -92,7 +103,7 @@ func (d *QR) R() *matrix.Matrix {
 // m, drawn from c's arena: the Householder reflectors accumulated
 // against the first n identity columns. The per-column accumulations
 // are independent and fan out on c's workers once the factor holds
-// about 1<<15 elements.
+// about minParallelWork elements.
 func (d *QR) Q(c *exec.Ctx) [][]float64 {
 	m, n := d.rows, d.cols
 	q := make([][]float64, n)
@@ -100,7 +111,7 @@ func (d *QR) Q(c *exec.Ctx) [][]float64 {
 		q[j] = c.Arena().FloatsZero(m)
 		q[j][j] = 1
 	}
-	c.ParallelFor(n, max(1, (1<<15)/max(1, m)), func(jLo, jHi int) {
+	c.ParallelFor(n, max(1, minParallelWork/max(1, m)), func(jLo, jHi int) {
 		for j := jLo; j < jHi; j++ {
 			col := q[j]
 			for k := n - 1; k >= 0; k-- {
@@ -132,11 +143,7 @@ func QQR(c *exec.Ctx, a *matrix.Matrix) (*matrix.Matrix, error) {
 	}
 	q := d.Q(c)
 	d.Free(c)
-	res := matrix.FromColumns(q)
-	for _, col := range q {
-		c.Arena().FreeFloats(col)
-	}
-	return res, nil
+	return fromCols(c, a.Rows, q), nil
 }
 
 // RQR returns matrix R of the QR decomposition (the paper's RQR, shape
@@ -188,4 +195,71 @@ func lstsq(c *exec.Ctx, a *matrix.Matrix, b []float64) ([]float64, error) {
 		x[k] /= d.tau[k]
 	}
 	return append([]float64(nil), x...), nil
+}
+
+// qrPanel is the Householder panel width. It changes no bit of the
+// factorization, only how much of it runs in parallel: the in-panel
+// work is serial and only the sweep of the trailing columns fans out,
+// so a wide panel would leave every QR of fewer columns serial.
+const qrPanel = 16
+
+// qrPanels factors the m-row columns v in place, in column panels of
+// width panel: reflectors within the current panel are formed and
+// applied to the panel serially (they depend on each other), then the
+// whole panel's reflectors sweep the trailing columns through
+// ParallelFor. Each column receives every reflector in ascending order
+// through applyReflectorTo, so the factorization does not depend on
+// the panel width or the worker budget.
+func qrPanels(c *exec.Ctx, v [][]float64, m, panel int) *QR {
+	n := len(v)
+	tau := make([]float64, n)
+	if panel < 1 {
+		panel = 1
+	}
+	// Fan the trailing sweep out only when each worker's share is about
+	// minParallelWork flops or more.
+	minCols := max(1, minParallelWork/max(1, m*panel)+1)
+	for p0 := 0; p0 < n; p0 += panel {
+		p1 := min(p0+panel, n)
+		for k := p0; k < p1; k++ {
+			ck := v[k]
+			var norm float64
+			for _, x := range ck[k:] {
+				norm = math.Hypot(norm, x)
+			}
+			if norm == 0 {
+				tau[k] = 0
+				continue
+			}
+			// Choose the sign that avoids cancellation in v_kk = a_kk/norm + 1.
+			if ck[k] < 0 {
+				norm = -norm
+			}
+			inv := 1 / norm
+			for i := k; i < m; i++ {
+				ck[i] *= inv
+			}
+			ck[k]++
+			for j := k + 1; j < p1; j++ {
+				applyReflectorTo(ck, v[j], k, m)
+			}
+			// The diagonal of R cannot live in v (that slot holds the
+			// Householder vector), so it is carried in tau.
+			tau[k] = -norm
+		}
+		if p1 < n {
+			c.ParallelFor(n-p1, minCols, func(lo, hi int) {
+				for j := p1 + lo; j < p1+hi; j++ {
+					cj := v[j]
+					for k := p0; k < p1; k++ {
+						if v[k][k] == 0 {
+							continue // zero-norm column: no reflector stored
+						}
+						applyReflectorTo(v[k], cj, k, m)
+					}
+				}
+			})
+		}
+	}
+	return &QR{v: v, tau: tau, rows: m, cols: n}
 }

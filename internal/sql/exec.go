@@ -770,26 +770,42 @@ func userQual(e Expr) string {
 }
 
 // finishOutput applies DISTINCT, ORDER BY and LIMIT to the projected
-// output. in, when non-nil, binds the pre-projection rows the ORDER BY
-// keys marked input are evaluated over (row for row the output's, since
-// such keys exist only without DISTINCT).
-func finishOutput(c *exec.Ctx, sel *SelectStmt, out *rel.Relation, order []orderKey, in *frame) (_ *rel.Relation, err error) {
-	if sel.Distinct {
-		// Output names are unique (rel.New): every column is a key.
-		if out, err = rel.GroupBy(c, out, out.Schema.Names(), nil); err != nil {
-			return nil, err
+// output. owned marks the columns of out that are the statement's own
+// arena columns (nil: none); each step that replaces the output hands
+// those back, and its own result columns are owned in turn. in, when
+// non-nil, binds the pre-projection rows the ORDER BY keys marked input
+// are evaluated over (row for row the output's, since such keys exist
+// only without DISTINCT).
+func finishOutput(c *exec.Ctx, sel *SelectStmt, out *rel.Relation, owned []bool, order []orderKey, in *frame) (*rel.Relation, error) {
+	replace := func(next *rel.Relation) {
+		for k, col := range out.Cols {
+			if k < len(owned) && owned[k] {
+				bat.Release(c, col)
+			}
+		}
+		out, owned = next, make([]bool, len(next.Cols))
+		for k := range owned {
+			owned[k] = true
 		}
 	}
-	if len(order) > 0 {
-		var idx []int
-		if idx, err = sortIndex(c, out, order, in); err != nil {
+	if sel.Distinct {
+		// Output names are unique (rel.New): every column is a key.
+		grouped, err := rel.GroupBy(c, out, out.Schema.Names(), nil)
+		if err != nil {
 			return nil, err
 		}
-		out = out.Gather(c, idx)
+		replace(grouped)
+	}
+	if len(order) > 0 {
+		idx, err := sortIndex(c, out, order, in)
+		if err != nil {
+			return nil, err
+		}
+		replace(out.Gather(c, idx))
 		c.Arena().FreeInts(idx)
 	}
 	if sel.Limit >= 0 {
-		out = out.Limit(c, sel.Limit)
+		replace(out.Limit(c, sel.Limit))
 	}
 	return out, nil
 }

@@ -442,11 +442,12 @@ func (db *DB) execPlanned(c *exec.Ctx, sel *SelectStmt, plan *selectPlan) (*rel.
 }
 
 // colBuf collects one output column across morsels as a list of parts
-// and concatenates them once, at the exact final length. A part that
-// views storage outliving the statement is kept as is, and consecutive
-// views of one stored column merge, so a column that streams unfiltered
-// out of one stored column is returned without a copy. Any other part is
-// an arena vector, handed back after the concatenation.
+// and concatenates them once, at the exact final length, into a column
+// drawn from the statement's arena. A part that views storage outliving
+// the statement is kept as is, and consecutive views of one stored
+// column merge, so a column that streams unfiltered out of one stored
+// column is returned as that view, without a copy. Any other part is an
+// arena vector, handed back after the concatenation.
 type colBuf struct {
 	typ   bat.Type
 	parts []*bat.Vector
@@ -474,15 +475,18 @@ func (b *colBuf) add(c *exec.Ctx, v *bat.Vector, stable, owned bool) {
 }
 
 // vector concatenates the parts into the final column of rows values.
-func (b *colBuf) vector(c *exec.Ctx, rows int) *bat.Vector {
-	var out *bat.Vector
+// owned reports whether the column is the statement's arena column
+// rather than a view of stored data.
+func (b *colBuf) vector(c *exec.Ctx, rows int) (out *bat.Vector, owned bool) {
+	owned = len(b.parts) != 1 || b.owned[0]
+	a := c.Arena()
 	switch b.typ {
 	case bat.Int:
-		out = bat.NewIntVector(concat(b, rows, (*bat.Vector).Ints))
+		out = bat.NewIntVector(concat(b, rows, (*bat.Vector).Ints, a.Int64s))
 	case bat.String:
-		out = bat.NewStringVector(concat(b, rows, (*bat.Vector).Strings))
+		out = bat.NewStringVector(concat(b, rows, (*bat.Vector).Strings, a.Strings))
 	default:
-		out = bat.NewFloatVector(concat(b, rows, (*bat.Vector).Floats))
+		out = bat.NewFloatVector(concat(b, rows, (*bat.Vector).Floats, a.Floats))
 	}
 	for k, p := range b.parts {
 		if b.owned[k] {
@@ -490,14 +494,14 @@ func (b *colBuf) vector(c *exec.Ctx, rows int) *bat.Vector {
 		}
 	}
 	b.parts, b.owned = nil, nil
-	return out
+	return out, owned
 }
 
-func concat[T any](b *colBuf, rows int, data func(*bat.Vector) []T) []T {
+func concat[T any](b *colBuf, rows int, data func(*bat.Vector) []T, alloc func(int) []T) []T {
 	if len(b.parts) == 1 && !b.owned[0] {
 		return data(b.parts[0])[:rows:rows]
 	}
-	out := make([]T, rows)
+	out := alloc(rows)
 	at := 0
 	for _, p := range b.parts {
 		at += copy(out[at:], data(p))
@@ -599,8 +603,10 @@ func runStreamProject(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, st rowStre
 		mb.Release(c)
 	}
 	outCols := make([]*bat.BAT, len(out))
+	owned := make([]bool, len(out))
 	for k := range out {
-		outCols[k] = bat.FromVector(out[k].vector(c, rows))
+		v, own := out[k].vector(c, rows)
+		outCols[k], owned[k] = bat.FromVector(v), own
 	}
 	res, err := rel.New("", plan.outSchema, outCols)
 	if err != nil {
@@ -609,12 +615,20 @@ func runStreamProject(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, st rowStre
 	var inFrame *frame
 	if in != nil {
 		inFrame = &frame{c: c, n: rows, cols: make([]*bat.Vector, len(in))}
+		inOwned := make([]bool, len(in))
 		for k := range in {
-			inFrame.cols[k] = in[k].vector(c, rows)
+			inFrame.cols[k], inOwned[k] = in[k].vector(c, rows)
 		}
-		defer inFrame.release()
+		defer func() {
+			inFrame.release()
+			for k, v := range inFrame.cols {
+				if inOwned[k] {
+					freeVec(c, v)
+				}
+			}
+		}()
 	}
-	return finishOutput(c, sel, res, plan.order, inFrame)
+	return finishOutput(c, sel, res, owned, plan.order, inFrame)
 }
 
 // runStreamGrouped drains the stream into the grouped aggregation
@@ -696,7 +710,7 @@ func (db *DB) runStreamGrouped(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, s
 	if err != nil {
 		return nil, err
 	}
-	return finishOutput(c, sel, out, plan.order, f)
+	return finishOutput(c, sel, out, nil, plan.order, f)
 }
 
 // groupInputs evaluates one morsel's grouping keys and aggregate inputs,

@@ -461,7 +461,8 @@ func TestStreamedJoinBatchesCapped(t *testing.T) {
 			}
 			out := make([]*bat.BAT, len(cols))
 			for k := range cols {
-				out[k] = bat.FromVector(cols[k].vector(c, rows))
+				v, _ := cols[k].vector(c, rows)
+				out[k] = bat.FromVector(v)
 			}
 			got, err := rel.New("", want.Schema, out)
 			if err != nil {

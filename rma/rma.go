@@ -104,7 +104,8 @@ const (
 	PolicyAuto = core.PolicyAuto
 	// PolicyBAT forces the no-copy column-at-a-time kernels (RMA+BAT).
 	PolicyBAT = core.PolicyBAT
-	// PolicyDense forces dense delegation with copy-in/out (RMA+MKL).
+	// PolicyDense forces dense delegation (RMA+MKL) with its data
+	// transformation.
 	PolicyDense = core.PolicyDense
 )
 
