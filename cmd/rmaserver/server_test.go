@@ -108,7 +108,10 @@ func getMetrics(t *testing.T, ts *httptest.Server) metricsResponse {
 	return m
 }
 
-const heavySort = "SELECT x FROM t ORDER BY x LIMIT 10;"
+// heavySort returns the 10 smallest of t's 65 536 values through a full
+// sort: the derived table's ORDER BY has no LIMIT, so it is not a
+// bounded top-k, and its sort permutation alone outgrows a 256 KiB tenant.
+const heavySort = "SELECT x FROM (SELECT x FROM t ORDER BY x) LIMIT 10;"
 
 // TestServerBudgetIsolation runs one generous and one tiny-budget
 // tenant against the same statement: the tiny tenant gets the typed

@@ -152,11 +152,12 @@
 //     aggregate a count, a float or both) that the result takes over.
 //     Without aggregates GroupBy returns the distinct keys: SQL's
 //     DISTINCT.
-//   - bat.SortKeys is the one code that orders rows: ORDER BY, rel.Sort
-//     and the order schemas of RMA (bat.SortIndex) all call it, and the
-//     key shape alone picks the algorithm. One Int or Float key, either
-//     direction, is radix-sorted: an LSD radix sort over
-//     order-preserving unsigned keys (floats canonicalised so −0 = +0
+//   - bat.SortKeys and its bounded form bat.TopKeys are the code that
+//     orders rows: ORDER BY, rel.Sort and the order schemas of RMA
+//     (bat.SortIndex) call SortKeys, ORDER BY ... LIMIT k calls TopKeys,
+//     and the key shape alone picks SortKeys' algorithm. One Int or
+//     Float key, either direction, is radix-sorted: an LSD radix sort
+//     over order-preserving unsigned keys (floats canonicalised so −0 = +0
 //     and NaN sorts after +Inf; a descending key complements them),
 //     8-bit digits, skipping every digit all rows share. If the arena
 //     refuses its n-int scratch it gives its buffers back and the merge
@@ -168,7 +169,11 @@
 //     then pairwise merges of the runs against an n-int buffer. Both
 //     draw their permutation buffers from the arena, and the stable
 //     permutation is unique, so the result is independent of the path
-//     and of the worker budget.
+//     and of the worker budget. TopKeys returns exactly the first k
+//     rows of that permutation (MonetDB's firstn): a max-heap of k row
+//     positions under the same comparator, ties broken on position, and
+//     then a stable merge sort of the survivors, holding O(k) ints
+//     whatever n is.
 //   - The zero-suppressed kernels (bat.SparseAdd, Sparse.Gather,
 //     Sparse.Densify, Sparse.Sum) decompose over OID ranges concatenated
 //     in range order (Sum reduces over fixed chunks), with the same
@@ -204,7 +209,13 @@
 // once before the sort, and the projection keeps an unfiltered stored
 // column as a zero-copy view. ORDER BY may name input columns the SELECT
 // list drops (without DISTINCT): the projection then keeps them for the
-// sort. Results and error messages are pinned bitwise against a naive
+// sort. ORDER BY ... LIMIT k with k at most one morsel is a top-k: without
+// grouping or DISTINCT the projection folds each morsel into the k rows
+// kept so far (kept = TopKeys(kept ++ morsel), input keys evaluated on the
+// morsel itself), so the statement holds O(k + bat.MorselSize) rows; over
+// a grouped or DISTINCT result TopKeys selects the k rows before the one
+// gather. Both are bitwise the full sort's first k rows. Results and
+// error messages are pinned bitwise against a naive
 // whole-relation reference executor and a row-at-a-time reference
 // evaluator that live only in the tests (internal/sql/reference_test.go,
 // internal/sql/rowexpr_test.go).

@@ -2,6 +2,7 @@ package bat
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/exec"
 )
@@ -196,9 +197,10 @@ func SortIndex(c *exec.Ctx, keys []*BAT) []int {
 
 // SortKeys computes the stable sort permutation of the rows of the key
 // columns, lexicographic with the first key most significant; desc[k]
-// (nil: all false) sorts key k descending. It is the one code that
-// orders rows — ORDER BY, rel.Sort and SortIndex all call it — and the
-// key shape alone picks the algorithm. One Int or Float key is
+// (nil: all false) sorts key k descending. It and its bounded form
+// TopKeys are the one code that orders rows — ORDER BY, rel.Sort and
+// SortIndex call it, ORDER BY ... LIMIT calls TopKeys — and the key
+// shape alone picks the algorithm. One Int or Float key is
 // radix-sorted (radixSortIndex), a descending one on complemented bits;
 // if the arena refuses the radix sort's scratch, or for any other key
 // list, SortStable merge-sorts under keyLess, after one linear pre-scan
@@ -235,6 +237,82 @@ func SortKeys(c *exec.Ctx, keys []*Vector, desc []bool) []int {
 		}
 	}
 	return Identity(c, n)
+}
+
+// TopKeys is SortKeys bounded to its first k rows: it returns exactly
+// SortKeys(c, keys, desc)[:min(k, n)], drawn from the context's arena;
+// k must not be negative. For k below n it keeps a max-heap of k row
+// positions under keyLess, ties broken on row position — the stable
+// sort's order — so a row enters only when its key orders strictly
+// before the heap's last row. The survivors, put in position order, are
+// then merge-sorted stably under keyLess (sortRun). Beside the k-int
+// result it holds one k/2-int scratch, and it makes O(n log k)
+// comparisons; k >= n sorts every row with SortKeys. This is MonetDB's
+// firstn, the ORDER BY ... LIMIT k of the SQL layer.
+func TopKeys(c *exec.Ctx, keys []*Vector, desc []bool, k int) []int {
+	if len(keys) == 0 {
+		return nil
+	}
+	n := keys[0].Len()
+	if k >= n {
+		return SortKeys(c, keys, desc)
+	}
+	if desc == nil {
+		desc = make([]bool, len(keys))
+	}
+	less := keyLess(keys, desc)
+	// after reports whether row a orders after row b: by key, then by
+	// position, so no two rows tie.
+	after := func(a, b int) bool {
+		if a < b {
+			return less(b, a)
+		}
+		return !less(a, b)
+	}
+	h := c.Arena().Ints(k)
+	if k == 0 {
+		return h
+	}
+	for i := range h {
+		h[i] = i
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(h, i, after)
+	}
+	// Row i follows every kept row in position, so it orders before the
+	// last kept row only by key.
+	for i := k; i < n; i++ {
+		if less(i, h[0]) {
+			h[0] = i
+			siftDown(h, 0, after)
+		}
+	}
+	// In position order, the survivors stably merge-sort into (key,
+	// position) order; runs already in key order, such as rows that
+	// arrived sorted, merge without comparisons.
+	slices.Sort(h)
+	tmp := c.Arena().Ints(k / 2)
+	sortRun(h, tmp, less)
+	c.Arena().FreeInts(tmp)
+	return h
+}
+
+// siftDown restores the max-heap order of h under after below node i.
+func siftDown(h []int, i int, after func(a, b int) bool) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if j+1 < len(h) && after(h[j+1], h[j]) {
+			j++
+		}
+		if !after(h[j], h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // keyLess returns the row order of SortKeys' merge path: less(a, b)

@@ -2,6 +2,7 @@ package bat
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -282,10 +283,14 @@ func FuzzSortIndex(f *testing.F) {
 			xs[i] = int64(binary.LittleEndian.Uint64(words[8*i:])) >> shift
 			fs[i] = math.Float64frombits(uint64(xs[i]))
 		}
-		wantI := refStablePerm(n, func(a, b int) bool { return xs[a] < xs[b] })
+		lessI := func(a, b int) bool { return xs[a] < xs[b] }
+		wantI := refStablePerm(n, lessI)
 		checkSortIndex(t, "fuzz-int", FromInts(xs), wantI, 1, 8)
-		wantF := refStablePerm(n, func(a, b int) bool { return floatOrderLess(fs[a], fs[b]) })
+		checkTopKeys(t, "fuzz-topk-int", []*Vector{NewIntVector(xs)}, nil, wantI, lessI, int(shift), 1, 8)
+		lessF := func(a, b int) bool { return floatOrderLess(fs[a], fs[b]) }
+		wantF := refStablePerm(n, lessF)
 		checkSortIndex(t, "fuzz-float", FromFloats(fs), wantF, 1, 8)
+		checkTopKeys(t, "fuzz-topk-float", []*Vector{NewFloatVector(fs)}, nil, wantF, lessF, int(shift), 1, 8)
 
 		// Key k reads word (i*(2k+1)+k) mod n at row i, so the keys
 		// differ and tie in different places.
@@ -306,7 +311,7 @@ func FuzzSortIndex(f *testing.F) {
 			}
 			keys[k] = [...]*Vector{NewIntVector(is), NewFloatVector(gs), NewStringVector(ss)}[typ]
 		}
-		want := refStablePerm(n, func(a, b int) bool {
+		less := func(a, b int) bool {
 			for k, v := range keys {
 				x, y := a, b
 				if desc[k] {
@@ -326,12 +331,106 @@ func FuzzSortIndex(f *testing.F) {
 				}
 			}
 			return false
-		})
+		}
+		want := refStablePerm(n, less)
 		for _, w := range []int{1, 8} {
 			c := exec.New(w)
 			idx := SortKeys(c, keys, desc)
 			permsEqual(t, "fuzz-sortkeys", n, w, idx, want)
 			c.Arena().FreeInts(idx)
 		}
+		checkTopKeys(t, "fuzz-topkeys", keys, desc, want, less, int(data[1]), 1, 8)
 	})
+}
+
+// checkTopKeys pins TopKeys to the prefixes of want, the stable reference
+// permutation under less, at the given worker budgets. k runs over 0, 1,
+// a tie boundary (the first cut of want between two rows less does not
+// order), n, and past n by extra+1; n-1 stands in for the tie boundary
+// when no two rows tie.
+func checkTopKeys(t *testing.T, name string, keys []*Vector, desc []bool, want []int, less func(a, b int) bool, extra int, workers ...int) {
+	t.Helper()
+	n := len(want)
+	tie := n - 1
+	for p := 1; p < n; p++ {
+		if !less(want[p-1], want[p]) {
+			tie = p
+			break
+		}
+	}
+	for _, k := range []int{0, 1, tie, n, n + extra + 1} {
+		if k < 0 {
+			continue
+		}
+		m := min(k, n)
+		for _, w := range workers {
+			c := exec.New(w)
+			idx := TopKeys(c, keys, desc, k)
+			permsEqual(t, fmt.Sprintf("%s k=%d", name, k), n, w, idx, want[:m])
+			c.Arena().FreeInts(idx)
+		}
+	}
+}
+
+// TestTopKeysMatchesSortKeysPrefix pins TopKeys to SortKeys' prefix at
+// sizes past the parallel cutoff, where SortKeys radix-sorts one numeric
+// key and merge-sorts in parallel runs: duplicate-heavy ints, floats with
+// NaN and both zeros, strings, and two mixed keys, ASC and DESC, with k at
+// 0, 1, a tie boundary, a morsel and one row short of n, at workers 1, 2
+// and 8. TopKeys holds only its k-int result and a k/2-int scratch: it
+// runs within a tenant budget of exactly those two buffers.
+func TestTopKeysMatchesSortKeysPrefix(t *testing.T) {
+	n := 3*SerialCutoff + 5
+	rng := rand.New(rand.NewSource(46))
+	is, fs, ss := make([]int64, n), make([]float64, n), make([]string, n)
+	for i := range is {
+		is[i] = int64(rng.Intn(50))
+		if i%7 == 0 {
+			fs[i] = floatSpecials[rng.Intn(len(floatSpecials))]
+		} else {
+			fs[i] = float64(rng.Intn(300)-150) / 4
+		}
+		ss[i] = fmt.Sprintf("s%d", rng.Intn(200))
+	}
+	iv, fv, sv := NewIntVector(is), NewFloatVector(fs), NewStringVector(ss)
+	for _, tc := range []struct {
+		name string
+		keys []*Vector
+	}{
+		{"int", []*Vector{iv}},
+		{"float", []*Vector{fv}},
+		{"string", []*Vector{sv}},
+		{"float,int", []*Vector{fv, iv}},
+		{"int,string", []*Vector{iv, sv}},
+	} {
+		for _, d := range []bool{false, true} {
+			desc := make([]bool, len(tc.keys))
+			desc[0] = d
+			want := SortKeys(exec.New(1), tc.keys, desc)
+			tie := 1
+			for keyLess(tc.keys, desc)(want[tie-1], want[tie]) {
+				tie++
+			}
+			for _, k := range []int{0, 1, tie, MorselSize, n - 1} {
+				for _, w := range []int{1, 2, 8} {
+					c := exec.New(w)
+					idx := TopKeys(c, tc.keys, desc, k)
+					permsEqual(t, fmt.Sprintf("%s desc=%v k=%d", tc.name, d, k), n, w, idx, want[:k])
+					c.Arena().FreeInts(idx)
+				}
+			}
+		}
+	}
+
+	tn := exec.NewGovernor(0, 0).Tenant("topk", 0)
+	a := tn.NewArena()
+	held, tmp := a.Ints(100), a.Ints(50)
+	a.FreeInts(held)
+	a.FreeInts(tmp)
+	tn.SetBudget(tn.PeakBytes())
+	c := exec.NewCtx(2, a, nil)
+	idx := TopKeys(c, []*Vector{fv, iv}, []bool{true, false}, 100)
+	permsEqual(t, "budgeted", n, 2, idx, SortKeys(exec.New(1), []*Vector{fv, iv}, []bool{true, false})[:100])
+	a.FreeInts(idx)
+	a.Close()
 }

@@ -13,8 +13,8 @@ import (
 
 // StageStats is the snapshot of one pipeline stage.
 type StageStats struct {
-	Name      string // operator label, e.g. "scan(t)", "join", "group"
-	Batches   int64  // morsels emitted
+	Name      string // operator label, e.g. "scan(t)", "join", "group", "topk"
+	Batches   int64  // morsels emitted; for "topk", morsels folded
 	Rows      int64  // rows emitted across all morsels
 	PeakBytes int64  // high-water mark of bytes held by the stage at once
 }
@@ -82,6 +82,15 @@ func (t *StageTracker) Batch(rows int, bytes int64) {
 	t.batches.Add(1)
 	t.rows.Add(int64(rows))
 	maxInt64(&t.peak, t.held.Add(bytes))
+}
+
+// Emit records rows a pipeline breaker emits once, at its end, beside
+// the batches it folded.
+func (t *StageTracker) Emit(rows int) {
+	if t == nil {
+		return
+	}
+	t.rows.Add(int64(rows))
 }
 
 // Unhold releases bytes previously recorded by Batch.

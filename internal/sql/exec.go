@@ -775,7 +775,9 @@ func userQual(e Expr) string {
 // those back, and its own result columns are owned in turn. in, when
 // non-nil, binds the pre-projection rows the ORDER BY keys marked input
 // are evaluated over (row for row the output's, since such keys exist
-// only without DISTINCT).
+// only without DISTINCT). A bounded ORDER BY ... LIMIT k (topK) gathers
+// only the k rows bat.TopKeys selects; any other ORDER BY sorts and
+// gathers every row before the LIMIT.
 func finishOutput(c *exec.Ctx, sel *SelectStmt, out *rel.Relation, owned []bool, order []orderKey, in *frame) (*rel.Relation, error) {
 	replace := func(next *rel.Relation) {
 		for k, col := range out.Cols {
@@ -797,50 +799,86 @@ func finishOutput(c *exec.Ctx, sel *SelectStmt, out *rel.Relation, owned []bool,
 		replace(grouped)
 	}
 	if len(order) > 0 {
-		idx, err := sortIndex(c, out, order, in)
+		k := -1
+		if topK(sel) {
+			k = sel.Limit
+		}
+		idx, err := orderIndex(c, out, order, in, k)
 		if err != nil {
 			return nil, err
 		}
 		replace(out.Gather(c, idx))
 		c.Arena().FreeInts(idx)
 	}
-	if sel.Limit >= 0 {
+	if sel.Limit >= 0 && out.NumRows() > sel.Limit {
 		replace(out.Limit(c, sel.Limit))
 	}
 	return out, nil
 }
 
-// sortIndex materializes every ORDER BY key once, then returns the
-// stable sort permutation of out's rows under them (bat.SortKeys).
-// Floats order by bat.CompareFloat, so NaN sorts last ascending and
-// first descending.
-func sortIndex(c *exec.Ctx, out *rel.Relation, order []orderKey, in *frame) ([]int, error) {
+// topK reports whether a statement is a bounded ORDER BY ... LIMIT k:
+// k at most bat.MorselSize rows, which bat.TopKeys selects without
+// sorting the rest. A larger k sorts every row.
+func topK(sel *SelectStmt) bool {
+	return len(sel.OrderBy) > 0 && sel.Limit >= 0 && sel.Limit <= bat.MorselSize
+}
+
+// orderIndex evaluates every ORDER BY key once over out (in for keys
+// marked input) and returns the stable sort permutation of out's rows
+// under them (bat.SortKeys), or its first k rows (bat.TopKeys) when k
+// is not negative. Floats order by bat.CompareFloat, so NaN sorts last
+// ascending and first descending.
+func orderIndex(c *exec.Ctx, out *rel.Relation, order []orderKey, in *frame, k int) ([]int, error) {
 	of := relFrame(c, out)
+	defer of.release()
+	keys, err := orderKeys(order, of, in)
+	if err != nil {
+		return nil, err
+	}
+	defer freeOrderKeys(order, keys, of, in)
+	if k >= 0 {
+		return bat.TopKeys(c, keys, orderDesc(order), k), nil
+	}
+	return bat.SortKeys(c, keys, orderDesc(order)), nil
+}
+
+// orderKeys evaluates every ORDER BY key, a key marked input over in and
+// any other over out. On an error it hands back what it evaluated.
+func orderKeys(order []orderKey, out, in *frame) ([]*bat.Vector, error) {
 	keys := make([]*bat.Vector, 0, len(order))
-	desc := make([]bool, len(order))
-	defer func() {
-		for k, v := range keys {
-			if order[k].input {
-				in.free(v)
-			} else {
-				of.free(v)
-			}
-		}
-		of.release()
-	}()
-	for k, ok := range order {
-		f := of
-		if ok.input {
-			f = in
-		}
-		v, err := ok.prog.val(f, nil)
+	for _, ok := range order {
+		v, err := ok.prog.val(ok.frame(out, in), nil)
 		if err != nil {
+			freeOrderKeys(order, keys, out, in)
 			return nil, err
 		}
 		keys = append(keys, v)
+	}
+	return keys, nil
+}
+
+// freeOrderKeys hands back the keys orderKeys evaluated.
+func freeOrderKeys(order []orderKey, keys []*bat.Vector, out, in *frame) {
+	for k, v := range keys {
+		order[k].frame(out, in).free(v)
+	}
+}
+
+// frame picks the frame the key evaluates over.
+func (ok orderKey) frame(out, in *frame) *frame {
+	if ok.input {
+		return in
+	}
+	return out
+}
+
+// orderDesc returns the keys' descending flags.
+func orderDesc(order []orderKey) []bool {
+	desc := make([]bool, len(order))
+	for k, ok := range order {
 		desc[k] = ok.desc
 	}
-	return bat.SortKeys(c, keys, desc), nil
+	return desc
 }
 
 // grpQual is the reserved qualifier for grouped columns.

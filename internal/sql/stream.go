@@ -13,10 +13,10 @@ import (
 // released as soon as its consumer is done with it — so the statement's
 // peak arena footprint tracks the widest pipeline stage instead of the
 // sum of its materialized intermediates. Pipeline breakers (join build
-// sides, the grouping accumulator) consume their input fully, then
-// stream or hand off materialized output. Every join kind runs through
-// one operator, joinStream, whose batches never exceed bat.MorselSize
-// rows whatever a probe row's fan-out.
+// sides, the grouping accumulator, the ORDER BY ... LIMIT fold) consume
+// their input fully, then stream or hand off materialized output. Every
+// join kind runs through one operator, joinStream, whose batches never
+// exceed bat.MorselSize rows whatever a probe row's fan-out.
 //
 // Determinism: morsels are emitted in row order, every per-morsel kernel
 // runs serially (MorselSize never exceeds exec.SerialCutoff), and the
@@ -559,8 +559,13 @@ func cloneVec(c *exec.Ctx, v *bat.Vector) *bat.Vector {
 // is appended to a plain output column. When an ORDER BY key needs
 // unselected input columns, the morsels' (pruned) input columns are kept
 // alongside for finishOutput. Without DISTINCT or ORDER BY, a LIMIT
-// stops the pull as soon as enough rows have been produced.
+// stops the pull as soon as enough rows have been produced; a bounded
+// ORDER BY ... LIMIT without DISTINCT folds the morsels into its k rows
+// instead (runStreamTopK).
 func runStreamProject(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, st rowStream, ps *exec.PipelineStats) (*rel.Relation, error) {
+	if topK(sel) && !sel.Distinct {
+		return runStreamTopK(c, sel.Limit, plan, st, ps)
+	}
 	out := make([]colBuf, len(plan.proj))
 	for k := range out {
 		out[k].typ = plan.outSchema[k].Type
@@ -629,6 +634,155 @@ func runStreamProject(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, st rowStre
 		}()
 	}
 	return finishOutput(c, sel, res, owned, plan.order, inFrame)
+}
+
+// runStreamTopK is runStreamProject for ORDER BY ... LIMIT k: it folds
+// each projected morsel into the rows kept so far, kept = the first k of
+// (kept ++ morsel) under bat.TopKeys. The kept rows are held in order and
+// all come from earlier morsels, so among equal keys their order in the
+// concatenation is their global row order, and the fold ends with the
+// first k rows of the stable sort of every row: bitwise the result of
+// sorting, gathering and limiting. Keys marked input evaluate over the
+// morsel's own frame, so no input column is kept, and the statement holds
+// O(k + bat.MorselSize) rows whatever its input's length. Every morsel is
+// projected and keyed in full, so an expression that fails on a row the
+// fold drops fails the statement as the full sort would.
+func runStreamTopK(c *exec.Ctx, k int, plan *selectPlan, st rowStream, ps *exec.PipelineStats) (*rel.Relation, error) {
+	pt, tr := ps.Stage("project"), ps.Stage("topk")
+	// kept holds the projected columns, then the ORDER BY keys.
+	kept := bat.NewBatch(0)
+	for _, a := range plan.outSchema {
+		kept.AddCol(bat.NewEmptyVector(a.Type, 0), false)
+	}
+	for _, ok := range plan.order {
+		kept.AddCol(bat.NewEmptyVector(ok.prog.typ, 0), false)
+	}
+	defer func() { kept.Release(c) }()
+	desc := orderDesc(plan.order)
+	var held int64
+	for {
+		mb, err := st.next(c)
+		if err != nil {
+			return nil, err
+		}
+		if mb == nil {
+			break
+		}
+		next, scratch, err := foldTopK(c, k, plan, desc, kept, mb)
+		rows := mb.Len()
+		mb.Release(c)
+		if err != nil {
+			return nil, err
+		}
+		pt.Batch(rows, 0)
+		tr.Batch(0, scratch+next.Bytes())
+		tr.Unhold(held + scratch)
+		held = next.Bytes()
+		kept.Release(c)
+		kept = next
+	}
+	tr.Unhold(held)
+	tr.Emit(kept.Len())
+	cols := make([]*bat.BAT, len(plan.proj))
+	for j := range cols {
+		cols[j] = bat.FromVector(kept.Col(j))
+	}
+	res, err := rel.New("", plan.outSchema, cols)
+	if err != nil {
+		return nil, err
+	}
+	// The result owns the projected columns; the keys go back.
+	for j := len(cols); j < kept.NumCols(); j++ {
+		if kept.Owned(j) {
+			freeVec(c, kept.Col(j))
+		}
+	}
+	kept = nil
+	return res, nil
+}
+
+// foldTopK projects and keys one morsel and returns the first k rows of
+// kept ++ morsel as a batch of arena columns laid out like kept, with the
+// bytes of the concatenated keys it selected them by.
+func foldTopK(c *exec.Ctx, k int, plan *selectPlan, desc []bool, kept, mb *bat.Batch) (*bat.Batch, int64, error) {
+	f := batchFrame(c, mb)
+	p := len(plan.proj)
+	cols := make([]*bat.Vector, p, kept.NumCols()) // the morsel's projected columns, then its keys
+	of := &frame{c: c, n: mb.Len(), cols: cols}
+	defer func() {
+		for _, v := range cols[:p] {
+			if v != nil {
+				f.free(v)
+			}
+		}
+		of.release()
+		f.release()
+	}()
+	for j, prog := range plan.proj {
+		v, err := prog.val(f, nil)
+		if err != nil {
+			return nil, 0, err
+		}
+		cols[j] = v
+	}
+	keys, err := orderKeys(plan.order, of, f)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer freeOrderKeys(plan.order, keys, of, f)
+	cols = append(cols, keys...)
+
+	// The keys of kept's rows, then of the morsel's.
+	cat := keys
+	scratch := bat.NewBatch(kept.Len() + mb.Len())
+	if kept.Len() > 0 {
+		cat = make([]*bat.Vector, len(keys))
+		for j, v := range keys {
+			cat[j] = pickRows(c, kept.Col(p+j), v, nil)
+			scratch.AddCol(cat[j], true)
+		}
+	}
+	defer scratch.Release(c)
+	idx := bat.TopKeys(c, cat, desc, k)
+	defer c.Arena().FreeInts(idx)
+	next := bat.NewBatch(len(idx))
+	for j, v := range cols {
+		next.AddCol(pickRows(c, kept.Col(j), v, idx), true)
+	}
+	return next, scratch.Bytes(), nil
+}
+
+// pickRows gathers the rows idx of a ++ b (nil: every row, in order) into
+// an arena vector.
+func pickRows(c *exec.Ctx, a, b *bat.Vector, idx []int) *bat.Vector {
+	n := len(idx)
+	if idx == nil {
+		n = a.Len() + b.Len()
+	}
+	out := bat.NewVectorCtx(c, b.Type(), n)
+	switch b.Type() {
+	case bat.Int:
+		pick(out.Ints(), a.Ints(), b.Ints(), idx)
+	case bat.String:
+		pick(out.Strings(), a.Strings(), b.Strings(), idx)
+	default:
+		pick(out.Floats(), a.Floats(), b.Floats(), idx)
+	}
+	return out
+}
+
+func pick[T any](dst, a, b []T, idx []int) {
+	if idx == nil {
+		copy(dst[copy(dst, a):], b)
+		return
+	}
+	for j, i := range idx {
+		if i < len(a) {
+			dst[j] = a[i]
+		} else {
+			dst[j] = b[i-len(a)]
+		}
+	}
 }
 
 // runStreamGrouped drains the stream into the grouped aggregation
