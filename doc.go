@@ -156,12 +156,16 @@
 //     orders rows: ORDER BY, rel.Sort and the order schemas of RMA
 //     (bat.SortIndex) call SortKeys, ORDER BY ... LIMIT k calls TopKeys,
 //     and the key shape alone picks SortKeys' algorithm. One Int or
-//     Float key, either direction, is radix-sorted: an LSD radix sort
-//     over order-preserving unsigned keys (floats canonicalised so −0 = +0
-//     and NaN sorts after +Inf; a descending key complements them),
-//     8-bit digits, skipping every digit all rows share. If the arena
-//     refuses its n-int scratch it gives its buffers back and the merge
-//     sort runs instead. Every other key list — strings, several keys —
+//     Float key, either direction, is radix-sorted over
+//     order-preserving unsigned keys (floats canonicalised so −0 = +0
+//     and NaN sorts after +Inf; a descending key complements them). A
+//     key whose span (max − min) is above 255 and below n, as dense ids
+//     are, sorts in one stable counting pass over key − min through a
+//     (span+1)-int histogram; any other key, and one whose histogram
+//     the arena refuses, takes an LSD radix sort over 8-bit digits,
+//     skipping every digit all rows share. If the arena refuses the LSD
+//     sort's n-int scratch it gives its buffers back and the merge sort
+//     runs instead. Every other key list — strings, several keys —
 //     goes through bat.SortStable, one buffered stable merge sort under
 //     one typed comparator (floats by bat.CompareFloat, the radix
 //     sort's order): per-worker runs that insertion-sort 32-row blocks
@@ -302,6 +306,29 @@
 // a -race CI stress step.
 // exec.SpillStats (bytes, partitions, events) aggregates into
 // sql.DB.Metrics alongside the arena counters.
+//
+// # Context handling
+//
+// Handling contextual information — sorting each argument by its order
+// schema and carrying the order part into the result — is most of an
+// elementwise operation's cost (the paper's §8.1 and Fig. 13). Each
+// argument is sorted once (bat.SortIndex, which for the usual single
+// dense-id key is the counting pass above), and under the BAT policy
+// ADD, SUB and EMU never gather an application column into operation
+// order: bat.Add, bat.Sub and bat.Mul take each operand's permutation
+// and compute out[k] = a[pa[k]] ∘ b[pb[k]] into one arena column, the
+// leftfetchjoin fused into the kernel, as MonetDB fetches through an OID
+// list inside its operators. Under SortFull both permutations are the
+// sort orders; under the paper's SortOptimized the first argument keeps
+// its input order (a nil permutation) and the second is read through
+// its alignment to the first. Only the order columns that become the
+// result's row origins are gathered. Two zero-suppressed operands of
+// ADD are still gathered in compressed form and added by
+// bat.SparseAdd (Table 5); the dense policy keeps its copy-in, the
+// transformation the paper's policy comparison measures. The elementwise
+// kernels make one operation per element, with the operands in the same
+// order as a gather followed by the kernel, so a result element's bits
+// depend on neither the route nor the worker budget.
 //
 // # Column-form dense execution
 //

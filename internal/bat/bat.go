@@ -164,69 +164,98 @@ func floatsOf(c *exec.Ctx, b *BAT) []float64 {
 	return f
 }
 
-// Add returns b + x elementwise. When both tails are zero-suppressed the
-// addition runs on the compressed form (the Table 5 fast path).
-func Add(c *exec.Ctx, b, x *BAT) *BAT {
-	if b.sp != nil && x.sp != nil {
-		return FromSparse(SparseAdd(c, b.sp, x.sp))
+// arith names the operator of an elementwise kernel.
+type arith uint8
+
+const (
+	opAdd arith = iota
+	opSub
+	opMul
+)
+
+// Add returns a + b elementwise, each operand read through its
+// permutation: out[k] = a[pa[k]] + b[pb[k]], where a nil permutation
+// reads that operand in row order. This is the leftfetchjoin fused into
+// the kernel: a permuted operand is never gathered into a copy. When
+// both tails are zero-suppressed the addition runs on the compressed
+// form (the Table 5 fast path), gathering the sparse tails first.
+func Add(c *exec.Ctx, a *BAT, pa []int, b *BAT, pb []int) *BAT {
+	if a.sp != nil && b.sp != nil {
+		return FromSparse(SparseAdd(c, a.sp.permuted(c, pa), b.sp.permuted(c, pb)))
 	}
-	xs, ys := floatsOf(c, b), floatsOf(c, x)
-	out := c.Arena().Floats(len(xs))
-	if c.Serial(len(xs)) {
-		for k := range xs {
-			out[k] = xs[k] + ys[k]
-		}
-	} else {
-		c.ParallelFor(len(xs), SerialCutoff, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				out[k] = xs[k] + ys[k]
+	return elementwise(c, opAdd, a, pa, b, pb)
+}
+
+// Sub returns a - b elementwise, read through the permutations as Add.
+func Sub(c *exec.Ctx, a *BAT, pa []int, b *BAT, pb []int) *BAT {
+	return elementwise(c, opSub, a, pa, b, pb)
+}
+
+// Mul returns a * b elementwise, read through the permutations as Add.
+func Mul(c *exec.Ctx, a *BAT, pa []int, b *BAT, pb []int) *BAT {
+	return elementwise(c, opMul, a, pa, b, pb)
+}
+
+// elementwise is the one dense kernel of Add, Sub and Mul: one arena
+// result column, filled row-parallel, each operand read as floats
+// through its permutation (nil: in row order). A permuted first operand
+// is fetched into the result first and the second combined into it in a
+// second pass, so each pass makes random reads into one column only,
+// which keeps them cache-resident longer than reading both operands at
+// once would; otherwise one pass reads the first operand in place. Either
+// way every element is the one operation a[pa[k]] ∘ b[pb[k]], so the bits
+// are those of gathering both operands and then combining them.
+func elementwise(c *exec.Ctx, op arith, a *BAT, pa []int, b *BAT, pb []int) *BAT {
+	xs, ys := floatsOf(c, a), floatsOf(c, b)
+	n := len(xs)
+	if pa != nil {
+		n = len(pa)
+	}
+	out := c.Arena().Floats(n)
+	c.ParallelFor(n, SerialCutoff, func(lo, hi int) {
+		o, x := out[lo:hi], out[lo:hi]
+		if pa == nil {
+			x = xs[lo:hi]
+		} else {
+			for k, i := range pa[lo:hi] {
+				o[k] = xs[i]
 			}
-		})
-	}
+		}
+		switch {
+		case pb == nil:
+			y := ys[lo:hi]
+			switch op {
+			case opAdd:
+				for k := range o {
+					o[k] = x[k] + y[k]
+				}
+			case opSub:
+				for k := range o {
+					o[k] = x[k] - y[k]
+				}
+			default:
+				for k := range o {
+					o[k] = x[k] * y[k]
+				}
+			}
+		case op == opAdd:
+			for k, i := range pb[lo:hi] {
+				o[k] = x[k] + ys[i]
+			}
+		case op == opSub:
+			for k, i := range pb[lo:hi] {
+				o[k] = x[k] - ys[i]
+			}
+		default:
+			for k, i := range pb[lo:hi] {
+				o[k] = x[k] * ys[i]
+			}
+		}
+	})
 	// Conversion views (densified sparse / converted int tails) are dead
 	// once the kernel has read them; dense-float views are no-ops here.
-	b.ReleaseFloats(c, xs)
-	x.ReleaseFloats(c, ys)
-	return FromFloats(out)
-}
-
-// Sub returns b - x elementwise.
-func Sub(c *exec.Ctx, b, x *BAT) *BAT {
-	xs, ys := floatsOf(c, b), floatsOf(c, x)
-	out := c.Arena().Floats(len(xs))
-	if c.Serial(len(xs)) {
-		for k := range xs {
-			out[k] = xs[k] - ys[k]
-		}
-	} else {
-		c.ParallelFor(len(xs), SerialCutoff, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				out[k] = xs[k] - ys[k]
-			}
-		})
-	}
-	b.ReleaseFloats(c, xs)
-	x.ReleaseFloats(c, ys)
-	return FromFloats(out)
-}
-
-// Mul returns b * x elementwise.
-func Mul(c *exec.Ctx, b, x *BAT) *BAT {
-	xs, ys := floatsOf(c, b), floatsOf(c, x)
-	out := c.Arena().Floats(len(xs))
-	if c.Serial(len(xs)) {
-		for k := range xs {
-			out[k] = xs[k] * ys[k]
-		}
-	} else {
-		c.ParallelFor(len(xs), SerialCutoff, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				out[k] = xs[k] * ys[k]
-			}
-		})
-	}
-	b.ReleaseFloats(c, xs)
-	x.ReleaseFloats(c, ys)
+	a.ReleaseFloats(c, xs)
+	b.ReleaseFloats(c, ys)
 	return FromFloats(out)
 }
 

@@ -155,9 +155,9 @@ func TestBATKernels(t *testing.T) {
 			}
 		}
 	}
-	check("add", Add(nil, a, b), []float64{11, 22, 33})
-	check("sub", Sub(nil, b, a), []float64{9, 18, 27})
-	check("mul", Mul(nil, a, b), []float64{10, 40, 90})
+	check("add", Add(nil, a, nil, b, nil), []float64{11, 22, 33})
+	check("sub", Sub(nil, b, nil, a, nil), []float64{9, 18, 27})
+	check("mul", Mul(nil, a, nil, b, nil), []float64{10, 40, 90})
 	check("addScalar", AddScalar(nil, a, 1), []float64{2, 3, 4})
 	check("mulScalar", MulScalar(nil, a, 2), []float64{2, 4, 6})
 	check("divScalar", DivScalar(nil, b, 10), []float64{1, 2, 3})
@@ -304,7 +304,7 @@ func TestSparseAddMatchesDense(t *testing.T) {
 func TestSparseAddViaBAT(t *testing.T) {
 	a := FromSparse(Compress([]float64{0, 1, 0}))
 	b := FromSparse(Compress([]float64{2, 0, 0}))
-	sum := Add(nil, a, b)
+	sum := Add(nil, a, nil, b, nil)
 	if !sum.IsSparse() {
 		t.Error("sparse+sparse should stay sparse")
 	}
@@ -314,7 +314,7 @@ func TestSparseAddViaBAT(t *testing.T) {
 	}
 	// Cancellation removes the entry.
 	c := FromSparse(Compress([]float64{0, -1, 0}))
-	z := Add(nil, a, c)
+	z := Add(nil, a, nil, c, nil)
 	if len(z.Sparse().val) != 0 {
 		t.Errorf("cancellation kept %d entries", len(z.Sparse().val))
 	}
@@ -345,7 +345,7 @@ func TestSparseBATOps(t *testing.T) {
 	}
 	// Dense + sparse mixes densify transparently.
 	d := FromFloats([]float64{1, 1, 1, 1})
-	f, _ := Add(nil, sp, d).Floats()
+	f, _ := Add(nil, sp, nil, d, nil).Floats()
 	if f[0] != 1 || f[1] != 5 {
 		t.Errorf("mixed add = %v", f)
 	}

@@ -100,6 +100,59 @@ func TestSortKeysRadixFallsBackToMerge(t *testing.T) {
 	}
 }
 
+// TestSortKeysCountingHistogramRefused sorts one Int key whose span
+// (3840) is narrow enough for the radix sort's counting pass and whose
+// only varying byte is its second, so the LSD path needs a single
+// scatter into the result and no scratch. Unbudgeted, the counting pass
+// draws its histogram beside the result. Under a budget with room for
+// the result alone, the arena refuses the histogram and the sort takes
+// the 8-bit LSD path instead — not the merge sort, so no fallback is
+// recorded — and returns the same permutation, ASC and DESC.
+func TestSortKeysCountingHistogramRefused(t *testing.T) {
+	const n = 4096
+	rng := rand.New(rand.NewSource(11))
+	xs := make([]int64, n)
+	for i := range xs {
+		xs[i] = 256 * int64(rng.Intn(16))
+	}
+	xs[7], xs[n-7] = 0, 3840
+	charge := func(m int) int64 {
+		tn := exec.NewGovernor(0, 0).Tenant("charge", 0)
+		a := tn.NewArena()
+		defer a.Close()
+		a.Ints(m)
+		return tn.LiveBytes()
+	}
+	for _, desc := range []bool{false, true} {
+		want := refStablePerm(n, func(a, b int) bool {
+			if desc {
+				return xs[b] < xs[a]
+			}
+			return xs[a] < xs[b]
+		})
+		for _, tc := range []struct {
+			budget, peak int64
+		}{
+			{0, 2 * charge(n)},
+			{charge(n) + charge(n)/2, charge(n)},
+		} {
+			tn := exec.NewGovernor(0, 0).Tenant("counting", tc.budget)
+			ar := tn.NewArena()
+			st := &exec.Stats{}
+			got := SortKeys(exec.NewCtx(1, ar, st), []*Vector{NewIntVector(xs)}, []bool{desc})
+			permsEqual(t, "counting-refused", n, 1, got, want)
+			ar.FreeInts(got)
+			ar.Close()
+			if fb := st.SerialFallbacks.Load(); fb != 0 {
+				t.Fatalf("desc=%v budget=%d: %d fallbacks, want the radix sort to run", desc, tc.budget, fb)
+			}
+			if p := tn.PeakBytes(); p != tc.peak {
+				t.Fatalf("desc=%v budget=%d: peak %d bytes, want %d", desc, tc.budget, p, tc.peak)
+			}
+		}
+	}
+}
+
 // TestSortStableSerialScratch pins a serial sort's arena peak to the
 // permutation plus a half-length scratch, below the two n-int buffers of a
 // parallel sort, and checks what that buys: under a budget between the two

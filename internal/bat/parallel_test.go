@@ -44,9 +44,12 @@ func TestElementwiseBitwiseIdentical(t *testing.T) {
 		name string
 		run  func(x *exec.Ctx, b, c *BAT) *BAT
 	}{
-		{"add", func(x *exec.Ctx, b, c *BAT) *BAT { return Add(x, b, c) }},
-		{"sub", func(x *exec.Ctx, b, c *BAT) *BAT { return Sub(x, b, c) }},
-		{"mul", func(x *exec.Ctx, b, c *BAT) *BAT { return Mul(x, b, c) }},
+		{"add", func(x *exec.Ctx, b, c *BAT) *BAT { return Add(x, b, nil, c, nil) }},
+		{"sub", func(x *exec.Ctx, b, c *BAT) *BAT { return Sub(x, b, nil, c, nil) }},
+		{"mul", func(x *exec.Ctx, b, c *BAT) *BAT { return Mul(x, b, nil, c, nil) }},
+		{"add-permuted", func(x *exec.Ctx, b, c *BAT) *BAT { return Add(x, b, reversed(b.Len()), c, nil) }},
+		{"sub-permuted", func(x *exec.Ctx, b, c *BAT) *BAT { return Sub(x, b, nil, c, reversed(c.Len())) }},
+		{"mul-permuted", func(x *exec.Ctx, b, c *BAT) *BAT { return Mul(x, b, reversed(b.Len()), c, reversed(c.Len())) }},
 		{"axpy", func(x *exec.Ctx, b, c *BAT) *BAT { return AXPY(x, b, c, 1.5) }},
 		{"addscalar", func(x *exec.Ctx, b, c *BAT) *BAT { return AddScalar(x, b, 2.25) }},
 		{"mulscalar", func(x *exec.Ctx, b, c *BAT) *BAT { return MulScalar(x, b, -3.5) }},
@@ -60,6 +63,15 @@ func TestElementwiseBitwiseIdentical(t *testing.T) {
 			bitsEqual(t, k.name, n, serial.Vector().Floats(), parallel.Vector().Floats())
 		}
 	}
+}
+
+// reversed is the permutation that reads n rows back to front.
+func reversed(n int) []int {
+	p := make([]int, n)
+	for k := range p {
+		p[k] = n - 1 - k
+	}
+	return p
 }
 
 // TestReductionsBitwiseIdentical asserts that Sum and Dot — whose fixed
@@ -165,6 +177,6 @@ func TestReleaseOwnership(t *testing.T) {
 	Release(nil, nil)
 	Release(nil, FromInts([]int64{1, 2, 3}))
 	Release(nil, FromSparse(Compress([]float64{0, 1, 0})))
-	b := Add(nil, FromFloats(randomFloats(200, 8)), FromFloats(randomFloats(200, 9)))
+	b := Add(nil, FromFloats(randomFloats(200, 8)), nil, FromFloats(randomFloats(200, 9)), nil)
 	Release(nil, b) // kernel output came from the arena; returns cleanly
 }

@@ -47,11 +47,11 @@ func TestKernelsReleaseConversionBuffers(t *testing.T) {
 				}
 			}
 
-			free(Add(c, b, x))
-			free(Add(c, x, b)) // conversion on the right operand
-			free(Add(c, b, b)) // aliased operands: two distinct views
-			free(Sub(c, b, x))
-			free(Mul(c, b, x))
+			free(Add(c, b, nil, x, nil))
+			free(Add(c, x, nil, b, nil)) // conversion on the right operand
+			free(Add(c, b, nil, b, nil)) // aliased operands: two distinct views
+			free(Sub(c, b, nil, x, nil))
+			free(Mul(c, b, nil, x, nil))
 			free(AddScalar(c, b, 1.5))
 			free(MulScalar(c, b, 2.0))
 			free(DivScalar(c, b, 4.0))

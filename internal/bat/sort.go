@@ -201,8 +201,10 @@ func SortIndex(c *exec.Ctx, keys []*BAT) []int {
 // TopKeys are the one code that orders rows — ORDER BY, rel.Sort and
 // SortIndex call it, ORDER BY ... LIMIT calls TopKeys — and the key
 // shape alone picks the algorithm. One Int or Float key is
-// radix-sorted (radixSortIndex), a descending one on complemented bits;
-// if the arena refuses the radix sort's scratch, or for any other key
+// radix-sorted (radixSortIndex), a descending one on complemented bits:
+// in one counting pass when the key's span is narrower than n, as dense
+// ids are, and by 8-bit LSD passes otherwise. If the arena refuses the
+// radix sort's buffers, or for any other key
 // list, SortStable merge-sorts under keyLess, after one linear pre-scan
 // that returns the identity for keys already in order. Floats follow
 // CompareFloat on both paths, and the stable permutation is unique, so
@@ -395,29 +397,72 @@ func CompareFloat(a, b float64) int {
 }
 
 // radixSortIndex computes the stable ascending permutation of [0, n) under
-// the unsigned keys key(i) by an LSD radix sort over 8-bit digits. Keys
-// already in order return the identity before any scratch is drawn.
-// Otherwise one pre-pass builds all eight digit histograms, and a digit on
+// the unsigned keys key(i). One pre-scan checks the order and records the
+// smallest and largest key; keys already in order return the identity
+// before any buffer is drawn.
+//
+// A narrow span — max − min, computed in uint64, above 255 and below n,
+// as dense ids have — sorts in one stable counting pass over key − min:
+// a (span+1)-int histogram, prefix-summed into bucket offsets, then one
+// scatter of the rows into the result. Any other span, and a narrow one
+// whose histogram the arena refuses, takes the LSD radix sort over 8-bit
+// digits: one pass builds all eight digit histograms, and a digit on
 // which every row agrees is skipped, so keys spanning few low bytes (ids
-// below 2^24: three passes) pay only for the bytes that vary. Each pass
-// scatters the permutation alone and reads each key through it from the
-// column, so beside the n-int result it holds one n-int scratch,
-// returned before the result. Both buffers are drawn through TryInts:
-// when the arena refuses one,
-// radixSortIndex frees what it drew and returns nil. Counting passes are
-// stable, so the result is the unique stable permutation under the key
-// order.
+// below 2^24: three scatters) pay only for the bytes that vary. Each LSD
+// pass scatters the permutation alone and reads each key through it from
+// the column, so beside the n-int result it holds one n-int scratch,
+// returned before the result.
+//
+// Every buffer is drawn through TryInts, the result first: when the
+// arena refuses the result or the LSD scratch, radixSortIndex frees what
+// it drew and returns nil. Counting passes are stable, so both paths
+// return the unique stable permutation under the key order.
 func radixSortIndex(c *exec.Ctx, n int, key func(i int) uint64) []int {
 	if n < 2 {
 		return Identity(c, n)
 	}
-	sorted, prev := true, key(0)
-	for i := 1; i < n && sorted; i++ {
+	// The scan runs to the first descent, then only tracks the bounds:
+	// an ascending prefix spans [key(0), key(i-1)].
+	lo, hi := key(0), key(0)
+	i := 1
+	for ; i < n; i++ {
 		k := key(i)
-		sorted, prev = k >= prev, k
+		if k < hi {
+			break
+		}
+		hi = k
 	}
-	if sorted {
+	if i == n {
 		return Identity(c, n)
+	}
+	for ; i < n; i++ {
+		k := key(i)
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	a := c.Arena()
+	out := a.TryInts(n)
+	if out == nil {
+		return nil
+	}
+	// The span is computed in uint64, so keys at both ends of the domain
+	// (MinInt64 and MaxInt64) give a span far above n, never an overflow.
+	if span := hi - lo; span > 255 && span < uint64(n) {
+		if count := a.TryInts(int(span) + 1); count != nil {
+			clear(count)
+			for i := 0; i < n; i++ {
+				count[key(i)-lo]++
+			}
+			for b, sum := 0, 0; b < len(count); b++ {
+				count[b], sum = sum, sum+count[b]
+			}
+			for i := 0; i < n; i++ {
+				b := key(i) - lo
+				out[count[b]] = i
+				count[b]++
+			}
+			a.FreeInts(count)
+			return out
+		}
 	}
 	var hist [8][256]int
 	for i := 0; i < n; i++ {
@@ -428,8 +473,8 @@ func radixSortIndex(c *exec.Ctx, n int, key func(i int) uint64) []int {
 	}
 	// Some adjacent keys descend, so at least one digit varies and the
 	// loop below runs at least one pass.
-	a := c.Arena()
-	var src, dst []int // src == nil stands for the identity
+	var src []int // nil stands for the identity
+	dst := out
 	for d := range hist {
 		shift := uint(8 * d)
 		h := &hist[d]
@@ -441,9 +486,7 @@ func radixSortIndex(c *exec.Ctx, n int, key func(i int) uint64) []int {
 		}
 		if dst == nil {
 			if dst = a.TryInts(n); dst == nil {
-				if src != nil {
-					a.FreeInts(src)
-				}
+				a.FreeInts(src)
 				return nil
 			}
 		}

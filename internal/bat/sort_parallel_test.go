@@ -133,6 +133,83 @@ func TestSortStableMatchesReference(t *testing.T) {
 			}
 		}
 	}
+
+	// One key around the bounds of the radix sort's counting pass, read
+	// as Int and as float bits, ASC and DESC, through SortKeys: both
+	// radix paths must return SortStable's permutation.
+	const n = 1000
+	for _, kc := range countingKeyCases(n) {
+		fs := make([]float64, n)
+		for i, x := range kc.keys {
+			fs[i] = math.Float64frombits(uint64(x))
+		}
+		for _, key := range []*Vector{NewIntVector(kc.keys), NewFloatVector(fs)} {
+			for _, desc := range []bool{false, true} {
+				lessKey := keyLess([]*Vector{key}, []bool{false})
+				less := func(a, b int) bool { return lessKey(a, b) }
+				if desc {
+					less = func(a, b int) bool { return lessKey(b, a) }
+				}
+				want := refStablePerm(n, less)
+				name := fmt.Sprintf("counting %s %v desc=%v", kc.name, key.Type(), desc)
+				for _, workers := range []int{1, 8} {
+					c := exec.New(workers)
+					got := SortKeys(c, []*Vector{key}, []bool{desc})
+					permsEqual(t, name, n, workers, got, want)
+					c.Arena().FreeInts(got)
+				}
+			}
+		}
+	}
+}
+
+// countingKeyCases are single keys of n rows (n above 512) around the
+// bounds of radixSortIndex's counting pass, a span above 255 and below
+// n: spans of n-1 (a permutation of [m, m+n) with m negative), n and
+// n+1, 255 and 256, duplicates under a narrow span, narrow keys at either
+// end of the Int domain and beside both extremes at once (a span that
+// must not overflow into the pass), and words whose float reading has a
+// narrow canonical span, positive and negative.
+func countingKeyCases(n int) []struct {
+	name string
+	keys []int64
+} {
+	rng := rand.New(rand.NewSource(int64(n)))
+	// spread returns n keys lo + [0, span], both ends present.
+	spread := func(lo int64, span int) []int64 {
+		xs := make([]int64, n)
+		for i := range xs {
+			xs[i] = lo + int64(rng.Intn(span+1))
+		}
+		xs[rng.Intn(n/2)], xs[n/2+rng.Intn(n/2)] = lo, lo+int64(span)
+		return xs
+	}
+	shifted := func(base int64, step int64) []int64 {
+		xs := make([]int64, n)
+		for i, p := range rng.Perm(n) {
+			xs[i] = base + step*int64(p)
+		}
+		return xs
+	}
+	extremes := spread(-37, n/2)
+	extremes[1], extremes[n-2] = math.MaxInt64, math.MinInt64
+	return []struct {
+		name string
+		keys []int64
+	}{
+		{"perm-negative", shifted(-int64(n)-123, 1)},
+		{"dups-narrow", spread(-300, n/2-1)},
+		{"span-n-1", spread(5, n-1)},
+		{"span-n", spread(-5, n)},
+		{"span-n+1", spread(1<<40, n+1)},
+		{"span-255", spread(-128, 255)},
+		{"span-256", spread(-128, 256)},
+		{"min-edge", shifted(math.MinInt64, 1)},
+		{"max-edge", shifted(math.MaxInt64, -1)},
+		{"extremes", extremes},
+		{"float-narrow", shifted(0x3ff0_0000_0000_0000, 1)},
+		{"float-narrow-negative", shifted(-0x4010_0000_0000_0000, 1)},
+	}
 }
 
 // floatOrderLess is the total order SortIndex sorts a float key under:
@@ -269,6 +346,17 @@ func FuzzSortIndex(f *testing.F) {
 	f.Add([]byte{0, 12, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 255, 254, 253, 252, 251, 250, 249, 248})
 	f.Add([]byte{60, 7, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0xf8, 0x7f})
 	f.Add([]byte{3, 0x5e, 0x9c, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0x80, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0})
+	// The counting pass's bounds, each as one ascending key (spec 0), one
+	// descending Int key (spec 9) and one descending Float key (spec 12).
+	for _, kc := range countingKeyCases(600) {
+		for _, spec := range []int{0, 9, 12} {
+			seed := []byte{0, byte(spec), byte(spec >> 8)}
+			for _, x := range kc.keys {
+				seed = binary.LittleEndian.AppendUint64(seed, uint64(x))
+			}
+			f.Add(seed)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return

@@ -134,6 +134,15 @@ func (s *Sparse) Gather(c *exec.Ctx, idx []int) *Sparse {
 	return out
 }
 
+// permuted is s read through the permutation p: s itself when p is nil,
+// s↓p otherwise.
+func (s *Sparse) permuted(c *exec.Ctx, p []int) *Sparse {
+	if p == nil {
+		return s
+	}
+	return s.Gather(c, p)
+}
+
 // gatherAppend is Gather of one piece: it appends the non-zero values
 // s[idx[k]] to t at OIDs at+k; t's OIDs must lie below at.
 func (s *Sparse) gatherAppend(t *Sparse, at int, idx []int) {

@@ -71,49 +71,51 @@ func IDMatrix(c *exec.Ctx, n int) []*bat.BAT {
 }
 
 // Add returns the columnwise sum of two equally-shaped column lists,
-// computed column-parallel.
-func Add(c *exec.Ctx, a, b []*bat.BAT) (res []*bat.BAT, err error) {
+// computed column-parallel. Each list is read through its row
+// permutation (pa, pb; nil reads the rows in order), so a permuted
+// operand is never gathered: result row k combines row pa[k] of a with
+// row pb[k] of b.
+func Add(c *exec.Ctx, a []*bat.BAT, pa []int, b []*bat.BAT, pb []int) ([]*bat.BAT, error) {
+	return elementwise(c, bat.Add, a, pa, b, pb)
+}
+
+// Sub returns the columnwise difference a - b, read through the
+// permutations as Add.
+func Sub(c *exec.Ctx, a []*bat.BAT, pa []int, b []*bat.BAT, pb []int) ([]*bat.BAT, error) {
+	return elementwise(c, bat.Sub, a, pa, b, pb)
+}
+
+// EMU returns the columnwise Hadamard product, read through the
+// permutations as Add.
+func EMU(c *exec.Ctx, a []*bat.BAT, pa []int, b []*bat.BAT, pb []int) ([]*bat.BAT, error) {
+	return elementwise(c, bat.Mul, a, pa, b, pb)
+}
+
+// elementwise runs kernel over the column pairs of a and b,
+// column-parallel.
+func elementwise(c *exec.Ctx, kernel func(*exec.Ctx, *bat.BAT, []int, *bat.BAT, []int) *bat.BAT,
+	a []*bat.BAT, pa []int, b []*bat.BAT, pb []int) (res []*bat.BAT, err error) {
 	defer exec.CatchBudget(&err)
-	if len(a) != len(b) || rows(a) != rows(b) {
+	n := permRows(a, pa)
+	if len(a) != len(b) || n != permRows(b, pb) {
 		return nil, ErrShape
 	}
 	out := make([]*bat.BAT, len(a))
 	bat.ColumnFor(c, len(a), func(lo, hi int) {
 		for j := lo; j < hi; j++ {
-			out[j] = bat.Add(c, a[j], b[j])
+			out[j] = kernel(c, a[j], pa, b[j], pb)
 		}
 	}, a, b)
 	return out, nil
 }
 
-// Sub returns the columnwise difference a - b, computed column-parallel.
-func Sub(c *exec.Ctx, a, b []*bat.BAT) (res []*bat.BAT, err error) {
-	defer exec.CatchBudget(&err)
-	if len(a) != len(b) || rows(a) != rows(b) {
-		return nil, ErrShape
+// permRows is the row count of cols read through the permutation p:
+// len(p), or the columns' own when p is nil.
+func permRows(cols []*bat.BAT, p []int) int {
+	if p != nil {
+		return len(p)
 	}
-	out := make([]*bat.BAT, len(a))
-	bat.ColumnFor(c, len(a), func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			out[j] = bat.Sub(c, a[j], b[j])
-		}
-	}, a, b)
-	return out, nil
-}
-
-// EMU returns the columnwise Hadamard product, computed column-parallel.
-func EMU(c *exec.Ctx, a, b []*bat.BAT) (res []*bat.BAT, err error) {
-	defer exec.CatchBudget(&err)
-	if len(a) != len(b) || rows(a) != rows(b) {
-		return nil, ErrShape
-	}
-	out := make([]*bat.BAT, len(a))
-	bat.ColumnFor(c, len(a), func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			out[j] = bat.Mul(c, a[j], b[j])
-		}
-	}, a, b)
-	return out, nil
+	return rows(cols)
 }
 
 // MMU multiplies an m×k column list by a k×n column list: result column j

@@ -45,28 +45,28 @@ func TestElementwiseAgainstDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := randMat(rng, 20, 5)
 	b := randMat(rng, 20, 5)
-	sum, err := Add(nil, toCols(a), toCols(b))
+	sum, err := Add(nil, toCols(a), nil, toCols(b), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !matrix.ApproxEqual(toMatrix(sum), matrix.Add(a, b), 1e-12) {
 		t.Error("Add mismatch")
 	}
-	diff, _ := Sub(nil, toCols(a), toCols(b))
+	diff, _ := Sub(nil, toCols(a), nil, toCols(b), nil)
 	if !matrix.ApproxEqual(toMatrix(diff), matrix.Sub(a, b), 1e-12) {
 		t.Error("Sub mismatch")
 	}
-	had, _ := EMU(nil, toCols(a), toCols(b))
+	had, _ := EMU(nil, toCols(a), nil, toCols(b), nil)
 	if !matrix.ApproxEqual(toMatrix(had), matrix.EMU(a, b), 1e-12) {
 		t.Error("EMU mismatch")
 	}
-	if _, err := Add(nil, toCols(a), toCols(randMat(rng, 19, 5))); err != ErrShape {
+	if _, err := Add(nil, toCols(a), nil, toCols(randMat(rng, 19, 5)), nil); err != ErrShape {
 		t.Error("shape mismatch accepted")
 	}
-	if _, err := Sub(nil, toCols(a), toCols(randMat(rng, 20, 4))); err != ErrShape {
+	if _, err := Sub(nil, toCols(a), nil, toCols(randMat(rng, 20, 4)), nil); err != ErrShape {
 		t.Error("shape mismatch accepted")
 	}
-	if _, err := EMU(nil, toCols(a), toCols(randMat(rng, 20, 4))); err != ErrShape {
+	if _, err := EMU(nil, toCols(a), nil, toCols(randMat(rng, 20, 4)), nil); err != ErrShape {
 		t.Error("shape mismatch accepted")
 	}
 }

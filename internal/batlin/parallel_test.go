@@ -58,9 +58,9 @@ func TestColumnKernelsBitwiseIdentical(t *testing.T) {
 			}
 			colsBitsEqual(t, name, rows, serial, parallel)
 		}
-		run("add", func(c *exec.Ctx) ([]*bat.BAT, error) { return Add(c, a, b) })
-		run("sub", func(c *exec.Ctx) ([]*bat.BAT, error) { return Sub(c, a, b) })
-		run("emu", func(c *exec.Ctx) ([]*bat.BAT, error) { return EMU(c, a, b) })
+		run("add", func(c *exec.Ctx) ([]*bat.BAT, error) { return Add(c, a, nil, b, nil) })
+		run("sub", func(c *exec.Ctx) ([]*bat.BAT, error) { return Sub(c, a, nil, b, nil) })
+		run("emu", func(c *exec.Ctx) ([]*bat.BAT, error) { return EMU(c, a, nil, b, nil) })
 		run("mmu", func(c *exec.Ctx) ([]*bat.BAT, error) { return MMU(c, a, sq) })
 		run("tra", func(c *exec.Ctx) ([]*bat.BAT, error) { return Tra(c, a), nil })
 	}

@@ -256,6 +256,35 @@ func TestQRWorkingMemoryCharged(t *testing.T) {
 	t.Logf("tenant peak %d bytes", tn.PeakBytes())
 }
 
+// TestElementwiseAddTenantPeak holds a governed ADD of two shuffled
+// 250 000×10 relations at 2 workers, the benchmark's trip-count shape,
+// to 32 MiB of tenant peak. That covers the 10 result columns, the two
+// order columns gathered into the result, both sort permutations and
+// one sort scratch, and no copy of an application column: the kernels
+// read both arguments through their permutations. Every byte is
+// released once the invocation closes.
+func TestElementwiseAddTenantPeak(t *testing.T) {
+	const n, budget = 250000, 32 << 20
+	r := mixedRel("r", n, 10, 71)
+	s, err := mixedRel("s", n, 10, 72).Rename(map[string]string{"k": "k2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gov := exec.NewGovernor(0, 0)
+	if _, err := Add(r, []string{"k"}, s, []string{"k2"}, &Options{Parallelism: 2, Tenant: "add", Governor: gov}); err != nil {
+		t.Fatal(err)
+	}
+	tn := gov.Tenant("add", 0)
+	if peak := tn.PeakBytes(); peak > budget {
+		t.Fatalf("tenant peak %d bytes, want at most %d", peak, budget)
+	} else {
+		t.Logf("tenant peak %d bytes", peak)
+	}
+	if live := tn.LiveBytes(); live != 0 {
+		t.Fatalf("tenant live = %d after the ADD, want 0", live)
+	}
+}
+
 // orderedFloatRel builds a rows×cols relation whose rows are already in
 // key order, with float application columns.
 func orderedFloatRel(rng *rand.Rand, name string, rows, cols int) *rel.Relation {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -43,39 +45,36 @@ func mixedRel(name string, n, w int, seed int64) *rel.Relation {
 
 // relsBitwiseEqual compares two relations exactly: schema, row count, and
 // cell-for-cell equality with float payloads compared by bit pattern.
-func relsBitwiseEqual(a, b *rel.Relation) bool {
-	if a.NumRows() != b.NumRows() || a.NumCols() != b.NumCols() {
-		return false
+func relsBitwiseEqual(a, b *rel.Relation) bool { return sameBits(a, b) == nil }
+
+// sameBits is relsBitwiseEqual naming the first difference: the schema,
+// the row count, then a column whose Int or String cells differ or a
+// Float cell whose bit pattern does.
+func sameBits(got, want *rel.Relation) error {
+	if !slices.Equal(got.Schema, want.Schema) || got.NumRows() != want.NumRows() {
+		return fmt.Errorf("schema %v of %d rows, want %v of %d", got.Schema, got.NumRows(), want.Schema, want.NumRows())
 	}
-	for k := range a.Schema {
-		if a.Schema[k] != b.Schema[k] {
-			return false
-		}
-	}
-	for k, ca := range a.Cols {
-		cb := b.Cols[k]
-		for i := 0; i < a.NumRows(); i++ {
-			va, vb := ca.Get(i), cb.Get(i)
-			if va.Type != vb.Type {
-				return false
+	for j, col := range want.Cols {
+		g, w := got.Cols[j].Vector(), col.Vector()
+		switch w.Type() {
+		case bat.Float:
+			gf, wf := g.Floats(), w.Floats()
+			for i := range wf {
+				if math.Float64bits(gf[i]) != math.Float64bits(wf[i]) {
+					return fmt.Errorf("%s[%d] has bits %#x, want %#x", want.Schema[j].Name, i, math.Float64bits(gf[i]), math.Float64bits(wf[i]))
+				}
 			}
-			switch va.Type {
-			case bat.Float:
-				if math.Float64bits(va.F) != math.Float64bits(vb.F) {
-					return false
-				}
-			case bat.Int:
-				if va.I != vb.I {
-					return false
-				}
-			default:
-				if va.S != vb.S {
-					return false
-				}
+		case bat.Int:
+			if !slices.Equal(g.Ints(), w.Ints()) {
+				return fmt.Errorf("column %s differs", want.Schema[j].Name)
+			}
+		default:
+			if !slices.Equal(g.Strings(), w.Strings()) {
+				return fmt.Errorf("column %s differs", want.Schema[j].Name)
 			}
 		}
 	}
-	return true
+	return nil
 }
 
 // mixedQuery runs one representative query pipeline under the given

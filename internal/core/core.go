@@ -25,6 +25,8 @@
 //     internal/linalg reached by copying the application part out and the
 //     base result back (RMA+MKL). PolicyAuto mirrors the paper: the
 //     elementwise family runs on BATs, everything else is delegated.
+//     The BAT kernels of ADD, SUB and EMU read each argument through
+//     its sort permutation instead of gathering it first.
 //   - SortMode enables the Section 8.1 optimizations: operations whose
 //     base result is invariant or equivariant under row permutation skip
 //     sorting entirely, and binary elementwise operations sort only the

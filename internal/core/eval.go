@@ -165,15 +165,25 @@ func batBinarySupported(op Op) bool {
 	return false
 }
 
-// evalBATBinary computes the base result of a binary operation over BATs.
-func evalBATBinary(c *exec.Ctx, op Op, a, b []*bat.BAT) ([]*bat.BAT, error) {
+// evalBATElementwise computes the base result of ADD, SUB or EMU over
+// BATs: the kernels read each argument's application columns through
+// its sort permutation, so no operand is gathered into operation order
+// first (the leftfetchjoin runs inside the kernel).
+func evalBATElementwise(c *exec.Ctx, op Op, a, b *argument) ([]*bat.BAT, error) {
+	pa, pb := a.readPerm(), b.readPerm()
 	switch op {
 	case OpADD:
-		return batlin.Add(c, a, b)
+		return batlin.Add(c, a.appCols, pa, b.appCols, pb)
 	case OpSUB:
-		return batlin.Sub(c, a, b)
-	case OpEMU:
-		return batlin.EMU(c, a, b)
+		return batlin.Sub(c, a.appCols, pa, b.appCols, pb)
+	}
+	return batlin.EMU(c, a.appCols, pa, b.appCols, pb)
+}
+
+// evalBATBinary computes the base result of MMU, CPD, OPD or SOL over
+// BATs in operation order.
+func evalBATBinary(c *exec.Ctx, op Op, a, b []*bat.BAT) ([]*bat.BAT, error) {
+	switch op {
 	case OpMMU:
 		return batlin.MMU(c, a, b)
 	case OpCPD:

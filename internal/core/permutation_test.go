@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"strconv"
 	"testing"
 
 	"repro/internal/bat"
@@ -121,6 +124,85 @@ func TestRowPermutationInvariance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSortOptimizedElementwiseRowPermutation is the law of
+// TestRowPermutationInvariance for the elementwise family under the
+// paper's §8.1 SortOptimized, where the first argument keeps its input
+// order and the result's row order follows it: ADD, SUB and EMU of
+// shuffled arguments under SortOptimized return the rows that SortFull
+// returns on the unshuffled ones, as multisets of rows compared bit for
+// bit, under both policies at workers 1, 2 and 8. Each argument is keyed
+// by its Int id (the radix sort) and by an (Int, String) pair (the merge
+// sort), at 40 rows and above the parallel cutoff, with mixed Float and
+// Int columns carrying ±0, NaN and ±Inf.
+func TestSortOptimizedElementwiseRowPermutation(t *testing.T) {
+	ops := []struct {
+		name string
+		run  func(*rel.Relation, []string, *rel.Relation, []string, *Options) (*rel.Relation, error)
+	}{{"add", Add}, {"sub", Sub}, {"emu", Emu}}
+	for _, n := range []int{40, 3*bat.SerialCutoff + 5} {
+		for _, pair := range []bool{false, true} {
+			r, rk := elementwiseRel("r", "Kr", n, 4, "mixed", int64(n)), []string{"Kr"}
+			s, sk := elementwiseRel("s", "Ks", n, 4, "mixed", int64(n+1)), []string{"Ks"}
+			if pair {
+				r, rk = pairKeyed(r, "Kr")
+				s, sk = pairKeyed(s, "Ks")
+			}
+			rShuf, sShuf := shuffledRows(r, int64(n+2)), shuffledRows(s, int64(n+3))
+			for _, tc := range ops {
+				for _, p := range []Policy{PolicyBAT, PolicyDense} {
+					full, err := tc.run(r, rk, s, sk, &Options{Policy: p, SortMode: SortFull, Parallelism: 1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := rowMultiset(full)
+					for _, workers := range []int{1, 2, 8} {
+						at := fmt.Sprintf("%s n=%d order=%v,%v %v workers=%d", tc.name, n, rk, sk, p, workers)
+						got, err := tc.run(rShuf, rk, sShuf, sk, &Options{Policy: p, SortMode: SortOptimized, Parallelism: workers})
+						if err != nil {
+							t.Fatalf("%s: %v", at, err)
+						}
+						if !slices.Equal(got.Schema, full.Schema) {
+							t.Fatalf("%s: schema %v, want %v", at, got.Schema, full.Schema)
+						}
+						if !slices.Equal(rowMultiset(got), want) {
+							t.Fatalf("%s: SortOptimized on the shuffle returns other rows than SortFull", at)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// rowMultiset renders each row of r as one string, Float cells by their
+// bit pattern, and returns the strings sorted: equal results are equal
+// multisets of rows, whatever their row order.
+func rowMultiset(r *rel.Relation) []string {
+	vecs := make([]*bat.Vector, len(r.Cols))
+	for j, col := range r.Cols {
+		vecs[j] = col.Vector()
+	}
+	rows := make([]string, r.NumRows())
+	var buf []byte
+	for i := range rows {
+		buf = buf[:0]
+		for _, v := range vecs {
+			switch v.Type() {
+			case bat.Float:
+				buf = strconv.AppendUint(buf, math.Float64bits(v.Floats()[i]), 16)
+			case bat.Int:
+				buf = strconv.AppendInt(buf, v.Ints()[i], 10)
+			default:
+				buf = strconv.AppendQuote(buf, v.Strings()[i])
+			}
+			buf = append(buf, '|')
+		}
+		rows[i] = string(buf)
+	}
+	slices.Sort(rows)
+	return rows
 }
 
 // unaryRun and binaryRun adapt an operation to the table of

@@ -280,6 +280,12 @@ func evalBinaryBase(c *exec.Ctx, op Op, a, b *argument, opts *Options, clock *ph
 		clock.endTransform()
 		return cols, nil
 	}
+	if op == OpADD || op == OpSUB || op == OpEMU {
+		clock.begin()
+		res, err := evalBATElementwise(c, op, a, b)
+		clock.endKernel()
+		return res, err
+	}
 	clock.begin()
 	ca := a.orderedAppCols(c)
 	cb := b.orderedAppCols(c)

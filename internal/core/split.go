@@ -92,6 +92,15 @@ func (a *argument) ordered() bool {
 	return a.perm == nil || bat.IsSortedIndex(a.perm)
 }
 
+// readPerm is the permutation a kernel reads the columns through to see
+// them in operation order: nil when they already are.
+func (a *argument) readPerm() []int {
+	if a.ordered() {
+		return nil
+	}
+	return a.perm
+}
+
 // orderedOrderCols returns the order part gathered into operation order
 // (X in Algorithm 1 for shape (r,·) operations).
 func (a *argument) orderedOrderCols(c *exec.Ctx) []*bat.BAT {
