@@ -39,10 +39,10 @@
 //   - The arena (exec.Arena, reachable as Ctx.Arena) recycles float64,
 //     int, int64, and string buffers through size-classed sync.Pools;
 //     bat.Release retires a whole column tail of any domain. The dense
-//     path's toMatrix operands, its gathered or converted operand
-//     columns and QR's working columns draw their buffers from the
-//     context's arena and return them once the kernel has consumed them.
-//     Iterative algorithms release each superseded scratch column,
+//     path's working columns, its gathered or converted operand columns,
+//     its kernels' scratch and its result columns draw their buffers from
+//     the context's arena, and the kernels hand back what they do not
+//     return. Iterative algorithms update their work columns in place,
 //     keeping Gauss-Jordan inversion and Gram-Schmidt QR allocation-flat
 //     across iterations. There are two kinds of arena: the shared one,
 //     which keeps no books, and the per-query tenant arenas of governed
@@ -332,30 +332,35 @@
 //
 // # Column-form dense execution
 //
-// The dense operand of the products and of QR is the relation's own
-// ordered float columns, as RMA's closure asks: no third representation
-// sits between the BATs and the kernel. MMU, CPD and OPD read the
-// ordered application columns in place (core's floatCols over
-// orderedAppCols): a dense float column whose rows are already in
-// operation order is aliased, a permuted column is gathered once and an
-// Int or sparse one converted once into the context's arena. The
-// kernels — linalg.MatMulCols, OuterProductCols (a·bᵀ read in place),
-// CrossProductCols and SYRKCols (the self case CPD(r, r), the paper's
-// cblas_dsyrk route: j ≥ i, then mirrored) — draw their result columns
-// from the arena, and those become the result's BATs as they are. QQR
-// and RQR copy each ordered column once into arena working columns,
-// which linalg.NewQRColumns factors in place; Q's columns are the
-// result columns and QR.Free hands the working columns back. Everything
-// stays in memory; the one spill consumer is the grouped aggregation
-// above.
+// The dense operand of every RMA op is the relation's own ordered float
+// columns, as RMA's closure asks: no third representation sits between
+// the BATs and the kernel, and package linalg has one column
+// implementation of each operation. The products — MMU, CPD and OPD —
+// only read their operands and take the ordered application columns in
+// place (core's floatCols over orderedAppCols): a dense float column
+// whose rows are already in operation order is aliased, a permuted
+// column is gathered once and an Int or sparse one converted once into
+// the context's arena. Every other kernel factors, rotates or rewrites
+// its operand — INV, DET and square SOL (LU), QQR, RQR and
+// least-squares SOL (Householder QR), CHF, EVC and EVL, DSV, USV, VSV
+// and RNK (one-sided Jacobi SVD), TRA, and ADD, SUB and EMU — so it
+// takes one arena copy of each ordered column (core's workCols, the
+// copy-in Figure 14b measures) and works on it in place; ADD, SUB and
+// EMU leave their result in the first operand's copy. Every kernel
+// draws its scratch and its result columns from the arena, and the
+// result columns become the result's BATs as they are: there is no copy
+// back. The products are linalg.MatMulCols, OuterProductCols (a·bᵀ read
+// in place), CrossProductCols and SYRKCols (the self case CPD(r, r), the
+// paper's cblas_dsyrk route: j ≥ i, then mirrored). Everything stays in
+// memory; the one spill consumer is the grouped aggregation above.
 //
 // Each dense op has exactly one route, picked by the op and never by
-// the operand size. Every dense op other than MMU, CPD, OPD, QQR and
-// RQR (INV, DET, SOL, CHF, the eigen and SVD ops, and the elementwise
-// family under PolicyDense) copies into one contiguous row-major array
-// (toMatrix). The exported flat names linalg.MatMul, CrossProduct,
-// SYRK, NewQR, QQR and RQR copy a matrix.Matrix into columns and call
-// the same kernels.
+// the operand size. Only the R and AIDA simulations (internal/competitor
+// and the experiments in internal/bench that drive them) keep the
+// row-major matrix.Matrix, and they hand its columns to the same
+// kernels. core.TestRMAAccounting holds every op, under both policies,
+// to the tenant ledger: a warm invocation's Go allocation stays within
+// twice its tenant peak plus 1 MiB.
 //
 // The column kernels walk their operands in row strips of 256 rows, so
 // one strip of every operand column stays in cache while it is reused,
@@ -364,9 +369,11 @@
 // ascending order, skipping zero left factors (the product's parallel
 // unit is a row strip of one output column; the cross product's is one
 // output row, or in the self case the pair of rows i and n−1−i, which
-// balances the triangle), and the panel QR applies reflectors to each
-// column in ascending order with the same per-column arithmetic, so
-// results are bitwise-identical at any worker count — asserted against
+// balances the triangle), the panel QR applies reflectors to each
+// column in ascending order with the same per-column arithmetic, and
+// LU's trailing update (col_j[i] -= l_i·col_j[k], one column per
+// worker) gives every element its updates in ascending k, so results
+// are bitwise-identical at any worker count — asserted against
 // naive reference loops at row counts around one strip, column counts
 // of every residue mod 4, Inf/NaN opposite zero left factors and worker
 // budgets {1, 2, 8} under -race, and pinned to recorded result digests

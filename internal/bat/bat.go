@@ -316,30 +316,11 @@ func DivScalar(c *exec.Ctx, b *BAT, s float64) *BAT {
 	return FromFloats(out)
 }
 
-// AXPY returns b - x*s elementwise (the update step of Gauss-Jordan
-// elimination in the paper's Algorithm 2: B_j <- B_j - B_i * v2).
-func AXPY(c *exec.Ctx, b, x *BAT, s float64) *BAT {
-	xs, ys := floatsOf(c, b), floatsOf(c, x)
-	out := c.Arena().Floats(len(xs))
-	if c.Serial(len(xs)) {
-		for k := range xs {
-			out[k] = xs[k] - ys[k]*s
-		}
-	} else {
-		c.ParallelFor(len(xs), SerialCutoff, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				out[k] = xs[k] - ys[k]*s
-			}
-		})
-	}
-	b.ReleaseFloats(c, xs)
-	x.ReleaseFloats(c, ys)
-	return FromFloats(out)
-}
-
-// AXPYInto subtracts x*s elementwise into dst: dst_k -= x_k*s. It is the
-// in-place counterpart of AXPY for accumulation chains (MMU, OPD) that
-// would otherwise allocate one column per addend.
+// AXPYInto subtracts x*s elementwise into dst: dst_k -= x_k*s (the
+// update step of Gauss-Jordan elimination in the paper's Algorithm 2:
+// B_j <- B_j - B_i * v2). It updates in place, so accumulation chains
+// (MMU, OPD) and elimination and projection loops (Inv, Det, QR) draw no
+// column per step.
 func AXPYInto(c *exec.Ctx, dst []float64, x *BAT, s float64) {
 	ys := floatsOf(c, x)
 	if c.Serial(len(dst)) {

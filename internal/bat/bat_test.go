@@ -161,7 +161,9 @@ func TestBATKernels(t *testing.T) {
 	check("addScalar", AddScalar(nil, a, 1), []float64{2, 3, 4})
 	check("mulScalar", MulScalar(nil, a, 2), []float64{2, 4, 6})
 	check("divScalar", DivScalar(nil, b, 10), []float64{1, 2, 3})
-	check("axpy", AXPY(nil, b, a, 2), []float64{8, 16, 24})
+	axpy := append([]float64(nil), 10, 20, 30)
+	AXPYInto(nil, axpy, a, 2)
+	check("axpyInto", FromFloats(axpy), []float64{8, 16, 24})
 	if s := Sum(nil, a); s != 6 {
 		t.Errorf("Sum = %v", s)
 	}

@@ -50,7 +50,6 @@ func TestElementwiseBitwiseIdentical(t *testing.T) {
 		{"add-permuted", func(x *exec.Ctx, b, c *BAT) *BAT { return Add(x, b, reversed(b.Len()), c, nil) }},
 		{"sub-permuted", func(x *exec.Ctx, b, c *BAT) *BAT { return Sub(x, b, nil, c, reversed(c.Len())) }},
 		{"mul-permuted", func(x *exec.Ctx, b, c *BAT) *BAT { return Mul(x, b, reversed(b.Len()), c, reversed(c.Len())) }},
-		{"axpy", func(x *exec.Ctx, b, c *BAT) *BAT { return AXPY(x, b, c, 1.5) }},
 		{"addscalar", func(x *exec.Ctx, b, c *BAT) *BAT { return AddScalar(x, b, 2.25) }},
 		{"mulscalar", func(x *exec.Ctx, b, c *BAT) *BAT { return MulScalar(x, b, -3.5) }},
 		{"divscalar", func(x *exec.Ctx, b, c *BAT) *BAT { return DivScalar(x, b, 7) }},
@@ -121,16 +120,21 @@ func TestGatherBitwiseIdentical(t *testing.T) {
 	}
 }
 
-// TestAXPYIntoMatchesAXPY pins the in-place accumulation kernel to the
-// allocating one.
+// TestAXPYIntoMatchesAXPY pins the in-place kernel to an AXPY computed
+// one element at a time, b_k - x_k*s, at one and at eight workers.
 func TestAXPYIntoMatchesAXPY(t *testing.T) {
 	for _, n := range chunkBoundarySizes() {
-		b := FromFloats(randomFloats(n, 6))
+		b := randomFloats(n, 6)
 		c := FromFloats(randomFloats(n, 7))
-		want := AXPY(nil, b, c, 0.75).Vector().Floats()
-		dst := append([]float64(nil), b.Vector().Floats()...)
-		AXPYInto(nil, dst, c, 0.75)
-		bitsEqual(t, "axpyinto", n, want, dst)
+		want := make([]float64, n)
+		for k, x := range c.Vector().Floats() {
+			want[k] = b[k] - x*0.75
+		}
+		for _, workers := range []int{1, 8} {
+			dst := append([]float64(nil), b...)
+			AXPYInto(exec.New(workers), dst, c, 0.75)
+			bitsEqual(t, "axpyinto", n, want, dst)
+		}
 	}
 }
 

@@ -55,7 +55,6 @@ func TestKernelsReleaseConversionBuffers(t *testing.T) {
 			free(AddScalar(c, b, 1.5))
 			free(MulScalar(c, b, 2.0))
 			free(DivScalar(c, b, 4.0))
-			free(AXPY(c, b, x, 0.5))
 			dst := c.Arena().Floats(n)
 			clear(dst)
 			AXPYInto(c, dst, b, 0.25)

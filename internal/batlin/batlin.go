@@ -25,10 +25,9 @@
 // tall-and-narrow ones parallelize over rows (bat.ColumnFor keeps the
 // columns serial when a sparse or Int operand would cost each worker a
 // conversion buffer). Scratch columns come from the context's arena: the
-// elimination loop of Inv/Det updates its work columns in place, and the
-// orthogonalization loop of QR releases each superseded column with
-// bat.Release, so one matrix worth of buffers is recycled across all
-// iterations instead of allocating O(n) fresh columns per step.
+// elimination loop of Inv/Det and the orthogonalization loop of QR
+// update their work columns in place, so one matrix worth of buffers
+// serves all iterations instead of O(n) fresh columns per step.
 package batlin
 
 import (
@@ -306,9 +305,10 @@ func Inv(c *exec.Ctx, b []*bat.BAT) (res []*bat.BAT, err error) {
 // MKL in Section 8.3. Q has orthonormal columns; R is returned as n
 // columns of length n (upper triangular). The orthogonalization loop is
 // inherently sequential in j and k (each projection reads the updated v),
-// so parallelism comes from the row-parallel Dot/AXPY kernels; the scratch
-// column superseded by each projection is released to the arena, keeping
-// the loop's footprint at one column.
+// so parallelism comes from the row-parallel Dot/AXPYInto kernels. Each
+// column is copied once into one arena working column, and every
+// projection updates it in place, so the loop's footprint is one column
+// and it allocates nothing per projection.
 func QR(c *exec.Ctx, a []*bat.BAT) (q, r []*bat.BAT, err error) {
 	defer exec.CatchBudget(&err)
 	n := len(a)
@@ -321,27 +321,36 @@ func QR(c *exec.Ctx, a []*bat.BAT) (q, r []*bat.BAT, err error) {
 	for j := range rCols {
 		rCols[j] = c.Arena().FloatsZero(n)
 	}
+	fail := func(v *bat.BAT, j int) {
+		bat.Release(c, v)
+		for k := 0; k < j; k++ {
+			bat.Release(c, q[k])
+		}
+		for k := range rCols {
+			c.Arena().FreeFloats(rCols[k])
+		}
+	}
 	for j := 0; j < n; j++ {
-		v := a[j].Clone()
+		w := c.Arena().Floats(m)
+		v := bat.FromFloats(w)
+		f, err := a[j].FloatsCtx(c)
+		if err != nil {
+			fail(v, j)
+			return nil, nil, err
+		}
+		copy(w, f)
+		a[j].ReleaseFloats(c, f)
 		orig := math.Sqrt(bat.Dot(c, v, v))
 		for k := 0; k < j; k++ {
 			rkj := bat.Dot(c, q[k], v)
 			rCols[j][k] = rkj
 			if rkj != 0 {
-				old := v
-				v = bat.AXPY(c, old, q[k], rkj)
-				bat.Release(c, old)
+				bat.AXPYInto(c, w, q[k], rkj)
 			}
 		}
 		norm := math.Sqrt(bat.Dot(c, v, v))
 		if norm <= 1e-12*orig {
-			bat.Release(c, v)
-			for k := 0; k < j; k++ {
-				bat.Release(c, q[k])
-			}
-			for k := range rCols {
-				c.Arena().FreeFloats(rCols[k])
-			}
+			fail(v, j)
 			return nil, nil, ErrSingular
 		}
 		rCols[j][j] = norm

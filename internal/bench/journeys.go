@@ -260,17 +260,13 @@ func JourneysAIDA(trips, stations *rel.Relation, k int) (WorkloadResult, error) 
 }
 
 func denseMLR(a *matrix.Matrix, y []float64) ([]float64, error) {
-	ym := matrix.New(len(y), 1)
-	for i, v := range y {
-		ym.Set(i, 0, v)
-	}
-	ata := linalg.CrossProduct(nil, a, a)
-	inv, err := linalg.Inverse(ata)
+	cols := a.Columns()
+	inv, err := linalg.Inverse(nil, linalg.CrossProductCols(nil, cols, cols))
 	if err != nil {
 		return nil, err
 	}
-	beta := linalg.MatMul(nil, inv, linalg.CrossProduct(nil, a, ym))
-	return beta.Column(0), nil
+	beta := linalg.MatMulCols(nil, inv, linalg.CrossProductCols(nil, cols, [][]float64{y}), a.Cols)
+	return beta[0], nil
 }
 
 // JourneysR composes the chains with single-core merges.

@@ -215,7 +215,7 @@ func init() {
 								return err
 							}
 							// R's default qr() is single-threaded LINPACK.
-							qr, err := linalg.NewQRSerial(m)
+							qr, err := linalg.NewQRColumns(exec.New(1), m.Columns(), m.Rows)
 							if err != nil {
 								return err
 							}
@@ -412,24 +412,25 @@ func runFig14R(w io.Writer, rowSizes []int) error {
 				}
 				transform += time.Since(t0)
 				t1 := time.Now()
-				prod := linalg.MatMul(nil, m1, mb)
+				prod := matrix.FromColumns(linalg.MatMulCols(nil, m1.Columns(), mb.Columns(), m1.Rows))
 				kernel = time.Since(t1)
 				t2 := time.Now()
 				rsim.FromMatrix(prod, names)
 				transform += time.Since(t2)
 			case "QQR":
 				t1 := time.Now()
-				q, err := linalg.QQR(nil, m1)
+				d, err := linalg.NewQRColumns(nil, m1.Columns(), m1.Rows)
 				if err != nil {
 					return err
 				}
+				q := matrix.FromColumns(d.Q(nil))
 				kernel = time.Since(t1)
 				t2 := time.Now()
 				rsim.FromMatrix(q, names)
 				transform += time.Since(t2)
 			case "DSV":
 				t1 := time.Now()
-				sv, err := linalg.SingularValues(nil, m1)
+				sv, err := linalg.SingularValues(nil, m1.Columns())
 				if err != nil {
 					return err
 				}
@@ -439,11 +440,11 @@ func runFig14R(w io.Writer, rowSizes []int) error {
 				transform += time.Since(t2)
 			case "VSV":
 				t1 := time.Now()
-				d, err := linalg.NewSVD(nil, m1)
+				d, err := linalg.NewSVD(nil, m1.Columns())
 				if err != nil {
 					return err
 				}
-				v := d.FullV()
+				v := matrix.FromColumns(d.FullV(nil))
 				kernel = time.Since(t1)
 				t2 := time.Now()
 				rsim.FromMatrix(v, names)

@@ -245,21 +245,17 @@ func TripsAIDA(trips, stations *rel.Relation) (WorkloadResult, error) {
 // olsDense solves the simple regression with the dense kernels (the
 // NumPy/BLAS path shared by AIDA and R).
 func olsDense(dist, dur []float64) (float64, error) {
-	n := len(dist)
-	a := matrix.New(n, 2)
-	v := matrix.New(n, 1)
-	for i := 0; i < n; i++ {
-		a.Set(i, 0, 1)
-		a.Set(i, 1, dist[i])
-		v.Set(i, 0, dur[i])
+	ones := make([]float64, len(dist))
+	for i := range ones {
+		ones[i] = 1
 	}
-	ata := linalg.CrossProduct(nil, a, a)
-	inv, err := linalg.Inverse(ata)
+	a := [][]float64{ones, dist}
+	inv, err := linalg.Inverse(nil, linalg.CrossProductCols(nil, a, a))
 	if err != nil {
 		return 0, err
 	}
-	beta := linalg.MatMul(nil, inv, linalg.CrossProduct(nil, a, v))
-	return beta.At(1, 0), nil
+	beta := linalg.MatMulCols(nil, inv, linalg.CrossProductCols(nil, a, [][]float64{dur}), 2)
+	return beta[0][1], nil
 }
 
 // TripsR runs the workload in the R simulation: CSV load (the dark bar of
@@ -482,7 +478,7 @@ func CovarianceR(pubs, ranking *rel.Relation) (WorkloadResult, error) {
 			m.Set(i, j, m.At(i, j)-mean)
 		}
 	}
-	cov := linalg.SYRK(nil, m).Scale(1 / float64(nRows-1))
+	cov := matrix.FromColumns(linalg.SYRKCols(nil, m.Columns())).Scale(1 / float64(nRows-1))
 	covDF := rsim.FromMatrix(cov, names)
 	res.Matrix = time.Since(t1)
 
@@ -535,7 +531,7 @@ func CovarianceAIDA(pubs, ranking *rel.Relation) (WorkloadResult, error) {
 			m.Set(i, j, m.At(i, j)-mean)
 		}
 	}
-	cov := linalg.SYRK(nil, m).Scale(1 / float64(nRows-1))
+	cov := matrix.FromColumns(linalg.SYRKCols(nil, m.Columns())).Scale(1 / float64(nRows-1))
 	res.Matrix = time.Since(t1)
 
 	t2 := time.Now()

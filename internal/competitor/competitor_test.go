@@ -208,8 +208,8 @@ func TestMadlibLinAlg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	am := matrix.FromRows(a)
-	want, _ := linalg.Inverse(am)
+	inv0, _ := linalg.Inverse(nil, [][]float64{{4, 1}, {1, 3}}) // symmetric: its columns are its rows
+	want := matrix.FromColumns(inv0)
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
 			if math.Abs(inv[i][j]-want.At(i, j)) > 1e-12 {
@@ -293,16 +293,12 @@ func TestEnginesAgreeOnOLS(t *testing.T) {
 		xr[i] = []float64{1, f[i]}
 	}
 	// Native dense path.
-	xtx := linalg.CrossProduct(nil, x, x)
-	inv, err := linalg.Inverse(xtx)
+	xc := x.Columns()
+	inv, err := linalg.Inverse(nil, linalg.CrossProductCols(nil, xc, xc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ym := matrix.New(n, 1)
-	for i, v := range y {
-		ym.Set(i, 0, v)
-	}
-	beta := linalg.MatMul(nil, inv, linalg.CrossProduct(nil, x, ym))
+	beta := matrix.FromColumns(linalg.MatMulCols(nil, inv, linalg.CrossProductCols(nil, xc, [][]float64{y}), 2))
 	// MADlib path.
 	mbeta, err := madlib.LinRegr(xr, y)
 	if err != nil {

@@ -21,10 +21,13 @@
 // independent execution knobs reproduce the paper's ablations:
 //
 //   - Policy selects between the no-copy column-at-a-time kernels of
-//     internal/batlin (RMA+BAT) and the contiguous dense kernels of
-//     internal/linalg reached by copying the application part out and the
-//     base result back (RMA+MKL). PolicyAuto mirrors the paper: the
-//     elementwise family runs on BATs, everything else is delegated.
+//     internal/batlin (RMA+BAT) and the dense kernels of internal/linalg
+//     (RMA+MKL), which run on float columns: the ordered application
+//     columns in place for the kernels that only read them, one arena
+//     copy of them for the kernels that factor or rewrite their operand,
+//     and the kernels' arena result columns become the result's BATs.
+//     PolicyAuto mirrors the paper: the elementwise family runs on BATs,
+//     everything else is delegated.
 //     The BAT kernels of ADD, SUB and EMU read each argument through
 //     its sort permutation instead of gathering it first.
 //   - SortMode enables the Section 8.1 optimizations: operations whose

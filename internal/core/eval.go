@@ -7,7 +7,6 @@ import (
 	"repro/internal/batlin"
 	"repro/internal/exec"
 	"repro/internal/linalg"
-	"repro/internal/matrix"
 )
 
 // checkUnaryShape validates the dimension requirements of a unary
@@ -35,86 +34,157 @@ func checkUnaryShape(op Op, a *argument) error {
 }
 
 // evalDenseUnary computes the base result of a unary operation with the
-// dense kernels.
-func evalDenseUnary(c *exec.Ctx, op Op, a *matrix.Matrix) (*matrix.Matrix, error) {
+// dense kernels of internal/linalg: the ordered application part is
+// copied once into arena working columns (workCols), which the kernel
+// takes over, and the kernel's arena result columns become the result
+// BATs.
+func evalDenseUnary(c *exec.Ctx, op Op, a *argument, clock *phaseClock) ([]*bat.BAT, error) {
+	clock.begin()
+	v, err := a.workCols(c)
+	clock.endTransform()
+	if err != nil {
+		return nil, err
+	}
+	clock.begin()
+	res, err := denseUnaryKernel(c, op, v, a.rows())
+	clock.endKernel()
+	if err != nil {
+		return nil, err
+	}
+	return floatBATs(res), nil
+}
+
+// denseUnaryKernel runs the kernel of a unary operation over the
+// working columns v (m rows each), which it takes over: each is
+// factored, rotated or read and then handed back to the arena.
+func denseUnaryKernel(c *exec.Ctx, op Op, v [][]float64, m int) ([][]float64, error) {
+	n := len(v)
 	switch op {
 	case OpTRA:
-		return a.T(), nil
+		defer freeCols(c, v)
+		return transposeCols(c, v, m), nil
 	case OpINV:
-		return linalg.Inverse(a)
+		return linalg.Inverse(c, v)
+	case OpDET:
+		d, err := linalg.Det(c, v)
+		return [][]float64{{d}}, err
+	case OpCHF:
+		return linalg.Cholesky(c, v)
 	case OpEVC:
-		return linalg.Eigenvectors(a)
+		return linalg.Eigenvectors(c, v)
 	case OpEVL:
-		vals, err := linalg.Eigenvalues(a)
+		vals, err := linalg.Eigenvalues(c, v)
+		return [][]float64{vals}, err
+	case OpQQR, OpRQR:
+		d, err := linalg.NewQRColumns(c, v, m)
 		if err != nil {
+			freeCols(c, v)
 			return nil, err
 		}
-		out := matrix.New(len(vals), 1)
-		for i, v := range vals {
-			out.Set(i, 0, v)
+		defer d.Free(c)
+		if op == OpRQR {
+			return d.R(c), nil
 		}
-		return out, nil
+		return d.Q(c), nil
 	case OpDSV:
-		sv, err := linalg.SingularValues(c, a)
+		sv, err := linalg.SingularValues(c, v)
 		if err != nil {
 			return nil, err
 		}
 		// Shape (c1,c1): pad to #columns when rows < columns.
-		d := make([]float64, a.Cols)
-		copy(d, sv)
-		return matrix.Diag(d), nil
-	case OpUSV:
-		d, err := linalg.NewSVD(c, a)
+		out := make([][]float64, n)
+		for j := range out {
+			out[j] = c.Arena().FloatsZero(n)
+			if j < len(sv) {
+				out[j][j] = sv[j]
+			}
+		}
+		return out, nil
+	case OpUSV, OpVSV:
+		d, err := linalg.NewSVD(c, v)
 		if err != nil {
 			return nil, err
 		}
-		return d.FullU(), nil
-	case OpVSV:
-		d, err := linalg.NewSVD(c, a)
-		if err != nil {
-			return nil, err
+		defer d.Free(c)
+		if op == OpUSV {
+			return d.FullU(c), nil
 		}
-		return d.FullV(), nil
-	case OpCHF:
-		return linalg.Cholesky(a)
-	case OpDET:
-		v, err := linalg.Det(a)
-		if err != nil {
-			return nil, err
-		}
-		return matrix.FromRows([][]float64{{v}}), nil
+		return d.FullV(c), nil
 	case OpRNK:
-		r, err := linalg.Rank(c, a)
-		if err != nil {
-			return nil, err
-		}
-		return matrix.FromRows([][]float64{{float64(r)}}), nil
+		r, err := linalg.Rank(c, v)
+		return [][]float64{{float64(r)}}, err
 	}
+	freeCols(c, v)
 	return nil, fmt.Errorf("rma: %s is not unary", op)
 }
 
-// evalDenseBinary computes the base result of a binary operation with the
-// dense kernels.
-func evalDenseBinary(c *exec.Ctx, op Op, a, b *matrix.Matrix) (*matrix.Matrix, error) {
-	switch op {
-	case OpADD:
-		return matrix.Add(a, b), nil
-	case OpSUB:
-		return matrix.Sub(a, b), nil
-	case OpEMU:
-		return matrix.EMU(a, b), nil
-	case OpSOL:
-		x, err := linalg.Solve(c, a, b.Column(0))
+// transposeCols returns the m columns of len(v) rows that transpose the
+// columns v of m rows, drawn from the context's arena. Each source
+// column writes a distinct row of every output column, so the source
+// columns fan out with disjoint writes.
+func transposeCols(c *exec.Ctx, v [][]float64, m int) [][]float64 {
+	t := make([][]float64, m)
+	for i := range t {
+		t[i] = c.Arena().Floats(len(v))
+	}
+	c.ParallelFor(len(v), 1, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			for i, x := range v[j] {
+				t[i][j] = x
+			}
+		}
+	})
+	return t
+}
+
+// evalDenseBinary computes ADD, SUB, EMU or SOL with the dense kernels:
+// both operands are copied into arena working columns (the copy-in
+// Figure 14 measures). ADD, SUB and EMU leave their result in the first
+// operand's columns, which become the result BATs; linalg.Solve factors
+// the coefficient columns in place.
+func evalDenseBinary(c *exec.Ctx, op Op, a, b *argument, clock *phaseClock) ([]*bat.BAT, error) {
+	clock.begin()
+	va, err := a.workCols(c)
+	var vb [][]float64
+	if err == nil {
+		if vb, err = b.workCols(c); err != nil {
+			freeCols(c, va)
+		}
+	}
+	clock.endTransform()
+	if err != nil {
+		return nil, err
+	}
+	clock.begin()
+	defer clock.endKernel()
+	defer freeCols(c, vb)
+	if op == OpSOL {
+		x, err := linalg.Solve(c, va, vb[0])
 		if err != nil {
 			return nil, err
 		}
-		out := matrix.New(len(x), 1)
-		for i, v := range x {
-			out.Set(i, 0, v)
-		}
-		return out, nil
+		return floatBATs([][]float64{x}), nil
 	}
-	return nil, fmt.Errorf("rma: %s is not binary", op)
+	c.ParallelFor(len(va), 1, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			x, y := va[j], vb[j][:len(va[j])]
+			switch op {
+			case OpADD:
+				for i := range x {
+					x[i] += y[i]
+				}
+			case OpSUB:
+				for i := range x {
+					x[i] -= y[i]
+				}
+			default:
+				for i := range x {
+					x[i] *= y[i]
+				}
+			}
+		}
+	})
+	return floatBATs(va), nil
 }
 
 // batUnarySupported reports whether the no-copy path implements the

@@ -58,9 +58,11 @@ type Stats struct {
 	// splitting, computing sort indexes, gathering order and application
 	// BATs, morphing, and assembling the result relation.
 	Context time.Duration
-	// Transform is the time spent copying the application part from BATs
-	// into the contiguous dense format and the base result back — zero
-	// for the no-copy BAT path.
+	// Transform is the time the dense path spends making the ordered
+	// application columns into the kernel's operand: one arena copy per
+	// column for a kernel that works in place, or a gather or conversion
+	// of a column that is not already an ordered dense float column.
+	// Result columns are not copied back. Zero for the no-copy BAT path.
 	Transform time.Duration
 	// Kernel is the time spent in the matrix operation itself.
 	Kernel time.Duration

@@ -39,7 +39,7 @@ func spdRelation(rng *rand.Rand, n int) *rel.Relation {
 	for i := range raw.Data {
 		raw.Data[i] = rng.NormFloat64()
 	}
-	a := linalg.CrossProduct(nil, raw, raw)
+	a := matrix.FromColumns(linalg.CrossProductCols(nil, raw.Columns(), raw.Columns()))
 	for i := 0; i < n; i++ {
 		a.Set(i, i, a.At(i, i)+1)
 	}
@@ -88,6 +88,13 @@ func reduce(t *testing.T, v *rel.Relation, order []string) *matrix.Matrix {
 	return matrix.FromColumns(cols)
 }
 
+// scalarMatrix is the 1×1 matrix holding v.
+func scalarMatrix(v float64) *matrix.Matrix {
+	m := matrix.New(1, 1)
+	m.Set(0, 0, v)
+	return m
+}
+
 // inputMatrix is µ_Ū(r) for a relation whose key is its first attribute.
 func inputMatrix(t *testing.T, r *rel.Relation) *matrix.Matrix {
 	t.Helper()
@@ -110,34 +117,47 @@ func TestMatrixConsistencyUnary(t *testing.T) {
 		order []string // order schema U' of the result for reduction
 	}{
 		{OpTRA, tall, func() *matrix.Matrix { return tallM.T() }, []string{"C"}},
-		{OpQQR, tall, func() *matrix.Matrix { m, _ := linalg.QQR(nil, tallM); return m }, []string{"Kr"}},
-		{OpRQR, tall, func() *matrix.Matrix { m, _ := linalg.RQR(nil, tallM); return m }, []string{"C"}},
+		{OpQQR, tall, func() *matrix.Matrix {
+			d, _ := linalg.NewQRColumns(nil, tallM.Columns(), tallM.Rows)
+			return matrix.FromColumns(d.Q(nil))
+		}, []string{"Kr"}},
+		{OpRQR, tall, func() *matrix.Matrix {
+			d, _ := linalg.NewQRColumns(nil, tallM.Columns(), tallM.Rows)
+			return matrix.FromColumns(d.R(nil))
+		}, []string{"C"}},
 		{OpDSV, tall, func() *matrix.Matrix {
-			sv, _ := linalg.SingularValues(nil, tallM)
-			d := make([]float64, tallM.Cols)
-			copy(d, sv)
-			return matrix.Diag(d)
-		}, []string{"C"}},
-		{OpVSV, tall, func() *matrix.Matrix { d, _ := linalg.NewSVD(nil, tallM); return d.FullV() }, []string{"C"}},
-		{OpUSV, tall, func() *matrix.Matrix { d, _ := linalg.NewSVD(nil, tallM); return d.FullU() }, []string{"Kr"}},
-		{OpRNK, tall, func() *matrix.Matrix {
-			r, _ := linalg.Rank(nil, tallM)
-			return matrix.FromRows([][]float64{{float64(r)}})
-		}, []string{"C"}},
-		{OpINV, square, func() *matrix.Matrix { m, _ := linalg.Inverse(squareM); return m }, []string{"K"}},
-		{OpEVC, square, func() *matrix.Matrix { m, _ := linalg.Eigenvectors(squareM); return m }, []string{"K"}},
-		{OpEVL, square, func() *matrix.Matrix {
-			vals, _ := linalg.Eigenvalues(squareM)
-			out := matrix.New(len(vals), 1)
-			for i, v := range vals {
-				out.Set(i, 0, v)
+			sv, _ := linalg.SingularValues(nil, tallM.Columns())
+			d := matrix.New(tallM.Cols, tallM.Cols)
+			for i, v := range sv {
+				d.Set(i, i, v)
 			}
-			return out
+			return d
+		}, []string{"C"}},
+		{OpVSV, tall, func() *matrix.Matrix {
+			d, _ := linalg.NewSVD(nil, tallM.Columns())
+			return matrix.FromColumns(d.FullV(nil))
+		}, []string{"C"}},
+		{OpUSV, tall, func() *matrix.Matrix {
+			d, _ := linalg.NewSVD(nil, tallM.Columns())
+			return matrix.FromColumns(d.FullU(nil))
+		}, []string{"Kr"}},
+		{OpRNK, tall, func() *matrix.Matrix {
+			r, _ := linalg.Rank(nil, tallM.Columns())
+			return scalarMatrix(float64(r))
+		}, []string{"C"}},
+		{OpINV, square, func() *matrix.Matrix { m, _ := linalg.Inverse(nil, squareM.Columns()); return matrix.FromColumns(m) }, []string{"K"}},
+		{OpEVC, square, func() *matrix.Matrix {
+			m, _ := linalg.Eigenvectors(nil, squareM.Columns())
+			return matrix.FromColumns(m)
 		}, []string{"K"}},
-		{OpCHF, square, func() *matrix.Matrix { m, _ := linalg.Cholesky(squareM); return m }, []string{"K"}},
+		{OpEVL, square, func() *matrix.Matrix {
+			vals, _ := linalg.Eigenvalues(nil, squareM.Columns())
+			return matrix.FromColumns([][]float64{vals})
+		}, []string{"K"}},
+		{OpCHF, square, func() *matrix.Matrix { m, _ := linalg.Cholesky(nil, squareM.Columns()); return matrix.FromColumns(m) }, []string{"K"}},
 		{OpDET, square, func() *matrix.Matrix {
-			d, _ := linalg.Det(squareM)
-			return matrix.FromRows([][]float64{{d}})
+			d, _ := linalg.Det(nil, squareM.Columns())
+			return scalarMatrix(d)
 		}, []string{"C"}},
 	}
 	for _, c := range cases {
@@ -168,7 +188,7 @@ func TestMatrixConsistencyBinary(t *testing.T) {
 		want *matrix.Matrix
 	}{
 		{OpADD, matrix.Add(mr, ms)},
-		{OpSUB, matrix.Sub(mr, ms)},
+		{OpSUB, matrix.Add(mr, ms.Scale(-1))},
 		{OpEMU, matrix.EMU(mr, ms)},
 	}
 	for _, c := range elementwise {
@@ -195,7 +215,7 @@ func TestMatrixConsistencyBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !matrix.ApproxEqual(reduce(t, v, []string{"Kr"}), linalg.MatMul(nil, mr, msq), 1e-9) {
+	if !matrix.ApproxEqual(reduce(t, v, []string{"Kr"}), matrix.FromColumns(linalg.MatMulCols(nil, mr.Columns(), msq.Columns(), mr.Rows)), 1e-9) {
 		t.Error("mmu: not reducible to base result")
 	}
 
@@ -204,7 +224,7 @@ func TestMatrixConsistencyBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !matrix.ApproxEqual(reduce(t, v, []string{"C"}), linalg.CrossProduct(nil, mr, ms), 1e-9) {
+	if !matrix.ApproxEqual(reduce(t, v, []string{"C"}), matrix.FromColumns(linalg.CrossProductCols(nil, mr.Columns(), ms.Columns())), 1e-9) {
 		t.Error("cpd: not reducible to base result")
 	}
 
@@ -216,7 +236,7 @@ func TestMatrixConsistencyBinary(t *testing.T) {
 	// Column names are ▽Ks = "0".."5"; they sort as strings, so reduce by
 	// Kr and compare against OPD with s columns permuted to string order.
 	got := reduce(t, v, []string{"Kr"})
-	want := linalg.MatMul(nil, mr, ms.T())
+	want := matrix.FromColumns(linalg.OuterProductCols(nil, mr.Columns(), ms.Columns(), mr.Rows, ms.Rows))
 	if got.Rows != want.Rows || got.Cols != want.Cols {
 		t.Fatalf("opd shape %dx%d, want %dx%d", got.Rows, got.Cols, want.Rows, want.Cols)
 	}
@@ -231,7 +251,7 @@ func TestMatrixConsistencyBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := linalg.Solve(nil, mr, mb.Column(0))
+	x, err := linalg.Solve(nil, mr.Columns(), mb.Column(0))
 	if err != nil {
 		t.Fatal(err)
 	}

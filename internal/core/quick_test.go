@@ -146,10 +146,13 @@ func TestQuickQqrOrthonormal(t *testing.T) {
 				for i := 0; i < n; i++ {
 					s += m.At(i, a) * m.At(i, b)
 				}
+				if a == b {
+					s-- // QᵀQ − I
+				}
 				qtq.Set(a, b, s)
 			}
 		}
-		return matrix.ApproxEqual(qtq, matrix.Identity(k), 1e-8)
+		return matrix.ApproxEqual(qtq, matrix.New(k, k), 1e-8)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

@@ -218,26 +218,7 @@ func evalUnaryBase(c *exec.Ctx, op Op, a *argument, opts *Options, clock *phaseC
 		if opts.Stats != nil {
 			opts.Stats.UsedDense = true
 		}
-		if op == OpQQR || op == OpRQR {
-			return evalColumnQR(c, op, a, clock)
-		}
-		clock.begin()
-		m, err := a.toMatrix(c)
-		clock.endTransform()
-		if err != nil {
-			return nil, err
-		}
-		clock.begin()
-		res, err := evalDenseUnary(c, op, m)
-		clock.endKernel()
-		releaseMatrix(c, m) // the kernels never alias operands into results
-		if err != nil {
-			return nil, err
-		}
-		clock.begin()
-		cols := matrixToCols(c, res)
-		clock.endTransform()
-		return cols, nil
+		return evalDenseUnary(c, op, a, clock)
 	}
 	clock.begin()
 	cols := a.orderedAppCols(c) // no-copy µ: gathered views of the BATs
@@ -256,29 +237,7 @@ func evalBinaryBase(c *exec.Ctx, op Op, a, b *argument, opts *Options, clock *ph
 		if op == OpMMU || op == OpCPD || op == OpOPD {
 			return evalColumnProduct(c, op, a, b, clock)
 		}
-		clock.begin()
-		ma, err := a.toMatrix(c)
-		if err != nil {
-			return nil, err
-		}
-		mb, err := b.toMatrix(c)
-		clock.endTransform()
-		if err != nil {
-			releaseMatrix(c, ma)
-			return nil, err
-		}
-		clock.begin()
-		res, err := evalDenseBinary(c, op, ma, mb)
-		clock.endKernel()
-		releaseMatrix(c, ma)
-		releaseMatrix(c, mb)
-		if err != nil {
-			return nil, err
-		}
-		clock.begin()
-		cols := matrixToCols(c, res)
-		clock.endTransform()
-		return cols, nil
+		return evalDenseBinary(c, op, a, b, clock)
 	}
 	if op == OpADD || op == OpSUB || op == OpEMU {
 		clock.begin()
@@ -294,42 +253,6 @@ func evalBinaryBase(c *exec.Ctx, op Op, a, b *argument, opts *Options, clock *ph
 	res, err := evalBATBinary(c, op, ca, cb)
 	clock.endKernel()
 	return res, err
-}
-
-// evalColumnQR is the one dense route of QQR and RQR: the ordered
-// application part is copied once into arena working columns, which
-// linalg.NewQRColumns factors in place, and forming Q or R counts as
-// kernel time. Q's arena columns are the result columns; the working
-// columns go back to the arena once Q or R is formed.
-func evalColumnQR(c *exec.Ctx, op Op, a *argument, clock *phaseClock) ([]*bat.BAT, error) {
-	clock.begin()
-	v, err := a.workCols(c)
-	clock.endTransform()
-	if err != nil {
-		return nil, err
-	}
-	clock.begin()
-	d, err := linalg.NewQRColumns(c, v, a.rows())
-	if err != nil {
-		clock.endKernel()
-		for _, col := range v {
-			c.Arena().FreeFloats(col)
-		}
-		return nil, err
-	}
-	if op == OpRQR {
-		r := d.R()
-		d.Free(c)
-		clock.endKernel()
-		clock.begin()
-		cols := matrixToCols(c, r)
-		clock.endTransform()
-		return cols, nil
-	}
-	q := d.Q(c)
-	d.Free(c)
-	clock.endKernel()
-	return floatBATs(q), nil
 }
 
 // evalColumnProduct is the one dense route of MMU, CPD and OPD: the

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bat"
 	"repro/internal/exec"
-	"repro/internal/matrix"
 	"repro/internal/rel"
 )
 
@@ -127,8 +126,8 @@ func (a *argument) gathered(c *exec.Ctx, cols []*bat.BAT) []*bat.BAT {
 	return out
 }
 
-// floatCols is µ_Ū(r) for the dense products (MMU, CPD, OPD): the
-// ordered application columns as float slices. A dense float column in
+// floatCols is µ_Ū(r) for the dense products (MMU, CPD, OPD), which only
+// read their operands: the ordered application columns as float slices. A dense float column in
 // operation order is read in place; a permuted column is gathered once,
 // and an Int or sparse one converted once, into the context's arena.
 // release hands every such copy back once the kernel has read it.
@@ -152,88 +151,52 @@ func (a *argument) floatCols(c *exec.Ctx) (fs [][]float64, release func(), err e
 	return fs, release, nil
 }
 
-// workCols is µ_Ū(r) for QR, which factors its operand in place: the
+// workCols is µ_Ū(r) for the dense kernels other than the products:
+// they factor, rotate or rewrite their operand in place, so it is the
 // ordered application part copied once, column by column, into columns
-// drawn from the context's arena.
+// drawn from the context's arena — the "copy BATs to an MKL compatible
+// format" step whose cost Figure 14 measures. The op alone picks the
+// constructor, never the operand size. The copy is column-parallel when
+// every tail is a dense float column (bat.ColumnFor).
 func (a *argument) workCols(c *exec.Ctx) ([][]float64, error) {
-	ordered := a.ordered()
+	perm := a.readPerm()
 	v := make([][]float64, len(a.appCols))
-	for j, col := range a.appCols {
-		f, err := col.FloatsCtx(c)
-		if err != nil {
-			for _, w := range v[:j] {
-				c.Arena().FreeFloats(w)
-			}
-			return nil, fmt.Errorf("rma: %v", err)
-		}
+	for j := range v {
 		v[j] = c.Arena().Floats(a.rows())
-		if ordered {
-			copy(v[j], f)
-		} else {
-			for i, p := range a.perm {
-				v[j][i] = f[p]
-			}
-		}
-		col.ReleaseFloats(c, f)
 	}
-	return v, nil
-}
-
-// toMatrix is the matrix constructor µ_Ū(r) for the dense ops whose
-// kernels run on one contiguous row-major array — every dense op but
-// MMU, CPD, OPD, QQR and RQR, which run on columns: it copies the
-// application part, ordered by the permutation, into that array (the
-// "copy BATs to an MKL compatible format" step whose cost Figure 14
-// measures). The op alone picks the constructor, never the operand
-// size. The copy-in is column-parallel (bat.ColumnFor): each source
-// column scatters into a distinct stride of the row-major array, so the
-// writes are disjoint. The backing array is drawn from the context's
-// arena — every cell is overwritten below — and handed back with
-// releaseMatrix once the kernel has consumed the operand.
-func (a *argument) toMatrix(c *exec.Ctx) (*matrix.Matrix, error) {
-	m := a.rows()
-	n := len(a.appCols)
-	out := &matrix.Matrix{Rows: m, Cols: n, Data: c.Arena().Floats(m * n)}
-	errs := make([]error, n)
-	bat.ColumnFor(c, n, func(lo, hi int) {
+	errs := make([]error, len(v))
+	bat.ColumnFor(c, len(v), func(lo, hi int) {
 		for j := lo; j < hi; j++ {
-			f, err := a.appCols[j].FloatsCtx(c)
+			col := a.appCols[j]
+			f, err := col.FloatsCtx(c)
 			if err != nil {
 				errs[j] = err
 				continue
 			}
-			if a.perm == nil {
-				for i := 0; i < m; i++ {
-					out.Data[i*n+j] = f[i]
-				}
+			if perm == nil {
+				copy(v[j], f)
 			} else {
-				for i, p := range a.perm {
-					out.Data[i*n+j] = f[p]
+				for i, p := range perm {
+					v[j][i] = f[p]
 				}
 			}
-			a.appCols[j].ReleaseFloats(c, f)
+			col.ReleaseFloats(c, f)
 		}
 	}, a.appCols)
 	for _, err := range errs {
 		if err != nil {
-			releaseMatrix(c, out)
+			freeCols(c, v)
 			return nil, fmt.Errorf("rma: %v", err)
 		}
 	}
-	return out, nil
+	return v, nil
 }
 
-// releaseMatrix returns a toMatrix backing array to the context's arena
-// once the dense kernel has consumed the operand (the kernels never alias
-// their inputs into their results). The matrix must not be used
-// afterwards.
-func releaseMatrix(c *exec.Ctx, m *matrix.Matrix) {
-	if m == nil || m.Data == nil {
-		return
+// freeCols hands columns drawn from the context's arena back to it.
+func freeCols(c *exec.Ctx, cols [][]float64) {
+	for _, col := range cols {
+		c.Arena().FreeFloats(col)
 	}
-	data := m.Data
-	m.Data = nil
-	c.Arena().FreeFloats(data)
 }
 
 // columnCast is ▽U: the sorted values of a single-attribute order schema,
@@ -265,23 +228,6 @@ func (a *argument) columnCast(c *exec.Ctx) ([]string, error) {
 // of the result's C attribute (tra, rqr, dsv, vsv, cpd, sol).
 func (a *argument) schemaCast() []string {
 	return append([]string(nil), a.appSchema.Names()...)
-}
-
-// matrixToCols converts a dense base result back into one BAT per column
-// (the copy-back half of the transformation). The materialization is
-// column-parallel and draws the column buffers from the context's arena.
-func matrixToCols(c *exec.Ctx, m *matrix.Matrix) []*bat.BAT {
-	out := make([]*bat.BAT, m.Cols)
-	c.ParallelFor(m.Cols, 1, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			col := c.Arena().Floats(m.Rows)
-			for i := 0; i < m.Rows; i++ {
-				col[i] = m.Data[i*m.Cols+j]
-			}
-			out[j] = bat.FromFloats(col)
-		}
-	})
-	return out
 }
 
 // floatSchema builds a schema of float attributes with the given names.

@@ -1,23 +1,24 @@
 // Package linalg implements the decomposition-based matrix operations of
-// the paper over dense arrays: LU (inversion, determinant, solve),
-// Householder QR, one-sided Jacobi SVD, eigensolvers, and Cholesky, plus
-// the matrix products. The products and QR run on float columns, the
-// layout of a relation's BATs, so the RMA layer hands them the ordered
-// application columns as they are and takes their arena result columns
-// as its result BATs; the other operations work on one contiguous
-// row-major matrix.Matrix.
+// the paper over dense float columns: LU (inversion, determinant,
+// solve), Householder QR (Q, R and least squares), one-sided Jacobi
+// SVD, eigensolvers, and Cholesky, plus the matrix products. A matrix is
+// its columns, [][]float64, the layout of a relation's BATs. The
+// products only read their operands, so the RMA layer hands them the
+// ordered application columns as they are; every other operation takes
+// its operand's columns over — arena working columns that it factors,
+// rotates or reads and then hands back. Results are columns drawn from
+// the context's arena, which the RMA layer takes as its result BATs.
+// There is one implementation of each operation, and it keeps its
+// working memory in the arena, inside the tenant's ledger.
 //
 // This package is the repository's stand-in for Intel MKL (Section 7.3 of
 // the paper): a tuned kernel that the RMA layer delegates to — and whose
-// copy-in/copy-out overhead, where it still copies, the paper measures in
-// Figure 14. It is deliberately independent of the BAT layer; the
-// column-at-a-time algorithms live in internal/batlin.
+// copy-in overhead the paper measures in Figure 14. It is deliberately
+// independent of the BAT layer; the column-at-a-time algorithms live in
+// internal/batlin.
 package linalg
 
-import (
-	"repro/internal/exec"
-	"repro/internal/matrix"
-)
+import "repro/internal/exec"
 
 // The column kernels below produce every output element on one worker
 // with a fixed reduction order, so results are bitwise-identical at any
@@ -199,56 +200,4 @@ func crossRow(a, b, out [][]float64, i, j, r0, r1 int) {
 		}
 		out[j][i] = s
 	}
-}
-
-// MatMul returns a·b (MMU) for flat operands through MatMulCols.
-func MatMul(c *exec.Ctx, a, b *matrix.Matrix) *matrix.Matrix {
-	if a.Cols != b.Rows {
-		panic("linalg: matmul inner dimension mismatch")
-	}
-	return fromCols(c, a.Rows, MatMulCols(c, a.Columns(), b.Columns(), a.Rows))
-}
-
-// CrossProduct returns aᵀ·b (CPD) for flat operands through
-// CrossProductCols.
-func CrossProduct(c *exec.Ctx, a, b *matrix.Matrix) *matrix.Matrix {
-	if a.Rows != b.Rows {
-		panic("linalg: cross product row mismatch")
-	}
-	return fromCols(c, a.Cols, CrossProductCols(c, a.Columns(), b.Columns()))
-}
-
-// SYRK returns aᵀ·a for a flat operand through SYRKCols.
-func SYRK(c *exec.Ctx, a *matrix.Matrix) *matrix.Matrix {
-	return fromCols(c, a.Cols, SYRKCols(c, a.Columns()))
-}
-
-// fromCols copies columns of the given length, drawn from c's arena,
-// into a flat matrix and hands them back to the arena.
-func fromCols(c *exec.Ctx, rows int, cols [][]float64) *matrix.Matrix {
-	out := matrix.New(rows, len(cols))
-	for j, col := range cols {
-		for i, v := range col {
-			out.Data[i*out.Cols+j] = v
-		}
-		c.Arena().FreeFloats(col)
-	}
-	return out
-}
-
-// MatVec returns a·x for a vector x.
-func MatVec(a *matrix.Matrix, x []float64) []float64 {
-	if a.Cols != len(x) {
-		panic("linalg: matvec dimension mismatch")
-	}
-	out := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
 }

@@ -117,7 +117,6 @@ func TestBlockedMatMulBitwiseFlat(t *testing.T) {
 				matrix.FromColumns(MatMulCols(c, a.Columns(), b.Columns(), m)), want)
 			sameBits(t, fmt.Sprintf("outer product %v workers=%d", d, workers),
 				matrix.FromColumns(OuterProductCols(c, a.Columns(), bt.Columns(), m, n)), wantOuter)
-			sameBits(t, "matmul adapter", MatMul(c, a, b), want)
 		}
 	}
 }
@@ -156,16 +155,14 @@ func TestBlockedSYRKBitwiseFlat(t *testing.T) {
 				matrix.FromColumns(SYRKCols(c, a.Columns())), wantSelf)
 			sameBits(t, fmt.Sprintf("cross product %v workers=%d", d, workers),
 				matrix.FromColumns(CrossProductCols(c, a.Columns(), b.Columns())), wantCross)
-			sameBits(t, "syrk adapter", SYRK(c, a), wantSelf)
-			sameBits(t, "cross product adapter", CrossProduct(c, a, b), wantCross)
 		}
 	}
 }
 
 // TestBlockedQRBitwiseFlat: the panel factorization of arena columns
-// must reproduce NewQRSerial — one panel, so the plain column-by-column
-// Householder loop on one worker — bit for bit, Q and R both, at every
-// panel width and worker budget.
+// must reproduce one panel on one worker — the plain column-by-column
+// Householder loop — bit for bit, Q and R both, at every panel width
+// and worker budget.
 func TestBlockedQRBitwiseFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	dims := [][2]int{{90, 37}, {65, 65}, {33, 9}, {1, 1}}
@@ -175,32 +172,29 @@ func TestBlockedQRBitwiseFlat(t *testing.T) {
 	for _, dim := range dims {
 		m, n := dim[0], dim[1]
 		a := blockRandMatrix(rng, m, n)
-		ref, err := NewQRSerial(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantQ, wantR := matrix.FromColumns(ref.Q(nil)), ref.R()
+		ref := qrPanels(nil, a.Columns(), m, n)
+		wantQ, wantR := matrix.FromColumns(ref.Q(nil)), matrix.FromColumns(ref.R(nil))
 		for _, workers := range blockWorkerGrid {
 			c := exec.New(workers)
-			for _, panel := range []int{1, 3, qrPanel, max(1, n-1)} {
-				d, err := newQR(c, a, panel)
-				if err != nil {
-					t.Fatal(err)
+			work := func() [][]float64 {
+				v := a.Columns()
+				for j, col := range v {
+					v[j] = append(c.Arena().Floats(m)[:0], col...)
 				}
+				return v
+			}
+			for _, panel := range []int{1, 3, qrPanel, max(1, n-1)} {
+				d := qrPanels(c, work(), m, panel)
 				sameBits(t, fmt.Sprintf("QR %v panel %d: Q", dim, panel), matrix.FromColumns(d.Q(c)), wantQ)
-				sameBits(t, fmt.Sprintf("QR %v panel %d: R", dim, panel), d.R(), wantR)
+				sameBits(t, fmt.Sprintf("QR %v panel %d: R", dim, panel), matrix.FromColumns(d.R(c)), wantR)
 				d.Free(c)
 			}
-			v := a.Columns()
-			for j, col := range v {
-				v[j] = append(c.Arena().Floats(m)[:0], col...)
-			}
-			d, err := NewQRColumns(c, v, m)
+			d, err := NewQRColumns(c, work(), m)
 			if err != nil {
 				t.Fatalf("NewQRColumns(%v, workers=%d): %v", dim, workers, err)
 			}
 			sameBits(t, fmt.Sprintf("column QR %v workers=%d: Q", dim, workers), matrix.FromColumns(d.Q(c)), wantQ)
-			sameBits(t, fmt.Sprintf("column QR %v workers=%d: R", dim, workers), d.R(), wantR)
+			sameBits(t, fmt.Sprintf("column QR %v workers=%d: R", dim, workers), matrix.FromColumns(d.R(c)), wantR)
 			d.Free(c)
 		}
 	}

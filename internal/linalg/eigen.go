@@ -5,7 +5,7 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/matrix"
+	"repro/internal/exec"
 )
 
 // ErrComplexEigen is returned for non-symmetric matrices whose spectrum
@@ -15,10 +15,11 @@ import (
 var ErrComplexEigen = errors.New("linalg: matrix has complex eigenvalues")
 
 // Eigen holds an eigendecomposition: Values in descending order and, when
-// requested, the matching unit eigenvectors as columns of Vectors.
+// requested, the matching unit eigenvectors as the columns Vectors. Both
+// are drawn from the context's arena.
 type Eigen struct {
 	Values  []float64
-	Vectors *matrix.Matrix
+	Vectors [][]float64
 }
 
 const (
@@ -27,141 +28,161 @@ const (
 )
 
 // NewEigen computes eigenvalues (and eigenvectors when withVectors) of a
-// square matrix. Symmetric inputs use the cyclic Jacobi method; general
-// inputs are reduced to Hessenberg form and iterated with shifted QR, with
-// eigenvectors recovered by inverse iteration.
-func NewEigen(a *matrix.Matrix, withVectors bool) (*Eigen, error) {
-	if a.Rows != a.Cols {
+// square matrix held as its columns a, drawn from c's arena: the
+// symmetric case rotates them in place, and they are handed back. Its
+// working copies come from c's arena too. Symmetric inputs use the cyclic
+// Jacobi method; general inputs are reduced to Hessenberg form and
+// iterated with shifted QR, with eigenvectors recovered by inverse
+// iteration.
+func NewEigen(c *exec.Ctx, a [][]float64, withVectors bool) (*Eigen, error) {
+	defer freeCols(c, a)
+	if !isSquare(a) {
 		return nil, ErrShape
 	}
-	if a.Rows == 0 {
-		return &Eigen{Values: nil, Vectors: matrix.New(0, 0)}, nil
+	if len(a) == 0 {
+		return &Eigen{}, nil
 	}
-	symTol := 1e-10 * (1 + a.MaxAbs())
-	if a.IsSymmetric(symTol) {
-		return symmetricJacobi(a, withVectors)
+	if isSymmetric(a, 1e-10*(1+maxAbs(a))) {
+		return symmetricJacobi(c, a, withVectors), nil
 	}
-	return generalEigen(a, withVectors)
+	return generalEigen(c, a, withVectors)
 }
 
-// symmetricJacobi runs cyclic Jacobi rotations until off-diagonal mass
-// vanishes. Unconditionally stable for symmetric matrices.
-func symmetricJacobi(a *matrix.Matrix, withVectors bool) (*Eigen, error) {
-	n := a.Rows
-	w := a.Clone()
-	var v *matrix.Matrix
+// cloneCols copies the columns a into columns drawn from c's arena.
+func cloneCols(c *exec.Ctx, a [][]float64) [][]float64 {
+	out := make([][]float64, len(a))
+	for j, col := range a {
+		out[j] = c.Arena().Floats(len(col))
+		copy(out[j], col)
+	}
+	return out
+}
+
+// identityCols returns the n×n identity as n columns drawn from c's
+// arena.
+func identityCols(c *exec.Ctx, n int) [][]float64 {
+	out := make([][]float64, n)
+	for j := range out {
+		out[j] = c.Arena().FloatsZero(n)
+		out[j][j] = 1
+	}
+	return out
+}
+
+// symmetricJacobi runs cyclic Jacobi rotations on the columns w (w[j][i]
+// is element (i, j)) in place until off-diagonal mass vanishes.
+// Unconditionally stable for symmetric matrices.
+func symmetricJacobi(c *exec.Ctx, w [][]float64, withVectors bool) *Eigen {
+	n := len(w)
+	var v [][]float64
 	if withVectors {
-		v = matrix.Identity(n)
+		v = identityCols(c, n)
 	}
 	for sweep := 0; sweep < jacobiMaxSweeps; sweep++ {
 		var off float64
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				off += w.At(i, j) * w.At(i, j)
+				off += w[j][i] * w[j][i]
 			}
 		}
-		if off < 1e-28*(1+w.MaxAbs()*w.MaxAbs()) {
+		if mx := maxAbs(w); off < 1e-28*(1+mx*mx) {
 			break
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
-				apq := w.At(p, q)
+				apq := w[q][p]
 				if math.Abs(apq) < 1e-300 {
 					continue
 				}
-				app, aqq := w.At(p, p), w.At(q, q)
+				app, aqq := w[p][p], w[q][q]
 				theta := (aqq - app) / (2 * apq)
 				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(1+theta*theta))
-				c := 1 / math.Sqrt(1+t*t)
-				s := c * t
-				// Rotate rows/columns p and q of w.
+				cs := 1 / math.Sqrt(1+t*t)
+				sn := cs * t
+				// Rotate columns, then rows, p and q of w.
+				wp, wq := w[p], w[q]
 				for k := 0; k < n; k++ {
-					wkp, wkq := w.At(k, p), w.At(k, q)
-					w.Set(k, p, c*wkp-s*wkq)
-					w.Set(k, q, s*wkp+c*wkq)
+					wkp, wkq := wp[k], wq[k]
+					wp[k] = cs*wkp - sn*wkq
+					wq[k] = sn*wkp + cs*wkq
 				}
-				for k := 0; k < n; k++ {
-					wpk, wqk := w.At(p, k), w.At(q, k)
-					w.Set(p, k, c*wpk-s*wqk)
-					w.Set(q, k, s*wpk+c*wqk)
+				for _, wk := range w {
+					wpk, wqk := wk[p], wk[q]
+					wk[p] = cs*wpk - sn*wqk
+					wk[q] = sn*wpk + cs*wqk
 				}
 				if withVectors {
+					vp, vq := v[p], v[q]
 					for k := 0; k < n; k++ {
-						vkp, vkq := v.At(k, p), v.At(k, q)
-						v.Set(k, p, c*vkp-s*vkq)
-						v.Set(k, q, s*vkp+c*vkq)
+						vkp, vkq := vp[k], vq[k]
+						vp[k] = cs*vkp - sn*vkq
+						vq[k] = sn*vkp + cs*vkq
 					}
 				}
 			}
 		}
 	}
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = w.At(i, i)
-	}
 	order := make([]int, n)
 	for k := range order {
 		order[k] = k
 	}
-	sort.SliceStable(order, func(a, b int) bool { return vals[order[a]] > vals[order[b]] })
-	out := &Eigen{Values: make([]float64, n)}
+	sort.SliceStable(order, func(x, y int) bool { return w[order[x]][order[x]] > w[order[y]][order[y]] })
+	out := &Eigen{Values: c.Arena().Floats(n)}
 	for dst, src := range order {
-		out.Values[dst] = vals[src]
+		out.Values[dst] = w[src][src]
 	}
 	if withVectors {
-		vm := matrix.New(n, n)
+		out.Vectors = make([][]float64, n)
 		for dst, src := range order {
-			for i := 0; i < n; i++ {
-				vm.Set(i, dst, v.At(i, src))
-			}
+			out.Vectors[dst] = v[src] // a permutation of the columns, no copy
 		}
-		out.Vectors = vm
 	}
-	return out, nil
+	return out
 }
 
 // hessenberg reduces a to upper Hessenberg form by Householder similarity
-// transformations (in place on a copy).
-func hessenberg(a *matrix.Matrix) *matrix.Matrix {
-	n := a.Rows
-	h := a.Clone()
+// transformations, on a copy drawn from c's arena.
+func hessenberg(c *exec.Ctx, a [][]float64) [][]float64 {
+	n := len(a)
+	h := cloneCols(c, a) // h[j][i] is element (i, j)
+	v := c.Arena().Floats(n)
+	defer c.Arena().FreeFloats(v)
 	for k := 0; k < n-2; k++ {
 		var norm float64
 		for i := k + 1; i < n; i++ {
-			norm = math.Hypot(norm, h.At(i, k))
+			norm = math.Hypot(norm, h[k][i])
 		}
 		if norm == 0 {
 			continue
 		}
-		if h.At(k+1, k) < 0 {
+		if h[k][k+1] < 0 {
 			norm = -norm
 		}
-		v := make([]float64, n)
 		for i := k + 1; i < n; i++ {
-			v[i] = h.At(i, k) / norm
+			v[i] = h[k][i] / norm
 		}
 		v[k+1] += 1
 		beta := v[k+1]
 		// H <- P·H
-		for j := k; j < n; j++ {
+		for _, hj := range h[k:] {
 			var s float64
 			for i := k + 1; i < n; i++ {
-				s += v[i] * h.At(i, j)
+				s += v[i] * hj[i]
 			}
 			s = -s / beta
 			for i := k + 1; i < n; i++ {
-				h.Set(i, j, h.At(i, j)+s*v[i])
+				hj[i] = hj[i] + s*v[i]
 			}
 		}
 		// H <- H·P
 		for i := 0; i < n; i++ {
 			var s float64
 			for j := k + 1; j < n; j++ {
-				s += h.At(i, j) * v[j]
+				s += h[j][i] * v[j]
 			}
 			s = -s / beta
 			for j := k + 1; j < n; j++ {
-				h.Set(i, j, h.At(i, j)+s*v[j])
+				h[j][i] = h[j][i] + s*v[j]
 			}
 		}
 	}
@@ -170,31 +191,36 @@ func hessenberg(a *matrix.Matrix) *matrix.Matrix {
 
 // generalEigen computes the real spectrum of a general matrix via shifted
 // QR on the Hessenberg form; complex pairs yield ErrComplexEigen.
-func generalEigen(a *matrix.Matrix, withVectors bool) (*Eigen, error) {
-	n := a.Rows
-	h := hessenberg(a)
-	scale := 1 + a.MaxAbs()
-	vals := make([]float64, 0, n)
+func generalEigen(c *exec.Ctx, a [][]float64, withVectors bool) (*Eigen, error) {
+	n := len(a)
+	h := hessenberg(c, a)
+	defer freeCols(c, h)
+	rot := c.Arena().Floats(2 * (n - 1)) // one QR step's Givens rotations
+	defer c.Arena().FreeFloats(rot)
+	at := func(i, j int) float64 { return h[j][i] }
+	scale := 1 + maxAbs(a)
+	vals := c.Arena().Floats(n)[:0]
 	hi := n - 1
 	iter := 0
 	for hi >= 0 {
 		// Deflate converged subdiagonal entries.
-		for hi > 0 && math.Abs(h.At(hi, hi-1)) < 1e-13*scale {
-			vals = append(vals, h.At(hi, hi))
+		for hi > 0 && math.Abs(at(hi, hi-1)) < 1e-13*scale {
+			vals = append(vals, at(hi, hi))
 			hi--
 			iter = 0
 		}
 		if hi == 0 {
-			vals = append(vals, h.At(0, 0))
+			vals = append(vals, at(0, 0))
 			break
 		}
 		if iter++; iter > qrMaxIter {
 			// The trailing 2×2 block refuses to split: complex pair?
 			p, q := hi-1, hi
-			tr := h.At(p, p) + h.At(q, q)
-			det := h.At(p, p)*h.At(q, q) - h.At(p, q)*h.At(q, p)
+			tr := at(p, p) + at(q, q)
+			det := at(p, p)*at(q, q) - at(p, q)*at(q, p)
 			disc := tr*tr/4 - det
 			if disc < 0 {
+				c.Arena().FreeFloats(vals)
 				return nil, ErrComplexEigen
 			}
 			r := math.Sqrt(disc)
@@ -205,29 +231,30 @@ func generalEigen(a *matrix.Matrix, withVectors bool) (*Eigen, error) {
 		}
 		// Wilkinson shift from the trailing 2×2 block.
 		p, q := hi-1, hi
-		tr := h.At(p, p) + h.At(q, q)
-		det := h.At(p, p)*h.At(q, q) - h.At(p, q)*h.At(q, p)
+		tr := at(p, p) + at(q, q)
+		det := at(p, p)*at(q, q) - at(p, q)*at(q, p)
 		disc := tr*tr/4 - det
 		var shift float64
 		if disc >= 0 {
 			r := math.Sqrt(disc)
 			e1, e2 := tr/2+r, tr/2-r
-			if math.Abs(e1-h.At(q, q)) < math.Abs(e2-h.At(q, q)) {
+			if math.Abs(e1-at(q, q)) < math.Abs(e2-at(q, q)) {
 				shift = e1
 			} else {
 				shift = e2
 			}
 		} else {
-			shift = h.At(q, q) // complex pair: use the real part; the
+			shift = at(q, q) // complex pair: use the real part; the
 			// 2×2 deflation above will catch persistent blocks
 		}
-		qrStepHessenberg(h, hi, shift)
+		qrStepHessenberg(h, hi, shift, rot)
 	}
 	sort.Sort(sort.Reverse(sort.Float64Slice(vals)))
 	out := &Eigen{Values: vals}
 	if withVectors {
-		vecs, err := inverseIterationVectors(a, vals)
+		vecs, err := inverseIterationVectors(c, a, vals)
 		if err != nil {
+			c.Arena().FreeFloats(vals)
 			return nil, err
 		}
 		out.Vectors = vecs
@@ -236,17 +263,17 @@ func generalEigen(a *matrix.Matrix, withVectors bool) (*Eigen, error) {
 }
 
 // qrStepHessenberg applies one shifted QR step (Givens based) to the
-// leading (hi+1)×(hi+1) block of the Hessenberg matrix h.
-func qrStepHessenberg(h *matrix.Matrix, hi int, shift float64) {
+// leading (hi+1)×(hi+1) block of the Hessenberg matrix held as the
+// columns h, keeping its rotations in rot (2·hi values).
+func qrStepHessenberg(h [][]float64, hi int, shift float64, rot []float64) {
 	n := hi + 1
-	cs := make([]float64, n-1)
-	sn := make([]float64, n-1)
+	cs, sn := rot[:n-1], rot[n-1:2*(n-1)]
 	for i := 0; i < n; i++ {
-		h.Set(i, i, h.At(i, i)-shift)
+		h[i][i] = h[i][i] - shift
 	}
 	// QR by Givens rotations on the subdiagonal.
 	for k := 0; k < n-1; k++ {
-		x, y := h.At(k, k), h.At(k+1, k)
+		x, y := h[k][k], h[k][k+1]
 		r := math.Hypot(x, y)
 		if r == 0 {
 			cs[k], sn[k] = 1, 0
@@ -254,71 +281,75 @@ func qrStepHessenberg(h *matrix.Matrix, hi int, shift float64) {
 		}
 		c, s := x/r, y/r
 		cs[k], sn[k] = c, s
-		for j := k; j < n; j++ {
-			a1, a2 := h.At(k, j), h.At(k+1, j)
-			h.Set(k, j, c*a1+s*a2)
-			h.Set(k+1, j, -s*a1+c*a2)
+		for _, hj := range h[k:n] {
+			a1, a2 := hj[k], hj[k+1]
+			hj[k] = c*a1 + s*a2
+			hj[k+1] = -s*a1 + c*a2
 		}
 	}
 	// RQ: apply the transposed rotations on the right.
 	for k := 0; k < n-1; k++ {
 		c, s := cs[k], sn[k]
+		hk, hk1 := h[k], h[k+1]
 		for i := 0; i <= k+1 && i < n; i++ {
-			a1, a2 := h.At(i, k), h.At(i, k+1)
-			h.Set(i, k, c*a1+s*a2)
-			h.Set(i, k+1, -s*a1+c*a2)
+			a1, a2 := hk[i], hk1[i]
+			hk[i] = c*a1 + s*a2
+			hk1[i] = -s*a1 + c*a2
 		}
 	}
 	for i := 0; i < n; i++ {
-		h.Set(i, i, h.At(i, i)+shift)
+		h[i][i] = h[i][i] + shift
 	}
 }
 
 // inverseIterationVectors recovers unit eigenvectors for the (real)
-// eigenvalues via inverse iteration with a slightly perturbed shift.
-func inverseIterationVectors(a *matrix.Matrix, vals []float64) (*matrix.Matrix, error) {
-	n := a.Rows
-	vecs := matrix.New(n, len(vals))
-	scale := 1 + a.MaxAbs()
-	for j, lambda := range vals {
-		shift := lambda + 1e-9*scale // keep A-λI invertible
-		shifted := a.Clone()
+// eigenvalues via inverse iteration with a slightly perturbed shift. The
+// vectors are columns drawn from c's arena.
+func inverseIterationVectors(c *exec.Ctx, a [][]float64, vals []float64) ([][]float64, error) {
+	n := len(a)
+	vecs := make([][]float64, 0, len(vals))
+	scale := 1 + maxAbs(a)
+	y := c.Arena().Floats(n)
+	defer c.Arena().FreeFloats(y)
+	// shiftedLU factors a copy of A - shift·I - extra·I, subtracting
+	// shift and then extra from each diagonal element.
+	shiftedLU := func(shift, extra float64) (*lu, error) {
+		m := cloneCols(c, a)
 		for i := 0; i < n; i++ {
-			shifted.Set(i, i, shifted.At(i, i)-shift)
+			m[i][i] = m[i][i] - shift - extra
 		}
-		lu, err := NewLU(shifted)
+		d, err := newLU(c, m)
+		if err != nil {
+			freeCols(c, m)
+		}
+		return d, err
+	}
+	for _, lambda := range vals {
+		shift := lambda + 1e-9*scale // keep A-λI invertible
+		d, err := shiftedLU(shift, 0)
 		if err != nil {
 			// Exactly singular even with perturbation: nudge more.
-			for i := 0; i < n; i++ {
-				shifted.Set(i, i, shifted.At(i, i)-1e-6*scale)
-			}
-			lu, err = NewLU(shifted)
-			if err != nil {
+			if d, err = shiftedLU(shift, 1e-6*scale); err != nil {
+				freeCols(c, vecs)
 				return nil, err
 			}
 		}
-		x := make([]float64, n)
+		x := c.Arena().Floats(n)
 		for i := range x {
 			x[i] = 1 / float64(n+i+1) // deterministic, not an eigvector of anything
 		}
 		for it := 0; it < 4; it++ {
-			y, err := lu.SolveVec(x)
-			if err != nil {
-				return nil, err
-			}
-			var norm float64
-			for _, v := range y {
-				norm += v * v
-			}
-			norm = math.Sqrt(norm)
+			copy(y, x)
+			d.solveInPlace(y)
+			norm := norm2(y)
 			if norm == 0 {
 				break
 			}
 			for i := range y {
-				y[i] /= norm
+				x[i] = y[i] / norm
 			}
-			x = y
 		}
+		freeCols(c, d.f)
 		// Sign convention: largest-magnitude component positive.
 		mi, mv := 0, math.Abs(x[0])
 		for i, v := range x {
@@ -331,28 +362,28 @@ func inverseIterationVectors(a *matrix.Matrix, vals []float64) (*matrix.Matrix, 
 				x[i] = -x[i]
 			}
 		}
-		for i := 0; i < n; i++ {
-			vecs.Set(i, j, x[i])
-		}
+		vecs = append(vecs, x)
 	}
 	return vecs, nil
 }
 
-// Eigenvalues returns the spectrum in descending order (EVL).
-func Eigenvalues(a *matrix.Matrix) ([]float64, error) {
-	e, err := NewEigen(a, false)
+// Eigenvalues returns the spectrum in descending order (EVL), drawn from
+// c's arena.
+func Eigenvalues(c *exec.Ctx, a [][]float64) ([]float64, error) {
+	e, err := NewEigen(c, a, false)
 	if err != nil {
 		return nil, err
 	}
 	return e.Values, nil
 }
 
-// Eigenvectors returns the matrix of unit eigenvectors, one per column,
-// ordered by descending eigenvalue (EVC).
-func Eigenvectors(a *matrix.Matrix) (*matrix.Matrix, error) {
-	e, err := NewEigen(a, true)
+// Eigenvectors returns the unit eigenvectors as columns drawn from c's
+// arena, ordered by descending eigenvalue (EVC).
+func Eigenvectors(c *exec.Ctx, a [][]float64) ([][]float64, error) {
+	e, err := NewEigen(c, a, true)
 	if err != nil {
 		return nil, err
 	}
+	c.Arena().FreeFloats(e.Values)
 	return e.Vectors, nil
 }

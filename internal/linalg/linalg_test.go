@@ -8,6 +8,78 @@ import (
 	"repro/internal/matrix"
 )
 
+// The tests state their properties over row-major matrices; the helpers
+// below run the column kernels on a matrix's columns and convert the
+// result back.
+
+func fromRows(rows [][]float64) *matrix.Matrix {
+	m := matrix.New(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
+	}
+	return m
+}
+
+func identity(n int) *matrix.Matrix {
+	m := matrix.New(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
+func diag(d []float64) *matrix.Matrix {
+	m := matrix.New(len(d), len(d))
+	for i, v := range d {
+		m.Set(i, i, v)
+	}
+	return m
+}
+
+func matMul(a, b *matrix.Matrix) *matrix.Matrix {
+	return matrix.FromColumns(MatMulCols(nil, a.Columns(), b.Columns(), a.Rows))
+}
+
+func crossProduct(a, b *matrix.Matrix) *matrix.Matrix {
+	return matrix.FromColumns(CrossProductCols(nil, a.Columns(), b.Columns()))
+}
+
+func matVec(a *matrix.Matrix, x []float64) []float64 {
+	out := make([]float64, a.Rows)
+	for i := range out {
+		for j, v := range a.Row(i) {
+			out[i] += v * x[j]
+		}
+	}
+	return out
+}
+
+func inverse(a *matrix.Matrix) (*matrix.Matrix, error) {
+	inv, err := Inverse(nil, a.Columns())
+	if err != nil {
+		return nil, err
+	}
+	return matrix.FromColumns(inv), nil
+}
+
+func det(a *matrix.Matrix) (float64, error) { return Det(nil, a.Columns()) }
+
+func cholesky(a *matrix.Matrix) (*matrix.Matrix, error) {
+	r, err := Cholesky(nil, a.Columns())
+	if err != nil {
+		return nil, err
+	}
+	return matrix.FromColumns(r), nil
+}
+
+func qr(a *matrix.Matrix) (q, r *matrix.Matrix, err error) {
+	d, err := NewQRColumns(nil, a.Columns(), a.Rows)
+	if err != nil {
+		return nil, nil, err
+	}
+	return matrix.FromColumns(d.Q(nil)), matrix.FromColumns(d.R(nil)), nil
+}
+
 func randMatrix(rng *rand.Rand, m, n int) *matrix.Matrix {
 	a := matrix.New(m, n)
 	for k := range a.Data {
@@ -28,7 +100,7 @@ func wellConditioned(rng *rand.Rand, n int) *matrix.Matrix {
 
 func spd(rng *rand.Rand, n int) *matrix.Matrix {
 	b := randMatrix(rng, n, n)
-	a := CrossProduct(nil, b, b) // BᵀB is PSD
+	a := crossProduct(b, b) // BᵀB is PSD
 	for i := 0; i < n; i++ {
 		a.Set(i, i, a.At(i, i)+1) // make it PD
 	}
@@ -36,10 +108,10 @@ func spd(rng *rand.Rand, n int) *matrix.Matrix {
 }
 
 func TestMatMulSmall(t *testing.T) {
-	a := matrix.FromRows([][]float64{{1, 2}, {3, 4}})
-	b := matrix.FromRows([][]float64{{5, 6}, {7, 8}})
-	got := MatMul(nil, a, b)
-	want := matrix.FromRows([][]float64{{19, 22}, {43, 50}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{5, 6}, {7, 8}})
+	got := matMul(a, b)
+	want := fromRows([][]float64{{19, 22}, {43, 50}})
 	if !matrix.ApproxEqual(got, want, 1e-12) {
 		t.Fatalf("MatMul = %v", got)
 	}
@@ -50,7 +122,7 @@ func TestMatMulAgainstNaive(t *testing.T) {
 	for _, dims := range [][3]int{{1, 1, 1}, {3, 4, 5}, {64, 64, 64}, {65, 127, 33}, {200, 50, 120}} {
 		m, k, n := dims[0], dims[1], dims[2]
 		a, b := randMatrix(rng, m, k), randMatrix(rng, k, n)
-		got := MatMul(nil, a, b)
+		got := matMul(a, b)
 		want := matrix.New(m, n)
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
@@ -73,27 +145,29 @@ func TestMatMulShapePanic(t *testing.T) {
 			t.Error("inner dimension mismatch should panic")
 		}
 	}()
-	MatMul(nil, matrix.New(2, 3), matrix.New(2, 3))
+	// Three columns of two rows against columns of two rows: the
+	// right factor has no third row to scale the third column by.
+	MatMulCols(nil, matrix.New(2, 3).Columns(), matrix.New(2, 3).Columns(), 2)
 }
 
 func TestCrossOuterProduct(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := randMatrix(rng, 7, 3)
 	b := randMatrix(rng, 7, 4)
-	cpd := CrossProduct(nil, a, b)
+	cpd := crossProduct(a, b)
 	if cpd.Rows != 3 || cpd.Cols != 4 {
 		t.Fatalf("CPD shape %dx%d", cpd.Rows, cpd.Cols)
 	}
-	if !matrix.ApproxEqual(cpd, MatMul(nil, a.T(), b), 1e-12) {
+	if !matrix.ApproxEqual(cpd, matMul(a.T(), b), 1e-12) {
 		t.Error("CPD != AᵀB")
 	}
 	c := randMatrix(rng, 5, 3)
 	d := randMatrix(rng, 6, 3)
-	opd := fromCols(nil, c.Rows, OuterProductCols(nil, c.Columns(), d.Columns(), c.Rows, d.Rows))
+	opd := matrix.FromColumns(OuterProductCols(nil, c.Columns(), d.Columns(), c.Rows, d.Rows))
 	if opd.Rows != 5 || opd.Cols != 6 {
 		t.Fatalf("OPD shape %dx%d", opd.Rows, opd.Cols)
 	}
-	if !matrix.ApproxEqual(opd, MatMul(nil, c, d.T()), 1e-12) {
+	if !matrix.ApproxEqual(opd, matMul(c, d.T()), 1e-12) {
 		t.Error("OPD != ABᵀ")
 	}
 }
@@ -102,28 +176,17 @@ func TestSYRK(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, dims := range [][2]int{{5, 3}, {100, 20}, {301, 57}} {
 		a := randMatrix(rng, dims[0], dims[1])
-		got := SYRK(nil, a)
-		want := CrossProduct(nil, a, a)
-		if !matrix.ApproxEqual(got, want, 1e-9) {
+		got := SYRKCols(nil, a.Columns())
+		want := crossProduct(a, a)
+		if !matrix.ApproxEqual(matrix.FromColumns(got), want, 1e-9) {
 			t.Fatalf("SYRK %v mismatch", dims)
 		}
-		if !got.IsSymmetric(0) {
+		if !isSymmetric(got, 0) {
 			t.Fatal("SYRK result not symmetric")
 		}
 	}
-	if SYRK(nil, matrix.New(0, 0)).Rows != 0 {
+	if len(SYRKCols(nil, nil)) != 0 {
 		t.Error("SYRK of empty broken")
-	}
-}
-
-func TestMatVec(t *testing.T) {
-	a := matrix.FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	got := MatVec(a, []float64{1, -1})
-	want := []float64{-1, -1, -1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("MatVec = %v", got)
-		}
 	}
 }
 
@@ -131,11 +194,11 @@ func TestLUInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, n := range []int{1, 2, 5, 20, 60} {
 		a := wellConditioned(rng, n)
-		inv, err := Inverse(a)
+		inv, err := inverse(a)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if !matrix.ApproxEqual(MatMul(nil, a, inv), matrix.Identity(n), 1e-8) {
+		if !matrix.ApproxEqual(matMul(a, inv), identity(n), 1e-8) {
 			t.Fatalf("n=%d: A·A⁻¹ != I", n)
 		}
 	}
@@ -143,12 +206,12 @@ func TestLUInverse(t *testing.T) {
 
 func TestInversePaperExample(t *testing.T) {
 	// Figure 3 of the paper: inv of [[6,7],[8,5]].
-	a := matrix.FromRows([][]float64{{6, 7}, {8, 5}})
-	inv, err := Inverse(a)
+	a := fromRows([][]float64{{6, 7}, {8, 5}})
+	inv, err := inverse(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := matrix.FromRows([][]float64{{-5.0 / 26, 7.0 / 26}, {8.0 / 26, -6.0 / 26}})
+	want := fromRows([][]float64{{-5.0 / 26, 7.0 / 26}, {8.0 / 26, -6.0 / 26}})
 	if !matrix.ApproxEqual(inv, want, 1e-12) {
 		t.Fatalf("inv = %v, want %v", inv, want)
 	}
@@ -159,35 +222,35 @@ func TestInversePaperExample(t *testing.T) {
 }
 
 func TestSingularInverse(t *testing.T) {
-	a := matrix.FromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := Inverse(a); err != ErrSingular {
+	a := fromRows([][]float64{{1, 2}, {2, 4}})
+	if _, err := inverse(a); err != ErrSingular {
 		t.Errorf("singular inverse err = %v", err)
 	}
-	if _, err := Inverse(matrix.New(2, 3)); err != ErrShape {
+	if _, err := inverse(matrix.New(2, 3)); err != ErrShape {
 		t.Errorf("non-square inverse err = %v", err)
 	}
 }
 
 func TestDet(t *testing.T) {
-	a := matrix.FromRows([][]float64{{1, 2}, {3, 4}})
-	d, err := Det(a)
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	d, err := det(a)
 	if err != nil || math.Abs(d-(-2)) > 1e-12 {
 		t.Errorf("det = %v, %v", d, err)
 	}
-	s := matrix.FromRows([][]float64{{1, 2}, {2, 4}})
-	d2, err := Det(s)
+	s := fromRows([][]float64{{1, 2}, {2, 4}})
+	d2, err := det(s)
 	if err != nil || d2 != 0 {
 		t.Errorf("det singular = %v, %v", d2, err)
 	}
-	if _, err := Det(matrix.New(1, 2)); err != ErrShape {
+	if _, err := det(matrix.New(1, 2)); err != ErrShape {
 		t.Error("non-square det accepted")
 	}
 	// det(AB) = det(A)det(B)
 	rng := rand.New(rand.NewSource(5))
 	x, y := wellConditioned(rng, 6), wellConditioned(rng, 6)
-	dx, _ := Det(x)
-	dy, _ := Det(y)
-	dxy, _ := Det(MatMul(nil, x, y))
+	dx, _ := det(x)
+	dy, _ := det(y)
+	dxy, _ := det(matMul(x, y))
 	if math.Abs(dxy-dx*dy) > 1e-6*math.Abs(dx*dy) {
 		t.Errorf("det(AB)=%v, det(A)det(B)=%v", dxy, dx*dy)
 	}
@@ -200,8 +263,8 @@ func TestSolveSquare(t *testing.T) {
 	for i := range want {
 		want[i] = rng.NormFloat64()
 	}
-	b := MatVec(a, want)
-	got, err := Solve(nil, a, b)
+	b := matVec(a, want)
+	got, err := Solve(nil, a.Columns(), b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,19 +277,19 @@ func TestSolveSquare(t *testing.T) {
 
 func TestSolveLeastSquares(t *testing.T) {
 	// Overdetermined: best fit of y = 2x + 1 through noisy-free points is exact.
-	a := matrix.FromRows([][]float64{{1, 0}, {1, 1}, {1, 2}, {1, 3}})
+	a := fromRows([][]float64{{1, 0}, {1, 1}, {1, 2}, {1, 3}})
 	b := []float64{1, 3, 5, 7}
-	x, err := Solve(nil, a, b)
+	x, err := Solve(nil, a.Columns(), b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(x[0]-1) > 1e-10 || math.Abs(x[1]-2) > 1e-10 {
 		t.Fatalf("lstsq = %v", x)
 	}
-	if _, err := Solve(nil, matrix.New(2, 3), []float64{1, 2}); err != ErrShape {
+	if _, err := Solve(nil, matrix.New(2, 3).Columns(), []float64{1, 2}); err != ErrShape {
 		t.Error("underdetermined solve accepted")
 	}
-	if _, err := Solve(nil, matrix.New(2, 2), []float64{1}); err != ErrShape {
+	if _, err := Solve(nil, matrix.New(2, 2).Columns(), []float64{1}); err != ErrShape {
 		t.Error("rhs length mismatch accepted")
 	}
 }
@@ -236,19 +299,18 @@ func TestQRReconstruction(t *testing.T) {
 	for _, dims := range [][2]int{{3, 3}, {10, 4}, {50, 50}, {100, 7}} {
 		m, n := dims[0], dims[1]
 		a := randMatrix(rng, m, n)
-		d, err := NewQR(nil, a)
+		q, r, err := qr(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, r := matrix.FromColumns(d.Q(nil)), d.R()
 		if q.Rows != m || q.Cols != n || r.Rows != n || r.Cols != n {
 			t.Fatalf("QR shapes: Q %dx%d R %dx%d", q.Rows, q.Cols, r.Rows, r.Cols)
 		}
-		if !matrix.ApproxEqual(MatMul(nil, q, r), a, 1e-9) {
+		if !matrix.ApproxEqual(matMul(q, r), a, 1e-9) {
 			t.Fatalf("Q·R != A for %v", dims)
 		}
 		// QᵀQ = I (orthonormal columns).
-		if !matrix.ApproxEqual(CrossProduct(nil, q, q), matrix.Identity(n), 1e-9) {
+		if !matrix.ApproxEqual(crossProduct(q, q), identity(n), 1e-9) {
 			t.Fatalf("QᵀQ != I for %v", dims)
 		}
 		// R upper triangular.
@@ -265,15 +327,14 @@ func TestQRReconstruction(t *testing.T) {
 func TestQQRRQRAndErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := randMatrix(rng, 5, 3)
-	q, err := QQR(nil, a)
+	q, r, err := qr(a)
 	if err != nil || q.Rows != 5 || q.Cols != 3 {
 		t.Fatalf("QQR: %v %v", q, err)
 	}
-	r, err := RQR(nil, a)
-	if err != nil || r.Rows != 3 || r.Cols != 3 {
-		t.Fatalf("RQR: %v %v", r, err)
+	if r.Rows != 3 || r.Cols != 3 {
+		t.Fatalf("RQR: %v", r)
 	}
-	if _, err := NewQR(nil, matrix.New(2, 3)); err != ErrShape {
+	if _, _, err := qr(matrix.New(2, 3)); err != ErrShape {
 		t.Error("wide QR accepted")
 	}
 	// Rank-deficient column (zero) must not crash.
@@ -281,7 +342,7 @@ func TestQQRRQRAndErrors(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		z.Set(i, 0, float64(i+1))
 	}
-	if _, err := NewQR(nil, z); err != nil {
+	if _, _, err := qr(z); err != nil {
 		t.Errorf("QR with zero column: %v", err)
 	}
 }
@@ -291,10 +352,11 @@ func TestSVDReconstruction(t *testing.T) {
 	for _, dims := range [][2]int{{4, 4}, {10, 3}, {3, 10}, {60, 20}} {
 		m, n := dims[0], dims[1]
 		a := randMatrix(rng, m, n)
-		d, err := NewSVD(nil, a)
+		d, err := NewSVD(nil, a.Columns())
 		if err != nil {
 			t.Fatal(err)
 		}
+		u, v := matrix.FromColumns(d.U), matrix.FromColumns(d.V)
 		k := n
 		if m < n {
 			k = m
@@ -307,14 +369,14 @@ func TestSVDReconstruction(t *testing.T) {
 				t.Fatalf("%v: singular values not descending: %v", dims, d.S)
 			}
 		}
-		recon := MatMul(nil, MatMul(nil, d.U, matrix.Diag(d.S)), d.V.T())
+		recon := matMul(matMul(u, diag(d.S)), v.T())
 		if !matrix.ApproxEqual(recon, a, 1e-8) {
 			t.Fatalf("%v: U·S·Vᵀ != A", dims)
 		}
-		if !matrix.ApproxEqual(CrossProduct(nil, d.U, d.U), matrix.Identity(d.U.Cols), 1e-8) {
+		if !matrix.ApproxEqual(crossProduct(u, u), identity(u.Cols), 1e-8) {
 			t.Fatalf("%v: U columns not orthonormal", dims)
 		}
-		if !matrix.ApproxEqual(CrossProduct(nil, d.V, d.V), matrix.Identity(d.V.Cols), 1e-8) {
+		if !matrix.ApproxEqual(crossProduct(v, v), identity(v.Cols), 1e-8) {
 			t.Fatalf("%v: V not orthogonal", dims)
 		}
 	}
@@ -323,18 +385,18 @@ func TestSVDReconstruction(t *testing.T) {
 func TestSVDRankDeficient(t *testing.T) {
 	// Rank-1 matrix: second singular value ~0, U completion must still be
 	// orthonormal.
-	a := matrix.FromRows([][]float64{{1, 2}, {2, 4}, {3, 6}})
-	d, err := NewSVD(nil, a)
+	a := fromRows([][]float64{{1, 2}, {2, 4}, {3, 6}})
+	d, err := NewSVD(nil, a.Columns())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.S[1] > 1e-10 {
 		t.Errorf("rank-1 second singular value = %v", d.S[1])
 	}
-	if !matrix.ApproxEqual(CrossProduct(nil, d.U, d.U), matrix.Identity(2), 1e-8) {
+	if u := matrix.FromColumns(d.U); !matrix.ApproxEqual(crossProduct(u, u), identity(2), 1e-8) {
 		t.Error("U completion not orthonormal")
 	}
-	r, err := Rank(nil, a)
+	r, err := Rank(nil, a.Columns())
 	if err != nil || r != 1 {
 		t.Errorf("Rank = %d, %v", r, err)
 	}
@@ -343,17 +405,17 @@ func TestSVDRankDeficient(t *testing.T) {
 func TestFullU(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := randMatrix(rng, 7, 3)
-	d, _ := NewSVD(nil, a)
-	fu := d.FullU()
+	d, _ := NewSVD(nil, a.Columns())
+	fu := matrix.FromColumns(d.FullU(nil))
 	if fu.Rows != 7 || fu.Cols != 7 {
 		t.Fatalf("FullU shape %dx%d", fu.Rows, fu.Cols)
 	}
-	if !matrix.ApproxEqual(CrossProduct(nil, fu, fu), matrix.Identity(7), 1e-8) {
+	if !matrix.ApproxEqual(crossProduct(fu, fu), identity(7), 1e-8) {
 		t.Error("FullU not orthogonal")
 	}
 	sq := randMatrix(rng, 4, 4)
-	dsq, _ := NewSVD(nil, sq)
-	if fsq := dsq.FullU(); fsq.Rows != 4 || fsq.Cols != 4 {
+	dsq, _ := NewSVD(nil, sq.Columns())
+	if fsq := matrix.FromColumns(dsq.FullU(nil)); fsq.Rows != 4 || fsq.Cols != 4 {
 		t.Error("square FullU shape")
 	}
 }
@@ -361,20 +423,20 @@ func TestFullU(t *testing.T) {
 func TestRankAndSingularValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	a := wellConditioned(rng, 8)
-	r, err := Rank(nil, a)
+	r, err := Rank(nil, a.Columns())
 	if err != nil || r != 8 {
 		t.Errorf("full rank = %d, %v", r, err)
 	}
-	sv, err := SingularValues(nil, a)
+	sv, err := SingularValues(nil, a.Columns())
 	if err != nil || len(sv) != 8 {
 		t.Errorf("SingularValues = %v, %v", sv, err)
 	}
 	z := matrix.New(3, 3)
-	rz, err := Rank(nil, z)
+	rz, err := Rank(nil, z.Columns())
 	if err != nil || rz != 0 {
 		t.Errorf("zero matrix rank = %d, %v", rz, err)
 	}
-	if _, err := NewSVD(nil, matrix.New(0, 0)); err != ErrShape {
+	if _, err := NewSVD(nil, matrix.New(0, 0).Columns()); err != ErrShape {
 		t.Error("empty SVD accepted")
 	}
 }
@@ -383,7 +445,7 @@ func TestSymmetricEigen(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, n := range []int{2, 5, 12, 30} {
 		a := spd(rng, n)
-		e, err := NewEigen(a, true)
+		e, err := NewEigen(nil, a.Columns(), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,8 +459,8 @@ func TestSymmetricEigen(t *testing.T) {
 		}
 		// A·v = λ·v for every pair.
 		for j := 0; j < n; j++ {
-			v := e.Vectors.Column(j)
-			av := MatVec(a, v)
+			v := e.Vectors[j]
+			av := matVec(a, v)
 			for i := 0; i < n; i++ {
 				if math.Abs(av[i]-e.Values[j]*v[i]) > 1e-7*(1+math.Abs(e.Values[j])) {
 					t.Fatalf("n=%d: A·v != λ·v for eigenpair %d", n, j)
@@ -419,12 +481,12 @@ func TestSymmetricEigen(t *testing.T) {
 
 func TestGeneralEigenRealSpectrum(t *testing.T) {
 	// Upper triangular: eigenvalues are the diagonal.
-	a := matrix.FromRows([][]float64{
+	a := fromRows([][]float64{
 		{3, 1, 0},
 		{0, 2, 5},
 		{0, 0, -1},
 	})
-	vals, err := Eigenvalues(a)
+	vals, err := Eigenvalues(nil, a.Columns())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,13 +496,13 @@ func TestGeneralEigenRealSpectrum(t *testing.T) {
 			t.Fatalf("eigenvalues = %v, want %v", vals, want)
 		}
 	}
-	vecs, err := Eigenvectors(a)
+	vecs, err := Eigenvectors(nil, a.Columns())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for j := 0; j < 3; j++ {
-		v := vecs.Column(j)
-		av := MatVec(a, v)
+		v := vecs[j]
+		av := matVec(a, v)
 		for i := range v {
 			if math.Abs(av[i]-want[j]*v[i]) > 1e-6 {
 				t.Fatalf("general eigenvector %d fails A·v=λ·v", j)
@@ -451,17 +513,17 @@ func TestGeneralEigenRealSpectrum(t *testing.T) {
 
 func TestComplexEigenRejected(t *testing.T) {
 	// Rotation by 90°: eigenvalues ±i.
-	a := matrix.FromRows([][]float64{{0, -1}, {1, 0}})
-	if _, err := Eigenvalues(a); err != ErrComplexEigen {
+	a := fromRows([][]float64{{0, -1}, {1, 0}})
+	if _, err := Eigenvalues(nil, a.Columns()); err != ErrComplexEigen {
 		t.Errorf("complex spectrum err = %v", err)
 	}
 }
 
 func TestEigenShapeErrors(t *testing.T) {
-	if _, err := NewEigen(matrix.New(2, 3), false); err != ErrShape {
+	if _, err := NewEigen(nil, matrix.New(2, 3).Columns(), false); err != ErrShape {
 		t.Error("non-square eigen accepted")
 	}
-	e, err := NewEigen(matrix.New(0, 0), true)
+	e, err := NewEigen(nil, matrix.New(0, 0).Columns(), true)
 	if err != nil || len(e.Values) != 0 {
 		t.Errorf("empty eigen: %v %v", e, err)
 	}
@@ -471,11 +533,11 @@ func TestCholesky(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, n := range []int{1, 3, 10, 25} {
 		a := spd(rng, n)
-		r, err := Cholesky(a)
+		r, err := cholesky(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !matrix.ApproxEqual(CrossProduct(nil, r, r), a, 1e-7*(1+a.MaxAbs())) {
+		if !matrix.ApproxEqual(crossProduct(r, r), a, 1e-7*(1+maxAbs(a.Columns()))) {
 			t.Fatalf("n=%d: Rᵀ·R != A", n)
 		}
 		for i := 1; i < n; i++ {
@@ -486,21 +548,21 @@ func TestCholesky(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Cholesky(matrix.FromRows([][]float64{{-1}})); err != ErrNotPositiveDefinite {
+	if _, err := cholesky(fromRows([][]float64{{-1}})); err != ErrNotPositiveDefinite {
 		t.Error("negative definite accepted")
 	}
-	if _, err := Cholesky(matrix.FromRows([][]float64{{1, 2}, {3, 4}})); err != ErrNotPositiveDefinite {
+	if _, err := cholesky(fromRows([][]float64{{1, 2}, {3, 4}})); err != ErrNotPositiveDefinite {
 		t.Error("asymmetric accepted")
 	}
-	if _, err := Cholesky(matrix.New(2, 3)); err != ErrShape {
+	if _, err := cholesky(matrix.New(2, 3)); err != ErrShape {
 		t.Error("non-square accepted")
 	}
 }
 
 func TestPaperRQRExample(t *testing.T) {
 	// Figure 8: RQR of g = [[1,3],[1,4],[6,7],[8,5]] ≈ [[-10.1,-8.8],[0,-4.6]]
-	g := matrix.FromRows([][]float64{{1, 3}, {1, 4}, {6, 7}, {8, 5}})
-	r, err := RQR(nil, g)
+	g := fromRows([][]float64{{1, 3}, {1, 4}, {6, 7}, {8, 5}})
+	_, r, err := qr(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,13 +593,13 @@ func TestOLSViaPaperFormula(t *testing.T) {
 		a.Set(i, 1, x)
 		v.Set(i, 0, 3+2*x)
 	}
-	ata := CrossProduct(nil, a, a)
-	atv := CrossProduct(nil, a, v)
-	inv, err := Inverse(ata)
+	ata := crossProduct(a, a)
+	atv := crossProduct(a, v)
+	inv, err := inverse(ata)
 	if err != nil {
 		t.Fatal(err)
 	}
-	beta := MatMul(nil, inv, atv)
+	beta := matMul(inv, atv)
 	if math.Abs(beta.At(0, 0)-3) > 1e-8 || math.Abs(beta.At(1, 0)-2) > 1e-8 {
 		t.Fatalf("OLS beta = %v", beta)
 	}

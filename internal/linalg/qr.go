@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/exec"
-	"repro/internal/matrix"
 )
 
 // QR holds a Householder QR factorization of an m×n matrix with m >= n:
@@ -18,36 +17,6 @@ type QR struct {
 	tau  []float64
 	rows int
 	cols int
-}
-
-// NewQR factors a with Householder reflections using the context's
-// worker budget for the trailing-column updates (the LAPACK/MKL
-// behavior), in panels of qrPanel columns. Requires Rows >= Cols.
-func NewQR(c *exec.Ctx, a *matrix.Matrix) (*QR, error) {
-	return newQR(c, a, qrPanel)
-}
-
-// NewQRSerial factors on a single core — the behavior of R's default
-// LINPACK qr(), which the Table 6 experiment compares against: one
-// panel never fans out.
-func NewQRSerial(a *matrix.Matrix) (*QR, error) {
-	return newQR(nil, a, a.Cols)
-}
-
-// newQR copies a's columns into the column-major working form, drawn
-// from the context's arena, and factors them with qrPanels.
-func newQR(c *exec.Ctx, a *matrix.Matrix, panel int) (*QR, error) {
-	if a.Rows < a.Cols {
-		return nil, ErrShape
-	}
-	v := make([][]float64, a.Cols)
-	for j := range v {
-		v[j] = c.Arena().Floats(a.Rows)
-		for i := range v[j] {
-			v[j][i] = a.Data[i*a.Cols+j]
-		}
-	}
-	return qrPanels(c, v, a.Rows, panel), nil
 }
 
 // NewQRColumns factors the columns v in place: n columns of m rows
@@ -86,15 +55,15 @@ func applyReflectorTo(ck, cj []float64, k, m int) {
 	}
 }
 
-// R returns the n×n upper-triangular factor.
-func (d *QR) R() *matrix.Matrix {
+// R returns the n×n upper-triangular factor as n columns drawn from
+// c's arena.
+func (d *QR) R(c *exec.Ctx) [][]float64 {
 	n := d.cols
-	r := matrix.New(n, n)
-	for i := 0; i < n; i++ {
-		r.Set(i, i, d.tau[i])
-		for j := i + 1; j < n; j++ {
-			r.Set(i, j, d.v[j][i])
-		}
+	r := make([][]float64, n)
+	for j := range r {
+		r[j] = c.Arena().FloatsZero(n)
+		copy(r[j][:j], d.v[j])
+		r[j][j] = d.tau[j]
 	}
 	return r
 }
@@ -134,40 +103,21 @@ func (d *QR) Q(c *exec.Ctx) [][]float64 {
 	return q
 }
 
-// QQR returns matrix Q of the QR decomposition (the paper's QQR, shape
-// (r1,c1): m×n in, m×n out).
-func QQR(c *exec.Ctx, a *matrix.Matrix) (*matrix.Matrix, error) {
-	d, err := NewQR(c, a)
+// lstsq solves min ‖a·x − b‖₂ for the overdetermined columns a (drawn
+// from c's arena and factored in place, then handed back) via QR,
+// applying the reflectors to a copy of b directly (no Q
+// materialization). x is drawn from c's arena.
+func lstsq(c *exec.Ctx, a [][]float64, b []float64) ([]float64, error) {
+	d, err := NewQRColumns(c, a, len(b))
 	if err != nil {
-		return nil, err
-	}
-	q := d.Q(c)
-	d.Free(c)
-	return fromCols(c, a.Rows, q), nil
-}
-
-// RQR returns matrix R of the QR decomposition (the paper's RQR, shape
-// (c1,c1): m×n in, n×n out).
-func RQR(c *exec.Ctx, a *matrix.Matrix) (*matrix.Matrix, error) {
-	d, err := NewQR(c, a)
-	if err != nil {
-		return nil, err
-	}
-	r := d.R()
-	d.Free(c)
-	return r, nil
-}
-
-// lstsq solves min ‖a·x − b‖₂ for overdetermined a via QR, applying the
-// reflectors to b directly (no Q materialization).
-func lstsq(c *exec.Ctx, a *matrix.Matrix, b []float64) ([]float64, error) {
-	d, err := NewQR(c, a)
-	if err != nil {
+		freeCols(c, a)
 		return nil, err
 	}
 	defer d.Free(c)
 	m, n := d.rows, d.cols
-	qtb := append([]float64(nil), b...)
+	qtb := c.Arena().Floats(m)
+	defer c.Arena().FreeFloats(qtb)
+	copy(qtb, b)
 	for k := 0; k < n; k++ {
 		ck := d.v[k]
 		beta := ck[k]
@@ -194,7 +144,9 @@ func lstsq(c *exec.Ctx, a *matrix.Matrix, b []float64) ([]float64, error) {
 		}
 		x[k] /= d.tau[k]
 	}
-	return append([]float64(nil), x...), nil
+	out := c.Arena().Floats(n)
+	copy(out, x)
+	return out, nil
 }
 
 // qrPanel is the Householder panel width. It changes no bit of the

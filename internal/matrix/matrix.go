@@ -1,8 +1,10 @@
-// Package matrix provides the dense two-dimensional array type that the
-// matrix algebra operations of the paper (Section 3.2) are defined over,
-// together with the elementwise and structural operations whose results do
-// not require decompositions (ADD, SUB, EMU, TRA, concatenation). The
-// decomposition-based operations live in internal/linalg.
+// Package matrix provides a dense row-major two-dimensional array, the
+// matrix type of the R and AIDA simulations (internal/competitor) and of
+// the benchmark code that drives them (internal/bench), together with
+// the elementwise operations those simulations run on it (ADD, EMU,
+// scaling, transposition). The RMA engine does not use it: its dense
+// kernels (internal/linalg) run on float columns, the layout of a
+// relation's BATs; Columns and FromColumns convert between the two.
 package matrix
 
 import (
@@ -23,21 +25,6 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices (copied).
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return New(0, 0)
-	}
-	m := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Sprintf("matrix: ragged row %d (%d vs %d)", i, len(r), m.Cols))
-		}
-		copy(m.Data[i*m.Cols:], r)
-	}
-	return m
-}
-
 // FromColumns builds a matrix from column slices (copied).
 func FromColumns(cols [][]float64) *Matrix {
 	if len(cols) == 0 {
@@ -51,24 +38,6 @@ func FromColumns(cols [][]float64) *Matrix {
 		for i, v := range c {
 			m.Data[i*m.Cols+j] = v
 		}
-	}
-	return m
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
-	}
-	return m
-}
-
-// Diag returns the square matrix with d on the diagonal.
-func Diag(d []float64) *Matrix {
-	m := New(len(d), len(d))
-	for i, v := range d {
-		m.Data[i*len(d)+i] = v
 	}
 	return m
 }
@@ -133,16 +102,6 @@ func Add(a, b *Matrix) *Matrix {
 	return out
 }
 
-// Sub returns a - b (SUB).
-func Sub(a, b *Matrix) *Matrix {
-	sameShape("sub", a, b)
-	out := New(a.Rows, a.Cols)
-	for k, v := range a.Data {
-		out.Data[k] = v - b.Data[k]
-	}
-	return out
-}
-
 // EMU returns the elementwise (Hadamard) product a ∘ b.
 func EMU(a, b *Matrix) *Matrix {
 	sameShape("emu", a, b)
@@ -170,32 +129,6 @@ func ApproxEqual(a, b *Matrix, tol float64) bool {
 	for k := range a.Data {
 		if math.Abs(a.Data[k]-b.Data[k]) > tol {
 			return false
-		}
-	}
-	return true
-}
-
-// MaxAbs returns the largest absolute entry.
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
-// IsSymmetric reports whether the matrix is square and symmetric within tol.
-func (m *Matrix) IsSymmetric(tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
-				return false
-			}
 		}
 	}
 	return true

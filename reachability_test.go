@@ -21,9 +21,7 @@ var uncalledAllowed = map[string]string{
 	"internal/core.ToSkinny":                 "kept for ROADMAP item 16, the K-relation view as a second RMA executor, which builds on it; skinny_test.go pins it",
 	"internal/core.FromSkinny":               "kept for ROADMAP item 16, the K-relation view as a second RMA executor, which builds on it; skinny_test.go pins it",
 	"internal/sql.DB.SetPlanCache":           "tests disable the plan cache through it; kept until ROADMAP item 4(d) decides the cache's fate",
-	"internal/linalg.RQR":                    "shared test helper: the reference R factor in the linalg and core property tests",
 	"internal/bat.Value.Less":                "shared test helper: the reference value order in the bat and sql tests",
-	"internal/linalg.MatVec":                 "shared test helper: the reference product in the linalg and batlin tests",
 	"internal/matrix.ApproxEqual":            "shared test helper: tolerance comparison in the matrix, linalg, batlin and core tests",
 	"internal/analysis/atest.Run":            "the rmalint fixture runner: only analyzers_test.go calls it",
 }
