@@ -75,7 +75,7 @@ func TestRMAAccounting(t *testing.T) {
 		{"sol 200x200", binary(Sol, sq, kq, rhs, []string{"Ky"})},
 		{"mmu 20000x20", binary(Mmu, tall, ka, narrow, kn)},
 		{"cpd 20000x20", binary(Cpd, tall, ka, tall2, kb)},
-		{"opd 20x20000", binary(Opd, narrow, kn, narrow, kn)},
+		{"opd 20000x20", binary(Opd, tall, ka, narrow, kn)},
 		{"add 100000x20", binary(Add, wide, kw, wide2, kv)},
 		{"sub 100000x20", binary(Sub, wide, kw, wide2, kv)},
 		{"emu 100000x20", binary(Emu, wide, kw, wide2, kv)},
@@ -89,9 +89,11 @@ func TestRMAAccounting(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %v: warm run: %v", tc.name, p, err)
 			}
+			mib := func(b uint64) float64 { return float64(b) / (1 << 20) }
+			t.Logf("%s %v: allocated %.2f MiB, tenant peak %.2f MiB", tc.name, p, mib(alloc), mib(uint64(peak)))
 			if limit := 2*uint64(peak) + allocSlack; alloc > limit {
 				t.Errorf("%s %v: allocated %.2f MiB, above 2 x tenant peak %.2f MiB + 1 MiB",
-					tc.name, p, float64(alloc)/(1<<20), float64(peak)/(1<<20))
+					tc.name, p, mib(alloc), mib(uint64(peak)))
 			}
 		}
 	}

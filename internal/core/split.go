@@ -127,10 +127,11 @@ func (a *argument) gathered(c *exec.Ctx, cols []*bat.BAT) []*bat.BAT {
 }
 
 // floatCols is µ_Ū(r) for the dense products (MMU, CPD, OPD), which only
-// read their operands: the ordered application columns as float slices. A dense float column in
-// operation order is read in place; a permuted column is gathered once,
-// and an Int or sparse one converted once, into the context's arena.
-// release hands every such copy back once the kernel has read it.
+// read their operands: the ordered application columns as float
+// slices. A dense float column in operation order is read in place; a
+// permuted column is gathered once, and an Int or sparse one converted
+// once, into the context's arena. release hands every such copy back
+// once the kernel has read it.
 func (a *argument) floatCols(c *exec.Ctx) (fs [][]float64, release func(), err error) {
 	cols := a.orderedAppCols(c)
 	fs = make([][]float64, len(cols))
