@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/matrix"
 )
 
@@ -402,22 +403,99 @@ func TestSVDRankDeficient(t *testing.T) {
 	}
 }
 
-func TestFullU(t *testing.T) {
+// TestSVDFactorsOrthonormal checks FullU and FullV on tall, square, wide,
+// rank-deficient and all-zero operands: both square factors orthogonal
+// to 1e-12, U·diag(S)·Vᵀ reconstructing A, and every factor bitwise equal
+// at 1, 2 and 8 workers (the Jacobi rounds fan out from 8 columns on).
+func TestSVDFactorsOrthonormal(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	a := randMatrix(rng, 7, 3)
-	d, _ := NewSVD(nil, a.Columns())
-	fu := matrix.FromColumns(d.FullU(nil))
-	if fu.Rows != 7 || fu.Cols != 7 {
-		t.Fatalf("FullU shape %dx%d", fu.Rows, fu.Cols)
+	rankFive := matMul(randMatrix(rng, 12, 5), randMatrix(rng, 5, 7))
+	for _, tc := range []struct {
+		name  string
+		a     *matrix.Matrix
+		zeros int // singular values at rounding level, whose U columns are completed
+	}{
+		{"tall-1000x20", randMatrix(rng, 1000, 20), 0},
+		{"square-9x9", randMatrix(rng, 9, 9), 0},
+		{"wide-6x14", randMatrix(rng, 6, 14), 0},
+		{"rank5-12x7", rankFive, 2},
+		{"zero-5x3", matrix.New(5, 3), 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, n := tc.a.Rows, tc.a.Cols
+			var ref [][]float64
+			for _, workers := range []int{1, 2, 8} {
+				c := exec.New(workers)
+				d, err := NewSVD(c, tc.a.Columns())
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := append([]float64(nil), d.S...)
+				zeros := 0
+				for _, sk := range s {
+					if sk <= 1e-13*s[0] {
+						zeros++
+					}
+				}
+				if zeros != tc.zeros {
+					t.Fatalf("workers=%d: %d zero singular values, want %d: %v", workers, zeros, tc.zeros, s)
+				}
+				u, v := d.FullU(c), d.FullV(c)
+				if len(u) != m || len(v) != n {
+					t.Fatalf("workers=%d: FullU has %d columns, FullV %d; want %d and %d", workers, len(u), len(v), m, n)
+				}
+				for name, q := range map[string][][]float64{"FullU": u, "FullV": v} {
+					if e := maxOffIdentity(matrix.FromColumns(q)); e > 1e-12 {
+						t.Errorf("workers=%d: %s: max |QᵀQ − I| = %.3g", workers, name, e)
+					}
+				}
+				// A = Σ_k s_k·u_k·v_kᵀ over the min(m, n) singular values.
+				scale := 1.0
+				for _, x := range tc.a.Data {
+					scale = max(scale, math.Abs(x))
+				}
+				for i := 0; i < m; i++ {
+					for j := 0; j < n; j++ {
+						var r float64
+						for k, sk := range s {
+							r += sk * u[k][i] * v[k][j]
+						}
+						if math.Abs(r-tc.a.At(i, j)) > 1e-10*scale {
+							t.Fatalf("workers=%d: U·S·Vᵀ[%d,%d] = %v, want %v", workers, i, j, r, tc.a.At(i, j))
+						}
+					}
+				}
+				got := append(append(append([][]float64{}, s), u...), v...)
+				if ref == nil {
+					ref = got
+					continue
+				}
+				for k := range ref {
+					for i := range ref[k] {
+						if math.Float64bits(got[k][i]) != math.Float64bits(ref[k][i]) {
+							t.Fatalf("workers=%d: factor bits differ from 1 worker at column %d, row %d", workers, k, i)
+						}
+					}
+				}
+			}
+		})
 	}
-	if !matrix.ApproxEqual(crossProduct(fu, fu), identity(7), 1e-8) {
-		t.Error("FullU not orthogonal")
+}
+
+// maxOffIdentity returns max |QᵀQ − I| over the entries of QᵀQ.
+func maxOffIdentity(q *matrix.Matrix) float64 {
+	g := crossProduct(q, q)
+	var e float64
+	for i := 0; i < g.Rows; i++ {
+		for j := 0; j < g.Cols; j++ {
+			want := 0.0
+			if i == j {
+				want = 1
+			}
+			e = max(e, math.Abs(g.At(i, j)-want))
+		}
 	}
-	sq := randMatrix(rng, 4, 4)
-	dsq, _ := NewSVD(nil, sq.Columns())
-	if fsq := matrix.FromColumns(dsq.FullU(nil)); fsq.Rows != 4 || fsq.Cols != 4 {
-		t.Error("square FullU shape")
-	}
+	return e
 }
 
 func TestRankAndSingularValues(t *testing.T) {
