@@ -31,7 +31,10 @@
 //
 //   - Ctx.ParallelFor splits an index range over at most Ctx.Workers()
 //     goroutines with a serial cutoff (exec.SerialCutoff elements), so
-//     small columns never pay for scheduling.
+//     small columns never pay for scheduling. It is the only fan-out of
+//     the kernel packages (bat, batlin, linalg, rel): the SVD's Jacobi
+//     rounds run on it too, so every kernel goroutine counts in
+//     Stats.ParallelGoroutines and forwards its panic to the caller.
 //   - The reductions (bat.Sum, bat.Dot via Ctx.Reduce) accumulate over
 //     fixed-size chunks combined in chunk order, so results are
 //     bitwise-identical at any worker budget — asserted by -race
@@ -343,7 +346,10 @@
 // the context's arena. Every other kernel factors, rotates or rewrites
 // its operand — INV, DET and square SOL (LU), QQR, RQR and
 // least-squares SOL (Householder QR), CHF, EVC and EVL, DSV, USV, VSV
-// and RNK (one-sided Jacobi SVD), TRA, and ADD, SUB and EMU — so it
+// and RNK (one-sided Jacobi SVD; USV's and VSV's square factors, like
+// the columns of zero singular values, are completed by the trailing
+// columns of the Householder Q of the thin factor, as LAPACK's dgesvd
+// forms them), TRA, and ADD, SUB and EMU — so it
 // takes one arena copy of each ordered column (core's workCols, the
 // copy-in Figure 14b measures) and works on it in place; ADD, SUB and
 // EMU leave their result in the first operand's copy. Every kernel
@@ -391,7 +397,9 @@
 //     return that strands a buffer is reported at the exit that leaks.
 //   - ctxfirst: exported functions in the kernel packages (bat, batlin,
 //     linalg, rel, matrix) that allocate or fan out must take *exec.Ctx
-//     as their first parameter — the per-query context discipline.
+//     as their first parameter — the per-query context discipline — and
+//     their non-test code holds no go statement: they fan out through
+//     Ctx.ParallelFor alone.
 //   - budgetboundary: exported error-returning functions in core, sql,
 //     and cmd/rmaserver whose call graph can reach an accounted-arena
 //     allocation must defer exec.CatchBudget, so budget overruns reach

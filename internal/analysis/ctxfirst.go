@@ -11,10 +11,13 @@ import (
 // method) or fans out (any exec.Ctx method, or a call that forwards a
 // non-nil *exec.Ctx) must take *exec.Ctx as its first parameter.
 // Convenience wrappers that delegate with an explicit nil context are
-// allowed — nil-safety is part of the Ctx contract.
+// allowed — nil-safety is part of the Ctx contract. These packages fan
+// out only through (*exec.Ctx).ParallelFor, which honours the worker
+// budget, counts its goroutines and forwards their panics, so a go
+// statement in their non-test code is reported too.
 var CtxFirst = &Analyzer{
 	Name: "ctxfirst",
-	Doc:  "exported kernel functions that allocate or fan out take *exec.Ctx first",
+	Doc:  "exported kernel functions that allocate or fan out take *exec.Ctx first; kernels start no goroutine of their own",
 	Run:  runCtxFirst,
 }
 
@@ -23,6 +26,17 @@ func runCtxFirst(pass *Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
+		if !inTestFile(pass, f) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					pass.Report(Diagnostic{
+						Pos:     g.Go,
+						Message: "go statement in a kernel package: fan out through (*exec.Ctx).ParallelFor",
+					})
+				}
+				return true
+			})
+		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || !fd.Name.IsExported() {

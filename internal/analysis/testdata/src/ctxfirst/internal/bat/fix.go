@@ -77,3 +77,25 @@ type scratch struct{ f []float64 }
 func (s *scratch) Grow(n int) {
 	s.f = exec.Shared().Floats(n)
 }
+
+// spawn starts its own goroutines: even unexported, a kernel fans out
+// through (*exec.Ctx).ParallelFor alone.
+func spawn(xs []float64) {
+	done := make(chan struct{})
+	go func() { // want `go statement in a kernel package: fan out through \(\*exec\.Ctx\)\.ParallelFor`
+		for k := range xs {
+			xs[k] *= 2
+		}
+		close(done)
+	}()
+	<-done
+}
+
+// fanOut is the conforming version.
+func fanOut(c *exec.Ctx, xs []float64) {
+	c.ParallelFor(len(xs), 1, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			xs[k] *= 2
+		}
+	})
+}

@@ -13,3 +13,16 @@ func Scale(xs []float64, s float64) []float64 {
 	}
 	return out
 }
+
+// Spawn starts a goroutine of its own — also legal outside the kernel
+// packages.
+func Spawn(xs []float64) {
+	done := make(chan struct{})
+	go func() {
+		for k := range xs {
+			xs[k] *= 2
+		}
+		close(done)
+	}()
+	<-done
+}

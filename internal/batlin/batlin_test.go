@@ -52,6 +52,15 @@ func identity(n int) *matrix.Matrix {
 	return m
 }
 
+// transpose returns mᵀ: its columns are m's rows.
+func transpose(m *matrix.Matrix) *matrix.Matrix {
+	rows := make([][]float64, m.Rows)
+	for i := range rows {
+		rows[i] = m.Row(i)
+	}
+	return matrix.FromColumns(rows)
+}
+
 func matMul(a, b *matrix.Matrix) *matrix.Matrix {
 	return matrix.FromColumns(linalg.MatMulCols(nil, a.Columns(), b.Columns(), a.Rows))
 }
@@ -141,7 +150,7 @@ func TestCPDOPDAgainstDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !matrix.ApproxEqual(toMatrix(god), matMul(c, d.T()), 1e-10) {
+	if !matrix.ApproxEqual(toMatrix(god), matMul(c, transpose(d)), 1e-10) {
 		t.Error("OPD mismatch")
 	}
 	if _, err := CPD(nil, toCols(a), toCols(c)); err != ErrShape {
@@ -155,7 +164,7 @@ func TestCPDOPDAgainstDense(t *testing.T) {
 func TestTra(t *testing.T) {
 	a := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	got := toMatrix(Tra(nil, toCols(a)))
-	if !matrix.ApproxEqual(got, a.T(), 0) {
+	if !matrix.ApproxEqual(got, transpose(a), 0) {
 		t.Errorf("Tra = %v", got)
 	}
 }

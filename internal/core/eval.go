@@ -62,7 +62,7 @@ func denseUnaryKernel(c *exec.Ctx, op Op, v [][]float64, m int) ([][]float64, er
 	switch op {
 	case OpTRA:
 		defer freeCols(c, v)
-		return transposeCols(c, v, m), nil
+		return linalg.TransposeCols(c, v, m), nil
 	case OpINV:
 		return linalg.Inverse(c, v)
 	case OpDET:
@@ -116,25 +116,6 @@ func denseUnaryKernel(c *exec.Ctx, op Op, v [][]float64, m int) ([][]float64, er
 	}
 	freeCols(c, v)
 	return nil, fmt.Errorf("rma: %s is not unary", op)
-}
-
-// transposeCols returns the m columns of len(v) rows that transpose the
-// columns v of m rows, drawn from the context's arena. Each source
-// column writes a distinct row of every output column, so the source
-// columns fan out with disjoint writes.
-func transposeCols(c *exec.Ctx, v [][]float64, m int) [][]float64 {
-	t := make([][]float64, m)
-	for i := range t {
-		t[i] = c.Arena().Floats(len(v))
-	}
-	c.ParallelFor(len(v), 1, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			for i, x := range v[j] {
-				t[i][j] = x
-			}
-		}
-	})
-	return t
 }
 
 // evalDenseBinary computes ADD, SUB, EMU or SOL with the dense kernels:

@@ -89,6 +89,15 @@ func reduce(t *testing.T, v *rel.Relation, order []string) *matrix.Matrix {
 }
 
 // scalarMatrix is the 1×1 matrix holding v.
+// transposeMatrix returns mᵀ: its columns are m's rows.
+func transposeMatrix(m *matrix.Matrix) *matrix.Matrix {
+	rows := make([][]float64, m.Rows)
+	for i := range rows {
+		rows[i] = m.Row(i)
+	}
+	return matrix.FromColumns(rows)
+}
+
 func scalarMatrix(v float64) *matrix.Matrix {
 	m := matrix.New(1, 1)
 	m.Set(0, 0, v)
@@ -116,7 +125,7 @@ func TestMatrixConsistencyUnary(t *testing.T) {
 		base  func() *matrix.Matrix
 		order []string // order schema U' of the result for reduction
 	}{
-		{OpTRA, tall, func() *matrix.Matrix { return tallM.T() }, []string{"C"}},
+		{OpTRA, tall, func() *matrix.Matrix { return transposeMatrix(tallM) }, []string{"C"}},
 		{OpQQR, tall, func() *matrix.Matrix {
 			d, _ := linalg.NewQRColumns(nil, tallM.Columns(), tallM.Rows)
 			return matrix.FromColumns(d.Q(nil))

@@ -73,13 +73,23 @@ func (a *argument) sortArg(c *exec.Ctx) error {
 		a.sorted = true
 		return nil
 	}
-	idx := bat.SortIndex(c, a.orderCols)
-	if !bat.KeyUnique(a.orderCols, idx) {
-		return fmt.Errorf("rma: order schema %v of %s is not a key", a.orderSchema.Names(), a.rel.Name)
+	idx, err := a.keyPerm(c)
+	if err != nil {
+		return err
 	}
 	a.perm = idx
 	a.sorted = true
 	return nil
+}
+
+// keyPerm returns the permutation that sorts the rows by the order
+// schema, having verified that the order schema is a key.
+func (a *argument) keyPerm(c *exec.Ctx) ([]int, error) {
+	idx := bat.SortIndex(c, a.orderCols)
+	if !bat.KeyUnique(a.orderCols, idx) {
+		return nil, fmt.Errorf("rma: order schema %v of %s is not a key", a.orderSchema.Names(), a.rel.Name)
+	}
+	return idx, nil
 }
 
 // rows returns |r|.
@@ -210,11 +220,11 @@ func (a *argument) columnCast(c *exec.Ctx) ([]string, error) {
 	}
 	perm := a.perm
 	if perm == nil {
-		// Names must be sorted even when row sorting was optimized away.
-		perm = bat.SortIndex(c, a.orderCols)
-		if !bat.KeyUnique(a.orderCols, perm) {
-			return nil, fmt.Errorf("rma: order schema %v of %s is not a key",
-				a.orderSchema.Names(), a.rel.Name)
+		// Names must be sorted even when row sorting was optimized away;
+		// the permutation is not kept, so the rows stay as they are.
+		var err error
+		if perm, err = a.keyPerm(c); err != nil {
+			return nil, err
 		}
 	}
 	col := a.orderCols[0]

@@ -134,8 +134,9 @@ func (c *Ctx) NoteSerialFallback() {
 // exceed minWork (so parallelism engages at n = minWork+1; ranges can be
 // as small as ⌈minWork/workers⌉ right above the boundary). This is the
 // shared parallel driver of the execution stack: the BAT kernels, the
-// column loops of package batlin, and the copy-in/copy-out loops of
-// package core all decompose their work through it.
+// column loops of package batlin, the dense kernels of package linalg
+// and the copy-in loops of package core all decompose their work
+// through it.
 func (c *Ctx) ParallelFor(n, minWork int, body func(lo, hi int)) {
 	if n <= 0 {
 		return

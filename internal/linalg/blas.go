@@ -8,8 +8,13 @@
 // its operand's columns over — arena working columns that it factors,
 // rotates or reads and then hands back. Results are columns drawn from
 // the context's arena, which the RMA layer takes as its result BATs.
-// There is one implementation of each operation, and it keeps its
-// working memory in the arena, inside the tenant's ledger.
+// There is one implementation of each job, and it keeps its working
+// memory in the arena, inside the tenant's ledger: every fan-out runs on
+// exec.Ctx.ParallelFor (the SVD's Jacobi rounds included), both Jacobi
+// methods rotate columns through one rotatePair, every reflector is
+// applied through applyReflectorTo, and an orthonormal complement (the
+// SVD's square factors and its columns of zero singular values) is the
+// trailing columns of the Householder Q of the columns it completes.
 //
 // This package is the repository's stand-in for Intel MKL (Section 7.3 of
 // the paper): a tuned kernel that the RMA layer delegates to — and whose
@@ -200,4 +205,23 @@ func crossRow(a, b, out [][]float64, i, j, r0, r1 int) {
 		}
 		out[j][i] = s
 	}
+}
+
+// TransposeCols returns the m columns of len(v) rows that transpose the
+// columns v of m rows, drawn from c's arena. Each source column writes a
+// distinct row of every output column, so the source columns fan out
+// with disjoint writes once they hold about minParallelWork elements.
+func TransposeCols(c *exec.Ctx, v [][]float64, m int) [][]float64 {
+	t := make([][]float64, m)
+	for i := range t {
+		t[i] = c.Arena().Floats(len(v))
+	}
+	c.ParallelFor(len(v), max(1, minParallelWork/max(1, m)), func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			for i, x := range v[j] {
+				t[i][j] = x
+			}
+		}
+	})
+	return t
 }

@@ -63,7 +63,7 @@ func naiveMatMul(a, b *matrix.Matrix) *matrix.Matrix {
 // naiveSYRK is aᵀ·a in the reference order with the upper triangle
 // mirrored into the lower one.
 func naiveSYRK(a *matrix.Matrix) *matrix.Matrix {
-	out := naiveMatMul(a.T(), a)
+	out := naiveMatMul(transpose(a), a)
 	for i := 0; i < out.Rows; i++ {
 		for j := i + 1; j < out.Cols; j++ {
 			out.Set(j, i, out.At(i, j))
@@ -110,7 +110,7 @@ func TestBlockedMatMulBitwiseFlat(t *testing.T) {
 			bt.Set(n-1, k0, math.NaN())
 		}
 		want := naiveMatMul(a, b)
-		wantOuter := naiveMatMul(a, bt.T())
+		wantOuter := naiveMatMul(a, transpose(bt))
 		for _, workers := range blockWorkerGrid {
 			c := exec.New(workers)
 			sameBits(t, fmt.Sprintf("matmul %v workers=%d", d, workers),
@@ -148,7 +148,7 @@ func TestBlockedSYRKBitwiseFlat(t *testing.T) {
 			}
 		}
 		wantSelf := naiveSYRK(a)
-		wantCross := naiveMatMul(a.T(), b)
+		wantCross := naiveMatMul(transpose(a), b)
 		for _, workers := range blockWorkerGrid {
 			c := exec.New(workers)
 			sameBits(t, fmt.Sprintf("syrk %v workers=%d", d, workers),

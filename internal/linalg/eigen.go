@@ -100,24 +100,14 @@ func symmetricJacobi(c *exec.Ctx, w [][]float64, withVectors bool) *Eigen {
 				cs := 1 / math.Sqrt(1+t*t)
 				sn := cs * t
 				// Rotate columns, then rows, p and q of w.
-				wp, wq := w[p], w[q]
-				for k := 0; k < n; k++ {
-					wkp, wkq := wp[k], wq[k]
-					wp[k] = cs*wkp - sn*wkq
-					wq[k] = sn*wkp + cs*wkq
-				}
+				rotatePair(w[p], w[q], cs, sn)
 				for _, wk := range w {
 					wpk, wqk := wk[p], wk[q]
 					wk[p] = cs*wpk - sn*wqk
 					wk[q] = sn*wpk + cs*wqk
 				}
 				if withVectors {
-					vp, vq := v[p], v[q]
-					for k := 0; k < n; k++ {
-						vkp, vkq := vp[k], vq[k]
-						vp[k] = cs*vkp - sn*vkq
-						vq[k] = sn*vkp + cs*vkq
-					}
+					rotatePair(v[p], v[q], cs, sn)
 				}
 			}
 		}

@@ -37,6 +37,15 @@ func diag(d []float64) *matrix.Matrix {
 	return m
 }
 
+// transpose returns mᵀ: its columns are m's rows.
+func transpose(m *matrix.Matrix) *matrix.Matrix {
+	rows := make([][]float64, m.Rows)
+	for i := range rows {
+		rows[i] = m.Row(i)
+	}
+	return matrix.FromColumns(rows)
+}
+
 func matMul(a, b *matrix.Matrix) *matrix.Matrix {
 	return matrix.FromColumns(MatMulCols(nil, a.Columns(), b.Columns(), a.Rows))
 }
@@ -159,7 +168,7 @@ func TestCrossOuterProduct(t *testing.T) {
 	if cpd.Rows != 3 || cpd.Cols != 4 {
 		t.Fatalf("CPD shape %dx%d", cpd.Rows, cpd.Cols)
 	}
-	if !matrix.ApproxEqual(cpd, matMul(a.T(), b), 1e-12) {
+	if !matrix.ApproxEqual(cpd, matMul(transpose(a), b), 1e-12) {
 		t.Error("CPD != AᵀB")
 	}
 	c := randMatrix(rng, 5, 3)
@@ -168,7 +177,7 @@ func TestCrossOuterProduct(t *testing.T) {
 	if opd.Rows != 5 || opd.Cols != 6 {
 		t.Fatalf("OPD shape %dx%d", opd.Rows, opd.Cols)
 	}
-	if !matrix.ApproxEqual(opd, matMul(c, d.T()), 1e-12) {
+	if !matrix.ApproxEqual(opd, matMul(c, transpose(d)), 1e-12) {
 		t.Error("OPD != ABᵀ")
 	}
 }
@@ -370,7 +379,7 @@ func TestSVDReconstruction(t *testing.T) {
 				t.Fatalf("%v: singular values not descending: %v", dims, d.S)
 			}
 		}
-		recon := matMul(matMul(u, diag(d.S)), v.T())
+		recon := matMul(matMul(u, diag(d.S)), transpose(v))
 		if !matrix.ApproxEqual(recon, a, 1e-8) {
 			t.Fatalf("%v: U·S·Vᵀ != A", dims)
 		}
@@ -405,8 +414,9 @@ func TestSVDRankDeficient(t *testing.T) {
 
 // TestSVDFactorsOrthonormal checks FullU and FullV on tall, square, wide,
 // rank-deficient and all-zero operands: both square factors orthogonal
-// to 1e-12, U·diag(S)·Vᵀ reconstructing A, and every factor bitwise equal
-// at 1, 2 and 8 workers (the Jacobi rounds fan out from 8 columns on).
+// to 1e-12 and U·diag(S)·Vᵀ reconstructing A at 1 worker, and every
+// factor bitwise equal to those at 2 and 8 workers (the Jacobi rounds of
+// the tall case fan out, and their goroutines count in the stats).
 func TestSVDFactorsOrthonormal(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rankFive := matMul(randMatrix(rng, 12, 5), randMatrix(rng, 5, 7))
@@ -423,53 +433,58 @@ func TestSVDFactorsOrthonormal(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, n := tc.a.Rows, tc.a.Cols
-			var ref [][]float64
-			for _, workers := range []int{1, 2, 8} {
-				c := exec.New(workers)
+			// factors returns S, then FullU's m and FullV's n columns.
+			factors := func(workers int) [][]float64 {
+				var st exec.Stats
+				c := exec.NewCtx(workers, nil, &st)
 				d, err := NewSVD(c, tc.a.Columns())
 				if err != nil {
 					t.Fatal(err)
 				}
+				if workers > 1 && m*n >= 1<<14 && st.Goroutines.Load() == 0 {
+					t.Errorf("workers=%d: the Jacobi rounds counted no goroutine", workers)
+				}
 				s := append([]float64(nil), d.S...)
-				zeros := 0
-				for _, sk := range s {
-					if sk <= 1e-13*s[0] {
-						zeros++
-					}
-				}
-				if zeros != tc.zeros {
-					t.Fatalf("workers=%d: %d zero singular values, want %d: %v", workers, zeros, tc.zeros, s)
-				}
 				u, v := d.FullU(c), d.FullV(c)
 				if len(u) != m || len(v) != n {
 					t.Fatalf("workers=%d: FullU has %d columns, FullV %d; want %d and %d", workers, len(u), len(v), m, n)
 				}
-				for name, q := range map[string][][]float64{"FullU": u, "FullV": v} {
-					if e := maxOffIdentity(matrix.FromColumns(q)); e > 1e-12 {
-						t.Errorf("workers=%d: %s: max |QᵀQ − I| = %.3g", workers, name, e)
+				return append(append([][]float64{s}, u...), v...)
+			}
+			ref := factors(1)
+			s, u, v := ref[0], ref[1:1+m], ref[1+m:]
+			zeros := 0
+			for _, sk := range s {
+				if sk <= 1e-13*s[0] {
+					zeros++
+				}
+			}
+			if zeros != tc.zeros {
+				t.Fatalf("%d zero singular values, want %d: %v", zeros, tc.zeros, s)
+			}
+			for name, q := range map[string][][]float64{"FullU": u, "FullV": v} {
+				if e := maxOffIdentity(q); e > 1e-12 {
+					t.Errorf("%s: max |QᵀQ − I| = %.3g", name, e)
+				}
+			}
+			// A = Σ_k s_k·u_k·v_kᵀ over the min(m, n) singular values.
+			scale := 1.0
+			for _, x := range tc.a.Data {
+				scale = max(scale, math.Abs(x))
+			}
+			for i := 0; i < m; i++ {
+				for j := 0; j < n; j++ {
+					var r float64
+					for k, sk := range s {
+						r += sk * u[k][i] * v[k][j]
+					}
+					if math.Abs(r-tc.a.At(i, j)) > 1e-10*scale {
+						t.Fatalf("U·S·Vᵀ[%d,%d] = %v, want %v", i, j, r, tc.a.At(i, j))
 					}
 				}
-				// A = Σ_k s_k·u_k·v_kᵀ over the min(m, n) singular values.
-				scale := 1.0
-				for _, x := range tc.a.Data {
-					scale = max(scale, math.Abs(x))
-				}
-				for i := 0; i < m; i++ {
-					for j := 0; j < n; j++ {
-						var r float64
-						for k, sk := range s {
-							r += sk * u[k][i] * v[k][j]
-						}
-						if math.Abs(r-tc.a.At(i, j)) > 1e-10*scale {
-							t.Fatalf("workers=%d: U·S·Vᵀ[%d,%d] = %v, want %v", workers, i, j, r, tc.a.At(i, j))
-						}
-					}
-				}
-				got := append(append(append([][]float64{}, s), u...), v...)
-				if ref == nil {
-					ref = got
-					continue
-				}
+			}
+			for _, workers := range []int{2, 8} {
+				got := factors(workers)
 				for k := range ref {
 					for i := range ref[k] {
 						if math.Float64bits(got[k][i]) != math.Float64bits(ref[k][i]) {
@@ -483,16 +498,14 @@ func TestSVDFactorsOrthonormal(t *testing.T) {
 }
 
 // maxOffIdentity returns max |QᵀQ − I| over the entries of QᵀQ.
-func maxOffIdentity(q *matrix.Matrix) float64 {
-	g := crossProduct(q, q)
+func maxOffIdentity(q [][]float64) float64 {
 	var e float64
-	for i := 0; i < g.Rows; i++ {
-		for j := 0; j < g.Cols; j++ {
-			want := 0.0
+	for j, col := range SYRKCols(nil, q) {
+		for i, x := range col {
 			if i == j {
-				want = 1
+				x--
 			}
-			e = max(e, math.Abs(g.At(i, j)-want))
+			e = max(e, math.Abs(x))
 		}
 	}
 	return e

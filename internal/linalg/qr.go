@@ -69,38 +69,45 @@ func (d *QR) R(c *exec.Ctx) [][]float64 {
 }
 
 // Q returns the thin m×n orthonormal factor as its n columns of length
-// m, drawn from c's arena: the Householder reflectors accumulated
-// against the first n identity columns. The per-column accumulations
-// are independent and fan out on c's workers once the factor holds
-// about minParallelWork elements.
-func (d *QR) Q(c *exec.Ctx) [][]float64 {
+// m, drawn from c's arena.
+func (d *QR) Q(c *exec.Ctx) [][]float64 { return d.qCols(c, 0, d.cols) }
+
+// qCols returns columns lo..hi-1 of the full m×m orthogonal factor
+// H₀·H₁···H_{n−1}, drawn from c's arena: the Householder reflectors
+// accumulated against identity columns lo..hi-1. Columns from n on are
+// an orthonormal basis of the complement of the factored columns' span.
+// The per-column accumulations are independent and fan out on c's
+// workers once the factor holds about minParallelWork elements.
+func (d *QR) qCols(c *exec.Ctx, lo, hi int) [][]float64 {
 	m, n := d.rows, d.cols
-	q := make([][]float64, n)
+	q := make([][]float64, hi-lo)
 	for j := range q {
 		q[j] = c.Arena().FloatsZero(m)
-		q[j][j] = 1
+		q[j][lo+j] = 1
 	}
-	c.ParallelFor(n, max(1, minParallelWork/max(1, m)), func(jLo, jHi int) {
-		for j := jLo; j < jHi; j++ {
-			col := q[j]
+	c.ParallelFor(len(q), max(1, minParallelWork/max(1, m)), func(jLo, jHi int) {
+		for _, col := range q[jLo:jHi] {
 			for k := n - 1; k >= 0; k-- {
-				ck := d.v[k]
-				beta := ck[k]
-				if beta == 0 {
-					continue
-				}
-				var s float64
-				for i := k; i < m; i++ {
-					s += ck[i] * col[i]
-				}
-				s = -s / beta
-				for i := k; i < m; i++ {
-					col[i] += s * ck[i]
+				if d.v[k][k] != 0 {
+					applyReflectorTo(d.v[k], col, k, m)
 				}
 			}
 		}
 	})
 	return q
+}
+
+// complementCols returns total−len(u) orthonormal columns of m rows,
+// drawn from c's arena, that complete the orthonormal columns u to an
+// orthonormal basis: columns len(u)…total−1 of the Householder Q of a
+// copy of u, O(m·len(u)) flops per column.
+func complementCols(c *exec.Ctx, u [][]float64, m, total int) [][]float64 {
+	if total <= len(u) {
+		return nil
+	}
+	d, _ := NewQRColumns(c, cloneCols(c, u), m) // len(u) <= total <= m
+	defer d.Free(c)
+	return d.qCols(c, len(u), total)
 }
 
 // lstsq solves min ‖a·x − b‖₂ for the overdetermined columns a (drawn
@@ -119,18 +126,8 @@ func lstsq(c *exec.Ctx, a [][]float64, b []float64) ([]float64, error) {
 	defer c.Arena().FreeFloats(qtb)
 	copy(qtb, b)
 	for k := 0; k < n; k++ {
-		ck := d.v[k]
-		beta := ck[k]
-		if beta == 0 {
-			continue
-		}
-		var s float64
-		for i := k; i < m; i++ {
-			s += ck[i] * qtb[i]
-		}
-		s = -s / beta
-		for i := k; i < m; i++ {
-			qtb[i] += s * ck[i]
+		if d.v[k][k] != 0 {
+			applyReflectorTo(d.v[k], qtb, k, m)
 		}
 	}
 	// Back substitution on R (diagonal in tau, strict upper in v).

@@ -3,7 +3,6 @@ package linalg
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/exec"
 )
@@ -36,13 +35,7 @@ func NewSVD(c *exec.Ctx, a [][]float64) (*SVD, error) {
 	}
 	m, n := len(a[0]), len(a)
 	if m < n {
-		t := make([][]float64, m)
-		for i := range t {
-			t[i] = c.Arena().Floats(n)
-			for j, col := range a {
-				t[i][j] = col[i]
-			}
-		}
+		t := TransposeCols(c, a, m)
 		freeCols(c, a)
 		d, err := NewSVD(c, t)
 		if err != nil {
@@ -57,9 +50,9 @@ func NewSVD(c *exec.Ctx, a [][]float64) (*SVD, error) {
 	vcols := identityCols(c, n)
 
 	// Each sweep visits every column pair once. A round-robin tournament
-	// schedule makes the pairs within a round disjoint, so rounds
-	// parallelize across cores (the classic parallel one-sided Jacobi).
-	workers := c.Workers()
+	// schedule makes the pairs within a round disjoint, so a round's
+	// rotations fan out on c's workers without moving a bit (the classic
+	// parallel one-sided Jacobi).
 	players := n
 	if players%2 == 1 {
 		players++
@@ -86,71 +79,35 @@ func NewSVD(c *exec.Ctx, a [][]float64) (*SVD, error) {
 		t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
 		cs := 1 / math.Sqrt(1+t*t)
 		sn := cs * t
-		for i := 0; i < m; i++ {
-			pi, qi := up[i], uq[i]
-			up[i] = cs*pi - sn*qi
-			uq[i] = sn*pi + cs*qi
-		}
-		vp, vq := vcols[p], vcols[q]
-		for i := 0; i < n; i++ {
-			pi, qi := vp[i], vq[i]
-			vp[i] = cs*pi - sn*qi
-			vq[i] = sn*pi + cs*qi
-		}
+		rotatePair(up, uq, cs, sn)
+		rotatePair(vcols[p], vcols[q], cs, sn)
 		return true
 	}
-	parallel := workers > 1 && players >= 8 && m*n > 1<<14
+	// A round fans out from 4 pairs on, once its pairs read and rotate
+	// about minParallelWork elements (4·m per pair: m·n > 2¹⁴ for a
+	// round of n/2 pairs).
+	minPairs := max(3, minParallelWork/(4*m))
 	type pair struct{ p, q int }
 	pairs := make([]pair, 0, players/2)
 	rotated := make([]bool, players/2)
+	round := func(lo, hi int) {
+		for x := lo; x < hi; x++ {
+			rotated[x] = rotate(pairs[x].p, pairs[x].q)
+		}
+	}
 	for sweep := 0; sweep < svdMaxSweeps; sweep++ {
 		rotatedAny := false
-		for round := 0; round < players-1; round++ {
+		for r := 0; r < players-1; r++ {
 			pairs = pairs[:0]
 			for i := 0; i < players/2; i++ {
 				p, q := seat[i], seat[players-1-i]
 				if p >= 0 && q >= 0 {
-					if p > q {
-						p, q = q, p
-					}
-					pairs = append(pairs, pair{p, q})
+					pairs = append(pairs, pair{min(p, q), max(p, q)})
 				}
 			}
-			if !parallel || len(pairs) < 2 {
-				for _, pr := range pairs {
-					if rotate(pr.p, pr.q) {
-						rotatedAny = true
-					}
-				}
-			} else {
-				var wg sync.WaitGroup
-				nw := workers
-				if nw > len(pairs) {
-					nw = len(pairs)
-				}
-				chunk := (len(pairs) + nw - 1) / nw
-				for w := 0; w < nw; w++ {
-					lo, hi := w*chunk, (w+1)*chunk
-					if hi > len(pairs) {
-						hi = len(pairs)
-					}
-					if lo >= hi {
-						break
-					}
-					wg.Add(1)
-					go func(lo, hi int) {
-						defer wg.Done()
-						for x := lo; x < hi; x++ {
-							rotated[x] = rotate(pairs[x].p, pairs[x].q)
-						}
-					}(lo, hi)
-				}
-				wg.Wait()
-				for _, r := range rotated[:len(pairs)] {
-					if r {
-						rotatedAny = true
-					}
-				}
+			c.ParallelFor(len(pairs), minPairs, round)
+			for _, ok := range rotated[:len(pairs)] {
+				rotatedAny = rotatedAny || ok
 			}
 			// Rotate the tournament seats (seat 0 fixed).
 			last := seat[players-1]
@@ -165,11 +122,7 @@ func NewSVD(c *exec.Ctx, a [][]float64) (*SVD, error) {
 	// Singular values are the column norms; normalize the columns into U.
 	sv := make([]float64, n)
 	for j := range u {
-		var norm float64
-		for _, x := range u[j] {
-			norm += x * x
-		}
-		sv[j] = math.Sqrt(norm)
+		sv[j] = norm2(u[j])
 	}
 
 	// Sort descending, permuting U and V consistently.
@@ -182,74 +135,36 @@ func NewSVD(c *exec.Ctx, a [][]float64) (*SVD, error) {
 	uOut := make([][]float64, n)
 	vOut := make([][]float64, n)
 	sOut := make([]float64, n)
-	maxSV := 0.0
-	for _, j := range order {
-		if sv[j] > maxSV {
-			maxSV = sv[j]
-		}
-	}
-	zeroTol := float64(m) * svdEps * maxSV
+	zeroTol := float64(m) * svdEps * sv[order[0]]
+	r := 0 // the columns of singular values above zeroTol lead
 	for dst, src := range order {
 		sOut[dst] = sv[src]
-		col := u[src]
-		if sv[src] > zeroTol && sv[src] > 0 {
-			inv := 1 / sv[src]
-			for i := range col {
-				col[i] *= inv
-			}
-		} else {
-			clear(col)
-		}
-		uOut[dst] = col
+		uOut[dst] = u[src]
 		vOut[dst] = vcols[src]
+		if sv[src] > zeroTol {
+			inv := 1 / sv[src]
+			for i := range u[src] {
+				u[src][i] *= inv
+			}
+			r++
+		}
 	}
 	// Columns for (near-)zero singular values are arbitrary up to
-	// orthonormality; fill them by Gram-Schmidt against identity vectors.
-	completeOrthonormal(c, uOut, sOut, zeroTol)
+	// orthonormality; complete the leading r to an orthonormal basis.
+	freeCols(c, uOut[r:])
+	copy(uOut[r:], complementCols(c, uOut[:r], m, n))
 	return &SVD{U: uOut, S: sOut, V: vOut}, nil
 }
 
-// completeOrthonormal replaces the columns u[j] whose singular value is
-// below tol with vectors orthonormal to all other columns.
-func completeOrthonormal(c *exec.Ctx, u [][]float64, sv []float64, tol float64) {
-	m := len(u[0])
-	var cand []float64
-	for j, s := range sv {
-		if s > tol && s > 0 {
-			continue
-		}
-		if cand == nil {
-			cand = c.Arena().Floats(m)
-			defer c.Arena().FreeFloats(cand)
-		}
-		// Try identity candidates until one survives projection.
-		for e := 0; e < m; e++ {
-			clear(cand)
-			cand[e] = 1
-			for k, uk := range u {
-				if k == j {
-					continue
-				}
-				project(cand, uk)
-			}
-			if norm := norm2(cand); norm > 1e-6 {
-				for i := range cand {
-					u[j][i] = cand[i] / norm
-				}
-				break
-			}
-		}
-	}
-}
-
-// project subtracts from cand its component along the unit vector u.
-func project(cand, u []float64) {
-	var dot float64
-	for i, x := range cand {
-		dot += x * u[i]
-	}
-	for i := range cand {
-		cand[i] -= dot * u[i]
+// rotatePair applies the plane rotation (cs, sn) to the columns x and y:
+// x ← cs·x − sn·y, y ← sn·x + cs·y. Both Jacobi methods rotate their
+// columns through it.
+func rotatePair(x, y []float64, cs, sn float64) {
+	y = y[:len(x)]
+	for i, xi := range x {
+		yi := y[i]
+		x[i] = cs*xi - sn*yi
+		y[i] = sn*xi + cs*yi
 	}
 }
 
@@ -267,7 +182,7 @@ func norm2(x []float64) float64 {
 // c's arena. This is what the paper's USV (shape (r1,r1): m×n in, m×m
 // out) returns. The result takes U's columns over.
 func (d *SVD) FullU(c *exec.Ctx) [][]float64 {
-	u := extendOrthonormal(c, d.U)
+	u := squareCols(c, d.U)
 	d.U = nil
 	return u
 }
@@ -276,7 +191,7 @@ func (d *SVD) FullU(c *exec.Ctx) [][]float64 {
 // columns over; V is already square except when the input had fewer
 // rows than columns.
 func (d *SVD) FullV(c *exec.Ctx) [][]float64 {
-	v := extendOrthonormal(c, d.V)
+	v := squareCols(c, d.V)
 	d.V = nil
 	return v
 }
@@ -289,39 +204,11 @@ func (d *SVD) Free(c *exec.Ctx) {
 	d.U, d.V = nil, nil
 }
 
-// extendOrthonormal completes n orthonormal columns of m >= n rows to m
-// orthonormal columns by Gram-Schmidt over identity candidates.
-func extendOrthonormal(c *exec.Ctx, u [][]float64) [][]float64 {
-	m, n := len(u[0]), len(u)
-	full := make([][]float64, m)
-	copy(full, u)
-	next := n
-	var cand []float64
-	for e := 0; e < m && next < m; e++ {
-		if cand == nil {
-			cand = c.Arena().Floats(m)
-		}
-		clear(cand)
-		cand[e] = 1
-		for _, fk := range full[:next] {
-			project(cand, fk)
-		}
-		if norm := norm2(cand); norm > 1e-6 {
-			for i := range cand {
-				cand[i] /= norm
-			}
-			full[next] = cand
-			next++
-			cand = nil
-		}
-	}
-	if cand != nil {
-		c.Arena().FreeFloats(cand)
-	}
-	for ; next < m; next++ {
-		full[next] = c.Arena().FloatsZero(m)
-	}
-	return full
+// squareCols completes the orthonormal columns u of m rows to m
+// orthonormal columns, taking u over.
+func squareCols(c *exec.Ctx, u [][]float64) [][]float64 {
+	m := len(u[0])
+	return append(u, complementCols(c, u, m, m)...)
 }
 
 // SingularValues returns the singular values of the columns a (consumed

@@ -2,7 +2,7 @@
 // matrix type of the R and AIDA simulations (internal/competitor) and of
 // the benchmark code that drives them (internal/bench), together with
 // the elementwise operations those simulations run on it (ADD, EMU,
-// scaling, transposition). The RMA engine does not use it: its dense
+// scaling). The RMA engine does not use it: its dense
 // kernels (internal/linalg) run on float columns, the layout of a
 // relation's BATs; Columns and FromColumns convert between the two.
 package matrix
@@ -69,23 +69,6 @@ func (m *Matrix) Columns() [][]float64 {
 	return out
 }
 
-// Clone deep-copies the matrix.
-func (m *Matrix) Clone() *Matrix {
-	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: append([]float64(nil), m.Data...)}
-}
-
-// T returns the transpose (TRA).
-func (m *Matrix) T() *Matrix {
-	t := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			t.Data[j*t.Cols+i] = v
-		}
-	}
-	return t
-}
-
 func sameShape(op string, a, b *Matrix) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("matrix: %s shape mismatch %dx%d vs %dx%d", op, a.Rows, a.Cols, b.Rows, b.Cols))
@@ -132,19 +115,4 @@ func ApproxEqual(a, b *Matrix, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	s := fmt.Sprintf("%dx%d [", m.Rows, m.Cols)
-	for i := 0; i < m.Rows && i < 8; i++ {
-		s += fmt.Sprintf("%v", m.Row(i))
-		if i < m.Rows-1 {
-			s += "; "
-		}
-	}
-	if m.Rows > 8 {
-		s += "..."
-	}
-	return s + "]"
 }

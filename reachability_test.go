@@ -22,6 +22,7 @@ var uncalledAllowed = map[string]string{
 	"internal/core.FromSkinny":               "kept for ROADMAP item 16, the K-relation view as a second RMA executor, which builds on it; skinny_test.go pins it",
 	"internal/sql.DB.SetPlanCache":           "tests disable the plan cache through it; kept until ROADMAP item 4(d) decides the cache's fate",
 	"internal/bat.Value.Less":                "shared test helper: the reference value order in the bat and sql tests",
+	"internal/bat.Value.Equal":               "shared test helper: cell equality in the bat, csvio and core tests",
 	"internal/matrix.ApproxEqual":            "shared test helper: tolerance comparison in the matrix, linalg, batlin and core tests",
 	"internal/analysis/atest.Run":            "the rmalint fixture runner: only analyzers_test.go calls it",
 }
@@ -49,8 +50,12 @@ type ref struct {
 	// bare is set for an identifier that is not the selected name of a
 	// selector expression.
 	bare bool
+	// pkg is set for the selected name of pkg.Name, a qualified
+	// identifier whose pkg names an import of the file.
+	pkg bool
 	// qual is, for the selected name of pkg.Name, the package directory
-	// of the import pkg names; "" otherwise.
+	// of the import pkg names when that is a repository package; ""
+	// otherwise.
 	qual string
 }
 
@@ -65,13 +70,18 @@ type parsed struct {
 // own declaration. A function without a receiver counts as called only
 // through a bare identifier in its own package, or through a pkg.F
 // selector whose pkg is an import of its package; a method counts as
-// called wherever its name is mentioned (exported methods anywhere in the
+// called wherever its name is selected, x.Name, other than as a
+// package's member pkg.Name (exported methods anywhere in the
 // repository, benchmark/ included and testdata/ excluded; unexported ones
-// inside their own package). The method rule is name-based, so it
-// over-approximates "called": a same-named method or selector elsewhere
-// hides a dead method (an uncalled Close, say). The test never flags live
-// code, except a function called only through a dot import, which the
-// repository does not use.
+// inside their own package). So a type parameter, local or field key
+// named like a method does not keep it alive, nor does testing.T. The
+// method rule is name-based, so it over-approximates "called": a
+// same-named method or field selected elsewhere hides a dead method (an
+// uncalled Close, say). The test never flags live code, except a
+// function called only through a dot import, which the repository does
+// not use, a method called only through a local that shadows an import's
+// name, and a method only an interface's implicit use calls (fmt's
+// String, sort.Interface), which the allowlist names.
 func TestEveryInternalFuncHasACaller(t *testing.T) {
 	fset := token.NewFileSet()
 	var files []parsed
@@ -105,16 +115,23 @@ func TestEveryInternalFuncHasACaller(t *testing.T) {
 
 	var decls []decl
 	refs := map[string][]ref{}
+	// ifaceMethods holds, per package directory, the method names of the
+	// interfaces it declares: a method that makes its type satisfy one
+	// (a sealed interface's marker, say) is used without being called.
+	ifaceMethods := map[string]map[string]bool{}
 	for _, pf := range files {
-		// imports maps the file's local name of each repository package
-		// to that package's directory.
+		// imports maps the file's local name of each import to the
+		// package's directory for a repository package, "" otherwise.
 		imports := map[string]string{}
 		for _, im := range pf.f.Imports {
-			dir, ok := strings.CutPrefix(strings.Trim(im.Path.Value, `"`), module+"/")
-			if !ok {
-				continue
+			path := strings.Trim(im.Path.Value, `"`)
+			dir, ok := strings.CutPrefix(path, module+"/")
+			local := path[strings.LastIndex(path, "/")+1:]
+			if ok {
+				local = pkgName[dir]
+			} else {
+				dir = ""
 			}
-			local := pkgName[dir]
 			if im.Name != nil {
 				local = im.Name.Name
 			}
@@ -137,18 +154,30 @@ func TestEveryInternalFuncHasACaller(t *testing.T) {
 			decls = append(decls, decl{key: key, name: fn.Name.Name, method: fn.Recv != nil,
 				dir: pf.dir, file: pf.path, pos: fn.Pos(), end: fn.End()})
 		}
-		selected := map[*ast.Ident]string{} // selected name -> qualifier's package directory
+		selected := map[*ast.Ident]ref{} // selected name -> its qualifier
 		ast.Inspect(pf.f, func(n ast.Node) bool {
 			switch x := n.(type) {
-			case *ast.SelectorExpr:
-				selected[x.Sel] = ""
-				if id, ok := x.X.(*ast.Ident); ok {
-					selected[x.Sel] = imports[id.Name]
+			case *ast.InterfaceType:
+				for _, f := range x.Methods.List {
+					for _, name := range f.Names {
+						if ifaceMethods[pf.dir] == nil {
+							ifaceMethods[pf.dir] = map[string]bool{}
+						}
+						ifaceMethods[pf.dir][name.Name] = true
+						declNames[name] = true
+					}
 				}
+			case *ast.SelectorExpr:
+				var r ref
+				if id, ok := x.X.(*ast.Ident); ok {
+					r.qual, r.pkg = imports[id.Name]
+				}
+				selected[x.Sel] = r
 			case *ast.Ident:
 				if !declNames[x] {
-					qual, sel := selected[x]
-					refs[x.Name] = append(refs[x.Name], ref{dir: pf.dir, file: pf.path, pos: x.Pos(), bare: !sel, qual: qual})
+					r, sel := selected[x]
+					r.dir, r.file, r.pos, r.bare = pf.dir, pf.path, x.Pos(), !sel
+					refs[x.Name] = append(refs[x.Name], r)
 				}
 			}
 			return true
@@ -156,13 +185,16 @@ func TestEveryInternalFuncHasACaller(t *testing.T) {
 	}
 
 	called := func(d decl) bool {
+		if d.method && ifaceMethods[d.dir][d.name] {
+			return true
+		}
 		for _, r := range refs[d.name] {
 			if r.file == d.file && r.pos >= d.pos && r.pos < d.end {
 				continue // the declaration's own body
 			}
 			switch {
 			case d.method:
-				if ast.IsExported(d.name) || r.dir == d.dir {
+				if !r.bare && !r.pkg && (ast.IsExported(d.name) || r.dir == d.dir) {
 					return true
 				}
 			case r.qual == d.dir, r.bare && r.dir == d.dir:
