@@ -470,62 +470,80 @@ func TestDsvVsvShapes(t *testing.T) {
 
 func TestErrorCases(t *testing.T) {
 	r := weather()
-	// Unknown order attribute.
-	if _, err := Inv(r, []string{"Nope"}, nil); err == nil {
-		t.Error("missing order attribute accepted")
-	}
-	// Duplicate order attribute.
-	if _, err := Inv(r, []string{"T", "T"}, nil); err == nil {
-		t.Error("duplicate order attribute accepted")
-	}
-	// Non-numeric application attribute (T not in order schema).
-	if _, err := Inv(r, []string{"H", "W"}, nil); err == nil {
-		t.Error("string application attribute accepted")
-	}
-	// Empty application schema.
-	if _, err := Inv(r, []string{"T", "H", "W"}, nil); err == nil {
-		t.Error("empty application schema accepted")
-	}
-	// Non-square inv (4 rows × 2 app cols).
-	if _, err := Inv(r, []string{"T"}, nil); err == nil {
-		t.Error("non-square inv accepted")
-	}
-	// Order schema not a key.
 	b := rel.NewBuilder("dup", rel.Schema{{Name: "K", Type: bat.Int}, {Name: "x", Type: bat.Float}})
 	b.MustAdd(bat.IntValue(1), bat.FloatValue(1))
 	b.MustAdd(bat.IntValue(1), bat.FloatValue(2))
-	if _, err := Qqr(b.Relation(), []string{"K"}, nil); err == nil {
-		t.Error("non-key order schema accepted")
-	}
-	// Column cast with 2 order attributes (usv requires |U| = 1).
-	if _, err := Usv(r, []string{"T", "H"}, nil); err == nil {
-		t.Error("usv with cardinality-2 order schema accepted")
-	}
-	// Unary called with binary op and vice versa.
-	if _, err := Unary(OpADD, r, []string{"T"}, nil); err == nil {
-		t.Error("Unary(add) accepted")
-	}
-	if _, err := Binary(OpINV, r, []string{"T"}, r, []string{"T"}, nil); err == nil {
-		t.Error("Binary(inv) accepted")
-	}
-	// Binary shape violations.
+	dup := b.Relation()
 	small := rel.MustNew("s", rel.Schema{{Name: "J", Type: bat.Int}, {Name: "v", Type: bat.Float}},
 		[]*bat.BAT{bat.FromInts([]int64{1}), bat.FromFloats([]float64{1})})
-	if _, err := Add(r, []string{"T"}, small, []string{"J"}, nil); err == nil {
-		t.Error("add with unequal rows accepted")
-	}
-	if _, err := Cpd(r, []string{"T"}, small, []string{"J"}, nil); err == nil {
-		t.Error("cpd with unequal rows accepted")
-	}
-	// Overlapping order schemas for add.
 	r2 := rel.MustNew("r2", rel.Schema{{Name: "T", Type: bat.String}, {Name: "H", Type: bat.Float}, {Name: "W", Type: bat.Float}},
 		[]*bat.BAT{bat.FromStrings([]string{"x", "y", "z", "w"}), bat.FromFloats([]float64{1, 2, 3, 4}), bat.FromFloats([]float64{1, 2, 3, 4})})
-	if _, err := Add(r, []string{"T"}, r2, []string{"T"}, nil); err == nil {
-		t.Error("overlapping order schemas accepted")
+	// col4 is a single application column over the keys J = 1..4.
+	col4 := rel.MustNew("v4", rel.Schema{{Name: "J", Type: bat.Int}, {Name: "v", Type: bat.Float}},
+		[]*bat.BAT{bat.FromInts([]int64{1, 2, 3, 4}), bat.FromFloats([]float64{1, 2, 3, 4})})
+	// wide has 2 rows and 3 application attributes.
+	wide := rel.MustNew("w", rel.Schema{{Name: "J", Type: bat.Int}, {Name: "a", Type: bat.Float}, {Name: "b", Type: bat.Float}, {Name: "c", Type: bat.Float}},
+		[]*bat.BAT{bat.FromInts([]int64{1, 2}), bat.FromFloats([]float64{1, 2}), bat.FromFloats([]float64{3, 4}), bat.FromFloats([]float64{5, 6})})
+	// rhs2 is a single application column over the keys J = 1, 2.
+	rhs2 := rel.MustNew("b2", rel.Schema{{Name: "J", Type: bat.Int}, {Name: "v", Type: bat.Float}},
+		[]*bat.BAT{bat.FromInts([]int64{1, 2}), bat.FromFloats([]float64{1, 2})})
+	T, J := []string{"T"}, []string{"J"}
+	cases := []struct {
+		name string
+		run  func() (*rel.Relation, error)
+		want string
+	}{
+		{"unknown order attribute", func() (*rel.Relation, error) { return Inv(r, []string{"Nope"}, nil) },
+			`rma: order attribute "Nope" not in relation r`},
+		{"duplicate order attribute", func() (*rel.Relation, error) { return Inv(r, []string{"T", "T"}, nil) },
+			`rma: duplicate order attribute "T"`},
+		{"string application attribute", func() (*rel.Relation, error) { return Inv(r, []string{"H", "W"}, nil) },
+			`rma: application attribute "T" of r is VARCHAR; add it to the order schema or project it away`},
+		{"empty application schema", func() (*rel.Relation, error) { return Inv(r, []string{"T", "H", "W"}, nil) },
+			`rma: relation r has an empty application schema`},
+		{"non-square inv", func() (*rel.Relation, error) { return Inv(r, T, nil) },
+			`rma: inv needs a square application part, got 4x2`},
+		{"non-square evc", func() (*rel.Relation, error) { return Evc(r, T, nil) },
+			`rma: evc needs a square application part, got 4x2`},
+		{"wide rqr", func() (*rel.Relation, error) { return Rqr(wide, J, nil) },
+			`rma: rqr needs at least as many rows as application attributes, got 2x3`},
+		{"order schema not a key", func() (*rel.Relation, error) { return Qqr(dup, []string{"K"}, nil) },
+			`rma: order schema [K] of dup is not a key`},
+		{"usv column cast of two order attributes", func() (*rel.Relation, error) { return Usv(r, []string{"T", "H"}, nil) },
+			`rma: column cast needs an order schema of cardinality one, got [T H]`},
+		{"Unary(add)", func() (*rel.Relation, error) { return Unary(OpADD, r, T, nil) },
+			`rma: add takes two relations`},
+		{"Binary(inv)", func() (*rel.Relation, error) { return Binary(OpINV, r, T, r, T, nil) },
+			`rma: inv takes one relation`},
+		{"add with unequal rows", func() (*rel.Relation, error) { return Add(r, T, small, J, nil) },
+			`rma: add needs equal row counts, got 4 and 1`},
+		{"cpd with unequal rows", func() (*rel.Relation, error) { return Cpd(r, T, small, J, nil) },
+			`rma: cpd needs equal row counts, got 4 and 1`},
+		{"overlapping order schemas", func() (*rel.Relation, error) { return Add(r, T, r2, T, nil) },
+			`rma: add needs non-overlapping order schemas; "T" appears in both`},
+		{"sol with unequal rows", func() (*rel.Relation, error) { return Sol(r, T, small, J, nil) },
+			`rma: sol needs equal row counts, got 4 and 1`},
+		{"sol with two right-hand columns", func() (*rel.Relation, error) { return Sol(r, T, r2, T, nil) },
+			`rma: sol needs a single application attribute on the right, got 2`},
+		{"underdetermined sol", func() (*rel.Relation, error) { return Sol(wide, J, rhs2, J, nil) },
+			`rma: sol is underdetermined: 2 rows, 3 unknowns`},
+		{"mmu inner dimension", func() (*rel.Relation, error) { return Mmu(r, T, col4, J, nil) },
+			`rma: mmu inner dimensions: 2 application attributes vs 4 rows`},
+		{"opd width", func() (*rel.Relation, error) { return Opd(r, T, col4, J, nil) },
+			`rma: opd needs equally wide application schemas, got 2 and 1`},
 	}
-	// ParseOp.
-	if _, err := ParseOp("nope"); err == nil {
-		t.Error("unknown op parsed")
+	for _, tc := range cases {
+		res, err := tc.run()
+		if err == nil {
+			t.Errorf("%s: accepted, got %d rows", tc.name, res.NumRows())
+			continue
+		}
+		if err.Error() != tc.want {
+			t.Errorf("%s: error %q, want %q", tc.name, err.Error(), tc.want)
+		}
+	}
+	if _, err := ParseOp("nope"); err == nil || err.Error() != `rma: unknown operation "nope"` {
+		t.Errorf("ParseOp(nope) = %v", err)
 	}
 	if op, err := ParseOp("inv"); err != nil || op != OpINV {
 		t.Errorf("ParseOp(inv) = %v, %v", op, err)
