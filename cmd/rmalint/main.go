@@ -2,14 +2,14 @@
 // over the four analyzers in internal/analysis (arenapair, ctxfirst,
 // budgetboundary, detorder).
 //
-// It runs two ways:
+// It runs through cmd/go's vet protocol, over the test files too:
 //
-//	go vet -vettool=$(which rmalint) ./...   # CI mode, via cmd/go's vet protocol
-//	rmalint -json ./...                      # standalone, machine-readable
+//	go vet -vettool=$(which rmalint) ./...         # findings on stderr
+//	go vet -vettool=$(which rmalint) -json ./...   # machine-readable report
 //
 // The JSON report lists live findings and //lint:ignore suppressions
 // (with their reasons) per package, so tooling can track both over
-// time. Exit status: 0 clean, 2 findings, 1 operational error.
+// time. Without -json, go vet fails when rmalint finds anything.
 package main
 
 import (

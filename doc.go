@@ -310,6 +310,24 @@
 // exec.SpillStats (bytes, partitions, events) aggregates into
 // sql.DB.Metrics alongside the arena counters.
 //
+// # The operation table
+//
+// Each of the nineteen operations is one row of core's operation table
+// (opTable in internal/core/op.go): its arity, its shape type (Tables
+// 1-3), its §8.1 sort need, its argument requirements (Table 1, and
+// whether an argument may have no rows, which only TRA, ADD, SUB and
+// EMU admit), its §7.3 BAT kernel if it has one, whether PolicyAuto
+// keeps it on BATs (ADD, SUB and EMU), and its dense kernel. ParseOp,
+// Op.Binary, ShapeOf and Ops read the table, and unary and binary
+// operations share one Algorithm 1 driver (core's run): it resolves the
+// row, splits each argument, sorts them as the row's sort need and the
+// SortMode say, checks the requirements, evaluates the base result on
+// the engine the policy and the row pick, and assembles the result. No
+// other code in core branches on the operation, and an unknown
+// operation fails with ParseOp's error before anything is split or
+// sorted. core.TestOpRouting pins each row's engine and sort decision
+// under every policy and sort mode.
+//
 // # Context handling
 //
 // Handling contextual information — sorting each argument by its order
@@ -411,8 +429,8 @@
 //
 // A finding that reflects a deliberate exception is suppressed in place
 // with a `//lint:ignore rmalint/<analyzer> reason` comment on (or
-// directly above) the offending line. rmalint -json emits the findings
-// machine-readably and counts every suppression, so the escape hatch
+// directly above) the offending line. `go vet -vettool=rmalint -json`
+// emits the findings machine-readably and counts every suppression, so the escape hatch
 // stays auditable; each analyzer also ships analysistest-style fixtures
 // under internal/analysis/testdata, including a regression fixture
 // reproducing the streaming GROUP BY scratch-column leak fixed in an

@@ -9,9 +9,8 @@
 // The types mirror golang.org/x/tools/go/analysis deliberately, but the
 // implementation is standard-library only: the repository carries no
 // module dependencies, so the suite includes its own vet -vettool
-// driver (unitchecker.go), a go-list-based standalone driver
-// (standalone.go), and a fixture harness (atest). Should the tree ever
-// vendor x/tools, each Analyzer.Run ports over mechanically.
+// driver (unitchecker.go) and a fixture harness (atest). Should the
+// tree ever vendor x/tools, each Analyzer.Run ports over mechanically.
 //
 // # Suppressions
 //
@@ -20,8 +19,9 @@
 //
 //	//lint:ignore rmalint/<analyzer> <reason>
 //
-// The reason is mandatory and is surfaced in `rmalint -json` output so
-// tooling can count (and trend) suppressions over time.
+// The reason is mandatory and is surfaced in the -json output of
+// `go vet -vettool=rmalint -json` so tooling can count (and trend)
+// suppressions over time.
 package analysis
 
 import (

@@ -51,9 +51,9 @@ type vetConfig struct {
 	SucceedOnTypecheckFailure bool
 }
 
-// Main is the entry point for cmd/rmalint. It dispatches between the
-// vet protocol (a single .cfg argument) and the standalone package-
-// pattern driver (standalone.go), and returns the process exit code.
+// Main is the entry point for cmd/rmalint: it answers cmd/go's vet
+// protocol and returns the process exit code. Run it through
+// `go vet -vettool`, which hands it one package's .cfg file at a time.
 func Main(args []string) int {
 	jsonOut := false
 	var rest []string
@@ -79,7 +79,8 @@ func Main(args []string) int {
 	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
 		return runVetConfig(rest[0], jsonOut)
 	}
-	return runStandalone(rest, jsonOut)
+	fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(which rmalint) [-json] ./...")
+	return 1
 }
 
 // printVersion emits the line cmd/go's buildID machinery parses: the

@@ -17,8 +17,12 @@
 //
 // Execution follows the paper's Algorithm 1: split the argument's BATs
 // into order and application lists, sort by the order schema, morph the
-// contextual information, evaluate the matrix kernel, and merge. Two
-// independent execution knobs reproduce the paper's ablations:
+// contextual information, evaluate the matrix kernel, and merge. Unary
+// and Binary share one driver for it (run, rma.go), and everything the
+// driver knows about an operation — arity, shape type, sort need,
+// argument requirements, BAT and dense kernels — is the operation's one
+// row of the operation table (opTable, op.go). Two independent execution
+// knobs reproduce the paper's ablations:
 //
 //   - Policy selects between the no-copy column-at-a-time kernels of
 //     internal/batlin (RMA+BAT) and the dense kernels of internal/linalg

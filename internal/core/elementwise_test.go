@@ -136,3 +136,47 @@ func TestElementwisePermutedReadBitwise(t *testing.T) {
 		}
 	}
 }
+
+// TestElementwiseOfEmptyRelations holds ADD, SUB and EMU of two empty
+// relations to the empty relation of shape (r*,c*): both order schemas,
+// then the first argument's application schema, under every policy and
+// sort mode, as TRA of an empty relation already is. The other binary
+// operations keep rejecting an empty argument.
+func TestElementwiseOfEmptyRelations(t *testing.T) {
+	empty := func(name, key string) *rel.Relation {
+		return rel.MustNew(name, rel.Schema{{Name: key, Type: bat.Int}, {Name: name + "x", Type: bat.Float}, {Name: name + "y", Type: bat.Int}},
+			[]*bat.BAT{bat.FromInts(nil), bat.FromFloats(nil), bat.FromInts(nil)})
+	}
+	r, s := empty("r", "kr"), empty("s", "ks")
+	ops := []struct {
+		op  Op
+		run func(*rel.Relation, []string, *rel.Relation, []string, *Options) (*rel.Relation, error)
+	}{{OpADD, Add}, {OpSUB, Sub}, {OpEMU, Emu}}
+	for _, tc := range ops {
+		for _, p := range []Policy{PolicyAuto, PolicyBAT, PolicyDense} {
+			for _, mode := range []SortMode{SortFull, SortOptimized} {
+				at := fmt.Sprintf("%s %v mode=%d", tc.op, p, mode)
+				got, err := tc.run(r, []string{"kr"}, s, []string{"ks"}, &Options{Policy: p, SortMode: mode})
+				if err != nil {
+					t.Fatalf("%s: %v", at, err)
+				}
+				if names := fmt.Sprint(got.Schema.Names()); got.NumRows() != 0 || names != "[kr ks rx ry]" {
+					t.Errorf("%s: %d rows of %s, want 0 rows of [kr ks rx ry]", at, got.NumRows(), names)
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		run  func(*rel.Relation, []string, *rel.Relation, []string, *Options) (*rel.Relation, error)
+		want string
+	}{
+		{Mmu, "rma: mmu inner dimensions: 2 application attributes vs 0 rows"},
+		{Opd, "rma: opd over an empty relation"},
+		{Cpd, "rma: cpd over an empty relation"},
+		{Sol, "rma: sol needs a single application attribute on the right, got 2"},
+	} {
+		if _, err := tc.run(r, []string{"kr"}, s, []string{"ks"}, nil); err == nil || err.Error() != tc.want {
+			t.Errorf("error %v, want %q", err, tc.want)
+		}
+	}
+}

@@ -1,6 +1,13 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/bat"
+	"repro/internal/batlin"
+	"repro/internal/exec"
+	"repro/internal/linalg"
+)
 
 // Op identifies a relational matrix operation. The lower-case names match
 // the paper's RMA operations (Table 2); the corresponding matrix operations
@@ -30,31 +37,30 @@ const (
 	OpCHF Op = "chf" // Cholesky factorization
 )
 
-// Ops lists all relational matrix operations.
-var Ops = []Op{
-	OpEMU, OpMMU, OpOPD, OpCPD, OpADD, OpSUB, OpTRA, OpSOL, OpINV, OpEVC,
-	OpEVL, OpQQR, OpRQR, OpDSV, OpUSV, OpVSV, OpDET, OpRNK, OpCHF,
-}
+// Ops lists all relational matrix operations, in the order of the
+// operation table's rows.
+var Ops = func() []Op {
+	ops := make([]Op, len(opTable))
+	for k, s := range opTable {
+		ops[k] = s.op
+	}
+	return ops
+}()
 
 // ParseOp resolves an operation name (case-insensitive at the SQL layer,
 // which lower-cases before calling).
 func ParseOp(name string) (Op, error) {
-	op := Op(name)
-	switch op {
-	case OpEMU, OpMMU, OpOPD, OpCPD, OpADD, OpSUB, OpTRA, OpSOL, OpINV,
-		OpEVC, OpEVL, OpQQR, OpRQR, OpDSV, OpUSV, OpVSV, OpDET, OpRNK, OpCHF:
-		return op, nil
+	s, err := specOf(Op(name))
+	if err != nil {
+		return "", err
 	}
-	return "", fmt.Errorf("rma: unknown operation %q", name)
+	return s.op, nil
 }
 
 // Binary reports whether the operation takes two argument relations.
 func (op Op) Binary() bool {
-	switch op {
-	case OpEMU, OpMMU, OpOPD, OpCPD, OpADD, OpSUB, OpSOL:
-		return true
-	}
-	return false
+	s, err := specOf(op)
+	return err == nil && s.binary
 }
 
 // Dim is one component of a shape type: where the result's row or column
@@ -85,29 +91,11 @@ type ShapeType struct {
 // matrix V of an i1×j1 matrix is j1×j1. vsv is implemented with shape
 // (c1,c1), the same class as rqr and dsv.
 func ShapeOf(op Op) ShapeType {
-	switch op {
-	case OpUSV:
-		return ShapeType{DimR1, DimR1}
-	case OpOPD:
-		return ShapeType{DimR1, DimR2}
-	case OpINV, OpEVC, OpCHF, OpQQR:
-		return ShapeType{DimR1, DimC1}
-	case OpMMU:
-		return ShapeType{DimR1, DimC2}
-	case OpEVL:
-		return ShapeType{DimR1, DimOne}
-	case OpTRA:
-		return ShapeType{DimC1, DimR1}
-	case OpRQR, OpDSV, OpVSV:
-		return ShapeType{DimC1, DimC1}
-	case OpCPD, OpSOL:
-		return ShapeType{DimC1, DimC2}
-	case OpEMU, OpADD, OpSUB:
-		return ShapeType{DimRStar, DimCStar}
-	case OpDET, OpRNK:
-		return ShapeType{DimOne, DimOne}
+	s, err := specOf(op)
+	if err != nil {
+		panic(fmt.Sprintf("rma: no shape type for %q", op))
 	}
-	panic(fmt.Sprintf("rma: no shape type for %q", op))
+	return s.shape
 }
 
 // sortNeed classifies how much sorting an operation needs when the
@@ -133,14 +121,75 @@ const (
 	needSecondOnly
 )
 
-func sortNeedOf(op Op) sortNeed {
-	switch op {
-	case OpQQR, OpUSV, OpRQR, OpDSV, OpVSV, OpRNK:
-		return needNone
-	case OpADD, OpSUB, OpEMU, OpCPD, OpSOL:
-		return needRelative
-	case OpMMU, OpOPD:
-		return needSecondOnly
+// opSpec is one operation's row of the operation table: the facts the
+// paper states about it and the kernels that compute its base result.
+// The Algorithm 1 driver (run) reads nothing else about an operation.
+type opSpec struct {
+	op     Op
+	binary bool      // takes two argument relations
+	shape  ShapeType // paper Tables 1-3
+	sort   sortNeed  // §8.1
+	// check lists the argument requirements (paper Table 1), checked in
+	// order after sorting; empty admits arguments without rows, which
+	// every other operation rejects after its requirements.
+	check []require
+	empty bool
+	// bat is §7.3's no-copy kernel over the ordered application columns,
+	// batRead one that reads the operands through their sort
+	// permutations instead; with neither, PolicyBAT runs dense. autoBAT
+	// keeps the operation on BATs under PolicyAuto.
+	bat     batKernel
+	batRead func(c *exec.Ctx, a []*bat.BAT, pa []int, b []*bat.BAT, pb []int) ([]*bat.BAT, error)
+	autoBAT bool
+	// dense is the kernel of internal/linalg. With reads set it only
+	// reads its operands, the ordered application columns in place;
+	// otherwise it takes over one arena copy of them. self, when set,
+	// serves a second argument that is the first one again.
+	dense denseKernel
+	reads bool
+	self  denseKernel
+}
+
+// elementwise are the requirements of ADD, SUB and EMU (shape (r*,c*)).
+var elementwise = []require{equalRows, unionCompatible, disjointOrders}
+
+// opTable holds one row per relational matrix operation. A row without
+// a sort entry needs every argument sorted (needFull is the zero value).
+var opTable = [...]opSpec{
+	{op: OpEMU, binary: true, shape: ShapeType{DimRStar, DimCStar}, sort: needRelative, check: elementwise, empty: true,
+		batRead: batlin.EMU, autoBAT: true, dense: denseElementwise(mulCols)},
+	{op: OpMMU, binary: true, shape: ShapeType{DimR1, DimC2}, sort: needSecondOnly, check: []require{innerDims},
+		bat: batlin.MMU, dense: denseMMU, reads: true},
+	{op: OpOPD, binary: true, shape: ShapeType{DimR1, DimR2}, sort: needSecondOnly, check: []require{equalWidths},
+		bat: batlin.OPD, dense: denseOPD, reads: true},
+	{op: OpCPD, binary: true, shape: ShapeType{DimC1, DimC2}, sort: needRelative, check: []require{equalRows},
+		bat: batlin.CPD, dense: denseCPD, reads: true, self: denseSYRK},
+	{op: OpADD, binary: true, shape: ShapeType{DimRStar, DimCStar}, sort: needRelative, check: elementwise, empty: true,
+		batRead: batlin.Add, autoBAT: true, dense: denseElementwise(addCols)},
+	{op: OpSUB, binary: true, shape: ShapeType{DimRStar, DimCStar}, sort: needRelative, check: elementwise, empty: true,
+		batRead: batlin.Sub, autoBAT: true, dense: denseElementwise(subCols)},
+	{op: OpTRA, shape: ShapeType{DimC1, DimR1}, empty: true, bat: batTra, dense: denseTra},
+	{op: OpSOL, binary: true, shape: ShapeType{DimC1, DimC2}, sort: needRelative, check: []require{equalRows, oneRightHandSide, determined},
+		bat: batSolve, dense: denseSolve},
+	{op: OpINV, shape: ShapeType{DimR1, DimC1}, check: []require{square}, bat: batInv, dense: unary(linalg.Inverse)},
+	{op: OpEVC, shape: ShapeType{DimR1, DimC1}, check: []require{square}, dense: unary(linalg.Eigenvectors)},
+	{op: OpEVL, shape: ShapeType{DimR1, DimOne}, check: []require{square}, dense: denseEvl},
+	{op: OpQQR, shape: ShapeType{DimR1, DimC1}, sort: needNone, check: []require{tall}, bat: batQR(false), dense: denseQR(false)},
+	{op: OpRQR, shape: ShapeType{DimC1, DimC1}, sort: needNone, check: []require{tall}, bat: batQR(true), dense: denseQR(true)},
+	{op: OpDSV, shape: ShapeType{DimC1, DimC1}, sort: needNone, dense: denseDsv},
+	{op: OpUSV, shape: ShapeType{DimR1, DimR1}, sort: needNone, dense: denseSVD(false)},
+	{op: OpVSV, shape: ShapeType{DimC1, DimC1}, sort: needNone, dense: denseSVD(true)},
+	{op: OpDET, shape: ShapeType{DimOne, DimOne}, check: []require{square}, bat: batDet, dense: denseDet},
+	{op: OpRNK, shape: ShapeType{DimOne, DimOne}, sort: needNone, dense: denseRnk},
+	{op: OpCHF, shape: ShapeType{DimR1, DimC1}, check: []require{square}, dense: unary(linalg.Cholesky)},
+}
+
+// specOf returns the operation's row of the table.
+func specOf(op Op) (*opSpec, error) {
+	for k := range opTable {
+		if opTable[k].op == op {
+			return &opTable[k], nil
+		}
 	}
-	return needFull
+	return nil, fmt.Errorf("rma: unknown operation %q", string(op))
 }

@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bat"
 	"repro/internal/exec"
-	"repro/internal/linalg"
 	"repro/internal/rel"
 )
 
@@ -28,53 +28,30 @@ const contextAttr = "C"
 // does not depend on which path ran. An invocation that exceeds its
 // budget anyway returns the typed error (matching exec.ErrMemoryBudget)
 // — never a panic.
-func Unary(op Op, r *rel.Relation, order []string, opts *Options) (res *rel.Relation, err error) {
-	if op.Binary() {
-		return nil, fmt.Errorf("rma: %s takes two relations", op)
-	}
-	opts = opts.orDefault()
-	c := opts.ctx()
-	defer opts.finishCtx(c)
-	defer exec.CatchBudget(&err)
-	clock := phaseClock{stats: opts.Stats}
-
-	// Split and sort (context handling).
-	clock.begin()
-	a, err := split(r, order)
-	if err != nil {
-		return nil, err
-	}
-	doSort := !(opts.SortMode == SortOptimized && sortNeedOf(op) == needNone)
-	if doSort {
-		if err := a.sortArg(c); err != nil {
-			return nil, err
-		}
-		if opts.Stats != nil {
-			opts.Stats.Sorted = true
-		}
-	}
-	if err := checkUnaryShape(op, a); err != nil {
-		return nil, err
-	}
-	clock.endContext()
-
-	// Evaluate the base result.
-	baseCols, err := evalUnaryBase(c, op, a, opts, &clock)
-	if err != nil {
-		return nil, err
-	}
-
-	// Morph and merge (context handling).
-	clock.begin()
-	res, err = assemble(c, op, a, nil, baseCols)
-	clock.endContext()
-	return res, err
+func Unary(op Op, r *rel.Relation, order []string, opts *Options) (*rel.Relation, error) {
+	return run(op, opts, []*rel.Relation{r}, [][]string{order})
 }
 
 // Binary executes a binary relational matrix operation op_U;V(r, s),
 // under the same memory governance as Unary.
-func Binary(op Op, r *rel.Relation, rOrder []string, s *rel.Relation, sOrder []string, opts *Options) (res *rel.Relation, err error) {
-	if !op.Binary() {
+func Binary(op Op, r *rel.Relation, rOrder []string, s *rel.Relation, sOrder []string, opts *Options) (*rel.Relation, error) {
+	return run(op, opts, []*rel.Relation{r, s}, [][]string{rOrder, sOrder})
+}
+
+// run is Algorithm 1 for one or two argument relations, driven by the
+// operation's row of the operation table. An unknown operation or a
+// wrong number of arguments fails before anything is split or sorted;
+// then each argument is split, the arguments are sorted, their shapes
+// checked, the base result evaluated and the result assembled.
+func run(op Op, opts *Options, rels []*rel.Relation, orders [][]string) (res *rel.Relation, err error) {
+	s, err := specOf(op)
+	if err != nil {
+		return nil, err
+	}
+	if s.binary != (len(rels) == 2) {
+		if s.binary {
+			return nil, fmt.Errorf("rma: %s takes two relations", op)
+		}
 		return nil, fmt.Errorf("rma: %s takes one relation", op)
 	}
 	opts = opts.orDefault()
@@ -83,214 +60,156 @@ func Binary(op Op, r *rel.Relation, rOrder []string, s *rel.Relation, sOrder []s
 	defer exec.CatchBudget(&err)
 	clock := phaseClock{stats: opts.Stats}
 
+	// Split, sort and check (context handling).
 	clock.begin()
-	a, err := split(r, rOrder)
-	if err != nil {
+	args := make([]*argument, len(rels))
+	for k, r := range rels {
+		if args[k], err = split(r, orders[k]); err != nil {
+			return nil, err
+		}
+	}
+	need := s.sort
+	if opts.SortMode != SortOptimized {
+		need = needFull
+	}
+	if err := sortArgs(c, need, args, opts.Stats); err != nil {
 		return nil, err
 	}
-	b, err := split(s, sOrder)
-	if err != nil {
-		return nil, err
+	a, b := args[0], (*argument)(nil)
+	if s.binary {
+		b = args[1]
 	}
-	if err := sortBinary(c, op, a, b, opts); err != nil {
-		return nil, err
-	}
-	if err := checkBinaryShape(op, a, b); err != nil {
+	if err := s.checkArgs(a, b); err != nil {
 		return nil, err
 	}
 	clock.endContext()
 
-	baseCols, err := evalBinaryBase(c, op, a, b, opts, &clock)
+	baseCols, err := s.eval(c, a, b, opts, &clock)
 	if err != nil {
 		return nil, err
 	}
 
+	// Morph and merge (context handling).
 	clock.begin()
 	res, err = assemble(c, op, a, b, baseCols)
 	clock.endContext()
 	return res, err
 }
 
-// sortBinary applies the sorting strategy for two-argument operations:
-// full sorting, or the Section 8.1 optimizations (relative sorting of the
-// second argument; second-only sorting for mmu/opd).
-func sortBinary(c *exec.Ctx, op Op, a, b *argument, opts *Options) error {
-	need := sortNeedOf(op)
-	if opts.SortMode != SortOptimized {
-		need = needFull
-	}
+// sortArgs is the Sorting step over the arguments: every argument under
+// needFull, none under needNone, only the second under needSecondOnly.
+// Under needRelative both sort indexes are computed (also verifying the
+// key property), but only the second argument is read through its
+// permutation: it is aligned to the first argument's input order, and
+// the first stays in place, so none of its columns is gathered.
+func sortArgs(c *exec.Ctx, need sortNeed, args []*argument, stats *Stats) error {
 	switch need {
-	case needRelative:
-		// Both sort indexes are computed (also verifying the key
-		// property), but only the second argument's columns are gathered:
-		// b is aligned to a's input order, a stays in place.
-		if err := a.sortArg(c); err != nil {
-			return err
-		}
-		if err := b.sortArg(c); err != nil {
-			return err
-		}
-		if a.rows() == b.rows() {
-			align := c.Arena().Ints(len(b.perm))
-			for k, pa := range a.perm {
-				align[pa] = b.perm[k]
-			}
-			c.Arena().FreeInts(b.perm)
-			b.perm = align
-			c.Arena().FreeInts(a.perm)
-			a.perm = nil // keep a in input order, no gathers
-		}
-		if opts.Stats != nil {
-			opts.Stats.Sorted = true
-		}
+	case needNone:
+		return nil
 	case needSecondOnly:
-		if err := b.sortArg(c); err != nil {
-			return err
-		}
-		if opts.Stats != nil {
-			opts.Stats.Sorted = true
-		}
-	default:
+		args = args[1:]
+	}
+	for _, a := range args {
 		if err := a.sortArg(c); err != nil {
 			return err
 		}
-		if err := b.sortArg(c); err != nil {
-			return err
+	}
+	if a, b := args[0], args[len(args)-1]; need == needRelative && a.rows() == b.rows() {
+		align := c.Arena().Ints(len(b.perm))
+		for k, pa := range a.perm {
+			align[pa] = b.perm[k]
 		}
-		if opts.Stats != nil {
-			opts.Stats.Sorted = true
-		}
+		c.Arena().FreeInts(b.perm)
+		b.perm = align
+		c.Arena().FreeInts(a.perm)
+		a.perm = nil
+	}
+	if stats != nil {
+		stats.Sorted = true
 	}
 	return nil
 }
 
-// checkBinaryShape validates dimension requirements of binary operations.
-func checkBinaryShape(op Op, a, b *argument) error {
-	switch op {
-	case OpADD, OpSUB, OpEMU:
-		if a.rows() != b.rows() {
-			return fmt.Errorf("rma: %s needs equal row counts, got %d and %d", op, a.rows(), b.rows())
-		}
-		if len(a.appCols) != len(b.appCols) {
-			return fmt.Errorf("rma: %s needs union-compatible application schemas, got %d and %d attributes",
-				op, len(a.appCols), len(b.appCols))
-		}
-		for _, attr := range b.orderSchema {
-			if a.orderSchema.Index(attr.Name) >= 0 {
-				return fmt.Errorf("rma: %s needs non-overlapping order schemas; %q appears in both", op, attr.Name)
-			}
-		}
-	case OpMMU:
-		if len(a.appCols) != b.rows() {
-			return fmt.Errorf("rma: mmu inner dimensions: %d application attributes vs %d rows",
-				len(a.appCols), b.rows())
-		}
-	case OpOPD:
-		if len(a.appCols) != len(b.appCols) {
-			return fmt.Errorf("rma: opd needs equally wide application schemas, got %d and %d",
-				len(a.appCols), len(b.appCols))
-		}
-	case OpCPD:
-		if a.rows() != b.rows() {
-			return fmt.Errorf("rma: cpd needs equal row counts, got %d and %d", a.rows(), b.rows())
-		}
-	case OpSOL:
-		if a.rows() != b.rows() {
-			return fmt.Errorf("rma: sol needs equal row counts, got %d and %d", a.rows(), b.rows())
-		}
-		if len(b.appCols) != 1 {
-			return fmt.Errorf("rma: sol needs a single application attribute on the right, got %d", len(b.appCols))
-		}
-		if a.rows() < len(a.appCols) {
-			return fmt.Errorf("rma: sol is underdetermined: %d rows, %d unknowns", a.rows(), len(a.appCols))
-		}
-	}
-	if a.rows() == 0 || b.rows() == 0 {
-		return fmt.Errorf("rma: %s over an empty relation", op)
-	}
-	return nil
-}
-
-// evalUnaryBase computes the base result as a list of BATs, routing
-// through the BAT or dense engine per policy and timing the phases.
-func evalUnaryBase(c *exec.Ctx, op Op, a *argument, opts *Options, clock *phaseClock) ([]*bat.BAT, error) {
-	if useDense(op, opts.Policy, false) {
-		if opts.Stats != nil {
-			opts.Stats.UsedDense = true
-		}
-		return evalDenseUnary(c, op, a, clock)
-	}
-	clock.begin()
-	cols := a.orderedAppCols(c) // no-copy µ: gathered views of the BATs
-	clock.endContext()
-	clock.begin()
-	res, err := evalBATUnary(c, op, cols)
-	clock.endKernel()
-	return res, err
-}
-
-func evalBinaryBase(c *exec.Ctx, op Op, a, b *argument, opts *Options, clock *phaseClock) ([]*bat.BAT, error) {
-	if useDense(op, opts.Policy, true) {
-		if opts.Stats != nil {
-			opts.Stats.UsedDense = true
-		}
-		if op == OpMMU || op == OpCPD || op == OpOPD {
-			return evalColumnProduct(c, op, a, b, clock)
-		}
-		return evalDenseBinary(c, op, a, b, clock)
-	}
-	if op == OpADD || op == OpSUB || op == OpEMU {
+// eval computes the base result as a list of BATs, on the BAT kernels
+// or the dense kernels as the policy and the operation's row decide
+// (the paper's query-optimizer decision of §7.3), timing the phases.
+func (s *opSpec) eval(c *exec.Ctx, a, b *argument, opts *Options, clock *phaseClock) ([]*bat.BAT, error) {
+	onBAT := opts.Policy == PolicyBAT || opts.Policy == PolicyAuto && s.autoBAT
+	if onBAT && s.batRead != nil {
 		clock.begin()
-		res, err := evalBATElementwise(c, op, a, b)
+		res, err := s.batRead(c, a.appCols, a.readPerm(), b.appCols, b.readPerm())
 		clock.endKernel()
 		return res, err
 	}
-	clock.begin()
-	ca := a.orderedAppCols(c)
-	cb := b.orderedAppCols(c)
-	clock.endContext()
-	clock.begin()
-	res, err := evalBATBinary(c, op, ca, cb)
-	clock.endKernel()
-	return res, err
-}
-
-// evalColumnProduct is the one dense route of MMU, CPD and OPD: the
-// kernels read the ordered application columns (in place when the
-// rows are already in operation order) and their arena result columns
-// become the result BATs as they are. A cross product of a relation
-// with itself (the covariance pattern of §8.6(3)) reads one operand and
-// takes the kernel's symmetric self case, the paper's cblas_dsyrk route.
-func evalColumnProduct(c *exec.Ctx, op Op, a, b *argument, clock *phaseClock) ([]*bat.BAT, error) {
-	self := op == OpCPD && sameApplicationPart(a, b)
-	clock.begin()
-	fa, releaseA, err := a.floatCols(c)
-	fb, releaseB := fa, func() {}
-	if err == nil && !self {
-		if fb, releaseB, err = b.floatCols(c); err != nil {
-			releaseA()
+	if onBAT && s.bat != nil {
+		clock.begin()
+		ca, cb := a.orderedAppCols(c), []*bat.BAT(nil) // no-copy µ: gathered views of the BATs
+		if b != nil {
+			cb = b.orderedAppCols(c)
 		}
+		clock.endContext()
+		clock.begin()
+		res, err := s.bat(c, ca, cb)
+		clock.endKernel()
+		return res, err
 	}
+	if opts.Stats != nil {
+		opts.Stats.UsedDense = true
+	}
+	kernel := s.dense
+	if s.self != nil && sameApplicationPart(a, b) {
+		kernel, b = s.self, nil
+	}
+	clock.begin()
+	v, release, err := denseOperands(c, s.reads, a, b)
 	clock.endTransform()
 	if err != nil {
 		return nil, err
 	}
 	clock.begin()
-	var res [][]float64
-	switch {
-	case op == OpMMU:
-		res = linalg.MatMulCols(c, fa, fb, a.rows())
-	case op == OpOPD:
-		res = linalg.OuterProductCols(c, fa, fb, a.rows(), b.rows())
-	case self:
-		res = linalg.SYRKCols(c, fa)
-	default:
-		res = linalg.CrossProductCols(c, fa, fb)
-	}
+	res, err := kernel(c, v[0], v[1])
 	clock.endKernel()
-	releaseA()
-	releaseB()
+	release()
+	if err != nil {
+		return nil, err
+	}
 	return floatBATs(res), nil
+}
+
+// denseOperands makes the ordered application parts of a and b (b may
+// be nil) into the dense kernel's float columns. A kernel that only
+// reads them gets them in place (floatCols), and release hands back any
+// gathered or converted copy once it has run; any other kernel takes
+// over one arena copy of each (workCols), which leaves release nothing
+// to do. On error nothing stays drawn.
+func denseOperands(c *exec.Ctx, reads bool, a, b *argument) (v [2][][]float64, release func(), err error) {
+	var undo []func()
+	release = func() {
+		for _, u := range undo {
+			u()
+		}
+	}
+	for k, x := range []*argument{a, b} {
+		if x == nil {
+			break
+		}
+		var u func()
+		if reads {
+			v[k], u, err = x.floatCols(c)
+		} else if v[k], err = x.workCols(c); err == nil {
+			w := v[k]
+			u = func() { freeCols(c, w) }
+		}
+		if err != nil {
+			release()
+			return v, nil, err
+		}
+		undo = append(undo, u)
+	}
+	if !reads {
+		return v, func() {}, nil
+	}
+	return v, release, nil
 }
 
 // floatBATs wraps result columns as BATs without copying them.
@@ -303,34 +222,11 @@ func floatBATs(cols [][]float64) []*bat.BAT {
 }
 
 // sameApplicationPart reports whether two arguments share the same
-// application columns in the same operation order (physically identical
-// BATs and equal permutations).
+// application columns in the same operation order: physically identical
+// BATs read through equal permutations (rows already in order read
+// through none).
 func sameApplicationPart(a, b *argument) bool {
-	if len(a.appCols) != len(b.appCols) {
-		return false
-	}
-	for k := range a.appCols {
-		if a.appCols[k] != b.appCols[k] {
-			return false
-		}
-	}
-	pa, pb := a.perm, b.perm
-	if pa == nil && pb == nil {
-		return true
-	}
-	na := a.rows()
-	eff := func(p []int, i int) int {
-		if p == nil {
-			return i
-		}
-		return p[i]
-	}
-	for i := 0; i < na; i++ {
-		if eff(pa, i) != eff(pb, i) {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.appCols, b.appCols) && slices.Equal(a.readPerm(), b.readPerm())
 }
 
 // assemble merges contextual information with the base result according to

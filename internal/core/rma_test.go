@@ -550,6 +550,26 @@ func TestErrorCases(t *testing.T) {
 	}
 }
 
+// TestUnknownOpFailsFirst holds Unary and Binary given an operation
+// that ParseOp rejects to ParseOp's error, returned before any argument
+// is split or sorted.
+func TestUnknownOpFailsFirst(t *testing.T) {
+	r := weather()
+	want := `rma: unknown operation "nope"`
+	st := &Stats{}
+	if _, err := Unary(Op("nope"), r, []string{"T"}, &Options{Stats: st}); err == nil || err.Error() != want || st.Sorted {
+		t.Errorf("Unary(nope): error %v, sorted %v; want %q unsorted", err, st.Sorted, want)
+	}
+	st = &Stats{}
+	if _, err := Binary(Op("nope"), r, []string{"T"}, r, []string{"T"}, &Options{Stats: st}); err == nil || err.Error() != want || st.Sorted {
+		t.Errorf("Binary(nope): error %v, sorted %v; want %q unsorted", err, st.Sorted, want)
+	}
+	// An unknown operation fails before the split rejects its argument.
+	if _, err := Unary(Op("nope"), nil, nil, nil); err == nil || err.Error() != want {
+		t.Errorf("Unary(nope) of a nil relation: error %v, want %q", err, want)
+	}
+}
+
 func TestPolicyEquivalence(t *testing.T) {
 	// INV under BAT and Dense policies must agree.
 	b := rel.NewBuilder("m", rel.Schema{

@@ -76,6 +76,26 @@ func TestEveryOperationThroughSQL(t *testing.T) {
 	}
 }
 
+// TestElementwiseOfEmptyTablesThroughSQL holds ADD of two empty tables
+// to the empty relation of shape (r*,c*): both order schemas, then the
+// application schema.
+func TestElementwiseOfEmptyTablesThroughSQL(t *testing.T) {
+	db := NewDB()
+	if _, err := db.Exec(`
+CREATE TABLE e1 (k INT, x DOUBLE, y DOUBLE);
+CREATE TABLE e2 (k2 INT, x DOUBLE, y DOUBLE);
+`); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query(`SELECT * FROM ADD(e1 BY k, e2 BY k2)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(res.Schema.Names(), ","); got != "k,k2,x,y" || res.NumRows() != 0 {
+		t.Errorf("%d rows of %s, want 0 rows of k,k2,x,y", res.NumRows(), got)
+	}
+}
+
 // TestOLSThroughSQL runs the regression composition of §8.6(1) entirely
 // in SQL: beta = MMU(INV(CPD(A,A)), CPD(A,V)).
 func TestOLSThroughSQL(t *testing.T) {
