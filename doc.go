@@ -157,21 +157,28 @@
 //     DISTINCT.
 //   - bat.SortKeys and its bounded form bat.TopKeys are the code that
 //     orders rows: ORDER BY, rel.Sort and the order schemas of RMA
-//     (bat.SortIndex) call SortKeys, ORDER BY ... LIMIT k calls TopKeys,
+//     (bat.KeyIndex) call SortKeys, ORDER BY ... LIMIT k calls TopKeys,
 //     and the key shape alone picks SortKeys' algorithm. One Int or
 //     Float key, either direction, is radix-sorted over
 //     order-preserving unsigned keys (floats canonicalised so −0 = +0
-//     and NaN sorts after +Inf; a descending key complements them). A
-//     key whose span (max − min) is above 255 and below n, as dense ids
-//     are, sorts in one stable counting pass over key − min through a
-//     (span+1)-int histogram; any other key, and one whose histogram
-//     the arena refuses, takes an LSD radix sort over 8-bit digits,
-//     skipping every digit all rows share. If the arena refuses the LSD
-//     sort's n-int scratch it gives its buffers back and the merge sort
-//     runs instead. Every other key list — strings, several keys —
-//     goes through bat.SortStable, one buffered stable merge sort under
-//     one typed comparator (floats by bat.CompareFloat, the radix
-//     sort's order): per-worker runs that insertion-sort 32-row blocks
+//     and NaN sorts after +Inf; a descending key complements them).
+//     Keys already ascending return the identity after one pre-scan. A
+//     key whose span (max − min) is at least n − 1 and below 2n, as
+//     dense and lightly gapped ids are, is scattered into a
+//     (span+1)-int slot array filled with −1, each row into
+//     slot[key − min]: at span n − 1 the slots are the permutation, and
+//     above it they are compacted into it. A taken slot means the key
+//     repeats; the sort then falls through to one stable counting pass
+//     over key − min, which also sorts a span above 255 and below n
+//     through a (span+1)-int histogram. Any other key, and one whose
+//     slot array or histogram the arena refuses, takes an LSD radix
+//     sort over 8-bit digits, skipping every digit all rows share. If
+//     the arena refuses the LSD sort's n-int scratch it gives its
+//     buffers back and the merge sort runs instead. Every other key
+//     list — strings, several keys — goes through bat.SortStable, one
+//     buffered stable merge sort under one typed comparator (floats
+//     by bat.CompareFloat, the radix sort's order): per-worker runs
+//     that insertion-sort 32-row blocks
 //     and merge them bottom-up in place through a half-run scratch,
 //     then pairwise merges of the runs against an n-int buffer. Both
 //     draw their permutation buffers from the arena, and the stable
@@ -333,8 +340,13 @@
 // Handling contextual information — sorting each argument by its order
 // schema and carrying the order part into the result — is most of an
 // elementwise operation's cost (the paper's §8.1 and Fig. 13). Each
-// argument is sorted once (bat.SortIndex, which for the usual single
-// dense-id key is the counting pass above), and under the BAT policy
+// argument is sorted once, and its order schema proved a key in the same
+// call (bat.KeyIndex): for the usual single dense-id key the slot scatter
+// above sorts, and its first taken slot is the repeat that makes the
+// schema no key; keys already ascending, or held in fewer values than
+// rows, are judged by the pre-scan; after any other sort one typed,
+// column-at-a-time pass compares adjacent sorted rows. A NaN names no
+// row, so a Float order column holding one is no key. Under the BAT policy
 // ADD, SUB and EMU never gather an application column into operation
 // order: bat.Add, bat.Sub and bat.Mul take each operand's permutation
 // and compute out[k] = a[pa[k]] ∘ b[pb[k]] into one arena column, the

@@ -191,14 +191,14 @@ func TestBATIntTail(t *testing.T) {
 
 func TestSortIndexSingleKey(t *testing.T) {
 	b := FromFloats([]float64{3, 1, 2, 1})
-	idx := SortIndex(nil, []*BAT{b})
+	idx, key := KeyIndex(nil, []*BAT{b})
 	want := []int{1, 3, 2, 0} // stable: the two 1s keep input order
 	for k := range want {
 		if idx[k] != want[k] {
 			t.Fatalf("idx = %v, want %v", idx, want)
 		}
 	}
-	if KeyUnique([]*BAT{b}, idx) {
+	if key {
 		t.Error("column with duplicates reported as key")
 	}
 }
@@ -206,14 +206,14 @@ func TestSortIndexSingleKey(t *testing.T) {
 func TestSortIndexMultiKey(t *testing.T) {
 	a := FromStrings([]string{"b", "a", "b", "a"})
 	c := FromInts([]int64{1, 2, 0, 1})
-	idx := SortIndex(nil, []*BAT{a, c})
+	idx, key := KeyIndex(nil, []*BAT{a, c})
 	want := []int{3, 1, 2, 0} // (a,1),(a,2),(b,0),(b,1)
 	for k := range want {
 		if idx[k] != want[k] {
 			t.Fatalf("idx = %v, want %v", idx, want)
 		}
 	}
-	if !KeyUnique([]*BAT{a, c}, idx) {
+	if !key {
 		t.Error("unique pair columns not recognized as key")
 	}
 }

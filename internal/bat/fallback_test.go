@@ -3,6 +3,7 @@ package bat
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/exec"
@@ -58,6 +59,15 @@ func TestSparseKernelsSerialFallback(t *testing.T) {
 	}
 }
 
+// intsCharge is what a tenant arena charges for an m-int buffer.
+func intsCharge(m int) int64 {
+	tn := exec.NewGovernor(0, 0).Tenant("charge", 0)
+	a := tn.NewArena()
+	defer a.Close()
+	a.Ints(m)
+	return tn.LiveBytes()
+}
+
 // TestSortKeysRadixFallsBackToMerge sorts one Float key, ascending and
 // descending, under the serial merge sort's own budget (the permutation
 // plus an n/2-int scratch), where the radix sort's n-int scratch does
@@ -69,14 +79,7 @@ func TestSortKeysRadixFallsBackToMerge(t *testing.T) {
 	for k := range f {
 		f[k] = float64((k*7919 + 13) % n)
 	}
-	charge := func(m int) int64 {
-		tn := exec.NewGovernor(0, 0).Tenant("charge", 0)
-		a := tn.NewArena()
-		defer a.Close()
-		a.Ints(m)
-		return tn.LiveBytes()
-	}
-	budget := charge(n) + charge(n/2)
+	budget := intsCharge(n) + intsCharge(n/2)
 	for _, desc := range []bool{false, true} {
 		want := refStablePerm(n, func(a, b int) bool {
 			if desc {
@@ -116,13 +119,6 @@ func TestSortKeysCountingHistogramRefused(t *testing.T) {
 		xs[i] = 256 * int64(rng.Intn(16))
 	}
 	xs[7], xs[n-7] = 0, 3840
-	charge := func(m int) int64 {
-		tn := exec.NewGovernor(0, 0).Tenant("charge", 0)
-		a := tn.NewArena()
-		defer a.Close()
-		a.Ints(m)
-		return tn.LiveBytes()
-	}
 	for _, desc := range []bool{false, true} {
 		want := refStablePerm(n, func(a, b int) bool {
 			if desc {
@@ -133,8 +129,8 @@ func TestSortKeysCountingHistogramRefused(t *testing.T) {
 		for _, tc := range []struct {
 			budget, peak int64
 		}{
-			{0, 2 * charge(n)},
-			{charge(n) + charge(n)/2, charge(n)},
+			{0, 2 * intsCharge(n)},
+			{intsCharge(n) + intsCharge(n)/2, intsCharge(n)},
 		} {
 			tn := exec.NewGovernor(0, 0).Tenant("counting", tc.budget)
 			ar := tn.NewArena()
@@ -148,6 +144,59 @@ func TestSortKeysCountingHistogramRefused(t *testing.T) {
 			}
 			if p := tn.PeakBytes(); p != tc.peak {
 				t.Fatalf("desc=%v budget=%d: peak %d bytes, want %d", desc, tc.budget, p, tc.peak)
+			}
+		}
+	}
+}
+
+// TestKeyIndexSlotArrayRefused is the slot scatter's twin of
+// TestSortKeysCountingHistogramRefused. It checks one Int key of n
+// gapped ids (span 1.5n − 1, so the slots need their own array), once
+// distinct and once with one id repeated. Unbudgeted, KeyIndex draws the
+// result and the (span+1)-int slot array, with no fallback. Under the
+// serial merge sort's budget (n + n/2 ints) the arena refuses the slot
+// array and then the LSD scratch. KeyIndex then notes one serial
+// fallback and merge-sorts within the budget. Both budgets give the
+// stable permutation and the same verdict, and once the permutation is
+// handed back no byte stays charged.
+func TestKeyIndexSlotArrayRefused(t *testing.T) {
+	const n = 4096
+	xs := make([]int64, n)
+	for i, p := range rand.New(rand.NewSource(12)).Perm(n) {
+		xs[i] = int64(p + p/2)
+	}
+	span := int(slices.Max(xs) - slices.Min(xs))
+	repeated := slices.Clone(xs)
+	repeated[n-1] = repeated[n/2]
+	for _, tc := range []struct {
+		name string
+		keys []int64
+		key  bool
+	}{{"distinct", xs, true}, {"repeated", repeated, false}} {
+		want := refStablePerm(n, func(a, b int) bool { return tc.keys[a] < tc.keys[b] })
+		for _, budget := range []int64{0, intsCharge(n) + intsCharge(n/2)} {
+			tn := exec.NewGovernor(0, 0).Tenant("slots", budget)
+			ar := tn.NewArena()
+			st := &exec.Stats{}
+			got, key := KeyIndex(exec.NewCtx(1, ar, st), []*BAT{FromInts(tc.keys)})
+			permsEqual(t, "slots-refused "+tc.name, n, 1, got, want)
+			if key != tc.key {
+				t.Fatalf("%s budget=%d: key = %v, want %v", tc.name, budget, key, tc.key)
+			}
+			ar.FreeInts(got)
+			if live := tn.LiveBytes(); live != 0 {
+				t.Fatalf("%s budget=%d: %d bytes live after the permutation was handed back", tc.name, budget, live)
+			}
+			ar.Close()
+			wantFallbacks, wantPeak := int64(0), intsCharge(n)+intsCharge(span+1)
+			if budget != 0 {
+				wantFallbacks, wantPeak = 1, budget
+			}
+			if fb := st.SerialFallbacks.Load(); fb != wantFallbacks {
+				t.Fatalf("%s budget=%d: %d fallbacks, want %d", tc.name, budget, fb, wantFallbacks)
+			}
+			if p := tn.PeakBytes(); p != wantPeak {
+				t.Fatalf("%s budget=%d: peak %d bytes, want %d", tc.name, budget, p, wantPeak)
 			}
 		}
 	}
@@ -179,13 +228,6 @@ func TestSortStableSerialScratch(t *testing.T) {
 		fallbacks = st.SerialFallbacks.Load()
 		return tn.PeakBytes(), err
 	}
-	charge := func(m int) int64 {
-		tn := exec.NewGovernor(0, 0).Tenant("charge", 0)
-		a := tn.NewArena()
-		defer a.Close()
-		a.Ints(m)
-		return tn.LiveBytes()
-	}
 	serial, err := sortUnder(1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -194,11 +236,11 @@ func TestSortStableSerialScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lim := charge(n) + charge(n/2); serial > lim {
+	if lim := intsCharge(n) + intsCharge(n/2); serial > lim {
 		t.Fatalf("serial sort peak %d bytes, want at most idx + n/2 ints = %d", serial, lim)
 	}
-	if parallel < 2*charge(n) {
-		t.Fatalf("parallel sort peak %d bytes, want its two n-int buffers %d", parallel, 2*charge(n))
+	if parallel < 2*intsCharge(n) {
+		t.Fatalf("parallel sort peak %d bytes, want its two n-int buffers %d", parallel, 2*intsCharge(n))
 	}
 	budget := (serial + parallel) / 2
 	if peak, err := sortUnder(2, budget); err != nil || peak > budget || fallbacks == 0 {

@@ -2,6 +2,7 @@ package bat
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/exec"
@@ -188,30 +189,76 @@ func mergeRuns(dst, src []int, lo, mid, hi int, less func(a, b int) bool) {
 // paper's Algorithm 1: G <- sort(D), followed by b↓G for the other tails.
 // Sparse keys are densified, and the order is SortKeys'; no key gives nil.
 func SortIndex(c *exec.Ctx, keys []*BAT) []int {
+	return SortKeys(c, vectors(c, keys), nil)
+}
+
+// KeyIndex is SortIndex together with the key check of Algorithm 1's
+// Sorting step: it returns SortIndex's permutation and whether the key
+// columns form a key of the relation, that is, no two rows agree on
+// every column and no Float column holds a NaN. A NaN equals no value
+// under IEEE comparison, itself included, so it names no row; −0 and +0
+// are one value. The verdict comes from the pass that sorts wherever it
+// can (radixSortIndex: keys already ascending, a narrow span's slot
+// scatter, more rows than values). After any other sort one typed,
+// column-at-a-time pass over adjacent sorted rows gives it (keyTies).
+// No key column gives nil and false.
+func KeyIndex(c *exec.Ctx, keys []*BAT) ([]int, bool) {
+	if len(keys) == 0 {
+		return nil, false
+	}
+	vecs := vectors(c, keys)
+	idx, v := sortKeys(c, vecs, nil)
+	if v == keysUnchecked && !keyTies(vecs, idx) {
+		v = keysDistinct
+	}
+	return idx, v == keysDistinct && !holdsNaN(vecs, idx)
+}
+
+// vectors returns the key columns as dense vectors.
+func vectors(c *exec.Ctx, keys []*BAT) []*Vector {
 	vecs := make([]*Vector, len(keys))
 	for k, b := range keys {
 		vecs[k] = b.VectorCtx(c)
 	}
-	return SortKeys(c, vecs, nil)
+	return vecs
 }
+
+// keyVerdict is what a sort learned, while it ordered the rows, about
+// whether two of them share a key.
+type keyVerdict uint8
+
+const (
+	keysUnchecked keyVerdict = iota // the sort did not look
+	keysDistinct                    // no two rows share a key
+	keysRepeat                      // two rows share a key
+)
 
 // SortKeys computes the stable sort permutation of the rows of the key
 // columns, lexicographic with the first key most significant; desc[k]
 // (nil: all false) sorts key k descending. It and its bounded form
-// TopKeys are the one code that orders rows — ORDER BY, rel.Sort and
-// SortIndex call it, ORDER BY ... LIMIT calls TopKeys — and the key
-// shape alone picks the algorithm. One Int or Float key is
+// TopKeys are the one code that orders rows — ORDER BY, rel.Sort,
+// SortIndex and KeyIndex call it, ORDER BY ... LIMIT calls TopKeys — and
+// the key shape alone picks the algorithm. One Int or Float key is
 // radix-sorted (radixSortIndex), a descending one on complemented bits:
-// in one counting pass when the key's span is narrower than n, as dense
-// ids are, and by 8-bit LSD passes otherwise. If the arena refuses the
-// radix sort's buffers, or for any other key
-// list, SortStable merge-sorts under keyLess, after one linear pre-scan
-// that returns the identity for keys already in order. Floats follow
-// CompareFloat on both paths, and the stable permutation is unique, so
-// the result is the same on either path and at any worker budget.
+// by one slot scatter when its span is at least n − 1 and below
+// slotSpan·n and no key repeats, as dense ids do, in one counting pass
+// when the span is narrower than n (or the scatter met a repeat), and by
+// 8-bit LSD passes otherwise. If the arena refuses the radix sort's
+// buffers, or for any other key list, SortStable merge-sorts under
+// keyLess, after one linear pre-scan that returns the identity for keys
+// already in order. Floats follow CompareFloat on every path, and the
+// stable permutation is unique, so the result is the same on either path
+// and at any worker budget.
 func SortKeys(c *exec.Ctx, keys []*Vector, desc []bool) []int {
+	idx, _ := sortKeys(c, keys, desc)
+	return idx
+}
+
+// sortKeys is SortKeys, also returning what the radix sort learned about
+// repeated keys; the merge path does not look.
+func sortKeys(c *exec.Ctx, keys []*Vector, desc []bool) ([]int, keyVerdict) {
 	if len(keys) == 0 {
-		return nil
+		return nil, keysUnchecked
 	}
 	if desc == nil {
 		desc = make([]bool, len(keys))
@@ -227,18 +274,85 @@ func SortKeys(c *exec.Ctx, keys []*Vector, desc []bool) []int {
 		if v.typ == Float {
 			key = func(i int) uint64 { return floatKey(fs[i]) ^ flip }
 		}
-		if idx := radixSortIndex(c, n, key); idx != nil {
-			return idx
+		if idx, verdict := radixSortIndex(c, n, key); idx != nil {
+			return idx, verdict
 		}
 		c.NoteSerialFallback()
 	}
 	less := keyLess(keys, desc)
 	for i := 1; i < n; i++ {
 		if less(i, i-1) {
-			return SortStable(c, n, less)
+			return SortStable(c, n, less), keysUnchecked
 		}
 	}
-	return Identity(c, n)
+	return Identity(c, n), keysUnchecked
+}
+
+// tieBlock is the number of adjacent row pairs keyTies carries from one
+// key column to the next.
+const tieBlock = 256
+
+// keyTies reports whether two rows adjacent in the sorted permutation idx
+// agree on every key column, which after a sort means that two rows
+// share a key. It runs column at a time over blocks of tieBlock adjacent
+// pairs: the first column keeps the pairs it ties, each further column
+// drops the pairs it separates, and a block is done when none is left.
+// Values tie by ==, so −0 ties +0 and a NaN ties nothing (holdsNaN
+// rules on NaNs).
+func keyTies(keys []*Vector, idx []int) bool {
+	var buf [tieBlock]int
+	for lo := 1; lo < len(idx); lo += tieBlock {
+		ties := buf[:0]
+		for p := lo; p < min(lo+tieBlock, len(idx)); p++ {
+			ties = append(ties, p)
+		}
+		for _, v := range keys {
+			switch v.typ {
+			case Int:
+				ties = keepTies(v.i, idx, ties)
+			case Float:
+				ties = keepTies(v.f, idx, ties)
+			default:
+				ties = keepTies(v.s, idx, ties)
+			}
+			if len(ties) == 0 {
+				break
+			}
+		}
+		if len(ties) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// keepTies keeps the pairs p of ties whose rows idx[p-1] and idx[p] agree
+// on xs.
+func keepTies[T comparable](xs []T, idx, ties []int) []int {
+	m := 0
+	for _, p := range ties {
+		if xs[idx[p-1]] == xs[idx[p]] {
+			ties[m] = p
+			m++
+		}
+	}
+	return ties[:m]
+}
+
+// holdsNaN reports whether a Float key column holds a NaN. A lone key
+// sorted ascending by idx puts its NaNs last, so its last row answers; a
+// key list scans each Float column.
+func holdsNaN(keys []*Vector, idx []int) bool {
+	if len(keys) == 1 {
+		v := keys[0]
+		return v.typ == Float && len(idx) > 0 && math.IsNaN(v.f[idx[len(idx)-1]])
+	}
+	for _, v := range keys {
+		if v.typ == Float && slices.ContainsFunc(v.f, math.IsNaN) {
+			return true
+		}
+	}
+	return false
 }
 
 // TopKeys is SortKeys bounded to its first k rows: it returns exactly
@@ -396,44 +510,75 @@ func CompareFloat(a, b float64) int {
 	return 0
 }
 
+// slotSpan bounds the slot scatter of radixSortIndex: it runs for a span
+// (max − min) of at least n − 1 and below slotSpan·n.
+const slotSpan = 2
+
 // radixSortIndex computes the stable ascending permutation of [0, n) under
-// the unsigned keys key(i). One pre-scan checks the order and records the
-// smallest and largest key; keys already in order return the identity
-// before any buffer is drawn.
+// the unsigned keys key(i), and what it learned about repeated keys. One
+// pre-scan checks the order and records the smallest and largest key;
+// keys already in order return the identity before any buffer is drawn,
+// with the verdict of the equal neighbours the scan saw.
 //
-// A narrow span — max − min, computed in uint64, above 255 and below n,
-// as dense ids have — sorts in one stable counting pass over key − min:
-// a (span+1)-int histogram, prefix-summed into bucket offsets, then one
-// scatter of the rows into the result. Any other span, and a narrow one
-// whose histogram the arena refuses, takes the LSD radix sort over 8-bit
-// digits: one pass builds all eight digit histograms, and a digit on
-// which every row agrees is skipped, so keys spanning few low bytes (ids
-// below 2^24: three scatters) pay only for the bytes that vary. Each LSD
-// pass scatters the permutation alone and reads each key through it from
-// the column, so beside the n-int result it holds one n-int scratch,
-// returned before the result.
+// A span (max − min, computed in uint64) of at least n − 1 and below
+// slotSpan·n, as dense and lightly gapped ids have, first tries the slot
+// scatter: a (span+1)-int slot array filled with −1, into which each row
+// goes to slot[key − min]. A taken slot means the key repeats, and the
+// scatter stops there. Otherwise every key is distinct, so the order is
+// unique and the stable one: at span n − 1 the slots are the permutation
+// itself (the result buffer is the slot array), and above it the filled
+// slots are compacted into the result. Median of 7 runs at 1 worker on a
+// 2-vCPU host, 250 000 shuffled distinct ids, the whole sort took 2.2 ms
+// by slots against 4.5 ms by the counting pass at span n − 1, and 3.1,
+// 3.0, 3.6 and 3.6 ms by slots against 8.1, 8.3, 8.1 and 12.6 ms by LSD
+// passes at spans 1.5n, 2n, 3n and 4n. The scatter wins at every span
+// measured, but it draws a (span+1)-int slot array where the LSD path
+// draws an n-int scratch: slotSpan = 2 holds it to twice that scratch.
+//
+// A span below n − 1 holds n rows in fewer than n values, so a key
+// repeats without a look. A span above 255 and below n that the slots did
+// not sort takes one stable counting pass over key − min: a (span+1)-int
+// histogram, prefix-summed into bucket offsets, then one scatter of the
+// rows into the result; a scatter that met a repeat in its own slot array
+// hands that array on as the histogram, whatever the span. Any other
+// span, and a narrow one whose histogram the arena refuses, takes the LSD
+// radix sort over 8-bit digits: one pass builds all eight digit
+// histograms, and a digit on which every row agrees is skipped, so keys
+// spanning few low bytes (ids below 2^24: three scatters) pay only for
+// the bytes that vary. Each LSD pass scatters the permutation alone and
+// reads each key through it from the column, so beside the n-int result
+// it holds one n-int scratch, returned before the result. Only the LSD
+// path, past the slots' span or without their array, leaves repeats
+// unchecked.
 //
 // Every buffer is drawn through TryInts, the result first: when the
 // arena refuses the result or the LSD scratch, radixSortIndex frees what
-// it drew and returns nil. Counting passes are stable, so both paths
-// return the unique stable permutation under the key order.
-func radixSortIndex(c *exec.Ctx, n int, key func(i int) uint64) []int {
+// it drew and returns nil. Counting passes are stable, so every path
+// returns the unique stable permutation under the key order.
+func radixSortIndex(c *exec.Ctx, n int, key func(i int) uint64) ([]int, keyVerdict) {
 	if n < 2 {
-		return Identity(c, n)
+		return Identity(c, n), keysDistinct
 	}
 	// The scan runs to the first descent, then only tracks the bounds:
 	// an ascending prefix spans [key(0), key(i-1)].
 	lo, hi := key(0), key(0)
+	repeat := false
 	i := 1
 	for ; i < n; i++ {
 		k := key(i)
-		if k < hi {
-			break
+		if k <= hi {
+			if k < hi {
+				break
+			}
+			repeat = true
 		}
 		hi = k
 	}
 	if i == n {
-		return Identity(c, n)
+		if repeat {
+			return Identity(c, n), keysRepeat
+		}
+		return Identity(c, n), keysDistinct
 	}
 	for ; i < n; i++ {
 		k := key(i)
@@ -442,27 +587,53 @@ func radixSortIndex(c *exec.Ctx, n int, key func(i int) uint64) []int {
 	a := c.Arena()
 	out := a.TryInts(n)
 	if out == nil {
-		return nil
+		return nil, keysUnchecked
 	}
 	// The span is computed in uint64, so keys at both ends of the domain
 	// (MinInt64 and MaxInt64) give a span far above n, never an overflow.
-	if span := hi - lo; span > 255 && span < uint64(n) {
-		if count := a.TryInts(int(span) + 1); count != nil {
-			clear(count)
-			for i := 0; i < n; i++ {
-				count[key(i)-lo]++
-			}
-			for b, sum := 0, 0; b < len(count); b++ {
-				count[b], sum = sum, sum+count[b]
-			}
-			for i := 0; i < n; i++ {
-				b := key(i) - lo
-				out[count[b]] = i
-				count[b]++
-			}
-			a.FreeInts(count)
-			return out
+	span := hi - lo
+	verdict := keysUnchecked
+	var count []int // the counting pass's histogram
+	switch {
+	case repeat || span < uint64(n-1):
+		verdict = keysRepeat
+	case span < slotSpan*uint64(n):
+		slot := out
+		if span >= uint64(n) {
+			slot = a.TryInts(int(span) + 1)
 		}
+		if slot != nil {
+			if fillSlots(slot, n, lo, key) {
+				if len(slot) > n {
+					compactSlots(out, slot)
+					a.FreeInts(slot)
+				}
+				return out, keysDistinct
+			}
+			verdict = keysRepeat
+			if len(slot) > n {
+				count = slot
+			}
+		}
+	}
+	if count == nil && span > 255 && span < uint64(n) {
+		count = a.TryInts(int(span) + 1)
+	}
+	if count != nil {
+		clear(count)
+		for i := 0; i < n; i++ {
+			count[key(i)-lo]++
+		}
+		for b, sum := 0, 0; b < len(count); b++ {
+			count[b], sum = sum, sum+count[b]
+		}
+		for i := 0; i < n; i++ {
+			b := key(i) - lo
+			out[count[b]] = i
+			count[b]++
+		}
+		a.FreeInts(count)
+		return out, verdict
 	}
 	var hist [8][256]int
 	for i := 0; i < n; i++ {
@@ -487,7 +658,7 @@ func radixSortIndex(c *exec.Ctx, n int, key func(i int) uint64) []int {
 		if dst == nil {
 			if dst = a.TryInts(n); dst == nil {
 				a.FreeInts(src)
-				return nil
+				return nil, keysUnchecked
 			}
 		}
 		if src == nil {
@@ -508,7 +679,36 @@ func radixSortIndex(c *exec.Ctx, n int, key func(i int) uint64) []int {
 	if dst != nil {
 		a.FreeInts(dst)
 	}
-	return src
+	return src, verdict
+}
+
+// fillSlots fills slot with −1 and then puts each row i of [0, n) into
+// slot[key(i) − lo]. It reports false at the first row whose slot is
+// taken: two rows share a key.
+func fillSlots(slot []int, n int, lo uint64, key func(i int) uint64) bool {
+	for s := range slot {
+		slot[s] = -1
+	}
+	for i := 0; i < n; i++ {
+		s := &slot[key(i)-lo]
+		if *s >= 0 {
+			return false
+		}
+		*s = i
+	}
+	return true
+}
+
+// compactSlots writes the filled slots of slot, in slot order, to out,
+// which has one entry per filled slot. It stores every slot and advances
+// only past a filled one (the sign bit of ^r), so the loop does not
+// branch on the slot pattern; it stops once out is full.
+func compactSlots(out, slot []int) {
+	for s, j := 0, 0; j < len(out); s++ {
+		r := slot[s]
+		out[j] = r
+		j += int(uint(^r) >> (bits.UintSize - 1))
+	}
 }
 
 // IsSortedIndex reports whether idx is the identity permutation, i.e. the
@@ -516,35 +716,6 @@ func radixSortIndex(c *exec.Ctx, n int, key func(i int) uint64) []int {
 func IsSortedIndex(idx []int) bool {
 	for k, j := range idx {
 		if k != j {
-			return false
-		}
-	}
-	return true
-}
-
-// KeyUnique reports whether the key columns contain no duplicate
-// combination of values, i.e. whether they form a key of the relation.
-// idx must be the sort permutation over exactly those columns. A NaN
-// equals no value under IEEE comparison, itself included, so it names no
-// row: a key column holding one is no key.
-func KeyUnique(keys []*BAT, idx []int) bool {
-	if len(keys) == 0 {
-		return false
-	}
-	vecs := make([]*Vector, len(keys))
-	for k, b := range keys {
-		vecs[k] = b.Vector()
-		if vecs[k].Type() == Float {
-			for _, x := range vecs[k].Floats() {
-				if x != x {
-					return false
-				}
-			}
-		}
-	}
-	less := keyLess(vecs, make([]bool, len(vecs)))
-	for k := 1; k < len(idx); k++ {
-		if !less(idx[k-1], idx[k]) {
 			return false
 		}
 	}

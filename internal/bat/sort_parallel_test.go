@@ -399,27 +399,7 @@ func FuzzSortIndex(f *testing.F) {
 			}
 			keys[k] = [...]*Vector{NewIntVector(is), NewFloatVector(gs), NewStringVector(ss)}[typ]
 		}
-		less := func(a, b int) bool {
-			for k, v := range keys {
-				x, y := a, b
-				if desc[k] {
-					x, y = b, a
-				}
-				var lt, gt bool
-				switch v.Type() {
-				case Int:
-					lt, gt = v.Ints()[x] < v.Ints()[y], v.Ints()[x] > v.Ints()[y]
-				case Float:
-					lt, gt = floatOrderLess(v.Floats()[x], v.Floats()[y]), floatOrderLess(v.Floats()[y], v.Floats()[x])
-				default:
-					lt, gt = v.Strings()[x] < v.Strings()[y], v.Strings()[x] > v.Strings()[y]
-				}
-				if lt || gt {
-					return lt
-				}
-			}
-			return false
-		}
+		less := refKeysLess(keys, desc)
 		want := refStablePerm(n, less)
 		for _, w := range []int{1, 8} {
 			c := exec.New(w)
@@ -428,6 +408,188 @@ func FuzzSortIndex(f *testing.F) {
 			c.Arena().FreeInts(idx)
 		}
 		checkTopKeys(t, "fuzz-topkeys", keys, desc, want, less, int(data[1]), 1, 8)
+	})
+}
+
+// refKeysLess is the row order of the sort references: lexicographic
+// over keys, desc[k] reversing key k, with floats under floatOrderLess.
+func refKeysLess(keys []*Vector, desc []bool) func(a, b int) bool {
+	return func(a, b int) bool {
+		for k, v := range keys {
+			x, y := a, b
+			if desc[k] {
+				x, y = b, a
+			}
+			var lt, gt bool
+			switch v.Type() {
+			case Int:
+				lt, gt = v.Ints()[x] < v.Ints()[y], v.Ints()[x] > v.Ints()[y]
+			case Float:
+				lt, gt = floatOrderLess(v.Floats()[x], v.Floats()[y]), floatOrderLess(v.Floats()[y], v.Floats()[x])
+			default:
+				lt, gt = v.Strings()[x] < v.Strings()[y], v.Strings()[x] > v.Strings()[y]
+			}
+			if lt || gt {
+				return lt
+			}
+		}
+		return false
+	}
+}
+
+// refIsKey is the plain reference of KeyIndex's verdict: no Float key
+// holds a NaN, and the rows' key tuples are distinct in a map, each
+// value spelled in bits, with −0 spelled as +0.
+func refIsKey(keys []*Vector) bool {
+	n := keys[0].Len()
+	seen := make(map[string]bool, n)
+	for i := 0; i < n; i++ {
+		var tuple []byte
+		for _, v := range keys {
+			switch v.Type() {
+			case Int:
+				tuple = binary.LittleEndian.AppendUint64(tuple, uint64(v.Ints()[i]))
+			case Float:
+				f := v.Floats()[i]
+				if f != f {
+					return false
+				}
+				if f == 0 {
+					f = 0
+				}
+				tuple = binary.LittleEndian.AppendUint64(tuple, math.Float64bits(f))
+			default:
+				s := v.Strings()[i]
+				tuple = binary.AppendUvarint(tuple, uint64(len(s)))
+				tuple = append(tuple, s...)
+			}
+		}
+		if seen[string(tuple)] {
+			return false
+		}
+		seen[string(tuple)] = true
+	}
+	return true
+}
+
+// keyIndexSeed encodes n rows of FuzzKeyIndex input: the shift of the
+// first key, the key spec and one word per row.
+func keyIndexSeed(shift, spec byte, words []int64) []byte {
+	seed := []byte{shift, spec}
+	for _, w := range words {
+		seed = binary.LittleEndian.AppendUint64(seed, uint64(w))
+	}
+	return seed
+}
+
+// FuzzKeyIndex pins KeyIndex, the sort that also says whether its keys
+// are a key, to SortKeys' permutation and to refIsKey's verdict, at
+// workers 1 and 8 and under a tenant budget of the merge sort's own
+// serial buffers (n + n/2 ints), which refuses every radix buffer past
+// the result whose path is then the merge sort; there it must also leave
+// no byte charged once the permutation is handed back. data[1] picks
+// 1–3 keys, each an Int, Float or String column, and the rows read 8-byte
+// words: key 0 the words shifted right by data[0]%64 (which breeds
+// repeats and narrow spans), key k > 0 word (i*(2k+1)+k) mod n.
+func FuzzKeyIndex(f *testing.F) {
+	const n = 600
+	rng := rand.New(rand.NewSource(52))
+	shuffled := func(id func(p int) int64) []int64 {
+		xs := make([]int64, n)
+		for i, p := range rng.Perm(n) {
+			xs[i] = id(p)
+		}
+		return xs
+	}
+	dense := shuffled(func(p int) int64 { return int64(p) })                               // span n − 1
+	gapped := shuffled(func(p int) int64 { return int64(p + p/2) })                        // span ~1.5n
+	floatNarrow := shuffled(func(p int) int64 { return 0x3ff0_0000_0000_0000 + int64(p) }) // floats from 1, one ulp apart
+	floatIDs := shuffled(func(p int) int64 { return int64(math.Float64bits(float64(p + 1))) })
+	lastDup := append([]int64(nil), dense...)
+	lastDup[n-1] = lastDup[0]
+	ascending := make([]int64, n) // 0, 1, ..., n/2, n/2, ..., n − 2
+	for i := range ascending {
+		ascending[i] = int64(i)
+		if i > n/2 {
+			ascending[i]--
+		}
+	}
+	nanKey := append([]int64(nil), floatIDs...)
+	nanKey[1] = int64(math.Float64bits(math.NaN()))
+	zeros := append([]int64(nil), floatIDs...)
+	zeros[5], zeros[n-5] = 0, math.MinInt64 // +0 and −0 as float bits
+	extremes := append([]int64(nil), dense...)
+	extremes[3], extremes[n-3] = math.MinInt64, math.MaxInt64
+	// spec: 1 + spec%3 keys, then each key's type (0 Int, 1 Float, 2
+	// String) in base 3.
+	for _, words := range [][]int64{dense, gapped, lastDup, ascending, extremes} {
+		f.Add(keyIndexSeed(0, 0, words))
+	}
+	for _, words := range [][]int64{floatNarrow, floatIDs, nanKey, zeros} {
+		f.Add(keyIndexSeed(0, 3, words))
+	}
+	f.Add(keyIndexSeed(1, 0, dense))                  // ids / 2: span below n − 1
+	f.Add(keyIndexSeed(0, 6, extremes))               // one String key
+	f.Add(keyIndexSeed(8, 1, dense))                  // (Int >> 8, Int): key 0 ties in runs
+	f.Add(keyIndexSeed(9, 2+3*(0+3*(1+3*2)), gapped)) // (Int >> 9, Float, String)
+	f.Add(keyIndexSeed(0, 2+3*(2+3*1), zeros))        // (String, Float, Int)
+	f.Add(keyIndexSeed(0, 1+3*(0+3*1), nanKey))       // (Int, Float): a NaN off key 0
+	for m := 0; m <= 2; m++ {
+		f.Add(keyIndexSeed(0, 0, []int64{8, 7}[:m]))
+		f.Add(keyIndexSeed(0, 3, nanKey[1:1+m]))
+	}
+	f.Add(keyIndexSeed(0, 0, []int64{7, 7}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		shift, spec := data[0]%64, int(data[1])
+		words := data[2:]
+		n := len(words) / 8
+		nkeys := 1 + spec%3
+		spec /= 3
+		keys := make([]*Vector, nkeys)
+		bats := make([]*BAT, nkeys)
+		for k := range keys {
+			typ := spec % 3
+			spec /= 3
+			is, fs, ss := make([]int64, n), make([]float64, n), make([]string, n)
+			for i := range is {
+				w := int64(binary.LittleEndian.Uint64(words[8*i:])) >> shift
+				if k > 0 {
+					w = int64(binary.LittleEndian.Uint64(words[8*((i*(2*k+1)+k)%n):]))
+				}
+				var buf [8]byte
+				binary.LittleEndian.PutUint64(buf[:], uint64(w))
+				is[i], fs[i], ss[i] = w, math.Float64frombits(uint64(w)), string(buf[:uint64(w)%9])
+			}
+			bats[k] = [...]*BAT{FromInts(is), FromFloats(fs), FromStrings(ss)}[typ]
+			keys[k] = bats[k].Vector()
+		}
+		want := SortKeys(exec.New(1), keys, nil)
+		permsEqual(t, "fuzz-sortkeys-ref", n, 1, want, refStablePerm(n, refKeysLess(keys, make([]bool, nkeys))))
+		wantKey := refIsKey(keys)
+		for _, w := range []int{1, 8} {
+			c := exec.New(w)
+			idx, key := KeyIndex(c, bats)
+			permsEqual(t, "fuzz-keyindex", n, w, idx, want)
+			if key != wantKey {
+				t.Fatalf("workers=%d: KeyIndex says key=%v, the map reference %v", w, key, wantKey)
+			}
+			c.Arena().FreeInts(idx)
+		}
+		tn := exec.NewGovernor(0, 0).Tenant("keyindex", intsCharge(n)+intsCharge(n/2))
+		a := tn.NewArena()
+		defer a.Close()
+		idx, key := KeyIndex(exec.NewCtx(1, a, nil), bats)
+		permsEqual(t, "fuzz-keyindex-budget", n, 1, idx, want)
+		if key != wantKey {
+			t.Fatalf("budgeted: KeyIndex says key=%v, the map reference %v", key, wantKey)
+		}
+		a.FreeInts(idx)
+		if live := tn.LiveBytes(); live != 0 {
+			t.Fatalf("budgeted: %d bytes live after the permutation was handed back", live)
+		}
 	})
 }
 

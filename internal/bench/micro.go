@@ -72,35 +72,29 @@ func runFig13(w io.Writer, rows int, orderCounts []int) error {
 	return nil
 }
 
+// fig13 is one panel of Figure 13: runFig13 over rows tuples and counts
+// order attributes, quickRows and quickCounts under -quick, each run
+// labelled with the tuples it uses against the paper's.
+func fig13(id, title, paper string, rows, quickRows int, counts, quickCounts []int) Experiment {
+	return Experiment{
+		ID:          id,
+		Title:       title,
+		Scaled:      fmt.Sprintf("%d tuples (paper: %s)", rows, paper),
+		QuickScaled: fmt.Sprintf("%d tuples (paper: %s)", quickRows, paper),
+		Run: func(w io.Writer, quick bool) error {
+			if quick {
+				return runFig13(w, quickRows, quickCounts)
+			}
+			return runFig13(w, rows, counts)
+		},
+	}
+}
+
 func init() {
-	register(Experiment{
-		ID:     "fig13a",
-		Title:  "Figure 13a: handling contextual information, 100K tuples, 200-1000 order attrs",
-		Scaled: "10K tuples (paper: 100K)",
-		Run: func(w io.Writer, quick bool) error {
-			counts := []int{200, 400, 600, 800, 1000}
-			rows := 10000
-			if quick {
-				counts = []int{200, 600}
-				rows = 2000
-			}
-			return runFig13(w, rows, counts)
-		},
-	})
-	register(Experiment{
-		ID:     "fig13b",
-		Title:  "Figure 13b: handling contextual information, 1M tuples, 20-100 order attrs",
-		Scaled: "100K tuples (paper: 1M)",
-		Run: func(w io.Writer, quick bool) error {
-			counts := []int{20, 40, 60, 80, 100}
-			rows := 100000
-			if quick {
-				counts = []int{20, 60}
-				rows = 20000
-			}
-			return runFig13(w, rows, counts)
-		},
-	})
+	register(fig13("fig13a", "Figure 13a: handling contextual information, 100K tuples, 200-1000 order attrs",
+		"100K", 10000, 2000, []int{200, 400, 600, 800, 1000}, []int{200, 600}))
+	register(fig13("fig13b", "Figure 13b: handling contextual information, 1M tuples, 20-100 order attrs",
+		"1M", 100000, 20000, []int{20, 40, 60, 80, 100}, []int{20, 60}))
 }
 
 // --- Table 4: add over wide relations --------------------------------------

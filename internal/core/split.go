@@ -83,10 +83,12 @@ func (a *argument) sortArg(c *exec.Ctx) error {
 }
 
 // keyPerm returns the permutation that sorts the rows by the order
-// schema, having verified that the order schema is a key.
+// schema, having verified that the order schema is a key; one
+// bat.KeyIndex call does both.
 func (a *argument) keyPerm(c *exec.Ctx) ([]int, error) {
-	idx := bat.SortIndex(c, a.orderCols)
-	if !bat.KeyUnique(a.orderCols, idx) {
+	idx, key := bat.KeyIndex(c, a.orderCols)
+	if !key {
+		c.Arena().FreeInts(idx)
 		return nil, fmt.Errorf("rma: order schema %v of %s is not a key", a.orderSchema.Names(), a.rel.Name)
 	}
 	return idx, nil
