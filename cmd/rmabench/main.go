@@ -29,7 +29,7 @@ func main() {
 
 	if *list {
 		for _, e := range bench.Experiments() {
-			fmt.Printf("%-8s %s\n         scaled: %s\n", e.ID, e.Title, e.ScaledFor(*quick))
+			fmt.Printf("%-8s %s\n         scaled: %s\n", e.ID, e.Title, e.Scaled)
 		}
 		return
 	}
@@ -54,7 +54,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("=== %s — %s\n", e.ID, e.Title)
-		fmt.Printf("    scaled: %s\n", e.ScaledFor(*quick))
+		fmt.Printf("    scaled: %s\n", e.Scaled)
 		t0 := time.Now()
 		if err := e.Run(os.Stdout, *quick); err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)

@@ -163,15 +163,13 @@
 //     order-preserving unsigned keys (floats canonicalised so −0 = +0
 //     and NaN sorts after +Inf; a descending key complements them).
 //     Keys already ascending return the identity after one pre-scan. A
-//     key whose span (max − min) is at least n − 1 and below 2n, as
-//     dense and lightly gapped ids are, is scattered into a
-//     (span+1)-int slot array filled with −1, each row into
-//     slot[key − min]: at span n − 1 the slots are the permutation, and
-//     above it they are compacted into it. A taken slot means the key
-//     repeats; the sort then falls through to one stable counting pass
-//     over key − min, which also sorts a span above 255 and below n
-//     through a (span+1)-int histogram. Any other key, and one whose
-//     slot array or histogram the arena refuses, takes an LSD radix
+//     key whose span (max − min) is n − 1, as dense ids are, is
+//     scattered into the result buffer filled with −1, each row into
+//     slot[key − min], so the filled slots are the permutation. A taken
+//     slot means the key repeats; the sort then falls through to one
+//     stable counting pass over key − min, which also sorts a span
+//     above 255 and below n through a (span+1)-int histogram. Any other
+//     key, and one whose histogram the arena refuses, takes an LSD radix
 //     sort over 8-bit digits, skipping every digit all rows share. If
 //     the arena refuses the LSD sort's n-int scratch it gives its
 //     buffers back and the merge sort runs instead. Every other key

@@ -3,7 +3,6 @@ package bat
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/exec"
@@ -149,54 +148,64 @@ func TestSortKeysCountingHistogramRefused(t *testing.T) {
 	}
 }
 
-// TestKeyIndexSlotArrayRefused is the slot scatter's twin of
+// TestKeyIndexSlotRepeatRefused is the slot scatter's twin of
 // TestSortKeysCountingHistogramRefused. It checks one Int key of n
-// gapped ids (span 1.5n − 1, so the slots need their own array), once
-// distinct and once with one id repeated. Unbudgeted, KeyIndex draws the
-// result and the (span+1)-int slot array, with no fallback. Under the
-// serial merge sort's budget (n + n/2 ints) the arena refuses the slot
-// array and then the LSD scratch. KeyIndex then notes one serial
-// fallback and merge-sorts within the budget. Both budgets give the
-// stable permutation and the same verdict, and once the permutation is
-// handed back no byte stays charged.
-func TestKeyIndexSlotArrayRefused(t *testing.T) {
+// shuffled dense ids (span n − 1), once distinct and once with one
+// inner id repeated, so the span stays n − 1. Distinct, the result
+// buffer is the slot array: KeyIndex draws nothing beside it at either
+// budget. Repeated, the scatter meets the repeat and falls through to
+// the counting pass, which unbudgeted draws its n-int histogram beside
+// the result. Under the serial merge sort's budget (n + n/2 ints) the
+// arena refuses that histogram and then the LSD scratch; KeyIndex notes
+// one serial fallback and merge-sorts within the budget. Every run gives
+// the stable permutation and the same verdict, and once the permutation
+// is handed back no byte stays charged.
+func TestKeyIndexSlotRepeatRefused(t *testing.T) {
 	const n = 4096
-	xs := make([]int64, n)
-	for i, p := range rand.New(rand.NewSource(12)).Perm(n) {
-		xs[i] = int64(p + p/2)
+	xs := rand.New(rand.NewSource(12)).Perm(n)
+	dense := make([]int64, n)
+	repeated := make([]int64, n)
+	for i, p := range xs {
+		dense[i], repeated[i] = int64(p), int64(p)
+		if p == n/2 {
+			repeated[i] = n / 3
+		}
 	}
-	span := int(slices.Max(xs) - slices.Min(xs))
-	repeated := slices.Clone(xs)
-	repeated[n-1] = repeated[n/2]
+	budget := intsCharge(n) + intsCharge(n/2)
 	for _, tc := range []struct {
-		name string
-		keys []int64
-		key  bool
-	}{{"distinct", xs, true}, {"repeated", repeated, false}} {
+		name                  string
+		keys                  []int64
+		key                   bool
+		fallbacks             int64
+		peak, peakUnderBudget int64
+	}{
+		{"distinct", dense, true, 0, intsCharge(n), intsCharge(n)},
+		{"repeated", repeated, false, 1, 2 * intsCharge(n), budget},
+	} {
 		want := refStablePerm(n, func(a, b int) bool { return tc.keys[a] < tc.keys[b] })
-		for _, budget := range []int64{0, intsCharge(n) + intsCharge(n/2)} {
-			tn := exec.NewGovernor(0, 0).Tenant("slots", budget)
+		for _, b := range []int64{0, budget} {
+			tn := exec.NewGovernor(0, 0).Tenant("slots", b)
 			ar := tn.NewArena()
 			st := &exec.Stats{}
 			got, key := KeyIndex(exec.NewCtx(1, ar, st), []*BAT{FromInts(tc.keys)})
-			permsEqual(t, "slots-refused "+tc.name, n, 1, got, want)
+			permsEqual(t, "slot-repeat "+tc.name, n, 1, got, want)
 			if key != tc.key {
-				t.Fatalf("%s budget=%d: key = %v, want %v", tc.name, budget, key, tc.key)
+				t.Fatalf("%s budget=%d: key = %v, want %v", tc.name, b, key, tc.key)
 			}
 			ar.FreeInts(got)
 			if live := tn.LiveBytes(); live != 0 {
-				t.Fatalf("%s budget=%d: %d bytes live after the permutation was handed back", tc.name, budget, live)
+				t.Fatalf("%s budget=%d: %d bytes live after the permutation was handed back", tc.name, b, live)
 			}
 			ar.Close()
-			wantFallbacks, wantPeak := int64(0), intsCharge(n)+intsCharge(span+1)
-			if budget != 0 {
-				wantFallbacks, wantPeak = 1, budget
+			wantFallbacks, wantPeak := int64(0), tc.peak
+			if b != 0 {
+				wantFallbacks, wantPeak = tc.fallbacks, tc.peakUnderBudget
 			}
 			if fb := st.SerialFallbacks.Load(); fb != wantFallbacks {
-				t.Fatalf("%s budget=%d: %d fallbacks, want %d", tc.name, budget, fb, wantFallbacks)
+				t.Fatalf("%s budget=%d: %d fallbacks, want %d", tc.name, b, fb, wantFallbacks)
 			}
 			if p := tn.PeakBytes(); p != wantPeak {
-				t.Fatalf("%s budget=%d: peak %d bytes, want %d", tc.name, budget, p, wantPeak)
+				t.Fatalf("%s budget=%d: peak %d bytes, want %d", tc.name, b, p, wantPeak)
 			}
 		}
 	}

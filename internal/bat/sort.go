@@ -2,7 +2,6 @@ package bat
 
 import (
 	"math"
-	"math/bits"
 	"slices"
 
 	"repro/internal/exec"
@@ -198,8 +197,8 @@ func SortIndex(c *exec.Ctx, keys []*BAT) []int {
 // every column and no Float column holds a NaN. A NaN equals no value
 // under IEEE comparison, itself included, so it names no row; −0 and +0
 // are one value. The verdict comes from the pass that sorts wherever it
-// can (radixSortIndex: keys already ascending, a narrow span's slot
-// scatter, more rows than values). After any other sort one typed,
+// can (radixSortIndex: keys already ascending, the slot scatter of a
+// dense span, more rows than values). After any other sort one typed,
 // column-at-a-time pass over adjacent sorted rows gives it (keyTies).
 // No key column gives nil and false.
 func KeyIndex(c *exec.Ctx, keys []*BAT) ([]int, bool) {
@@ -240,15 +239,14 @@ const (
 // SortIndex and KeyIndex call it, ORDER BY ... LIMIT calls TopKeys — and
 // the key shape alone picks the algorithm. One Int or Float key is
 // radix-sorted (radixSortIndex), a descending one on complemented bits:
-// by one slot scatter when its span is at least n − 1 and below
-// slotSpan·n and no key repeats, as dense ids do, in one counting pass
-// when the span is narrower than n (or the scatter met a repeat), and by
-// 8-bit LSD passes otherwise. If the arena refuses the radix sort's
-// buffers, or for any other key list, SortStable merge-sorts under
-// keyLess, after one linear pre-scan that returns the identity for keys
-// already in order. Floats follow CompareFloat on every path, and the
-// stable permutation is unique, so the result is the same on either path
-// and at any worker budget.
+// by one slot scatter when its span is n − 1 and no key repeats, as
+// dense ids do, in one counting pass when the span is narrower than n
+// (or the scatter met a repeat), and by 8-bit LSD passes otherwise. If
+// the arena refuses the radix sort's buffers, or for any other key list,
+// SortStable merge-sorts under keyLess, after one linear pre-scan that
+// returns the identity for keys already in order. Floats follow
+// CompareFloat on every path, and the stable permutation is unique, so
+// the result is the same on either path and at any worker budget.
 func SortKeys(c *exec.Ctx, keys []*Vector, desc []bool) []int {
 	idx, _ := sortKeys(c, keys, desc)
 	return idx
@@ -510,46 +508,36 @@ func CompareFloat(a, b float64) int {
 	return 0
 }
 
-// slotSpan bounds the slot scatter of radixSortIndex: it runs for a span
-// (max − min) of at least n − 1 and below slotSpan·n.
-const slotSpan = 2
-
 // radixSortIndex computes the stable ascending permutation of [0, n) under
 // the unsigned keys key(i), and what it learned about repeated keys. One
 // pre-scan checks the order and records the smallest and largest key;
 // keys already in order return the identity before any buffer is drawn,
 // with the verdict of the equal neighbours the scan saw.
 //
-// A span (max − min, computed in uint64) of at least n − 1 and below
-// slotSpan·n, as dense and lightly gapped ids have, first tries the slot
-// scatter: a (span+1)-int slot array filled with −1, into which each row
-// goes to slot[key − min]. A taken slot means the key repeats, and the
-// scatter stops there. Otherwise every key is distinct, so the order is
-// unique and the stable one: at span n − 1 the slots are the permutation
-// itself (the result buffer is the slot array), and above it the filled
-// slots are compacted into the result. Median of 7 runs at 1 worker on a
-// 2-vCPU host, 250 000 shuffled distinct ids, the whole sort took 2.2 ms
-// by slots against 4.5 ms by the counting pass at span n − 1, and 3.1,
-// 3.0, 3.6 and 3.6 ms by slots against 8.1, 8.3, 8.1 and 12.6 ms by LSD
-// passes at spans 1.5n, 2n, 3n and 4n. The scatter wins at every span
-// measured, but it draws a (span+1)-int slot array where the LSD path
-// draws an n-int scratch: slotSpan = 2 holds it to twice that scratch.
+// A span (max − min, computed in uint64) of exactly n − 1, as dense ids
+// have, first tries the slot scatter: the result buffer, filled with −1,
+// takes each row at slot[key − min]. A taken slot means the key repeats,
+// and the scatter stops there. Otherwise every key is distinct, so the
+// filled slots are the unique, and so the stable, permutation. Median of
+// 7 runs at 1 worker on a 2-vCPU host, 250 000 shuffled distinct ids,
+// the whole sort took 2.2 ms by slots against 4.5 ms by the counting
+// pass. A wider span would need a (span+1)-int slot array of its own
+// beside the result (3.0 ms against LSD's 8.3 ms at span 2n, same
+// setup), but no benchmark workload sorts such a key, so the scatter
+// stops at n − 1, where it draws nothing beyond the result.
 //
 // A span below n − 1 holds n rows in fewer than n values, so a key
 // repeats without a look. A span above 255 and below n that the slots did
 // not sort takes one stable counting pass over key − min: a (span+1)-int
 // histogram, prefix-summed into bucket offsets, then one scatter of the
-// rows into the result; a scatter that met a repeat in its own slot array
-// hands that array on as the histogram, whatever the span. Any other
-// span, and a narrow one whose histogram the arena refuses, takes the LSD
-// radix sort over 8-bit digits: one pass builds all eight digit
-// histograms, and a digit on which every row agrees is skipped, so keys
-// spanning few low bytes (ids below 2^24: three scatters) pay only for
-// the bytes that vary. Each LSD pass scatters the permutation alone and
-// reads each key through it from the column, so beside the n-int result
-// it holds one n-int scratch, returned before the result. Only the LSD
-// path, past the slots' span or without their array, leaves repeats
-// unchecked.
+// rows into the result. Any other span, and a narrow one whose histogram
+// the arena refuses, takes the LSD radix sort over 8-bit digits: one
+// pass builds all eight digit histograms, and a digit on which every row
+// agrees is skipped, so keys spanning few low bytes (ids below 2^24:
+// three scatters) pay only for the bytes that vary. Each LSD pass
+// scatters the permutation alone and reads each key through it from the
+// column, so beside the n-int result it holds one n-int scratch, returned
+// before the result. Only a span of n or more leaves repeats unchecked.
 //
 // Every buffer is drawn through TryInts, the result first: when the
 // arena refuses the result or the LSD scratch, radixSortIndex frees what
@@ -593,47 +581,31 @@ func radixSortIndex(c *exec.Ctx, n int, key func(i int) uint64) ([]int, keyVerdi
 	// (MinInt64 and MaxInt64) give a span far above n, never an overflow.
 	span := hi - lo
 	verdict := keysUnchecked
-	var count []int // the counting pass's histogram
-	switch {
-	case repeat || span < uint64(n-1):
+	if repeat || span < uint64(n-1) {
 		verdict = keysRepeat
-	case span < slotSpan*uint64(n):
-		slot := out
-		if span >= uint64(n) {
-			slot = a.TryInts(int(span) + 1)
+	} else if span == uint64(n-1) {
+		if fillSlots(out, lo, key) {
+			return out, keysDistinct
 		}
-		if slot != nil {
-			if fillSlots(slot, n, lo, key) {
-				if len(slot) > n {
-					compactSlots(out, slot)
-					a.FreeInts(slot)
-				}
-				return out, keysDistinct
-			}
-			verdict = keysRepeat
-			if len(slot) > n {
-				count = slot
-			}
-		}
+		verdict = keysRepeat
 	}
-	if count == nil && span > 255 && span < uint64(n) {
-		count = a.TryInts(int(span) + 1)
-	}
-	if count != nil {
-		clear(count)
-		for i := 0; i < n; i++ {
-			count[key(i)-lo]++
+	if span > 255 && span < uint64(n) {
+		if count := a.TryInts(int(span) + 1); count != nil {
+			clear(count)
+			for i := 0; i < n; i++ {
+				count[key(i)-lo]++
+			}
+			for b, sum := 0, 0; b < len(count); b++ {
+				count[b], sum = sum, sum+count[b]
+			}
+			for i := 0; i < n; i++ {
+				b := key(i) - lo
+				out[count[b]] = i
+				count[b]++
+			}
+			a.FreeInts(count)
+			return out, verdict
 		}
-		for b, sum := 0, 0; b < len(count); b++ {
-			count[b], sum = sum, sum+count[b]
-		}
-		for i := 0; i < n; i++ {
-			b := key(i) - lo
-			out[count[b]] = i
-			count[b]++
-		}
-		a.FreeInts(count)
-		return out, verdict
 	}
 	var hist [8][256]int
 	for i := 0; i < n; i++ {
@@ -682,14 +654,14 @@ func radixSortIndex(c *exec.Ctx, n int, key func(i int) uint64) ([]int, keyVerdi
 	return src, verdict
 }
 
-// fillSlots fills slot with −1 and then puts each row i of [0, n) into
-// slot[key(i) − lo]. It reports false at the first row whose slot is
-// taken: two rows share a key.
-func fillSlots(slot []int, n int, lo uint64, key func(i int) uint64) bool {
+// fillSlots fills slot with −1 and then puts each row i of
+// [0, len(slot)) into slot[key(i) − lo]. It reports false at the first
+// row whose slot is taken: two rows share a key.
+func fillSlots(slot []int, lo uint64, key func(i int) uint64) bool {
 	for s := range slot {
 		slot[s] = -1
 	}
-	for i := 0; i < n; i++ {
+	for i := range slot {
 		s := &slot[key(i)-lo]
 		if *s >= 0 {
 			return false
@@ -697,18 +669,6 @@ func fillSlots(slot []int, n int, lo uint64, key func(i int) uint64) bool {
 		*s = i
 	}
 	return true
-}
-
-// compactSlots writes the filled slots of slot, in slot order, to out,
-// which has one entry per filled slot. It stores every slot and advances
-// only past a filled one (the sign bit of ^r), so the loop does not
-// branch on the slot pattern; it stops once out is full.
-func compactSlots(out, slot []int) {
-	for s, j := 0, 0; j < len(out); s++ {
-		r := slot[s]
-		out[j] = r
-		j += int(uint(^r) >> (bits.UintSize - 1))
-	}
 }
 
 // IsSortedIndex reports whether idx is the identity permutation, i.e. the

@@ -502,7 +502,7 @@ func FuzzKeyIndex(f *testing.F) {
 		return xs
 	}
 	dense := shuffled(func(p int) int64 { return int64(p) })                               // span n − 1
-	gapped := shuffled(func(p int) int64 { return int64(p + p/2) })                        // span ~1.5n
+	gapped := shuffled(func(p int) int64 { return int64(p + p/2) })                        // span ~1.5n: LSD, then keyTies
 	floatNarrow := shuffled(func(p int) int64 { return 0x3ff0_0000_0000_0000 + int64(p) }) // floats from 1, one ulp apart
 	floatIDs := shuffled(func(p int) int64 { return int64(math.Float64bits(float64(p + 1))) })
 	lastDup := append([]int64(nil), dense...)

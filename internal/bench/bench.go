@@ -11,19 +11,9 @@ import (
 type Experiment struct {
 	ID    string // e.g. "tab5", "fig13a"
 	Title string // the paper artifact it reproduces
-	// Scaled documents the size reduction relative to the paper, and
-	// QuickScaled the -quick run's where its label differs.
-	Scaled      string
-	QuickScaled string
-	Run         func(w io.Writer, quick bool) error
-}
-
-// ScaledFor is the size label of the run Run(w, quick) makes.
-func (e Experiment) ScaledFor(quick bool) string {
-	if quick && e.QuickScaled != "" {
-		return e.QuickScaled
-	}
-	return e.Scaled
+	// Scaled documents the size reduction relative to the paper.
+	Scaled string
+	Run    func(w io.Writer, quick bool) error
 }
 
 var registry []Experiment

@@ -73,14 +73,13 @@ func runFig13(w io.Writer, rows int, orderCounts []int) error {
 }
 
 // fig13 is one panel of Figure 13: runFig13 over rows tuples and counts
-// order attributes, quickRows and quickCounts under -quick, each run
-// labelled with the tuples it uses against the paper's.
+// order attributes, quickRows and quickCounts under -quick, labelled with
+// both tuple counts against the paper's.
 func fig13(id, title, paper string, rows, quickRows int, counts, quickCounts []int) Experiment {
 	return Experiment{
-		ID:          id,
-		Title:       title,
-		Scaled:      fmt.Sprintf("%d tuples (paper: %s)", rows, paper),
-		QuickScaled: fmt.Sprintf("%d tuples (paper: %s)", quickRows, paper),
+		ID:     id,
+		Title:  title,
+		Scaled: fmt.Sprintf("%d tuples, %d under -quick (paper: %s)", rows, quickRows, paper),
 		Run: func(w io.Writer, quick bool) error {
 			if quick {
 				return runFig13(w, quickRows, quickCounts)
